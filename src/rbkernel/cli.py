@@ -99,18 +99,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "grid":
-        inst = generators.gen_grid(args.params[0], args.params[1])
-    elif args.kind == "matching":
-        inst = generators.gen_matching(args.params[0])
-    elif args.kind == "planar":
-        if len(args.params) < 2:
-            print("planar needs <n> <density-percent>", file=sys.stderr)
+    try:
+        if args.kind == "grid":
+            inst = generators.gen_grid(args.params[0], args.params[1])
+        elif args.kind == "matching":
+            inst = generators.gen_matching(args.params[0])
+        elif args.kind == "planar":
+            if len(args.params) < 2:
+                print("planar needs <n> <density-percent>", file=sys.stderr)
+                return EXIT_BAD_INPUT
+            inst = generators.gen_random_planar(
+                args.params[0], args.params[1] / 100.0, args.seed)
+        else:
+            print("unknown generator %r" % args.kind, file=sys.stderr)
             return EXIT_BAD_INPUT
-        inst = generators.gen_random_planar(
-            args.params[0], args.params[1] / 100.0, args.seed)
-    else:
-        print("unknown generator %r" % args.kind, file=sys.stderr)
+    except ValueError as exc:
+        print("gen %s: %s" % (args.kind, exc), file=sys.stderr)
         return EXIT_BAD_INPUT
     _write(args.out, formats.format_instance(inst))
     return EXIT_OK

@@ -89,14 +89,11 @@ def gen_random_planar(n: int, density: float, seed: int) -> Instance:
         adjacency[u].add(v)
         adjacency[v].add(u)
 
-    def undominated():
-        return sorted(v for v, c in colors.items()
-                      if c == RED and not any(colors[u] == BLUE for u in adjacency[v]))
-
-    bad = undominated()
-    while bad:
-        colors[bad[0]] = BLUE
-        bad = undominated()
+    # Recoloring only ever dominates more reds, so one ascending pass
+    # recolors exactly the reds a repeated lowest-undominated-first scan would.
+    for v in range(n):
+        if colors[v] == RED and not any(colors[u] == BLUE for u in adjacency[v]):
+            colors[v] = BLUE
 
     cross = [(u, v) for u, v in edges if colors[u] != colors[v]]
     keep = {v for v, c in colors.items() if c == RED}

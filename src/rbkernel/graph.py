@@ -75,12 +75,6 @@ class RBGraph:
             self._next_id = vid + 1
         return vid
 
-    def add_blue(self) -> int:
-        return self._add_with_id(self._next_id, BLUE)
-
-    def add_red(self) -> int:
-        return self._add_with_id(self._next_id, RED)
-
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise SameVertexError("self-loop at %d" % u)

@@ -11,7 +11,8 @@ The rules, in the order the driver exhausts them:
 * R4: for a pair of blues that is jointly forced (more than one shared
   private red, no third dominator), either both are forced (case 1), the
   pair's private reds collapse to a two-edge gadget (case 2), or one of
-  the two is forced (cases 3 and 4).
+  the two is forced (cases 3 and 4).  With U(r) = N(N(r)), which holds r,
+  a red r is private to the pair (a, w) iff U(r) - N(a) is within N(w).
 
 Every application is logged as a :class:`RuleApplication`; the ordered log
 replays forward to the kernel graph and backward to lift kernel solutions
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .graph import BLUE, RED, GraphError, Instance, RBGraph, sanitize
@@ -218,17 +220,28 @@ def find_rule3(g: RBGraph) -> Rule3Match | None:
     return None
 
 
-def _r4_pair_candidates(g: RBGraph, v: int) -> set[int]:
-    # Any partner of a firing pair lies at distance 2 or 4: each private
-    # red of the pair reaches the other endpoint through one intermediate
-    # blue once R3 is exhausted.
-    out: set[int] = set()
-    for r in g.adj[v]:
-        for b in g.adj[r]:
-            for r2 in g.adj[b]:
-                out |= g.adj[r2]
-    out.discard(v)
-    return out
+def _nbrs(adj: dict, vertices) -> set:
+    return set().union(*(adj[v] for v in vertices))
+
+
+def _r4_pairs(g: RBGraph, blues) -> set:
+    """Pairs (v < w) with an endpoint in ``blues`` and two or more private reds."""
+    adj = g.adj
+    dirty = g.blue.intersection(blues)
+    hits: list = []
+    for r in _nbrs(adj, _nbrs(adj, _nbrs(adj, dirty))):
+        ur = _nbrs(adj, adj[r])
+        by_degree = sorted(ur, key=lambda y: len(adj[y]))
+        for a in _nbrs(adj, ur) & dirty:
+            na = adj[a]
+            for probe in by_degree:
+                if probe not in na:
+                    break
+            else:
+                raise ContractViolation("R3 applies to blue %d and red %d" % (a, r))
+            x = ur - na  # holds the probe, so a is not among its neighbors
+            hits.extend((a, w) for w in adj[probe] if x <= adj[w])
+    return {(min(p), max(p)) for p, c in Counter(hits).items() if c > 1}
 
 
 def _r4_check_pair(g: RBGraph, v: int, w: int):
@@ -261,19 +274,20 @@ def _r4_check_pair(g: RBGraph, v: int, w: int):
     return case, frozenset(private)
 
 
+def _first_rule4(g: RBGraph, blues) -> Rule4Match | None:
+    """First firing pair (v < w) among the pairs with an endpoint in ``blues``."""
+    for v, w in sorted(_r4_pairs(g, blues)):
+        hit = _r4_check_pair(g, v, w)
+        if hit is not None:
+            return Rule4Match(v, w, *hit)
+    return None
+
+
 def find_rule4(g: RBGraph) -> Rule4Match | None:
     """First blue pair (v < w) with a jointly forced private set."""
     assert find_rule1(g) is None and find_rule2(g) is None and find_rule3(g) is None, \
         "find_rule4 requires R1, R2 and R3 to be exhausted"
-    for v in sorted(g.blue):
-        for w in sorted(_r4_pair_candidates(g, v)):
-            if w <= v:
-                continue
-            hit = _r4_check_pair(g, v, w)
-            if hit is not None:
-                case, private = hit
-                return Rule4Match(v, w, case, private)
-    return None
+    return _first_rule4(g, g.blue)
 
 
 def is_reduced(g: RBGraph) -> bool:
@@ -362,6 +376,12 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 # hence every mutation re-dirties the 3-ball around the touched vertices.
 # Popping worklists in ascending id order makes the run identical to the
 # naive rescans-from-scratch driver, which tests exploit.
+#
+# R4's search relies on R1-R3 being exhausted: a red r within distance three
+# of a dirty blue a has U(r) - N(a) nonempty (else R3 applies to a), so all w
+# with r private to (a, w) neighbor one probe in that set, and a red private
+# to (a, w) farther from a would need N(r) = {w} (R1) and N(w) = {r} (R2), an
+# R3 match again.  So _r4_pairs counts each pair's private reds exactly.
 
 _DIRTY_RADIUS = 3
 
@@ -402,9 +422,6 @@ class _Worklist:
                 return v
         return None
 
-    def __bool__(self) -> bool:
-        return bool(self.members)
-
 
 class _Driver:
     def __init__(self, inst: Instance):
@@ -434,11 +451,7 @@ class _Driver:
             changed |= self._exhaust_rule2()
             if changed:
                 continue
-            if self._try_rule3():
-                if self.k < 0:
-                    return self._no(NO_BUDGET)
-                continue
-            if self._try_rule4():
+            if self._try_rule3() or self._try_rule4():
                 if self.k < 0:
                     return self._no(NO_BUDGET)
                 continue
@@ -507,33 +520,21 @@ class _Driver:
             return True
 
     def _try_rule4(self) -> bool:
-        g = self.g
-        pairs = set()
-        for a in self.dirty4:
-            if not g.has_vertex(a):
-                continue
-            for b in _r4_pair_candidates(g, a):
-                pairs.add((a, b) if a < b else (b, a))
-        for v, w in sorted(pairs):
-            hit = _r4_check_pair(g, v, w)
-            if hit is None:
-                continue
-            case, private = hit
-            # Pairs ordered before (v, w) were just proven clean: drop their
-            # lower endpoints from the dirty set before re-dirtying.
-            self.dirty4 = {x for x in self.dirty4 if x >= v}
-            self._apply(Rule4Match(v, w, case, private))
-            return True
-        self.dirty4.clear()
-        return False
+        match = _first_rule4(self.g, self.dirty4)
+        if match is None:
+            self.dirty4.clear()
+            return False
+        # Pairs ordered before the match were just proven clean: drop their
+        # lower endpoints from the dirty set before re-dirtying.
+        self.dirty4 = {x for x in self.dirty4 if x >= match.v}
+        self._apply(match)
+        return True
 
     # -- bookkeeping --
 
     def _apply(self, match) -> None:
         g = self.g
-        if isinstance(match, Rule1Match):
-            doomed = [match.remove]
-        elif isinstance(match, Rule2Match):
+        if isinstance(match, (Rule1Match, Rule2Match)):
             doomed = [match.remove]
         elif isinstance(match, Rule3Match):
             doomed = [match.vertex] + sorted(g.adj[match.vertex])

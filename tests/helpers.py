@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from rbkernel.generators import _layout, _stacked_triangulation
 from rbkernel.graph import BLUE, RED, Instance, RBGraph, sanitize
 from rbkernel.kernelizer import (
     NO_BUDGET,
@@ -120,6 +121,17 @@ def oracle_rule4_all(g: RBGraph):
         case = 1 if not in_v and not in_w else 2 if in_v and in_w else 3 if in_v else 4
         hits.append((v, w, case, frozenset(private)))
     return hits
+
+
+def reduce_rules123(g: RBGraph) -> RBGraph:
+    """Apply R1, R2 and R3 to ``g`` in place, sanitizing in between, until
+    none applies; the budget is ignored."""
+    while True:
+        sanitize(g)
+        m = find_rule1(g) or find_rule2(g) or find_rule3(g)
+        if m is None:
+            return g
+        apply_rule(g, 0, m)
 
 
 # -- naive reference driver --------------------------------------------------------
@@ -270,6 +282,32 @@ def random_sanitized_instance(rng: random.Random, max_n: int = 12) -> RBGraph:
                 g.add_edge(b, r)
     sanitize(g)
     return g
+
+
+def quadratic_gen_random_planar(n: int, density: float, seed: int) -> Instance:
+    """gen_random_planar with its original recoloring: recolor the lowest
+    undominated red blue, then rescan every vertex, until none is left."""
+    rng = random.Random(seed)
+    edges = [e for e in _stacked_triangulation(n, rng) if rng.random() < density]
+    colors = {v: (BLUE if rng.random() < 0.5 else RED) for v in range(n)}
+    adjacency = {v: set() for v in range(n)}
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+
+    def undominated():
+        return sorted(v for v, c in colors.items()
+                      if c == RED and not any(colors[u] == BLUE for u in adjacency[v]))
+
+    bad = undominated()
+    while bad:
+        colors[bad[0]] = BLUE
+        bad = undominated()
+    cross = [(u, v) for u, v in edges if colors[u] != colors[v]]
+    keep = {v for v, c in colors.items() if c == RED}
+    keep.update(x for e in cross for x in e)
+    g = _layout({v: colors[v] for v in keep}, cross)
+    return Instance(g, len(g.blue))
 
 
 def alternating_cycle(pairs: int) -> RBGraph:

@@ -4,6 +4,7 @@ import pytest
 
 from rbkernel import formats
 from rbkernel.cli import (
+    EXIT_BAD_INPUT,
     EXIT_INVALID,
     EXIT_NO,
     EXIT_NONPLANAR,
@@ -132,6 +133,15 @@ class TestGenCommand:
         assert main(["gen", "planar", "20", "70", "--seed", "5", "--out", str(a)]) == EXIT_OK
         assert main(["gen", "planar", "20", "70", "--seed", "5", "--out", str(b)]) == EXIT_OK
         assert a.read_text() == b.read_text()
+
+    def test_bad_params_exit_bad_input(self, tmp_path, capsys):
+        out = tmp_path / "g.rbds"
+        for argv in (["grid", "0", "3"], ["matching", "0"], ["planar", "2", "50"],
+                     ["planar", "10", "0"]):
+            assert main(["gen", *argv, "--out", str(out)]) == EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("gen %s: " % argv[0]) and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestCheckPlanar:

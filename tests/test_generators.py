@@ -6,6 +6,8 @@ from rbkernel.kernelizer import kernelize
 from rbkernel.planar import bipartite_euler_bound, rbgraph_planarity
 from rbkernel.solver import min_rbds, verify_solution
 
+from helpers import quadratic_gen_random_planar
+
 
 class TestGrid:
     def test_1x2(self):
@@ -83,6 +85,12 @@ class TestRandomPlanar:
         inst = gen_random_planar(12, 0.5, 3)
         assert inst.meta["seed"] == 3
         assert "algo" in inst.meta
+
+    def test_recoloring_matches_quadratic_loop(self):
+        for n, density in ((40, 0.3), (120, 0.5), (200, 0.5), (200, 0.8), (150, 1.0)):
+            for seed in range(4):
+                assert gen_random_planar(n, density, seed) == \
+                    quadratic_gen_random_planar(n, density, seed)
 
     def test_bad_params(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from rbkernel.generators import gen_matching, gen_random_planar
+from rbkernel.generators import _stacked_triangulation, gen_matching, gen_random_planar
 from rbkernel.graph import Instance, RBGraph
 from rbkernel.kernelizer import (
     NO_BUDGET,
@@ -22,7 +23,9 @@ from rbkernel.kernelizer import (
     lift_solution,
     replay_trace,
 )
+from rbkernel.planar import is_planar
 from rbkernel.solver import decide_rbds, min_rbds, verify_solution
+from rbkernel.transforms import face_cover_to_rbds
 
 from helpers import alternating_cycle, reference_kernelize
 
@@ -183,6 +186,7 @@ class TestReferenceEquivalence:
         else:
             assert res.instance.k == k2
             assert res.trace.records == records
+        return res
 
     def test_on_classes(self, classes6):
         for g in classes6:
@@ -204,6 +208,17 @@ class TestReferenceEquivalence:
         for rows, cols in ((3, 4), (5, 5), (6, 6)):
             inst = gen_grid(rows, cols)
             self.check(inst.graph, inst.k)
+
+    def test_on_face_cover_of_stacked_triangulations(self):
+        fired = Counter()
+        for n in (12, 20, 36):
+            for seed in range(10):
+                tri = _stacked_triangulation(n, random.Random(seed))
+                g, _, faces = face_cover_to_rbds(is_planar(range(n), tri).embedding)
+                for k in (len(faces), 2):
+                    res = self.check(g, k)
+                    fired.update(rec.tag for rec in res.trace.records)
+        assert fired["R4-case1"] and fired["R4-case3"] and fired["R4-case4"]
 
     def test_on_pair_rule_witnesses(self):
         from test_rules import rule4_case2_witness, rule4_case3_witness

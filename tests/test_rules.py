@@ -1,14 +1,17 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rbkernel.graph import Instance, RBGraph
 from rbkernel.kernelizer import (
+    ContractViolation,
     Rule1Match,
     Rule2Match,
     Rule3Match,
     Rule4Match,
     StaleFindingError,
+    _r4_pairs,
     apply_rule,
     find_rule1,
     find_rule2,
@@ -21,10 +24,12 @@ from rbkernel.solver import decide_rbds
 
 from helpers import (
     alternating_cycle,
+    oracle_pair_private,
     oracle_rule1,
     oracle_rule2,
     oracle_rule3_set,
     oracle_rule4_all,
+    reduce_rules123,
 )
 
 
@@ -46,6 +51,20 @@ def rule4_case3_witness(swap_vw=False):
         range(1, 7), range(7, 13),
         [(a, 7), (a, 8), (b, 7), (b, 9), (3, 8), (3, 9),
          (4, 9), (4, 10), (4, 12), (5, 10), (5, 11), (6, 11), (6, 12)])
+
+
+@st.composite
+def r123_reduced_graphs(draw):
+    """Small random graphs reduced under R1-R3.  Reds get two or three blue
+    neighbors, so about one draw in five survives the reduction."""
+    nb = draw(st.integers(2, 8))
+    red_nbhds = draw(st.lists(st.sets(st.integers(1, nb), min_size=2, max_size=3),
+                              min_size=1, max_size=12))
+    nr = len(red_nbhds)
+    g = RBGraph.from_parts(range(1, nb + 1), range(nb + 1, nb + nr + 1),
+                           [(b, nb + 1 + i)
+                            for i, nbhd in enumerate(red_nbhds) for b in nbhd])
+    return reduce_rules123(g)
 
 
 def agreement_for_all_budgets(g):
@@ -181,6 +200,21 @@ class TestRule4:
         assert m == Rule4Match(1, 2, 4, frozenset({7, 8}))
         assert oracle_rule4_all(g)[0] == (1, 2, 4, frozenset({7, 8}))
         agreement_for_all_budgets(g)
+
+    @given(r123_reduced_graphs())
+    @example(alternating_cycle(4))
+    @example(rule4_case2_witness())
+    @example(rule4_case3_witness())
+    @settings(max_examples=300, deadline=None)
+    def test_pair_counting_matches_brute_force(self, g):
+        want = {(v, w) for v, w in itertools.combinations(sorted(g.blue), 2)
+                if len(oracle_pair_private(g, v, w)) >= 2}
+        assert _r4_pairs(g, g.blue) == want
+
+    def test_pair_counting_refuses_r3_match(self):
+        # Red 2 is private to blue 1 alone, so no probe lies outside N(1).
+        with pytest.raises(ContractViolation):
+            _r4_pairs(RBGraph.from_parts([1], [2], [(1, 2)]), {1})
 
     def test_matches_unrestricted_oracle_on_classes(self, classes7):
         for g in classes7:
