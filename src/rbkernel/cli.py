@@ -98,16 +98,20 @@ def cmd_verify(args) -> int:
     return EXIT_INVALID
 
 
+_GEN_PARAMS = {"grid": "<rows> <cols>", "matching": "<m>", "planar": "<n> <density-percent>"}
+
+
 def cmd_gen(args) -> int:
+    usage = _GEN_PARAMS.get(args.kind, "")
+    if len(args.params) < len(usage.split()):
+        print("gen %s: needs %s" % (args.kind, usage), file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         if args.kind == "grid":
             inst = generators.gen_grid(args.params[0], args.params[1])
         elif args.kind == "matching":
             inst = generators.gen_matching(args.params[0])
         elif args.kind == "planar":
-            if len(args.params) < 2:
-                print("planar needs <n> <density-percent>", file=sys.stderr)
-                return EXIT_BAD_INPUT
             inst = generators.gen_random_planar(
                 args.params[0], args.params[1] / 100.0, args.seed)
         else:
@@ -226,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate instances (grid R C | matching M | "
                                    "planar N DENSITY, density in percent)")
-    p.add_argument("kind", choices=["grid", "matching", "planar"])
+    p.add_argument("kind", choices=list(_GEN_PARAMS))
     p.add_argument("params", nargs="+", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -151,12 +151,15 @@ def fingerprint_instance(inst: Instance) -> Fingerprint:
 
 
 def _r1_witness(g: RBGraph, b: int) -> int | None:
-    nb = g.adj[b]
+    adj = g.adj
+    nb = adj[b]
     if not nb:
         return None  # isolated blues belong to sanitize, not R1
-    probe = min(nb, key=lambda r: (len(g.adj[r]), r))
-    for b2 in sorted(g.adj[probe]):
-        if b2 != b and nb <= g.adj[b2]:
+    # Every blue containing N(b) neighbors every red of N(b), so the least
+    # such blue is the same whichever red serves as the probe.
+    probe = min(nb, key=lambda r: len(adj[r]))
+    for b2 in sorted(adj[probe]):
+        if b2 != b and nb <= adj[b2]:
             return b2
     return None
 
@@ -294,9 +297,9 @@ def is_reduced(g: RBGraph) -> bool:
     """True iff none of the four rules applies."""
     if find_rule1(g) is not None or find_rule2(g) is not None:
         return False
-    if find_rule3(g) is not None:
+    if any(_r3_red(g, v) is not None for v in g.blue):
         return False
-    return find_rule4(g) is None
+    return _first_rule4(g, g.blue) is None
 
 
 # -- applying rules --------------------------------------------------------------
@@ -370,34 +373,31 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 
 # -- the driver --------------------------------------------------------------------
 #
-# The loop keeps worklists of vertices whose local structure changed since
-# they were last checked, so a pass never rescans the whole graph.  A rule's
-# applicability at a vertex only depends on the graph within distance three,
-# hence every mutation re-dirties the 3-ball around the touched vertices.
-# Popping worklists in ascending id order makes the run identical to the
-# naive rescans-from-scratch driver, which tests exploit.
+# The loop keeps, per rule, a worklist of the vertices where it may newly
+# apply, so a pass never rescans the whole graph.  Popping worklists in
+# ascending id order makes the run identical to the naive rescans-from-scratch
+# driver, which tests exploit.  What a record changed decides what is pushed;
+# "live" means still in the graph after the whole record, r is each live red
+# of N(x), and C(r) is the set of reds whose neighborhood contains N(r), for
+# which r may now witness R2:
+#
+#   change           R1 at        R2 at    R3 at       R4 seeds
+#   red x removed    live N(x)    -        live N(x)   N(x)
+#   blue x removed   -            C(r)     N(r)        N(x)
+#   red n added      N(n)         C(n)     N(n)        n
+#
+# Removing a red changes no red's neighborhood, removing a blue no blue's; a
+# blue left isolated goes to sanitize.  R4 at a pair reads the graph within
+# distance three of it.  Such a path from a changed vertex to a live blue
+# leaves the last removed vertex on it through a seed, then runs over live
+# vertices only, so the radius-2 ball around the live seeds, taken when R4
+# is next tried, holds every blue whose pair may newly fire.
 #
 # R4's search relies on R1-R3 being exhausted: a red r within distance three
 # of a dirty blue a has U(r) - N(a) nonempty (else R3 applies to a), so all w
 # with r private to (a, w) neighbor one probe in that set, and a red private
 # to (a, w) farther from a would need N(r) = {w} (R1) and N(w) = {r} (R2), an
 # R3 match again.  So _r4_pairs counts each pair's private reds exactly.
-
-_DIRTY_RADIUS = 3
-
-
-def _ball(g: RBGraph, v: int, radius: int = _DIRTY_RADIUS) -> set[int]:
-    seen = {v}
-    frontier = [v]
-    for _ in range(radius):
-        nxt = []
-        for x in frontier:
-            for y in g.adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
 
 
 class _Worklist:
@@ -443,6 +443,7 @@ class _Driver:
         self.wl2 = _Worklist(g.red)
         self.wl3 = _Worklist(g.blue)
         self.dirty4 = set(g.blue)
+        self.seeds: set[int] = set()
         self.iso_blue: set[int] = set()
 
         while True:
@@ -520,12 +521,17 @@ class _Driver:
             return True
 
     def _try_rule4(self) -> bool:
-        match = _first_rule4(self.g, self.dirty4)
+        g = self.g
+        seeds = {x for x in self.seeds if x in g.adj}
+        self.seeds.clear()
+        near = _nbrs(g.adj, seeds)
+        self.dirty4 |= g.blue & (seeds | near | _nbrs(g.adj, near))
+        match = _first_rule4(g, self.dirty4)
         if match is None:
             self.dirty4.clear()
             return False
         # Pairs ordered before the match were just proven clean: drop their
-        # lower endpoints from the dirty set before re-dirtying.
+        # lower endpoints from the dirty set.
         self.dirty4 = {x for x in self.dirty4 if x >= match.v}
         self._apply(match)
         return True
@@ -533,44 +539,35 @@ class _Driver:
     # -- bookkeeping --
 
     def _apply(self, match) -> None:
-        g = self.g
-        if isinstance(match, (Rule1Match, Rule2Match)):
-            doomed = [match.remove]
-        elif isinstance(match, Rule3Match):
-            doomed = [match.vertex] + sorted(g.adj[match.vertex])
-        elif match.case == 1:
-            doomed = [match.v, match.w] + sorted(g.adj[match.v] | g.adj[match.w])
-        elif match.case == 2:
-            doomed = sorted(match.private)
-        elif match.case == 3:
-            doomed = [match.v] + sorted(g.adj[match.v])
-        else:
-            doomed = [match.w] + sorted(g.adj[match.w])
-
-        dirty: set[int] = set()
-        for x in doomed:
-            dirty |= _ball(g, x)
-
-        self.k, rec = apply_rule(g, self.k, match)
+        """Fire ``match``; push what its record changed (see the driver notes)."""
+        adj = self.g.adj
+        self.k, rec = apply_rule(self.g, self.k, match)
         self.records.append(rec)
-
-        for vid, _nbrs in rec.added:
-            dirty |= _ball(g, vid)
-        self._mark_dirty(dirty)
-        for _, _, nbrs in rec.removed:
+        for _, color, nbrs in rec.removed:
+            self.seeds.update(nbrs)
             for u in nbrs:
-                if u in g.blue and not g.adj[u]:
-                    self.iso_blue.add(u)
+                if u not in adj:
+                    continue
+                if color == RED:
+                    self.wl1.push(u)
+                    self.wl3.push(u)
+                    if not adj[u]:
+                        self.iso_blue.add(u)
+                else:
+                    self._red_changed(u)
+        for n, nbrs in rec.added:
+            self.seeds.add(n)
+            self._red_changed(n)
+            for b in nbrs:
+                self.wl1.push(b)
 
-    def _mark_dirty(self, vertices) -> None:
-        g = self.g
-        for x in vertices:
-            if x in g.blue:
-                self.wl1.push(x)
-                self.wl3.push(x)
-                self.dirty4.add(x)
-            elif x in g.red:
-                self.wl2.push(x)
+    def _red_changed(self, r: int) -> None:
+        """Push the blues of ``r`` for R3 and C(r), r included, for R2."""
+        adj = self.g.adj
+        for b in adj[r]:
+            self.wl3.push(b)
+        for x in set.intersection(*(adj[b] for b in adj[r])):
+            self.wl2.push(x)
 
     # -- verdicts --
 

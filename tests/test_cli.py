@@ -143,6 +143,14 @@ class TestGenCommand:
             assert err.startswith("gen %s: " % argv[0]) and err.count("\n") == 1
         assert not out.exists()
 
+    def test_missing_params_exit_bad_input(self, tmp_path, capsys):
+        out = tmp_path / "g.rbds"
+        for argv in (["grid", "3"], ["planar", "20"]):
+            assert main(["gen", *argv, "--out", str(out)]) == EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("gen %s: needs " % argv[0]) and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestCheckPlanar:
     def test_planar_instance(self, tmp_path, capsys):

@@ -2,9 +2,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbkernel.generators import _stacked_triangulation, gen_matching, gen_random_planar
-from rbkernel.graph import Instance, RBGraph
+from rbkernel.graph import Instance, RBGraph, sanitize
 from rbkernel.kernelizer import (
     NO_BUDGET,
     NO_ISOLATED_RED,
@@ -12,6 +13,7 @@ from rbkernel.kernelizer import (
     R1,
     R2,
     R3,
+    SAN_NO,
     InvalidKernelSolutionError,
     Rule4Match,
     apply_rule,
@@ -173,20 +175,78 @@ class TestTrace:
                 assert is_reduced(res.instance.graph)
 
 
+@st.composite
+def sanitized_graphs(draw):
+    """Random sanitized graphs.  Reds get two to four blue neighbors, so R4
+    fires at some budget in about one graph in seven, mostly case 1."""
+    nb = draw(st.integers(2, 8))
+    red_nbhds = draw(st.lists(st.sets(st.integers(1, nb), min_size=2, max_size=4),
+                              min_size=1, max_size=14))
+    nr = len(red_nbhds)
+    g = RBGraph.from_parts(range(1, nb + 1), range(nb + 1, nb + nr + 1),
+                           [(b, nb + 1 + i) for i, nbhd in enumerate(red_nbhds) for b in nbhd])
+    sanitize(g)
+    return g
+
+
 class TestReferenceEquivalence:
     """The worklist driver must match the naive rescan-everything loop
-    record for record."""
+    record for record, up to the record where a NO verdict stops it."""
 
     def check(self, g, k):
         res = kernelize(Instance(g.copy(), k))
         status, reason, _g2, k2, records = reference_kernelize(Instance(g.copy(), k))
         assert res.status == status
+        # The reference stops on an undominatable red without logging it.
+        assert [rec for rec in res.trace.records if rec.tag != SAN_NO] == records
         if status == "no":
             assert res.reason == reason
         else:
             assert res.instance.k == k2
-            assert res.trace.records == records
         return res
+
+    @given(sanitized_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_budget_on_random_graphs(self, g):
+        for k in range(len(g.blue) + 1):
+            self.check(g, k)
+
+    def test_on_planar_at_tight_budgets(self):
+        # An empty kernel's budget drop is the optimum: k - k' is the least
+        # YES budget and k - k' - 1 a NO budget.
+        for i, n in enumerate((150, 200, 250, 300)):
+            for seed in range(4):
+                inst = gen_random_planar(n, 0.6 + 0.1 * i, seed)
+                res = kernelize(inst)
+                assert res.instance.graph.n_vertices == 0
+                opt = inst.k - res.instance.k
+                assert self.check(inst.graph, opt).status == "reduced"
+                assert self.check(inst.graph, opt - 1).reason == NO_BUDGET
+
+    def test_case2_gadget_feeds_rule2(self):
+        # Red 12 neighbors both ends of the case-2 pair (1, 2) but reaches
+        # red 11 through blue 5, so it is not private.  Once the gadget red
+        # 13 with N = {1, 2} replaces the private reds 7 and 8, R2 removes 12
+        # with 13 as its witness.
+        from test_rules import rule4_case2_witness
+        g = rule4_case2_witness()
+        assert g.add_red_vertex({1, 2, 5}) == 12
+        fired = [(rec.tag, rec.witness) for rec in self.check(g, len(g.blue)).trace.records]
+        assert fired.index(("R4-case2", (1, 2))) < fired.index((R2, (12, 13)))
+
+    def test_pair_rule_enabled_at_distance_three(self):
+        # R4 case 1 on (3, 9) deletes red 15, after which blue 8 has
+        # N = {12, 22}: reds 12 and 22 turn private to the pair (1, 2), at
+        # distance three from 15, which fires next.
+        g = RBGraph.from_parts(range(1, 10), range(10, 23), [
+            (1, 16), (1, 17), (1, 22), (2, 11), (2, 12), (2, 17), (3, 10), (3, 13), (3, 21),
+            (4, 11), (4, 13), (4, 18), (5, 16), (5, 19), (6, 20), (6, 21), (7, 18), (7, 19),
+            (8, 12), (8, 14), (8, 15), (8, 22), (9, 10), (9, 14), (9, 15), (9, 20)])
+        for k in range(len(g.blue) + 1):
+            fired = [(rec.tag, rec.witness) for rec in self.check(g, k).trace.records]
+            if k >= 2:
+                assert fired[1:4] == [("R4-case1", (3, 9)), ("Sanitize-isolated-blue", (6,)),
+                                      ("R4-case1", (1, 2))]
 
     def test_on_classes(self, classes6):
         for g in classes6:
