@@ -17,9 +17,10 @@ pipeline relies on this).
 from __future__ import annotations
 
 import json
+import re
 
 from .graph import Instance, RBGraph
-from .kernelizer import Fingerprint, KernelTrace, RuleApplication
+from .kernelizer import RULE_TAGS, Fingerprint, KernelTrace, RuleApplication
 from .planar import PlaneGraph
 
 
@@ -208,18 +209,27 @@ def _parse_added(body: str, line_no: int):
     return tuple(out)
 
 
+# Counts are capped at 18 digits so int() never meets its digit limit.
+_FINGERPRINT = re.compile(
+    r"c\s+fingerprint\s+v=([0-9]{1,18})\s+e=([0-9]{1,18})\s+sha=([0-9a-f]{16})")
+
+
 def parse_trace(text: str) -> KernelTrace:
     trace = KernelTrace()
     for i, line in _tokens(text):
         parts = line.split()
         if parts[0] == "c":
-            if len(parts) == 5 and parts[1] == "fingerprint":
-                trace.fingerprint = Fingerprint(
-                    int(parts[2][2:]), int(parts[3][2:]), parts[4][4:])
+            if len(parts) > 1 and parts[1] == "fingerprint":
+                fp = _FINGERPRINT.fullmatch(line)
+                if fp is None:
+                    raise ParseError(i, "expected 'c fingerprint v=<n> e=<m> sha=<16 hex digits>'")
+                trace.fingerprint = Fingerprint(int(fp[1]), int(fp[2]), fp[3])
             continue
         if parts[0] != "r" or len(parts) != 6:
             raise ParseError(i, "expected 'r <tag> k_delta=.. removed=[..] added=[..] witness=(..)'")
         tag = parts[1]
+        if tag not in RULE_TAGS:
+            raise ParseError(i, "unknown rule tag %r" % tag)
         fields = {}
         for part in parts[2:]:
             key, _, val = part.partition("=")

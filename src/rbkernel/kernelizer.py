@@ -383,11 +383,18 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 #
 #   change           R1 at        R2 at    R3 at       R4 seeds
 #   red x removed    live N(x)    -        live N(x)   N(x)
-#   blue x removed   -            C(r)     N(r)        N(x)
-#   red n added      N(n)         C(n)     N(n)        n
+#   blue x removed   -            C(r)     -           N(x)
+#   red n added      -            C(n)     -           n
 #
 # Removing a red changes no red's neighborhood, removing a blue no blue's; a
-# blue left isolated goes to sanitize.  R4 at a pair reads the graph within
+# blue left isolated goes to sanitize.  Only R1 removes a blue and keeps its
+# reds, and no blue's own neighborhood shrinks then; every pop from wl3
+# happens with R1 exhausted, when a degree-one blue's red has no other blue
+# and R3 fires.  So a blue that R3 newly matches after a blue removal has
+# been pushed since its last pop by a red removal, and the blue-removal
+# column needs no R3 push.  An R4 case-2 red n has N(n) = {v, w}, and the
+# same record removes private reds adjacent to both, which pushes v and w
+# for R1 and R3 already.  R4 at a pair reads the graph within
 # distance three of it.  Such a path from a changed vertex to a live blue
 # leaves the last removed vertex on it through a seed, then runs over live
 # vertices only, so the radius-2 ball around the live seeds, taken when R4
@@ -554,18 +561,14 @@ class _Driver:
                     if not adj[u]:
                         self.iso_blue.add(u)
                 else:
-                    self._red_changed(u)
-        for n, nbrs in rec.added:
+                    self._push_containers(u)
+        for n, _ in rec.added:
             self.seeds.add(n)
-            self._red_changed(n)
-            for b in nbrs:
-                self.wl1.push(b)
+            self._push_containers(n)
 
-    def _red_changed(self, r: int) -> None:
-        """Push the blues of ``r`` for R3 and C(r), r included, for R2."""
+    def _push_containers(self, r: int) -> None:
+        """Push C(r), r included, for R2."""
         adj = self.g.adj
-        for b in adj[r]:
-            self.wl3.push(b)
         for x in set.intersection(*(adj[b] for b in adj[r])):
             self.wl2.push(x)
 

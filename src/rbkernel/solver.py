@@ -1,13 +1,25 @@
-"""Exact solvers used as correctness oracles.
+"""Exact solvers for red/blue domination and small dominating sets.
 
-Both the red/blue domination optimum and the small-graph dominating set
-optimum reduce to minimum set cover, solved here by branch and bound over
-bitmasks.  These searches are meant for verification on small instances,
-not for scale.
+Both problems reduce to minimum set cover: blues (or closed
+neighborhoods) are the sets, reds (or vertices) the elements.  Every call
+builds one :class:`_Cover` engine over its family and runs a memoized
+branch-and-reduce search on it.  At each node the engine looks up the
+uncovered element mask in its memo, splits the uncovered elements into
+connected components and solves them one at a time under the remaining
+budget, prunes on a packing lower bound, and otherwise branches on the
+element with the fewest covering sets over its non-subsumed candidates.
+The memo lives as long as the engine, i.e. for one call.
+
+Witness contract: among all minimum covers the lexicographically smallest
+sorted id tuple is returned, so golden tests stay stable.  It is rebuilt
+in ascending id order, keeping an id when the still-uncovered elements can
+then be covered by the optimum's remaining budget; every such query runs
+on the same engine and memo.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import RBGraph
@@ -45,30 +57,21 @@ def verify_solution(g: RBGraph, chosen) -> bool:
 def min_rbds(g: RBGraph) -> SolveOutcome:
     """Exact minimum number of blues needed to dominate all reds.
 
-    Blues play the role of sets, reds of universe elements.  Among all
-    minimum solutions the lexicographically smallest id set is returned so
-    golden tests stay stable.
+    Among all minimum solutions the lexicographically smallest id set is
+    returned.
     """
-    reds = sorted(g.red)
-    bit = {r: 1 << i for i, r in enumerate(reds)}
-    target = (1 << len(reds)) - 1
-    sets = [(b, _mask(g.adj[b], bit)) for b in sorted(g.blue)]
-    res = _min_cover(target, sets)
-    if res is None:
+    if any(not g.adj[r] for r in g.red):
         return INFEASIBLE
-    size, chosen = res
-    return SolveOutcome(size, frozenset(chosen))
+    blues = sorted(g.blue)
+    return _min_cover(blues, [g.adj[b] for b in blues])
 
 
 def decide_rbds(g: RBGraph, k: int) -> bool:
     """True iff at most ``k`` blues dominate every red vertex."""
-    if k < 0:
+    if k < 0 or any(not g.adj[r] for r in g.red):
         return False
-    reds = sorted(g.red)
-    bit = {r: 1 << i for i, r in enumerate(reds)}
-    target = (1 << len(reds)) - 1
-    sets = [(b, _mask(g.adj[b], bit)) for b in sorted(g.blue)]
-    return _coverable(target, [m for _, m in sets], k)
+    engine = _Cover([g.adj[b] for b in g.blue])
+    return engine.solve(engine.target, k) <= k
 
 
 def min_ds(adj: dict, limit: int = MAX_DS_VERTICES) -> SolveOutcome:
@@ -83,159 +86,147 @@ def min_ds(adj: dict, limit: int = MAX_DS_VERTICES) -> SolveOutcome:
             "graph has %d vertices, exact search is capped at %d" % (len(adj), limit)
         )
     vs = sorted(adj)
-    bit = {v: 1 << i for i, v in enumerate(vs)}
-    target = (1 << len(vs)) - 1
-    sets = [(v, _mask(adj[v], bit) | bit[v]) for v in vs]
-    res = _min_cover(target, sets)
-    if res is None:
-        return INFEASIBLE  # unreachable: closed neighborhoods always cover
-    size, chosen = res
-    return SolveOutcome(size, frozenset(chosen))
+    return _min_cover(vs, [adj[v] | {v} for v in vs])
 
 
-# -- set cover engine --------------------------------------------------------
+def _min_cover(ids: list[int], family: list) -> SolveOutcome:
+    """Minimum cover of the union of ``family`` with its lex-min witness.
 
-
-def _mask(items, bit) -> int:
-    m = 0
-    for x in items:
-        m |= bit[x]
-    return m
-
-
-def _min_cover(target: int, sets: list[tuple[int, int]]):
-    """Minimum cover of ``target`` by the given (id, mask) sets.
-
-    Returns (size, sorted id tuple) or None when the union misses part of
-    the universe.  The witness is the lexicographically smallest id set
-    among minimum covers.
+    ``ids`` names the sets and must be ascending.
     """
+    engine = _Cover(family)
+    target = engine.target
     if target == 0:
-        return 0, ()
-    union = 0
-    for _, m in sets:
-        union |= m
-    if union & target != target:
-        return None
-
-    best = _cover_size(target, sets)
-
-    # Second pass: rebuild the witness greedily in ascending id order, at
-    # each step keeping an id only if the optimum size stays reachable.
+        return SolveOutcome(0, frozenset())
+    best = engine.solve(target, target.bit_count())
+    # Keep an id when a minimum cover extends the ids kept so far with it.
+    # Asking over all sets, not just the later ones, changes no answer: a
+    # completion through a skipped lower id would have kept that id at its
+    # turn.  So every query is a plain cover query on the one memo.
     chosen: list[int] = []
     covered = 0
-    for i, (sid, m) in enumerate(sets):
-        if len(chosen) == best:
-            break
+    for sid, m in zip(ids, engine.masks):
         need = best - len(chosen) - 1
-        rest = [mm for _, mm in sets[i + 1:]]
-        if _coverable(target & ~(covered | m), rest, need):
+        if m & ~covered and engine.solve(target & ~(covered | m), need) <= need:
             chosen.append(sid)
             covered |= m
-            if covered & target == target:
+            if covered == target:
                 break
-    return best, tuple(chosen)
+    return SolveOutcome(best, frozenset(chosen))
 
 
-def _cover_size(target: int, sets: list[tuple[int, int]]) -> int:
-    """Size of a minimum cover, assuming one exists."""
-    masks = _prune_subsumed([m & target for _, m in sets])
-    covers = _element_covers(target, masks)
+class _Cover:
+    """Memoized minimum set cover over a fixed family of sets.
 
-    ub, _ = _greedy(target, masks)
-    best = ub
-    maxsize = max(m.bit_count() for m in masks)
+    Element bits are laid out by ascending number of covering sets, so the
+    lowest uncovered bit is the element with the fewest covers and the
+    packing bound scans elements in that order.
+    """
 
-    def dfs(uncovered: int, used: int) -> None:
-        nonlocal best
-        if uncovered == 0:
-            if used < best:
-                best = used
-            return
-        lb = used + -(-uncovered.bit_count() // maxsize)
-        if lb >= best:
-            return
-        e = _pick_element(uncovered, covers)
-        cands = sorted(covers[e], key=lambda m: -(m & uncovered).bit_count())
-        for m in cands:
-            dfs(uncovered & ~m, used + 1)
+    def __init__(self, family: list):
+        count = Counter(e for s in family for e in s)
+        order = sorted(count, key=lambda e: (count[e], e))
+        bit = {e: 1 << i for i, e in enumerate(order)}
+        self.masks = [sum(bit[e] for e in s) for s in family]
+        self.target = (1 << len(order)) - 1
+        # covers[i]: the masks of the sets covering element i; reach[i]: the
+        # elements sharing a set with element i, i included.
+        self.covers: list[list[int]] = [[] for _ in order]
+        self.reach = [0] * len(order)
+        for m in self.masks:
+            rest = m
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                self.covers[i].append(m)
+                self.reach[i] |= m
+                rest ^= low
+        # Uncovered mask -> (value, exact); inexact values are lower bounds.
+        self.memo: dict[int, tuple[int, bool]] = {}
 
-    dfs(target, 0)
-    return best
+    def solve(self, u: int, limit: int) -> int:
+        """Size of a minimum cover of ``u`` if it is at most ``limit``, else
+        a lower bound on it above ``limit``."""
+        if not u:
+            return 0
+        hit = self.memo.get(u)
+        if hit is not None and (hit[1] or hit[0] > limit):
+            return hit[0]
+        comp = self._component(u)
+        if comp != u:
+            value = self._split(u, comp, limit)
+        else:
+            value = self._branch(u, limit, 0 if hit is None else hit[0])
+        self.memo[u] = (value, value <= limit)
+        return value
 
+    def _component(self, u: int) -> int:
+        """The connected component of the lowest element of ``u``."""
+        reach = self.reach
+        comp = frontier = u & -u
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= reach[low.bit_length() - 1]
+                frontier ^= low
+            grow &= u
+            frontier = grow & ~comp
+            comp |= grow
+        return comp
 
-def _coverable(target: int, masks: list[int], budget: int) -> bool:
-    """Can ``target`` be covered with at most ``budget`` masks?"""
-    if target == 0:
-        return True
-    if budget <= 0:
-        return False
-    masks = _prune_subsumed([m & target for m in masks if m & target])
-    union = 0
-    for m in masks:
-        union |= m
-    if union & target != target:
-        return False
-    covers = _element_covers(target, masks)
-    maxsize = max(m.bit_count() for m in masks)
+    def _packing(self, u: int) -> int:
+        """Elements of ``u`` with pairwise disjoint covers, fewest covers
+        first: each needs a set of its own.  Taking an element rules out
+        every element it shares a set with."""
+        reach = self.reach
+        n = 0
+        while u:
+            u &= ~reach[(u & -u).bit_length() - 1]
+            n += 1
+        return n
 
-    def dfs(uncovered: int, left: int) -> bool:
-        if uncovered == 0:
-            return True
-        if left <= 0 or -(-uncovered.bit_count() // maxsize) > left:
-            return False
-        e = _pick_element(uncovered, covers)
-        cands = sorted(covers[e], key=lambda m: -(m & uncovered).bit_count())
-        return any(dfs(uncovered & ~m, left - 1) for m in cands)
+    def _split(self, u: int, comp: int, limit: int) -> int:
+        """Solve the components of ``u`` one at a time, smallest first; each
+        gets what the limit leaves after the others' lower bounds."""
+        parts = [comp]
+        rest = u & ~comp
+        while rest:
+            c = self._component(rest)
+            parts.append(c)
+            rest &= ~c
+        parts.sort(key=int.bit_count)
+        lows = [self.memo[c][0] if c in self.memo else self._packing(c) for c in parts]
+        pending = sum(lows)
+        if pending > limit:
+            return pending
+        total = 0
+        for c, low in zip(parts, lows):
+            pending -= low
+            budget = limit - total - pending
+            value = self.solve(c, budget)
+            total += value
+            if value > budget:
+                return total + pending
+        return total
 
-    return dfs(target, budget)
-
-
-def _prune_subsumed(masks: list[int]) -> list[int]:
-    """Drop masks contained in another mask (the search-side twin of the
-    blue subset rule); keeps one copy of duplicates."""
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    out = []
-    for i, m in enumerate(uniq):
-        if m == 0:
-            continue
-        if any(m & big == m for big in uniq[i + 1:]):
-            continue
-        out.append(m)
-    return out
-
-
-def _element_covers(target: int, masks: list[int]) -> dict[int, list[int]]:
-    covers: dict[int, list[int]] = {}
-    e = 1
-    while e <= target:
-        if e & target:
-            covers[e] = [m for m in masks if m & e]
-        e <<= 1
-    return covers
-
-
-def _pick_element(uncovered: int, covers: dict[int, list[int]]) -> int:
-    """Uncovered element with the fewest covering sets: smallest branching."""
-    best_e, best_n = 0, None
-    e = 1
-    while e <= uncovered:
-        if e & uncovered:
-            n = len(covers[e])
-            if best_n is None or n < best_n:
-                best_e, best_n = e, n
-                if n <= 1:
-                    break
-        e <<= 1
-    return best_e
-
-
-def _greedy(target: int, masks: list[int]) -> tuple[int, int]:
-    covered, used = 0, 0
-    while covered & target != target:
-        m = max(masks, key=lambda mm: (mm & target & ~covered).bit_count())
-        if not m & target & ~covered:
-            break
-        covered |= m
-        used += 1
-    return used, covered
+    def _branch(self, u: int, limit: int, known: int) -> int:
+        """Branch on the element with the fewest covers; ``known`` is a lower
+        bound from an earlier, failed search of ``u``."""
+        low = max(self._packing(u), known)
+        if low > limit:
+            return low
+        cands = {m & u for m in self.covers[(u & -u).bit_length() - 1]}
+        # Branch only on maximal candidates, largest first: a cover using a
+        # subsumed set stays a cover when it takes the larger one instead.
+        kept: list[int] = []
+        for m in sorted(cands, key=int.bit_count, reverse=True):
+            if all(m & k != m for k in kept):
+                kept.append(m)
+        # Every element has a cover, so |u| + 1 exceeds any bound on u.
+        best = u.bit_count() + 1
+        for m in kept:
+            best = min(best, 1 + self.solve(u & ~m, min(best - 1, limit) - 1))
+            if best == low:
+                break
+        return best

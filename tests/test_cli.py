@@ -106,6 +106,18 @@ class TestPipeline:
             assert main(["verify", str(src), str(sol)]) == EXIT_OK
             assert capsys.readouterr().out.strip() == "VALID"
 
+    @pytest.mark.parametrize("bad_line", [
+        "r\tR9\tk_delta=0\tremoved=[]\tadded=[]\twitness=(1)",
+        "c fingerprint v=x e=0 sha=0123456789abcdef",
+    ])
+    def test_lift_malformed_trace_exits_parse(self, tmp_path, capsys, bad_line):
+        src = tmp_path / "in.rbds"
+        src.write_text(formats.format_instance(gen_grid(3, 3)))
+        trace = tmp_path / "bad.trace"
+        trace.write_text(bad_line + "\n")
+        assert main(["solve", str(src), "--lift", str(trace)]) == EXIT_PARSE
+        assert "parse error" in capsys.readouterr().err
+
     def test_solve_empty(self, tmp_path, capsys):
         path = tmp_path / "empty.rbds"
         path.write_text("p rbds 0 0 0\n")

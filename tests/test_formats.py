@@ -1,9 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbkernel import formats
 from rbkernel.generators import gen_grid, gen_matching, gen_random_planar
 from rbkernel.graph import Instance, RBGraph
-from rbkernel.kernelizer import kernelize
+from rbkernel.kernelizer import KernelTrace, kernelize
 from rbkernel.planar import is_planar
 
 
@@ -109,6 +110,24 @@ class TestTraceFormat:
         assert again.records == [rec]
         assert again.records[0].added == ((5, (1, 2)),)
 
+    def test_unknown_tag_rejected(self):
+        with pytest.raises(formats.ParseError) as err:
+            formats.parse_trace("r\tR9\tk_delta=0\tremoved=[]\tadded=[]\twitness=(1)\n")
+        assert err.value.line_no == 1
+
+    @pytest.mark.parametrize("line", [
+        "c fingerprint v=x e=3 sha=0123456789abcdef",
+        "c fingerprint n=4 e=3 sha=0123456789abcdef",
+        "c fingerprint v=4 e=3 digest=0123456789abcdef",
+        "c fingerprint v=4 e=3 sha=0123456789abcdeg",
+        "c fingerprint v=4 e=3",
+    ])
+    def test_malformed_fingerprint_rejected(self, line):
+        with pytest.raises(formats.ParseError) as err:
+            formats.parse_trace("r\tR1\tk_delta=0\tremoved=[1:b:(3)]\tadded=[]\twitness=(1,2)\n"
+                                + line + "\n")
+        assert err.value.line_no == 2
+
     def test_json_mirror(self):
         import json
         inst = gen_grid(2, 3)
@@ -136,6 +155,33 @@ class TestParserHygiene:
                     fn(text)
                 except formats.ParseError:
                     pass
+
+
+_TRACE_HEADS = ["c fingerprint", "c", "r R1", "r R4-case2", "r R9", "r", "x"]
+_TRACE_TOKENS = ["fingerprint", "v=1", "e=x", "sha=0123456789abcdef", "R1", "k_delta=-1",
+                 "k_delta=z", "removed=[1:b:(2,3)]", "removed=[1:b]", "added=[5:(1,2)]",
+                 "added=[:(", "witness=(1,2)", "witness=(a)", "=", "[]"]
+
+
+@st.composite
+def trace_like_texts(draw):
+    """Lines of trace tokens behind a line head, mixed with raw text, so
+    both the line dispatch and the field parsers see malformed input."""
+    line = st.builds(lambda head, rest: " ".join([head] + rest),
+                     st.sampled_from(_TRACE_HEADS),
+                     st.lists(st.sampled_from(_TRACE_TOKENS), max_size=5))
+    return "\n".join(draw(st.lists(st.one_of(line, st.text(max_size=40)), max_size=6)))
+
+
+class TestTraceFuzz:
+    @given(st.one_of(st.text(), trace_like_texts()))
+    @settings(max_examples=300, deadline=None)
+    def test_trace_or_parse_error(self, text):
+        try:
+            trace = formats.parse_trace(text)
+        except formats.ParseError:
+            return
+        assert isinstance(trace, KernelTrace)
 
 
 class TestPlaneFormat:

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rbkernel.generators import gen_grid
 from rbkernel.graph import RBGraph
+from rbkernel.kernelizer import kernelize, lift_solution
 from rbkernel.solver import (
     InstanceTooLargeError,
     decide_rbds,
@@ -12,6 +15,51 @@ from rbkernel.solver import (
 )
 
 from helpers import exhaustive_min_ds, exhaustive_min_rbds, random_sanitized_instance
+
+
+@st.composite
+def unions(draw):
+    """One or two random red/blue graphs, disjoint, their blue and red ids
+    interleaved by a random permutation.  Reds may have no blue, so
+    infeasible instances occur too."""
+    parts = []
+    for _ in range(draw(st.integers(1, 2))):
+        nb = draw(st.integers(1, 6))
+        parts.append((nb, draw(st.lists(st.sets(st.integers(0, nb - 1), max_size=3),
+                                        min_size=1, max_size=8))))
+    n_blue = sum(nb for nb, _ in parts)
+    n_red = sum(len(reds) for _, reds in parts)
+    blue_ids = draw(st.permutations(range(1, n_blue + 1)))
+    red_ids = draw(st.permutations(range(n_blue + 1, n_blue + n_red + 1)))
+    g = RBGraph.from_parts(blue_ids, red_ids)
+    b0 = r0 = 0
+    for nb, reds in parts:
+        for i, nbhd in enumerate(reds):
+            for b in nbhd:
+                g.add_edge(blue_ids[b0 + b], red_ids[r0 + i])
+        b0 += nb
+        r0 += len(reds)
+    return g
+
+
+@st.composite
+def cycle_unions(draw):
+    """Disjoint alternating blue/red cycles with interleaved ids, and their
+    optimum: a cycle through n reds needs ceil(n / 2) blues.  The packing
+    bound sees only about n / 3 of them, so the search must prove the rest."""
+    lengths = draw(st.lists(st.integers(2, 9), min_size=1, max_size=3))
+    n = sum(lengths)
+    blue_ids = draw(st.permutations(range(1, n + 1)))
+    red_ids = draw(st.permutations(range(n + 1, 2 * n + 1)))
+    g = RBGraph.from_parts(blue_ids, red_ids)
+    start = 0
+    for length in lengths:
+        for i in range(length):
+            r = red_ids[start + i]
+            g.add_edge(blue_ids[start + i], r)
+            g.add_edge(blue_ids[start + (i + 1) % length], r)
+        start += length
+    return g, sum(-(-length // 2) for length in lengths)
 
 
 def star(n_reds=3):
@@ -102,6 +150,45 @@ class TestMinRbds:
             else:
                 assert (got.size, set(got.witness)) == expected
 
+    @given(unions())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_exhaustive_on_unions(self, g):
+        # Components are solved separately; the witness must still be the
+        # lex-min one over the whole graph.
+        expected = exhaustive_min_rbds(g)
+        got = min_rbds(g)
+        if expected is None:
+            assert not got.feasible
+        else:
+            assert (got.size, set(got.witness)) == expected
+
+    @given(cycle_unions())
+    @settings(max_examples=100, deadline=None)
+    def test_cycle_unions(self, case):
+        g, opt = case
+        out = min_rbds(g)
+        assert out.size == opt and verify_solution(g, out.witness)
+
+    def test_lower_bound_not_taken_as_optimum(self):
+        # A search that fails under a small limit leaves a lower bound in
+        # the memo; read back as an exact value it makes the witness
+        # rebuild here keep {1, 3}, which leaves reds undominated.
+        edges = [(1, 15), (3, 16), (3, 20), (4, 19), (5, 15), (5, 22), (6, 19), (7, 17),
+                 (8, 17), (8, 21), (9, 18), (9, 22), (10, 16), (10, 17), (10, 18), (10, 19),
+                 (11, 21), (12, 16), (12, 21), (13, 20), (13, 22), (14, 18)]
+        g = RBGraph.from_parts(range(1, 15), range(15, 23), edges)
+        out = min_rbds(g)
+        assert (out.size, set(out.witness)) == exhaustive_min_rbds(g) == (4, {1, 8, 10, 13})
+
+    def test_grid_6x30_kernel(self):
+        inst = gen_grid(6, 30)
+        res = kernelize(inst)
+        out = min_rbds(res.instance.graph)
+        assert out.size == 27
+        lifted = lift_solution(res.trace, out.witness, res.instance.graph)
+        assert verify_solution(inst.graph, lifted)
+        assert len(lifted) == out.size + inst.k - res.instance.k
+
 
 class TestDecide:
     def test_negative_budget(self):
@@ -120,6 +207,20 @@ class TestDecide:
             for k in range(len(g.blue) + 1):
                 expect = out.feasible and out.size <= k
                 assert decide_rbds(g, k) == expect
+
+    @given(cycle_unions())
+    @settings(max_examples=100, deadline=None)
+    def test_every_budget_on_cycle_unions(self, case):
+        g, opt = case
+        for k in range(opt - 3, opt + 2):
+            assert decide_rbds(g, k) == (k >= opt)
+
+    @given(unions())
+    @settings(max_examples=150, deadline=None)
+    def test_every_budget_matches_exhaustive(self, g):
+        expected = exhaustive_min_rbds(g)
+        for k in range(-1, len(g.blue) + 2):
+            assert decide_rbds(g, k) == (expected is not None and expected[0] <= k)
 
 
 class TestMinDs:
