@@ -73,7 +73,12 @@ def cmd_kernelize(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.input)
-    outcome = min_rbds(inst.graph)
+    try:
+        outcome = min_rbds(inst.graph)
+    except RecursionError:
+        print("instance too large for exact search: the search ran out of stack",
+              file=sys.stderr)
+        return EXIT_TOO_LARGE
     if not outcome.feasible:
         print("INFEASIBLE")
         return EXIT_INFEASIBLE

@@ -20,7 +20,7 @@ import json
 import re
 
 from .graph import Instance, RBGraph
-from .kernelizer import RULE_TAGS, Fingerprint, KernelTrace, RuleApplication
+from .kernelizer import WITNESS_LEN, Fingerprint, KernelTrace, RuleApplication
 from .planar import PlaneGraph
 
 
@@ -228,7 +228,7 @@ def parse_trace(text: str) -> KernelTrace:
         if parts[0] != "r" or len(parts) != 6:
             raise ParseError(i, "expected 'r <tag> k_delta=.. removed=[..] added=[..] witness=(..)'")
         tag = parts[1]
-        if tag not in RULE_TAGS:
+        if tag not in WITNESS_LEN:
             raise ParseError(i, "unknown rule tag %r" % tag)
         fields = {}
         for part in parts[2:]:
@@ -243,6 +243,9 @@ def parse_trace(text: str) -> KernelTrace:
             raise ParseError(i, "missing field %s" % exc) from None
         except ValueError as exc:
             raise ParseError(i, "bad field value: %s" % exc) from None
+        if len(witness) != WITNESS_LEN[tag]:
+            raise ParseError(i, "%s needs a witness of %d vertices, got %d"
+                             % (tag, WITNESS_LEN[tag], len(witness)))
         trace.records.append(RuleApplication(tag, removed, added, witness, delta))
     return trace
 

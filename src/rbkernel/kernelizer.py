@@ -14,6 +14,11 @@ The rules, in the order the driver exhausts them:
   the two is forced (cases 3 and 4).  With U(r) = N(N(r)), which holds r,
   a red r is private to the pair (a, w) iff U(r) - N(a) is within N(w).
 
+A finder returns a :class:`Match`: the trace tag and the record's witness
+tuple.  The table ``_FORCED`` names the witness positions of the blues a
+match forces into every solution (R3 and R4 cases 1, 3 and 4); it alone
+decides what :func:`apply_rule` removes for such a match, the budget drop
+(one unit per forced blue) and what :func:`lift_solution` adds back.
 Every application is logged as a :class:`RuleApplication`; the ordered log
 replays forward to the kernel graph and backward to lift kernel solutions
 to the original instance.
@@ -25,6 +30,7 @@ import hashlib
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import BLUE, RED, GraphError, Instance, RBGraph, sanitize
 from .solver import verify_solution
@@ -37,7 +43,13 @@ SAN_EDGE = "Sanitize-edge"
 SAN_BLUE = "Sanitize-isolated-blue"
 SAN_NO = "Sanitize-NO"
 
-RULE_TAGS = (R1, R2, R3) + tuple(R4_CASE.values()) + (SAN_NO, SAN_EDGE, SAN_BLUE)
+# Length of each tag's witness tuple, in the order tags are reported.
+WITNESS_LEN = {R1: 2, R2: 2, R3: 1, **{tag: 2 for tag in R4_CASE.values()},
+               SAN_NO: 1, SAN_EDGE: 2, SAN_BLUE: 1}
+RULE_TAGS = tuple(WITNESS_LEN)
+
+# Witness positions of the blues a rule forces into every solution.
+_FORCED = {R3: (0,), R4_CASE[1]: (0, 1), R4_CASE[3]: (0,), R4_CASE[4]: (1,)}
 
 NO_ISOLATED_RED = "isolated-red"
 NO_BUDGET = "budget"
@@ -59,30 +71,15 @@ class InvalidKernelSolutionError(GraphError):
 # -- findings ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rule1Match:
-    remove: int
-    witness: int
+class Match(NamedTuple):
+    """A rule that applies: its trace tag and the record's witness tuple,
+    ``(remove, witness)`` for R1 and R2, ``(v,)`` for R3 and ``(v, w)`` for
+    R4, with the pair's private reds for R4.  A named tuple, because the
+    driver builds one per firing."""
 
-
-@dataclass(frozen=True)
-class Rule2Match:
-    remove: int
-    witness: int
-
-
-@dataclass(frozen=True)
-class Rule3Match:
-    vertex: int
-    red: int
-
-
-@dataclass(frozen=True)
-class Rule4Match:
-    v: int
-    w: int
-    case: int
-    private: frozenset
+    tag: str
+    witness: tuple
+    private: frozenset = frozenset()
 
 
 # -- trace records -------------------------------------------------------------
@@ -150,7 +147,7 @@ def fingerprint_instance(inst: Instance) -> Fingerprint:
 # scan reaches it first.
 
 
-def _r1_witness(g: RBGraph, b: int) -> int | None:
+def _r1_at(g: RBGraph, b: int) -> Match | None:
     adj = g.adj
     nb = adj[b]
     if not nb:
@@ -160,53 +157,56 @@ def _r1_witness(g: RBGraph, b: int) -> int | None:
     probe = min(nb, key=lambda r: len(adj[r]))
     for b2 in sorted(adj[probe]):
         if b2 != b and nb <= adj[b2]:
-            return b2
+            return Match(R1, (b, b2))
     return None
 
 
-def find_rule1(g: RBGraph) -> Rule1Match | None:
-    """First blue whose neighborhood is contained in another blue's."""
-    for b in sorted(g.blue):
-        w = _r1_witness(g, b)
-        if w is not None:
-            return Rule1Match(b, w)
-    return None
-
-
-def _r2_witness(g: RBGraph, r: int) -> int | None:
-    nr = g.adj[r]
+def _r2_at(g: RBGraph, r: int) -> Match | None:
+    adj = g.adj
+    nr = adj[r]
     if not nr:
         return None
     cands = set()
     for b in nr:
-        cands |= g.adj[b]
+        cands |= adj[b]
     cands.discard(r)
     for r2 in sorted(cands):
-        if g.adj[r2] <= nr:
-            return r2
+        if adj[r2] <= nr:
+            return Match(R2, (r, r2))
     return None
 
 
-def find_rule2(g: RBGraph) -> Rule2Match | None:
-    """First red whose neighborhood contains another red's."""
-    for r in sorted(g.red):
-        w = _r2_witness(g, r)
-        if w is not None:
-            return Rule2Match(r, w)
-    return None
-
-
-def _r3_red(g: RBGraph, v: int) -> int | None:
-    nv = g.adj[v]
+def _r3_at(g: RBGraph, v: int) -> Match | None:
+    adj = g.adj
+    nv = adj[v]
     if len(nv) != 1:
         return None
     r = next(iter(nv))
-    if r in g.red and len(g.adj[r]) == 1:
-        return r
+    if r in g.red and len(adj[r]) == 1:
+        return Match(R3, (v,))
     return None
 
 
-def find_rule3(g: RBGraph) -> Rule3Match | None:
+def _first(g: RBGraph, candidates, probe) -> Match | None:
+    """The match ``probe`` finds at the least candidate where it finds one."""
+    for x in sorted(candidates):
+        m = probe(g, x)
+        if m is not None:
+            return m
+    return None
+
+
+def find_rule1(g: RBGraph) -> Match | None:
+    """First blue whose neighborhood is contained in another blue's."""
+    return _first(g, g.blue, _r1_at)
+
+
+def find_rule2(g: RBGraph) -> Match | None:
+    """First red whose neighborhood contains another red's."""
+    return _first(g, g.red, _r2_at)
+
+
+def find_rule3(g: RBGraph) -> Match | None:
     """First blue with a nonempty private neighborhood.
 
     With R1 and R2 exhausted this is exactly a two-vertex component: a
@@ -216,11 +216,7 @@ def find_rule3(g: RBGraph) -> Rule3Match | None:
     """
     assert find_rule1(g) is None and find_rule2(g) is None, \
         "find_rule3 requires a graph already reduced under R1 and R2"
-    for v in sorted(g.blue):
-        r = _r3_red(g, v)
-        if r is not None:
-            return Rule3Match(v, r)
-    return None
+    return _first(g, g.blue, _r3_at)
 
 
 def _nbrs(adj: dict, vertices) -> set:
@@ -247,14 +243,10 @@ def _r4_pairs(g: RBGraph, blues) -> set:
     return {(min(p), max(p)) for p, c in Counter(hits).items() if c > 1}
 
 
-def _r4_check_pair(g: RBGraph, v: int, w: int):
-    """Case tag and private set if R4 fires on (v, w), else None."""
-    nv, nw = g.adj[v], g.adj[w]
-    nvw = nv | nw
-    private = set()
-    for r in nvw:
-        if all(g.adj[x] <= nvw for x in g.adj[r]):
-            private.add(r)
+def _r4_at(g: RBGraph, pair) -> Match | None:
+    """The match if R4 fires on the pair (v, w), else None."""
+    v, w = pair
+    private = g.pair_private_neighborhood(v, w)
     if len(private) <= 1:
         return None
     it = iter(private)
@@ -265,103 +257,53 @@ def _r4_check_pair(g: RBGraph, v: int, w: int):
             break
     if dominators - {v, w}:
         return None  # a third blue covers the whole private set
-    in_v, in_w = private <= nv, private <= nw
-    if not in_v and not in_w:
-        case = 1
-    elif in_v and in_w:
-        case = 2
-    elif in_v:
-        case = 3
-    else:
-        case = 4
-    return case, frozenset(private)
+    in_v, in_w = private <= g.adj[v], private <= g.adj[w]
+    case = 2 if in_v and in_w else 3 if in_v else 4 if in_w else 1
+    return Match(R4_CASE[case], pair, frozenset(private))
 
 
-def _first_rule4(g: RBGraph, blues) -> Rule4Match | None:
-    """First firing pair (v < w) among the pairs with an endpoint in ``blues``."""
-    for v, w in sorted(_r4_pairs(g, blues)):
-        hit = _r4_check_pair(g, v, w)
-        if hit is not None:
-            return Rule4Match(v, w, *hit)
-    return None
-
-
-def find_rule4(g: RBGraph) -> Rule4Match | None:
+def find_rule4(g: RBGraph) -> Match | None:
     """First blue pair (v < w) with a jointly forced private set."""
     assert find_rule1(g) is None and find_rule2(g) is None and find_rule3(g) is None, \
         "find_rule4 requires R1, R2 and R3 to be exhausted"
-    return _first_rule4(g, g.blue)
+    return _first(g, _r4_pairs(g, g.blue), _r4_at)
 
 
 def is_reduced(g: RBGraph) -> bool:
     """True iff none of the four rules applies."""
-    if find_rule1(g) is not None or find_rule2(g) is not None:
-        return False
-    if any(_r3_red(g, v) is not None for v in g.blue):
-        return False
-    return _first_rule4(g, g.blue) is None
+    return (_first(g, g.blue, _r1_at) is None and _first(g, g.red, _r2_at) is None
+            and _first(g, g.blue, _r3_at) is None
+            and _first(g, _r4_pairs(g, g.blue), _r4_at) is None)
 
 
 # -- applying rules --------------------------------------------------------------
 
 
-def _require_live(g: RBGraph, vertices) -> None:
-    dead = [v for v in vertices if not g.has_vertex(v)]
-    if dead:
-        raise StaleFindingError("finding names dead vertices %s" % dead)
-
-
-def _remove_recorded(g: RBGraph, v: int) -> tuple:
-    color = g.color_of(v)
-    return (v, color, g.remove_vertex(v))
-
-
-def apply_rule(g: RBGraph, k: int, match) -> tuple[int, RuleApplication]:
+def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication]:
     """Mutate ``g`` according to a finding; returns the new budget and the
-    trace record.  Vertices are removed in recorded order so forward replay
-    reproduces the graph exactly."""
-    if isinstance(match, Rule1Match):
-        _require_live(g, (match.remove, match.witness))
-        rec = RuleApplication(R1, (_remove_recorded(g, match.remove),), (),
-                              (match.remove, match.witness), 0)
-        return k, rec
-    if isinstance(match, Rule2Match):
-        _require_live(g, (match.remove, match.witness))
-        rec = RuleApplication(R2, (_remove_recorded(g, match.remove),), (),
-                              (match.remove, match.witness), 0)
-        return k, rec
-    if isinstance(match, Rule3Match):
-        _require_live(g, (match.vertex, match.red))
-        targets = [match.vertex] + sorted(g.adj[match.vertex])
-        removed = tuple(_remove_recorded(g, x) for x in targets)
-        rec = RuleApplication(R3, removed, (), (match.vertex,), -1)
-        return k - 1, rec
-    if isinstance(match, Rule4Match):
-        _require_live(g, (match.v, match.w))
-        _require_live(g, match.private)
-        v, w = match.v, match.w
-        if match.case == 1:
-            targets = [v, w] + sorted(g.adj[v] | g.adj[w])
-            removed = tuple(_remove_recorded(g, x) for x in targets)
-            rec = RuleApplication(R4_CASE[1], removed, (), (v, w), -2)
-            return k - 2, rec
-        if match.case == 2:
-            removed = tuple(_remove_recorded(g, x) for x in sorted(match.private))
-            new = g.add_red_vertex({v, w})
-            rec = RuleApplication(R4_CASE[2], removed, ((new, (v, w)),), (v, w), 0)
-            return k, rec
-        if match.case == 3:
-            targets = [v] + sorted(g.adj[v])
-            removed = tuple(_remove_recorded(g, x) for x in targets)
-            rec = RuleApplication(R4_CASE[3], removed, (), (v, w), -1)
-            return k - 1, rec
-        if match.case == 4:
-            targets = [w] + sorted(g.adj[w])
-            removed = tuple(_remove_recorded(g, x) for x in targets)
-            rec = RuleApplication(R4_CASE[4], removed, (), (v, w), -1)
-            return k - 1, rec
-        raise GraphError("unknown R4 case %r" % (match.case,))
-    raise GraphError("unknown finding %r" % (match,))
+    trace record.  R1 and R2 remove the first witness; R4 case 2 swaps the
+    private reds for one red on the pair; a rule that forces blues removes
+    them with their neighborhoods and pays one unit of budget for each.
+    Vertices are removed in recorded order so forward replay reproduces the
+    graph exactly."""
+    tag, witness, private = match
+    adj = g.adj
+    named = {*witness, *private}
+    if not named <= adj.keys():
+        raise StaleFindingError("finding names dead vertices %s" % sorted(named - adj.keys()))
+    forced = ()
+    if tag == R1 or tag == R2:
+        targets = witness[:1]
+    elif tag == R4_CASE[2]:
+        targets = sorted(private)
+    elif tag in _FORCED:
+        forced = [witness[i] for i in _FORCED[tag]]
+        targets = forced + sorted(_nbrs(adj, forced))
+    else:
+        raise GraphError("unknown finding %r" % (match,))
+    removed = tuple([(x, g.color_of(x), g.remove_vertex(x)) for x in targets])
+    added = ((g.add_red_vertex(witness), witness),) if tag == R4_CASE[2] else ()
+    return k - len(forced), RuleApplication(tag, removed, added, witness, -len(forced))
 
 
 def _sanitize_records(rep) -> list[RuleApplication]:
@@ -374,7 +316,10 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 # -- the driver --------------------------------------------------------------------
 #
 # The loop keeps, per rule, a worklist of the vertices where it may newly
-# apply, so a pass never rescans the whole graph.  Popping worklists in
+# apply, so a pass never rescans the whole graph.  R1, R2 and R3 share one
+# drain: each live vertex popped goes to the rule's probe, and a Match it
+# returns goes to apply_rule; R1 and R2 drain to empty, R3 stops after one
+# firing so the budget is checked.  Popping worklists in
 # ascending id order makes the run identical to the naive rescans-from-scratch
 # driver, which tests exploit.  What a record changed decides what is pushed;
 # "live" means still in the graph after the whole record, r is each live red
@@ -455,11 +400,11 @@ class _Driver:
 
         while True:
             changed = self._drain_isolated_blues()
-            changed |= self._exhaust_rule1()
-            changed |= self._exhaust_rule2()
+            changed |= self._drain(self.wl1, _r1_at, False)
+            changed |= self._drain(self.wl2, _r2_at, False)
             if changed:
                 continue
-            if self._try_rule3() or self._try_rule4():
+            if self._drain(self.wl3, _r3_at, True) or self._try_rule4():
                 if self.k < 0:
                     return self._no(NO_BUDGET)
                 continue
@@ -486,46 +431,24 @@ class _Driver:
         self.iso_blue.clear()
         return changed
 
-    def _exhaust_rule1(self) -> bool:
-        changed = False
+    def _drain(self, wl: _Worklist, probe, once: bool) -> bool:
+        """Pop ``wl`` and fire what ``probe`` finds until ``wl`` is empty, or
+        after the first firing when ``once``; True iff anything fired."""
+        g = self.g
+        adj = g.adj
+        fired = False
         while True:
-            b = self.wl1.pop()
-            if b is None:
-                return changed
-            if not self.g.has_vertex(b):
+            x = wl.pop()
+            if x is None:
+                return fired
+            if x not in adj:
                 continue
-            w = _r1_witness(self.g, b)
-            if w is None:
-                continue
-            self._apply(Rule1Match(b, w))
-            changed = True
-
-    def _exhaust_rule2(self) -> bool:
-        changed = False
-        while True:
-            r = self.wl2.pop()
-            if r is None:
-                return changed
-            if not self.g.has_vertex(r):
-                continue
-            w = _r2_witness(self.g, r)
-            if w is None:
-                continue
-            self._apply(Rule2Match(r, w))
-            changed = True
-
-    def _try_rule3(self) -> bool:
-        while True:
-            v = self.wl3.pop()
-            if v is None:
-                return False
-            if not self.g.has_vertex(v):
-                continue
-            r = _r3_red(self.g, v)
-            if r is None:
-                continue
-            self._apply(Rule3Match(v, r))
-            return True
+            match = probe(g, x)
+            if match is not None:
+                self._apply(match)
+                if once:
+                    return True
+                fired = True
 
     def _try_rule4(self) -> bool:
         g = self.g
@@ -533,13 +456,14 @@ class _Driver:
         self.seeds.clear()
         near = _nbrs(g.adj, seeds)
         self.dirty4 |= g.blue & (seeds | near | _nbrs(g.adj, near))
-        match = _first_rule4(g, self.dirty4)
+        match = _first(g, _r4_pairs(g, self.dirty4), _r4_at)
         if match is None:
             self.dirty4.clear()
             return False
         # Pairs ordered before the match were just proven clean: drop their
         # lower endpoints from the dirty set.
-        self.dirty4 = {x for x in self.dirty4 if x >= match.v}
+        v = match.witness[0]
+        self.dirty4 = {x for x in self.dirty4 if x >= v}
         self._apply(match)
         return True
 
@@ -621,22 +545,17 @@ def replay_trace(original: RBGraph, trace: KernelTrace) -> RBGraph:
 def lift_solution(trace: KernelTrace, kernel_solution, kernel_graph: RBGraph | None = None):
     """Turn a solution of the kernel into one of the original instance.
 
-    Walks the trace backward adding the forced vertices: the R3 witness,
-    both endpoints for R4 case 1, and the forced endpoint for cases 3
-    and 4.  Every other record lifts identically; in particular after an
-    R4 case 2 the kernel solution already contains one of the two pair
-    vertices, which dominates everything that record removed.
+    Walks the trace backward adding the blues each record forced (the
+    ``_FORCED`` positions of its witness).  Every other record lifts
+    identically; in particular after an R4 case 2 the kernel solution
+    already contains one of the two pair vertices, which dominates
+    everything that record removed.
     """
     lifted = set(kernel_solution)
     if kernel_graph is not None and not verify_solution(kernel_graph, lifted):
         raise InvalidKernelSolutionError(
             "the given solution does not dominate the kernel graph")
     for rec in reversed(trace.records):
-        if rec.tag == R3 or rec.tag == R4_CASE[3]:
-            lifted.add(rec.witness[0])
-        elif rec.tag == R4_CASE[4]:
-            lifted.add(rec.witness[1])
-        elif rec.tag == R4_CASE[1]:
-            lifted.add(rec.witness[0])
-            lifted.add(rec.witness[1])
+        for i in _FORCED.get(rec.tag, ()):
+            lifted.add(rec.witness[i])
     return lifted

@@ -74,16 +74,16 @@ def decide_rbds(g: RBGraph, k: int) -> bool:
     return engine.solve(engine.target, k) <= k
 
 
-def min_ds(adj: dict, limit: int = MAX_DS_VERTICES) -> SolveOutcome:
+def min_ds(adj: dict) -> SolveOutcome:
     """Exact minimum dominating set of a small general graph.
 
     ``adj`` maps each vertex to a set of neighbors.  Every vertex must be
     covered by a chosen vertex or a chosen neighbor, so the set system is
     the family of closed neighborhoods.
     """
-    if len(adj) > limit:
+    if len(adj) > MAX_DS_VERTICES:
         raise InstanceTooLargeError(
-            "graph has %d vertices, exact search is capped at %d" % (len(adj), limit)
+            "graph has %d vertices, exact search is capped at %d" % (len(adj), MAX_DS_VERTICES)
         )
     vs = sorted(adj)
     return _min_cover(vs, [adj[v] | {v} for v in vs])

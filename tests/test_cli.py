@@ -10,11 +10,14 @@ from rbkernel.cli import (
     EXIT_NONPLANAR,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_TOO_LARGE,
     main,
 )
 from rbkernel.generators import gen_grid, gen_matching
 from rbkernel.graph import Instance, RBGraph
 from rbkernel.planar import is_planar
+
+from helpers import alternating_cycle
 
 
 @pytest.fixture
@@ -109,6 +112,7 @@ class TestPipeline:
     @pytest.mark.parametrize("bad_line", [
         "r\tR9\tk_delta=0\tremoved=[]\tadded=[]\twitness=(1)",
         "c fingerprint v=x e=0 sha=0123456789abcdef",
+        "r\tR3\tk_delta=-1\tremoved=[]\tadded=[]\twitness=()",
     ])
     def test_lift_malformed_trace_exits_parse(self, tmp_path, capsys, bad_line):
         src = tmp_path / "in.rbds"
@@ -117,6 +121,15 @@ class TestPipeline:
         trace.write_text(bad_line + "\n")
         assert main(["solve", str(src), "--lift", str(trace)]) == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
+
+    def test_solve_too_deep_exits_too_large(self, tmp_path, capsys):
+        # The exact search recurses twice per chosen blue; an alternating
+        # cycle through 1,200 reds (optimum 600) exceeds the recursion limit.
+        src = tmp_path / "cycle.rbds"
+        src.write_text(formats.format_instance(Instance(alternating_cycle(1200), 600)))
+        assert main(["solve", str(src)]) == EXIT_TOO_LARGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "too large" in err[0]
 
     def test_solve_empty(self, tmp_path, capsys):
         path = tmp_path / "empty.rbds"

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from rbkernel import formats
 from rbkernel.generators import gen_grid, gen_matching, gen_random_planar
 from rbkernel.graph import Instance, RBGraph
-from rbkernel.kernelizer import KernelTrace, kernelize
+from rbkernel.kernelizer import RULE_TAGS, KernelTrace, kernelize, lift_solution
 from rbkernel.planar import is_planar
 
 
@@ -102,9 +102,9 @@ class TestTraceFormat:
         assert again.fingerprint == trace.fingerprint
 
     def test_case2_record_round_trips(self):
-        from rbkernel.kernelizer import Rule4Match, apply_rule, KernelTrace
+        from rbkernel.kernelizer import Match, apply_rule, KernelTrace
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
-        _, rec = apply_rule(g, 1, Rule4Match(1, 2, 2, frozenset({3, 4})))
+        _, rec = apply_rule(g, 1, Match("R4-case2", (1, 2), frozenset({3, 4})))
         trace = KernelTrace([rec])
         again = formats.parse_trace(formats.format_trace(trace))
         assert again.records == [rec]
@@ -165,12 +165,18 @@ _TRACE_TOKENS = ["fingerprint", "v=1", "e=x", "sha=0123456789abcdef", "R1", "k_d
 
 @st.composite
 def trace_like_texts(draw):
-    """Lines of trace tokens behind a line head, mixed with raw text, so
-    both the line dispatch and the field parsers see malformed input."""
+    """Lines of trace tokens behind a line head, and well-formed records
+    whose witness may not fit the tag, mixed with raw text, so the line
+    dispatch, the field parsers and the witness check see malformed input."""
     line = st.builds(lambda head, rest: " ".join([head] + rest),
                      st.sampled_from(_TRACE_HEADS),
                      st.lists(st.sampled_from(_TRACE_TOKENS), max_size=5))
-    return "\n".join(draw(st.lists(st.one_of(line, st.text(max_size=40)), max_size=6)))
+    record = st.builds(
+        lambda tag, ids: "r\t%s\tk_delta=0\tremoved=[]\tadded=[]\twitness=(%s)"
+        % (tag, ",".join(map(str, ids))),
+        st.sampled_from(RULE_TAGS), st.lists(st.integers(0, 9), max_size=3))
+    return "\n".join(draw(st.lists(st.one_of(line, record, st.text(max_size=40)),
+                                   max_size=6)))
 
 
 class TestTraceFuzz:
@@ -182,6 +188,7 @@ class TestTraceFuzz:
         except formats.ParseError:
             return
         assert isinstance(trace, KernelTrace)
+        lift_solution(trace, set())
 
 
 class TestPlaneFormat:

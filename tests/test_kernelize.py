@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbkernel.generators import _stacked_triangulation, gen_matching, gen_random_planar
-from rbkernel.graph import Instance, RBGraph, sanitize
+from rbkernel.graph import BLUE, Instance, RBGraph, sanitize
 from rbkernel.kernelizer import (
     NO_BUDGET,
     NO_ISOLATED_RED,
@@ -15,7 +15,8 @@ from rbkernel.kernelizer import (
     R3,
     SAN_NO,
     InvalidKernelSolutionError,
-    Rule4Match,
+    KernelTrace,
+    Match,
     apply_rule,
     find_rule1,
     find_rule2,
@@ -29,7 +30,7 @@ from rbkernel.planar import is_planar
 from rbkernel.solver import decide_rbds, min_rbds, verify_solution
 from rbkernel.transforms import face_cover_to_rbds
 
-from helpers import alternating_cycle, reference_kernelize
+from helpers import alternating_cycle, oracle_pair_private, oracle_private, reference_kernelize
 
 VERTEX_RULES = {R1, R2, R3, "R4-case1", "R4-case2", "R4-case3", "R4-case4",
                 "Sanitize-isolated-blue"}
@@ -189,6 +190,17 @@ def sanitized_graphs(draw):
     return g
 
 
+def face_cover_corpus():
+    """Face-cover instances of stacked triangulations at two budgets each;
+    between them they fire R4 cases 1, 3 and 4."""
+    for n in (12, 20, 36):
+        for seed in range(10):
+            tri = _stacked_triangulation(n, random.Random(seed))
+            g, _, faces = face_cover_to_rbds(is_planar(range(n), tri).embedding)
+            for k in (len(faces), 2):
+                yield g, k
+
+
 class TestReferenceEquivalence:
     """The worklist driver must match the naive rescan-everything loop
     record for record, up to the record where a NO verdict stops it."""
@@ -271,13 +283,8 @@ class TestReferenceEquivalence:
 
     def test_on_face_cover_of_stacked_triangulations(self):
         fired = Counter()
-        for n in (12, 20, 36):
-            for seed in range(10):
-                tri = _stacked_triangulation(n, random.Random(seed))
-                g, _, faces = face_cover_to_rbds(is_planar(range(n), tri).embedding)
-                for k in (len(faces), 2):
-                    res = self.check(g, k)
-                    fired.update(rec.tag for rec in res.trace.records)
+        for g, k in face_cover_corpus():
+            fired.update(rec.tag for rec in self.check(g, k).trace.records)
         assert fired["R4-case1"] and fired["R4-case3"] and fired["R4-case4"]
 
     def test_on_pair_rule_witnesses(self):
@@ -286,6 +293,51 @@ class TestReferenceEquivalence:
                   rule4_case3_witness(), rule4_case3_witness(swap_vw=True)):
             for k in range(len(g.blue) + 1):
                 self.check(g, k)
+
+
+def check_forced_blues(g, k):
+    """Kernelize (g, k) and check each record against the blues it forced,
+    read off the record alone: the removed blues whose recorded neighbors
+    are nonempty and all removed by the same record.  Lifting the record
+    alone adds exactly those blues, the budget drops by their number, and
+    they dominate the private reds of the record's witness in the graph the
+    record was applied to.  Returns the tags that fired."""
+    res = kernelize(Instance(g.copy(), k))
+    cur = g.copy()
+    for rec in res.trace.records:
+        gone = {v for v, _, _ in rec.removed}
+        forced = {v for v, color, nbrs in rec.removed
+                  if color == BLUE and nbrs and set(nbrs) <= gone}
+        assert lift_solution(KernelTrace([rec]), set()) == forced, rec
+        assert rec.delta_k == -len(forced), rec
+        if forced:
+            w = rec.witness
+            private = oracle_private(cur, *w) if len(w) == 1 else oracle_pair_private(cur, *w)
+            assert private and private <= set().union(*(cur.adj[f] for f in forced)), rec
+        cur = replay_trace(cur, KernelTrace([rec]))
+    return [rec.tag for rec in res.trace.records]
+
+
+class TestForcedBlues:
+    @given(sanitized_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_budget_on_random_graphs(self, g):
+        for k in range(len(g.blue) + 1):
+            check_forced_blues(g, k)
+
+    def test_on_face_cover_of_stacked_triangulations(self):
+        fired = Counter()
+        for g, k in face_cover_corpus():
+            fired.update(check_forced_blues(g, k))
+        assert fired["R4-case1"] and fired["R4-case3"] and fired["R4-case4"]
+
+    def test_on_case2_gadget(self):
+        from test_rules import rule4_case2_witness
+        g = rule4_case2_witness()
+        fired = []
+        for k in range(len(g.blue) + 1):
+            fired += check_forced_blues(g, k)
+        assert "R4-case2" in fired
 
 
 class TestLift:
@@ -307,8 +359,7 @@ class TestLift:
         # the lift is the identity and {w} still covers the restored set.
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
         original = g.copy()
-        k, rec = apply_rule(g, 2, Rule4Match(1, 2, 2, frozenset({3, 4})))
-        from rbkernel.kernelizer import KernelTrace
+        k, rec = apply_rule(g, 2, Match("R4-case2", (1, 2), frozenset({3, 4})))
         trace = KernelTrace([rec])
         lifted = lift_solution(trace, {2}, g)
         assert lifted == {2}

@@ -6,10 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 from rbkernel.graph import Instance, RBGraph
 from rbkernel.kernelizer import (
     ContractViolation,
-    Rule1Match,
-    Rule2Match,
-    Rule3Match,
-    Rule4Match,
+    Match,
+    R1,
+    R2,
+    R3,
+    R4_CASE,
     StaleFindingError,
     _r4_pairs,
     apply_rule,
@@ -78,7 +79,7 @@ def agreement_for_all_budgets(g):
 class TestRule1:
     def test_strict_subset(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 3), (2, 4)])
-        assert find_rule1(g) == Rule1Match(1, 2)
+        assert find_rule1(g) == Match(R1, (1, 2))
 
     def test_incomparable(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 4)])
@@ -86,7 +87,7 @@ class TestRule1:
 
     def test_equal_neighborhoods_lower_id_removed(self):
         g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])
-        assert find_rule1(g) == Rule1Match(1, 2)
+        assert find_rule1(g) == Match(R1, (1, 2))
 
     def test_matches_oracle_on_classes(self, classes6):
         for g in classes6:
@@ -94,13 +95,13 @@ class TestRule1:
             got = find_rule1(g)
             assert (got is None) == (expect is None)
             if got is not None:
-                assert (got.remove, got.witness) == expect
+                assert got.witness == expect
 
 
 class TestRule2:
     def test_strict_superset(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 3), (1, 4)])
-        assert find_rule2(g) == Rule2Match(3, 4)
+        assert find_rule2(g) == Match(R2, (3, 4))
 
     def test_incomparable(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 4)])
@@ -108,7 +109,7 @@ class TestRule2:
 
     def test_equal_neighborhoods_lower_id_removed(self):
         g = RBGraph.from_parts([1], [2, 3], [(1, 2), (1, 3)])
-        assert find_rule2(g) == Rule2Match(2, 3)
+        assert find_rule2(g) == Match(R2, (2, 3))
 
     def test_matches_oracle_on_classes(self, classes6):
         for g in classes6:
@@ -118,7 +119,7 @@ class TestRule2:
             got = find_rule2(g)
             assert (got is None) == (expect is None)
             if got is not None:
-                assert (got.remove, got.witness) == expect
+                assert got.witness == expect
 
 
 class TestRule3:
@@ -127,8 +128,8 @@ class TestRule3:
         v = g._add_with_id(20, "b")
         r = g._add_with_id(21, "r")
         g.add_edge(v, r)
-        m = find_rule3(g)
-        assert m == Rule3Match(20, 21)
+        assert find_rule3(g) == Match(R3, (20,))
+        assert g.adj[20] == {21}
 
     def test_cycle_alone_has_none(self):
         g = alternating_cycle(4)
@@ -172,7 +173,7 @@ class TestRule4:
     def test_case1_on_alternating_c8(self):
         g = alternating_cycle(4)
         m = find_rule4(g)
-        assert m == Rule4Match(1, 3, 1, frozenset({5, 6, 7, 8}))
+        assert m == Match(R4_CASE[1], (1, 3), frozenset({5, 6, 7, 8}))
         assert oracle_rule4_all(g)[0] == (1, 3, 1, frozenset({5, 6, 7, 8}))
         agreement_for_all_budgets(g)
 
@@ -181,7 +182,7 @@ class TestRule4:
         assert find_rule1(g) is None and find_rule2(g) is None
         assert find_rule3(g) is None
         m = find_rule4(g)
-        assert m == Rule4Match(1, 2, 2, frozenset({7, 8}))
+        assert m == Match(R4_CASE[2], (1, 2), frozenset({7, 8}))
         assert oracle_rule4_all(g)[0] == (1, 2, 2, frozenset({7, 8}))
         agreement_for_all_budgets(g)
 
@@ -190,14 +191,14 @@ class TestRule4:
         assert find_rule1(g) is None and find_rule2(g) is None
         assert find_rule3(g) is None
         m = find_rule4(g)
-        assert m == Rule4Match(1, 2, 3, frozenset({7, 8}))
+        assert m == Match(R4_CASE[3], (1, 2), frozenset({7, 8}))
         assert oracle_rule4_all(g)[0] == (1, 2, 3, frozenset({7, 8}))
         agreement_for_all_budgets(g)
 
     def test_case4_witness(self):
         g = rule4_case3_witness(swap_vw=True)
         m = find_rule4(g)
-        assert m == Rule4Match(1, 2, 4, frozenset({7, 8}))
+        assert m == Match(R4_CASE[4], (1, 2), frozenset({7, 8}))
         assert oracle_rule4_all(g)[0] == (1, 2, 4, frozenset({7, 8}))
         agreement_for_all_budgets(g)
 
@@ -229,27 +230,28 @@ class TestRule4:
             if not hits:
                 assert got is None
             else:
-                assert got == Rule4Match(*hits[0])
+                v, w, case, private = hits[0]
+                assert got == Match(R4_CASE[case], (v, w), private)
 
 
 class TestApplyRule:
     def test_r1_removes_single_blue(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 3), (2, 4)])
-        k, rec = apply_rule(g, 5, Rule1Match(1, 2))
+        k, rec = apply_rule(g, 5, Match(R1, (1, 2)))
         assert k == 5 and rec.delta_k == 0
         assert not g.has_vertex(1) and g.has_vertex(2)
         assert rec.removed == ((1, "b", (3,)),)
 
     def test_r3_removes_component_and_pays(self):
         g = RBGraph.from_parts([1], [2], [(1, 2)])
-        k, rec = apply_rule(g, 1, Rule3Match(1, 2))
+        k, rec = apply_rule(g, 1, Match(R3, (1,)))
         assert k == 0 and rec.delta_k == -1
         assert g.n_vertices == 0
         assert rec.witness == (1,)
 
     def test_r4_case2_swaps_private_set_for_gadget(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
-        k, rec = apply_rule(g, 3, Rule4Match(1, 2, 2, frozenset({3, 4})))
+        k, rec = apply_rule(g, 3, Match(R4_CASE[2], (1, 2), frozenset({3, 4})))
         assert k == 3 and rec.delta_k == 0
         assert g.red == {5}
         assert g.neighborhood(5) == {1, 2}
@@ -265,7 +267,7 @@ class TestApplyRule:
         g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])
         g.remove_vertex(1)
         with pytest.raises(StaleFindingError):
-            apply_rule(g, 1, Rule1Match(1, 2))
+            apply_rule(g, 1, Match(R1, (1, 2)))
 
     def test_delta_k_table(self):
         # -1 exactly for R3/case3/case4, -2 for case1, 0 otherwise.
