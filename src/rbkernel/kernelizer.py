@@ -13,6 +13,8 @@ The rules, in the order the driver exhausts them:
   pair's private reds collapse to a two-edge gadget (case 2), or one of
   the two is forced (cases 3 and 4).  With U(r) = N(N(r)), which holds r,
   a red r is private to the pair (a, w) iff U(r) - N(a) is within N(w).
+  So every pair that r is private to has an endpoint in N(r), and the R4
+  search starts from each red's own blues.
 
 A finder returns a :class:`Match`: the trace tag and the record's witness
 tuple.  The table ``_FORCED`` names the witness positions of the blues a
@@ -85,20 +87,16 @@ class Match(NamedTuple):
 # -- trace records -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RuleApplication:
+class RuleApplication(NamedTuple):
     """One rule firing: everything removed and added, with enough edge
-    context to replay the mutation and to lift solutions back."""
+    context to replay the mutation and to lift solutions back.  A named
+    tuple, because the driver builds one per firing."""
 
     tag: str
     removed: tuple  # ((vertex, color, neighbors-at-removal), ...)
     added: tuple  # ((vertex, neighbors), ...)
     witness: tuple
     delta_k: int
-
-    @property
-    def net_vertex_delta(self) -> int:
-        return len(self.added) - len(self.removed)
 
 
 @dataclass(frozen=True)
@@ -227,20 +225,20 @@ def _r4_pairs(g: RBGraph, blues) -> set:
     """Pairs (v < w) with an endpoint in ``blues`` and two or more private reds."""
     adj = g.adj
     dirty = g.blue.intersection(blues)
-    hits: list = []
+    counts: Counter = Counter()
     for r in _nbrs(adj, _nbrs(adj, _nbrs(adj, dirty))):
-        ur = _nbrs(adj, adj[r])
-        by_degree = sorted(ur, key=lambda y: len(adj[y]))
-        for a in _nbrs(adj, ur) & dirty:
-            na = adj[a]
-            for probe in by_degree:
-                if probe not in na:
-                    break
-            else:
+        nr = adj[r]
+        ur = _nbrs(adj, nr)
+        pairs = set()  # a red next to both endpoints finds its pair twice
+        for a in nr:
+            x = ur - adj[a]
+            if not x:
                 raise ContractViolation("R3 applies to blue %d and red %d" % (a, r))
-            x = ur - na  # holds the probe, so a is not among its neighbors
-            hits.extend((a, w) for w in adj[probe] if x <= adj[w])
-    return {(min(p), max(p)) for p, c in Counter(hits).items() if c > 1}
+            for probe in x:
+                break
+            pairs.update([(a, w) if a < w else (w, a) for w in adj[probe] if x <= adj[w]])
+        counts.update(pairs)
+    return {p for p, c in counts.items() if c > 1 and (p[0] in dirty or p[1] in dirty)}
 
 
 def _r4_at(g: RBGraph, pair) -> Match | None:
@@ -262,18 +260,20 @@ def _r4_at(g: RBGraph, pair) -> Match | None:
     return Match(R4_CASE[case], pair, frozenset(private))
 
 
+def _r123_exhausted(g: RBGraph) -> bool:
+    return (_first(g, g.blue, _r1_at) is None and _first(g, g.red, _r2_at) is None
+            and _first(g, g.blue, _r3_at) is None)
+
+
 def find_rule4(g: RBGraph) -> Match | None:
     """First blue pair (v < w) with a jointly forced private set."""
-    assert find_rule1(g) is None and find_rule2(g) is None and find_rule3(g) is None, \
-        "find_rule4 requires R1, R2 and R3 to be exhausted"
+    assert _r123_exhausted(g), "find_rule4 requires R1, R2 and R3 to be exhausted"
     return _first(g, _r4_pairs(g, g.blue), _r4_at)
 
 
 def is_reduced(g: RBGraph) -> bool:
     """True iff none of the four rules applies."""
-    return (_first(g, g.blue, _r1_at) is None and _first(g, g.red, _r2_at) is None
-            and _first(g, g.blue, _r3_at) is None
-            and _first(g, _r4_pairs(g, g.blue), _r4_at) is None)
+    return _r123_exhausted(g) and _first(g, _r4_pairs(g, g.blue), _r4_at) is None
 
 
 # -- applying rules --------------------------------------------------------------
@@ -345,11 +345,18 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 # vertices only, so the radius-2 ball around the live seeds, taken when R4
 # is next tried, holds every blue whose pair may newly fire.
 #
-# R4's search relies on R1-R3 being exhausted: a red r within distance three
-# of a dirty blue a has U(r) - N(a) nonempty (else R3 applies to a), so all w
-# with r private to (a, w) neighbor one probe in that set, and a red private
-# to (a, w) farther from a would need N(r) = {w} (R1) and N(w) = {r} (R2), an
-# R3 match again.  So _r4_pairs counts each pair's private reds exactly.
+# R4's search counts the private reds of every pair with a dirty endpoint.
+# A red r private to (a, w) lies in U(r), within N(a) | N(w), so one endpoint,
+# say a, is in N(r), and the partners w for that a are the blues next to any
+# one red of X = U(r) - N(a) that neighbor all of X.  Each red collects its
+# pairs as a set, so a red next to both endpoints counts once.  This relies on
+# R1-R3 being exhausted.  X is never empty: if N(a) held U(r), every other
+# blue of N(r) would be an R1 match, then every other red of N(a) an R2
+# match, and {a, r} an R3 component.  And a private red r outside N(a) is
+# within distance three of a: N(r) = {w} would be an R2 or R3 match, so r
+# has a second blue b, whose neighborhood lies in N(a) | N(w) but not in
+# N(w) (R1), so it meets N(a).  So the reds within distance three of the
+# dirty blues count each such pair exactly.
 
 
 class _Worklist:

@@ -177,6 +177,11 @@ def reference_kernelize(inst: Instance):
     return "reduced", None, g, k, records
 
 
+def net_vertex_delta(rec) -> int:
+    """Vertices a trace record added minus those it removed."""
+    return len(rec.added) - len(rec.removed)
+
+
 # -- corpus builders ----------------------------------------------------------------
 
 

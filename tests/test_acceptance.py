@@ -25,6 +25,7 @@ from helpers import (
     canonical_key,
     enumerate_r12_reduced,
     enumerate_sanitized_classes,
+    net_vertex_delta,
     oracle_rule3_set,
     random_sanitized_instance,
 )
@@ -58,7 +59,7 @@ def sweep_one(g, k, stats: SweepStats) -> None:
     rule_recs = [r for r in res.trace.records if r.tag in VERTEX_RULES]
     assert len(rule_recs) <= g.n_vertices
     for rec in rule_recs:
-        assert rec.net_vertex_delta <= -1
+        assert net_vertex_delta(rec) <= -1
     for rec in res.trace.records:
         stats.rule_fires[rec.tag] = stats.rule_fires.get(rec.tag, 0) + 1
 
@@ -292,7 +293,7 @@ def test_criterion_8_performance():
     assert res.instance.graph.n_vertices <= 46 * res.instance.k
     rule_recs = [r for r in res.trace.records if r.tag in VERTEX_RULES]
     assert len(rule_recs) <= inst.graph.n_vertices
-    assert all(r.net_vertex_delta <= -1 for r in rule_recs)
+    assert all(net_vertex_delta(r) <= -1 for r in rule_recs)
     fired = {}
     for rec in res.trace.records:
         fired[rec.tag] = fired.get(rec.tag, 0) + 1

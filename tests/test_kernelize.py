@@ -30,7 +30,13 @@ from rbkernel.planar import is_planar
 from rbkernel.solver import decide_rbds, min_rbds, verify_solution
 from rbkernel.transforms import face_cover_to_rbds
 
-from helpers import alternating_cycle, oracle_pair_private, oracle_private, reference_kernelize
+from helpers import (
+    alternating_cycle,
+    net_vertex_delta,
+    oracle_pair_private,
+    oracle_private,
+    reference_kernelize,
+)
 
 VERTEX_RULES = {R1, R2, R3, "R4-case1", "R4-case2", "R4-case3", "R4-case4",
                 "Sanitize-isolated-blue"}
@@ -151,7 +157,7 @@ class TestTrace:
             rule_recs = [r for r in res.trace.records if r.tag in VERTEX_RULES]
             assert len(rule_recs) <= g.n_vertices
             for rec in rule_recs:
-                assert rec.net_vertex_delta <= -1
+                assert net_vertex_delta(rec) <= -1
 
     def test_order_contract(self, random_graphs_300):
         # Before every R3/R4 record, R1 and R2 are exhausted on the graph

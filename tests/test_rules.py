@@ -54,6 +54,14 @@ def rule4_case3_witness(swap_vw=False):
          (4, 9), (4, 10), (4, 12), (5, 10), (5, 11), (6, 11), (6, 12)])
 
 
+def far_private_red_witness():
+    # P(2, 4) = {6, 7}; red 6 neighbors 4 only and lies three steps from 2.
+    return RBGraph.from_parts(
+        range(1, 6), range(6, 11),
+        [(1, 8), (1, 9), (2, 7), (2, 10), (3, 8), (3, 10),
+         (4, 6), (4, 9), (4, 10), (5, 6), (5, 7)])
+
+
 @st.composite
 def r123_reduced_graphs(draw):
     """Small random graphs reduced under R1-R3.  Reds get two or three blue
@@ -212,10 +220,27 @@ class TestRule4:
                 if len(oracle_pair_private(g, v, w)) >= 2}
         assert _r4_pairs(g, g.blue) == want
 
+    @given(r123_reduced_graphs(), st.sets(st.integers(1, 8)))
+    @example(rule4_case2_witness(), {1})
+    @example(rule4_case2_witness(), {2, 5})
+    @example(far_private_red_witness(), {2})
+    @settings(max_examples=300, deadline=None)
+    def test_pair_counting_on_partial_dirty_sets(self, g, dirty):
+        # The driver rescans with the blues near its last changes only.
+        dirty &= g.blue
+        want = {(v, w) for v, w in itertools.combinations(sorted(g.blue), 2)
+                if (v in dirty or w in dirty) and len(oracle_pair_private(g, v, w)) >= 2}
+        assert _r4_pairs(g, dirty) == want
+
     def test_pair_counting_refuses_r3_match(self):
         # Red 2 is private to blue 1 alone, so no probe lies outside N(1).
         with pytest.raises(ContractViolation):
             _r4_pairs(RBGraph.from_parts([1], [2], [(1, 2)]), {1})
+
+    def test_contract_checked(self):
+        g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])  # R1 applies
+        with pytest.raises(AssertionError):
+            find_rule4(g)
 
     def test_matches_unrestricted_oracle_on_classes(self, classes7):
         for g in classes7:
