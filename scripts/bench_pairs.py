@@ -1,0 +1,104 @@
+"""Run alternating parent/change pairs of one perfbench workload and write BENCH_<workload>.json.
+
+    python3 scripts/bench_pairs.py --workload size-verdict --parent <rev> --change <rev> \
+        --seeds 4001-4010 [--out BENCH_size-verdict.json]
+
+Each revision is exported with ``git archive`` into a temporary directory and
+runs ``perfbench/run.py --seconds 20 --trace 0`` from there, one process at a
+time; the pair for the i-th seed runs the parent first when i is even.  The
+file keeps, for every run, the final JSON line of ``perfbench/run.py`` with
+its seed, revision and order, plus the Python version and CPU model, and per
+end-to-end metric each side's median and quartiles and the change's wins.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+HIGHER = {"vertices_per_s", "removed_share", "ok_share"}
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def _export(rev: str, dest: Path) -> None:
+    dest.mkdir()
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def _cpu_model() -> str:
+    for line in Path("/proc/cpuinfo").read_text().splitlines():
+        if line.startswith("model name"):
+            return line.split(":", 1)[1].strip()
+    return platform.processor()
+
+
+def _seeds(spec: str) -> list[int]:
+    lo, _, hi = spec.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def _summary(runs: list[dict]) -> dict:
+    out = {}
+    for name in runs[0]["result"]["metrics"]:
+        side = {s: [r["result"]["metrics"][name]["value"] for r in runs if r["side"] == s]
+                for s in ("parent", "change")}
+        if name in HIGHER:
+            wins = sum(c > p for p, c in zip(side["parent"], side["change"]))
+        else:
+            wins = sum(c < p for p, c in zip(side["parent"], side["change"]))
+        out[name] = {s: {"median": statistics.median(v),
+                         "quartiles": statistics.quantiles(v, n=4)[::2]}
+                     for s, v in side.items()}
+        out[name]["change_wins"] = wins
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--parent", required=True)
+    ap.add_argument("--change", required=True)
+    ap.add_argument("--seeds", required=True, help="first-last, e.g. 4001-4010")
+    ap.add_argument("--out")
+    args = ap.parse_args(argv)
+    revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, rev in revs.items():
+            _export(rev, Path(tmp) / side)
+        for i, seed in enumerate(_seeds(args.seeds)):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+                       "--seed", str(seed), "--seconds", "20", "--trace", "0"]
+                p = subprocess.run(cmd, cwd=Path(tmp) / side, check=True, capture_output=True,
+                                   text=True)
+                runs.append({"side": side, "rev": revs[side], "seed": seed,
+                             "first": side == order[0],
+                             "result": json.loads(p.stdout.strip().splitlines()[-1])})
+                print(side, seed, runs[-1]["result"]["metrics"]["vertices_per_s"]["value"],
+                      flush=True)
+    doc = {"workload": args.workload, "python": platform.python_version(), "cpu": _cpu_model(),
+           "command": "python3 perfbench/run.py --workload %s --seed <seed> --seconds 20 "
+                      "--trace 0" % args.workload,
+           "summary": _summary(runs), "runs": runs}
+    out = Path(args.out or ROOT / ("BENCH_%s.json" % args.workload))
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
