@@ -1,0 +1,82 @@
+"""Print the byte-identity hashes of one perfbench workload's outputs.
+
+    python3 scripts/output_hashes.py --workload tight-planar --seed 7
+
+Builds the workload's corpus and budgets with ``perfbench/corpus.py`` and
+``perfbench/reference.py`` (read only, never changed), kernelizes every
+operation and prints
+
+* ``trace``: sha256 over the per-operation sha256 hex digests of
+  ``format_trace`` followed by the kernel text, or by ``NO <reason>`` for a
+  no-instance;
+* ``solve`` (workloads that solve the kernel only): sha256 over the
+  per-kernel sha256 hex digests of ``min_rbds``'s size and sorted witness,
+  ``<size> <id,id,...>`` or ``infeasible``, with the kernel parsed back from
+  its text as the benchmark pipeline does.
+
+Each hash is cut to 16 hex digits.  Two trees that print the same hashes
+produce the same traces, kernels, verdicts and kernel solutions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import corpus  # noqa: E402
+import reference  # noqa: E402
+import speed  # noqa: E402
+from rbkernel import formats, kernelizer, planar, solver, transforms  # noqa: E402
+from rbkernel.graph import Instance  # noqa: E402
+
+
+def _instance(op: reference.Op) -> Instance:
+    if op.item.kind == "plane":
+        pr = planar.is_planar(range(op.item.n_plane), op.item.edges)
+        g, _, _ = transforms.face_cover_to_rbds(pr.embedding)
+        return Instance(g, op.k)
+    return formats.parse_instance(op.text)
+
+
+def _hash(parts) -> str:
+    inner = "".join(hashlib.sha256(p.encode()).hexdigest() for p in parts)
+    return hashlib.sha256(inner.encode()).hexdigest()[:16]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    args = ap.parse_args(argv)
+    specs = json.loads((ROOT / "perfbench" / "workloads.json").read_text())
+    if args.workload not in specs:
+        ap.error("unknown workload %r; choose from %s" % (args.workload, ", ".join(specs)))
+    spec = specs[args.workload]
+    items, _, _ = corpus.build(spec["classes"], args.seed, speed.SpeedClock())
+    ops, _ = reference.prepare(items, args.seed)
+    traces, kernels = [], []
+    for op in ops:
+        res = kernelizer.kernelize(_instance(op))
+        tail = "NO %s" % res.reason if res.is_no else formats.format_instance(res.instance)
+        traces.append(formats.format_trace(res.trace) + tail)
+        if not res.is_no:
+            kernels.append(tail)
+    print("trace %s" % _hash(traces))
+    if spec["solve"]:
+        solved = []
+        for text in kernels:
+            out = solver.min_rbds(formats.parse_instance(text).graph)
+            solved.append("%d %s" % (out.size, ",".join(map(str, sorted(out.witness))))
+                          if out.feasible else "infeasible")
+        print("solve %s" % _hash(solved))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

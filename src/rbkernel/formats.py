@@ -42,15 +42,37 @@ def _tokens(text: str):
 
 
 def parse_instance(text: str) -> Instance:
+    """Read an instance in one pass: each line is split once, and each edge
+    goes straight into the adjacency sets allocated at the header, which
+    also catch duplicate edges."""
     header = None
     meta: dict = {}
     origid: dict[int, int] = {}
-    edges = []
-    seen = set()
+    adj: dict[int, set[int]] = {}
+    nb = last = 0
     for i, line in _tokens(text):
-        kind = line.split(None, 1)[0]
+        parts = line.split()
+        kind = parts[0]
+        if kind == "e":
+            if header is None:
+                raise ParseError(i, "edge before header")
+            if len(parts) != 3:
+                raise ParseError(i, "expected 'e <blue-id> <red-id>'")
+            try:
+                b, r = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(i, "edge endpoints must be integers") from None
+            if not 1 <= b <= nb:
+                raise ParseError(i, "%d is not a blue id (1..%d)" % (b, nb))
+            if not nb < r <= last:
+                raise ParseError(i, "%d is not a red id (%d..%d)" % (r, nb + 1, last))
+            reds = adj[b]
+            if r in reds:
+                raise ParseError(i, "duplicate edge (%d, %d)" % (b, r))
+            reds.add(r)
+            adj[r].add(b)
+            continue
         if kind == "c":
-            parts = line.split()
             if len(parts) == 4 and parts[1] == "origid":
                 try:
                     origid[int(parts[2])] = int(parts[3])
@@ -60,7 +82,6 @@ def parse_instance(text: str) -> Instance:
         if kind == "p":
             if header is not None:
                 raise ParseError(i, "duplicate header")
-            parts = line.split()
             if len(parts) != 5 or parts[1] != "rbds":
                 raise ParseError(i, "expected 'p rbds <nB> <nR> <k>'")
             try:
@@ -72,9 +93,10 @@ def parse_instance(text: str) -> Instance:
             if k < 0:
                 raise ParseError(i, "budget must be non-negative")
             header = (nb, nr, k)
+            last = nb + nr
+            adj = {v: set() for v in range(1, last + 1)}
             continue
         if kind == "g":
-            parts = line.split()
             if len(parts) != 4 or parts[1] != "seed":
                 raise ParseError(i, "expected 'g seed <algo-id> <seed>'")
             meta["algo"] = parts[2]
@@ -83,34 +105,18 @@ def parse_instance(text: str) -> Instance:
             except ValueError:
                 raise ParseError(i, "seed must be an integer") from None
             continue
-        if kind == "e":
-            if header is None:
-                raise ParseError(i, "edge before header")
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(i, "expected 'e <blue-id> <red-id>'")
-            try:
-                b, r = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(i, "edge endpoints must be integers") from None
-            nb, nr, _ = header
-            if not 1 <= b <= nb:
-                raise ParseError(i, "%d is not a blue id (1..%d)" % (b, nb))
-            if not nb + 1 <= r <= nb + nr:
-                raise ParseError(i, "%d is not a red id (%d..%d)" % (r, nb + 1, nb + nr))
-            if (b, r) in seen:
-                raise ParseError(i, "duplicate edge (%d, %d)" % (b, r))
-            seen.add((b, r))
-            edges.append((b, r))
-            continue
         raise ParseError(i, "unrecognized line %r" % line)
     if header is None:
         raise ParseError(0, "missing 'p rbds' header")
-    nb, nr, k = header
-    g = RBGraph.from_parts(range(1, nb + 1), range(nb + 1, nb + nr + 1), edges)
+    # Built as RBGraph.copy does: every id and edge was checked above.
+    g = RBGraph.__new__(RBGraph)
+    g.blue = set(range(1, nb + 1))
+    g.red = set(range(nb + 1, last + 1))
+    g.adj = adj
+    g._next_id = last + 1
     if origid:
         meta["origid"] = origid
-    return Instance(g, k, meta)
+    return Instance(g, header[2], meta)
 
 
 def format_instance(inst: Instance, comments=()) -> str:

@@ -3,11 +3,25 @@
 Both problems reduce to minimum set cover: blues (or closed
 neighborhoods) are the sets, reds (or vertices) the elements.  Every call
 builds one :class:`_Cover` engine over its family and runs a memoized
-branch-and-reduce search on it.  At each node the engine looks up the
-uncovered element mask in its memo, splits the uncovered elements into
-connected components and solves them one at a time under the remaining
-budget, prunes on a packing lower bound, and otherwise branches on the
-element with the fewest covering sets over its non-subsumed candidates.
+branch-and-reduce search on it.  The work at a node, the uncovered element
+mask ``u`` under a limit, comes in this order:
+
+1. memo: an exact value, or a lower bound above the limit, answers at once;
+2. packing: a greedy packing lower bound, raised to any memoized bound,
+   prunes when it exceeds the limit.  The packing never crosses components,
+   so on ``u`` it is the sum of its components' bounds;
+3. connectivity: a walk from the lowest element of ``near`` stops,
+   answering "connected", as soon as it holds all of ``near``, a subset of
+   ``u`` that meets every component of ``u``.  A child of a branch comes
+   from a connected mask, so its ``near`` is only the elements sharing a
+   set with the ones just covered; a component of a split is connected and
+   skips the walk; any other mask walks with ``near = u``;
+4. split or branch: only a real split walks its component to the end; the
+   other components are walked in full and all are solved smallest first,
+   each under what the limit leaves after the others' lower bounds.  A
+   connected ``u`` branches on the element with the fewest covering sets
+   over its non-subsumed candidates.
+
 The memo lives as long as the engine, i.e. for one call.
 
 Witness contract: among all minimum covers the lexicographically smallest
@@ -144,27 +158,57 @@ class _Cover:
         # Uncovered mask -> (value, exact); inexact values are lower bounds.
         self.memo: dict[int, tuple[int, bool]] = {}
 
-    def solve(self, u: int, limit: int) -> int:
+    def solve(self, u: int, limit: int, cut: int | None = None) -> int:
         """Size of a minimum cover of ``u`` if it is at most ``limit``, else
-        a lower bound on it above ``limit``."""
+        a lower bound on it above ``limit``.
+
+        ``cut``, when given, is what was taken away from a connected set to
+        leave ``u``, so every component of ``u`` holds an element sharing a
+        set with ``cut``; ``0`` says that ``u`` is connected.
+        """
         if not u:
             return 0
         hit = self.memo.get(u)
-        if hit is not None and (hit[1] or hit[0] > limit):
+        if hit is None:
+            low = self._packing(u)
+        elif hit[1] or hit[0] > limit:
             return hit[0]
-        comp = self._component(u)
-        if comp != u:
-            value = self._split(u, comp, limit)
         else:
-            value = self._branch(u, limit, 0 if hit is None else hit[0])
+            low = max(self._packing(u), hit[0])
+        if low > limit:
+            value = low
+        else:
+            comp = self._component(u, u if cut is None else self._touching(cut) & u)
+            if comp != u:
+                value = self._split(u, comp, limit)
+            else:
+                value = self._branch(u, limit, low)
         self.memo[u] = (value, value <= limit)
         return value
 
-    def _component(self, u: int) -> int:
-        """The connected component of the lowest element of ``u``."""
+    def _touching(self, cut: int) -> int:
+        """The elements sharing a set with an element of ``cut``."""
         reach = self.reach
-        comp = frontier = u & -u
-        while frontier:
+        near = 0
+        while cut:
+            low = cut & -cut
+            near |= reach[low.bit_length() - 1]
+            cut ^= low
+        return near
+
+    def _component(self, u: int, near: int) -> int:
+        """``u`` if it is connected, else the connected component of ``u``
+        holding the lowest element of ``near``.
+
+        Every component of ``u`` must hold an element of ``near``, so the
+        walk from the lowest one stops as soon as it has reached all of
+        ``near``; only a real split walks its component to the end.
+        """
+        reach = self.reach
+        comp = frontier = near & -near
+        while near & ~comp:
+            if not frontier:
+                return comp
             grow = 0
             while frontier:
                 low = frontier & -frontier
@@ -173,7 +217,7 @@ class _Cover:
             grow &= u
             frontier = grow & ~comp
             comp |= grow
-        return comp
+        return u
 
     def _packing(self, u: int) -> int:
         """Elements of ``u`` with pairwise disjoint covers, fewest covers
@@ -192,7 +236,7 @@ class _Cover:
         parts = [comp]
         rest = u & ~comp
         while rest:
-            c = self._component(rest)
+            c = self._component(rest, rest)
             parts.append(c)
             rest &= ~c
         parts.sort(key=int.bit_count)
@@ -204,18 +248,15 @@ class _Cover:
         for c, low in zip(parts, lows):
             pending -= low
             budget = limit - total - pending
-            value = self.solve(c, budget)
+            value = self.solve(c, budget, 0)
             total += value
             if value > budget:
                 return total + pending
         return total
 
-    def _branch(self, u: int, limit: int, known: int) -> int:
-        """Branch on the element with the fewest covers; ``known`` is a lower
-        bound from an earlier, failed search of ``u``."""
-        low = max(self._packing(u), known)
-        if low > limit:
-            return low
+    def _branch(self, u: int, limit: int, low: int) -> int:
+        """Branch on the element with the fewest covers of a connected ``u``;
+        ``low`` is a lower bound on its cover size, at most ``limit``."""
         cands = {m & u for m in self.covers[(u & -u).bit_length() - 1]}
         # Branch only on maximal candidates, largest first: a cover using a
         # subsumed set stays a cover when it takes the larger one instead.
@@ -226,7 +267,7 @@ class _Cover:
         # Every element has a cover, so |u| + 1 exceeds any bound on u.
         best = u.bit_count() + 1
         for m in kept:
-            best = min(best, 1 + self.solve(u & ~m, min(best - 1, limit) - 1))
+            best = min(best, 1 + self.solve(u & ~m, min(best - 1, limit) - 1, m))
             if best == low:
                 break
         return best

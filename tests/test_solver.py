@@ -1,11 +1,14 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rbkernel import solver
 from rbkernel.generators import gen_grid
-from rbkernel.graph import RBGraph
+from rbkernel.graph import Instance, RBGraph
 from rbkernel.kernelizer import kernelize, lift_solution
+from rbkernel.planar import is_planar
 from rbkernel.solver import (
     InstanceTooLargeError,
     decide_rbds,
@@ -13,6 +16,7 @@ from rbkernel.solver import (
     min_rbds,
     verify_solution,
 )
+from rbkernel.transforms import face_cover_to_rbds
 
 from helpers import exhaustive_min_ds, exhaustive_min_rbds, random_sanitized_instance
 
@@ -60,6 +64,51 @@ def cycle_unions(draw):
             g.add_edge(blue_ids[start + (i + 1) % length], r)
         start += length
     return g, sum(-(-length // 2) for length in lengths)
+
+
+def plain_components(masks, u):
+    """The connected components of the elements of ``u``, two elements
+    joined when one set holds both, by a search over element indices."""
+    left = {i for i in range(u.bit_length()) if u >> i & 1}
+    comps = []
+    while left:
+        start = min(left)
+        comp, stack = {start}, [start]
+        while stack:
+            i = stack.pop()
+            for m in masks:
+                if m >> i & 1:
+                    new = {j for j in left - comp if m >> j & 1}
+                    comp |= new
+                    stack.extend(new)
+        left -= comp
+        comps.append(sum(1 << j for j in comp))
+    return comps
+
+
+@st.composite
+def branch_children(draw):
+    """A cover engine over a random family on at most 24 elements, a
+    connected uncovered mask ``u`` of it and one set ``m`` meeting ``u``:
+    (engine, child = u minus m, the elements of the child sharing a set
+    with the covered part of m)."""
+    n = draw(st.integers(2, 24))
+    family = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=4),
+                           min_size=n // 2, max_size=24))
+    engine = solver._Cover(family)
+    u0 = engine.target
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=8)):
+        u0 &= ~(1 << i)
+    u0 = u0 or engine.target
+    low = u0 & -u0
+    u = next(c for c in plain_components(engine.masks, u0) if c & low)
+    m = draw(st.sampled_from([m for m in engine.masks if m & u])) & u
+    near = 0
+    for i in range(m.bit_length()):
+        if m >> i & 1:
+            near |= engine.reach[i]
+    child = u & ~m
+    return engine, child, near & child
 
 
 def star(n_reds=3):
@@ -188,6 +237,75 @@ class TestMinRbds:
         lifted = lift_solution(res.trace, out.witness, res.instance.graph)
         assert verify_solution(inst.graph, lifted)
         assert len(lifted) == out.size + inst.k - res.instance.k
+
+
+class TestComponentWalk:
+    @given(branch_children())
+    @settings(max_examples=400, deadline=None)
+    def test_local_walk_matches_full_walk(self, case):
+        engine, child, near = case
+        comps = plain_components(engine.masks, child)
+        got = engine._component(child, near)
+        if len(comps) <= 1:
+            assert got == child
+        else:
+            # A true component: closed within the child, holding the lowest
+            # element of near.
+            assert got in comps and got & (near & -near)
+
+    @given(unions())
+    @settings(max_examples=150, deadline=None)
+    def test_branch_sees_only_connected_masks(self, g):
+        # The local walk is sound only below a connected mask; fed anything
+        # else it would let a disconnected mask reach the branching step.
+        branch = solver._Cover._branch
+
+        def checked(engine, u, limit, low):
+            assert len(plain_components(engine.masks, u)) == 1
+            return branch(engine, u, limit, low)
+
+        with mock.patch.object(solver._Cover, "_branch", checked):
+            got = min_rbds(g)
+            for k in range(len(g.blue) + 1):
+                decide_rbds(g, k)
+        expected = exhaustive_min_rbds(g)
+        if expected is None:
+            assert not got.feasible
+        else:
+            assert (got.size, set(got.witness)) == expected
+
+
+def plane_grid_face_cover(rows, cols):
+    """Face cover of the rows x cols grid as a red/blue instance, k = |B|."""
+    def v(i, j):
+        return i * cols + j
+    edges = [(v(i, j), v(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(v(i, j), v(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    g, _, _ = face_cover_to_rbds(is_planar(range(rows * cols), edges).embedding)
+    return Instance(g, len(g.blue))
+
+
+class TestGoldenKernels:
+    # (size, sorted witness) of min_rbds on each kernel: a change to how the
+    # search walks, prunes or orders its nodes must not change an answer.
+    GOLDEN = {
+        ("grid", 10, 14): (21, [2, 3, 5, 13, 14, 15, 18, 23, 26, 35, 36, 38, 39, 48, 51, 56,
+                                57, 60, 61, 65, 69]),
+        ("grid", 13, 13): (24, [2, 4, 6, 14, 16, 18, 20, 28, 30, 32, 40, 42, 44, 46, 54, 56,
+                                58, 66, 68, 70, 72, 80, 82, 84]),
+        ("grid", 6, 30): (27, [2, 3, 5, 7, 10, 12, 14, 23, 30, 31, 34, 36, 41, 43, 44, 47,
+                               52, 54, 65, 72, 75, 76, 78, 81, 83, 85, 88]),
+        ("face-cover-grid", 6, 9): (9, [1, 10, 12, 14, 16, 26, 28, 30, 32]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_kernel_optimum_and_witness(self, case):
+        kind, rows, cols = case
+        inst = gen_grid(rows, cols) if kind == "grid" else plane_grid_face_cover(rows, cols)
+        kernel = kernelize(inst).instance.graph
+        out = min_rbds(kernel)
+        assert (out.size, sorted(out.witness)) == self.GOLDEN[case]
+        assert verify_solution(kernel, out.witness)
 
 
 class TestDecide:
