@@ -21,7 +21,6 @@ from .kernelizer import (
     find_rule2,
     find_rule3,
     find_rule4,
-    is_reduced,
     kernelize,
     lift_solution,
     replay_trace,
@@ -35,7 +34,7 @@ from .planar import (
     is_planar,
     rbgraph_planarity,
 )
-from .solver import SolveOutcome, decide_rbds, min_ds, min_rbds, verify_solution
+from .solver import SolveOutcome, min_rbds, verify_solution
 from .transforms import face_cover_to_rbds, rbds_to_ds
 from .generators import gen_grid, gen_matching, gen_random_planar
 
@@ -46,8 +45,8 @@ __all__ = [
     "GraphError", "UnknownVertexError", "ColorError", "SameVertexError",
     "KernelResult", "KernelTrace", "RuleApplication",
     "find_rule1", "find_rule2", "find_rule3", "find_rule4",
-    "apply_rule", "is_reduced", "kernelize", "lift_solution", "replay_trace",
-    "SolveOutcome", "verify_solution", "min_rbds", "decide_rbds", "min_ds",
+    "apply_rule", "kernelize", "lift_solution", "replay_trace",
+    "SolveOutcome", "verify_solution", "min_rbds",
     "PlaneGraph", "Face", "PlanarityResult", "KuratowskiWitness",
     "is_planar", "rbgraph_planarity", "bipartite_euler_bound",
     "face_cover_to_rbds", "rbds_to_ds",

@@ -73,12 +73,7 @@ def cmd_kernelize(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.input)
-    try:
-        outcome = min_rbds(inst.graph)
-    except RecursionError:
-        print("instance too large for exact search: the search ran out of stack",
-              file=sys.stderr)
-        return EXIT_TOO_LARGE
+    outcome = min_rbds(inst.graph)
     if not outcome.feasible:
         print("INFEASIBLE")
         return EXIT_INFEASIBLE
@@ -162,12 +157,12 @@ def cmd_transform(args) -> int:
 
 def cmd_check_planar(args) -> int:
     text = _read(args.input)
-    first = next((l for l in text.splitlines() if l.strip() and not l.startswith("c")), "")
-    if first.startswith("p plane"):
+    heads = (line.split()[:2] for _, line in formats._tokens(text))
+    if next((h for h in heads if h[0] != "c"), None) == ["p", "plane"]:
         pg = formats.parse_plane(text)
         res = is_planar(pg.vertices(), pg.edges())
     else:
-        res = rbgraph_planarity(_load_instance(args.input).graph)
+        res = rbgraph_planarity(formats.parse_instance(text).graph)
     if res.planar:
         print("PLANAR")
         return EXIT_OK

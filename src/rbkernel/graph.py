@@ -1,4 +1,4 @@
-"""Red/blue two-colored graphs and the neighborhood calculus the rules run on.
+"""Red/blue two-colored graphs, the instance type and ``sanitize``.
 
 Vertices are plain integers with stable ids: once a vertex is deleted its id
 is never handed out again, so replay logs can name dead vertices without
@@ -33,9 +33,8 @@ class RBGraph:
     """Mutable blue/red graph.
 
     ``blue`` and ``red`` hold the live vertex ids of each color and ``adj``
-    maps every live vertex to the set of its neighbors.  Neighborhood
-    queries return fresh sets, never views of internal storage, because the
-    reduction rules mutate the graph mid-scan.
+    maps every live vertex to the set of its neighbors.  Callers read these
+    three directly; the mutators keep ``adj`` symmetric.
     """
 
     __slots__ = ("blue", "red", "adj", "_next_id")
@@ -119,66 +118,12 @@ class RBGraph:
 
     # -- queries -----------------------------------------------------------
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self.adj
-
     def color_of(self, v: int) -> str:
         if v in self.blue:
             return BLUE
         if v in self.red:
             return RED
         raise UnknownVertexError("unknown vertex %d" % v)
-
-    def degree(self, v: int) -> int:
-        if v not in self.adj:
-            raise UnknownVertexError("unknown vertex %d" % v)
-        return len(self.adj[v])
-
-    def neighborhood(self, v: int) -> set[int]:
-        if v not in self.adj:
-            raise UnknownVertexError("unknown vertex %d" % v)
-        return set(self.adj[v])
-
-    def _require_blue_pair(self, v: int, w: int) -> None:
-        if v == w:
-            raise SameVertexError("pair operations need two distinct vertices")
-        for x in (v, w):
-            if x not in self.adj:
-                raise UnknownVertexError("unknown vertex %d" % x)
-            if x not in self.blue:
-                raise ColorError("vertex %d must be blue" % x)
-
-    def pair_neighborhood(self, v: int, w: int) -> set[int]:
-        """Union of the two neighborhoods of a pair of distinct blues."""
-        self._require_blue_pair(v, w)
-        return self.adj[v] | self.adj[w]
-
-    def private_neighborhood(self, b: int) -> set[int]:
-        """Neighbors of ``b`` all of whose dominators stay inside N(b).
-
-        Returns {r in N(b) : N(N(r)) is a subset of N(b)} where N(N(r)) is
-        the union of the neighborhoods of r's neighbors.
-        """
-        if b not in self.adj:
-            raise UnknownVertexError("unknown vertex %d" % b)
-        if b not in self.blue:
-            raise ColorError("vertex %d must be blue" % b)
-        nb = self.adj[b]
-        out = set()
-        for r in nb:
-            if all(self.adj[x] <= nb for x in self.adj[r]):
-                out.add(r)
-        return out
-
-    def pair_private_neighborhood(self, v: int, w: int) -> set[int]:
-        """Pair version of the private neighborhood, over N(v) | N(w)."""
-        self._require_blue_pair(v, w)
-        nvw = self.adj[v] | self.adj[w]
-        out = set()
-        for r in nvw:
-            if all(self.adj[x] <= nvw for x in self.adj[r]):
-                out.add(r)
-        return out
 
     # -- whole-graph helpers ------------------------------------------------
 
@@ -225,10 +170,6 @@ class SanitizeReport:
     @property
     def infeasible(self) -> bool:
         return bool(self.infeasible_reds)
-
-    @property
-    def changed(self) -> bool:
-        return bool(self.removed_edges or self.removed_blues)
 
 
 def sanitize(g: RBGraph) -> SanitizeReport:

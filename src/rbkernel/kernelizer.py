@@ -209,8 +209,8 @@ def find_rule3(g: RBGraph) -> Match | None:
 
     With R1 and R2 exhausted this is exactly a two-vertex component: a
     degree-one blue whose red neighbor has degree one, which is what the
-    scan looks for.  The definitional predicate is the private-neighborhood
-    query on the graph module; tests assert the two agree.
+    scan looks for.  Tests assert that it agrees with the definitional
+    private-neighborhood predicate.
     """
     assert find_rule1(g) is None and find_rule2(g) is None, \
         "find_rule3 requires a graph already reduced under R1 and R2"
@@ -241,10 +241,16 @@ def _r4_pairs(g: RBGraph, blues) -> set:
     return {p for p, c in counts.items() if c > 1 and (p[0] in dirty or p[1] in dirty)}
 
 
+def _pair_private(adj: dict, v: int, w: int) -> set:
+    """The reds of N(v) | N(w) all of whose dominators stay inside it."""
+    nvw = adj[v] | adj[w]
+    return {r for r in nvw if all(adj[x] <= nvw for x in adj[r])}
+
+
 def _r4_at(g: RBGraph, pair) -> Match | None:
     """The match if R4 fires on the pair (v, w), else None."""
     v, w = pair
-    private = g.pair_private_neighborhood(v, w)
+    private = _pair_private(g.adj, v, w)
     if len(private) <= 1:
         return None
     it = iter(private)
@@ -260,20 +266,12 @@ def _r4_at(g: RBGraph, pair) -> Match | None:
     return Match(R4_CASE[case], pair, frozenset(private))
 
 
-def _r123_exhausted(g: RBGraph) -> bool:
-    return (_first(g, g.blue, _r1_at) is None and _first(g, g.red, _r2_at) is None
-            and _first(g, g.blue, _r3_at) is None)
-
-
 def find_rule4(g: RBGraph) -> Match | None:
     """First blue pair (v < w) with a jointly forced private set."""
-    assert _r123_exhausted(g), "find_rule4 requires R1, R2 and R3 to be exhausted"
+    assert (_first(g, g.blue, _r1_at) is None and _first(g, g.red, _r2_at) is None
+            and _first(g, g.blue, _r3_at) is None), \
+        "find_rule4 requires R1, R2 and R3 to be exhausted"
     return _first(g, _r4_pairs(g, g.blue), _r4_at)
-
-
-def is_reduced(g: RBGraph) -> bool:
-    """True iff none of the four rules applies."""
-    return _r123_exhausted(g) and _first(g, _r4_pairs(g, g.blue), _r4_at) is None
 
 
 # -- applying rules --------------------------------------------------------------
@@ -430,7 +428,7 @@ class _Driver:
     def _drain_isolated_blues(self) -> bool:
         changed = False
         for b in sorted(self.iso_blue):
-            if self.g.has_vertex(b) and not self.g.adj[b]:
+            if b in self.g.adj and not self.g.adj[b]:
                 self.g.remove_vertex(b)
                 self.records.append(
                     RuleApplication(SAN_BLUE, ((b, BLUE, ()),), (), (b,), 0))

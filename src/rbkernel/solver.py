@@ -1,8 +1,8 @@
-"""Exact solvers for red/blue domination and small dominating sets.
+"""Exact solver for red/blue domination.
 
-Both problems reduce to minimum set cover: blues (or closed
-neighborhoods) are the sets, reds (or vertices) the elements.  Every call
-builds one :class:`_Cover` engine over its family and runs a memoized
+Minimum red/blue domination is minimum set cover: the blues' neighborhoods
+are the sets and the reds the elements.  :func:`min_rbds` builds one
+:class:`_Cover` engine over that family and runs a memoized
 branch-and-reduce search on it.  The work at a node, the uncovered element
 mask ``u`` under a limit, comes in this order:
 
@@ -22,7 +22,9 @@ mask ``u`` under a limit, comes in this order:
    connected ``u`` branches on the element with the fewest covering sets
    over its non-subsumed candidates.
 
-The memo lives as long as the engine, i.e. for one call.
+The memo lives as long as the engine, i.e. for one call.  A search deeper
+than the interpreter's stack raises :class:`InstanceTooLargeError`, the
+library's one "too large" answer.
 
 Witness contract: among all minimum covers the lexicographically smallest
 sorted id tuple is returned, so golden tests stay stable.  It is rebuilt
@@ -38,11 +40,9 @@ from dataclasses import dataclass
 
 from .graph import RBGraph
 
-MAX_DS_VERTICES = 24
-
 
 class InstanceTooLargeError(ValueError):
-    pass
+    """The exact search cannot answer this instance."""
 
 
 @dataclass(frozen=True)
@@ -69,63 +69,37 @@ def verify_solution(g: RBGraph, chosen) -> bool:
 
 
 def min_rbds(g: RBGraph) -> SolveOutcome:
-    """Exact minimum number of blues needed to dominate all reds.
+    """Exact minimum number of blues needed to dominate all reds, with the
+    lexicographically smallest id set among the minimum solutions.
 
-    Among all minimum solutions the lexicographically smallest id set is
-    returned.
+    Raises :class:`InstanceTooLargeError` when the search runs out of stack.
     """
     if any(not g.adj[r] for r in g.red):
         return INFEASIBLE
     blues = sorted(g.blue)
-    return _min_cover(blues, [g.adj[b] for b in blues])
-
-
-def decide_rbds(g: RBGraph, k: int) -> bool:
-    """True iff at most ``k`` blues dominate every red vertex."""
-    if k < 0 or any(not g.adj[r] for r in g.red):
-        return False
-    engine = _Cover([g.adj[b] for b in g.blue])
-    return engine.solve(engine.target, k) <= k
-
-
-def min_ds(adj: dict) -> SolveOutcome:
-    """Exact minimum dominating set of a small general graph.
-
-    ``adj`` maps each vertex to a set of neighbors.  Every vertex must be
-    covered by a chosen vertex or a chosen neighbor, so the set system is
-    the family of closed neighborhoods.
-    """
-    if len(adj) > MAX_DS_VERTICES:
-        raise InstanceTooLargeError(
-            "graph has %d vertices, exact search is capped at %d" % (len(adj), MAX_DS_VERTICES)
-        )
-    vs = sorted(adj)
-    return _min_cover(vs, [adj[v] | {v} for v in vs])
-
-
-def _min_cover(ids: list[int], family: list) -> SolveOutcome:
-    """Minimum cover of the union of ``family`` with its lex-min witness.
-
-    ``ids`` names the sets and must be ascending.
-    """
-    engine = _Cover(family)
+    engine = _Cover([g.adj[b] for b in blues])
     target = engine.target
     if target == 0:
         return SolveOutcome(0, frozenset())
-    best = engine.solve(target, target.bit_count())
-    # Keep an id when a minimum cover extends the ids kept so far with it.
-    # Asking over all sets, not just the later ones, changes no answer: a
-    # completion through a skipped lower id would have kept that id at its
-    # turn.  So every query is a plain cover query on the one memo.
-    chosen: list[int] = []
-    covered = 0
-    for sid, m in zip(ids, engine.masks):
-        need = best - len(chosen) - 1
-        if m & ~covered and engine.solve(target & ~(covered | m), need) <= need:
-            chosen.append(sid)
-            covered |= m
-            if covered == target:
-                break
+    try:
+        best = engine.solve(target, target.bit_count())
+        # Keep a blue when a minimum cover extends the blues kept so far
+        # with it.  Asking over all blues, not just the later ones, changes
+        # no answer: a completion through a skipped lower id would have kept
+        # that id at its turn.  So every query is a plain cover query on the
+        # one memo.
+        chosen: list[int] = []
+        covered = 0
+        for b, m in zip(blues, engine.masks):
+            need = best - len(chosen) - 1
+            if m & ~covered and engine.solve(target & ~(covered | m), need) <= need:
+                chosen.append(b)
+                covered |= m
+                if covered == target:
+                    break
+    except RecursionError:
+        raise InstanceTooLargeError(
+            "instance too large for exact search: the search ran out of stack") from None
     return SolveOutcome(best, frozenset(chosen))
 
 

@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 from .graph import Instance, RBGraph
-from .planar import DisconnectedError, PlaneGraph
+from .planar import PlaneGraph
 
 
 class InfeasibleInputError(ValueError):
@@ -24,10 +24,9 @@ def face_cover_to_rbds(pg: PlaneGraph):
 
     Returns (graph, vertex_to_red, face_to_blue).  Faces are numbered in
     first-discovery order of the dart walk; a vertex appearing twice on one
-    boundary still yields a single edge.
+    boundary still yields a single edge.  The face walk raises
+    ``DisconnectedError`` on a disconnected graph.
     """
-    if not pg.is_connected():
-        raise DisconnectedError("the radial construction needs a connected graph")
     faces = pg.faces()
     face_to_blue = {i: i + 1 for i in range(len(faces))}
     vertex_to_red = {v: len(faces) + 1 + i for i, v in enumerate(sorted(pg.rotation))}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from rbkernel import solver
 from rbkernel.generators import _layout, _stacked_triangulation
 from rbkernel.graph import BLUE, RED, Instance, RBGraph, sanitize
 from rbkernel.kernelizer import (
@@ -51,50 +52,80 @@ def exhaustive_min_ds(adj: dict):
     return None
 
 
+# -- queries over the library's solver and finders ---------------------------------
+
+
+def decide(g: RBGraph, k: int) -> bool:
+    """True iff at most ``k`` blues dominate every red: one bounded query on
+    the solver's cover engine, the query its witness rebuild makes."""
+    if k < 0 or any(not g.adj[r] for r in g.red):
+        return False
+    engine = solver._Cover([g.adj[b] for b in g.blue])
+    return engine.solve(engine.target, k) <= k
+
+
+def min_ds(adj: dict) -> solver.SolveOutcome:
+    """Minimum dominating set of a general graph through ``min_rbds``: each
+    vertex gets a blue and a red copy, and a blue copy neighbors the red
+    copies of its closed neighborhood.  Blue copies keep the vertex order,
+    so the witness is the lex-min one over the vertices."""
+    vs = sorted(adj)
+    n = len(vs)
+    index = {v: i for i, v in enumerate(vs)}
+    edges = [(i + 1, n + 1 + index[u]) for i, v in enumerate(vs) for u in adj[v] | {v}]
+    out = solver.min_rbds(RBGraph.from_parts(range(1, n + 1), range(n + 1, 2 * n + 1), edges))
+    return solver.SolveOutcome(out.size, frozenset(vs[b - 1] for b in out.witness))
+
+
+def is_reduced(g: RBGraph) -> bool:
+    """True iff none of the four rules applies."""
+    return all(f(g) is None for f in (find_rule1, find_rule2, find_rule3, find_rule4))
+
+
 # -- definitional rule oracles ---------------------------------------------------
 
 
 def oracle_rule1(g: RBGraph):
     for b in sorted(g.blue):
-        nb = g.neighborhood(b)
+        nb = g.adj[b]
         if not nb:
             continue
         for b2 in sorted(g.blue):
-            if b2 != b and nb <= g.neighborhood(b2):
+            if b2 != b and nb <= g.adj[b2]:
                 return b, b2
     return None
 
 
 def oracle_rule2(g: RBGraph):
     for r in sorted(g.red):
-        nr = g.neighborhood(r)
+        nr = g.adj[r]
         if not nr:
             continue
         for r2 in sorted(g.red):
-            if r2 != r and g.neighborhood(r2) <= nr:
+            if r2 != r and g.adj[r2] <= nr:
                 return r, r2
     return None
 
 
 def oracle_private(g: RBGraph, b: int) -> set:
-    nb = g.neighborhood(b)
+    nb = g.adj[b]
     out = set()
     for r in nb:
         closure = set()
-        for x in g.neighborhood(r):
-            closure |= g.neighborhood(x)
+        for x in g.adj[r]:
+            closure |= g.adj[x]
         if closure <= nb:
             out.add(r)
     return out
 
 
 def oracle_pair_private(g: RBGraph, v: int, w: int) -> set:
-    nvw = g.neighborhood(v) | g.neighborhood(w)
+    nvw = g.adj[v] | g.adj[w]
     out = set()
     for r in nvw:
         closure = set()
-        for x in g.neighborhood(r):
-            closure |= g.neighborhood(x)
+        for x in g.adj[r]:
+            closure |= g.adj[x]
         if closure <= nvw:
             out.add(r)
     return out
@@ -114,10 +145,10 @@ def oracle_rule4_all(g: RBGraph):
         private = oracle_pair_private(g, v, w)
         if len(private) <= 1:
             continue
-        if any(d not in (v, w) and private <= g.neighborhood(d) for d in blues):
+        if any(d not in (v, w) and private <= g.adj[d] for d in blues):
             continue
-        in_v = private <= g.neighborhood(v)
-        in_w = private <= g.neighborhood(w)
+        in_v = private <= g.adj[v]
+        in_w = private <= g.adj[w]
         case = 1 if not in_v and not in_w else 2 if in_v and in_w else 3 if in_v else 4
         hits.append((v, w, case, frozenset(private)))
     return hits
@@ -149,7 +180,7 @@ def reference_kernelize(inst: Instance):
         records.extend(_sanitize_records(rep))
         if rep.infeasible:
             return "no", NO_ISOLATED_RED, g, k, records
-        changed = rep.changed
+        changed = bool(rep.removed_edges or rep.removed_blues)
         while (m := find_rule1(g)) is not None:
             k, rec = apply_rule(g, k, m)
             records.append(rec)

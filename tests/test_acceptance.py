@@ -16,15 +16,17 @@ from rbkernel.generators import _stacked_triangulation, gen_grid, gen_random_pla
 from rbkernel.graph import BLUE, Instance, RBGraph
 from rbkernel.kernelizer import kernelize, lift_solution
 from rbkernel.planar import is_planar, rbgraph_planarity
-from rbkernel.solver import decide_rbds, min_ds, min_rbds, verify_solution
+from rbkernel.solver import min_rbds, verify_solution
 from rbkernel.transforms import face_cover_to_rbds, rbds_to_ds
 
 from helpers import (
     brute_force_face_cover,
     build_graph,
     canonical_key,
+    decide,
     enumerate_r12_reduced,
     enumerate_sanitized_classes,
+    min_ds,
     net_vertex_delta,
     oracle_rule3_set,
     random_sanitized_instance,
@@ -46,11 +48,11 @@ class SweepStats:
 def sweep_one(g, k, stats: SweepStats) -> None:
     """Kernelize (g, k) and grind every per-run acceptance assertion."""
     res = kernelize(Instance(g.copy(), k))
-    expected = decide_rbds(g, k)
+    expected = decide(g, k)
     if res.is_no:
         got = False
     else:
-        got = decide_rbds(res.instance.graph, res.instance.k)
+        got = decide(res.instance.graph, res.instance.k)
     assert got == expected, "safeness broke on %r k=%d" % (g, k)
     stats.checks += 1
 
@@ -219,8 +221,8 @@ def test_criterion_6_fact6_equivalence():
 
     for g in corpus:
         fact6 = {v for v in sorted(g.blue)
-                 if g.degree(v) == 1
-                 and g.degree(next(iter(g.neighborhood(v)))) == 1}
+                 if len(g.adj[v]) == 1
+                 and len(g.adj[next(iter(g.adj[v]))]) == 1}
         assert fact6 == oracle_rule3_set(g), "Fact-6 scan diverged on %r" % g
     print("ACCEPTANCE 6 fact-6 equivalence: PASS (%d graphs reduced under "
           "R1/R2 with <= 9 vertices, scans agree everywhere)" % len(corpus))

@@ -15,7 +15,7 @@ from rbkernel.cli import (
 )
 from rbkernel.generators import gen_grid, gen_matching
 from rbkernel.graph import Instance, RBGraph
-from rbkernel.planar import is_planar
+from rbkernel.planar import PlaneGraph, is_planar
 
 from helpers import alternating_cycle
 
@@ -198,6 +198,13 @@ class TestCheckPlanar:
         path.write_text(formats.format_plane(pg))
         assert main(["check-planar", str(path)]) == EXIT_OK
 
+    def test_plane_file_with_indented_comment(self, tmp_path, capsys):
+        pg = is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding
+        path = tmp_path / "tri.plane"
+        path.write_text("  c a triangle\n" + formats.format_plane(pg))
+        assert main(["check-planar", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "PLANAR"
+
 
 class TestTransformCommand:
     def test_to_ds(self, tmp_path):
@@ -217,6 +224,12 @@ class TestTransformCommand:
                      "--out", str(out)]) == EXIT_OK
         inst = formats.parse_instance(out.read_text())
         assert len(inst.graph.blue) == 2 and len(inst.graph.red) == 3
+
+    def test_face_cover_disconnected_exits_bad_input(self, tmp_path, capsys):
+        src = tmp_path / "two.plane"
+        src.write_text(formats.format_plane(PlaneGraph({1: [2], 2: [1], 3: [4], 4: [3]})))
+        assert main(["transform", "face-cover", str(src)]) == EXIT_BAD_INPUT
+        assert "connected" in capsys.readouterr().err
 
 
 class TestBench:

@@ -13,6 +13,7 @@ from rbkernel.graph import (
     UnknownVertexError,
     sanitize,
 )
+from rbkernel.kernelizer import _pair_private
 
 from helpers import oracle_pair_private, oracle_private
 
@@ -39,84 +40,29 @@ def small_graphs(draw):
 class TestNeighborhood:
     def test_single_edge(self):
         g = RBGraph.from_parts([1], [2], [(1, 2)])
-        assert g.neighborhood(1) == {2}
-        assert g.neighborhood(2) == {1}
+        assert g.adj[1] == {2}
+        assert g.adj[2] == {1}
 
     def test_isolated(self):
         g = RBGraph.from_parts([1], [])
-        assert g.neighborhood(1) == set()
+        assert g.adj[1] == set()
 
     def test_star(self):
         g = star()
-        assert g.neighborhood(1) == {2, 3, 4}
-
-    def test_unknown_vertex(self):
-        g = star()
-        with pytest.raises(UnknownVertexError):
-            g.neighborhood(99)
-
-    def test_returns_fresh_set(self):
-        g = star()
-        g.neighborhood(1).clear()
-        assert g.neighborhood(1) == {2, 3, 4}
+        assert g.adj[1] == {2, 3, 4}
 
     @given(small_graphs())
     @settings(max_examples=60)
     def test_symmetry(self, g):
         for u in g.vertices():
-            for v in g.neighborhood(u):
-                assert u in g.neighborhood(v)
-
-
-class TestPairNeighborhood:
-    def test_union(self):
-        g = RBGraph.from_parts([1, 2], [3, 4, 5], [(1, 3), (1, 4), (2, 4), (2, 5)])
-        assert g.pair_neighborhood(1, 2) == {3, 4, 5}
-
-    def test_empty_side(self):
-        g = RBGraph.from_parts([1, 2], [3], [(2, 3)])
-        assert g.pair_neighborhood(1, 2) == {3}
-
-    def test_idempotent_union(self):
-        g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])
-        assert g.pair_neighborhood(1, 2) == {3}
-
-    def test_same_vertex_rejected(self):
-        g = star()
-        with pytest.raises(SameVertexError):
-            g.pair_neighborhood(1, 1)
-
-    def test_red_rejected(self):
-        g = star()
-        with pytest.raises(ColorError):
-            g.pair_neighborhood(1, 2)
-
-
-class TestPrivateNeighborhood:
-    def test_lone_component(self):
-        g = RBGraph.from_parts([1], [2], [(1, 2)])
-        assert g.private_neighborhood(1) == {2}
-
-    def test_outside_reach_empties_it(self):
-        # b-r, b'-r, b'-r': r's second dominator reaches r' outside N(b).
-        g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 3), (2, 4)])
-        assert oracle_private(g, 1) == set()
-        assert g.private_neighborhood(1) == set()
-
-    def test_isolated_blue(self):
-        g = RBGraph.from_parts([1], [2])
-        assert g.private_neighborhood(1) == set()
-
-    def test_red_rejected(self):
-        g = star()
-        with pytest.raises(ColorError):
-            g.private_neighborhood(2)
+            for v in g.adj[u]:
+                assert u in g.adj[v]
 
 
 class TestPairPrivateNeighborhood:
     def test_shared_degree_two_red(self):
         g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])
-        assert g.pair_private_neighborhood(1, 2) == {3}
+        assert _pair_private(g.adj, 1, 2) == {3}
 
     def test_third_blue_with_outside_neighbor(self):
         # v-r1, w-r2, both reds also held by b3 which reaches an outside red.
@@ -124,31 +70,31 @@ class TestPairPrivateNeighborhood:
             [1, 2, 3], [4, 5, 6],
             [(1, 4), (2, 5), (3, 4), (3, 5), (3, 6)])
         assert oracle_pair_private(g, 1, 2) == set()
-        assert g.pair_private_neighborhood(1, 2) == set()
+        assert _pair_private(g.adj, 1, 2) == set()
 
     def test_no_reds(self):
         g = RBGraph.from_parts([1, 2], [])
-        assert g.pair_private_neighborhood(1, 2) == set()
+        assert _pair_private(g.adj, 1, 2) == set()
 
     @given(small_graphs())
     @settings(max_examples=60)
     def test_matches_definitional_oracle(self, g):
         for v, w in itertools.combinations(sorted(g.blue), 2):
-            assert g.pair_private_neighborhood(v, w) == oracle_pair_private(g, v, w)
-            assert g.pair_private_neighborhood(v, w) == g.pair_private_neighborhood(w, v)
+            assert _pair_private(g.adj, v, w) == oracle_pair_private(g, v, w)
+            assert _pair_private(g.adj, v, w) == _pair_private(g.adj, w, v)
 
     @given(small_graphs())
     @settings(max_examples=60)
     def test_contained_in_pair_neighborhood(self, g):
         for v, w in itertools.combinations(sorted(g.blue), 2):
-            assert g.pair_private_neighborhood(v, w) <= g.pair_neighborhood(v, w)
+            assert _pair_private(g.adj, v, w) <= g.adj[v] | g.adj[w]
 
     def test_single_private_union_is_monotone_small(self, classes6):
         # P(v) | P(w) <= P(v, w) on every sanitized class with <= 6 vertices.
         for g in classes6:
             for v, w in itertools.combinations(sorted(g.blue), 2):
-                assert g.private_neighborhood(v) | g.private_neighborhood(w) \
-                    <= g.pair_private_neighborhood(v, w)
+                assert oracle_private(g, v) | oracle_private(g, w) \
+                    <= _pair_private(g.adj, v, w)
 
 
 class TestSanitize:
@@ -173,14 +119,14 @@ class TestSanitize:
         g = star()
         before = g.copy()
         rep = sanitize(g)
-        assert not rep.changed and not rep.infeasible
+        assert not rep.removed_edges and not rep.removed_blues and not rep.infeasible
         assert g == before
 
     def test_isolated_blue_removed(self):
         g = RBGraph.from_parts([1, 2], [3], [(2, 3)])
         rep = sanitize(g)
         assert rep.removed_blues == [1]
-        assert not g.has_vertex(1)
+        assert 1 not in g.adj
 
     @given(small_graphs())
     @settings(max_examples=60)
@@ -188,7 +134,7 @@ class TestSanitize:
         sanitize(g)
         snapshot = g.copy()
         rep = sanitize(g)
-        assert not rep.changed
+        assert not rep.removed_edges and not rep.removed_blues
         assert g == snapshot
 
 
@@ -201,7 +147,7 @@ class TestMutation:
     def test_add_red_vertex_contract(self):
         g = RBGraph.from_parts([1, 2], [])
         new = g.add_red_vertex({1, 2})
-        assert g.neighborhood(new) == {1, 2}
+        assert g.adj[new] == {1, 2}
         assert new in g.red
 
     def test_add_red_vertex_rejects_red_neighbor(self):
@@ -213,7 +159,7 @@ class TestMutation:
         g = RBGraph.from_parts([1], [2], [(1, 2)])
         g.remove_vertex(1)
         assert g.red == {2}
-        assert g.neighborhood(2) == set()
+        assert g.adj[2] == set()
 
     def test_ids_never_reused(self):
         g = RBGraph.from_parts([1, 2], [3])
@@ -239,7 +185,7 @@ class TestValueSemantics:
         g = star()
         h = g.copy()
         h.remove_vertex(2)
-        assert g.neighborhood(1) == {2, 3, 4}
+        assert g.adj[1] == {2, 3, 4}
         assert g != h
 
     def test_instance_equality(self):

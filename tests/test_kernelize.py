@@ -21,17 +21,18 @@ from rbkernel.kernelizer import (
     find_rule1,
     find_rule2,
     fingerprint_instance,
-    is_reduced,
     kernelize,
     lift_solution,
     replay_trace,
 )
 from rbkernel.planar import is_planar
-from rbkernel.solver import decide_rbds, min_rbds, verify_solution
+from rbkernel.solver import min_rbds, verify_solution
 from rbkernel.transforms import face_cover_to_rbds
 
 from helpers import (
     alternating_cycle,
+    decide,
+    is_reduced,
     net_vertex_delta,
     oracle_pair_private,
     oracle_private,
@@ -89,7 +90,7 @@ class TestDriverExamples:
         g = alternating_cycle(6)
         res = kernelize(Instance(g, 0))
         assert res.is_no and res.reason == NO_SIZE
-        assert not decide_rbds(g, 0)
+        assert not decide(g, 0)
 
     def test_reduced_input_is_identity(self):
         g = alternating_cycle(6)

@@ -9,16 +9,16 @@ from rbkernel.generators import gen_grid
 from rbkernel.graph import Instance, RBGraph
 from rbkernel.kernelizer import kernelize, lift_solution
 from rbkernel.planar import is_planar
-from rbkernel.solver import (
-    InstanceTooLargeError,
-    decide_rbds,
-    min_ds,
-    min_rbds,
-    verify_solution,
-)
+from rbkernel.solver import InstanceTooLargeError, min_rbds, verify_solution
 from rbkernel.transforms import face_cover_to_rbds
 
-from helpers import exhaustive_min_ds, exhaustive_min_rbds, random_sanitized_instance
+from helpers import (
+    alternating_cycle,
+    decide,
+    exhaustive_min_ds,
+    exhaustive_min_rbds,
+    min_ds,
+)
 
 
 @st.composite
@@ -229,6 +229,12 @@ class TestMinRbds:
         out = min_rbds(g)
         assert (out.size, set(out.witness)) == exhaustive_min_rbds(g) == (4, {1, 8, 10, 13})
 
+    def test_too_deep_is_too_large(self):
+        # The search recurses twice per chosen blue; an alternating cycle
+        # through 1,200 reds (optimum 600) exceeds the recursion limit.
+        with pytest.raises(InstanceTooLargeError, match="too large"):
+            min_rbds(alternating_cycle(1200))
+
     def test_grid_6x30_kernel(self):
         inst = gen_grid(6, 30)
         res = kernelize(inst)
@@ -267,7 +273,7 @@ class TestComponentWalk:
         with mock.patch.object(solver._Cover, "_branch", checked):
             got = min_rbds(g)
             for k in range(len(g.blue) + 1):
-                decide_rbds(g, k)
+                decide(g, k)
         expected = exhaustive_min_rbds(g)
         if expected is None:
             assert not got.feasible
@@ -310,13 +316,13 @@ class TestGoldenKernels:
 
 class TestDecide:
     def test_negative_budget(self):
-        assert not decide_rbds(RBGraph(), -1)
+        assert not decide(RBGraph(), -1)
 
     def test_empty_zero(self):
-        assert decide_rbds(RBGraph(), 0)
+        assert decide(RBGraph(), 0)
 
     def test_star_budget_one(self):
-        assert decide_rbds(star(), 1)
+        assert decide(star(), 1)
 
     def test_agrees_with_min(self, random_graphs_300):
         rng = random.Random(7)
@@ -324,21 +330,21 @@ class TestDecide:
             out = min_rbds(g)
             for k in range(len(g.blue) + 1):
                 expect = out.feasible and out.size <= k
-                assert decide_rbds(g, k) == expect
+                assert decide(g, k) == expect
 
     @given(cycle_unions())
     @settings(max_examples=100, deadline=None)
     def test_every_budget_on_cycle_unions(self, case):
         g, opt = case
         for k in range(opt - 3, opt + 2):
-            assert decide_rbds(g, k) == (k >= opt)
+            assert decide(g, k) == (k >= opt)
 
     @given(unions())
     @settings(max_examples=150, deadline=None)
     def test_every_budget_matches_exhaustive(self, g):
         expected = exhaustive_min_rbds(g)
         for k in range(-1, len(g.blue) + 2):
-            assert decide_rbds(g, k) == (expected is not None and expected[0] <= k)
+            assert decide(g, k) == (expected is not None and expected[0] <= k)
 
 
 class TestMinDs:
@@ -353,11 +359,6 @@ class TestMinDs:
         adj = {i: {(i + 1) % 6, (i - 1) % 6} for i in range(6)}
         assert exhaustive_min_ds(adj)[0] == 2
         assert min_ds(adj).size == 2
-
-    def test_too_large(self):
-        adj = {i: set() for i in range(25)}
-        with pytest.raises(InstanceTooLargeError):
-            min_ds(adj)
 
     def test_matches_exhaustive_random(self):
         rng = random.Random(99)

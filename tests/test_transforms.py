@@ -5,10 +5,10 @@ import pytest
 
 from rbkernel.graph import Instance, RBGraph
 from rbkernel.planar import is_planar, rbgraph_planarity
-from rbkernel.solver import min_ds, min_rbds
+from rbkernel.solver import min_rbds
 from rbkernel.transforms import InfeasibleInputError, face_cover_to_rbds, rbds_to_ds
 
-from helpers import brute_force_face_cover, random_sanitized_instance
+from helpers import brute_force_face_cover, min_ds, random_sanitized_instance
 
 
 def embed(vertices, edges):
@@ -32,7 +32,7 @@ class TestFaceCover:
         g, vmap, fmap = face_cover_to_rbds(pg)
         assert len(g.red) == 3 and len(g.blue) == 2
         for b in g.blue:
-            assert g.neighborhood(b) == set(vmap.values())
+            assert g.adj[b] == set(vmap.values())
         assert min_rbds(g).size == 1
         assert brute_force_face_cover(pg) == 1
 
@@ -46,7 +46,7 @@ class TestFaceCover:
         pg = cube()
         g, vmap, fmap = face_cover_to_rbds(pg)
         assert len(g.red) == 8 and len(g.blue) == 6
-        assert all(g.degree(b) == 4 for b in g.blue)
+        assert all(len(g.adj[b]) == 4 for b in g.blue)
         assert brute_force_face_cover(pg) == 2
         assert min_rbds(g).size == 2
 
