@@ -34,7 +34,7 @@ from .planar import (
     is_planar,
     rbgraph_planarity,
 )
-from .solver import SolveOutcome, min_rbds, verify_solution
+from .solver import InstanceTooLargeError, SolveOutcome, min_rbds, verify_solution
 from .transforms import face_cover_to_rbds, rbds_to_ds
 from .generators import gen_grid, gen_matching, gen_random_planar
 
@@ -46,7 +46,7 @@ __all__ = [
     "KernelResult", "KernelTrace", "RuleApplication",
     "find_rule1", "find_rule2", "find_rule3", "find_rule4",
     "apply_rule", "kernelize", "lift_solution", "replay_trace",
-    "SolveOutcome", "verify_solution", "min_rbds",
+    "SolveOutcome", "verify_solution", "min_rbds", "InstanceTooLargeError",
     "PlaneGraph", "Face", "PlanarityResult", "KuratowskiWitness",
     "is_planar", "rbgraph_planarity", "bipartite_euler_bound",
     "face_cover_to_rbds", "rbds_to_ds",

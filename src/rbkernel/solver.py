@@ -19,8 +19,17 @@ mask ``u`` under a limit, comes in this order:
 4. split or branch: only a real split walks its component to the end; the
    other components are walked in full and all are solved smallest first,
    each under what the limit leaves after the others' lower bounds.  A
-   connected ``u`` branches on the element with the fewest covering sets
-   over its non-subsumed candidates.
+   connected ``u`` branches on its lowest element over the element's
+   non-subsumed candidate sets.
+
+Element bits follow breadth-first layers of the element graph, two
+elements joined when a set holds both, so the lowest uncovered element sits
+on the frontier of what is covered.  The search then covers the family
+front to back, one layer at a time, and different branches reach the same
+uncovered mask: everything past the frontier, minus the few frontier
+elements some branch covered.  The memo thus works as a frontier dynamic
+program over a path decomposition whose bags are about two layers; on a
+grid kernel the layers are diagonals, no longer than the grid's short side.
 
 The memo lives as long as the engine, i.e. for one call.  A search deeper
 than the interpreter's stack raises :class:`InstanceTooLargeError`, the
@@ -35,7 +44,7 @@ on the same engine and memo.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .graph import RBGraph
@@ -106,14 +115,40 @@ def min_rbds(g: RBGraph) -> SolveOutcome:
 class _Cover:
     """Memoized minimum set cover over a fixed family of sets.
 
-    Element bits are laid out by ascending number of covering sets, so the
-    lowest uncovered bit is the element with the fewest covers and the
-    packing bound scans elements in that order.
+    Element bits are laid out breadth-first over the element graph: each
+    component is rooted at its element with the fewest covering sets (ties
+    to the lower id), and each placed element appends its unplaced
+    neighbours in that same (cover count, id) order, first in first out.
+    Every bit but a component's first thus shares a set with a lower bit,
+    and the breadth-first distance from the component's first bit never
+    decreases along the bits.
     """
 
     def __init__(self, family: list):
         count = Counter(e for s in family for e in s)
-        order = sorted(count, key=lambda e: (count[e], e))
+        near = defaultdict(set)
+        for s in family:
+            for e in s:
+                near[e].update(s)
+
+        def rank(e):
+            return count[e], e
+
+        # Breadth-first over the element graph, one component after another,
+        # each rooted at its lowest-ranked element; ``order`` is the queue.
+        order: list = []
+        seen: set = set()
+        head = 0
+        for root in sorted(count, key=rank):
+            if root in seen:
+                continue
+            seen.add(root)
+            order.append(root)
+            while head < len(order):
+                fresh = sorted(near[order[head]] - seen, key=rank)
+                seen.update(fresh)
+                order.extend(fresh)
+                head += 1
         bit = {e: 1 << i for i, e in enumerate(order)}
         self.masks = [sum(bit[e] for e in s) for s in family]
         self.target = (1 << len(order)) - 1
@@ -194,9 +229,9 @@ class _Cover:
         return u
 
     def _packing(self, u: int) -> int:
-        """Elements of ``u`` with pairwise disjoint covers, fewest covers
-        first: each needs a set of its own.  Taking an element rules out
-        every element it shares a set with."""
+        """Elements of ``u`` with pairwise disjoint covers, taken in bit
+        order, i.e. layer by layer: each needs a set of its own.  Taking an
+        element rules out every element it shares a set with."""
         reach = self.reach
         n = 0
         while u:
@@ -229,8 +264,9 @@ class _Cover:
         return total
 
     def _branch(self, u: int, limit: int, low: int) -> int:
-        """Branch on the element with the fewest covers of a connected ``u``;
-        ``low`` is a lower bound on its cover size, at most ``limit``."""
+        """Branch on the lowest element of a connected ``u``, the first one
+        left in the earliest uncovered layer; ``low`` is a lower bound on its
+        cover size, at most ``limit``."""
         cands = {m & u for m in self.covers[(u & -u).bit_length() - 1]}
         # Branch only on maximal candidates, largest first: a cover using a
         # subsumed set stays a cover when it takes the larger one instead.

@@ -235,6 +235,18 @@ class TestMinRbds:
         with pytest.raises(InstanceTooLargeError, match="too large"):
             min_rbds(alternating_cycle(1200))
 
+    def test_too_large_error_exported_from_package(self):
+        from rbkernel import InstanceTooLargeError as exported
+
+        with pytest.raises(exported):
+            min_rbds(alternating_cycle(1200))
+
+    @pytest.mark.parametrize("rows, cols, opt", [(6, 60, 52), (8, 40, 46), (20, 20, 55)])
+    def test_large_grid_kernels(self, rows, cols, opt):
+        g = kernelize(gen_grid(rows, cols)).instance.graph
+        out = min_rbds(g)
+        assert out.size == opt and verify_solution(g, out.witness)
+
     def test_grid_6x30_kernel(self):
         inst = gen_grid(6, 30)
         res = kernelize(inst)
@@ -279,6 +291,58 @@ class TestComponentWalk:
             assert not got.feasible
         else:
             assert (got.size, set(got.witness)) == expected
+
+
+def bfs_depths(reach, comp):
+    """Breadth-first distance of every element bit of the component ``comp``
+    from its lowest bit, two bits adjacent when one set holds both."""
+    first = (comp & -comp).bit_length() - 1
+    depth = {first: 0}
+    layer = [first]
+    while layer:
+        grown = []
+        for i in layer:
+            for j in range(reach[i].bit_length()):
+                if reach[i] >> j & 1 and j not in depth:
+                    depth[j] = depth[i] + 1
+                    grown.append(j)
+        layer = grown
+    return depth
+
+
+def blue_family(g):
+    return [g.adj[b] for b in sorted(g.blue)]
+
+
+# Sparse families on up to 30 elements: their element graphs are long enough
+# for a layout that is connected but not breadth-first to show.
+sparse_families = st.lists(st.sets(st.integers(0, 29), min_size=1, max_size=3),
+                           min_size=1, max_size=30)
+
+
+class TestLayout:
+    @given(st.one_of(unions().map(blue_family), sparse_families))
+    @settings(max_examples=300, deadline=None)
+    def test_bits_follow_bfs_layers(self, family):
+        engine = solver._Cover(family)
+        for comp in plain_components(engine.masks, engine.target):
+            depth = bfs_depths(engine.reach, comp)
+            bits = sorted(depth)
+            # Each bit after the component's first shares a set with a lower one.
+            for i in bits[1:]:
+                assert engine.reach[i] & ((1 << i) - 1)
+            layers = [depth[i] for i in bits]
+            assert layers == sorted(layers)
+
+    @pytest.mark.parametrize("rows, cols, opt", [(6, 60, 52), (8, 40, 46)])
+    def test_grid_kernel_memo_stays_small(self, rows, cols, opt):
+        # The search covers the kernel one layer at a time, so the memo
+        # holds few frontiers.  Under a (cover count, id) layout these solves
+        # leave 1,297,586 and 805,593 entries.
+        g = kernelize(gen_grid(rows, cols)).instance.graph
+        engine = solver._Cover([g.adj[b] for b in sorted(g.blue)])
+        assert engine.solve(engine.target, engine.target.bit_count()) == opt
+        assert len(engine.memo) < 20_000
 
 
 def plane_grid_face_cover(rows, cols):
