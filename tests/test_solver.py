@@ -339,8 +339,7 @@ class TestLayout:
         # The search covers the kernel one layer at a time, so the memo
         # holds few frontiers.  Under a (cover count, id) layout these solves
         # leave 1,297,586 and 805,593 entries.
-        g = kernelize(gen_grid(rows, cols)).instance.graph
-        engine = solver._Cover([g.adj[b] for b in sorted(g.blue)])
+        engine = solver._Cover(blue_family(kernelize(gen_grid(rows, cols)).instance.graph))
         assert engine.solve(engine.target, engine.target.bit_count()) == opt
         assert len(engine.memo) < 20_000
 
