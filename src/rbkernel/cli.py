@@ -171,6 +171,9 @@ def cmd_check_planar(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if not Path(args.corpus).is_dir():
+        print("bench: %s is not a directory" % args.corpus, file=sys.stderr)
+        return EXIT_BAD_INPUT
     paths = sorted(Path(args.corpus).glob("*.rbds"))
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -262,10 +265,13 @@ def main(argv=None) -> int:
     except formats.ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
+    except UnicodeDecodeError as exc:
+        print("parse error: not UTF-8 text: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
     except InstanceTooLargeError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_TOO_LARGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_INPUT
 

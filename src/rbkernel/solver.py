@@ -3,23 +3,13 @@
 Minimum red/blue domination is minimum set cover: the blues' neighborhoods
 are the sets and the reds the elements.  :func:`min_rbds` builds one
 :class:`_Cover` engine over that family and runs a memoized
-branch-and-reduce search on it.  The work at a node, the uncovered element
+branch-and-bound search on it.  The work at a node, the uncovered element
 mask ``u`` under a limit, comes in this order:
 
 1. memo: an exact value, or a lower bound above the limit, answers at once;
 2. packing: a greedy packing lower bound, raised to any memoized bound,
-   prunes when it exceeds the limit.  The packing never crosses components,
-   so on ``u`` it is the sum of its components' bounds;
-3. connectivity: a walk from the lowest element of ``near`` stops,
-   answering "connected", as soon as it holds all of ``near``, a subset of
-   ``u`` that meets every component of ``u``.  A child of a branch comes
-   from a connected mask, so its ``near`` is only the elements sharing a
-   set with the ones just covered; a component of a split is connected and
-   skips the walk; any other mask walks with ``near = u``;
-4. split or branch: only a real split walks its component to the end; the
-   other components are walked in full and all are solved smallest first,
-   each under what the limit leaves after the others' lower bounds.  A
-   connected ``u`` branches on its lowest element over the element's
+   prunes when it exceeds the limit;
+3. branch: on the lowest element of ``u``, over the element's
    non-subsumed candidate sets.
 
 Element bits follow breadth-first layers of the element graph, two
@@ -30,20 +20,32 @@ uncovered mask: everything past the frontier, minus the few frontier
 elements some branch covered.  The memo thus works as a frontier dynamic
 program over a path decomposition whose bags are about two layers; on a
 grid kernel the layers are diagonals, no longer than the grid's short side.
+A node tests no connectivity and splits nothing: on this layout the memo
+already keeps the masks few, and a per-node walk for components costs more
+than the split saves.
+
+The layout numbers each component of the family as one run of bits, its
+*part*, and :func:`min_rbds` solves the parts one by one.  The search
+recurses twice per chosen set, so its stack depth is twice the optimum of
+the part at hand; one mask over all parts would need twice the summed
+optimum, which a union of many small components soon exceeds.
 
 The memo lives as long as the engine, i.e. for one call.  A search deeper
 than the interpreter's stack raises :class:`InstanceTooLargeError`, the
 library's one "too large" answer.
 
 Witness contract: among all minimum covers the lexicographically smallest
-sorted id tuple is returned, so golden tests stay stable.  It is rebuilt
-in ascending id order, keeping an id when the still-uncovered elements can
-then be covered by the optimum's remaining budget; every such query runs
-on the same engine and memo.
+sorted id tuple is returned, so golden tests stay stable.  A minimum cover
+is a minimum cover of each part, and the lex-min one is the union of the
+parts' lex-min covers.  A part's cover is rebuilt in ascending id order,
+keeping an id when the part's still-uncovered elements can then be covered
+by the part's remaining budget; every such query runs on the same engine
+and memo.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -87,29 +89,36 @@ def min_rbds(g: RBGraph) -> SolveOutcome:
         return INFEASIBLE
     blues = sorted(g.blue)
     engine = _Cover([g.adj[b] for b in blues])
-    target = engine.target
-    if target == 0:
-        return SolveOutcome(0, frozenset())
+    # A set lies inside one part, and the parts are increasing bit runs, so
+    # the part of a set is the first one ending at or above its top bit.
+    ends = [part.bit_length() for part in engine.parts]
+    members: list[list] = [[] for _ in ends]
+    for b, m in zip(blues, engine.masks):
+        if m:
+            members[bisect_left(ends, m.bit_length())].append((b, m))
+    size = 0
+    chosen: list[int] = []
     try:
-        best = engine.solve(target, target.bit_count())
-        # Keep a blue when a minimum cover extends the blues kept so far
-        # with it.  Asking over all blues, not just the later ones, changes
-        # no answer: a completion through a skipped lower id would have kept
-        # that id at its turn.  So every query is a plain cover query on the
-        # one memo.
-        chosen: list[int] = []
-        covered = 0
-        for b, m in zip(blues, engine.masks):
-            need = best - len(chosen) - 1
-            if m & ~covered and engine.solve(target & ~(covered | m), need) <= need:
-                chosen.append(b)
-                covered |= m
-                if covered == target:
-                    break
+        for part, sets in zip(engine.parts, members):
+            best = engine.solve(part, part.bit_count())
+            size += best
+            # Keep a blue when a minimum cover of the part extends the blues
+            # kept so far with it.  Asking over all the part's blues, not
+            # just the later ones, changes no answer: a completion through a
+            # skipped lower id would have kept that id at its turn.
+            covered = kept = 0
+            for b, m in sets:
+                need = best - kept - 1
+                if m & ~covered and engine.solve(part & ~(covered | m), need) <= need:
+                    chosen.append(b)
+                    covered |= m
+                    kept += 1
+                    if kept == best:
+                        break
     except RecursionError:
         raise InstanceTooLargeError(
             "instance too large for exact search: the search ran out of stack") from None
-    return SolveOutcome(best, frozenset(chosen))
+    return SolveOutcome(size, frozenset(chosen))
 
 
 class _Cover:
@@ -120,8 +129,9 @@ class _Cover:
     to the lower id), and each placed element appends its unplaced
     neighbours in that same (cover count, id) order, first in first out.
     Every bit but a component's first thus shares a set with a lower bit,
-    and the breadth-first distance from the component's first bit never
-    decreases along the bits.
+    the breadth-first distance from the component's first bit never
+    decreases along the bits, and each component is one run of bits, kept
+    in ``parts`` in bit order.
     """
 
     def __init__(self, family: list):
@@ -135,23 +145,25 @@ class _Cover:
             return count[e], e
 
         # Breadth-first over the element graph, one component after another,
-        # each rooted at its lowest-ranked element; ``order`` is the queue.
+        # each rooted at its lowest-ranked element; ``order`` is the queue,
+        # and it runs dry exactly when a component is complete.
         order: list = []
         seen: set = set()
-        head = 0
+        self.parts: list[int] = []
         for root in sorted(count, key=rank):
             if root in seen:
                 continue
             seen.add(root)
+            head = start = len(order)
             order.append(root)
             while head < len(order):
                 fresh = sorted(near[order[head]] - seen, key=rank)
                 seen.update(fresh)
                 order.extend(fresh)
                 head += 1
+            self.parts.append((1 << len(order)) - (1 << start))
         bit = {e: 1 << i for i, e in enumerate(order)}
         self.masks = [sum(bit[e] for e in s) for s in family]
-        self.target = (1 << len(order)) - 1
         # covers[i]: the masks of the sets covering element i; reach[i]: the
         # elements sharing a set with element i, i included.
         self.covers: list[list[int]] = [[] for _ in order]
@@ -167,14 +179,9 @@ class _Cover:
         # Uncovered mask -> (value, exact); inexact values are lower bounds.
         self.memo: dict[int, tuple[int, bool]] = {}
 
-    def solve(self, u: int, limit: int, cut: int | None = None) -> int:
+    def solve(self, u: int, limit: int) -> int:
         """Size of a minimum cover of ``u`` if it is at most ``limit``, else
-        a lower bound on it above ``limit``.
-
-        ``cut``, when given, is what was taken away from a connected set to
-        leave ``u``, so every component of ``u`` holds an element sharing a
-        set with ``cut``; ``0`` says that ``u`` is connected.
-        """
+        a lower bound on it above ``limit``."""
         if not u:
             return 0
         hit = self.memo.get(u)
@@ -184,49 +191,9 @@ class _Cover:
             return hit[0]
         else:
             low = max(self._packing(u), hit[0])
-        if low > limit:
-            value = low
-        else:
-            comp = self._component(u, u if cut is None else self._touching(cut) & u)
-            if comp != u:
-                value = self._split(u, comp, limit)
-            else:
-                value = self._branch(u, limit, low)
+        value = low if low > limit else self._branch(u, limit, low)
         self.memo[u] = (value, value <= limit)
         return value
-
-    def _touching(self, cut: int) -> int:
-        """The elements sharing a set with an element of ``cut``."""
-        reach = self.reach
-        near = 0
-        while cut:
-            low = cut & -cut
-            near |= reach[low.bit_length() - 1]
-            cut ^= low
-        return near
-
-    def _component(self, u: int, near: int) -> int:
-        """``u`` if it is connected, else the connected component of ``u``
-        holding the lowest element of ``near``.
-
-        Every component of ``u`` must hold an element of ``near``, so the
-        walk from the lowest one stops as soon as it has reached all of
-        ``near``; only a real split walks its component to the end.
-        """
-        reach = self.reach
-        comp = frontier = near & -near
-        while near & ~comp:
-            if not frontier:
-                return comp
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                grow |= reach[low.bit_length() - 1]
-                frontier ^= low
-            grow &= u
-            frontier = grow & ~comp
-            comp |= grow
-        return u
 
     def _packing(self, u: int) -> int:
         """Elements of ``u`` with pairwise disjoint covers, taken in bit
@@ -239,34 +206,10 @@ class _Cover:
             n += 1
         return n
 
-    def _split(self, u: int, comp: int, limit: int) -> int:
-        """Solve the components of ``u`` one at a time, smallest first; each
-        gets what the limit leaves after the others' lower bounds."""
-        parts = [comp]
-        rest = u & ~comp
-        while rest:
-            c = self._component(rest, rest)
-            parts.append(c)
-            rest &= ~c
-        parts.sort(key=int.bit_count)
-        lows = [self.memo[c][0] if c in self.memo else self._packing(c) for c in parts]
-        pending = sum(lows)
-        if pending > limit:
-            return pending
-        total = 0
-        for c, low in zip(parts, lows):
-            pending -= low
-            budget = limit - total - pending
-            value = self.solve(c, budget, 0)
-            total += value
-            if value > budget:
-                return total + pending
-        return total
-
     def _branch(self, u: int, limit: int, low: int) -> int:
-        """Branch on the lowest element of a connected ``u``, the first one
-        left in the earliest uncovered layer; ``low`` is a lower bound on its
-        cover size, at most ``limit``."""
+        """Branch on the lowest element of ``u``, the first one left in the
+        earliest uncovered layer; ``low`` is a lower bound on its cover size,
+        at most ``limit``."""
         cands = {m & u for m in self.covers[(u & -u).bit_length() - 1]}
         # Branch only on maximal candidates, largest first: a cover using a
         # subsumed set stays a cover when it takes the larger one instead.
@@ -277,7 +220,7 @@ class _Cover:
         # Every element has a cover, so |u| + 1 exceeds any bound on u.
         best = u.bit_count() + 1
         for m in kept:
-            best = min(best, 1 + self.solve(u & ~m, min(best - 1, limit) - 1, m))
+            best = min(best, 1 + self.solve(u & ~m, min(best - 1, limit) - 1))
             if best == low:
                 break
         return best

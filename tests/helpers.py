@@ -57,11 +57,17 @@ def exhaustive_min_ds(adj: dict):
 
 def decide(g: RBGraph, k: int) -> bool:
     """True iff at most ``k`` blues dominate every red: one bounded query on
-    the solver's cover engine, the query its witness rebuild makes."""
+    the solver's cover engine per component, each under what ``k`` leaves
+    after the components before it, as ``min_rbds`` solves them."""
     if k < 0 or any(not g.adj[r] for r in g.red):
         return False
     engine = solver._Cover([g.adj[b] for b in g.blue])
-    return engine.solve(engine.target, k) <= k
+    used = 0
+    for part in engine.parts:
+        used += engine.solve(part, k - used)
+        if used > k:
+            return False
+    return True
 
 
 def min_ds(adj: dict) -> solver.SolveOutcome:

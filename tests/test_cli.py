@@ -46,6 +46,13 @@ class TestKernelizeCommand:
         assert main(["kernelize", str(path)]) == EXIT_PARSE
         assert "line 1" in capsys.readouterr().err
 
+    def test_not_utf8_exits_parse(self, tmp_path, capsys):
+        path = tmp_path / "latin1.rbds"
+        path.write_bytes(b"c caf\xe9\np rbds 0 0 0\n")
+        assert main(["kernelize", str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "UTF-8" in err[0]
+
     def test_emit_no_instance(self, tmp_path, capsys):
         path = tmp_path / "m.rbds"
         inst = gen_matching(2)
@@ -144,6 +151,13 @@ class TestPipeline:
         sol.write_text("s 1\n")
         assert main(["verify", str(src), str(sol)]) == EXIT_INVALID
         assert capsys.readouterr().out.strip() == "INVALID"
+
+    def test_verify_directory_exits_bad_input(self, tmp_path, capsys):
+        src = tmp_path / "in.rbds"
+        src.write_text(formats.format_instance(gen_matching(2)))
+        assert main(["verify", str(src), str(tmp_path)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "directory" in err[0]
 
 
 class TestGenCommand:
@@ -244,3 +258,9 @@ class TestBench:
         assert len(lines) == 11  # header plus one row per instance
         assert lines[0].startswith("instance,")
         assert "R3:1" in lines[1]
+
+    def test_missing_corpus_exits_bad_input(self, tmp_path, capsys):
+        assert main(["bench", str(tmp_path / "no_such_dir")]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "no_such_dir" in captured.err

@@ -1,5 +1,4 @@
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,31 +83,6 @@ def plain_components(masks, u):
         left -= comp
         comps.append(sum(1 << j for j in comp))
     return comps
-
-
-@st.composite
-def branch_children(draw):
-    """A cover engine over a random family on at most 24 elements, a
-    connected uncovered mask ``u`` of it and one set ``m`` meeting ``u``:
-    (engine, child = u minus m, the elements of the child sharing a set
-    with the covered part of m)."""
-    n = draw(st.integers(2, 24))
-    family = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=4),
-                           min_size=n // 2, max_size=24))
-    engine = solver._Cover(family)
-    u0 = engine.target
-    for i in draw(st.lists(st.integers(0, n - 1), max_size=8)):
-        u0 &= ~(1 << i)
-    u0 = u0 or engine.target
-    low = u0 & -u0
-    u = next(c for c in plain_components(engine.masks, u0) if c & low)
-    m = draw(st.sampled_from([m for m in engine.masks if m & u])) & u
-    near = 0
-    for i in range(m.bit_length()):
-        if m >> i & 1:
-            near |= engine.reach[i]
-    child = u & ~m
-    return engine, child, near & child
 
 
 def star(n_reds=3):
@@ -235,6 +209,18 @@ class TestMinRbds:
         with pytest.raises(InstanceTooLargeError, match="too large"):
             min_rbds(alternating_cycle(1200))
 
+    def test_many_components_solved_one_by_one(self):
+        # Sixty disjoint alternating cycles through 21 reds each, optimum
+        # 60 * 11.  Solved as one mask the search would recurse twice per
+        # chosen blue, 1,320 frames, past the recursion limit; each part
+        # alone needs 22.
+        n = 60 * 21
+        edges = [(c + b, n + c + i) for c in range(1, n + 1, 21)
+                 for i in range(21) for b in (i, (i + 1) % 21)]
+        g = RBGraph.from_parts(range(1, n + 1), range(n + 1, 2 * n + 1), edges)
+        out = min_rbds(g)
+        assert out.size == 660 and verify_solution(g, out.witness)
+
     def test_too_large_error_exported_from_package(self):
         from rbkernel import InstanceTooLargeError as exported
 
@@ -255,42 +241,6 @@ class TestMinRbds:
         lifted = lift_solution(res.trace, out.witness, res.instance.graph)
         assert verify_solution(inst.graph, lifted)
         assert len(lifted) == out.size + inst.k - res.instance.k
-
-
-class TestComponentWalk:
-    @given(branch_children())
-    @settings(max_examples=400, deadline=None)
-    def test_local_walk_matches_full_walk(self, case):
-        engine, child, near = case
-        comps = plain_components(engine.masks, child)
-        got = engine._component(child, near)
-        if len(comps) <= 1:
-            assert got == child
-        else:
-            # A true component: closed within the child, holding the lowest
-            # element of near.
-            assert got in comps and got & (near & -near)
-
-    @given(unions())
-    @settings(max_examples=150, deadline=None)
-    def test_branch_sees_only_connected_masks(self, g):
-        # The local walk is sound only below a connected mask; fed anything
-        # else it would let a disconnected mask reach the branching step.
-        branch = solver._Cover._branch
-
-        def checked(engine, u, limit, low):
-            assert len(plain_components(engine.masks, u)) == 1
-            return branch(engine, u, limit, low)
-
-        with mock.patch.object(solver._Cover, "_branch", checked):
-            got = min_rbds(g)
-            for k in range(len(g.blue) + 1):
-                decide(g, k)
-        expected = exhaustive_min_rbds(g)
-        if expected is None:
-            assert not got.feasible
-        else:
-            assert (got.size, set(got.witness)) == expected
 
 
 def bfs_depths(reach, comp):
@@ -325,7 +275,12 @@ class TestLayout:
     @settings(max_examples=300, deadline=None)
     def test_bits_follow_bfs_layers(self, family):
         engine = solver._Cover(family)
-        for comp in plain_components(engine.masks, engine.target):
+        comps = plain_components(engine.masks, (1 << len(engine.reach)) - 1)
+        # Each component is one run of bits, and the parts are those runs.
+        assert engine.parts == comps
+        for part in engine.parts:
+            assert part >> (part & -part).bit_length() - 1 == (1 << part.bit_count()) - 1
+        for comp in comps:
             depth = bfs_depths(engine.reach, comp)
             bits = sorted(depth)
             # Each bit after the component's first shares a set with a lower one.
@@ -340,7 +295,7 @@ class TestLayout:
         # holds few frontiers.  Under a (cover count, id) layout these solves
         # leave 1,297,586 and 805,593 entries.
         engine = solver._Cover(blue_family(kernelize(gen_grid(rows, cols)).instance.graph))
-        assert engine.solve(engine.target, engine.target.bit_count()) == opt
+        assert sum(engine.solve(p, p.bit_count()) for p in engine.parts) == opt
         assert len(engine.memo) < 20_000
 
 
