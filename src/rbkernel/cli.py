@@ -180,7 +180,11 @@ def cmd_bench(args) -> int:
     writer.writerow(["instance", "nV_in", "nV_out", "k", "k'",
                      "rules_fired_by_type", "wall_ms", "ratio"])
     for path in paths:
-        inst = formats.parse_instance(path.read_text())
+        try:
+            inst = formats.parse_instance(path.read_text())
+        except (formats.ParseError, UnicodeDecodeError) as exc:
+            print("parse error: %s: %s" % (path.name, exc), file=sys.stderr)
+            return EXIT_PARSE
         n_in = inst.graph.n_vertices
         start = time.perf_counter()
         result = kernelize(inst)

@@ -225,10 +225,14 @@ def _r4_pairs(g: RBGraph, blues) -> set:
     """Pairs (v < w) with an endpoint in ``blues`` and two or more private reds."""
     adj = g.adj
     dirty = g.blue.intersection(blues)
+    reds = g.red if len(dirty) == len(g.blue) else _nbrs(adj, _nbrs(adj, _nbrs(adj, dirty)))
+    cap = 2 * max(map(len, map(adj.__getitem__, g.blue)), default=0)
     counts: Counter = Counter()
-    for r in _nbrs(adj, _nbrs(adj, _nbrs(adj, dirty))):
+    for r in reds:
         nr = adj[r]
-        ur = _nbrs(adj, nr)
+        ur = set().union(*map(adj.__getitem__, nr))
+        if len(ur) > cap:
+            continue  # too large to lie within N(a) | N(w) for any pair
         pairs = set()  # a red next to both endpoints finds its pair twice
         for a in nr:
             x = ur - adj[a]
@@ -355,6 +359,16 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 # has a second blue b, whose neighborhood lies in N(a) | N(w) but not in
 # N(w) (R1), so it meets N(a).  So the reds within distance three of the
 # dirty blues count each such pair exactly.
+#
+# The search skips a red whose U(r) has more than 2 * D vertices, D the
+# largest blue degree in the graph: a red private to (a, w) has U(r) within
+# N(a) | N(w), so |U(r)| <= deg(a) + deg(w) <= 2 * D, and a skipped red adds
+# to no pair's count.  The skip never hides a contract violation: an empty X
+# means U(r) is within N(a), so |U(r)| <= D.  When every blue is dirty the
+# search runs over all reds instead of the three-step ball, which would hold
+# every red with a blue neighbor; a red without one has an empty N(r) and
+# adds no pair.  On grids, where every blue degree is at most four, most
+# reds are skipped; next to a hub blue the bound skips little.
 
 
 class _Worklist:

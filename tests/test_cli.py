@@ -259,6 +259,19 @@ class TestBench:
         assert lines[0].startswith("instance,")
         assert "R3:1" in lines[1]
 
+    @pytest.mark.parametrize("data, why", [
+        (b"junk\n", "line 1: unrecognized line 'junk'"),
+        (b"\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_unparsable_file_named(self, tmp_path, capsys, data, why):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.rbds").write_text(formats.format_instance(gen_matching(1)))
+        (corpus / "b.rbds").write_bytes(data)
+        assert main(["bench", str(corpus)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: b.rbds: " + why) and len(err.splitlines()) == 1
+
     def test_missing_corpus_exits_bad_input(self, tmp_path, capsys):
         assert main(["bench", str(tmp_path / "no_such_dir")]) == EXIT_BAD_INPUT
         captured = capsys.readouterr()

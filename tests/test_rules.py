@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rbkernel.generators import gen_grid
 from rbkernel.graph import Instance, RBGraph
 from rbkernel.kernelizer import (
     ContractViolation,
@@ -60,6 +61,20 @@ def far_private_red_witness():
         range(1, 6), range(6, 11),
         [(1, 8), (1, 9), (2, 7), (2, 10), (3, 8), (3, 10),
          (4, 6), (4, 9), (4, 10), (5, 6), (5, 7)])
+
+
+def tight_cap_witness():
+    # Every blue has degree 2 and every red has |U(r)| = 4 = 2 * max blue
+    # degree; R4 case 1 fires on (1, 4) with all four reds private.
+    return RBGraph.from_parts(
+        range(1, 7), range(7, 11),
+        [(1, 7), (1, 8), (2, 7), (2, 10), (3, 7), (3, 9),
+         (4, 9), (4, 10), (5, 8), (5, 10), (6, 8), (6, 9)])
+
+
+# Twelve interior reds have |U(r)| = 9 > 2 * max blue degree; blue 23 sits
+# next to them and P(2, 11) holds two reds.
+REDUCED_GRID = reduce_rules123(gen_grid(10, 10).graph)
 
 
 @st.composite
@@ -214,6 +229,8 @@ class TestRule4:
     @example(alternating_cycle(4))
     @example(rule4_case2_witness())
     @example(rule4_case3_witness())
+    @example(tight_cap_witness())
+    @example(REDUCED_GRID)
     @settings(max_examples=300, deadline=None)
     def test_pair_counting_matches_brute_force(self, g):
         want = {(v, w) for v, w in itertools.combinations(sorted(g.blue), 2)
@@ -224,6 +241,8 @@ class TestRule4:
     @example(rule4_case2_witness(), {1})
     @example(rule4_case2_witness(), {2, 5})
     @example(far_private_red_witness(), {2})
+    @example(tight_cap_witness(), {1})
+    @example(REDUCED_GRID, {2, 23})
     @settings(max_examples=300, deadline=None)
     def test_pair_counting_on_partial_dirty_sets(self, g, dirty):
         # The driver rescans with the blues near its last changes only.
