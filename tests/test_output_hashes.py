@@ -24,3 +24,10 @@ def test_size_verdict_hashes_match_recorded():
     # The recorded trace hash of the size-verdict workload (seed 7), whose
     # time goes to the R4 pair search.
     assert _hashes("size-verdict") == ["trace 0dd7601998335343", ""]
+
+
+def test_tight_planar_hashes_match_recorded():
+    # The recorded hashes of the tight-planar workload (seed 7).  It is the only
+    # workload with stacked-triangulation face covers, whose blue ids follow
+    # from the rotation system the planarity test returns.
+    assert _hashes("tight-planar") == ["trace 0290ef33b41e9c41", "solve 88b628af30d945ed", ""]

@@ -1,8 +1,16 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rbkernel.graph import GraphError, RBGraph
+from rbkernel.formats import format_instance
+from rbkernel.graph import GraphError, Instance, RBGraph
 from rbkernel.planar import (
     DisconnectedError,
     PlaneGraph,
@@ -151,3 +159,126 @@ class TestRBGraphPlanarity:
                                [(b, r) for b in (1, 2, 3) for r in (4, 5, 6)])
         res = rbgraph_planarity(g)
         assert not res.planar and res.witness.kind == "K3,3"
+
+
+# -- networkx as the oracle ------------------------------------------------------
+#
+# is_planar must return exactly networkx's rotation system, since face ids and
+# every trace built on them follow from it, and exactly its Kuratowski subgraph.
+
+
+def networkx_answer(vertices, edges):
+    G = nx.Graph()
+    G.add_nodes_from(vertices)
+    G.add_edges_from(edges)
+    ok, cert = nx.check_planarity(G, counterexample=True)
+    if ok:
+        return [(v, list(cert.neighbors_cw_order(v))) for v in G.nodes]
+    kind = "K5" if max(d for _, d in cert.degree) >= 4 else "K3,3"
+    return kind, frozenset((u, v) if u < v else (v, u) for u, v in cert.edges)
+
+
+def our_answer(vertices, edges):
+    res = is_planar(vertices, edges)
+    if res.planar:
+        return list(res.embedding.rotation.items())
+    return res.witness.kind, res.witness.edges
+
+
+@st.composite
+def messy_graphs(draw):
+    """Vertex lists in any order that may leave out vertices the edges name
+    and may hold isolated ones; edge lists with self-loops, duplicates and
+    reversed copies."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))
+    vertices = order[:draw(st.integers(0, n))]
+    ends = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=3 * n + 6))
+    again = draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    edges += [e[::-1] if draw(st.booleans()) else e for e in again]
+    return vertices, edges
+
+
+def stacked_triangulation(n, rng):
+    edges = {(0, 1), (0, 2), (1, 2)}
+    faces = [(0, 1, 2), (0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges |= {(a, v), (b, v), (c, v)}
+        faces += [(a, b, v), (a, c, v), (b, c, v)]
+    return sorted(edges)
+
+
+def shuffled(n, edges, rng):
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+    rng.shuffle(edges)
+    return vertices, edges
+
+
+class TestNetworkxOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(messy_graphs())
+    def test_messy_graphs(self, graph):
+        assert our_answer(*graph) == networkx_answer(*graph)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_named_only_by_edges(self, seed):
+        rng = random.Random(seed)
+        edges = [(rng.randrange(30), rng.randrange(30)) for _ in range(45)]
+        assert our_answer([], edges) == networkx_answer([], edges)
+        assert our_answer([29, 3], edges) == networkx_answer([29, 3], edges)
+
+    @pytest.mark.parametrize("n, seed", [(200, 0), (300, 1), (400, 2)])
+    def test_subsampled_stacked_triangulations(self, n, seed):
+        rng = random.Random(seed)
+        kept = [e for e in stacked_triangulation(n, rng) if rng.random() < 0.9]
+        graph = shuffled(n, kept, rng)
+        ours = our_answer(*graph)
+        assert ours == networkx_answer(*graph)
+        assert len(ours) == n
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chord_on_stacked_triangulation(self, seed):
+        # A maximal planar graph plus one edge is non-planar.
+        rng = random.Random(seed)
+        edges = stacked_triangulation(40, rng)
+        present = set(edges)
+        chord = next(e for e in itertools.combinations(range(40), 2) if e not in present)
+        graph = shuffled(40, edges + [chord], rng)
+        ours = our_answer(*graph)
+        assert ours[0] in ("K5", "K3,3")
+        assert ours == networkx_answer(*graph)
+
+
+class TestStandsAlone:
+    def test_long_cycle_needs_no_recursion(self):
+        # Every depth-first pass goes n deep on a cycle.
+        n = 50_000
+        res = is_planar(range(n), [(i, (i + 1) % n) for i in range(n)])
+        assert res.planar
+        assert res.embedding.rotation[0] == [1, n - 1]
+        assert all(len(ns) == 2 for ns in res.embedding.rotation.values())
+
+    def test_library_runs_without_networkx(self, tmp_path):
+        g = RBGraph.from_parts([1, 2, 3], [4, 5, 6],
+                               [(b, r) for b in (1, 2, 3) for r in (4, 5, 6)])
+        path = tmp_path / "k33.rbds"
+        path.write_text(format_instance(Instance(g, 3)))
+        script = "\n".join([
+            "import sys",
+            "sys.modules['networkx'] = None",
+            "import rbkernel, rbkernel.cli",
+            "assert rbkernel.is_planar(range(4), %r).planar" % complete_graph(4)[1],
+            "assert rbkernel.is_planar(*%r).witness.kind == 'K3,3'" % (complete_bipartite(3, 3),),
+            "sys.exit(rbkernel.cli.main(['check-planar', %r]))" % str(path),
+        ])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 24, proc.stderr
+        assert proc.stdout.startswith("NONPLANAR witness=K3,3")
