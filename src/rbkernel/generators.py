@@ -28,23 +28,31 @@ def _layout(colors: dict, edges) -> RBGraph:
 
 
 def gen_grid(rows: int, cols: int) -> Instance:
-    """Grid graph 2-colored by coordinate parity; k is the blue count."""
+    """Grid graph 2-colored by coordinate parity; k is the blue count.
+
+    Cell (i, j) is blue when i + j is even.  Blues are numbered 1..nB and
+    reds nB+1..n, each in row-major order, as :func:`_layout` numbers them."""
     if rows < 1 or cols < 1:
         raise ValueError("grid needs rows, cols >= 1")
-    colors = {}
+    n = rows * cols
+    n_blue = (n + 1) // 2
+    label = []
+    blue = red = 0
     for i in range(rows):
         for j in range(cols):
-            colors[i * cols + j] = BLUE if (i + j) % 2 == 0 else RED
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            v = i * cols + j
-            if j + 1 < cols:
-                edges.append((v, v + 1))
-            if i + 1 < rows:
-                edges.append((v, v + cols))
-    g = _layout(colors, edges)
-    return Instance(g, len(g.blue))
+            if (i + j) % 2 == 0:
+                blue += 1
+                label.append(blue)
+            else:
+                red += 1
+                label.append(n_blue + red)
+    g = RBGraph.from_parts(range(1, n_blue + 1), range(n_blue + 1, n + 1))
+    for v in range(n):
+        if (v + 1) % cols:
+            g.add_edge(label[v], label[v + 1])
+        if v + cols < n:
+            g.add_edge(label[v], label[v + cols])
+    return Instance(g, n_blue)
 
 
 def gen_matching(m: int) -> Instance:

@@ -1,7 +1,7 @@
 import pytest
 
-from rbkernel.generators import gen_grid, gen_matching, gen_random_planar
-from rbkernel.graph import sanitize
+from rbkernel.generators import _layout, gen_grid, gen_matching, gen_random_planar
+from rbkernel.graph import BLUE, RED, sanitize
 from rbkernel.kernelizer import kernelize
 from rbkernel.planar import bipartite_euler_bound, rbgraph_planarity
 from rbkernel.solver import min_rbds, verify_solution
@@ -33,6 +33,26 @@ class TestGrid:
     def test_bad_params(self):
         with pytest.raises(ValueError):
             gen_grid(0, 3)
+
+    @pytest.mark.parametrize("rows, cols", [(r, c) for r in range(1, 7) for c in range(1, 7)])
+    def test_numbering_matches_layout(self, rows, cols):
+        # gen_grid numbers the cells itself; _layout, fed the colored grid,
+        # is the reference for that numbering and for the edge order.
+        def cell(i, j):
+            return i * cols + j
+        colors = {cell(i, j): BLUE if (i + j) % 2 == 0 else RED
+                  for i in range(rows) for j in range(cols)}
+        edges = []
+        for i in range(rows):
+            for j in range(cols):
+                if j + 1 < cols:
+                    edges.append((cell(i, j), cell(i, j + 1)))
+                if i + 1 < rows:
+                    edges.append((cell(i, j), cell(i + 1, j)))
+        ref = _layout(colors, edges)
+        g = gen_grid(rows, cols).graph
+        assert g == ref
+        assert {v: list(ns) for v, ns in g.adj.items()} == {v: list(ns) for v, ns in ref.adj.items()}
 
 
 class TestMatching:

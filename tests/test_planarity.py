@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbkernel.formats import format_instance
+from rbkernel.generators import _stacked_triangulation
 from rbkernel.graph import GraphError, Instance, RBGraph
 from rbkernel.planar import (
     DisconnectedError,
@@ -200,16 +201,6 @@ def messy_graphs(draw):
     return vertices, edges
 
 
-def stacked_triangulation(n, rng):
-    edges = {(0, 1), (0, 2), (1, 2)}
-    faces = [(0, 1, 2), (0, 1, 2)]
-    for v in range(3, n):
-        a, b, c = faces.pop(rng.randrange(len(faces)))
-        edges |= {(a, v), (b, v), (c, v)}
-        faces += [(a, b, v), (a, c, v), (b, c, v)]
-    return sorted(edges)
-
-
 def shuffled(n, edges, rng):
     vertices = list(range(n))
     rng.shuffle(vertices)
@@ -234,7 +225,7 @@ class TestNetworkxOracle:
     @pytest.mark.parametrize("n, seed", [(200, 0), (300, 1), (400, 2)])
     def test_subsampled_stacked_triangulations(self, n, seed):
         rng = random.Random(seed)
-        kept = [e for e in stacked_triangulation(n, rng) if rng.random() < 0.9]
+        kept = [e for e in _stacked_triangulation(n, rng) if rng.random() < 0.9]
         graph = shuffled(n, kept, rng)
         ours = our_answer(*graph)
         assert ours == networkx_answer(*graph)
@@ -244,7 +235,7 @@ class TestNetworkxOracle:
     def test_chord_on_stacked_triangulation(self, seed):
         # A maximal planar graph plus one edge is non-planar.
         rng = random.Random(seed)
-        edges = stacked_triangulation(40, rng)
+        edges = _stacked_triangulation(40, rng)
         present = set(edges)
         chord = next(e for e in itertools.combinations(range(40), 2) if e not in present)
         graph = shuffled(40, edges + [chord], rng)
