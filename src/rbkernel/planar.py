@@ -450,6 +450,8 @@ def _kuratowski(adj) -> list:
     ends is listed twice.
     """
     n = len(adj)
+    # The oracle works on a copy of the graph, whose neighbor orders (lower
+    # neighbors ascending first) differ from adj's, and snapshots follow them.
     cur = [{} for _ in range(n)]
     for u, ns in enumerate(adj):
         for v in ns:
