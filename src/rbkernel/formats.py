@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 
-from .graph import Instance, RBGraph
+from .graph import BLUE, RED, GraphError, Instance, RBGraph
 from .kernelizer import WITNESS_LEN, Fingerprint, KernelTrace, RuleApplication
 from .planar import PlaneGraph
 
@@ -121,8 +121,11 @@ def parse_instance(text: str) -> Instance:
 
 def format_instance(inst: Instance, comments=()) -> str:
     """Render an instance in file layout, relabeling if its ids stray from
-    blues 1..nB / reds nB+1..nB+nR and recording the map as comments."""
+    blues 1..nB / reds nB+1..nB+nR and recording the map as comments.
+    Edges are written blue first, by blue label and then red label; the
+    layout has no same-color edges, so a graph with one is refused."""
     g = inst.graph
+    adj = g.adj
     nb, nr = len(g.blue), len(g.red)
     blues, reds = sorted(g.blue), sorted(g.red)
     canonical = blues == list(range(1, nb + 1)) and reds == list(range(nb + 1, nb + nr + 1))
@@ -134,8 +137,16 @@ def format_instance(inst: Instance, comments=()) -> str:
         lines.append("g seed %s %d" % (inst.meta["algo"], inst.meta["seed"]))
     if not canonical:
         lines += ["c origid %d %d" % (label[v], v) for v in blues + reds]
-    for u, v in sorted((label[u], label[v]) for u, v in g.edges()):
-        lines.append("e %d %d" % (u, v))
+    written = 0
+    for b in blues:
+        nbrs = adj[b]
+        if not nbrs <= g.red:
+            raise GraphError("blue %d has a blue neighbor; sanitize first" % b)
+        head = "e %d " % label[b]
+        lines += [head + str(r) for r in sorted(map(label.__getitem__, nbrs))]
+        written += len(nbrs)
+    if written != g.n_edges:
+        raise GraphError("the graph has red-red edges; sanitize first")
     return "\n".join(lines) + "\n"
 
 
@@ -187,31 +198,43 @@ def format_trace(trace: KernelTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_removed(body: str, line_no: int):
+def _ids(field: str) -> tuple:
+    """The ids of a list such as ``(3,4)``."""
+    if field[:1] != "(" or field[-1:] != ")":
+        raise ValueError("expected (<id>,<id>,...), got %r" % field)
+    body = field[1:-1]
+    return tuple(map(int, body.split(","))) if body else ()
+
+
+def _items(field: str) -> list:
+    """The items of a list such as ``[a;b]``."""
+    if field[:1] != "[" or field[-1:] != "]":
+        raise ValueError("expected [...], got %r" % field)
+    body = field[1:-1]
+    return body.split(";") if body else []
+
+
+def _parse_removed(field: str) -> tuple:
     out = []
-    if not body:
-        return ()
-    for item in body.split(";"):
+    for item in _items(field):
         try:
             vid, color, ns = item.split(":")
-            nbrs = tuple(int(x) for x in ns.strip("()").split(",") if x)
-            out.append((int(vid), color, nbrs))
+            if color != BLUE and color != RED:
+                raise ValueError(color)
+            out.append((int(vid), color, _ids(ns)))
         except ValueError:
-            raise ParseError(line_no, "bad removed-vertex record %r" % item) from None
+            raise ValueError("bad removed-vertex record %r" % item) from None
     return tuple(out)
 
 
-def _parse_added(body: str, line_no: int):
+def _parse_added(field: str) -> tuple:
     out = []
-    if not body:
-        return ()
-    for item in body.split(";"):
+    for item in _items(field):
         try:
             vid, ns = item.split(":")
-            nbrs = tuple(int(x) for x in ns.strip("()").split(",") if x)
-            out.append((int(vid), nbrs))
+            out.append((int(vid), _ids(ns)))
         except ValueError:
-            raise ParseError(line_no, "bad added-vertex record %r" % item) from None
+            raise ValueError("bad added-vertex record %r" % item) from None
     return tuple(out)
 
 
@@ -242,9 +265,9 @@ def parse_trace(text: str) -> KernelTrace:
             fields[key] = val
         try:
             delta = int(fields["k_delta"])
-            removed = _parse_removed(fields["removed"].strip("[]"), i)
-            added = _parse_added(fields["added"].strip("[]"), i)
-            witness = tuple(int(x) for x in fields["witness"].strip("()").split(",") if x)
+            removed = _parse_removed(fields["removed"])
+            added = _parse_added(fields["added"])
+            witness = _ids(fields["witness"])
         except KeyError as exc:
             raise ParseError(i, "missing field %s" % exc) from None
         except ValueError as exc:

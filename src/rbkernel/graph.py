@@ -175,23 +175,25 @@ class SanitizeReport:
 def sanitize(g: RBGraph) -> SanitizeReport:
     """Normalize ``g`` in place.
 
-    Removes every edge joining two vertices of the same color, then deletes
-    isolated blue vertices (they can never dominate anything).  Red vertices
+    Removes every edge joining two vertices of the same color, in ascending
+    ``(u, v)`` order with ``u < v``, then deletes isolated blue vertices
+    (they can never dominate anything), in ascending order.  Red vertices
     whose neighborhood ends up empty are reported as infeasible but kept:
     deciding what to do with an undominatable red is the driver's call.
     """
     rep = SanitizeReport()
-    for u in sorted(g.adj):
-        cu = BLUE if u in g.blue else RED
-        for v in sorted(g.adj[u]):
-            if v > u and (v in g.blue) == (cu == BLUE):
-                g.remove_edge(u, v)
-                rep.removed_edges.append((u, v))
-    for b in sorted(g.blue):
-        if not g.adj[b]:
-            g.remove_vertex(b)
-            rep.removed_blues.append(b)
-    rep.infeasible_reds = sorted(r for r in g.red if not g.adj[r])
+    adj = g.adj
+    for side in (g.blue, g.red):
+        for u in side:
+            if not adj[u].isdisjoint(side):
+                rep.removed_edges += [(u, v) for v in adj[u] & side if v > u]
+    rep.removed_edges.sort()
+    for u, v in rep.removed_edges:
+        g.remove_edge(u, v)
+    rep.removed_blues = sorted(b for b in g.blue if not adj[b])
+    for b in rep.removed_blues:
+        g.remove_vertex(b)
+    rep.infeasible_reds = sorted(r for r in g.red if not adj[r])
     return rep
 
 

@@ -150,13 +150,10 @@ def _r1_at(g: RBGraph, b: int) -> Match | None:
     nb = adj[b]
     if not nb:
         return None  # isolated blues belong to sanitize, not R1
-    # Every blue containing N(b) neighbors every red of N(b), so the least
-    # such blue is the same whichever red serves as the probe.
-    probe = min(nb, key=lambda r: len(adj[r]))
-    for b2 in sorted(adj[probe]):
-        if b2 != b and nb <= adj[b2]:
-            return Match(R1, (b, b2))
-    return None
+    # The blues containing N(b) are exactly those next to every red of N(b).
+    cands = set.intersection(*map(adj.__getitem__, nb))
+    cands.discard(b)
+    return Match(R1, (b, min(cands))) if cands else None
 
 
 def _r2_at(g: RBGraph, r: int) -> Match | None:
@@ -164,14 +161,29 @@ def _r2_at(g: RBGraph, r: int) -> Match | None:
     nr = adj[r]
     if not nr:
         return None
-    cands = set()
-    for b in nr:
-        cands |= adj[b]
+    cands = set().union(*map(adj.__getitem__, nr))
     cands.discard(r)
-    for r2 in sorted(cands):
-        if adj[r2] <= nr:
-            return Match(R2, (r, r2))
-    return None
+    r2 = min((x for x in cands if adj[x] <= nr), default=None)
+    return None if r2 is None else Match(R2, (r, r2))
+
+
+def _containers(adj: dict, r: int) -> set:
+    """C(r), the reds whose neighborhood contains N(r), r included; N(r)
+    must be nonempty."""
+    return set.intersection(*map(adj.__getitem__, adj[r]))
+
+
+def _r2_seed(g: RBGraph) -> set:
+    """The reds where R2 applies: the union over reds r2 of C(r2) - {r2}.
+    Every red must have a blue neighbor."""
+    adj = g.adj
+    seed = set()
+    for r2 in g.red:
+        c = _containers(adj, r2)
+        if len(c) > 1:
+            c.discard(r2)
+            seed |= c
+    return seed
 
 
 def _r3_at(g: RBGraph, v: int) -> Match | None:
@@ -347,6 +359,16 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 # vertices only, so the radius-2 ball around the live seeds, taken when R4
 # is next tried, holds every blue whose pair may newly fire.
 #
+# wl1 and wl3 start with every blue, but wl2 starts with only the reds where
+# R2 applies: the union over reds r2 of C(r2) - {r2}.  A red r outside it has
+# no R2 witness, and it gains one only when some N(r2) shrinks into N(r) or
+# a red n is added with N(n) within N(r).  The first happens only when a blue
+# is removed, the second only in R4 case 2, and the records of both push
+# C(r2) or C(n), which then holds r.  Removing a red creates no R2 match.  So
+# a red left out of the seed, popped from a list of every red before any
+# record pushed it, would find nothing there, and the firings and their order
+# are those of that list.
+#
 # R4's search counts the private reds of every pair with a dirty endpoint.
 # A red r private to (a, w) lies in U(r), within N(a) | N(w), so one endpoint,
 # say a, is in N(r), and the partners w for that a are the blues next to any
@@ -411,7 +433,7 @@ class _Driver:
             return self._no(NO_ISOLATED_RED)
 
         self.wl1 = _Worklist(g.blue)
-        self.wl2 = _Worklist(g.red)
+        self.wl2 = _Worklist(_r2_seed(g))
         self.wl3 = _Worklist(g.blue)
         self.dirty4 = set(g.blue)
         self.seeds: set[int] = set()
@@ -511,8 +533,7 @@ class _Driver:
 
     def _push_containers(self, r: int) -> None:
         """Push C(r), r included, for R2."""
-        adj = self.g.adj
-        for x in set.intersection(*(adj[b] for b in adj[r])):
+        for x in _containers(self.g.adj, r):
             self.wl2.push(x)
 
     # -- verdicts --

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from rbkernel import formats
 from rbkernel.generators import gen_grid, gen_matching, gen_random_planar
-from rbkernel.graph import Instance, RBGraph
+from rbkernel.graph import GraphError, Instance, RBGraph
 from rbkernel.kernelizer import RULE_TAGS, KernelTrace, kernelize, lift_solution
 from rbkernel.planar import is_planar
 
@@ -35,6 +35,24 @@ class TestInstanceRoundTrip:
         inst = Instance(RBGraph(), 0)
         again = formats.parse_instance(formats.format_instance(inst))
         assert again.graph.n_vertices == 0 and again.k == 0
+
+    def test_reds_below_blues_round_trip(self):
+        g = RBGraph.from_parts([5, 6], [1, 2], [(5, 1), (6, 2), (5, 2)])
+        text = formats.format_instance(Instance(g, 1))
+        assert [line for line in text.splitlines() if line[0] == "e"] == \
+            ["e 1 3", "e 1 4", "e 2 4"]
+        again = formats.parse_instance(text)
+        origid = again.meta["origid"]
+        assert {(origid[b], origid[r]) for b in again.graph.blue
+                for r in again.graph.adj[b]} == {(5, 1), (6, 2), (5, 2)}
+
+    @pytest.mark.parametrize("u, v", [(1, 2), (3, 4)])
+    def test_same_color_edge_refused(self, u, v):
+        g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 4)])
+        g.adj[u].add(v)
+        g.adj[v].add(u)
+        with pytest.raises(GraphError):
+            formats.format_instance(Instance(g, 1))
 
 
 class TestParseErrors:
@@ -69,6 +87,27 @@ class TestParseErrors:
 
     def test_junk_line(self):
         self.check("p rbds 1 1 1\nq what\n", 2)
+
+    @pytest.mark.parametrize("fields", [
+        "removed=[1:b:(3,,4)]\tadded=[]\twitness=(1,2)",
+        "removed=[1:b:(,3)]\tadded=[]\twitness=(1,2)",
+        "removed=[]\tadded=[]\twitness=(1,,2)",
+        "removed=[]\tadded=[]\twitness=(1,2,)",
+        "removed=[1:q:(3)]\tadded=[]\twitness=(1,2)",
+        "removed=[1::(3)]\tadded=[]\twitness=(1,2)",
+        "removed=[1:b:((3))]\tadded=[]\twitness=(1,2)",
+        "removed=[1:b:3]\tadded=[]\twitness=(1,2)",
+        "removed=[[1:b:(3)]]\tadded=[]\twitness=(1,2)",
+        "removed=1:b:(3)\tadded=[]\twitness=(1,2)",
+        "removed=[]\tadded=[5:((1,2))]\twitness=(1,2)",
+        "removed=[]\tadded=[5:(1,,2)]\twitness=(1,2)",
+        "removed=[]\tadded=[]\twitness=((1,2))",
+        "removed=[]\tadded=[]\twitness=1,2",
+    ])
+    def test_malformed_trace_record(self, fields):
+        with pytest.raises(formats.ParseError) as err:
+            formats.parse_trace("c\nr\tR1\tk_delta=0\t%s\n" % fields)
+        assert err.value.line_no == 2
 
 
 class TestSolutionFormat:

@@ -107,6 +107,15 @@ class TestSanitize:
         assert 2 not in g.adj[1]
         assert not rep.infeasible
 
+    def test_removed_edges_in_ascending_order(self):
+        g = RBGraph.from_parts([1, 2, 3], [4, 5, 6], [(1, 4), (2, 5), (3, 6)])
+        for u, v in [(5, 6), (4, 6), (4, 5), (2, 3), (1, 3), (1, 2)]:
+            g.adj[v].add(u)
+            g.adj[u].add(v)
+        rep = sanitize(g)
+        assert rep.removed_edges == [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
+        assert g == RBGraph.from_parts([1, 2, 3], [4, 5, 6], [(1, 4), (2, 5), (3, 6)])
+
     def test_red_with_only_red_neighbors_is_infeasible(self):
         g = RBGraph.from_parts([], [1, 2])
         g.adj[1].add(2)

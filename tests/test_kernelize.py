@@ -17,6 +17,8 @@ from rbkernel.kernelizer import (
     InvalidKernelSolutionError,
     KernelTrace,
     Match,
+    _r2_at,
+    _r2_seed,
     apply_rule,
     find_rule1,
     find_rule2,
@@ -195,6 +197,24 @@ def sanitized_graphs(draw):
                            [(b, nb + 1 + i) for i, nbhd in enumerate(red_nbhds) for b in nbhd])
     sanitize(g)
     return g
+
+
+class TestR2Seed:
+    """The driver's first R2 worklist holds every red where R2 applies."""
+
+    @staticmethod
+    def check(g):
+        assert {r for r in g.red if _r2_at(g, r) is not None} <= _r2_seed(g)
+
+    @given(sanitized_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_on_sanitized_graphs(self, g):
+        self.check(g)
+
+    def test_on_random(self, random_graphs_300):
+        for g in random_graphs_300:
+            if all(g.adj[r] for r in g.red):
+                self.check(g)
 
 
 def face_cover_corpus():
