@@ -66,8 +66,6 @@ def cmd_kernelize(args) -> int:
         _write(args.out, formats.format_instance(kernel))
     if args.trace:
         _write(args.trace, formats.format_trace(result.trace))
-    if args.trace_json:
-        _write(args.trace_json, formats.trace_to_json(result.trace))
     return EXIT_OK
 
 
@@ -126,6 +124,9 @@ def cmd_gen(args) -> int:
 
 def cmd_transform(args) -> int:
     if args.kind == "face-cover":
+        if args.k is not None and args.k < 0:
+            print("transform face-cover: -k must be non-negative", file=sys.stderr)
+            return EXIT_BAD_INPUT
         pg = formats.parse_plane(_read(args.input))
         try:
             g, vmap, fmap = transforms.face_cover_to_rbds(pg)
@@ -220,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--out", help="write the reduced instance here")
     p.add_argument("--trace", help="write the rule trace here")
-    p.add_argument("--trace-json", help="write the trace as JSON here")
     p.add_argument("--emit-no-instance", action="store_true",
                    help="on NO, write the canonical two-vertex negative instance")
     p.set_defaults(func=cmd_kernelize)

@@ -16,7 +16,6 @@ pipeline relies on this).
 
 from __future__ import annotations
 
-import json
 import re
 
 from .graph import BLUE, RED, GraphError, Instance, RBGraph
@@ -36,6 +35,13 @@ def _tokens(text: str):
         if not line:
             continue
         yield i, line
+
+
+def _id(text: str) -> int:
+    """An id of ASCII digits; ``int`` alone takes signs, ``_`` and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError("expected ASCII digits, got %r" % text)
+    return int(text)
 
 
 # -- instances -----------------------------------------------------------------
@@ -161,9 +167,9 @@ def parse_solution(text: str) -> set[int]:
         if parts[0] != "s":
             raise ParseError(i, "expected 's <id> <id> ...'")
         try:
-            return {int(x) for x in parts[1:]}
+            return {_id(x) for x in parts[1:]}
         except ValueError:
-            raise ParseError(i, "solution ids must be integers") from None
+            raise ParseError(i, "solution ids must be ASCII digits") from None
     raise ParseError(0, "missing 's' line")
 
 
@@ -203,6 +209,8 @@ def _ids(field: str) -> tuple:
     if field[:1] != "(" or field[-1:] != ")":
         raise ValueError("expected (<id>,<id>,...), got %r" % field)
     body = field[1:-1]
+    if body and not (body.isascii() and body.replace(",", "").isdigit()):
+        raise ValueError("expected ids of ASCII digits, got %r" % field)
     return tuple(map(int, body.split(","))) if body else ()
 
 
@@ -221,7 +229,7 @@ def _parse_removed(field: str) -> tuple:
             vid, color, ns = item.split(":")
             if color != BLUE and color != RED:
                 raise ValueError(color)
-            out.append((int(vid), color, _ids(ns)))
+            out.append((_id(vid), color, _ids(ns)))
         except ValueError:
             raise ValueError("bad removed-vertex record %r" % item) from None
     return tuple(out)
@@ -232,7 +240,7 @@ def _parse_added(field: str) -> tuple:
     for item in _items(field):
         try:
             vid, ns = item.split(":")
-            out.append((int(vid), _ids(ns)))
+            out.append((_id(vid), _ids(ns)))
         except ValueError:
             raise ValueError("bad added-vertex record %r" % item) from None
     return tuple(out)
@@ -264,7 +272,8 @@ def parse_trace(text: str) -> KernelTrace:
             key, _, val = part.partition("=")
             fields[key] = val
         try:
-            delta = int(fields["k_delta"])
+            delta = fields["k_delta"]
+            delta = -_id(delta[1:]) if delta[:1] == "-" else _id(delta)
             removed = _parse_removed(fields["removed"])
             added = _parse_added(fields["added"])
             witness = _ids(fields["witness"])
@@ -277,31 +286,6 @@ def parse_trace(text: str) -> KernelTrace:
                              % (tag, WITNESS_LEN[tag], len(witness)))
         trace.records.append(RuleApplication(tag, removed, added, witness, delta))
     return trace
-
-
-def trace_to_json(trace: KernelTrace) -> str:
-    """Structured mirror of the line format, for tooling."""
-    doc = {
-        "fingerprint": None if trace.fingerprint is None else {
-            "n_vertices": trace.fingerprint.n_vertices,
-            "n_edges": trace.fingerprint.n_edges,
-            "digest": trace.fingerprint.digest,
-        },
-        "records": [
-            {
-                "tag": rec.tag,
-                "k_delta": rec.delta_k,
-                "removed": [
-                    {"vertex": v, "color": c, "neighbors": list(ns)}
-                    for v, c, ns in rec.removed
-                ],
-                "added": [{"vertex": v, "neighbors": list(ns)} for v, ns in rec.added],
-                "witness": list(rec.witness),
-            }
-            for rec in trace.records
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 # -- rotation systems -------------------------------------------------------------
@@ -352,9 +336,3 @@ def parse_plane(text: str) -> PlaneGraph:
         raise ParseError(0, "header says %d edges, rotations define %d" % (m, pg.n_edges))
     return pg
 
-
-def format_plane(pg: PlaneGraph) -> str:
-    lines = ["p plane %d %d" % (pg.n_vertices, pg.n_edges)]
-    for v in sorted(pg.rotation):
-        lines.append("v %d: %s" % (v, " ".join(map(str, pg.rotation[v]))))
-    return "\n".join(lines) + "\n"

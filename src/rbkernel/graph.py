@@ -205,9 +205,6 @@ class Instance:
     k: int
     meta: dict = field(default_factory=dict)
 
-    def copy(self) -> "Instance":
-        return Instance(self.graph.copy(), self.k, dict(self.meta))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented

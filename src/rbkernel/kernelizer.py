@@ -295,18 +295,18 @@ def find_rule4(g: RBGraph) -> Match | None:
 
 def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication]:
     """Mutate ``g`` according to a finding; returns the new budget and the
-    trace record.  R1 and R2 remove the first witness; R4 case 2 swaps the
-    private reds for one red on the pair; a rule that forces blues removes
-    them with their neighborhoods and pays one unit of budget for each.
-    Vertices are removed in recorded order so forward replay reproduces the
-    graph exactly."""
+    trace record.  R1, R2 and Sanitize-isolated-blue remove the first
+    witness; R4 case 2 swaps the private reds for one red on the pair; a rule
+    that forces blues removes them with their neighborhoods and pays one unit
+    of budget for each.  Vertices are removed in recorded order so forward
+    replay reproduces the graph exactly."""
     tag, witness, private = match
     adj = g.adj
     named = {*witness, *private}
     if not named <= adj.keys():
         raise StaleFindingError("finding names dead vertices %s" % sorted(named - adj.keys()))
     forced = ()
-    if tag == R1 or tag == R2:
+    if tag == R1 or tag == R2 or tag == SAN_BLUE:
         targets = witness[:1]
     elif tag == R4_CASE[2]:
         targets = sorted(private)
@@ -346,7 +346,8 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 #   red n added      -            C(n)     -           n
 #
 # Removing a red changes no red's neighborhood, removing a blue no blue's; a
-# blue left isolated goes to sanitize.  Only R1 removes a blue and keeps its
+# blue left isolated fires Sanitize-isolated-blue, so apply_rule builds every
+# record the loop writes.  Only R1 removes a blue and keeps its
 # reds, and no blue's own neighborhood shrinks then; every pop from wl3
 # happens with R1 exhausted, when a degree-one blue's red has no other blue
 # and R3 fires.  So a blue that R3 newly matches after a blue removal has
@@ -394,7 +395,7 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 
 
 class _Worklist:
-    """Min-heap of vertex ids with lazy deletion."""
+    """Min-heap of vertex ids; ``members`` holds exactly its ids, so none is queued twice."""
 
     __slots__ = ("heap", "members")
 
@@ -408,12 +409,11 @@ class _Worklist:
             heapq.heappush(self.heap, v)
 
     def pop(self) -> int | None:
-        while self.heap:
-            v = heapq.heappop(self.heap)
-            if v in self.members:
-                self.members.discard(v)
-                return v
-        return None
+        if not self.heap:
+            return None
+        v = heapq.heappop(self.heap)
+        self.members.discard(v)
+        return v
 
 
 class _Driver:
@@ -465,9 +465,7 @@ class _Driver:
         changed = False
         for b in sorted(self.iso_blue):
             if b in self.g.adj and not self.g.adj[b]:
-                self.g.remove_vertex(b)
-                self.records.append(
-                    RuleApplication(SAN_BLUE, ((b, BLUE, ()),), (), (b,), 0))
+                self._apply(Match(SAN_BLUE, (b,)))
                 changed = True
         self.iso_blue.clear()
         return changed

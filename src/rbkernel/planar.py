@@ -35,9 +35,6 @@ class Face:
     darts: tuple
     vertices: frozenset
 
-    def __len__(self) -> int:
-        return len(self.darts)
-
 
 @dataclass(frozen=True)
 class KuratowskiWitness:

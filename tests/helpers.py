@@ -376,3 +376,10 @@ def brute_force_face_cover(pg) -> int:
             if covered >= everything:
                 return size
     raise AssertionError("all faces together must cover the graph")
+
+
+def format_plane(pg) -> str:
+    """A plane file for ``pg``: the header, then each vertex's rotation."""
+    lines = ["p plane %d %d" % (pg.n_vertices, pg.n_edges)]
+    lines += ["v %d: %s" % (v, " ".join(map(str, pg.rotation[v]))) for v in sorted(pg.rotation)]
+    return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from rbkernel.generators import gen_grid, gen_matching
 from rbkernel.graph import Instance, RBGraph
 from rbkernel.planar import PlaneGraph, is_planar
 
-from helpers import alternating_cycle
+from helpers import alternating_cycle, format_plane
 
 
 @pytest.fixture
@@ -209,13 +209,13 @@ class TestCheckPlanar:
     def test_plane_file(self, tmp_path, capsys):
         pg = is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding
         path = tmp_path / "tri.plane"
-        path.write_text(formats.format_plane(pg))
+        path.write_text(format_plane(pg))
         assert main(["check-planar", str(path)]) == EXIT_OK
 
     def test_plane_file_with_indented_comment(self, tmp_path, capsys):
         pg = is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding
         path = tmp_path / "tri.plane"
-        path.write_text("  c a triangle\n" + formats.format_plane(pg))
+        path.write_text("  c a triangle\n" + format_plane(pg))
         assert main(["check-planar", str(path)]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "PLANAR"
 
@@ -232,16 +232,26 @@ class TestTransformCommand:
     def test_face_cover(self, tmp_path):
         pg = is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding
         src = tmp_path / "tri.plane"
-        src.write_text(formats.format_plane(pg))
+        src.write_text(format_plane(pg))
         out = tmp_path / "fc.rbds"
         assert main(["transform", "face-cover", str(src), "-k", "1",
                      "--out", str(out)]) == EXIT_OK
         inst = formats.parse_instance(out.read_text())
         assert len(inst.graph.blue) == 2 and len(inst.graph.red) == 3
 
+    def test_face_cover_negative_budget_exits_bad_input(self, tmp_path, capsys):
+        src = tmp_path / "tri.plane"
+        src.write_text(format_plane(is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding))
+        out = tmp_path / "fc.rbds"
+        assert main(["transform", "face-cover", str(src), "-k", "-1",
+                     "--out", str(out)]) == EXIT_BAD_INPUT
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "non-negative" in err
+
     def test_face_cover_disconnected_exits_bad_input(self, tmp_path, capsys):
         src = tmp_path / "two.plane"
-        src.write_text(formats.format_plane(PlaneGraph({1: [2], 2: [1], 3: [4], 4: [3]})))
+        src.write_text(format_plane(PlaneGraph({1: [2], 2: [1], 3: [4], 4: [3]})))
         assert main(["transform", "face-cover", str(src)]) == EXIT_BAD_INPUT
         assert "connected" in capsys.readouterr().err
 

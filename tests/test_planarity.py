@@ -112,7 +112,7 @@ class TestFaces:
         pg = embed(*cube_graph())
         faces = pg.faces()
         assert len(faces) == 6
-        assert all(len(f) == 4 for f in faces)
+        assert all(len(f.darts) == 4 for f in faces)
 
     def test_euler_count(self):
         for builder in (lambda: complete_graph(4), cube_graph,

@@ -12,6 +12,8 @@ from rbkernel.kernelizer import (
     R2,
     R3,
     R4_CASE,
+    SAN_BLUE,
+    RuleApplication,
     StaleFindingError,
     _r4_pairs,
     apply_rule,
@@ -306,6 +308,14 @@ class TestApplyRule:
         k, rec = apply_rule(g, 4, find_rule4(g))
         assert k == 2 and rec.delta_k == -2
         assert g.blue == {2, 4} and g.red == set()
+
+    def test_isolated_blue_removed_with_its_record(self):
+        g = RBGraph.from_parts([1, 2], [3], [(1, 3)])
+        k, rec = apply_rule(g, 4, Match(SAN_BLUE, (2,)))
+        assert (k, rec) == (4, RuleApplication(SAN_BLUE, ((2, "b", ()),), (), (2,), 0))
+        assert g.adj == {1: {3}, 3: {1}}
+        with pytest.raises(StaleFindingError):
+            apply_rule(g, 4, Match(SAN_BLUE, (2,)))
 
     def test_stale_finding(self):
         g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])
