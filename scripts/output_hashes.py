@@ -15,7 +15,9 @@ operation and prints
   its text as the benchmark pipeline does.
 
 Each hash is cut to 16 hex digits.  Two trees that print the same hashes
-produce the same traces, kernels, verdicts and kernel solutions.
+produce the same traces, kernels, verdicts and kernel solutions.  Before it
+hashes, the script checks that ``parse_trace`` reads every written trace
+back to the same records and fingerprint, and exits with an error if not.
 """
 
 from __future__ import annotations
@@ -61,10 +63,14 @@ def main(argv=None) -> int:
     items, _, _ = corpus.build(spec["classes"], args.seed, speed.SpeedClock())
     ops, _ = reference.prepare(items, args.seed)
     traces, kernels = [], []
-    for op in ops:
+    for i, op in enumerate(ops):
         res = kernelizer.kernelize(_instance(op))
+        text = formats.format_trace(res.trace)
+        again = formats.parse_trace(text)
+        if (again.records, again.fingerprint) != (res.trace.records, res.trace.fingerprint):
+            sys.exit("operation %d: parse_trace does not read its trace back" % i)
         tail = "NO %s" % res.reason if res.is_no else formats.format_instance(res.instance)
-        traces.append(formats.format_trace(res.trace) + tail)
+        traces.append(text + tail)
         if not res.is_no:
             kernels.append(tail)
     print("trace %s" % _hash(traces))

@@ -12,6 +12,12 @@ rejected.  Graphs whose live ids do not already follow that layout are
 relabeled on output; the original ids are kept in ``c origid`` comments so
 solutions on the written file can be mapped back (the kernelize/solve/lift
 pipeline relies on this).
+
+Every id, count and budget in the four formats (instance, plane, solution
+and trace files) is one to 18 ASCII digits: ``int`` alone would also take a
+sign, ``_`` and other scripts' digits, and the cap keeps it below its digit
+limit.  Only a trace's ``k_delta`` and the ``g seed`` value may start with
+``-``.
 """
 
 from __future__ import annotations
@@ -37,11 +43,8 @@ def _tokens(text: str):
         yield i, line
 
 
-def _id(text: str) -> int:
-    """An id of ASCII digits; ``int`` alone takes signs, ``_`` and other scripts' digits."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError("expected ASCII digits, got %r" % text)
-    return int(text)
+_ID = "[0-9]{1,18}"
+_is_id = re.compile(_ID).fullmatch
 
 
 # -- instances -----------------------------------------------------------------
@@ -56,18 +59,22 @@ def parse_instance(text: str) -> Instance:
     origid: dict[int, int] = {}
     adj: dict[int, set[int]] = {}
     nb = last = 0
-    for i, line in _tokens(text):
+    for i, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
+        if not parts:
+            continue
         kind = parts[0]
         if kind == "e":
             if header is None:
                 raise ParseError(i, "edge before header")
             if len(parts) != 3:
                 raise ParseError(i, "expected 'e <blue-id> <red-id>'")
-            try:
-                b, r = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(i, "edge endpoints must be integers") from None
+            b, r = parts[1], parts[2]
+            # The id rule inlined: this is the one hot line of every format.
+            if not (line.isascii() and b.isdigit() and r.isdigit() and len(b) <= 18
+                    and len(r) <= 18):
+                raise ParseError(i, "edge endpoints must be ids of ASCII digits")
+            b, r = int(b), int(r)
             if not 1 <= b <= nb:
                 raise ParseError(i, "%d is not a blue id (1..%d)" % (b, nb))
             if not nb < r <= last:
@@ -79,25 +86,18 @@ def parse_instance(text: str) -> Instance:
             adj[r].add(b)
             continue
         if kind == "c":
-            if len(parts) == 4 and parts[1] == "origid":
-                try:
-                    origid[int(parts[2])] = int(parts[3])
-                except ValueError:
-                    pass  # free-form comment that merely looks like a map
+            # Otherwise a free-form comment that merely looks like a map.
+            if len(parts) == 4 and parts[1] == "origid" and _is_id(parts[2]) and _is_id(parts[3]):
+                origid[int(parts[2])] = int(parts[3])
             continue
         if kind == "p":
             if header is not None:
                 raise ParseError(i, "duplicate header")
             if len(parts) != 5 or parts[1] != "rbds":
                 raise ParseError(i, "expected 'p rbds <nB> <nR> <k>'")
-            try:
-                nb, nr, k = int(parts[2]), int(parts[3]), int(parts[4])
-            except ValueError:
-                raise ParseError(i, "header fields must be integers") from None
-            if nb < 0 or nr < 0:
-                raise ParseError(i, "vertex counts must be non-negative")
-            if k < 0:
-                raise ParseError(i, "budget must be non-negative")
+            if not all(map(_is_id, parts[2:])):
+                raise ParseError(i, "header fields must be counts of ASCII digits")
+            nb, nr, k = map(int, parts[2:])
             header = (nb, nr, k)
             last = nb + nr
             adj = {v: set() for v in range(1, last + 1)}
@@ -105,13 +105,12 @@ def parse_instance(text: str) -> Instance:
         if kind == "g":
             if len(parts) != 4 or parts[1] != "seed":
                 raise ParseError(i, "expected 'g seed <algo-id> <seed>'")
+            if not _is_id(parts[3].removeprefix("-")):
+                raise ParseError(i, "seed must be ASCII digits after an optional '-'")
             meta["algo"] = parts[2]
-            try:
-                meta["seed"] = int(parts[3])
-            except ValueError:
-                raise ParseError(i, "seed must be an integer") from None
+            meta["seed"] = int(parts[3])
             continue
-        raise ParseError(i, "unrecognized line %r" % line)
+        raise ParseError(i, "unrecognized line %r" % line.strip())
     if header is None:
         raise ParseError(0, "missing 'p rbds' header")
     # Built as RBGraph.copy does: every id and edge was checked above.
@@ -160,17 +159,22 @@ def format_instance(inst: Instance, comments=()) -> str:
 
 
 def parse_solution(text: str) -> set[int]:
+    """The ids of the file's one ``s`` line; besides it only comments."""
+    chosen = None
     for i, line in _tokens(text):
         parts = line.split()
         if parts[0] == "c":
             continue
         if parts[0] != "s":
             raise ParseError(i, "expected 's <id> <id> ...'")
-        try:
-            return {_id(x) for x in parts[1:]}
-        except ValueError:
-            raise ParseError(i, "solution ids must be ASCII digits") from None
-    raise ParseError(0, "missing 's' line")
+        if chosen is not None:
+            raise ParseError(i, "second 's' line")
+        if not all(map(_is_id, parts[1:])):
+            raise ParseError(i, "solution ids must be ASCII digits")
+        chosen = set(map(int, parts[1:]))
+    if chosen is None:
+        raise ParseError(0, "missing 's' line")
+    return chosen
 
 
 def format_solution(chosen) -> str:
@@ -189,8 +193,8 @@ def _fmt_added(added) -> str:
 
 
 def format_trace(trace: KernelTrace) -> str:
-    """One application per line, fields tab-separated; the parser accepts
-    any whitespace between fields."""
+    """One application per line, fields tab-separated in this order; the
+    parser takes any whitespace between fields, but no other order."""
     lines = []
     if trace.fingerprint is not None:
         fp = trace.fingerprint
@@ -204,87 +208,51 @@ def format_trace(trace: KernelTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ids(field: str) -> tuple:
-    """The ids of a list such as ``(3,4)``."""
-    if field[:1] != "(" or field[-1:] != ")":
-        raise ValueError("expected (<id>,<id>,...), got %r" % field)
-    body = field[1:-1]
-    if body and not (body.isascii() and body.replace(",", "").isdigit()):
-        raise ValueError("expected ids of ASCII digits, got %r" % field)
-    return tuple(map(int, body.split(","))) if body else ()
+def _list(item: str) -> str:
+    """The pattern of a ``[item;item;...]`` list, possibly empty."""
+    return r"\[(?:%s(?:;%s)*)?\]" % (item, item)
 
 
-def _items(field: str) -> list:
-    """The items of a list such as ``[a;b]``."""
-    if field[:1] != "[" or field[-1:] != "]":
-        raise ValueError("expected [...], got %r" % field)
-    body = field[1:-1]
-    return body.split(";") if body else []
+# The record line of format_trace, field by field.  A match leaves only
+# conversions that cannot fail.
+_IDS = r"\((?:%s(?:,%s)*)?\)" % (_ID, _ID)
+_RECORD = re.compile(r"r\s+(\S+)\s+k_delta=(-?%s)\s+removed=(%s)\s+added=(%s)\s+witness=(%s)" % (
+    _ID, _list("%s:[%s%s]:%s" % (_ID, BLUE, RED, _IDS)), _list("%s:%s" % (_ID, _IDS)), _IDS))
+_FINGERPRINT = re.compile(r"c\s+fingerprint\s+v=(%s)\s+e=(%s)\s+sha=([0-9a-f]{16})" % (_ID, _ID))
 
 
-def _parse_removed(field: str) -> tuple:
-    out = []
-    for item in _items(field):
-        try:
-            vid, color, ns = item.split(":")
-            if color != BLUE and color != RED:
-                raise ValueError(color)
-            out.append((_id(vid), color, _ids(ns)))
-        except ValueError:
-            raise ValueError("bad removed-vertex record %r" % item) from None
-    return tuple(out)
-
-
-def _parse_added(field: str) -> tuple:
-    out = []
-    for item in _items(field):
-        try:
-            vid, ns = item.split(":")
-            out.append((_id(vid), _ids(ns)))
-        except ValueError:
-            raise ValueError("bad added-vertex record %r" % item) from None
-    return tuple(out)
-
-
-# Counts are capped at 18 digits so int() never meets its digit limit.
-_FINGERPRINT = re.compile(
-    r"c\s+fingerprint\s+v=([0-9]{1,18})\s+e=([0-9]{1,18})\s+sha=([0-9a-f]{16})")
+def _id_tuple(ids: str) -> tuple:
+    """The ids of a matched ``(a,b,...)``."""
+    return tuple(map(int, ids[1:-1].split(","))) if len(ids) > 2 else ()
 
 
 def parse_trace(text: str) -> KernelTrace:
     trace = KernelTrace()
     for i, line in _tokens(text):
-        parts = line.split()
-        if parts[0] == "c":
+        m = _RECORD.fullmatch(line)
+        if m is None:
+            parts = line.split(None, 2)
+            if parts[0] != "c":
+                raise ParseError(i, "expected 'r <tag> k_delta=.. removed=[..] added=[..] "
+                                    "witness=(..)'")
             if len(parts) > 1 and parts[1] == "fingerprint":
                 fp = _FINGERPRINT.fullmatch(line)
                 if fp is None:
                     raise ParseError(i, "expected 'c fingerprint v=<n> e=<m> sha=<16 hex digits>'")
                 trace.fingerprint = Fingerprint(int(fp[1]), int(fp[2]), fp[3])
             continue
-        if parts[0] != "r" or len(parts) != 6:
-            raise ParseError(i, "expected 'r <tag> k_delta=.. removed=[..] added=[..] witness=(..)'")
-        tag = parts[1]
+        tag, delta, removed, added, witness = m.groups()
         if tag not in WITNESS_LEN:
             raise ParseError(i, "unknown rule tag %r" % tag)
-        fields = {}
-        for part in parts[2:]:
-            key, _, val = part.partition("=")
-            fields[key] = val
-        try:
-            delta = fields["k_delta"]
-            delta = -_id(delta[1:]) if delta[:1] == "-" else _id(delta)
-            removed = _parse_removed(fields["removed"])
-            added = _parse_added(fields["added"])
-            witness = _ids(fields["witness"])
-        except KeyError as exc:
-            raise ParseError(i, "missing field %s" % exc) from None
-        except ValueError as exc:
-            raise ParseError(i, "bad field value: %s" % exc) from None
+        witness = _id_tuple(witness)
         if len(witness) != WITNESS_LEN[tag]:
             raise ParseError(i, "%s needs a witness of %d vertices, got %d"
                              % (tag, WITNESS_LEN[tag], len(witness)))
-        trace.records.append(RuleApplication(tag, removed, added, witness, delta))
+        removed = [item.split(":") for item in removed[1:-1].split(";") if item]
+        added = [item.split(":") for item in added[1:-1].split(";") if item]
+        trace.records.append(RuleApplication(
+            tag, tuple([(int(v), c, _id_tuple(ns)) for v, c, ns in removed]),
+            tuple([(int(v), _id_tuple(ns)) for v, ns in added]), witness, int(delta)))
     return trace
 
 
@@ -303,21 +271,19 @@ def parse_plane(text: str) -> PlaneGraph:
                 raise ParseError(i, "duplicate header")
             if len(parts) != 4 or parts[1] != "plane":
                 raise ParseError(i, "expected 'p plane <n> <m>'")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise ParseError(i, "header fields must be integers") from None
+            if not (_is_id(parts[2]) and _is_id(parts[3])):
+                raise ParseError(i, "header fields must be counts of ASCII digits")
+            header = (int(parts[2]), int(parts[3]))
             continue
         if parts[0] == "v":
             if header is None:
                 raise ParseError(i, "vertex line before header")
             if len(parts) < 2 or not parts[1].endswith(":"):
                 raise ParseError(i, "expected 'v <id>: <nbr> <nbr> ...'")
-            try:
-                vid = int(parts[1][:-1])
-                nbrs = [int(x) for x in parts[2:]]
-            except ValueError:
-                raise ParseError(i, "vertex ids must be integers") from None
+            ids = [parts[1][:-1], *parts[2:]]
+            if not all(map(_is_id, ids)):
+                raise ParseError(i, "vertex ids must be ASCII digits")
+            vid, *nbrs = map(int, ids)
             if vid in rotation:
                 raise ParseError(i, "duplicate rotation for vertex %d" % vid)
             rotation[vid] = nbrs

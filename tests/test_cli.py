@@ -152,6 +152,17 @@ class TestPipeline:
         assert main(["verify", str(src), str(sol)]) == EXIT_INVALID
         assert capsys.readouterr().out.strip() == "INVALID"
 
+    @pytest.mark.parametrize("instance, solution", [
+        ("p rbds 2 2 +1\ne 1 3\ne 2 4\n", "s 1 2\n"),
+        ("p rbds 2 2 2\ne 1 3\ne 2 4\n", "s 1 2\njunk line\ns 9\n"),
+    ])
+    def test_verify_lenient_input_exits_parse(self, tmp_path, capsys, instance, solution):
+        src, sol = tmp_path / "in.rbds", tmp_path / "sol.txt"
+        src.write_text(instance)
+        sol.write_text(solution)
+        assert main(["verify", str(src), str(sol)]) == EXIT_PARSE
+        assert "parse error" in capsys.readouterr().err
+
     def test_verify_directory_exits_bad_input(self, tmp_path, capsys):
         src = tmp_path / "in.rbds"
         src.write_text(formats.format_instance(gen_matching(2)))
@@ -218,6 +229,13 @@ class TestCheckPlanar:
         path.write_text("  c a triangle\n" + format_plane(pg))
         assert main(["check-planar", str(path)]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "PLANAR"
+
+
+    def test_lenient_plane_file_exits_parse(self, tmp_path, capsys):
+        path = tmp_path / "edge.plane"
+        path.write_text("p plane 2 1\nv +1: 2\nv 2: 0_1\n")
+        assert main(["check-planar", str(path)]) == EXIT_PARSE
+        assert "parse error" in capsys.readouterr().err
 
 
 class TestTransformCommand:

@@ -9,6 +9,9 @@ from rbkernel.planar import is_planar
 
 from helpers import format_plane
 
+# More digits than int() converts from text.
+LONG_ID = "1" * 5000
+
 
 class TestInstanceRoundTrip:
     def test_generated_instances_round_trip_exactly(self):
@@ -90,6 +93,37 @@ class TestParseErrors:
     def test_junk_line(self):
         self.check("p rbds 1 1 1\nq what\n", 2)
 
+    @pytest.mark.parametrize("text, line_no", [
+        ("p rbds 10 5 +1\n", 1),
+        ("p rbds 10 5 1\ne 1_0 13\n", 2),
+        ("p rbds 10 5 1\ne +3 \u0661\u0661\n", 2),
+        ("p rbds 10 5 1\ne 3 \u0661\u0661\n", 2),
+        ("p rbds 10 5 1\ng seed planar +7\n", 2),
+    ])
+    def test_ids_must_be_ascii_digits(self, text, line_no):
+        self.check(text, line_no)
+
+    @pytest.mark.parametrize("parse, text, line_no", [
+        (formats.parse_instance, "p rbds %s 1 1\n" % LONG_ID, 1),
+        (formats.parse_instance, "p rbds 1 1 1\ne %s 2\n" % LONG_ID, 2),
+        (formats.parse_instance, "p rbds 1 1 1\ne 1 %s\n" % LONG_ID, 2),
+        (formats.parse_instance, "p rbds 1 1 1\ng seed planar -%s\n" % LONG_ID, 2),
+        (formats.parse_plane, "p plane 2 %s\n" % LONG_ID, 1),
+        (formats.parse_plane, "p plane 2 1\nv %s: 2\n" % LONG_ID, 2),
+        (formats.parse_plane, "p plane 2 1\nv 1: %s\n" % LONG_ID, 2),
+        (formats.parse_solution, "c\ns 1 %s\n" % LONG_ID, 2),
+        (formats.parse_trace, "r R3 k_delta=-%s removed=[] added=[] witness=(1)\n" % LONG_ID, 1),
+        (formats.parse_trace, "r R3 k_delta=0 removed=[] added=[] witness=(%s)\n" % LONG_ID, 1),
+        (formats.parse_trace,
+         "r R3 k_delta=0 removed=[1:b:(%s)] added=[] witness=(1)\n" % LONG_ID, 1),
+        (formats.parse_trace, "c fingerprint v=%s e=0 sha=0123456789abcdef\n" % LONG_ID, 1),
+    ])
+    def test_long_id_is_parse_error(self, parse, text, line_no):
+        # int() refuses more than 4,300 digits with a ValueError of its own.
+        with pytest.raises(formats.ParseError) as err:
+            parse(text)
+        assert err.value.line_no == line_no
+
     @pytest.mark.parametrize("fields", [
         "removed=[1:b:(3,,4)]\tadded=[]\twitness=(1,2)",
         "removed=[1:b:(,3)]\tadded=[]\twitness=(1,2)",
@@ -111,11 +145,15 @@ class TestParseErrors:
         "removed=[]\tadded=[]\twitness=(\u0661,2)",
         "removed=[+1:b:(3)]\tadded=[]\twitness=(1,2)",
         "removed=[1:b:(+3)]\tadded=[]\twitness=(1,2)",
+        "removed=[-1:b:(3)]\tadded=[]\twitness=(1,2)",
         "removed=[]\tadded=[1_0:(1,2)]\twitness=(1,2)",
         "k_delta=+0\tremoved=[]\tadded=[]\twitness=(1,2)",
         "k_delta=1_0\tremoved=[]\tadded=[]\twitness=(1,2)",
         "k_delta=--1\tremoved=[]\tadded=[]\twitness=(1,2)",
         "k_delta=-\tremoved=[]\tadded=[]\twitness=(1,2)",
+        "k_delta=0\tadded=[]\tremoved=[]\twitness=(1,2)",
+        "k_delta=0\twitness=(1,2)\tremoved=[]\tadded=[]",
+        "removed=[]\tadded=[]\twitness=(1,2)\tnote=x",
     ])
     def test_malformed_trace_record(self, fields):
         if not fields.startswith("k_delta="):
@@ -143,6 +181,20 @@ class TestSolutionFormat:
         with pytest.raises(formats.ParseError):
             formats.parse_solution(text)
 
+    def test_comments_around_the_one_s_line(self):
+        assert formats.parse_solution("c a\n\n  s 2 1\nc b\n") == {1, 2}
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("s 1 2\njunk line\ns 9\n", 2),
+        ("s 1 2\ns 9\n", 2),
+        ("c\ns 1\n\ns\n", 4),
+        ("s 1\nx\n", 2),
+    ])
+    def test_only_one_s_line_and_comments(self, text, line_no):
+        with pytest.raises(formats.ParseError) as err:
+            formats.parse_solution(text)
+        assert err.value.line_no == line_no
+
 
 class TestTraceFormat:
     def run_trace(self):
@@ -168,6 +220,27 @@ class TestTraceFormat:
         again = formats.parse_trace(formats.format_trace(trace))
         assert again.records == [rec]
         assert again.records[0].added == ((5, (1, 2)),)
+
+    def test_every_tag_round_trips(self):
+        # Pair-rule witnesses, a grid, and a graph with same-color edges and
+        # an isolated red fire every tag between them, R4-case2 added lists
+        # and Sanitize-edge among them.
+        from helpers import alternating_cycle
+        from test_rules import rule4_case2_witness, rule4_case3_witness
+        unsanitized = RBGraph.from_parts([1, 2], [3, 4, 5], [(1, 3), (2, 3), (2, 4)])
+        for u, v in ((1, 2), (3, 4)):
+            unsanitized.adj[u].add(v)
+            unsanitized.adj[v].add(u)
+        tags = set()
+        for g in (unsanitized, rule4_case2_witness(), rule4_case3_witness(),
+                  rule4_case3_witness(swap_vw=True), gen_grid(5, 5).graph, alternating_cycle(6)):
+            for k in range(len(g.blue) + 1):
+                trace = kernelize(Instance(g.copy(), k)).trace
+                again = formats.parse_trace(formats.format_trace(trace))
+                assert again.records == trace.records
+                assert again.fingerprint == trace.fingerprint
+                tags.update(rec.tag for rec in trace.records)
+        assert tags == set(RULE_TAGS)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(formats.ParseError) as err:
@@ -196,12 +269,14 @@ class TestParserHygiene:
         rng = random.Random(1)
         tokens = ["p", "rbds", "plane", "e", "c", "g", "seed", "v", "r", "s",
                   "1", "2", "-3", "0", "x", ":", "(", ")", "[]", "k_delta=",
-                  "1:b:(2)", "nan", "v 1:", "removed=[", "witness=(a)", "k_delta=z"]
+                  "1:b:(2)", "nan", "v 1:", "removed=[", "witness=(a)", "k_delta=z",
+                  "+1", "1_0", "\u0661", LONG_ID]
         for _ in range(3000):
             text = "\n".join(
                 " ".join(rng.choice(tokens) for _ in range(rng.randint(0, 7)))
                 for _ in range(rng.randint(0, 6)))
-            for fn in (formats.parse_instance, formats.parse_trace, formats.parse_plane):
+            for fn in (formats.parse_instance, formats.parse_trace, formats.parse_plane,
+                       formats.parse_solution):
                 try:
                     fn(text)
                 except formats.ParseError:
@@ -252,6 +327,17 @@ class TestPlaneFormat:
     def test_header_mismatch(self):
         with pytest.raises(formats.ParseError):
             formats.parse_plane("p plane 2 5\nv 1: 2\nv 2: 1\n")
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("p plane +2 1\nv 1: 2\nv 2: 1\n", 1),
+        ("p plane 2 1\nv +1: 2\nv 2: 1\n", 2),
+        ("p plane 2 1\nv 1: 2\nv 2: 0_1\n", 3),
+        ("p plane 2 1\nv 1: 2\nv 2: \u0661\n", 3),
+    ])
+    def test_ids_must_be_ascii_digits(self, text, line_no):
+        with pytest.raises(formats.ParseError) as err:
+            formats.parse_plane(text)
+        assert err.value.line_no == line_no
 
     def test_asymmetric_rejected(self):
         with pytest.raises(formats.ParseError):
