@@ -110,6 +110,8 @@ def cmd_gen(args) -> int:
         elif args.kind == "matching":
             inst = generators.gen_matching(args.params[0])
         elif args.kind == "planar":
+            if not -10**18 < args.seed < 10**18:
+                raise ValueError("--seed must have at most 18 digits")
             inst = generators.gen_random_planar(
                 args.params[0], args.params[1] / 100.0, args.seed)
         else:
@@ -124,8 +126,9 @@ def cmd_gen(args) -> int:
 
 def cmd_transform(args) -> int:
     if args.kind == "face-cover":
-        if args.k is not None and args.k < 0:
-            print("transform face-cover: -k must be non-negative", file=sys.stderr)
+        if args.k is not None and not 0 <= args.k < 10**18:
+            print("transform face-cover: -k must be non-negative, of at most 18 digits",
+                  file=sys.stderr)
             return EXIT_BAD_INPUT
         pg = formats.parse_plane(_read(args.input))
         try:

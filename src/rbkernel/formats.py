@@ -44,7 +44,11 @@ def _tokens(text: str):
 
 
 _ID = "[0-9]{1,18}"
-_is_id = re.compile(_ID).fullmatch
+
+
+def _is_id(text: str) -> bool:
+    """The ``_ID`` rule with str methods, which take half the time of a match."""
+    return text.isascii() and text.isdigit() and len(text) <= 18
 
 
 # -- instances -----------------------------------------------------------------

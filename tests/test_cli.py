@@ -187,7 +187,7 @@ class TestGenCommand:
     def test_bad_params_exit_bad_input(self, tmp_path, capsys):
         out = tmp_path / "g.rbds"
         for argv in (["grid", "0", "3"], ["matching", "0"], ["planar", "2", "50"],
-                     ["planar", "10", "0"]):
+                     ["planar", "10", "0"], ["planar", "20", "70", "--seed", "1" + "0" * 18]):
             assert main(["gen", *argv, "--out", str(out)]) == EXIT_BAD_INPUT
             err = capsys.readouterr().err
             assert err.startswith("gen %s: " % argv[0]) and err.count("\n") == 1
@@ -257,11 +257,13 @@ class TestTransformCommand:
         inst = formats.parse_instance(out.read_text())
         assert len(inst.graph.blue) == 2 and len(inst.graph.red) == 3
 
-    def test_face_cover_negative_budget_exits_bad_input(self, tmp_path, capsys):
+    @pytest.mark.parametrize("k", ["-1", "1" + "0" * 18])
+    def test_face_cover_negative_budget_exits_bad_input(self, tmp_path, capsys, k):
+        # A budget the instance reader would refuse is never written.
         src = tmp_path / "tri.plane"
         src.write_text(format_plane(is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding))
         out = tmp_path / "fc.rbds"
-        assert main(["transform", "face-cover", str(src), "-k", "-1",
+        assert main(["transform", "face-cover", str(src), "-k", k,
                      "--out", str(out)]) == EXIT_BAD_INPUT
         assert not out.exists()
         err = capsys.readouterr().err
