@@ -275,9 +275,9 @@ def parse_plane(text: str) -> PlaneGraph:
                 raise ParseError(i, "duplicate header")
             if len(parts) != 4 or parts[1] != "plane":
                 raise ParseError(i, "expected 'p plane <n> <m>'")
-            if not (_is_id(parts[2]) and _is_id(parts[3])):
+            if not all(map(_is_id, parts[2:])):
                 raise ParseError(i, "header fields must be counts of ASCII digits")
-            header = (int(parts[2]), int(parts[3]))
+            header = tuple(map(int, parts[2:]))
             continue
         if parts[0] == "v":
             if header is None:

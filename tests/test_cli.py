@@ -257,17 +257,24 @@ class TestTransformCommand:
         inst = formats.parse_instance(out.read_text())
         assert len(inst.graph.blue) == 2 and len(inst.graph.red) == 3
 
-    @pytest.mark.parametrize("k", ["-1", "1" + "0" * 18])
-    def test_face_cover_negative_budget_exits_bad_input(self, tmp_path, capsys, k):
-        # A budget the instance reader would refuse is never written.
+    def test_face_cover_negative_budget_exits_bad_input(self, tmp_path, capsys):
         src = tmp_path / "tri.plane"
         src.write_text(format_plane(is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding))
         out = tmp_path / "fc.rbds"
-        assert main(["transform", "face-cover", str(src), "-k", k,
+        assert main(["transform", "face-cover", str(src), "-k", "-1",
                      "--out", str(out)]) == EXIT_BAD_INPUT
         assert not out.exists()
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "non-negative" in err
+
+    def test_face_cover_budget_the_reader_refuses_exits_bad_input(self, tmp_path, capsys):
+        src = tmp_path / "tri.plane"
+        src.write_text(format_plane(is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding))
+        out = tmp_path / "fc.rbds"
+        assert main(["transform", "face-cover", str(src), "-k", "1" + "0" * 18,
+                     "--out", str(out)]) == EXIT_BAD_INPUT
+        assert not out.exists()
+        assert "18 digits" in capsys.readouterr().err
 
     def test_face_cover_disconnected_exits_bad_input(self, tmp_path, capsys):
         src = tmp_path / "two.plane"
