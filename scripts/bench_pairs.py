@@ -8,7 +8,15 @@ runs ``perfbench/run.py --seconds 20 --trace 0`` from there, one process at a
 time; the pair for the i-th seed runs the parent first when i is even.  The
 file keeps, for every run, the final JSON line of ``perfbench/run.py`` with
 its seed, revision and order, plus the Python version and CPU model, and per
-end-to-end metric each side's median and quartiles and the change's wins.
+end-to-end metric each side's median and quartiles, the change's wins, and
+two verdicts read against ``BENCHMARK.json``, which is only read:
+
+* ``gain``: the change won at least nine tenths of the pairs and its median
+  beats the parent's by more than the parent's interquartile range;
+* ``within_bound``: the change's median is worse than the parent's by no
+  more than the metric's ``bound``, a fraction of the parent's median.
+
+After the runs it prints one line per end-to-end metric with those numbers.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-HIGHER = {"vertices_per_s", "removed_share", "ok_share"}
 
 
 def _git(*args: str) -> str:
@@ -51,19 +58,35 @@ def _seeds(spec: str) -> list[int]:
 
 
 def _summary(runs: list[dict]) -> dict:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     out = {}
-    for name in runs[0]["result"]["metrics"]:
+    for metric in spec["end_to_end"]:
+        name, bound = metric["name"], metric["bound"]
         side = {s: [r["result"]["metrics"][name]["value"] for r in runs if r["side"] == s]
                 for s in ("parent", "change")}
-        if name in HIGHER:
-            wins = sum(c > p for p, c in zip(side["parent"], side["change"]))
-        else:
-            wins = sum(c < p for p, c in zip(side["parent"], side["change"]))
+        # Signed so that a positive number is better.
+        sign = 1 if metric["better"] == "higher" else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(side["parent"], side["change"]))
         out[name] = {s: {"median": statistics.median(v),
                          "quartiles": statistics.quantiles(v, n=4)[::2]}
                      for s, v in side.items()}
+        parent, change = out[name]["parent"], out[name]["change"]["median"]
+        lo, hi = parent["quartiles"]
+        gain = sign * (change - parent["median"])
         out[name]["change_wins"] = wins
+        out[name]["gain"] = wins >= 0.9 * len(side["parent"]) and gain > hi - lo
+        out[name]["within_bound"] = gain >= -bound * abs(parent["median"])
     return out
+
+
+def _report(summary: dict, pairs: int) -> None:
+    for name, m in summary.items():
+        parent = m["parent"]
+        print("%s: parent %.6g [%.6g, %.6g], change %.6g, change won %d/%d, gain %s, "
+              "within bound %s" % (name, parent["median"], *parent["quartiles"],
+                                   m["change"]["median"], m["change_wins"], pairs,
+                                   "yes" if m["gain"] else "no",
+                                   "yes" if m["within_bound"] else "no"))
 
 
 def main(argv=None) -> int:
@@ -97,6 +120,7 @@ def main(argv=None) -> int:
            "summary": _summary(runs), "runs": runs}
     out = Path(args.out or ROOT / ("BENCH_%s.json" % args.workload))
     out.write_text(json.dumps(doc, indent=1) + "\n")
+    _report(doc["summary"], len(runs) // 2)
     return 0
 
 

@@ -53,6 +53,11 @@ def _is_id(text: str) -> bool:
 
 # -- instances -----------------------------------------------------------------
 
+# The most vertices an instance header may declare.  The reader allocates an
+# adjacency set for each before it reads an edge, about 390 bytes a vertex
+# (tracemalloc peak), so the largest header it accepts costs about 390 MB.
+MAX_VERTICES = 1_000_000
+
 
 def parse_instance(text: str) -> Instance:
     """Read an instance in one pass: each line is split once, and each edge
@@ -102,6 +107,9 @@ def parse_instance(text: str) -> Instance:
             if not all(map(_is_id, parts[2:])):
                 raise ParseError(i, "header fields must be counts of ASCII digits")
             nb, nr, k = map(int, parts[2:])
+            if nb + nr > MAX_VERTICES:
+                raise ParseError(i, "header declares %d vertices, more than %d"
+                                 % (nb + nr, MAX_VERTICES))
             header = (nb, nr, k)
             last = nb + nr
             adj = {v: set() for v in range(1, last + 1)}

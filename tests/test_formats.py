@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,6 +91,17 @@ class TestParseErrors:
 
     def test_missing_header(self):
         self.check("c nothing here\n", 0)
+
+    @pytest.mark.parametrize("header", ["p rbds 999999999999999999 0 0",
+                                        "p rbds %d 1 0" % formats.MAX_VERTICES])
+    def test_oversized_header_refused_in_constant_memory(self, header):
+        tracemalloc.start()
+        try:
+            self.check(header + "\n", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_junk_line(self):
         self.check("p rbds 1 1 1\nq what\n", 2)

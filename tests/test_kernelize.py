@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbkernel.generators import _stacked_triangulation, gen_matching, gen_random_planar
-from rbkernel.graph import BLUE, Instance, RBGraph, sanitize
+from rbkernel.graph import BLUE, RED, Instance, RBGraph, sanitize
 from rbkernel.kernelizer import (
     NO_BUDGET,
     NO_ISOLATED_RED,
@@ -17,8 +17,12 @@ from rbkernel.kernelizer import (
     InvalidKernelSolutionError,
     KernelTrace,
     Match,
+    _r1_at,
+    _r1_seed,
     _r2_at,
     _r2_seed,
+    _r3_at,
+    _r3_seed,
     apply_rule,
     find_rule1,
     find_rule2,
@@ -199,22 +203,29 @@ def sanitized_graphs(draw):
     return g
 
 
-class TestR2Seed:
-    """The driver's first R2 worklist holds every red where R2 applies."""
+# Per rule: its probe, the seed of its first worklist, the color it probes.
+SEEDS = {R1: (_r1_at, _r1_seed, BLUE), R2: (_r2_at, _r2_seed, RED), R3: (_r3_at, _r3_seed, BLUE)}
+
+
+@pytest.mark.parametrize("rule", SEEDS)
+class TestSeeds:
+    """Each first worklist holds every vertex where its rule applies."""
 
     @staticmethod
-    def check(g):
-        assert {r for r in g.red if _r2_at(g, r) is not None} <= _r2_seed(g)
+    def check(g, rule):
+        at, seed, color = SEEDS[rule]
+        side = g.blue if color == BLUE else g.red
+        assert {x for x in side if at(g, x) is not None} <= set(seed(g))
 
-    @given(sanitized_graphs())
+    @given(g=sanitized_graphs())
     @settings(max_examples=150, deadline=None)
-    def test_on_sanitized_graphs(self, g):
-        self.check(g)
+    def test_on_sanitized_graphs(self, rule, g):
+        self.check(g, rule)
 
-    def test_on_random(self, random_graphs_300):
+    def test_on_random(self, rule, random_graphs_300):
         for g in random_graphs_300:
             if all(g.adj[r] for r in g.red):
-                self.check(g)
+                self.check(g, rule)
 
 
 def face_cover_corpus():

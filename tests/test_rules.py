@@ -23,6 +23,7 @@ from rbkernel.kernelizer import (
     find_rule4,
     kernelize,
 )
+from rbkernel.planar import bipartite_euler_bound
 
 from helpers import (
     alternating_cycle,
@@ -91,6 +92,26 @@ def r123_reduced_graphs(draw):
                            [(b, nb + 1 + i)
                             for i, nbhd in enumerate(red_nbhds) for b in nbhd])
     return reduce_rules123(g)
+
+
+@st.composite
+def dense_reduced_graphs(draw):
+    """R1-R3-reduced graphs that fail the bipartite Euler bound: each red sees
+    its own d-subset of 5 to 9 blues, d >= 4, and the subsets include every
+    cyclic window of d blues.  Equal-size distinct subsets contain one
+    another nowhere (no R2), reds of degree d >= 2 leave R3 nothing, and the
+    windows through a blue meet in that blue alone (no R1).  With at least
+    as many reds as blues, m = d * nR > 2 * (nB + nR) - 4."""
+    nb = draw(st.integers(5, 9))
+    d = draw(st.integers(4, nb - 1))
+    subsets = {frozenset((i + j) % nb + 1 for j in range(d)) for i in range(nb)}
+    subsets |= draw(st.sets(st.frozensets(st.integers(1, nb), min_size=d, max_size=d),
+                            max_size=10))
+    g = RBGraph.from_parts(range(1, nb + 1), range(nb + 1, nb + len(subsets) + 1),
+                           [(b, nb + 1 + i) for i, sub in enumerate(sorted(subsets, key=sorted))
+                            for b in sub])
+    assert reduce_rules123(g.copy()) == g and not bipartite_euler_bound(g)
+    return g
 
 
 def agreement_for_all_budgets(g):
@@ -227,7 +248,7 @@ class TestRule4:
         assert oracle_rule4_all(g)[0] == (1, 2, 4, frozenset({7, 8}))
         agreement_for_all_budgets(g)
 
-    @given(r123_reduced_graphs())
+    @given(st.one_of(r123_reduced_graphs(), dense_reduced_graphs()))
     @example(alternating_cycle(4))
     @example(rule4_case2_witness())
     @example(rule4_case3_witness())
@@ -239,7 +260,7 @@ class TestRule4:
                 if len(oracle_pair_private(g, v, w)) >= 2}
         assert _r4_pairs(g, g.blue) == want
 
-    @given(r123_reduced_graphs(), st.sets(st.integers(1, 8)))
+    @given(st.one_of(r123_reduced_graphs(), dense_reduced_graphs()), st.sets(st.integers(1, 9)))
     @example(rule4_case2_witness(), {1})
     @example(rule4_case2_witness(), {2, 5})
     @example(far_private_red_witness(), {2})
@@ -257,6 +278,13 @@ class TestRule4:
         # Red 2 is private to blue 1 alone, so no probe lies outside N(1).
         with pytest.raises(ContractViolation):
             _r4_pairs(RBGraph.from_parts([1], [2], [(1, 2)]), {1})
+        # The same next to the cyclic 4-windows of five blues, past the Euler
+        # bound, where the search counts blue by blue.
+        windows = [((i + j) % 5 + 1, 7 + i) for i in range(5) for j in range(4)]
+        g = RBGraph.from_parts(range(1, 7), range(7, 13), windows + [(6, 12)])
+        assert not bipartite_euler_bound(g)
+        with pytest.raises(ContractViolation):
+            _r4_pairs(g, g.blue)
 
     def test_contract_checked(self):
         g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])  # R1 applies
