@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rbkernel.generators import _stacked_triangulation, gen_matching, gen_random_planar
 from rbkernel.graph import BLUE, RED, Instance, RBGraph, sanitize
@@ -218,6 +218,7 @@ class TestSeeds:
         assert {x for x in side if at(g, x) is not None} <= set(seed(g))
 
     @given(g=sanitized_graphs())
+    @example(g=gen_matching(3).graph)  # sanitized_graphs() has no R3 match
     @settings(max_examples=150, deadline=None)
     def test_on_sanitized_graphs(self, rule, g):
         self.check(g, rule)
