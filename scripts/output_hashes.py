@@ -6,7 +6,9 @@ Builds the workload's corpus and budgets with ``perfbench/corpus.py`` and
 ``perfbench/reference.py`` (read only, never changed), kernelizes every
 operation and prints
 
-* ``trace``: sha256 over the per-operation sha256 hex digests of
+* ``fingerprint``: sha256 over the per-operation sha256 hex digests of the
+  trace's ``c fingerprint`` line, which names the input instance;
+* ``trace``: sha256 over the per-operation sha256 hex digests of the rest of
   ``format_trace`` followed by the kernel text, or by ``NO <reason>`` for a
   no-instance;
 * ``solve`` (workloads that solve the kernel only): sha256 over the
@@ -15,9 +17,11 @@ operation and prints
   its text as the benchmark pipeline does.
 
 Each hash is cut to 16 hex digits.  Two trees that print the same hashes
-produce the same traces, kernels, verdicts and kernel solutions.  Before it
-hashes, the script checks that ``parse_trace`` reads every written trace
-back to the same records and fingerprint, and exits with an error if not.
+produce the same traces, kernels, verdicts and kernel solutions; two trees
+that differ only in how ``fingerprint_instance`` digests an instance print
+the same ``trace`` and ``solve`` lines.  Before it hashes, the script checks
+that ``parse_trace`` reads every written trace back to the same records and
+fingerprint, and exits with an error if not.
 """
 
 from __future__ import annotations
@@ -62,17 +66,22 @@ def main(argv=None) -> int:
     spec = specs[args.workload]
     items, _, _ = corpus.build(spec["classes"], args.seed, speed.SpeedClock())
     ops, _ = reference.prepare(items, args.seed)
-    traces, kernels = [], []
+    fingerprints, traces, kernels = [], [], []
     for i, op in enumerate(ops):
         res = kernelizer.kernelize(_instance(op))
         text = formats.format_trace(res.trace)
         again = formats.parse_trace(text)
         if (again.records, again.fingerprint) != (res.trace.records, res.trace.fingerprint):
             sys.exit("operation %d: parse_trace does not read its trace back" % i)
+        head, _, body = text.partition("\n")
+        if not head.startswith("c fingerprint "):
+            sys.exit("operation %d: the trace does not start with its fingerprint" % i)
         tail = "NO %s" % res.reason if res.is_no else formats.format_instance(res.instance)
-        traces.append(text + tail)
+        fingerprints.append(head)
+        traces.append(body + tail)
         if not res.is_no:
             kernels.append(tail)
+    print("fingerprint %s" % _hash(fingerprints))
     print("trace %s" % _hash(traces))
     if spec["solve"]:
         solved = []

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -129,13 +129,22 @@ class KernelResult:
 
 
 def fingerprint_instance(inst: Instance) -> Fingerprint:
+    """The vertex and edge counts of ``inst`` and a digest of (k, B, R, E).
+
+    The digest is the first 16 hex digits of the sha256 of the ASCII text
+    ``k=<k> B=<blues> R=<reds> E=<keys>``, each list in ascending order and
+    written as Python writes a list of ints, ``[1, 2]``.  With m one more
+    than the largest vertex id, an edge u < v has the key u * m + v, so the
+    keys name the edges, same-color ones included, and m follows from B and
+    R.  Neither insertion order nor the graph's next free id changes it.
+    """
     g = inst.graph
-    h = hashlib.sha256()
-    h.update(("k=%d" % inst.k).encode())
-    h.update(("B=%s" % sorted(g.blue)).encode())
-    h.update(("R=%s" % sorted(g.red)).encode())
-    h.update(("E=%s" % g.edges()).encode())
-    return Fingerprint(g.n_vertices, g.n_edges, h.hexdigest()[:16])
+    adj = g.adj
+    m = max(adj, default=0) + 1
+    keys = [u * m + v for u, nu in adj.items() for v in nu if u < v]
+    keys.sort()
+    text = "k=%d B=%s R=%s E=%s" % (inst.k, sorted(g.blue), sorted(g.red), keys)
+    return Fingerprint(g.n_vertices, len(keys), hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
 # -- finders -------------------------------------------------------------------
@@ -193,14 +202,18 @@ def _containers(adj: dict, r: int) -> set:
 
 def _r2_seed(g: RBGraph) -> set:
     """The reds where R2 applies: the union over reds r2 of C(r2) - {r2}.
-    Every red must have a blue neighbor."""
+    Every red must have a blue neighbor; a red whose neighborhood contains
+    N(r2) is next to each blue of N(r2), so the reds of any one blue are the
+    only candidates."""
     adj = g.adj
     seed = set()
     for r2 in g.red:
-        c = _containers(adj, r2)
-        if len(c) > 1:
-            c.discard(r2)
-            seed |= c
+        nr = adj[r2]
+        for b in nr:
+            break
+        for x in adj[b]:
+            if nr <= adj[x] and x != r2:
+                seed.add(x)
     return seed
 
 
@@ -267,35 +280,39 @@ def _r4_pairs(g: RBGraph, blues) -> set:
     return {p for p, c in counts.items() if c > 1 and (p[0] in dirty or p[1] in dirty)}
 
 
-def _count_per_red(g: RBGraph, reds) -> Counter:
+def _count_per_red(g: RBGraph, reds) -> dict:
     """For each pair, how many reds of ``reds`` are private to it."""
     adj = g.adj
-    cap = 2 * max(map(len, map(adj.__getitem__, g.blue)), default=0)
-    counts: Counter = Counter()
+    top = max(map(len, map(adj.__getitem__, g.blue)), default=0)
+    counts = defaultdict(int)
     for r in reds:
         nr = adj[r]
         ur = set().union(*map(adj.__getitem__, nr))
-        if len(ur) > cap:
+        size = len(ur)
+        if size > 2 * top:
             continue  # too large to lie within N(a) | N(w) for any pair
-        pairs = set()  # a red next to both endpoints finds its pair twice
         for a in nr:
-            x = ur - adj[a]
-            if not x:
+            na = adj[a]
+            if size - len(na) > top:
+                continue  # X = U(r) - N(a) is too large to lie within any N(w)
+            if size == len(na):
                 raise ContractViolation("R3 applies to blue %d and red %d" % (a, r))
+            x = ur - na
             for probe in x:
                 break
-            pairs.update([(a, w) if a < w else (w, a) for w in adj[probe] if x <= adj[w]])
-        counts.update(pairs)
+            for w in adj[probe]:
+                if x <= adj[w] and (a < w or w not in nr):  # a red next to both counts once
+                    counts[(a, w) if a < w else (w, a)] += 1
     return counts
 
 
-def _count_per_blue(g: RBGraph, reds) -> Counter:
+def _count_per_blue(g: RBGraph, reds) -> dict:
     """The counts of :func:`_count_per_red`, blue by blue: for a blue a, the
     partners of a red r of N(a) are the blues in every
     W(b, a) = {w : N(b) - N(a) within N(w)}, b in N(r) - {a}, and each
     W(b, a) serves every red of N(a) next to b."""
     adj = g.adj
-    counts: Counter = Counter()
+    counts = defaultdict(int)
     for a in _nbrs(adj, reds):
         na = adj[a]
         mine = na & reds
@@ -421,9 +438,12 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 #
 # Each worklist starts with a seed, not with every vertex of its color: wl1
 # with the blues where R1 applies, wl2 with the reds where R2 applies (the
-# union over reds r2 of C(r2) - {r2}), wl3 with the degree-one blues.  A
-# vertex left out of its seed and not pushed since the start finds nothing
-# when popped:
+# union over reds r2 of C(r2) - {r2}), wl3 with the degree-one blues.  The
+# R1 and R2 seeds probe one neighbor's neighbors: a vertex whose
+# neighborhood contains N(x) is next to every vertex of N(x), so the other
+# neighbors of any one vertex of N(x) are the only candidates, and each
+# takes one subset test.  A vertex left out of its seed and not pushed
+# since the start finds nothing when popped:
 #
 # * R1 at a blue b needs another blue whose neighborhood contains N(b).
 #   N(b) changes only when a red of it is removed, which pushes b, or when b
@@ -446,25 +466,28 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 # R4's search counts the private reds of every pair with a dirty endpoint.
 # A red r private to (a, w) lies in U(r), within N(a) | N(w), so one endpoint,
 # say a, is in N(r), and the partners w for that a are the blues next to any
-# one red of X = U(r) - N(a) that neighbor all of X.  Each red collects its
-# pairs as a set, so a red next to both endpoints counts once.  This relies on
-# R1-R3 being exhausted.  X is never empty: if N(a) held U(r), every other
-# blue of N(r) would be an R1 match, then every other red of N(a) an R2
-# match, and {a, r} an R3 component.  And a private red r outside N(a) is
-# within distance three of a: N(r) = {w} would be an R2 or R3 match, so r
-# has a second blue b, whose neighborhood lies in N(a) | N(w) but not in
-# N(w) (R1), so it meets N(a).  So the reds within distance three of the
-# dirty blues count each such pair exactly.
+# one red of X = U(r) - N(a) that neighbor all of X.  A red next to both
+# endpoints finds its pair from both, and only the lower endpoint counts it.
+# This relies on R1-R3 being exhausted.  X is never empty: if N(a) held
+# U(r), every other blue of N(r) would be an R1 match, then every other red
+# of N(a) an R2 match, and {a, r} an R3 component.  And a private red r
+# outside N(a) is within distance three of a: N(r) = {w} would be an R2 or
+# R3 match, so r has a second blue b, whose neighborhood lies in
+# N(a) | N(w) but not in N(w) (R1), so it meets N(a).  So the reds within
+# distance three of the dirty blues count each such pair exactly.
 #
 # The search skips a red whose U(r) has more than 2 * D vertices, D the
 # largest blue degree in the graph: a red private to (a, w) has U(r) within
 # N(a) | N(w), so |U(r)| <= deg(a) + deg(w) <= 2 * D, and a skipped red adds
-# to no pair's count.  The skip never hides a contract violation: an empty X
-# means U(r) is within N(a), so |U(r)| <= D.  When every blue is dirty the
-# search runs over all reds instead of the three-step ball, which would hold
-# every red with a blue neighbor; a red without one has an empty N(r) and
-# adds no pair.  On grids, where every blue degree is at most four, most
-# reds are skipped; next to a hub blue the bound skips little.
+# to no pair's count.  For the same reason it skips an endpoint a whose X
+# has more than D vertices, since X must lie within N(w): N(a) is within
+# U(r), so |X| = |U(r)| - |N(a)| is known before X is built, and X is empty
+# exactly when the two sizes are equal.  Neither skip hides a contract
+# violation, since an empty X means |U(r)| = |N(a)| <= D.  When every blue
+# is dirty the search runs over all reds instead of the three-step ball,
+# which would hold every red with a blue neighbor; a red without one has an
+# empty N(r) and adds no pair.  On grids, where every blue degree is at most
+# four, most reds are skipped; next to a hub blue the bounds skip little.
 #
 # That is the loop for a graph that meets the bipartite Euler bound
 # m <= 2n - 4, as every planar one does.  A graph past the bound counts the

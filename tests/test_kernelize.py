@@ -1,8 +1,9 @@
+import hashlib
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rbkernel.generators import _stacked_triangulation, gen_matching, gen_random_planar
 from rbkernel.graph import BLUE, RED, Instance, RBGraph, sanitize
@@ -15,6 +16,7 @@ from rbkernel.kernelizer import (
     R3,
     SAN_NO,
     InvalidKernelSolutionError,
+    Fingerprint,
     KernelTrace,
     Match,
     _r1_at,
@@ -187,6 +189,85 @@ class TestTrace:
             res = kernelize(Instance(g.copy(), len(g.blue)))
             if not res.is_no:
                 assert is_reduced(res.instance.graph)
+
+
+@st.composite
+def instance_parts(draw):
+    """(k, blues, reds, edges) with ids anywhere among the non-negative
+    ints, same-color edges included."""
+    ids = draw(st.lists(st.one_of(st.integers(0, 30), st.integers(0, 2 ** 80)),
+                        min_size=1, max_size=10, unique=True))
+    blues = set(draw(st.lists(st.sampled_from(ids), unique=True)))
+    pairs = [(u, v) for u in ids for v in ids if u < v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return draw(st.integers(0, 5)), blues, set(ids) - blues, edges
+
+
+def build_instance(k, blues, reds, edges, rnd=None) -> Instance:
+    """The instance, its vertices and edges inserted in sorted order, or in
+    an order ``rnd`` shuffles, each edge's endpoints in either order."""
+    vertices = sorted([(v, BLUE) for v in blues] + [(v, RED) for v in reds])
+    edges = sorted(edges)
+    if rnd is not None:
+        rnd.shuffle(vertices)
+        rnd.shuffle(edges)
+        edges = [e[::-1] if rnd.random() < 0.5 else e for e in edges]
+    g = RBGraph()
+    for v, color in vertices:
+        g._add_with_id(v, color)
+    for u, v in edges:
+        g.add_edge(u, v)
+    return Instance(g, k)
+
+
+class TestFingerprint:
+    """The digest names (k, B, R, E) and nothing else."""
+
+    def test_digest_of_documented_text(self):
+        g = RBGraph.from_parts([1, 3], [2, 7], [(1, 2), (3, 2), (3, 7), (1, 3)])
+        # m = 8; the keys of (1, 2), (1, 3), (2, 3), (3, 7) are 10, 11, 19, 31.
+        text = "k=2 B=[1, 3] R=[2, 7] E=[10, 11, 19, 31]"
+        fp = fingerprint_instance(Instance(g, 2))
+        assert fp == Fingerprint(4, 4, hashlib.sha256(text.encode()).hexdigest()[:16])
+
+    @given(parts=instance_parts(), rnd=st.randoms(use_true_random=False),
+           extra=st.integers(1, 2 ** 70))
+    @settings(max_examples=150, deadline=None)
+    def test_same_instance_same_digest(self, parts, rnd, extra):
+        inst = build_instance(*parts)
+        other = build_instance(*parts, rnd)
+        high = max(other.graph.adj) + extra
+        other.graph.add_red_vertex((), vid=high)
+        other.graph.remove_vertex(high)
+        assert other.graph._next_id != inst.graph._next_id
+        assert fingerprint_instance(other) == fingerprint_instance(inst)
+
+    @pytest.mark.parametrize("change", ["k", "recolor", "isolated", "same-color-edge",
+                                        "remove-edge"])
+    @given(parts=instance_parts(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_change_changes_digest(self, change, parts, data):
+        k, blues, reds, edges = parts
+        ids = sorted(blues | reds)
+        if change == "k":
+            k += 1
+        elif change == "recolor":
+            v = data.draw(st.sampled_from(ids))
+            blues, reds = blues ^ {v}, reds ^ {v}
+        elif change == "isolated":
+            v = data.draw(st.integers(0, 2 ** 80).filter(lambda x: x not in ids))
+            blues, reds = (blues | {v}, reds) if data.draw(st.booleans()) else (blues, reds | {v})
+        elif change == "same-color-edge":
+            free = [(u, v) for side in (sorted(blues), sorted(reds))
+                    for i, u in enumerate(side) for v in side[i + 1:] if (u, v) not in edges]
+            assume(free)
+            edges = edges + [data.draw(st.sampled_from(free))]
+        else:
+            assume(edges)
+            edges = edges.copy()
+            edges.remove(data.draw(st.sampled_from(edges)))
+        before = fingerprint_instance(build_instance(*parts)).digest
+        assert fingerprint_instance(build_instance(k, blues, reds, edges)).digest != before
 
 
 @st.composite
