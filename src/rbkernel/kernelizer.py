@@ -194,12 +194,6 @@ def _r2_at(g: RBGraph, r: int) -> Match | None:
     return None if r2 is None else Match(R2, (r, r2))
 
 
-def _containers(adj: dict, r: int) -> set:
-    """C(r), the reds whose neighborhood contains N(r), r included; N(r)
-    must be nonempty."""
-    return set.intersection(*map(adj.__getitem__, adj[r]))
-
-
 def _r2_seed(g: RBGraph) -> set:
     """The reds where R2 applies: the union over reds r2 of C(r2) - {r2}.
     Every red must have a blue neighbor; a red whose neighborhood contains
@@ -499,12 +493,12 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 # built once per a and serves every red of N(a) next to b.  A red next to
 # both endpoints is found from both, and only the lower endpoint counts it.
 # The loop skips no red on the 2 * D cap, which would cost U(r) per red.
-# Measured per pass over the seed-7 corpora (best of three to five, 2-vCPU
-# Xeon, CPython 3.11.7): on size-verdict's four dense operations (14 or 16
-# blues, reds of degree 8 or 11) the search takes 0.12 s per red and
-# 0.03-0.04 s per blue, while on graphs that meet the bound the per-blue
-# loop is the slower one, 0.61 s against 0.09 s on the size-verdict grids
-# and 0.63 s against 0.09 s on tight-planar.
+# Measured per pass over the seed-7 corpora, every search of the pass
+# (best of five, 2-vCPU Xeon, CPython 3.11.7): on size-verdict's four dense
+# operations (14 or 16 blues, reds of degree 8 or 11) the search takes
+# 0.044-0.048 s per red and 0.014-0.015 s per blue, while on graphs that
+# meet the bound the per-blue loop is the slower one, 0.25 s against 0.030 s
+# on the size-verdict grids and 0.32 s against 0.037 s on tight-planar.
 
 
 class _Worklist:
@@ -643,8 +637,10 @@ class _Driver:
             self._push_containers(n)
 
     def _push_containers(self, r: int) -> None:
-        """Push C(r), r included, for R2."""
-        for x in _containers(self.g.adj, r):
+        """Push C(r), r included, for R2: the reds next to every blue of N(r),
+        which must be nonempty."""
+        adj = self.g.adj
+        for x in set.intersection(*map(adj.__getitem__, adj[r])):
             self.wl2.push(x)
 
     # -- verdicts --

@@ -15,8 +15,8 @@ from rbkernel.kernelizer import (
     R2,
     R3,
     SAN_NO,
-    InvalidKernelSolutionError,
     Fingerprint,
+    InvalidKernelSolutionError,
     KernelTrace,
     Match,
     _r1_at,
