@@ -29,7 +29,6 @@ to the original instance.
 from __future__ import annotations
 
 import hashlib
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -372,13 +371,16 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication]:
     replay reproduces the graph exactly."""
     tag, witness, private = match
     adj = g.adj
-    named = {*witness, *private}
-    if not named <= adj.keys():
-        raise StaleFindingError("finding names dead vertices %s" % sorted(named - adj.keys()))
-    forced = ()
+    for named in witness, private:
+        for x in named:
+            if x not in adj:
+                raise StaleFindingError("finding names dead vertices %s"
+                                        % sorted({*witness, *private} - adj.keys()))
     if tag == R1 or tag == R2 or tag == SAN_BLUE:
-        targets = witness[:1]
-    elif tag == R4_CASE[2]:
+        x = witness[0]
+        return k, RuleApplication(tag, ((x, g.color_of(x), g.remove_vertex(x)),), (), witness, 0)
+    forced = ()
+    if tag == R4_CASE[2]:
         targets = sorted(private)
     elif tag in _FORCED:
         forced = [witness[i] for i in _FORCED[tag]]
@@ -399,63 +401,71 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 
 # -- the driver --------------------------------------------------------------------
 #
-# The loop keeps, per rule, a worklist of the vertices where it may newly
-# apply, so a pass never rescans the whole graph.  R1, R2 and R3 share one
-# drain: each live vertex popped goes to the rule's probe, and a Match it
-# returns goes to apply_rule; R1 and R2 drain to empty, R3 stops after one
-# firing so the budget is checked.  Popping worklists in
-# ascending id order makes the run identical to the naive rescans-from-scratch
-# driver, which tests exploit.  What a record changed decides what is pushed;
-# "live" means still in the graph after the whole record, r is each live red
-# of N(x), and C(r) is the set of reds whose neighborhood contains N(r), for
-# which r may now witness R2:
+# The loop keeps, per rule, a pending set of the vertices where it may newly
+# apply, so a pass never rescans the whole graph.  One sweep serves isolated
+# blues, R1, R2 and R3: it empties the rule's set, probes each live vertex
+# of a sorted snapshot of it once and hands each Match to apply_rule, which
+# thus builds every record the loop writes.  A round sweeps isolated blues,
+# R1 and R2 and starts over while any fired; then it sweeps R3 and tries R4
+# once.  What a record changed decides what becomes pending; "live" means
+# still in the graph after the whole record, d(u) is then a live blue's
+# degree, r is each red of N(x), and C(r) is the set of reds whose
+# neighborhood contains N(r), for which r may now witness R2:
 #
-#   change           R1 at        R2 at    R3 at       R4 seeds
-#   red x removed    live N(x)    -        live N(x)   N(x)
-#   blue x removed   -            C(r)     -           N(x)
-#   red n added      -            C(n)     -           n
+#   change           isolated     R1 at        R2 at   R3 at        R4 seeds
+#   red x removed    live N(x),   live N(x),   -       live N(x),   N(x)
+#                    d(u) = 0     d(u) > 0             d(u) = 1
+#   blue x removed   -            -            C(r)    -            N(x)
+#   red n added      -            -            C(n)    -            n
 #
-# Removing a red changes no red's neighborhood, removing a blue no blue's; a
-# blue left isolated fires Sanitize-isolated-blue, so apply_rule builds every
-# record the loop writes.  Only R1 removes a blue and keeps its
-# reds, and no blue's own neighborhood shrinks then; every pop from wl3
-# happens with R1 exhausted, when a degree-one blue's red has no other blue
-# and R3 fires.  So a blue that R3 newly matches after a blue removal has
-# been pushed since its last pop by a red removal, and the blue-removal
-# column needs no R3 push.  An R4 case-2 red n has N(n) = {v, w}, and the
-# same record removes private reds adjacent to both, which pushes v and w
-# for R1 and R3 already.  R4 at a pair reads the graph within
-# distance three of it.  Such a path from a changed vertex to a live blue
-# leaves the last removed vertex on it through a seed, then runs over live
-# vertices only, so the radius-2 ball around the live seeds, taken when R4
-# is next tried, holds every blue whose pair may newly fire.
+# No firing makes a vertex pending for the rule being swept, so the snapshot
+# visits what a min-heap popped to empty would, in the same order, and
+# _sweep asserts that its set is still empty afterwards: removing an
+# isolated blue touches nothing else, R1 removes only blues, R2 only reds,
+# and R3, with R1 and R2 exhausted, removes a whole component {v, r}, v
+# first, so r's record lists no neighbors.  As R3 makes nothing live
+# pending, it fires every component in one sweep; the naive driver would
+# find nothing in R1 and R2 between two firings.  Only R3 and R4 spend
+# budget, and k < 0 is checked after every firing, so a run stops at the
+# record that drove k below zero.  Sweeping in ascending id order thus
+# makes the run identical to the naive rescans-from-scratch driver, which
+# tests exploit.
 #
-# Each worklist starts with a seed, not with every vertex of its color: wl1
-# with the blues where R1 applies, wl2 with the reds where R2 applies (the
-# union over reds r2 of C(r2) - {r2}), wl3 with the degree-one blues.  The
-# R1 and R2 seeds probe one neighbor's neighbors: a vertex whose
-# neighborhood contains N(x) is next to every vertex of N(x), so the other
-# neighbors of any one vertex of N(x) are the only candidates, and each
-# takes one subset test.  A vertex left out of its seed and not pushed
-# since the start finds nothing when popped:
+# Each pending set starts with a seed, not with every vertex of its color:
+# the blues where R1 applies, the reds where R2 applies (the union over reds
+# r2 of C(r2) - {r2}) and the degree-one blues; sanitize leaves no blue
+# isolated.  The R1 and R2 seeds probe one neighbor's neighbors: a vertex
+# whose neighborhood contains N(x) is next to every vertex of N(x), so the
+# other neighbors of any one vertex of N(x) are the only candidates, and
+# each takes one subset test.  Removing a red changes no red's
+# neighborhood, removing a blue no blue's, and a vertex left out of its
+# seed and not made pending since finds nothing when swept:
 #
 # * R1 at a blue b needs another blue whose neighborhood contains N(b).
-#   N(b) changes only when a red of it is removed, which pushes b, or when b
-#   ends an R4 case-2 pair, whose record also removes private reds next to
-#   b.  Other blues' neighborhoods only shrink, or gain a case-2 red that is
-#   not in N(b), so b gains no witness.
-# * R2 at a red r gains a witness only when some N(r2) shrinks into N(r) or
-#   a red n is added with N(n) within N(r).  The first happens only when a
-#   blue is removed, the second only in R4 case 2, and the records of both
-#   push C(r2) or C(n), which then holds r.  Removing a red creates no R2
-#   match.
+#   N(b) changes only when a red of it is removed, which makes b pending, or
+#   when b ends an R4 case-2 pair, whose record also removes private reds
+#   next to b.  Other blues' neighborhoods only shrink, or gain a case-2 red
+#   that is not in N(b), so b gains no witness.
+# * R2 at a red x gains a witness r2 only when N(r2) comes to lie within
+#   N(x): r2 loses a blue or is created, since no red gains one.  Both note
+#   r2 in ``shrunk``, and C(r2), expanded for the live noted reds when the
+#   R2 sweep starts, then holds x.  No firing between a note and that
+#   expansion removes a red, and the R2 sweep notes none.
 # * R3 needs a blue of degree one, and a blue's degree changes only in the
-#   records that push it for R1.
+#   records that make it pending with its degree after the record.  Every R3
+#   sweep runs with R1 exhausted, when a degree-one blue's red has no other
+#   blue and R3 fires, so a blue that R3 newly matches after a blue removal
+#   has reached degree one since by a red removal.
+# * R4 at a pair reads the graph within distance three of it.  Such a path
+#   from a changed vertex to a live blue leaves the last removed vertex on
+#   it through a seed, then runs over live vertices only, so the radius-2
+#   ball around the live seeds, taken when R4 is next tried, holds every
+#   blue whose pair may newly fire.
 #
-# So a list of every vertex holds the seeded list's vertices plus some that
-# find nothing when popped.  Both lists pop their least member, every push
-# reaches both, and a pop that finds nothing changes nothing, so the
-# firings and their order are those of the all-vertex lists.
+# So a set of every vertex holds the seeded set's vertices plus some that
+# find nothing when probed.  Both are swept in ascending order, every note
+# reaches both, and a probe that finds nothing changes nothing, so the
+# firings and their order are those of the all-vertex sets.
 #
 # R4's search counts the private reds of every pair with a dirty endpoint.
 # A red r private to (a, w) lies in U(r), within N(a) | N(w), so one endpoint,
@@ -501,26 +511,8 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 # on the size-verdict grids and 0.32 s against 0.037 s on tight-planar.
 
 
-class _Worklist:
-    """Min-heap of vertex ids; ``members`` holds exactly its ids, so none is queued twice."""
-
-    __slots__ = ("heap", "members")
-
-    def __init__(self, items=()):
-        self.members = set(items)
-        self.heap = sorted(self.members)
-
-    def push(self, v: int) -> None:
-        if v not in self.members:
-            self.members.add(v)
-            heapq.heappush(self.heap, v)
-
-    def pop(self) -> int | None:
-        if not self.heap:
-            return None
-        v = heapq.heappop(self.heap)
-        self.members.discard(v)
-        return v
+def _iso_at(g: RBGraph, b: int) -> Match | None:
+    return None if g.adj[b] else Match(SAN_BLUE, (b,))
 
 
 class _Driver:
@@ -539,24 +531,24 @@ class _Driver:
             self.records.append(RuleApplication(SAN_NO, (), (), (bad,), 0))
             return self._no(NO_ISOLATED_RED)
 
-        self.wl1 = _Worklist(_r1_seed(g))
-        self.wl2 = _Worklist(_r2_seed(g))
-        self.wl3 = _Worklist(_r3_seed(g))
+        self.iso: set[int] = set()
+        self.wl1 = set(_r1_seed(g))
+        self.wl2 = _r2_seed(g)
+        self.wl3 = set(_r3_seed(g))
+        self.shrunk: set[int] = set()
         self.dirty4 = set(g.blue)
         self.seeds: set[int] = set()
-        self.iso_blue: set[int] = set()
 
-        while True:
-            changed = self._drain_isolated_blues()
-            changed |= self._drain(self.wl1, _r1_at, False)
-            changed |= self._drain(self.wl2, _r2_at, False)
-            if changed:
-                continue
-            if self._drain(self.wl3, _r3_at, True) or self._try_rule4():
-                if self.k < 0:
-                    return self._no(NO_BUDGET)
-                continue
-            break
+        while self.k >= 0:
+            changed = self._sweep(self.iso, _iso_at)
+            changed |= self._sweep(self.wl1, _r1_at)
+            changed |= self._sweep(self._r2_pending(), _r2_at)
+            if not changed:
+                self._sweep(self.wl3, _r3_at)
+                if self.k < 0 or not self._try_rule4():
+                    break
+        if self.k < 0:
+            return self._no(NO_BUDGET)
 
         if not g.red:
             return self._reduced()
@@ -568,33 +560,37 @@ class _Driver:
 
     # -- phases --
 
-    def _drain_isolated_blues(self) -> bool:
-        changed = False
-        for b in sorted(self.iso_blue):
-            if b in self.g.adj and not self.g.adj[b]:
-                self._apply(Match(SAN_BLUE, (b,)))
-                changed = True
-        self.iso_blue.clear()
-        return changed
-
-    def _drain(self, wl: _Worklist, probe, once: bool) -> bool:
-        """Pop ``wl`` and fire what ``probe`` finds until ``wl`` is empty, or
-        after the first firing when ``once``; True iff anything fired."""
+    def _sweep(self, pending: set, probe) -> bool:
+        """Empty ``pending``, probe its live vertices in ascending order and
+        fire what ``probe`` finds, stopping once the budget is negative; True
+        iff anything fired.  No firing refills ``pending`` (see the driver
+        notes)."""
         g = self.g
         adj = g.adj
+        todo = sorted(pending)
+        pending.clear()
         fired = False
-        while True:
-            x = wl.pop()
-            if x is None:
-                return fired
-            if x not in adj:
-                continue
-            match = probe(g, x)
-            if match is not None:
-                self._apply(match)
-                if once:
-                    return True
-                fired = True
+        for x in todo:
+            if x in adj:
+                match = probe(g, x)
+                if match is not None:
+                    self._apply(match)
+                    fired = True
+                    if self.k < 0:
+                        break
+        assert not pending, "a firing made %s pending for the rule being swept" % sorted(pending)
+        return fired
+
+    def _r2_pending(self) -> set:
+        """R2's pending set with C(r), r included, added for each live noted
+        red r: the reds next to every blue of N(r), which is nonempty."""
+        adj = self.g.adj
+        wl2 = self.wl2
+        for r in self.shrunk:
+            if r in adj:
+                wl2.update(set.intersection(*map(adj.__getitem__, adj[r])))
+        self.shrunk.clear()
+        return wl2
 
     def _try_rule4(self) -> bool:
         g = self.g
@@ -616,32 +612,28 @@ class _Driver:
     # -- bookkeeping --
 
     def _apply(self, match) -> None:
-        """Fire ``match``; push what its record changed (see the driver notes)."""
+        """Fire ``match``; make pending what its record changed (see the
+        driver notes)."""
         adj = self.g.adj
         self.k, rec = apply_rule(self.g, self.k, match)
         self.records.append(rec)
         for _, color, nbrs in rec.removed:
             self.seeds.update(nbrs)
-            for u in nbrs:
-                if u not in adj:
-                    continue
-                if color == RED:
-                    self.wl1.push(u)
-                    self.wl3.push(u)
-                    if not adj[u]:
-                        self.iso_blue.add(u)
-                else:
-                    self._push_containers(u)
+            if color == RED:
+                for u in nbrs:
+                    if u in adj:
+                        d = len(adj[u])
+                        if not d:
+                            self.iso.add(u)
+                            continue
+                        self.wl1.add(u)
+                        if d == 1:
+                            self.wl3.add(u)
+            else:
+                self.shrunk.update(nbrs)
         for n, _ in rec.added:
             self.seeds.add(n)
-            self._push_containers(n)
-
-    def _push_containers(self, r: int) -> None:
-        """Push C(r), r included, for R2: the reds next to every blue of N(r),
-        which must be nonempty."""
-        adj = self.g.adj
-        for x in set.intersection(*map(adj.__getitem__, adj[r])):
-            self.wl2.push(x)
+            self.shrunk.add(n)
 
     # -- verdicts --
 
@@ -658,12 +650,14 @@ class _Driver:
 def kernelize(inst: Instance) -> KernelResult:
     """Shrink ``inst`` to an equivalent reduced instance or report NO.
 
-    Sanitizes, exhausts R1 then R2, restarts on any change, then tries R3
-    and R4, restarting after each application.  At the fixpoint the result
-    is NO when the budget went negative, a red is undominatable, or the
-    reduced graph is larger than 46 times the remaining budget; otherwise
-    the reduced instance is returned with its trace.  The size test is what
-    makes the output a kernel; it presumes a planar input.
+    Sanitizes, exhausts R1 then R2, restarts on any change, then fires R3
+    at every two-vertex component and tries R4, restarting after an R4
+    application.  The budget is checked after every firing.  At the
+    fixpoint the result is NO when the budget went negative, a red is
+    undominatable, or the reduced graph is larger than 46 times the
+    remaining budget; otherwise the reduced instance is returned with its
+    trace.  The size test is what makes the output a kernel; it presumes a
+    planar input.
     """
     if inst.k < 0:
         raise ValueError("budget must be non-negative, got %d" % inst.k)

@@ -83,9 +83,15 @@ class TestDriverExamples:
         assert min_rbds(inst.graph).size == 4
 
     def test_matching_over_budget(self):
-        inst = gen_matching(5)
+        # One R3 sweep takes the six components in id order; the fifth
+        # firing drives k to -1 and ends the run there.
+        inst = gen_matching(6)
         res = kernelize(Instance(inst.graph, 4))
         assert res.is_no and res.reason == NO_BUDGET
+        recs = res.trace.records
+        assert [r.tag for r in recs] == [R3] * 5
+        assert [r.witness for r in recs] == [(b,) for b in range(1, 6)]
+        assert budget_spent(recs) == 5
 
     def test_isolated_red_is_no(self):
         g = RBGraph.from_parts([1], [2, 3], [(1, 2)])
