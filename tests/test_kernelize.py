@@ -290,13 +290,13 @@ def sanitized_graphs(draw):
     return g
 
 
-# Per rule: its probe, the seed of its first worklist, the color it probes.
+# Per rule: its probe, the seed of its first pending set, the color it probes.
 SEEDS = {R1: (_r1_at, _r1_seed, BLUE), R2: (_r2_at, _r2_seed, RED), R3: (_r3_at, _r3_seed, BLUE)}
 
 
 @pytest.mark.parametrize("rule", SEEDS)
 class TestSeeds:
-    """Each first worklist holds every vertex where its rule applies."""
+    """Each first pending set holds every vertex where its rule applies."""
 
     @staticmethod
     def check(g, rule):
@@ -328,7 +328,7 @@ def face_cover_corpus():
 
 
 class TestReferenceEquivalence:
-    """The worklist driver must match the naive rescan-everything loop
+    """The pending-set driver must match the naive rescan-everything loop
     record for record, up to the record where a NO verdict stops it."""
 
     def check(self, g, k):
