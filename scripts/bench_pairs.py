@@ -4,12 +4,13 @@
         --seeds 4001-4010 [--out BENCH_size-verdict.json]
 
 Each revision is exported with ``git archive`` into a temporary directory and
-runs ``perfbench/run.py --seconds 20 --trace 0`` from there, one process at a
-time; the pair for the i-th seed runs the parent first when i is even.  The
-file keeps, for every run, the final JSON line of ``perfbench/run.py`` with
-its seed, revision and order, plus the Python version and CPU model, and per
-end-to-end metric each side's median and quartiles, the change's wins, and
-two verdicts read against ``BENCHMARK.json``, which is only read:
+runs ``perfbench/run.py --trace 0`` from there for the ``run_seconds`` of
+``BENCHMARK.json``, one process at a time; the pair for the i-th seed runs
+the parent first when i is even.  The file keeps, for every run, the final
+JSON line of ``perfbench/run.py`` with its seed, revision and order, plus the
+Python version and CPU model, and per end-to-end metric each side's median
+and quartiles, the change's wins, and two verdicts read against
+``BENCHMARK.json``, which is only read:
 
 * ``gain``: the change won at least nine tenths of the pairs and its median
   beats the parent's by more than the parent's interquartile range;
@@ -57,8 +58,7 @@ def _seeds(spec: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def _summary(runs: list[dict]) -> dict:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+def _summary(runs: list[dict], spec: dict) -> dict:
     out = {}
     for metric in spec["end_to_end"]:
         name, bound = metric["name"], metric["bound"]
@@ -97,6 +97,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, help="first-last, e.g. 4001-4010")
     ap.add_argument("--out")
     args = ap.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = str(spec["run_seconds"])
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -106,7 +108,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-                       "--seed", str(seed), "--seconds", "20", "--trace", "0"]
+                       "--seed", str(seed), "--seconds", seconds, "--trace", "0"]
                 p = subprocess.run(cmd, cwd=Path(tmp) / side, check=True, capture_output=True,
                                    text=True)
                 runs.append({"side": side, "rev": revs[side], "seed": seed,
@@ -115,9 +117,9 @@ def main(argv=None) -> int:
                 print(side, seed, runs[-1]["result"]["metrics"]["vertices_per_s"]["value"],
                       flush=True)
     doc = {"workload": args.workload, "python": platform.python_version(), "cpu": _cpu_model(),
-           "command": "python3 perfbench/run.py --workload %s --seed <seed> --seconds 20 "
-                      "--trace 0" % args.workload,
-           "summary": _summary(runs), "runs": runs}
+           "command": "python3 perfbench/run.py --workload %s --seed <seed> --seconds %s "
+                      "--trace 0" % (args.workload, seconds),
+           "summary": _summary(runs, spec), "runs": runs}
     out = Path(args.out or ROOT / ("BENCH_%s.json" % args.workload))
     out.write_text(json.dumps(doc, indent=1) + "\n")
     _report(doc["summary"], len(runs) // 2)

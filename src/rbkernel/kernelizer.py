@@ -263,22 +263,18 @@ def _nbrs(adj: dict, vertices) -> set:
     return set().union(*(adj[v] for v in vertices))
 
 
-def _r4_pairs(g: RBGraph, blues) -> set:
-    """Pairs (v < w) with an endpoint in ``blues`` and two or more private reds."""
-    adj = g.adj
-    dirty = g.blue.intersection(blues)
-    reds = g.red if len(dirty) == len(g.blue) else _nbrs(adj, _nbrs(adj, _nbrs(adj, dirty)))
+def _r4_pairs(g: RBGraph) -> set:
+    """Pairs (v < w) with two or more private reds."""
     count = _count_per_red if bipartite_euler_bound(g) else _count_per_blue
-    counts = count(g, reds)
-    return {p for p, c in counts.items() if c > 1 and (p[0] in dirty or p[1] in dirty)}
+    return {p for p, c in count(g).items() if c > 1}
 
 
-def _count_per_red(g: RBGraph, reds) -> dict:
-    """For each pair, how many reds of ``reds`` are private to it."""
+def _count_per_red(g: RBGraph) -> dict:
+    """For each pair, how many reds are private to it."""
     adj = g.adj
     top = max(map(len, map(adj.__getitem__, g.blue)), default=0)
     counts = defaultdict(int)
-    for r in reds:
+    for r in g.red:
         nr = adj[r]
         ur = set().union(*map(adj.__getitem__, nr))
         size = len(ur)
@@ -299,24 +295,23 @@ def _count_per_red(g: RBGraph, reds) -> dict:
     return counts
 
 
-def _count_per_blue(g: RBGraph, reds) -> dict:
+def _count_per_blue(g: RBGraph) -> dict:
     """The counts of :func:`_count_per_red`, blue by blue: for a blue a, the
     partners of a red r of N(a) are the blues in every
     W(b, a) = {w : N(b) - N(a) within N(w)}, b in N(r) - {a}, and each
     W(b, a) serves every red of N(a) next to b."""
     adj = g.adj
     counts = defaultdict(int)
-    for a in _nbrs(adj, reds):
+    for a in g.blue:
         na = adj[a]
-        mine = na & reds
         ws = {}  # W(b, a), except where N(b) - N(a) is empty and W holds every blue
-        for b in _nbrs(adj, mine):
+        for b in _nbrs(adj, na):
             x = adj[b] - na
             if x:
                 for probe in x:
                     break
                 ws[b] = {w for w in adj[probe] if x <= adj[w]}
-        for r in mine:
+        for r in na:
             sets = [ws[b] for b in adj[r] if b in ws]
             if not sets:
                 raise ContractViolation("R3 applies to blue %d and red %d" % (a, r))
@@ -356,7 +351,7 @@ def find_rule4(g: RBGraph) -> Match | None:
     assert (_first(g, g.blue, _r1_at) is None and _first(g, g.red, _r2_at) is None
             and _first(g, g.blue, _r3_at) is None), \
         "find_rule4 requires R1, R2 and R3 to be exhausted"
-    return _first(g, _r4_pairs(g, g.blue), _r4_at)
+    return _first(g, _r4_pairs(g), _r4_at)
 
 
 # -- applying rules --------------------------------------------------------------
@@ -401,45 +396,48 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 
 # -- the driver --------------------------------------------------------------------
 #
-# The loop keeps, per rule, a pending set of the vertices where it may newly
-# apply, so a pass never rescans the whole graph.  One sweep serves isolated
-# blues, R1, R2 and R3: it empties the rule's set, probes each live vertex
-# of a sorted snapshot of it once and hands each Match to apply_rule, which
-# thus builds every record the loop writes.  A round sweeps isolated blues,
-# R1 and R2 and starts over while any fired; then it sweeps R3 and tries R4
-# once.  What a record changed decides what becomes pending; "live" means
-# still in the graph after the whole record, d(u) is then a live blue's
-# degree, r is each red of N(x), and C(r) is the set of reds whose
-# neighborhood contains N(r), for which r may now witness R2:
+# The loop keeps a pending set of the vertices where a rule may newly apply
+# for isolated blues, R1 and R2, which it sweeps to a fixpoint many times
+# per round.  One sweep serves them and R3: it empties the set, probes each
+# live vertex of a sorted snapshot of it once and hands each Match to
+# apply_rule, which thus builds every record the loop writes.  A round
+# sweeps isolated blues, R1 and R2 and starts over while any fired; then it
+# sweeps R3 over the degree-one blues of the current graph, the only blues
+# where R3 applies, and tries R4 once on every pair, as find_rule4 does.  A
+# round ends at R4, so a run has one round more than it has R4 firings, and
+# R3 and R4 keep nothing between rounds.  What a record changed decides what
+# becomes pending; "live" means still in the graph after the whole record,
+# d(u) is then a live blue's degree, r is each red of N(x), and C(r) is the
+# set of reds whose neighborhood contains N(r), for which r may now witness
+# R2:
 #
-#   change           isolated     R1 at        R2 at   R3 at        R4 seeds
-#   red x removed    live N(x),   live N(x),   -       live N(x),   N(x)
-#                    d(u) = 0     d(u) > 0             d(u) = 1
-#   blue x removed   -            -            C(r)    -            N(x)
-#   red n added      -            -            C(n)    -            n
+#   change           isolated     R1 at        R2 at
+#   red x removed    live N(x),   live N(x),   -
+#                    d(u) = 0     d(u) > 0
+#   blue x removed   -            -            C(r)
+#   red n added      -            -            C(n)
 #
 # No firing makes a vertex pending for the rule being swept, so the snapshot
 # visits what a min-heap popped to empty would, in the same order, and
 # _sweep asserts that its set is still empty afterwards: removing an
-# isolated blue touches nothing else, R1 removes only blues, R2 only reds,
-# and R3, with R1 and R2 exhausted, removes a whole component {v, r}, v
-# first, so r's record lists no neighbors.  As R3 makes nothing live
-# pending, it fires every component in one sweep; the naive driver would
-# find nothing in R1 and R2 between two firings.  Only R3 and R4 spend
-# budget, and k < 0 is checked after every firing, so a run stops at the
-# record that drove k below zero.  Sweeping in ascending id order thus
-# makes the run identical to the naive rescans-from-scratch driver, which
-# tests exploit.
+# isolated blue touches nothing else, R1 removes only blues and R2 only
+# reds.  R3, with R1 and R2 exhausted, removes a whole component {v, r}, v
+# first, so r's record lists no neighbors and makes nothing pending.  So R3
+# fires every component in one sweep; the naive driver would find nothing
+# in R1 and R2 between two firings.  Only R3 and R4 spend budget, and k < 0
+# is checked after every firing, so a run stops at the record that drove k
+# below zero.  Sweeping in ascending id order thus makes the run identical
+# to the naive rescans-from-scratch driver, which tests exploit.
 #
-# Each pending set starts with a seed, not with every vertex of its color:
-# the blues where R1 applies, the reds where R2 applies (the union over reds
-# r2 of C(r2) - {r2}) and the degree-one blues; sanitize leaves no blue
-# isolated.  The R1 and R2 seeds probe one neighbor's neighbors: a vertex
-# whose neighborhood contains N(x) is next to every vertex of N(x), so the
-# other neighbors of any one vertex of N(x) are the only candidates, and
-# each takes one subset test.  Removing a red changes no red's
-# neighborhood, removing a blue no blue's, and a vertex left out of its
-# seed and not made pending since finds nothing when swept:
+# The R1 and R2 sets start with a seed, not with every vertex of its color:
+# the blues where R1 applies and the reds where R2 applies (the union over
+# reds r2 of C(r2) - {r2}); sanitize leaves no blue isolated.  Both seeds
+# probe one neighbor's neighbors: a vertex whose neighborhood contains N(x)
+# is next to every vertex of N(x), so the other neighbors of any one vertex
+# of N(x) are the only candidates, and each takes one subset test.  Removing
+# a red changes no red's neighborhood, removing a blue no blue's, and a
+# vertex left out of its seed and not made pending since finds nothing when
+# swept:
 #
 # * R1 at a blue b needs another blue whose neighborhood contains N(b).
 #   N(b) changes only when a red of it is removed, which makes b pending, or
@@ -451,34 +449,20 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 #   r2 in ``shrunk``, and C(r2), expanded for the live noted reds when the
 #   R2 sweep starts, then holds x.  No firing between a note and that
 #   expansion removes a red, and the R2 sweep notes none.
-# * R3 needs a blue of degree one, and a blue's degree changes only in the
-#   records that make it pending with its degree after the record.  Every R3
-#   sweep runs with R1 exhausted, when a degree-one blue's red has no other
-#   blue and R3 fires, so a blue that R3 newly matches after a blue removal
-#   has reached degree one since by a red removal.
-# * R4 at a pair reads the graph within distance three of it.  Such a path
-#   from a changed vertex to a live blue leaves the last removed vertex on
-#   it through a seed, then runs over live vertices only, so the radius-2
-#   ball around the live seeds, taken when R4 is next tried, holds every
-#   blue whose pair may newly fire.
 #
 # So a set of every vertex holds the seeded set's vertices plus some that
 # find nothing when probed.  Both are swept in ascending order, every note
 # reaches both, and a probe that finds nothing changes nothing, so the
 # firings and their order are those of the all-vertex sets.
 #
-# R4's search counts the private reds of every pair with a dirty endpoint.
-# A red r private to (a, w) lies in U(r), within N(a) | N(w), so one endpoint,
-# say a, is in N(r), and the partners w for that a are the blues next to any
-# one red of X = U(r) - N(a) that neighbor all of X.  A red next to both
-# endpoints finds its pair from both, and only the lower endpoint counts it.
-# This relies on R1-R3 being exhausted.  X is never empty: if N(a) held
+# R4's search counts the private reds of every pair.  A red r private to
+# (a, w) lies in U(r), within N(a) | N(w), so one endpoint, say a, is in
+# N(r), and the partners w for that a are the blues next to any one red of
+# X = U(r) - N(a) that neighbor all of X.  A red next to both endpoints
+# finds its pair from both, and only the lower endpoint counts it.  This
+# relies on R1-R3 being exhausted: X is never empty, since if N(a) held
 # U(r), every other blue of N(r) would be an R1 match, then every other red
-# of N(a) an R2 match, and {a, r} an R3 component.  And a private red r
-# outside N(a) is within distance three of a: N(r) = {w} would be an R2 or
-# R3 match, so r has a second blue b, whose neighborhood lies in
-# N(a) | N(w) but not in N(w) (R1), so it meets N(a).  So the reds within
-# distance three of the dirty blues count each such pair exactly.
+# of N(a) an R2 match, and {a, r} an R3 component.
 #
 # The search skips a red whose U(r) has more than 2 * D vertices, D the
 # largest blue degree in the graph: a red private to (a, w) has U(r) within
@@ -487,11 +471,9 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 # has more than D vertices, since X must lie within N(w): N(a) is within
 # U(r), so |X| = |U(r)| - |N(a)| is known before X is built, and X is empty
 # exactly when the two sizes are equal.  Neither skip hides a contract
-# violation, since an empty X means |U(r)| = |N(a)| <= D.  When every blue
-# is dirty the search runs over all reds instead of the three-step ball,
-# which would hold every red with a blue neighbor; a red without one has an
-# empty N(r) and adds no pair.  On grids, where every blue degree is at most
-# four, most reds are skipped; next to a hub blue the bounds skip little.
+# violation, since an empty X means |U(r)| = |N(a)| <= D.  On grids, where
+# every blue degree is at most four, most reds are skipped; next to a hub
+# blue the bounds skip little.
 #
 # That is the loop for a graph that meets the bipartite Euler bound
 # m <= 2n - 4, as every planar one does.  A graph past the bound counts the
@@ -534,17 +516,14 @@ class _Driver:
         self.iso: set[int] = set()
         self.wl1 = set(_r1_seed(g))
         self.wl2 = _r2_seed(g)
-        self.wl3 = set(_r3_seed(g))
         self.shrunk: set[int] = set()
-        self.dirty4 = set(g.blue)
-        self.seeds: set[int] = set()
 
         while self.k >= 0:
             changed = self._sweep(self.iso, _iso_at)
             changed |= self._sweep(self.wl1, _r1_at)
             changed |= self._sweep(self._r2_pending(), _r2_at)
             if not changed:
-                self._sweep(self.wl3, _r3_at)
+                self._sweep(_r3_seed(g), _r3_at)
                 if self.k < 0 or not self._try_rule4():
                     break
         if self.k < 0:
@@ -560,7 +539,7 @@ class _Driver:
 
     # -- phases --
 
-    def _sweep(self, pending: set, probe) -> bool:
+    def _sweep(self, pending: set | list, probe) -> bool:
         """Empty ``pending``, probe its live vertices in ascending order and
         fire what ``probe`` finds, stopping once the budget is negative; True
         iff anything fired.  No firing refills ``pending`` (see the driver
@@ -593,21 +572,10 @@ class _Driver:
         return wl2
 
     def _try_rule4(self) -> bool:
-        g = self.g
-        seeds = {x for x in self.seeds if x in g.adj}
-        self.seeds.clear()
-        near = _nbrs(g.adj, seeds)
-        self.dirty4 |= g.blue & (seeds | near | _nbrs(g.adj, near))
-        match = _first(g, _r4_pairs(g, self.dirty4), _r4_at)
-        if match is None:
-            self.dirty4.clear()
-            return False
-        # Pairs ordered before the match were just proven clean: drop their
-        # lower endpoints from the dirty set.
-        v = match.witness[0]
-        self.dirty4 = {x for x in self.dirty4 if x >= v}
-        self._apply(match)
-        return True
+        match = _first(self.g, _r4_pairs(self.g), _r4_at)
+        if match is not None:
+            self._apply(match)
+        return match is not None
 
     # -- bookkeeping --
 
@@ -618,21 +586,13 @@ class _Driver:
         self.k, rec = apply_rule(self.g, self.k, match)
         self.records.append(rec)
         for _, color, nbrs in rec.removed:
-            self.seeds.update(nbrs)
             if color == RED:
                 for u in nbrs:
                     if u in adj:
-                        d = len(adj[u])
-                        if not d:
-                            self.iso.add(u)
-                            continue
-                        self.wl1.add(u)
-                        if d == 1:
-                            self.wl3.add(u)
+                        (self.wl1 if adj[u] else self.iso).add(u)
             else:
                 self.shrunk.update(nbrs)
         for n, _ in rec.added:
-            self.seeds.add(n)
             self.shrunk.add(n)
 
     # -- verdicts --

@@ -290,13 +290,15 @@ def sanitized_graphs(draw):
     return g
 
 
-# Per rule: its probe, the seed of its first pending set, the color it probes.
+# Per rule: its probe, the seed of its first pending set (for R3, the set its
+# sweep takes each round), the color it probes.
 SEEDS = {R1: (_r1_at, _r1_seed, BLUE), R2: (_r2_at, _r2_seed, RED), R3: (_r3_at, _r3_seed, BLUE)}
 
 
 @pytest.mark.parametrize("rule", SEEDS)
 class TestSeeds:
-    """Each first pending set holds every vertex where its rule applies."""
+    """R1's and R2's first pending sets and the set R3 sweeps each round hold
+    every vertex where the rule applies."""
 
     @staticmethod
     def check(g, rule):

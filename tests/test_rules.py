@@ -252,39 +252,26 @@ class TestRule4:
     @example(alternating_cycle(4))
     @example(rule4_case2_witness())
     @example(rule4_case3_witness())
+    @example(far_private_red_witness())
     @example(tight_cap_witness())
     @example(REDUCED_GRID)
     @settings(max_examples=300, deadline=None)
     def test_pair_counting_matches_brute_force(self, g):
         want = {(v, w) for v, w in itertools.combinations(sorted(g.blue), 2)
                 if len(oracle_pair_private(g, v, w)) >= 2}
-        assert _r4_pairs(g, g.blue) == want
-
-    @given(st.one_of(r123_reduced_graphs(), dense_reduced_graphs()), st.sets(st.integers(1, 9)))
-    @example(rule4_case2_witness(), {1})
-    @example(rule4_case2_witness(), {2, 5})
-    @example(far_private_red_witness(), {2})
-    @example(tight_cap_witness(), {1})
-    @example(REDUCED_GRID, {2, 23})
-    @settings(max_examples=300, deadline=None)
-    def test_pair_counting_on_partial_dirty_sets(self, g, dirty):
-        # The driver rescans with the blues near its last changes only.
-        dirty &= g.blue
-        want = {(v, w) for v, w in itertools.combinations(sorted(g.blue), 2)
-                if (v in dirty or w in dirty) and len(oracle_pair_private(g, v, w)) >= 2}
-        assert _r4_pairs(g, dirty) == want
+        assert _r4_pairs(g) == want
 
     def test_pair_counting_refuses_r3_match(self):
         # Red 2 is private to blue 1 alone, so no probe lies outside N(1).
         with pytest.raises(ContractViolation):
-            _r4_pairs(RBGraph.from_parts([1], [2], [(1, 2)]), {1})
+            _r4_pairs(RBGraph.from_parts([1], [2], [(1, 2)]))
         # The same next to the cyclic 4-windows of five blues, past the Euler
         # bound, where the search counts blue by blue.
         windows = [((i + j) % 5 + 1, 7 + i) for i in range(5) for j in range(4)]
         g = RBGraph.from_parts(range(1, 7), range(7, 13), windows + [(6, 12)])
         assert not bipartite_euler_bound(g)
         with pytest.raises(ContractViolation):
-            _r4_pairs(g, g.blue)
+            _r4_pairs(g)
 
     def test_contract_checked(self):
         g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])  # R1 applies
