@@ -194,22 +194,22 @@ class TestGenCommand:
             assert err.startswith("gen %s: " % argv[0]) and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["grid", "1000000", "1000000"], ["grid", "1", str(formats.MAX_VERTICES + 1)],
-        ["matching", str(formats.MAX_VERTICES // 2 + 1)], ["planar", "1000000000", "50"]])
-    def test_oversized_refused_in_constant_memory(self, tmp_path, capsys, argv):
+    def test_oversized_refused_in_constant_memory(self, tmp_path, capsys):
         # The reader refuses more than MAX_VERTICES vertices, so gen refuses
         # to build such an instance before allocating it.
         out = tmp_path / "g.rbds"
-        tracemalloc.start()
-        try:
-            assert main(["gen", *argv, "--out", str(out)]) == EXIT_BAD_INPUT
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-        err = capsys.readouterr().err
-        assert err.startswith("gen %s: " % argv[0]) and err.count("\n") == 1
+        for argv in (["grid", "1000000", "1000000"], ["grid", "1", str(formats.MAX_VERTICES + 1)],
+                     ["matching", str(formats.MAX_VERTICES // 2 + 1)],
+                     ["planar", "1000000000", "50"]):
+            tracemalloc.start()
+            try:
+                assert main(["gen", *argv, "--out", str(out)]) == EXIT_BAD_INPUT
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            err = capsys.readouterr().err
+            assert err.startswith("gen %s: " % argv[0]) and err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_params_exit_bad_input(self, tmp_path, capsys):
