@@ -9,15 +9,12 @@ for exact search, 24 graph not planar.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
-import time
 from pathlib import Path
 
 from . import formats, generators, transforms
 from .graph import Instance, RBGraph
-from .kernelizer import RULE_TAGS, kernelize, lift_solution
+from .kernelizer import kernelize, lift_solution
 from .planar import DisconnectedError, is_planar, rbgraph_planarity
 from .solver import InstanceTooLargeError, min_rbds, verify_solution
 
@@ -174,41 +171,6 @@ def cmd_check_planar(args) -> int:
     return EXIT_NONPLANAR
 
 
-def cmd_bench(args) -> int:
-    if not Path(args.corpus).is_dir():
-        print("bench: %s is not a directory" % args.corpus, file=sys.stderr)
-        return EXIT_BAD_INPUT
-    paths = sorted(Path(args.corpus).glob("*.rbds"))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["instance", "nV_in", "nV_out", "k", "k'",
-                     "rules_fired_by_type", "wall_ms", "ratio"])
-    for path in paths:
-        try:
-            inst = formats.parse_instance(path.read_text())
-        except (formats.ParseError, UnicodeDecodeError) as exc:
-            print("parse error: %s: %s" % (path.name, exc), file=sys.stderr)
-            return EXIT_PARSE
-        n_in = inst.graph.n_vertices
-        start = time.perf_counter()
-        result = kernelize(inst)
-        ms = (time.perf_counter() - start) * 1000.0
-        counts = {tag: 0 for tag in RULE_TAGS}
-        for rec in result.trace.records:
-            counts[rec.tag] += 1
-        fired = ";".join("%s:%d" % (tag, counts[tag]) for tag in RULE_TAGS if counts[tag])
-        if result.is_no:
-            writer.writerow([path.name, n_in, "", inst.k, "", fired or "-",
-                             "%.2f" % ms, ""])
-        else:
-            n_out = result.instance.graph.n_vertices
-            ratio = (n_out / n_in) if n_in else 0.0
-            writer.writerow([path.name, n_in, n_out, inst.k, result.instance.k,
-                             fired or "-", "%.2f" % ms, "%.4f" % ratio])
-    _write(args.out, buf.getvalue())
-    return EXIT_OK
-
-
 # -- argument parsing -----------------------------------------------------------
 
 
@@ -256,11 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-planar", help="planarity of an instance or plane file")
     p.add_argument("input")
     p.set_defaults(func=cmd_check_planar)
-
-    p = sub.add_parser("bench", help="kernelize every .rbds in a directory, emit CSV")
-    p.add_argument("corpus")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -118,6 +118,4 @@ def gen_random_planar(n: int, density: float, seed: int) -> Instance:
     keep = {v for v, c in colors.items() if c == RED}
     keep.update(x for e in cross for x in e)
     g = _layout({v: colors[v] for v in keep}, cross)
-    return Instance(g, len(g.blue),
-                    meta={"algo": GEN_ALGO_ID, "seed": seed,
-                          "params": "n=%d density=%g" % (n, density)})
+    return Instance(g, len(g.blue), meta={"algo": GEN_ALGO_ID, "seed": seed})

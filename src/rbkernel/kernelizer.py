@@ -397,8 +397,8 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 # -- the driver --------------------------------------------------------------------
 #
 # The loop keeps a pending set of the vertices where a rule may newly apply
-# for isolated blues, R1 and R2, which it sweeps to a fixpoint many times
-# per round.  One sweep serves them and R3: it empties the set, probes each
+# for R1 and R2, which it sweeps to a fixpoint many times per round.  One
+# sweep serves them, isolated blues and R3: it empties the set, probes each
 # live vertex of a sorted snapshot of it once and hands each Match to
 # apply_rule, which thus builds every record the loop writes.  A round
 # sweeps isolated blues, R1 and R2 and starts over while any fired; then it
@@ -406,16 +406,15 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 # where R3 applies, and tries R4 once on every pair, as find_rule4 does.  A
 # round ends at R4, so a run has one round more than it has R4 firings, and
 # R3 and R4 keep nothing between rounds.  What a record changed decides what
-# becomes pending; "live" means still in the graph after the whole record,
-# d(u) is then a live blue's degree, r is each red of N(x), and C(r) is the
-# set of reds whose neighborhood contains N(r), for which r may now witness
-# R2:
-#
-#   change           isolated     R1 at        R2 at
-#   red x removed    live N(x),   live N(x),   -
-#                    d(u) = 0     d(u) > 0
-#   blue x removed   -            -            C(r)
-#   red n added      -            -            C(n)
+# becomes pending, by the color of each removed vertex x alone: a red's
+# neighbors join R1's set, and a blue's neighbors, like an added red, are
+# noted in ``shrunk`` for R2.  C(r) is the set of reds whose neighborhood
+# contains N(r), for which r may now witness R2.  The isolated-blue sweep
+# probes a snapshot of the live degree-0 blues of R1's set.  A blue loses
+# its last red only when that red is removed, which puts the blue in R1's
+# set, no record gives a degree-0 blue a red, and only the R1 sweep, which
+# follows the isolated-blue one, empties the set; so the snapshot holds
+# every isolated blue of the graph.
 #
 # No firing makes a vertex pending for the rule being swept, so the snapshot
 # visits what a min-heap popped to empty would, in the same order, and
@@ -513,13 +512,13 @@ class _Driver:
             self.records.append(RuleApplication(SAN_NO, (), (), (bad,), 0))
             return self._no(NO_ISOLATED_RED)
 
-        self.iso: set[int] = set()
+        adj = g.adj
         self.wl1 = set(_r1_seed(g))
         self.wl2 = _r2_seed(g)
         self.shrunk: set[int] = set()
 
         while self.k >= 0:
-            changed = self._sweep(self.iso, _iso_at)
+            changed = self._sweep([b for b in self.wl1 if b in adj and not adj[b]], _iso_at)
             changed |= self._sweep(self.wl1, _r1_at)
             changed |= self._sweep(self._r2_pending(), _r2_at)
             if not changed:
@@ -582,16 +581,10 @@ class _Driver:
     def _apply(self, match) -> None:
         """Fire ``match``; make pending what its record changed (see the
         driver notes)."""
-        adj = self.g.adj
         self.k, rec = apply_rule(self.g, self.k, match)
         self.records.append(rec)
         for _, color, nbrs in rec.removed:
-            if color == RED:
-                for u in nbrs:
-                    if u in adj:
-                        (self.wl1 if adj[u] else self.iso).add(u)
-            else:
-                self.shrunk.update(nbrs)
+            (self.wl1 if color == RED else self.shrunk).update(nbrs)
         for n, _ in rec.added:
             self.shrunk.add(n)
 

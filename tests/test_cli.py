@@ -1,11 +1,15 @@
+import contextlib
+import io
 import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbkernel import formats
 from rbkernel.cli import (
     EXIT_BAD_INPUT,
+    EXIT_INFEASIBLE,
     EXIT_INVALID,
     EXIT_NO,
     EXIT_NONPLANAR,
@@ -16,7 +20,9 @@ from rbkernel.cli import (
 )
 from rbkernel.generators import gen_grid, gen_matching
 from rbkernel.graph import Instance, RBGraph
+from rbkernel.kernelizer import kernelize, lift_solution
 from rbkernel.planar import PlaneGraph, is_planar
+from rbkernel.solver import min_rbds
 
 from helpers import alternating_cycle, format_plane
 
@@ -302,34 +308,69 @@ class TestTransformCommand:
         assert "connected" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_csv_rows(self, tmp_path, capsys):
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        for i in range(10):
-            (corpus / ("m%02d.rbds" % i)).write_text(
-                formats.format_instance(gen_matching(i + 1)))
-        assert main(["bench", str(corpus)]) == EXIT_OK
-        lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
-        assert len(lines) == 11  # header plus one row per instance
-        assert lines[0].startswith("instance,")
-        assert "R3:1" in lines[1]
+# Each run names its files by role; the fuzz test edits the target's bytes.
+_FUZZ_RUNS = [
+    (["kernelize", "in.rbds"], "in.rbds"),
+    (["solve", "kernel.rbds", "--lift", "run.trace"], "kernel.rbds"),
+    (["solve", "kernel.rbds", "--lift", "run.trace"], "run.trace"),
+    (["verify", "in.rbds", "sol.txt"], "in.rbds"),
+    (["verify", "in.rbds", "sol.txt"], "sol.txt"),
+    (["transform", "face-cover", "g.plane"], "g.plane"),
+    (["transform", "to-ds", "in.rbds"], "in.rbds"),
+    (["check-planar", "in.rbds"], "in.rbds"),
+    (["check-planar", "g.plane"], "g.plane"),
+]
+_DOCUMENTED_EXITS = {EXIT_OK, EXIT_PARSE, EXIT_BAD_INPUT, EXIT_NO, EXIT_INFEASIBLE,
+                     EXIT_INVALID, EXIT_TOO_LARGE, EXIT_NONPLANAR}
+_EDIT = st.tuples(st.sampled_from(["insert", "delete", "replace"]), st.integers(0, 1 << 16),
+                  st.sampled_from(b"0123456789 -\t\ncpesr") | st.integers(0, 255))
 
-    @pytest.mark.parametrize("data, why", [
-        (b"junk\n", "line 1: unrecognized line 'junk'"),
-        (b"\xff\n", "'utf-8' codec can't decode byte 0xff"),
-    ])
-    def test_unparsable_file_named(self, tmp_path, capsys, data, why):
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        (corpus / "a.rbds").write_text(formats.format_instance(gen_matching(1)))
-        (corpus / "b.rbds").write_bytes(data)
-        assert main(["bench", str(corpus)]) == EXIT_PARSE
-        err = capsys.readouterr().err
-        assert err.startswith("parse error: b.rbds: " + why) and len(err.splitlines()) == 1
 
-    def test_missing_corpus_exits_bad_input(self, tmp_path, capsys):
-        assert main(["bench", str(tmp_path / "no_such_dir")]) == EXIT_BAD_INPUT
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1 and "no_such_dir" in captured.err
+def _edited(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for op, pos, byte in edits:
+        i = pos % (len(buf) + 1)
+        if op == "insert":
+            buf.insert(i, byte)
+        elif i < len(buf):
+            if op == "delete":
+                del buf[i]
+            else:
+                buf[i] = byte
+    return bytes(buf)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A valid file for every role of _FUZZ_RUNS: a grid instance, its
+    kernel and trace, the lifted solution and a plane file."""
+    inst = gen_grid(4, 5)
+    result = kernelize(inst)
+    kernel = result.instance
+    witness = lift_solution(result.trace, set(min_rbds(kernel.graph).witness))
+    wheel = [(0, v) for v in range(1, 6)] + [(v, v % 5 + 1) for v in range(1, 6)]
+    texts = {
+        "in.rbds": formats.format_instance(inst),
+        "kernel.rbds": formats.format_instance(kernel),
+        "run.trace": formats.format_trace(result.trace),
+        "sol.txt": formats.format_solution(witness),
+        "g.plane": format_plane(is_planar(range(6), wheel).embedding),
+    }
+    root = tmp_path_factory.mktemp("valid")
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    return root
+
+
+class TestFuzz:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(run=st.sampled_from(_FUZZ_RUNS), edits=st.lists(_EDIT, min_size=1, max_size=4))
+    def test_edited_input_exits_with_a_documented_code(self, valid_files, run, edits):
+        argv, target = run
+        edited = valid_files.parent / "edited"
+        edited.mkdir(exist_ok=True)
+        (edited / target).write_bytes(_edited((valid_files / target).read_bytes(), edits))
+        paths = [str((edited if a == target else valid_files) / a)
+                 if a.endswith((".rbds", ".trace", ".txt", ".plane")) else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(paths) in _DOCUMENTED_EXITS
