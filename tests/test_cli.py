@@ -367,10 +367,9 @@ class TestFuzz:
     @given(run=st.sampled_from(_FUZZ_RUNS), edits=st.lists(_EDIT, min_size=1, max_size=4))
     def test_edited_input_exits_with_a_documented_code(self, valid_files, run, edits):
         argv, target = run
-        edited = valid_files.parent / "edited"
-        edited.mkdir(exist_ok=True)
-        (edited / target).write_bytes(_edited((valid_files / target).read_bytes(), edits))
-        paths = [str((edited if a == target else valid_files) / a)
-                 if a.endswith((".rbds", ".trace", ".txt", ".plane")) else a for a in argv]
+        edited = valid_files / ("edited-" + target)
+        edited.write_bytes(_edited((valid_files / target).read_bytes(), edits))
+        argv = [str(edited) if a == target else str(valid_files / a) if "." in a else a
+                for a in argv]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert main(paths) in _DOCUMENTED_EXITS
+            assert main(argv) in _DOCUMENTED_EXITS
