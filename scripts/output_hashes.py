@@ -8,6 +8,12 @@ operation and prints
 
 * ``fingerprint``: sha256 over the per-operation sha256 hex digests of the
   trace's ``c fingerprint`` line, which names the input instance;
+* ``records``: sha256 over the per-operation sha256 hex digests of the
+  records, one ``repr`` of ``(tag, witness, k_delta, added)`` a line, with
+  ``added`` the id of the red an R4 case 2 added or None, followed by the
+  kernel text or ``NO <reason>``.  It does not depend on the trace's text
+  format: records of the older format, whose ``added`` was
+  ``((id, neighbors),)`` or ``()``, give the same lines;
 * ``trace``: sha256 over the per-operation sha256 hex digests of the rest of
   ``format_trace`` followed by the kernel text, or by ``NO <reason>`` for a
   no-instance;
@@ -19,9 +25,10 @@ operation and prints
 Each hash is cut to 16 hex digits.  Two trees that print the same hashes
 produce the same traces, kernels, verdicts and kernel solutions; two trees
 that differ only in how ``fingerprint_instance`` digests an instance print
-the same ``trace`` and ``solve`` lines.  Before it hashes, the script checks
-that ``parse_trace`` reads every written trace back to the same records and
-fingerprint, and exits with an error if not.
+the same ``records``, ``trace`` and ``solve`` lines; two trees that differ
+only in how a trace is written print the same ``records`` line.  Before it
+hashes, the script checks that ``parse_trace`` reads every written trace
+back to the same records and fingerprint, and exits with an error if not.
 """
 
 from __future__ import annotations
@@ -55,6 +62,19 @@ def _hash(parts) -> str:
     return hashlib.sha256(inner.encode()).hexdigest()[:16]
 
 
+def _added(rec):
+    """The id of the red a record added, or None."""
+    added = rec.added
+    if isinstance(added, tuple):  # ((id, neighbors),) or ()
+        return added[0][0] if added else None
+    return added
+
+
+def _records(records) -> str:
+    return "".join("%r\n" % ((rec.tag, rec.witness, rec.delta_k, _added(rec)),)
+                   for rec in records)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
@@ -66,7 +86,7 @@ def main(argv=None) -> int:
     spec = specs[args.workload]
     items, _, _ = corpus.build(spec["classes"], args.seed, speed.SpeedClock())
     ops, _ = reference.prepare(items, args.seed)
-    fingerprints, traces, kernels = [], [], []
+    fingerprints, records, traces, kernels = [], [], [], []
     for i, op in enumerate(ops):
         res = kernelizer.kernelize(_instance(op))
         text = formats.format_trace(res.trace)
@@ -78,10 +98,12 @@ def main(argv=None) -> int:
             sys.exit("operation %d: the trace does not start with its fingerprint" % i)
         tail = "NO %s" % res.reason if res.is_no else formats.format_instance(res.instance)
         fingerprints.append(head)
+        records.append(_records(res.trace.records) + tail)
         traces.append(body + tail)
         if not res.is_no:
             kernels.append(tail)
     print("fingerprint %s" % _hash(fingerprints))
+    print("records %s" % _hash(records))
     print("trace %s" % _hash(traces))
     if spec["solve"]:
         solved = []

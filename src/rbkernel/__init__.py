@@ -16,6 +16,7 @@ from .kernelizer import (
     KernelResult,
     KernelTrace,
     RuleApplication,
+    TraceMismatchError,
     apply_rule,
     find_rule1,
     find_rule2,
@@ -43,7 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BLUE", "RED", "RBGraph", "Instance", "SanitizeReport", "sanitize",
     "GraphError", "UnknownVertexError", "ColorError", "SameVertexError",
-    "KernelResult", "KernelTrace", "RuleApplication",
+    "KernelResult", "KernelTrace", "RuleApplication", "TraceMismatchError",
     "find_rule1", "find_rule2", "find_rule3", "find_rule4",
     "apply_rule", "kernelize", "lift_solution", "replay_trace",
     "SolveOutcome", "verify_solution", "min_rbds", "InstanceTooLargeError",

@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 parse error, 3 bad input for the requested
 operation, 20 kernelize answered NO, 21 solve found the instance
 infeasible, 22 verify found the solution invalid, 23 instance too large
 for exact search, 24 graph not planar.
+
+``solve --lift`` prints a lifted solution only after four checks, in this
+order: the trace's fingerprint is that of ``--original`` (else exit 3), the
+trace replays on it, rule by rule, to the kernel (else exit 3), the kernel
+is solved and lifted, and the lift dominates ``--original`` (else exit 22).
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import formats, generators, transforms
-from .graph import Instance, RBGraph
-from .kernelizer import kernelize, lift_solution
+from .graph import GraphError, Instance, RBGraph
+from .kernelizer import fingerprint_instance, kernelize, lift_solution, replay_trace
 from .planar import DisconnectedError, is_planar, rbgraph_planarity
 from .solver import InstanceTooLargeError, min_rbds, verify_solution
 
@@ -66,18 +71,50 @@ def cmd_kernelize(args) -> int:
     return EXIT_OK
 
 
+def _fingerprint_text(fp) -> str:
+    return "missing" if fp is None else "v=%d e=%d sha=%s" % (fp.n_vertices, fp.n_edges, fp.digest)
+
+
+def _in_original_ids(kernel: Instance) -> RBGraph:
+    """The kernel's graph under the ids its ``c origid`` comments give back."""
+    origid = kernel.meta.get("origid", {})
+    g = kernel.graph
+    return RBGraph.from_parts([origid.get(v, v) for v in g.blue],
+                              [origid.get(v, v) for v in g.red],
+                              [(origid.get(u, u), origid.get(v, v)) for u, v in g.edges()])
+
+
 def cmd_solve(args) -> int:
     inst = _load_instance(args.input)
+    if args.lift:
+        if args.original is None:
+            print("solve --lift needs --original, the instance the trace was written for",
+                  file=sys.stderr)
+            return EXIT_BAD_INPUT
+        original = _load_instance(args.original)
+        trace = formats.parse_trace(_read(args.lift))
+        fp = fingerprint_instance(original)
+        if trace.fingerprint != fp:
+            print("the trace is not of %s: its fingerprint is %s, the instance's %s"
+                  % (args.original, _fingerprint_text(trace.fingerprint), _fingerprint_text(fp)),
+                  file=sys.stderr)
+            return EXIT_BAD_INPUT
+        try:
+            replay_trace(original.graph, trace, _in_original_ids(inst))
+        except GraphError as exc:  # TraceMismatchError, or origid comments naming an id twice
+            print("the trace does not replay to %s: %s" % (args.input, exc), file=sys.stderr)
+            return EXIT_BAD_INPUT
     outcome = min_rbds(inst.graph)
     if not outcome.feasible:
         print("INFEASIBLE")
         return EXIT_INFEASIBLE
     witness = set(outcome.witness)
     if args.lift:
-        trace = formats.parse_trace(_read(args.lift))
         origid = inst.meta.get("origid", {})
-        witness = {origid.get(v, v) for v in witness}
-        witness = lift_solution(trace, witness)
+        witness = lift_solution(trace, {origid.get(v, v) for v in witness})
+        if not verify_solution(original.graph, witness):
+            print("the lifted solution does not dominate %s" % args.original, file=sys.stderr)
+            return EXIT_INVALID
     print("OPT %d" % len(witness))
     sys.stdout.write(formats.format_solution(witness))
     return EXIT_OK
@@ -178,8 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbkernel",
         description="Kernelization toolkit for red/blue domination on planar graphs.",
-        epilog="Exit codes: 0 ok, 2 parse error, 3 bad input, 20 NO-instance, "
-               "21 infeasible, 22 invalid solution, 23 too large, 24 non-planar.")
+        epilog="Exit codes: 0 ok, 2 parse error, 3 bad input (solve --lift: no --original, "
+               "a trace of another instance or one that does not replay to the kernel), "
+               "20 NO-instance, 21 infeasible, 22 invalid solution (solve --lift: the lift "
+               "does not dominate the original), 23 too large, 24 non-planar.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernelize", help="reduce an instance, log the rule trace")
@@ -192,7 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact optimum, optionally lifted through a trace")
     p.add_argument("input")
-    p.add_argument("--lift", help="trace file; lift the witness to the original instance")
+    p.add_argument("--lift", help="trace file; lift the witness to the original instance "
+                                  "(needs --original)")
+    p.add_argument("--original", help="with --lift: the instance the trace was written for; "
+                                      "the trace must match its fingerprint and replay to "
+                                      "the input, and the lift must dominate it")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a solution file against an instance")

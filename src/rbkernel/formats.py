@@ -13,6 +13,19 @@ relabeled on output; the original ids are kept in ``c origid`` comments so
 solutions on the written file can be mapped back (the kernelize/solve/lift
 pipeline relies on this).
 
+Trace files hold a fingerprint of the instance they were cut from and
+one record per rule application, in order::
+
+    c fingerprint v=<n> e=<m> sha=<16 hex digits>
+    r <tag> k_delta=<d> witness=(<id>,...)
+    r R4-case2 k_delta=0 witness=(<v>,<w>) added=<id>
+
+A record carries what a checking replay needs to re-derive the step from
+the graph it reaches, and no removed vertex: the replay takes those from
+the graph.  Only R4 case 2 adds a vertex, so only its record names one.  A
+line of the older format, which listed ``removed=[..]`` and ``added=[..]``,
+is a parse error that says so.
+
 Every id, count and budget in the four formats (instance, plane, solution
 and trace files) is one to 18 ASCII digits: ``int`` alone would also take a
 sign, ``_`` and other scripts' digits, and the cap keeps it below its digit
@@ -24,8 +37,8 @@ from __future__ import annotations
 
 import re
 
-from .graph import BLUE, RED, GraphError, Instance, RBGraph
-from .kernelizer import WITNESS_LEN, Fingerprint, KernelTrace, RuleApplication
+from .graph import GraphError, Instance, RBGraph
+from .kernelizer import R4_CASE, WITNESS_LEN, Fingerprint, KernelTrace, RuleApplication
 from .planar import PlaneGraph
 
 
@@ -196,14 +209,6 @@ def format_solution(chosen) -> str:
 # -- traces ---------------------------------------------------------------------
 
 
-def _fmt_removed(removed) -> str:
-    return ";".join("%d:%s:(%s)" % (v, c, ",".join(map(str, ns))) for v, c, ns in removed)
-
-
-def _fmt_added(added) -> str:
-    return ";".join("%d:(%s)" % (v, ",".join(map(str, ns))) for v, ns in added)
-
-
 def format_trace(trace: KernelTrace) -> str:
     """One application per line, fields tab-separated in this order; the
     parser takes any whitespace between fields, but no other order."""
@@ -211,31 +216,18 @@ def format_trace(trace: KernelTrace) -> str:
     if trace.fingerprint is not None:
         fp = trace.fingerprint
         lines.append("c fingerprint v=%d e=%d sha=%s" % (fp.n_vertices, fp.n_edges, fp.digest))
-    for rec in trace.records:
-        lines.append("\t".join(
-            ("r", rec.tag, "k_delta=%d" % rec.delta_k,
-             "removed=[%s]" % _fmt_removed(rec.removed),
-             "added=[%s]" % _fmt_added(rec.added),
-             "witness=(%s)" % ",".join(map(str, rec.witness)))))
+    for tag, witness, delta, added in trace.records:
+        line = "r\t%s\tk_delta=%d\twitness=(%s)" % (tag, delta, ",".join(map(str, witness)))
+        lines.append(line if added is None else "%s\tadded=%d" % (line, added))
     return "\n".join(lines) + "\n"
-
-
-def _list(item: str) -> str:
-    """The pattern of a ``[item;item;...]`` list, possibly empty."""
-    return r"\[(?:%s(?:;%s)*)?\]" % (item, item)
 
 
 # The record line of format_trace, field by field.  A match leaves only
 # conversions that cannot fail.
 _IDS = r"\((?:%s(?:,%s)*)?\)" % (_ID, _ID)
-_RECORD = re.compile(r"r\s+(\S+)\s+k_delta=(-?%s)\s+removed=(%s)\s+added=(%s)\s+witness=(%s)" % (
-    _ID, _list("%s:[%s%s]:%s" % (_ID, BLUE, RED, _IDS)), _list("%s:%s" % (_ID, _IDS)), _IDS))
+_RECORD = re.compile(r"r\s+(\S+)\s+k_delta=(-?%s)\s+witness=(%s)(?:\s+added=(%s))?"
+                     % (_ID, _IDS, _ID))
 _FINGERPRINT = re.compile(r"c\s+fingerprint\s+v=(%s)\s+e=(%s)\s+sha=([0-9a-f]{16})" % (_ID, _ID))
-
-
-def _id_tuple(ids: str) -> tuple:
-    """The ids of a matched ``(a,b,...)``."""
-    return tuple(map(int, ids[1:-1].split(","))) if len(ids) > 2 else ()
 
 
 def parse_trace(text: str) -> KernelTrace:
@@ -245,26 +237,30 @@ def parse_trace(text: str) -> KernelTrace:
         if m is None:
             parts = line.split(None, 2)
             if parts[0] != "c":
-                raise ParseError(i, "expected 'r <tag> k_delta=.. removed=[..] added=[..] "
-                                    "witness=(..)'")
+                if "removed=" in line or "added=[" in line:
+                    raise ParseError(i, "a record of the old trace format: records no longer "
+                                        "list removed=[..] and added=[..]; kernelize the "
+                                        "instance again to write this format")
+                raise ParseError(i, "expected 'r <tag> k_delta=.. witness=(..)', "
+                                    "then 'added=<id>' for %s" % R4_CASE[2])
             if len(parts) > 1 and parts[1] == "fingerprint":
                 fp = _FINGERPRINT.fullmatch(line)
                 if fp is None:
                     raise ParseError(i, "expected 'c fingerprint v=<n> e=<m> sha=<16 hex digits>'")
                 trace.fingerprint = Fingerprint(int(fp[1]), int(fp[2]), fp[3])
             continue
-        tag, delta, removed, added, witness = m.groups()
-        if tag not in WITNESS_LEN:
+        tag, delta, ids, added = m.groups()
+        size = WITNESS_LEN.get(tag)
+        if size is None:
             raise ParseError(i, "unknown rule tag %r" % tag)
-        witness = _id_tuple(witness)
-        if len(witness) != WITNESS_LEN[tag]:
+        witness = tuple(map(int, ids[1:-1].split(","))) if len(ids) > 2 else ()
+        if len(witness) != size:
             raise ParseError(i, "%s needs a witness of %d vertices, got %d"
-                             % (tag, WITNESS_LEN[tag], len(witness)))
-        removed = [item.split(":") for item in removed[1:-1].split(";") if item]
-        added = [item.split(":") for item in added[1:-1].split(";") if item]
+                             % (tag, size, len(witness)))
+        if (added is None) == (tag == R4_CASE[2]):
+            raise ParseError(i, "%s records and no others end with 'added=<id>'" % R4_CASE[2])
         trace.records.append(RuleApplication(
-            tag, tuple([(int(v), c, _id_tuple(ns)) for v, c, ns in removed]),
-            tuple([(int(v), _id_tuple(ns)) for v, ns in added]), witness, int(delta)))
+            tag, witness, int(delta), None if added is None else int(added)))
     return trace
 
 

@@ -98,14 +98,15 @@ class RBGraph:
             self.adj[new].add(u)
         return new
 
-    def remove_vertex(self, v: int) -> tuple[int, ...]:
-        """Delete ``v`` and its incident edges; returns its former neighbors."""
-        if v not in self.adj:
+    def remove_vertex(self, v: int) -> set[int]:
+        """Delete ``v`` and its incident edges; returns the set of its former
+        neighbors, which the graph no longer holds."""
+        adj = self.adj
+        if v not in adj:
             raise UnknownVertexError("unknown vertex %d" % v)
-        nbrs = tuple(sorted(self.adj[v]))
+        nbrs = adj.pop(v)
         for u in nbrs:
-            self.adj[u].discard(v)
-        del self.adj[v]
+            adj[u].discard(v)
         self.blue.discard(v)
         self.red.discard(v)
         return nbrs

@@ -21,9 +21,13 @@ tuple.  The table ``_FORCED`` names the witness positions of the blues a
 match forces into every solution (R3 and R4 cases 1, 3 and 4); it alone
 decides what :func:`apply_rule` removes for such a match, the budget drop
 (one unit per forced blue) and what :func:`lift_solution` adds back.
-Every application is logged as a :class:`RuleApplication`; the ordered log
-replays forward to the kernel graph and backward to lift kernel solutions
-to the original instance.
+Every application is logged as a :class:`RuleApplication`: its tag,
+witness, budget drop and, for R4 case 2, the id of the red it added.  A
+record names no removed vertex; :func:`replay_trace` re-derives each step
+from the graph it reaches, checks that the rule applies at the witness and
+that :func:`apply_rule` gives the same record back, and so replays the log
+forward to the kernel graph.  Walked backward, the log lifts kernel
+solutions to the original instance.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ RULE_TAGS = tuple(WITNESS_LEN)
 
 # Witness positions of the blues a rule forces into every solution.
 _FORCED = {R3: (0,), R4_CASE[1]: (0, 1), R4_CASE[3]: (0,), R4_CASE[4]: (1,)}
+_R4_TAGS = frozenset(R4_CASE.values())
 
 NO_ISOLATED_RED = "isolated-red"
 NO_BUDGET = "budget"
@@ -68,6 +73,11 @@ class StaleFindingError(GraphError):
 
 class InvalidKernelSolutionError(GraphError):
     pass
+
+
+class TraceMismatchError(GraphError):
+    """A trace record does not replay on the graph its predecessors left,
+    or the replay does not end at the kernel it should."""
 
 
 # -- findings ----------------------------------------------------------------
@@ -88,15 +98,15 @@ class Match(NamedTuple):
 
 
 class RuleApplication(NamedTuple):
-    """One rule firing: everything removed and added, with enough edge
-    context to replay the mutation and to lift solutions back.  A named
-    tuple, because the driver builds one per firing."""
+    """One rule firing: what a replay needs to re-derive it from the graph
+    it applies to, and a lift to undo it.  ``added`` is the id of the red an
+    R4 case 2 adds, None for every other tag.  A named tuple, because the
+    driver builds one per firing."""
 
     tag: str
-    removed: tuple  # ((vertex, color, neighbors-at-removal), ...)
-    added: tuple  # ((vertex, neighbors), ...)
     witness: tuple
     delta_k: int
+    added: int | None
 
 
 @dataclass(frozen=True)
@@ -357,13 +367,15 @@ def find_rule4(g: RBGraph) -> Match | None:
 # -- applying rules --------------------------------------------------------------
 
 
-def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication]:
-    """Mutate ``g`` according to a finding; returns the new budget and the
-    trace record.  R1, R2 and Sanitize-isolated-blue remove the first
-    witness; R4 case 2 swaps the private reds for one red on the pair; a rule
-    that forces blues removes them with their neighborhoods and pays one unit
-    of budget for each.  Vertices are removed in recorded order so forward
-    replay reproduces the graph exactly."""
+def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, list]:
+    """Mutate ``g`` according to a finding; returns the new budget, the
+    trace record and the removed vertices as ``(vertex, color, former
+    neighbors)`` triples.  Sanitize-edge removes the witness edge and
+    Sanitize-NO changes nothing; R1, R2 and Sanitize-isolated-blue remove the
+    first witness; R4 case 2 swaps the private reds for one red on the pair;
+    a rule that forces blues removes them, then their neighborhoods, and pays
+    one unit of budget for each.  Only R4 case 2's added red has an id that
+    the graph alone does not give back, so only it is in the record."""
     tag, witness, private = match
     adj = g.adj
     for named in witness, private:
@@ -373,24 +385,27 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication]:
                                         % sorted({*witness, *private} - adj.keys()))
     if tag == R1 or tag == R2 or tag == SAN_BLUE:
         x = witness[0]
-        return k, RuleApplication(tag, ((x, g.color_of(x), g.remove_vertex(x)),), (), witness, 0)
-    forced = ()
+        return k, RuleApplication(tag, witness, 0, None), [
+            (x, RED if tag == R2 else BLUE, g.remove_vertex(x))]
     if tag == R4_CASE[2]:
-        targets = sorted(private)
-    elif tag in _FORCED:
+        removed = [(x, RED, g.remove_vertex(x)) for x in private]
+        return k, RuleApplication(tag, witness, 0, g.add_red_vertex(witness)), removed
+    if tag in _FORCED:
         forced = [witness[i] for i in _FORCED[tag]]
-        targets = forced + sorted(_nbrs(adj, forced))
-    else:
+        nbrs = _nbrs(adj, forced)
+        removed = [(x, BLUE, g.remove_vertex(x)) for x in forced]
+        removed += [(x, g.color_of(x), g.remove_vertex(x)) for x in nbrs]
+        return k - len(forced), RuleApplication(tag, witness, -len(forced), None), removed
+    if tag == SAN_EDGE:
+        g.remove_edge(*witness)
+    elif tag != SAN_NO:
         raise GraphError("unknown finding %r" % (match,))
-    removed = tuple([(x, g.color_of(x), g.remove_vertex(x)) for x in targets])
-    added = ((g.add_red_vertex(witness), witness),) if tag == R4_CASE[2] else ()
-    return k - len(forced), RuleApplication(tag, removed, added, witness, -len(forced))
+    return k, RuleApplication(tag, witness, 0, None), []
 
 
 def _sanitize_records(rep) -> list[RuleApplication]:
-    recs = [RuleApplication(SAN_EDGE, (), (), (u, v), 0) for u, v in rep.removed_edges]
-    recs += [RuleApplication(SAN_BLUE, ((b, BLUE, ()),), (), (b,), 0)
-             for b in rep.removed_blues]
+    recs = [RuleApplication(SAN_EDGE, edge, 0, None) for edge in rep.removed_edges]
+    recs += [RuleApplication(SAN_BLUE, (b,), 0, None) for b in rep.removed_blues]
     return recs
 
 
@@ -405,24 +420,24 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 # sweeps R3 over the degree-one blues of the current graph, the only blues
 # where R3 applies, and tries R4 once on every pair, as find_rule4 does.  A
 # round ends at R4, so a run has one round more than it has R4 firings, and
-# R3 and R4 keep nothing between rounds.  What a record changed decides what
-# becomes pending, by the color of each removed vertex x alone: a red's
-# neighbors join R1's set, and a blue's neighbors, like an added red, are
-# noted in ``shrunk`` for R2.  C(r) is the set of reds whose neighborhood
-# contains N(r), for which r may now witness R2.  The isolated-blue sweep
-# probes a snapshot of the live degree-0 blues of R1's set.  A blue loses
-# its last red only when that red is removed, which puts the blue in R1's
-# set, no record gives a degree-0 blue a red, and only the R1 sweep, which
-# follows the isolated-blue one, empties the set; so the snapshot holds
-# every isolated blue of the graph.
+# R3 and R4 keep nothing between rounds.  What a firing removed and added
+# decides what becomes pending, by the color of each removed vertex alone:
+# a red's neighbors join R1's set, and a blue's neighbors, like an added
+# red, are noted in ``shrunk`` for R2.  C(r) is the set of reds whose
+# neighborhood contains N(r), for which r may now witness R2.  The
+# isolated-blue sweep probes a snapshot of the live degree-0 blues of R1's
+# set.  A blue loses its last red only when that red is removed, which puts
+# the blue in R1's set, no record gives a degree-0 blue a red, and only the
+# R1 sweep, which follows the isolated-blue one, empties the set; so the
+# snapshot holds every isolated blue of the graph.
 #
 # No firing makes a vertex pending for the rule being swept, so the snapshot
 # visits what a min-heap popped to empty would, in the same order, and
 # _sweep asserts that its set is still empty afterwards: removing an
 # isolated blue touches nothing else, R1 removes only blues and R2 only
 # reds.  R3, with R1 and R2 exhausted, removes a whole component {v, r}, v
-# first, so r's record lists no neighbors and makes nothing pending.  So R3
-# fires every component in one sweep; the naive driver would find nothing
+# first, so r has no neighbors left when it goes and makes nothing pending.
+# So R3 fires every component in one sweep; the naive driver would find nothing
 # in R1 and R2 between two firings.  Only R3 and R4 spend budget, and k < 0
 # is checked after every firing, so a run stops at the record that drove k
 # below zero.  Sweeping in ascending id order thus makes the run identical
@@ -508,8 +523,7 @@ class _Driver:
         rep = sanitize(g)
         self.records.extend(_sanitize_records(rep))
         if rep.infeasible:
-            bad = rep.infeasible_reds[0]
-            self.records.append(RuleApplication(SAN_NO, (), (), (bad,), 0))
+            self._apply(Match(SAN_NO, (rep.infeasible_reds[0],)))
             return self._no(NO_ISOLATED_RED)
 
         adj = g.adj
@@ -579,14 +593,14 @@ class _Driver:
     # -- bookkeeping --
 
     def _apply(self, match) -> None:
-        """Fire ``match``; make pending what its record changed (see the
+        """Fire ``match``; make pending what it removed and added (see the
         driver notes)."""
-        self.k, rec = apply_rule(self.g, self.k, match)
+        self.k, rec, removed = apply_rule(self.g, self.k, match)
         self.records.append(rec)
-        for _, color, nbrs in rec.removed:
+        for _, color, nbrs in removed:
             (self.wl1 if color == RED else self.shrunk).update(nbrs)
-        for n, _ in rec.added:
-            self.shrunk.add(n)
+        if rec.added is not None:
+            self.shrunk.add(rec.added)
 
     # -- verdicts --
 
@@ -620,19 +634,63 @@ def kernelize(inst: Instance) -> KernelResult:
 # -- replay and lifting -----------------------------------------------------------
 
 
-def replay_trace(original: RBGraph, trace: KernelTrace) -> RBGraph:
-    """Re-run a trace forward on a copy of the original graph."""
+def _replay_match(g: RBGraph, tag: str, witness: tuple) -> Match | None:
+    """The match of rule ``tag`` at ``witness`` if the rule applies there in
+    ``g``, else None: R1 and R2 need two distinct live vertices of their
+    color with the containment, R3 and R4 what their probes find at live
+    blues, and the Sanitize tags a same-color edge, an isolated blue or an
+    isolated red."""
+    adj, blue, red = g.adj, g.blue, g.red
+    if tag == R1:
+        b, b2 = witness
+        ok = b in blue and b2 in blue and b != b2 and adj[b] <= adj[b2]
+    elif tag == R2:
+        r, r2 = witness
+        ok = r in red and r2 in red and r != r2 and adj[r2] <= adj[r]
+    elif tag == R3:
+        return _r3_at(g, witness[0]) if witness[0] in blue else None
+    elif tag in _R4_TAGS:  # the case _r4_at finds must be the record's tag, as replay checks
+        v, w = witness
+        return _r4_at(g, witness) if v < w and v in blue and w in blue else None
+    elif tag == SAN_EDGE:
+        u, v = witness
+        ok = u in adj and v in adj[u] and (u in blue) == (v in blue)
+    elif tag == SAN_BLUE:
+        ok = witness[0] in blue and not adj[witness[0]]
+    elif tag == SAN_NO:
+        ok = witness[0] in red and not adj[witness[0]]
+    else:
+        ok = False
+    return Match(tag, witness) if ok else None
+
+
+def replay_trace(original: RBGraph, trace: KernelTrace, kernel: RBGraph | None = None) -> RBGraph:
+    """Re-run a trace forward on a copy of the original graph, checking it.
+
+    Each record is re-derived from the graph its predecessors left: the rule
+    must apply at the record's witness, and :func:`apply_rule` must give
+    back the same record, budget drop and case-2 red id included.  Given
+    ``kernel``, the replay must also end at that graph.  Any mismatch raises
+    :class:`TraceMismatchError` naming the first bad record.
+    """
     g = original.copy()
-    for rec in trace.records:
-        if rec.tag == SAN_EDGE:
-            g.remove_edge(*rec.witness)
-            continue
-        if rec.tag == SAN_NO:
-            continue
-        for v, _color, _nbrs in rec.removed:
-            g.remove_vertex(v)
-        for v, nbrs in rec.added:
-            g.add_red_vertex(set(nbrs), vid=v)
+    for i, rec in enumerate(trace.records, start=1):
+        match = _replay_match(g, rec.tag, rec.witness)
+        if match is None:
+            raise TraceMismatchError("record %d, %s at %s: the rule does not apply there"
+                                     % (i, rec.tag, rec.witness))
+        try:
+            _, again, _ = apply_rule(g, 0, match)
+        except GraphError as exc:
+            raise TraceMismatchError("record %d, %s at %s: %s"
+                                     % (i, rec.tag, rec.witness, exc)) from None
+        if again != rec:
+            raise TraceMismatchError("record %d, %s at %s k_delta=%d added=%s: replays as %s "
+                                     "k_delta=%d added=%s"
+                                     % (i, rec.tag, rec.witness, rec.delta_k, rec.added,
+                                        again.tag, again.delta_k, again.added))
+    if kernel is not None and g != kernel:
+        raise TraceMismatchError("the trace ends at %r, not at the kernel %r" % (g, kernel))
     return g
 
 

@@ -22,6 +22,7 @@ from rbkernel.kernelizer import (
     find_rule2,
     find_rule3,
     find_rule4,
+    _replay_match,
     _sanitize_records,
 )
 
@@ -188,11 +189,11 @@ def reference_kernelize(inst: Instance):
             return "no", NO_ISOLATED_RED, g, k, records
         changed = bool(rep.removed_edges or rep.removed_blues)
         while (m := find_rule1(g)) is not None:
-            k, rec = apply_rule(g, k, m)
+            k, rec, _ = apply_rule(g, k, m)
             records.append(rec)
             changed = True
         while (m := find_rule2(g)) is not None:
-            k, rec = apply_rule(g, k, m)
+            k, rec, _ = apply_rule(g, k, m)
             records.append(rec)
             changed = True
         if changed:
@@ -201,7 +202,7 @@ def reference_kernelize(inst: Instance):
         if m is None:
             m = find_rule4(g)
         if m is not None:
-            k, rec = apply_rule(g, k, m)
+            k, rec, _ = apply_rule(g, k, m)
             records.append(rec)
             if k < 0:
                 return "no", NO_BUDGET, g, k, records
@@ -214,9 +215,19 @@ def reference_kernelize(inst: Instance):
     return "reduced", None, g, k, records
 
 
-def net_vertex_delta(rec) -> int:
-    """Vertices a trace record added minus those it removed."""
-    return len(rec.added) - len(rec.removed)
+def net_vertex_deltas(original: RBGraph, records) -> list[int]:
+    """Per record, the vertices of the graph after it minus those before it,
+    stepping one copy of ``original`` through the records as the checking
+    replay does: the rule must apply at each witness and give the record
+    back."""
+    g = original.copy()
+    deltas = []
+    for rec in records:
+        n = g.n_vertices
+        match = _replay_match(g, rec.tag, rec.witness)
+        assert match is not None and apply_rule(g, 0, match)[1] == rec, rec
+        deltas.append(g.n_vertices - n)
+    return deltas
 
 
 # -- corpus builders ----------------------------------------------------------------

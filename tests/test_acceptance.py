@@ -27,7 +27,7 @@ from helpers import (
     enumerate_r12_reduced,
     enumerate_sanitized_classes,
     min_ds,
-    net_vertex_delta,
+    net_vertex_deltas,
     oracle_rule3_set,
     random_sanitized_instance,
 )
@@ -60,8 +60,9 @@ def sweep_one(g, k, stats: SweepStats) -> None:
     # vertex out, and there are at most |V| of them.
     rule_recs = [r for r in res.trace.records if r.tag in VERTEX_RULES]
     assert len(rule_recs) <= g.n_vertices
-    for rec in rule_recs:
-        assert net_vertex_delta(rec) <= -1
+    for rec, delta in zip(res.trace.records, net_vertex_deltas(g, res.trace.records)):
+        if rec.tag in VERTEX_RULES:
+            assert delta <= -1
     for rec in res.trace.records:
         stats.rule_fires[rec.tag] = stats.rule_fires.get(rec.tag, 0) + 1
 
@@ -295,7 +296,8 @@ def test_criterion_8_performance():
     assert res.instance.graph.n_vertices <= 46 * res.instance.k
     rule_recs = [r for r in res.trace.records if r.tag in VERTEX_RULES]
     assert len(rule_recs) <= inst.graph.n_vertices
-    assert all(net_vertex_delta(r) <= -1 for r in rule_recs)
+    deltas = net_vertex_deltas(inst.graph, res.trace.records)
+    assert all(d <= -1 for r, d in zip(res.trace.records, deltas) if r.tag in VERTEX_RULES)
     fired = {}
     for rec in res.trace.records:
         fired[rec.tag] = fired.get(rec.tag, 0) + 1

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbkernel import formats
+from rbkernel import cli, formats
 from rbkernel.cli import (
     EXIT_BAD_INPUT,
     EXIT_INFEASIBLE,
@@ -95,7 +95,7 @@ class TestPipeline:
                      "--trace", str(trace)]) == EXIT_OK
         capsys.readouterr()
 
-        assert main(["solve", str(kernel), "--lift", str(trace)]) == EXIT_OK
+        assert main(["solve", str(kernel), "--lift", str(trace), "--original", str(src)]) == EXIT_OK
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("OPT ")
         sol = tmp_path / "sol.txt"
@@ -116,7 +116,8 @@ class TestPipeline:
             assert main(["kernelize", str(src), "--out", str(kernel),
                          "--trace", str(trace)]) == EXIT_OK
             capsys.readouterr()
-            assert main(["solve", str(kernel), "--lift", str(trace)]) == EXIT_OK
+            assert main(["solve", str(kernel), "--lift", str(trace),
+                         "--original", str(src)]) == EXIT_OK
             witness_line = capsys.readouterr().out.splitlines()[1]
             sol = tmp_path / ("c%d.sol" % i)
             sol.write_text(witness_line + "\n")
@@ -127,14 +128,77 @@ class TestPipeline:
         "r\tR9\tk_delta=0\tremoved=[]\tadded=[]\twitness=(1)",
         "c fingerprint v=x e=0 sha=0123456789abcdef",
         "r\tR3\tk_delta=-1\tremoved=[]\tadded=[]\twitness=()",
+        "r\tR9\tk_delta=0\twitness=(1)",
+        "r\tR4-case2\tk_delta=0\twitness=(1,2)",
     ])
     def test_lift_malformed_trace_exits_parse(self, tmp_path, capsys, bad_line):
         src = tmp_path / "in.rbds"
         src.write_text(formats.format_instance(gen_grid(3, 3)))
         trace = tmp_path / "bad.trace"
         trace.write_text(bad_line + "\n")
-        assert main(["solve", str(src), "--lift", str(trace)]) == EXIT_PARSE
+        assert main(["solve", str(src), "--lift", str(trace), "--original", str(src)]) == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.fixture
+    def lift_files(self, tmp_path, capsys):
+        """A 4 x 5 grid instance, its kernel and its trace, as files."""
+        src = tmp_path / "in.rbds"
+        src.write_text(formats.format_instance(gen_grid(4, 5)))
+        kernel, trace = tmp_path / "kernel.rbds", tmp_path / "run.trace"
+        assert main(["kernelize", str(src), "--out", str(kernel),
+                     "--trace", str(trace)]) == EXIT_OK
+        capsys.readouterr()
+        return src, kernel, trace
+
+    def test_lift_without_original_exits_bad_input(self, lift_files, capsys):
+        src, kernel, trace = lift_files
+        assert main(["solve", str(kernel), "--lift", str(trace)]) == EXIT_BAD_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "--original" in err
+
+    def test_foreign_trace_exits_bad_input(self, lift_files, tmp_path, capsys):
+        src, kernel, trace = lift_files
+        other = tmp_path / "other.rbds"
+        other.write_text(formats.format_instance(gen_grid(5, 4)))
+        assert main(["solve", str(kernel), "--lift", str(trace),
+                     "--original", str(other)]) == EXIT_BAD_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "fingerprint" in err
+
+    def test_trace_that_does_not_replay_exits_bad_input(self, lift_files, capsys):
+        # The first R1 record names a witness blue whose neighborhood does
+        # not contain the removed blue's: the replay refuses that record.
+        src, kernel, trace = lift_files
+        lines = trace.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("r\tR1\t"))
+        b = int(lines[i].split("(")[1].split(",")[0])
+        lines[i] = "r\tR1\tk_delta=0\twitness=(%d,%d)" % (b, b)
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["solve", str(kernel), "--lift", str(trace),
+                     "--original", str(src)]) == EXIT_BAD_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "record %d, R1" % i in err
+
+    def test_trace_of_another_kernel_exits_bad_input(self, lift_files, capsys):
+        # Dropping the last record leaves a trace that replays, but not to
+        # the kernel it is given with.
+        src, kernel, trace = lift_files
+        lines = trace.read_text().splitlines()
+        trace.write_text("\n".join(lines[:-1]) + "\n")
+        assert main(["solve", str(kernel), "--lift", str(trace),
+                     "--original", str(src)]) == EXIT_BAD_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "not at the kernel" in err
+
+    def test_lift_that_does_not_dominate_exits_invalid(self, lift_files, capsys, monkeypatch):
+        # The checks before the lift leave no way to a bad lift but a fault
+        # in lifting itself, so one is put in: a lift that loses every blue.
+        src, kernel, trace = lift_files
+        monkeypatch.setattr(cli, "lift_solution", lambda trace, solution: set())
+        assert main(["solve", str(kernel), "--lift", str(trace),
+                     "--original", str(src)]) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "does not dominate" in err
 
     def test_solve_too_deep_exits_too_large(self, tmp_path, capsys):
         # The exact search recurses twice per chosen blue; an alternating
@@ -311,8 +375,9 @@ class TestTransformCommand:
 # Each run names its files by role; the fuzz test edits the target's bytes.
 _FUZZ_RUNS = [
     (["kernelize", "in.rbds"], "in.rbds"),
-    (["solve", "kernel.rbds", "--lift", "run.trace"], "kernel.rbds"),
-    (["solve", "kernel.rbds", "--lift", "run.trace"], "run.trace"),
+    (["solve", "kernel.rbds", "--lift", "run.trace", "--original", "in.rbds"], "kernel.rbds"),
+    (["solve", "kernel.rbds", "--lift", "run.trace", "--original", "in.rbds"], "run.trace"),
+    (["solve", "kernel.rbds", "--lift", "run.trace", "--original", "in.rbds"], "in.rbds"),
     (["verify", "in.rbds", "sol.txt"], "in.rbds"),
     (["verify", "in.rbds", "sol.txt"], "sol.txt"),
     (["transform", "face-cover", "g.plane"], "g.plane"),

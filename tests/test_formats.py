@@ -130,6 +130,9 @@ class TestParseErrors:
         (formats.parse_trace,
          "r R3 k_delta=0 removed=[1:b:(%s)] added=[] witness=(1)\n" % LONG_ID, 1),
         (formats.parse_trace, "c fingerprint v=%s e=0 sha=0123456789abcdef\n" % LONG_ID, 1),
+        (formats.parse_trace, "r R3 k_delta=-%s witness=(1)\n" % LONG_ID, 1),
+        (formats.parse_trace, "r R3 k_delta=0 witness=(%s)\n" % LONG_ID, 1),
+        (formats.parse_trace, "r R4-case2 k_delta=0 witness=(1,2) added=%s\n" % LONG_ID, 1),
     ])
     def test_long_id_is_parse_error(self, parse, text, line_no):
         # int() refuses more than 4,300 digits with a ValueError of its own.
@@ -169,10 +172,55 @@ class TestParseErrors:
         "removed=[]\tadded=[]\twitness=(1,2)\tnote=x",
     ])
     def test_malformed_trace_record(self, fields):
+        # Records of the older format, which listed removed=[..] and
+        # added=[..], are refused, malformed or not, by a message that names
+        # the format change.
         if not fields.startswith("k_delta="):
             fields = "k_delta=0\t" + fields
         with pytest.raises(formats.ParseError) as err:
             formats.parse_trace("c\nr\tR1\t%s\n" % fields)
+        assert err.value.line_no == 2
+        assert "old trace format" in str(err.value)
+
+    @pytest.mark.parametrize("record", [
+        "R1\tk_delta=0\twitness=(1,,2)",
+        "R1\tk_delta=0\twitness=(1,2,)",
+        "R1\tk_delta=0\twitness=(,1,2)",
+        "R1\tk_delta=0\twitness=((1,2))",
+        "R1\tk_delta=0\twitness=1,2",
+        "R1\tk_delta=0\twitness=[1,2]",
+        "R1\tk_delta=0\twitness=(1 2)",
+        "R1\tk_delta=0\twitness=(1;2)",
+        "R1\tk_delta=0\twitness=(+1,2)",
+        "R1\tk_delta=0\twitness=(1_0,2)",
+        "R1\tk_delta=0\twitness=(-1,2)",
+        "R1\tk_delta=0\twitness=(\u0661,2)",
+        "R1\tk_delta=0\twitness=(1)",
+        "R3\tk_delta=-1\twitness=(1,2)",
+        "R9\tk_delta=0\twitness=(1)",
+        "R1\tk_delta=+0\twitness=(1,2)",
+        "R1\tk_delta=1_0\twitness=(1,2)",
+        "R1\tk_delta=--1\twitness=(1,2)",
+        "R1\tk_delta=-\twitness=(1,2)",
+        "R1\tk_delta=\twitness=(1,2)",
+        "R1\twitness=(1,2)\tk_delta=0",
+        "R1\tk_delta=0",
+        "R1\twitness=(1,2)",
+        "R1\tk_delta=0witness=(1,2)",
+        "R1\tk_delta=0\twitness=(1,2)\tnote=x",
+        "R1\tk_delta=0\twitness=(1,2)\tadded=5",
+        "R4-case2\tk_delta=0\twitness=(1,2)",
+        "R4-case2\tk_delta=0\twitness=(1,2)\tadded=",
+        "R4-case2\tk_delta=0\twitness=(1,2)\tadded=+5",
+        "R4-case2\tk_delta=0\twitness=(1,2)\tadded=-5",
+        "R4-case2\tk_delta=0\twitness=(1,2)\tadded=(5)",
+        "R4-case2\tk_delta=0\twitness=(1,2)\tadded=5,6",
+        "R4-case2\tk_delta=0\twitness=(1,2)\tadded=5\tadded=6",
+        "R4-case2\tk_delta=0\tadded=5\twitness=(1,2)",
+    ])
+    def test_malformed_compact_record(self, record):
+        with pytest.raises(formats.ParseError) as err:
+            formats.parse_trace("c\nr\t%s\n" % record)
         assert err.value.line_no == 2
 
 
@@ -228,15 +276,25 @@ class TestTraceFormat:
     def test_case2_record_round_trips(self):
         from rbkernel.kernelizer import Match, apply_rule, KernelTrace
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
-        _, rec = apply_rule(g, 1, Match("R4-case2", (1, 2), frozenset({3, 4})))
+        _, rec, _ = apply_rule(g, 1, Match("R4-case2", (1, 2), frozenset({3, 4})))
         trace = KernelTrace([rec])
-        again = formats.parse_trace(formats.format_trace(trace))
+        text = formats.format_trace(trace)
+        assert text == "r\tR4-case2\tk_delta=0\twitness=(1,2)\tadded=5\n"
+        again = formats.parse_trace(text)
         assert again.records == [rec]
-        assert again.records[0].added == ((5, (1, 2)),)
+        assert again.records[0].added == 5
+
+    def test_old_format_names_the_change(self):
+        old = ("c fingerprint v=4 e=4 sha=0123456789abcdef\n"
+               "r\tR4-case2\tk_delta=0\tremoved=[3:r:(1,2);4:r:(1,2)]\tadded=[5:(1,2)]"
+               "\twitness=(1,2)\n")
+        with pytest.raises(formats.ParseError) as err:
+            formats.parse_trace(old)
+        assert err.value.line_no == 2 and "old trace format" in str(err.value)
 
     def test_every_tag_round_trips(self):
         # Pair-rule witnesses, a grid, and a graph with same-color edges and
-        # an isolated red fire every tag between them, R4-case2 added lists
+        # an isolated red fire every tag between them, R4-case2 added ids
         # and Sanitize-edge among them.
         from helpers import alternating_cycle
         from test_rules import rule4_case2_witness, rule4_case3_witness
@@ -257,7 +315,7 @@ class TestTraceFormat:
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(formats.ParseError) as err:
-            formats.parse_trace("r\tR9\tk_delta=0\tremoved=[]\tadded=[]\twitness=(1)\n")
+            formats.parse_trace("r\tR9\tk_delta=0\twitness=(1)\n")
         assert err.value.line_no == 1
 
     @pytest.mark.parametrize("line", [
@@ -269,8 +327,7 @@ class TestTraceFormat:
     ])
     def test_malformed_fingerprint_rejected(self, line):
         with pytest.raises(formats.ParseError) as err:
-            formats.parse_trace("r\tR1\tk_delta=0\tremoved=[1:b:(3)]\tadded=[]\twitness=(1,2)\n"
-                                + line + "\n")
+            formats.parse_trace("r\tR1\tk_delta=0\twitness=(1,2)\n" + line + "\n")
         assert err.value.line_no == 2
 
 
@@ -283,6 +340,7 @@ class TestParserHygiene:
         tokens = ["p", "rbds", "plane", "e", "c", "g", "seed", "v", "r", "s",
                   "1", "2", "-3", "0", "x", ":", "(", ")", "[]", "k_delta=",
                   "1:b:(2)", "nan", "v 1:", "removed=[", "witness=(a)", "k_delta=z",
+                  "witness=(1,2)", "added=5", "added=x", "R4-case2",
                   "+1", "1_0", "\u0661", LONG_ID]
         for _ in range(3000):
             text = "\n".join(
@@ -299,7 +357,7 @@ class TestParserHygiene:
 _TRACE_HEADS = ["c fingerprint", "c", "r R1", "r R4-case2", "r R9", "r", "x"]
 _TRACE_TOKENS = ["fingerprint", "v=1", "e=x", "sha=0123456789abcdef", "R1", "k_delta=-1",
                  "k_delta=z", "removed=[1:b:(2,3)]", "removed=[1:b]", "added=[5:(1,2)]",
-                 "added=[:(", "witness=(1,2)", "witness=(a)", "=", "[]"]
+                 "added=[:(", "added=5", "added=", "witness=(1,2)", "witness=(a)", "=", "[]"]
 
 
 @st.composite
@@ -311,9 +369,10 @@ def trace_like_texts(draw):
                      st.sampled_from(_TRACE_HEADS),
                      st.lists(st.sampled_from(_TRACE_TOKENS), max_size=5))
     record = st.builds(
-        lambda tag, ids: "r\t%s\tk_delta=0\tremoved=[]\tadded=[]\twitness=(%s)"
-        % (tag, ",".join(map(str, ids))),
-        st.sampled_from(RULE_TAGS), st.lists(st.integers(0, 9), max_size=3))
+        lambda tag, ids, added: "r\t%s\tk_delta=0\twitness=(%s)%s"
+        % (tag, ",".join(map(str, ids)), "" if added is None else "\tadded=%d" % added),
+        st.sampled_from(RULE_TAGS), st.lists(st.integers(0, 9), max_size=3),
+        st.none() | st.integers(0, 9))
     return "\n".join(draw(st.lists(st.one_of(line, record, st.text(max_size=40)),
                                    max_size=6)))
 

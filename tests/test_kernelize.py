@@ -14,11 +14,16 @@ from rbkernel.kernelizer import (
     R1,
     R2,
     R3,
+    R4_CASE,
+    RULE_TAGS,
     SAN_NO,
+    WITNESS_LEN,
     Fingerprint,
     InvalidKernelSolutionError,
     KernelTrace,
     Match,
+    RuleApplication,
+    TraceMismatchError,
     _r1_at,
     _r1_seed,
     _r2_at,
@@ -41,7 +46,7 @@ from helpers import (
     alternating_cycle,
     decide,
     is_reduced,
-    net_vertex_delta,
+    net_vertex_deltas,
     oracle_pair_private,
     oracle_private,
     reference_kernelize,
@@ -171,8 +176,9 @@ class TestTrace:
             res = kernelize(Instance(g.copy(), len(g.blue)))
             rule_recs = [r for r in res.trace.records if r.tag in VERTEX_RULES]
             assert len(rule_recs) <= g.n_vertices
-            for rec in rule_recs:
-                assert net_vertex_delta(rec) <= -1
+            for rec, delta in zip(res.trace.records, net_vertex_deltas(g, res.trace.records)):
+                if rec.tag in VERTEX_RULES:
+                    assert delta <= -1
 
     def test_order_contract(self, random_graphs_300):
         # Before every R3/R4 record, R1 and R2 are exhausted on the graph
@@ -195,6 +201,122 @@ class TestTrace:
             res = kernelize(Instance(g.copy(), len(g.blue)))
             if not res.is_no:
                 assert is_reduced(res.instance.graph)
+
+
+def _corruption_sources():
+    """(graph, budget) pairs whose traces fire every tag between them:
+    random planar graphs at two budgets, the R4 witness graphs (cases 1 to
+    4) and a graph with same-color edges, an isolated blue and, in one
+    copy, an isolated red (the Sanitize tags)."""
+    from test_rules import rule4_case2_witness, rule4_case3_witness, tight_cap_witness
+    unsanitized = RBGraph.from_parts([1, 2, 6], [3, 4, 5], [(1, 3), (2, 3), (2, 4), (1, 2), (3, 4)])
+    graphs = [gen_random_planar(n, 0.8, seed).graph for n, seed in ((40, 1), (60, 2), (80, 3))]
+    graphs += [alternating_cycle(4), tight_cap_witness(), rule4_case2_witness(),
+               rule4_case3_witness(), rule4_case3_witness(swap_vw=True), unsanitized]
+    sources = [(g, k) for g in graphs for k in (len(g.blue), len(g.blue) // 2)]
+    no_red = unsanitized.copy()
+    no_red.remove_vertex(5)
+    return sources + [(no_red, 3)]
+
+
+_SOURCES = _corruption_sources()
+
+
+@st.composite
+def corrupted_traces(draw):
+    """A source's valid trace, the graph it replays to, and the trace with
+    one thing corrupted; returns (graph, target, kind, corrupted records)."""
+    g, k = draw(st.sampled_from(_SOURCES))
+    records = kernelize(Instance(g.copy(), k)).trace.records
+    target = replay_trace(g, KernelTrace(records))
+    n = len(records)
+    kinds = ["tag", "witness", "k_delta", "drop"]
+    if any(rec.added is not None for rec in records):
+        kinds.append("added")
+    if n > 1:
+        kinds += ["duplicate", "swap"]
+    kind = draw(st.sampled_from(kinds))
+    bad = list(records)
+    i = draw(st.integers(0, n - 1))
+    tag, witness, delta, added = bad[i]
+    if kind == "tag":
+        tags = [t for t in RULE_TAGS if WITNESS_LEN[t] == len(witness) and t != tag]
+        tag = draw(st.sampled_from(tags))
+        added = draw(st.integers(1, 200)) if tag == R4_CASE[2] else None
+        bad[i] = RuleApplication(tag, witness, delta, added)
+    elif kind == "witness":
+        j = draw(st.integers(0, len(witness) - 1))
+        new = draw(st.integers(0, max(g.adj, default=0) + 2).filter(lambda x: x != witness[j]))
+        bad[i] = RuleApplication(tag, witness[:j] + (new,) + witness[j + 1:], delta, added)
+    elif kind == "k_delta":
+        bad[i] = RuleApplication(tag, witness, delta + draw(st.sampled_from([-2, -1, 1, 2])), added)
+    elif kind == "added":
+        i = draw(st.sampled_from([i for i, rec in enumerate(records) if rec.added is not None]))
+        tag, witness, delta, added = bad[i]
+        new = draw(st.integers(1, added + 3).filter(lambda x: x != added))
+        bad[i] = RuleApplication(tag, witness, delta, new)
+    elif kind == "drop":
+        del bad[i]
+    elif kind == "duplicate":
+        bad.insert(draw(st.integers(0, n)), bad[i])
+    else:
+        j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        bad[i], bad[j] = bad[j], bad[i]
+    return g, target, kind, bad
+
+
+class TestCheckedReplay:
+    def test_sources_replay_to_their_kernels(self):
+        tags = set()
+        for g, k in _SOURCES:
+            res = kernelize(Instance(g.copy(), k))
+            tags.update(rec.tag for rec in res.trace.records)
+            if not res.is_no:
+                assert replay_trace(g, res.trace, res.instance.graph) == res.instance.graph
+        assert tags == set(RULE_TAGS)
+
+    @given(corrupted_traces())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_one_corruption_is_refused_or_harmless(self, case):
+        # A corrupted record is refused, or the corrupted trace replays to
+        # the same graph (say, a swap of two independent records).  A
+        # changed tag, budget drop or case-2 red id is always refused, since
+        # the replayed record must equal the one in the trace.
+        g, target, kind, bad = case
+        try:
+            out = replay_trace(g, KernelTrace(bad), target)
+        except TraceMismatchError:
+            return
+        assert out == target
+        assert kind not in ("tag", "k_delta", "added"), bad
+
+    @pytest.mark.parametrize("tag, witness, delta", [
+        (R1, (1, 1), 0), (R1, (2, 1), 0), (R1, (1, 3), 0), (R1, (1, 9), 0), (R1, (1, 2), -1),
+        (R2, (3, 3), 0), (R2, (4, 3), 0), (R2, (3, 1), 0),
+        (R3, (1,), -1), (R3, (3,), -1),
+        ("R4-case1", (1, 2), -2), ("R4-case4", (2, 1), -1), ("R4-case4", (1, 3), -1),
+        ("R4-case2", (2, 2), 0),
+        ("Sanitize-edge", (1, 3), 0), ("Sanitize-edge", (1, 2), 0),
+        ("Sanitize-isolated-blue", (1,), 0), ("Sanitize-NO", (3,), 0),
+    ])
+    def test_record_where_the_rule_does_not_apply_is_refused(self, tag, witness, delta):
+        # N(1) = {3} lies in N(2) = {3, 4} and N(4) = {2} in N(3) = {1, 2}, so
+        # R1 applies at (1, 2), R2 at (3, 4) and R4 case 4 at the pair (1, 2);
+        # each record here is one of those turned wrong, or names another rule.
+        g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 3), (2, 4)])
+        for good in ((R1, (1, 2), 0), (R2, (3, 4), 0), ("R4-case4", (1, 2), -1)):
+            replay_trace(g, KernelTrace([RuleApplication(*good, None)]))
+        added = 5 if tag == "R4-case2" else None  # the id the graph would give it
+        with pytest.raises(TraceMismatchError, match="record 1, "):
+            replay_trace(g, KernelTrace([RuleApplication(tag, witness, delta, added)]))
+
+    def test_mismatch_names_the_first_bad_record(self):
+        g = alternating_cycle(4)
+        res = kernelize(Instance(g.copy(), 4))
+        tag, witness, delta, added = res.trace.records[-1]
+        bad = res.trace.records[:-1] + [RuleApplication(tag, witness, delta + 1, added)]
+        with pytest.raises(TraceMismatchError, match="record %d, %s" % (len(bad), tag)):
+            replay_trace(g, KernelTrace(bad))
 
 
 @st.composite
@@ -425,24 +547,24 @@ class TestReferenceEquivalence:
 
 def check_forced_blues(g, k):
     """Kernelize (g, k) and check each record against the blues it forced,
-    read off the record alone: the removed blues whose recorded neighbors
-    are nonempty and all removed by the same record.  Lifting the record
-    alone adds exactly those blues, the budget drops by their number, and
-    they dominate the private reds of the record's witness in the graph the
-    record was applied to.  Returns the tags that fired."""
+    read off the graph before and after the record: the removed blues whose
+    neighbors are nonempty and all removed by the same record.  Lifting the
+    record alone adds exactly those blues, the budget drops by their number,
+    and they dominate the private reds of the record's witness in the graph
+    the record was applied to.  Returns the tags that fired."""
     res = kernelize(Instance(g.copy(), k))
     cur = g.copy()
     for rec in res.trace.records:
-        gone = {v for v, _, _ in rec.removed}
-        forced = {v for v, color, nbrs in rec.removed
-                  if color == BLUE and nbrs and set(nbrs) <= gone}
+        after = replay_trace(cur, KernelTrace([rec]))
+        gone = cur.adj.keys() - after.adj.keys()
+        forced = {v for v in gone & cur.blue if cur.adj[v] and cur.adj[v] <= gone}
         assert lift_solution(KernelTrace([rec]), set()) == forced, rec
         assert rec.delta_k == -len(forced), rec
         if forced:
             w = rec.witness
             private = oracle_private(cur, *w) if len(w) == 1 else oracle_pair_private(cur, *w)
             assert private and private <= set().union(*(cur.adj[f] for f in forced)), rec
-        cur = replay_trace(cur, KernelTrace([rec]))
+        cur = after
     return [rec.tag for rec in res.trace.records]
 
 
@@ -487,7 +609,7 @@ class TestLift:
         # the lift is the identity and {w} still covers the restored set.
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
         original = g.copy()
-        k, rec = apply_rule(g, 2, Match("R4-case2", (1, 2), frozenset({3, 4})))
+        k, rec, _ = apply_rule(g, 2, Match("R4-case2", (1, 2), frozenset({3, 4})))
         trace = KernelTrace([rec])
         lifted = lift_solution(trace, {2}, g)
         assert lifted == {2}

@@ -15,22 +15,25 @@ def _hashes(workload: str) -> list[str]:
 
 def test_solve_small_hashes_match_recorded():
     # The recorded byte-identity hashes of the solve-small workload (seed 7):
-    # every input's fingerprint, every trace without it and every kernel, and
-    # every kernel's min_rbds size and witness.  A change to what the
-    # kernelizer emits or the solver answers shows here.
-    assert _hashes("solve-small") == ["fingerprint 3e396dedd725efcc", "trace 2cd359d6639fc6a9",
-                                      "solve bf813472d1aca701", ""]
+    # every input's fingerprint, every record sequence and every trace
+    # without its fingerprint, each with its kernel, and every kernel's
+    # min_rbds size and witness.  A change to what the kernelizer emits or the
+    # solver answers shows here; a change to how traces are written moves the
+    # trace line alone.
+    assert _hashes("solve-small") == ["fingerprint 3e396dedd725efcc", "records cf11a7be122a7927",
+                                      "trace 68fffa8a9acb7ace", "solve bf813472d1aca701", ""]
 
 
 def test_size_verdict_hashes_match_recorded():
-    # The recorded fingerprint and trace hashes of the size-verdict workload
+    # The recorded fingerprint, records and trace hashes of the size-verdict workload
     # (seed 7), whose time goes to the R4 pair search.
-    assert _hashes("size-verdict") == ["fingerprint 93eea83ab6b6c0f5", "trace a0822b998be1176c", ""]
+    assert _hashes("size-verdict") == ["fingerprint 93eea83ab6b6c0f5", "records f8b1d6fcce789a7b",
+                                       "trace 536dbdd8d1a0a620", ""]
 
 
 def test_tight_planar_hashes_match_recorded():
     # The recorded hashes of the tight-planar workload (seed 7).  It is the only
     # workload with stacked-triangulation face covers, whose blue ids follow
     # from the rotation system the planarity test returns.
-    assert _hashes("tight-planar") == ["fingerprint b6df4a3fd6d4b572", "trace 096babe680f06d72",
-                                       "solve 88b628af30d945ed", ""]
+    assert _hashes("tight-planar") == ["fingerprint b6df4a3fd6d4b572", "records 9a2425c1c392cdaf",
+                                       "trace e93475e3089e437a", "solve 88b628af30d945ed", ""]

@@ -298,36 +298,48 @@ class TestRule4:
 class TestApplyRule:
     def test_r1_removes_single_blue(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 3), (2, 4)])
-        k, rec = apply_rule(g, 5, Match(R1, (1, 2)))
-        assert k == 5 and rec.delta_k == 0
+        before = g.copy()
+        k, rec, removed = apply_rule(g, 5, Match(R1, (1, 2)))
+        assert k == 5 and rec == RuleApplication(R1, (1, 2), 0, None)
         assert 1 not in g.adj and 2 in g.adj
-        assert rec.removed == ((1, "b", (3,)),)
+        # The step took exactly blue 1, whose only neighbor was 3.
+        assert before.adj.keys() - g.adj.keys() == {1} and g.adj.keys() <= before.adj.keys()
+        assert 1 in before.blue and before.adj[1] == {3}
+        assert removed == [(1, "b", {3})]
 
     def test_r3_removes_component_and_pays(self):
         g = RBGraph.from_parts([1], [2], [(1, 2)])
-        k, rec = apply_rule(g, 1, Match(R3, (1,)))
+        k, rec, _ = apply_rule(g, 1, Match(R3, (1,)))
         assert k == 0 and rec.delta_k == -1
         assert g.n_vertices == 0
         assert rec.witness == (1,)
 
     def test_r4_case2_swaps_private_set_for_gadget(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
-        k, rec = apply_rule(g, 3, Match(R4_CASE[2], (1, 2), frozenset({3, 4})))
+        before = g.copy()
+        k, rec, _ = apply_rule(g, 3, Match(R4_CASE[2], (1, 2), frozenset({3, 4})))
         assert k == 3 and rec.delta_k == 0
         assert g.red == {5}
         assert g.adj[5] == {1, 2}
-        assert rec.added == ((5, (1, 2)),)
+        # The step added exactly red 5, on the pair, and the record names it.
+        assert g.adj.keys() - before.adj.keys() == {5}
+        assert rec.added == 5
 
     def test_r4_case1_removes_pair_and_neighborhood(self):
         g = alternating_cycle(4)
-        k, rec = apply_rule(g, 4, find_rule4(g))
+        k, rec, _ = apply_rule(g, 4, find_rule4(g))
         assert k == 2 and rec.delta_k == -2
         assert g.blue == {2, 4} and g.red == set()
 
     def test_isolated_blue_removed_with_its_record(self):
         g = RBGraph.from_parts([1, 2], [3], [(1, 3)])
-        k, rec = apply_rule(g, 4, Match(SAN_BLUE, (2,)))
-        assert (k, rec) == (4, RuleApplication(SAN_BLUE, ((2, "b", ()),), (), (2,), 0))
+        before = g.copy()
+        k, rec, removed = apply_rule(g, 4, Match(SAN_BLUE, (2,)))
+        assert (k, rec) == (4, RuleApplication(SAN_BLUE, (2,), 0, None))
+        assert removed == [(2, "b", set())]
+        # The step took exactly blue 2, which had no neighbors.
+        assert before.adj.keys() - g.adj.keys() == {2}
+        assert 2 in before.blue and before.adj[2] == set()
         assert g.adj == {1: {3}, 3: {1}}
         with pytest.raises(StaleFindingError):
             apply_rule(g, 4, Match(SAN_BLUE, (2,)))
@@ -341,13 +353,13 @@ class TestApplyRule:
     def test_delta_k_table(self):
         # -1 exactly for R3/case3/case4, -2 for case1, 0 otherwise.
         g = alternating_cycle(4)
-        _, rec = apply_rule(g, 9, find_rule4(g))
+        _, rec, _ = apply_rule(g, 9, find_rule4(g))
         assert rec.delta_k == -2
         g3 = rule4_case3_witness()
-        _, rec3 = apply_rule(g3, 9, find_rule4(g3))
+        _, rec3, _ = apply_rule(g3, 9, find_rule4(g3))
         assert rec3.delta_k == -1
         g2 = rule4_case2_witness()
-        _, rec2 = apply_rule(g2, 9, find_rule4(g2))
+        _, rec2, _ = apply_rule(g2, 9, find_rule4(g2))
         assert rec2.delta_k == 0
 
 
