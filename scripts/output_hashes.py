@@ -12,8 +12,7 @@ operation and prints
   records, one ``repr`` of ``(tag, witness, k_delta, added)`` a line, with
   ``added`` the id of the red an R4 case 2 added or None, followed by the
   kernel text or ``NO <reason>``.  It does not depend on the trace's text
-  format: records of the older format, whose ``added`` was
-  ``((id, neighbors),)`` or ``()``, give the same lines;
+  format;
 * ``trace``: sha256 over the per-operation sha256 hex digests of the rest of
   ``format_trace`` followed by the kernel text, or by ``NO <reason>`` for a
   no-instance;
@@ -62,16 +61,8 @@ def _hash(parts) -> str:
     return hashlib.sha256(inner.encode()).hexdigest()[:16]
 
 
-def _added(rec):
-    """The id of the red a record added, or None."""
-    added = rec.added
-    if isinstance(added, tuple):  # ((id, neighbors),) or ()
-        return added[0][0] if added else None
-    return added
-
-
 def _records(records) -> str:
-    return "".join("%r\n" % ((rec.tag, rec.witness, rec.delta_k, _added(rec)),)
+    return "".join("%r\n" % ((rec.tag, rec.witness, rec.delta_k, rec.added),)
                    for rec in records)
 
 

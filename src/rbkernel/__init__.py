@@ -8,9 +8,7 @@ from .graph import (
     Instance,
     RBGraph,
     SameVertexError,
-    SanitizeReport,
     UnknownVertexError,
-    sanitize,
 )
 from .kernelizer import (
     KernelResult,
@@ -25,6 +23,7 @@ from .kernelizer import (
     kernelize,
     lift_solution,
     replay_trace,
+    sanitize,
 )
 from .planar import (
     Face,
@@ -42,11 +41,11 @@ from .generators import gen_grid, gen_matching, gen_random_planar
 __version__ = "0.1.0"
 
 __all__ = [
-    "BLUE", "RED", "RBGraph", "Instance", "SanitizeReport", "sanitize",
+    "BLUE", "RED", "RBGraph", "Instance",
     "GraphError", "UnknownVertexError", "ColorError", "SameVertexError",
     "KernelResult", "KernelTrace", "RuleApplication", "TraceMismatchError",
     "find_rule1", "find_rule2", "find_rule3", "find_rule4",
-    "apply_rule", "kernelize", "lift_solution", "replay_trace",
+    "sanitize", "apply_rule", "kernelize", "lift_solution", "replay_trace",
     "SolveOutcome", "verify_solution", "min_rbds", "InstanceTooLargeError",
     "PlaneGraph", "Face", "PlanarityResult", "KuratowskiWitness",
     "is_planar", "rbgraph_planarity", "bipartite_euler_bound",

@@ -7,8 +7,9 @@ for exact search, 24 graph not planar.
 
 ``solve --lift`` prints a lifted solution only after four checks, in this
 order: the trace's fingerprint is that of ``--original`` (else exit 3), the
-trace replays on it, rule by rule, to the kernel (else exit 3), the kernel
-is solved and lifted, and the lift dominates ``--original`` (else exit 22).
+trace replays on it, rule by rule, to the kernel under its original ids
+(else exit 3), that graph is solved and the solution lifted, and the lift
+dominates ``--original`` (else exit 22).
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ def _in_original_ids(kernel: Instance) -> RBGraph:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.input)
+    g = inst.graph
     if args.lift:
         if args.original is None:
             print("solve --lift needs --original, the instance the trace was written for",
@@ -100,18 +102,18 @@ def cmd_solve(args) -> int:
                   file=sys.stderr)
             return EXIT_BAD_INPUT
         try:
-            replay_trace(original.graph, trace, _in_original_ids(inst))
+            g = _in_original_ids(inst)
+            replay_trace(original.graph, trace, g)
         except GraphError as exc:  # TraceMismatchError, or origid comments naming an id twice
             print("the trace does not replay to %s: %s" % (args.input, exc), file=sys.stderr)
             return EXIT_BAD_INPUT
-    outcome = min_rbds(inst.graph)
+    outcome = min_rbds(g)
     if not outcome.feasible:
         print("INFEASIBLE")
         return EXIT_INFEASIBLE
     witness = set(outcome.witness)
     if args.lift:
-        origid = inst.meta.get("origid", {})
-        witness = lift_solution(trace, {origid.get(v, v) for v in witness})
+        witness = lift_solution(trace, witness)
         if not verify_solution(original.graph, witness):
             print("the lifted solution does not dominate %s" % args.original, file=sys.stderr)
             return EXIT_INVALID
@@ -134,7 +136,7 @@ _GEN_PARAMS = {"grid": "<rows> <cols>", "matching": "<m>", "planar": "<n> <densi
 
 
 def cmd_gen(args) -> int:
-    usage = _GEN_PARAMS.get(args.kind, "")
+    usage = _GEN_PARAMS[args.kind]
     if len(args.params) < len(usage.split()):
         print("gen %s: needs %s" % (args.kind, usage), file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -143,14 +145,11 @@ def cmd_gen(args) -> int:
             inst = generators.gen_grid(args.params[0], args.params[1])
         elif args.kind == "matching":
             inst = generators.gen_matching(args.params[0])
-        elif args.kind == "planar":
+        else:  # planar
             if not -10**18 < args.seed < 10**18:
                 raise ValueError("--seed must have at most 18 digits")
             inst = generators.gen_random_planar(
                 args.params[0], args.params[1] / 100.0, args.seed)
-        else:
-            print("unknown generator %r" % args.kind, file=sys.stderr)
-            return EXIT_BAD_INPUT
     except ValueError as exc:
         print("gen %s: %s" % (args.kind, exc), file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -176,21 +175,18 @@ def cmd_transform(args) -> int:
         _write(args.out, formats.format_instance(
             Instance(g, args.k if args.k is not None else len(fmap)), comments=comments))
         return EXIT_OK
-    if args.kind == "to-ds":
-        inst = _load_instance(args.input)
-        try:
-            adj, k, ids = transforms.rbds_to_ds(inst)
-        except transforms.InfeasibleInputError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_BAD_INPUT
-        lines = ["c dominating set instance, budget %d" % k,
-                 "c hub %d pendant %d" % (ids["hub"], ids["pendant"]),
-                 "p ds %d %d %d" % (len(adj), sum(len(s) for s in adj.values()) // 2, k)]
-        lines += ["e %d %d" % (u, v) for u in sorted(adj) for v in sorted(adj[u]) if u < v]
-        _write(args.out, "\n".join(lines) + "\n")
-        return EXIT_OK
-    print("unknown transform %r" % args.kind, file=sys.stderr)
-    return EXIT_BAD_INPUT
+    inst = _load_instance(args.input)  # to-ds
+    try:
+        adj, k, ids = transforms.rbds_to_ds(inst)
+    except transforms.InfeasibleInputError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_BAD_INPUT
+    lines = ["c dominating set instance, budget %d" % k,
+             "c hub %d pendant %d" % (ids["hub"], ids["pendant"]),
+             "p ds %d %d %d" % (len(adj), sum(len(s) for s in adj.values()) // 2, k)]
+    lines += ["e %d %d" % (u, v) for u in sorted(adj) for v in sorted(adj[u]) if u < v]
+    _write(args.out, "\n".join(lines) + "\n")
+    return EXIT_OK
 
 
 def cmd_check_planar(args) -> int:

@@ -92,7 +92,7 @@ def gen_random_planar(n: int, density: float, seed: int) -> Instance:
     A stacked triangulation is subsampled edge by edge at the given
     density, vertices are colored by fair coin, and any red left without a
     blue neighbor is recolored blue so the instance stays feasible.  The
-    output passes sanitize unchanged and k is the blue count.
+    output gives sanitize nothing to find and k is the blue count.
     """
     if n < 3:
         raise ValueError("random planar generation needs n >= 3")

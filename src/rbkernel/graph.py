@@ -1,4 +1,4 @@
-"""Red/blue two-colored graphs, the instance type and ``sanitize``.
+"""Red/blue two-colored graphs and the instance type.
 
 Vertices are plain integers with stable ids: once a vertex is deleted its id
 is never handed out again, so replay logs can name dead vertices without
@@ -84,7 +84,7 @@ class RBGraph:
         self.adj[u].add(v)
         self.adj[v].add(u)
 
-    def add_red_vertex(self, neighbors, vid: int | None = None) -> int:
+    def add_red_vertex(self, neighbors) -> int:
         """Create a fresh red vertex adjacent to exactly the given blues."""
         nbrs = set(neighbors)
         for u in nbrs:
@@ -92,7 +92,7 @@ class RBGraph:
                 raise UnknownVertexError("unknown vertex %d" % u)
             if u not in self.blue:
                 raise ColorError("neighbor %d of a new red vertex must be blue" % u)
-        new = self._add_with_id(self._next_id if vid is None else vid, RED)
+        new = self._add_with_id(self._next_id, RED)
         for u in nbrs:
             self.adj[u].add(new)
             self.adj[new].add(u)
@@ -157,45 +157,6 @@ class RBGraph:
 
     def __repr__(self) -> str:
         return "RBGraph(nB=%d, nR=%d, m=%d)" % (len(self.blue), len(self.red), self.n_edges)
-
-
-@dataclass
-class SanitizeReport:
-    """What sanitize changed: same-color edges and isolated blues removed,
-    plus the set of red vertices left with no possible dominator."""
-
-    removed_edges: list[tuple[int, int]] = field(default_factory=list)
-    removed_blues: list[int] = field(default_factory=list)
-    infeasible_reds: list[int] = field(default_factory=list)
-
-    @property
-    def infeasible(self) -> bool:
-        return bool(self.infeasible_reds)
-
-
-def sanitize(g: RBGraph) -> SanitizeReport:
-    """Normalize ``g`` in place.
-
-    Removes every edge joining two vertices of the same color, in ascending
-    ``(u, v)`` order with ``u < v``, then deletes isolated blue vertices
-    (they can never dominate anything), in ascending order.  Red vertices
-    whose neighborhood ends up empty are reported as infeasible but kept:
-    deciding what to do with an undominatable red is the driver's call.
-    """
-    rep = SanitizeReport()
-    adj = g.adj
-    for side in (g.blue, g.red):
-        for u in side:
-            if not adj[u].isdisjoint(side):
-                rep.removed_edges += [(u, v) for v in adj[u] & side if v > u]
-    rep.removed_edges.sort()
-    for u, v in rep.removed_edges:
-        g.remove_edge(u, v)
-    rep.removed_blues = sorted(b for b in g.blue if not adj[b])
-    for b in rep.removed_blues:
-        g.remove_vertex(b)
-    rep.infeasible_reds = sorted(r for r in g.red if not adj[r])
-    return rep
 
 
 @dataclass

@@ -17,8 +17,9 @@ The rules, in the order the driver exhausts them:
   search starts from each red's own blues.
 
 A finder returns a :class:`Match`: the trace tag and the record's witness
-tuple.  The table ``_FORCED`` names the witness positions of the blues a
-match forces into every solution (R3 and R4 cases 1, 3 and 4); it alone
+tuple; :func:`sanitize` returns every Sanitize match, in firing order.  The
+table ``_FORCED`` names the witness positions of the blues a match forces
+into every solution (R3 and R4 cases 1, 3 and 4); it alone
 decides what :func:`apply_rule` removes for such a match, the budget drop
 (one unit per forced blue) and what :func:`lift_solution` adds back.
 Every application is logged as a :class:`RuleApplication`: its tag,
@@ -37,9 +38,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .graph import BLUE, RED, GraphError, Instance, RBGraph, sanitize
+from .graph import BLUE, RED, GraphError, Instance, RBGraph
 from .planar import bipartite_euler_bound
-from .solver import verify_solution
 
 R1 = "R1"
 R2 = "R2"
@@ -71,10 +71,6 @@ class StaleFindingError(GraphError):
     """A finding refers to vertices that are no longer live."""
 
 
-class InvalidKernelSolutionError(GraphError):
-    pass
-
-
 class TraceMismatchError(GraphError):
     """A trace record does not replay on the graph its predecessors left,
     or the replay does not end at the kernel it should."""
@@ -86,8 +82,9 @@ class TraceMismatchError(GraphError):
 class Match(NamedTuple):
     """A rule that applies: its trace tag and the record's witness tuple,
     ``(remove, witness)`` for R1 and R2, ``(v,)`` for R3 and ``(v, w)`` for
-    R4, with the pair's private reds for R4.  A named tuple, because the
-    driver builds one per firing."""
+    R4, with the pair's private reds for R4; ``(u, v)`` for Sanitize-edge,
+    ``(v,)`` for the other Sanitize tags.  A named tuple, because the driver
+    builds one per firing."""
 
     tag: str
     witness: tuple
@@ -159,9 +156,32 @@ def fingerprint_instance(inst: Instance) -> Fingerprint:
 # -- finders -------------------------------------------------------------------
 #
 # All finders scan in ascending vertex id order and return the first match,
-# so runs are deterministic and traces replayable.  When two neighborhoods
-# are equal the lower id is the one removed, simply because the ascending
-# scan reaches it first.
+# sanitize every match, so runs are deterministic and traces replayable.
+# When two neighborhoods are equal the lower id is the one removed, simply
+# because the ascending scan reaches it first.
+
+
+def sanitize(g: RBGraph) -> list[Match]:
+    """What normalizing ``g`` takes, without changing it: Sanitize-edge for
+    every edge (u, v), u < v, joining two vertices of one color, in
+    ascending order; then Sanitize-isolated-blue for every blue with no red
+    neighbor, which can never dominate anything, in ascending order; then
+    Sanitize-NO for the least red with no blue neighbor, if there is one.
+    Applied in this order, the matches leave a graph with cross-color edges
+    only and no isolated blue."""
+    adj, blue, red = g.adj, g.blue, g.red
+    edges = []
+    for side in (blue, red):
+        for u in side:
+            if not adj[u].isdisjoint(side):
+                edges += [(u, v) for v in adj[u] & side if v > u]
+    edges.sort()
+    found = [Match(SAN_EDGE, e) for e in edges]
+    found += [Match(SAN_BLUE, (b,)) for b in sorted(blue) if adj[b].isdisjoint(red)]
+    r = min((r for r in red if adj[r].isdisjoint(blue)), default=None)
+    if r is not None:
+        found.append(Match(SAN_NO, (r,)))
+    return found
 
 
 def _r1_at(g: RBGraph, b: int) -> Match | None:
@@ -403,33 +423,27 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
     return k, RuleApplication(tag, witness, 0, None), []
 
 
-def _sanitize_records(rep) -> list[RuleApplication]:
-    recs = [RuleApplication(SAN_EDGE, edge, 0, None) for edge in rep.removed_edges]
-    recs += [RuleApplication(SAN_BLUE, (b,), 0, None) for b in rep.removed_blues]
-    return recs
-
-
 # -- the driver --------------------------------------------------------------------
 #
-# The loop keeps a pending set of the vertices where a rule may newly apply
-# for R1 and R2, which it sweeps to a fixpoint many times per round.  One
-# sweep serves them, isolated blues and R3: it empties the set, probes each
-# live vertex of a sorted snapshot of it once and hands each Match to
-# apply_rule, which thus builds every record the loop writes.  A round
-# sweeps isolated blues, R1 and R2 and starts over while any fired; then it
-# sweeps R3 over the degree-one blues of the current graph, the only blues
-# where R3 applies, and tries R4 once on every pair, as find_rule4 does.  A
-# round ends at R4, so a run has one round more than it has R4 firings, and
-# R3 and R4 keep nothing between rounds.  What a firing removed and added
-# decides what becomes pending, by the color of each removed vertex alone:
-# a red's neighbors join R1's set, and a blue's neighbors, like an added
-# red, are noted in ``shrunk`` for R2.  C(r) is the set of reds whose
+# The driver fires sanitize's matches, then the loop's, through _apply, so
+# apply_rule builds every record it writes.  The loop keeps a pending set of
+# the vertices where a rule may newly apply for R1 and R2, which it sweeps to
+# a fixpoint many times per round.  One sweep serves them, isolated blues and
+# R3: it empties the set and probes each live vertex of a sorted snapshot of
+# it once.  A round sweeps isolated blues, R1 and R2 and starts over while any
+# fired; then it sweeps R3 over the degree-one blues of the current graph, the
+# only blues where R3 applies, and tries R4 once on every pair, as find_rule4
+# does.  A round ends at R4, so a run has one round more than it has R4
+# firings, and R3 and R4 keep nothing between rounds.  What a firing removed
+# and added decides what becomes pending, by the color of each removed vertex
+# alone: a red's neighbors join R1's set, and a blue's neighbors, like an
+# added red, are noted in ``shrunk`` for R2.  C(r) is the set of reds whose
 # neighborhood contains N(r), for which r may now witness R2.  The
 # isolated-blue sweep probes a snapshot of the live degree-0 blues of R1's
 # set.  A blue loses its last red only when that red is removed, which puts
-# the blue in R1's set, no record gives a degree-0 blue a red, and only the
-# R1 sweep, which follows the isolated-blue one, empties the set; so the
-# snapshot holds every isolated blue of the graph.
+# the blue in R1's set, no record gives a degree-0 blue a red, and only the R1
+# sweep, which follows the isolated-blue one, empties the set; so the snapshot
+# holds every isolated blue of the graph.
 #
 # No firing makes a vertex pending for the rule being swept, so the snapshot
 # visits what a min-heap popped to empty would, in the same order, and
@@ -445,13 +459,13 @@ def _sanitize_records(rep) -> list[RuleApplication]:
 #
 # The R1 and R2 sets start with a seed, not with every vertex of its color:
 # the blues where R1 applies and the reds where R2 applies (the union over
-# reds r2 of C(r2) - {r2}); sanitize leaves no blue isolated.  Both seeds
-# probe one neighbor's neighbors: a vertex whose neighborhood contains N(x)
-# is next to every vertex of N(x), so the other neighbors of any one vertex
-# of N(x) are the only candidates, and each takes one subset test.  Removing
-# a red changes no red's neighborhood, removing a blue no blue's, and a
-# vertex left out of its seed and not made pending since finds nothing when
-# swept:
+# reds r2 of C(r2) - {r2}), taken once sanitize's matches have fired, which
+# make nothing pending and leave every vertex a neighbor.  Both seeds probe
+# one neighbor's neighbors: a vertex whose neighborhood contains N(x) is next
+# to every vertex of N(x), so the other neighbors of any one vertex of N(x)
+# are the only candidates, and each takes one subset test.  Removing a red
+# changes no red's neighborhood, removing a blue no blue's, and a vertex left
+# out of its seed and not made pending since finds nothing when swept:
 #
 # * R1 at a blue b needs another blue whose neighborhood contains N(b).
 #   N(b) changes only when a red of it is removed, which makes b pending, or
@@ -517,19 +531,20 @@ class _Driver:
         self.k = inst.k
         self.records: list[RuleApplication] = []
         self.fp = fingerprint_instance(inst)
+        self.wl1: set[int] = set()
+        self.shrunk: set[int] = set()
 
     def run(self) -> KernelResult:
         g = self.g
-        rep = sanitize(g)
-        self.records.extend(_sanitize_records(rep))
-        if rep.infeasible:
-            self._apply(Match(SAN_NO, (rep.infeasible_reds[0],)))
+        found = sanitize(g)
+        for match in found:
+            self._apply(match)
+        if found and found[-1].tag == SAN_NO:
             return self._no(NO_ISOLATED_RED)
 
         adj = g.adj
-        self.wl1 = set(_r1_seed(g))
+        self.wl1.update(_r1_seed(g))
         self.wl2 = _r2_seed(g)
-        self.shrunk: set[int] = set()
 
         while self.k >= 0:
             changed = self._sweep([b for b in self.wl1 if b in adj and not adj[b]], _iso_at)
@@ -694,7 +709,7 @@ def replay_trace(original: RBGraph, trace: KernelTrace, kernel: RBGraph | None =
     return g
 
 
-def lift_solution(trace: KernelTrace, kernel_solution, kernel_graph: RBGraph | None = None):
+def lift_solution(trace: KernelTrace, kernel_solution):
     """Turn a solution of the kernel into one of the original instance.
 
     Walks the trace backward adding the blues each record forced (the
@@ -704,9 +719,6 @@ def lift_solution(trace: KernelTrace, kernel_solution, kernel_graph: RBGraph | N
     everything that record removed.
     """
     lifted = set(kernel_solution)
-    if kernel_graph is not None and not verify_solution(kernel_graph, lifted):
-        raise InvalidKernelSolutionError(
-            "the given solution does not dominate the kernel graph")
     for rec in reversed(trace.records):
         for i in _FORCED.get(rec.tag, ()):
             lifted.add(rec.witness[i])

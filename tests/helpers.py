@@ -12,18 +12,19 @@ import random
 
 from rbkernel import solver
 from rbkernel.generators import _layout, _stacked_triangulation
-from rbkernel.graph import BLUE, RED, Instance, RBGraph, sanitize
+from rbkernel.graph import BLUE, RED, Instance, RBGraph
 from rbkernel.kernelizer import (
     NO_BUDGET,
     NO_ISOLATED_RED,
     NO_SIZE,
+    SAN_NO,
     apply_rule,
     find_rule1,
     find_rule2,
     find_rule3,
     find_rule4,
+    sanitize,
     _replay_match,
-    _sanitize_records,
 )
 
 
@@ -161,11 +162,17 @@ def oracle_rule4_all(g: RBGraph):
     return hits
 
 
+def apply_sanitize(g: RBGraph) -> list:
+    """Apply sanitize's findings to ``g`` in place; returns their records.
+    Sanitize-NO changes nothing, so an undominatable red stays."""
+    return [apply_rule(g, 0, m)[1] for m in sanitize(g)]
+
+
 def reduce_rules123(g: RBGraph) -> RBGraph:
     """Apply R1, R2 and R3 to ``g`` in place, sanitizing in between, until
     none applies; the budget is ignored."""
     while True:
-        sanitize(g)
+        apply_sanitize(g)
         m = find_rule1(g) or find_rule2(g) or find_rule3(g)
         if m is None:
             return g
@@ -183,11 +190,11 @@ def reference_kernelize(inst: Instance):
     k = inst.k
     records = []
     while True:
-        rep = sanitize(g)
-        records.extend(_sanitize_records(rep))
-        if rep.infeasible:
+        sanitized = apply_sanitize(g)
+        records += sanitized
+        if sanitized and sanitized[-1].tag == SAN_NO:
             return "no", NO_ISOLATED_RED, g, k, records
-        changed = bool(rep.removed_edges or rep.removed_blues)
+        changed = bool(sanitized)
         while (m := find_rule1(g)) is not None:
             k, rec, _ = apply_rule(g, k, m)
             records.append(rec)
@@ -333,7 +340,7 @@ def random_sanitized_instance(rng: random.Random, max_n: int = 12) -> RBGraph:
         for r in range(nb + 1, n + 1):
             if rng.random() < p:
                 g.add_edge(b, r)
-    sanitize(g)
+    apply_sanitize(g)
     return g
 
 

@@ -11,11 +11,10 @@ from rbkernel.graph import (
     RBGraph,
     SameVertexError,
     UnknownVertexError,
-    sanitize,
 )
-from rbkernel.kernelizer import _pair_private
+from rbkernel.kernelizer import SAN_BLUE, SAN_EDGE, SAN_NO, Match, _pair_private, sanitize
 
-from helpers import oracle_pair_private, oracle_private
+from helpers import apply_sanitize, oracle_pair_private, oracle_private
 
 
 def star(n_reds=3):
@@ -97,54 +96,59 @@ class TestPairPrivateNeighborhood:
                     <= _pair_private(g.adj, v, w)
 
 
+def same_color_edges(g, edges):
+    """``g`` with ``edges`` added, same-color ones included."""
+    for u, v in edges:
+        g.adj[u].add(v)
+        g.adj[v].add(u)
+    return g
+
+
 class TestSanitize:
+    """``kernelizer.sanitize`` lists its findings without changing the graph;
+    ``apply_sanitize`` fires them through ``apply_rule``."""
+
     def test_same_color_edge_removed(self):
-        g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])
-        g.adj[1].add(2)
-        g.adj[2].add(1)
-        rep = sanitize(g)
-        assert rep.removed_edges == [(1, 2)]
+        g = same_color_edges(RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)]), [(1, 2)])
+        assert sanitize(g) == [Match(SAN_EDGE, (1, 2))]
+        apply_sanitize(g)
         assert 2 not in g.adj[1]
-        assert not rep.infeasible
 
     def test_removed_edges_in_ascending_order(self):
-        g = RBGraph.from_parts([1, 2, 3], [4, 5, 6], [(1, 4), (2, 5), (3, 6)])
-        for u, v in [(5, 6), (4, 6), (4, 5), (2, 3), (1, 3), (1, 2)]:
-            g.adj[v].add(u)
-            g.adj[u].add(v)
-        rep = sanitize(g)
-        assert rep.removed_edges == [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
+        g = same_color_edges(RBGraph.from_parts([1, 2, 3], [4, 5, 6], [(1, 4), (2, 5), (3, 6)]),
+                             [(5, 6), (4, 6), (4, 5), (2, 3), (1, 3), (1, 2)])
+        assert [m.witness for m in sanitize(g)] == [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
+        apply_sanitize(g)
         assert g == RBGraph.from_parts([1, 2, 3], [4, 5, 6], [(1, 4), (2, 5), (3, 6)])
 
     def test_red_with_only_red_neighbors_is_infeasible(self):
-        g = RBGraph.from_parts([], [1, 2])
-        g.adj[1].add(2)
-        g.adj[2].add(1)
-        rep = sanitize(g)
-        assert rep.infeasible
-        assert rep.infeasible_reds == [1, 2]
+        g = same_color_edges(RBGraph.from_parts([], [1, 2]), [(1, 2)])
+        assert sanitize(g) == [Match(SAN_EDGE, (1, 2)), Match(SAN_NO, (1,))]
 
     def test_clean_graph_unchanged(self):
-        g = star()
-        before = g.copy()
-        rep = sanitize(g)
-        assert not rep.removed_edges and not rep.removed_blues and not rep.infeasible
-        assert g == before
+        assert sanitize(star()) == []
 
     def test_isolated_blue_removed(self):
-        g = RBGraph.from_parts([1, 2], [3], [(2, 3)])
-        rep = sanitize(g)
-        assert rep.removed_blues == [1]
-        assert 1 not in g.adj
+        # Blue 1 has no neighbor; blue 4's only neighbor is the blue 2.
+        g = same_color_edges(RBGraph.from_parts([1, 2, 4], [3], [(2, 3)]), [(2, 4)])
+        assert sanitize(g) == [Match(SAN_EDGE, (2, 4)), Match(SAN_BLUE, (1,)),
+                               Match(SAN_BLUE, (4,))]
+        apply_sanitize(g)
+        assert g == RBGraph.from_parts([2], [3], [(2, 3)])
+
+    def test_finding_leaves_graph_unchanged(self):
+        g = same_color_edges(RBGraph.from_parts([1, 2, 4], [3, 5], [(2, 3)]), [(2, 4), (3, 5)])
+        before = g.copy()
+        assert [m.tag for m in sanitize(g)] == [SAN_EDGE, SAN_EDGE, SAN_BLUE, SAN_BLUE, SAN_NO]
+        assert g == before
 
     @given(small_graphs())
     @settings(max_examples=60)
     def test_idempotent(self, g):
-        sanitize(g)
-        snapshot = g.copy()
-        rep = sanitize(g)
-        assert not rep.removed_edges and not rep.removed_blues
-        assert g == snapshot
+        # Sanitize-NO changes nothing, so only it is found again.
+        found = sanitize(g)
+        apply_sanitize(g)
+        assert sanitize(g) == [m for m in found if m.tag == SAN_NO]
 
 
 class TestMutation:

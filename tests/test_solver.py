@@ -238,7 +238,7 @@ class TestMinRbds:
         res = kernelize(inst)
         out = min_rbds(res.instance.graph)
         assert out.size == 27
-        lifted = lift_solution(res.trace, out.witness, res.instance.graph)
+        lifted = lift_solution(res.trace, out.witness)
         assert verify_solution(inst.graph, lifted)
         assert len(lifted) == out.size + inst.k - res.instance.k
 
