@@ -177,7 +177,7 @@ def sanitize(g: RBGraph) -> list[Match]:
                 edges += [(u, v) for v in adj[u] & side if v > u]
     edges.sort()
     found = [Match(SAN_EDGE, e) for e in edges]
-    found += [Match(SAN_BLUE, (b,)) for b in sorted(blue) if adj[b].isdisjoint(red)]
+    found += [Match(SAN_BLUE, (b,)) for b in sorted(b for b in blue if adj[b].isdisjoint(red))]
     r = min((r for r in red if adj[r].isdisjoint(blue)), default=None)
     if r is not None:
         found.append(Match(SAN_NO, (r,)))
