@@ -17,18 +17,19 @@ The rules, in the order the driver exhausts them:
   search starts from each red's own blues.
 
 A finder returns a :class:`Match`: the trace tag and the record's witness
-tuple; :func:`sanitize` returns every Sanitize match, in firing order.  The
-table ``_FORCED`` names the witness positions of the blues a match forces
-into every solution (R3 and R4 cases 1, 3 and 4); it alone
+tuple; :func:`sanitize` returns every Sanitize match, in firing order.
+:func:`apply_rule` is the one place where each tag's condition and effect
+are written: it refuses a match whose rule does not apply before it changes
+anything.  The table ``_FORCED`` names the witness positions of the blues
+a match forces into every solution (R3 and R4 cases 1, 3 and 4); it alone
 decides what :func:`apply_rule` removes for such a match, the budget drop
 (one unit per forced blue) and what :func:`lift_solution` adds back.
 Every application is logged as a :class:`RuleApplication`: its tag,
 witness, budget drop and, for R4 case 2, the id of the red it added.  A
-record names no removed vertex; :func:`replay_trace` re-derives each step
-from the graph it reaches, checks that the rule applies at the witness and
-that :func:`apply_rule` gives the same record back, and so replays the log
-forward to the kernel graph.  Walked backward, the log lifts kernel
-solutions to the original instance.
+record names no removed vertex; :func:`replay_trace` applies each record's
+tag and witness to the graph its predecessors left and checks that the
+same record comes back, and so replays the log forward to the kernel graph.
+Walked backward, the log lifts kernel solutions to the original instance.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ RULE_TAGS = tuple(WITNESS_LEN)
 
 # Witness positions of the blues a rule forces into every solution.
 _FORCED = {R3: (0,), R4_CASE[1]: (0, 1), R4_CASE[3]: (0,), R4_CASE[4]: (1,)}
-_R4_TAGS = frozenset(R4_CASE.values())
 
 NO_ISOLATED_RED = "isolated-red"
 NO_BUDGET = "budget"
@@ -67,8 +67,10 @@ class ContractViolation(GraphError):
     """A finder was invoked on a graph that an earlier rule still reduces."""
 
 
-class StaleFindingError(GraphError):
-    """A finding refers to vertices that are no longer live."""
+class RuleNotApplicableError(GraphError):
+    """A match whose rule does not apply at its witness in the graph it is
+    applied to, dead or wrongly colored vertices and a witness of the wrong
+    length for its tag included."""
 
 
 class TraceMismatchError(GraphError):
@@ -82,13 +84,11 @@ class TraceMismatchError(GraphError):
 class Match(NamedTuple):
     """A rule that applies: its trace tag and the record's witness tuple,
     ``(remove, witness)`` for R1 and R2, ``(v,)`` for R3 and ``(v, w)`` for
-    R4, with the pair's private reds for R4; ``(u, v)`` for Sanitize-edge,
-    ``(v,)`` for the other Sanitize tags.  A named tuple, because the driver
-    builds one per firing."""
+    R4; ``(u, v)`` for Sanitize-edge, ``(v,)`` for the other Sanitize tags.
+    A named tuple, because the driver builds one per firing."""
 
     tag: str
     witness: tuple
-    private: frozenset = frozenset()
 
 
 # -- trace records -------------------------------------------------------------
@@ -373,7 +373,7 @@ def _r4_at(g: RBGraph, pair) -> Match | None:
         return None  # a third blue covers the whole private set
     in_v, in_w = private <= g.adj[v], private <= g.adj[w]
     case = 2 if in_v and in_w else 3 if in_v else 4 if in_w else 1
-    return Match(R4_CASE[case], pair, frozenset(private))
+    return Match(R4_CASE[case], pair)
 
 
 def find_rule4(g: RBGraph) -> Match | None:
@@ -388,27 +388,51 @@ def find_rule4(g: RBGraph) -> Match | None:
 
 
 def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, list]:
-    """Mutate ``g`` according to a finding; returns the new budget, the
-    trace record and the removed vertices as ``(vertex, color, former
-    neighbors)`` triples.  Sanitize-edge removes the witness edge and
-    Sanitize-NO changes nothing; R1, R2 and Sanitize-isolated-blue remove the
-    first witness; R4 case 2 swaps the private reds for one red on the pair;
-    a rule that forces blues removes them, then their neighborhoods, and pays
-    one unit of budget for each.  Only R4 case 2's added red has an id that
-    the graph alone does not give back, so only it is in the record."""
-    tag, witness, private = match
-    adj = g.adj
-    for named in witness, private:
-        for x in named:
-            if x not in adj:
-                raise StaleFindingError("finding names dead vertices %s"
-                                        % sorted({*witness, *private} - adj.keys()))
+    """Mutate ``g`` according to a match; returns the new budget, the trace
+    record and the removed vertices as ``(vertex, color, former neighbors)``
+    triples.  A match whose rule does not apply at its witness raises
+    :class:`RuleNotApplicableError` and leaves ``g`` unchanged: the witness
+    must have its tag's length, R1 and R2 two distinct live vertices of
+    their color with the containment, R3 a two-vertex component, an R4 case
+    a blue pair v < w where :func:`_r4_at` finds that case, and the
+    Sanitize tags a same-color edge, an isolated blue or an isolated red.
+    Sanitize-edge removes the witness edge and Sanitize-NO changes nothing;
+    R1, R2 and Sanitize-isolated-blue remove the first witness; R4 case 2
+    swaps the pair's private reds for one red on the pair; a rule that
+    forces blues removes them, then their neighborhoods, and pays one unit
+    of budget for each.  Only R4 case 2's added red has an id that the
+    graph alone does not give back, so only it is in the record."""
+    tag, witness = match
+    adj, blue, red = g.adj, g.blue, g.red
+    if WITNESS_LEN.get(tag) != len(witness):
+        ok = False
+    elif tag == R1:
+        b, b2 = witness
+        ok = b in blue and b2 in blue and b != b2 and adj[b] <= adj[b2]
+    elif tag == R2:
+        r, r2 = witness
+        ok = r in red and r2 in red and r != r2 and adj[r2] <= adj[r]
+    elif tag == R3:
+        ok = witness[0] in blue and _r3_at(g, witness[0]) is not None
+    elif tag == SAN_EDGE:
+        u, v = witness
+        ok = u in adj and v in adj[u] and (u in blue) == (v in blue)
+    elif tag == SAN_BLUE:
+        ok = witness[0] in blue and not adj[witness[0]]
+    elif tag == SAN_NO:
+        ok = witness[0] in red and not adj[witness[0]]
+    else:  # an R4 case, which must be the one the probe finds at the pair
+        v, w = witness
+        ok = v < w and v in blue and w in blue and _r4_at(g, witness) == (tag, witness)
+    if not ok:
+        raise RuleNotApplicableError("%s does not apply at %s" % (tag, witness))
+
     if tag == R1 or tag == R2 or tag == SAN_BLUE:
         x = witness[0]
         return k, RuleApplication(tag, witness, 0, None), [
             (x, RED if tag == R2 else BLUE, g.remove_vertex(x))]
     if tag == R4_CASE[2]:
-        removed = [(x, RED, g.remove_vertex(x)) for x in private]
+        removed = [(x, RED, g.remove_vertex(x)) for x in _pair_private(adj, *witness)]
         return k, RuleApplication(tag, witness, 0, g.add_red_vertex(witness)), removed
     if tag in _FORCED:
         forced = [witness[i] for i in _FORCED[tag]]
@@ -418,8 +442,6 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
         return k - len(forced), RuleApplication(tag, witness, -len(forced), None), removed
     if tag == SAN_EDGE:
         g.remove_edge(*witness)
-    elif tag != SAN_NO:
-        raise GraphError("unknown finding %r" % (match,))
     return k, RuleApplication(tag, witness, 0, None), []
 
 
@@ -649,61 +671,27 @@ def kernelize(inst: Instance) -> KernelResult:
 # -- replay and lifting -----------------------------------------------------------
 
 
-def _replay_match(g: RBGraph, tag: str, witness: tuple) -> Match | None:
-    """The match of rule ``tag`` at ``witness`` if the rule applies there in
-    ``g``, else None: R1 and R2 need two distinct live vertices of their
-    color with the containment, R3 and R4 what their probes find at live
-    blues, and the Sanitize tags a same-color edge, an isolated blue or an
-    isolated red."""
-    adj, blue, red = g.adj, g.blue, g.red
-    if tag == R1:
-        b, b2 = witness
-        ok = b in blue and b2 in blue and b != b2 and adj[b] <= adj[b2]
-    elif tag == R2:
-        r, r2 = witness
-        ok = r in red and r2 in red and r != r2 and adj[r2] <= adj[r]
-    elif tag == R3:
-        return _r3_at(g, witness[0]) if witness[0] in blue else None
-    elif tag in _R4_TAGS:  # the case _r4_at finds must be the record's tag, as replay checks
-        v, w = witness
-        return _r4_at(g, witness) if v < w and v in blue and w in blue else None
-    elif tag == SAN_EDGE:
-        u, v = witness
-        ok = u in adj and v in adj[u] and (u in blue) == (v in blue)
-    elif tag == SAN_BLUE:
-        ok = witness[0] in blue and not adj[witness[0]]
-    elif tag == SAN_NO:
-        ok = witness[0] in red and not adj[witness[0]]
-    else:
-        ok = False
-    return Match(tag, witness) if ok else None
-
-
 def replay_trace(original: RBGraph, trace: KernelTrace, kernel: RBGraph | None = None) -> RBGraph:
     """Re-run a trace forward on a copy of the original graph, checking it.
 
-    Each record is re-derived from the graph its predecessors left: the rule
-    must apply at the record's witness, and :func:`apply_rule` must give
-    back the same record, budget drop and case-2 red id included.  Given
-    ``kernel``, the replay must also end at that graph.  Any mismatch raises
-    :class:`TraceMismatchError` naming the first bad record.
+    Each record's tag and witness go to :func:`apply_rule` on the graph its
+    predecessors left, which refuses them unless the rule applies there, and
+    it must give back the same record, budget drop and case-2 red id
+    included.  Given ``kernel``, the replay must also end at that graph.
+    Any mismatch raises :class:`TraceMismatchError` naming the first bad
+    record.
     """
     g = original.copy()
     for i, rec in enumerate(trace.records, start=1):
-        match = _replay_match(g, rec.tag, rec.witness)
-        if match is None:
-            raise TraceMismatchError("record %d, %s at %s: the rule does not apply there"
-                                     % (i, rec.tag, rec.witness))
         try:
-            _, again, _ = apply_rule(g, 0, match)
+            _, again, _ = apply_rule(g, 0, Match(rec.tag, rec.witness))
         except GraphError as exc:
-            raise TraceMismatchError("record %d, %s at %s: %s"
-                                     % (i, rec.tag, rec.witness, exc)) from None
+            raise TraceMismatchError("record %d, %s" % (i, exc)) from None
         if again != rec:
-            raise TraceMismatchError("record %d, %s at %s k_delta=%d added=%s: replays as %s "
+            raise TraceMismatchError("record %d, %s at %s k_delta=%d added=%s: replays with "
                                      "k_delta=%d added=%s"
                                      % (i, rec.tag, rec.witness, rec.delta_k, rec.added,
-                                        again.tag, again.delta_k, again.added))
+                                        again.delta_k, again.added))
     if kernel is not None and g != kernel:
         raise TraceMismatchError("the trace ends at %r, not at the kernel %r" % (g, kernel))
     return g

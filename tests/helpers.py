@@ -18,13 +18,13 @@ from rbkernel.kernelizer import (
     NO_ISOLATED_RED,
     NO_SIZE,
     SAN_NO,
+    Match,
     apply_rule,
     find_rule1,
     find_rule2,
     find_rule3,
     find_rule4,
     sanitize,
-    _replay_match,
 )
 
 
@@ -231,8 +231,7 @@ def net_vertex_deltas(original: RBGraph, records) -> list[int]:
     deltas = []
     for rec in records:
         n = g.n_vertices
-        match = _replay_match(g, rec.tag, rec.witness)
-        assert match is not None and apply_rule(g, 0, match)[1] == rec, rec
+        assert apply_rule(g, 0, Match(rec.tag, rec.witness))[1] == rec, rec
         deltas.append(g.n_vertices - n)
     return deltas
 

@@ -276,7 +276,7 @@ class TestTraceFormat:
     def test_case2_record_round_trips(self):
         from rbkernel.kernelizer import Match, apply_rule, KernelTrace
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
-        _, rec, _ = apply_rule(g, 1, Match("R4-case2", (1, 2), frozenset({3, 4})))
+        _, rec, _ = apply_rule(g, 1, Match("R4-case2", (1, 2)))
         trace = KernelTrace([rec])
         text = formats.format_trace(trace)
         assert text == "r\tR4-case2\tk_delta=0\twitness=(1,2)\tadded=5\n"

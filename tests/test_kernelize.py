@@ -21,6 +21,7 @@ from rbkernel.kernelizer import (
     KernelTrace,
     Match,
     RuleApplication,
+    RuleNotApplicableError,
     TraceMismatchError,
     _r1_at,
     _r1_seed,
@@ -297,17 +298,32 @@ class TestCheckedReplay:
         ("R4-case2", (2, 2), 0),
         ("Sanitize-edge", (1, 3), 0), ("Sanitize-edge", (1, 2), 0),
         ("Sanitize-isolated-blue", (1,), 0), ("Sanitize-NO", (3,), 0),
+        (R3, (2,), -1), ("R4-case2", (1, 2), 0),
+        (R1, (1,), 0), (R3, (), -1), ("Sanitize-NO", (), 0), (R1, (1, 2, 3), 0), ("R5", (1, 2), 0),
     ])
     def test_record_where_the_rule_does_not_apply_is_refused(self, tag, witness, delta):
         # N(1) = {3} lies in N(2) = {3, 4} and N(4) = {2} in N(3) = {1, 2}, so
         # R1 applies at (1, 2), R2 at (3, 4) and R4 case 4 at the pair (1, 2);
-        # each record here is one of those turned wrong, or names another rule.
+        # each record here is one of those turned wrong, names another rule,
+        # or has a witness of the wrong length for its tag or an unknown tag.
+        # R1 at (2, 1) would strand red 4, R3 at 1 or 2 would remove a blue
+        # outside a two-vertex component, and R4 case 2 at (1, 2) would add a
+        # gadget red where case 4 applies.
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 3), (2, 4)])
         for good in ((R1, (1, 2), 0), (R2, (3, 4), 0), ("R4-case4", (1, 2), -1)):
             replay_trace(g, KernelTrace([RuleApplication(*good, None)]))
         added = 5 if tag == "R4-case2" else None  # the id the graph would give it
         with pytest.raises(TraceMismatchError, match="record 1, "):
             replay_trace(g, KernelTrace([RuleApplication(tag, witness, delta, added)]))
+        # apply_rule itself refuses the match and leaves the graph as it was,
+        # unless the rule applies and only the record's budget drop is wrong.
+        before = g.copy()
+        try:
+            _, again, _ = apply_rule(g, 0, Match(tag, witness))
+        except RuleNotApplicableError:
+            assert g == before
+        else:
+            assert (again.tag, again.witness) == (tag, witness) and again.delta_k != delta
 
     def test_mismatch_names_the_first_bad_record(self):
         g = alternating_cycle(4)
@@ -606,7 +622,7 @@ class TestLift:
         # the lift is the identity and {w} still covers the restored set.
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
         original = g.copy()
-        k, rec, _ = apply_rule(g, 2, Match("R4-case2", (1, 2), frozenset({3, 4})))
+        k, rec, _ = apply_rule(g, 2, Match("R4-case2", (1, 2)))
         trace = KernelTrace([rec])
         lifted = lift_solution(trace, {2})
         assert lifted == {2}

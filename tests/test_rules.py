@@ -14,7 +14,8 @@ from rbkernel.kernelizer import (
     R4_CASE,
     SAN_BLUE,
     RuleApplication,
-    StaleFindingError,
+    RuleNotApplicableError,
+    _pair_private,
     _r4_pairs,
     apply_rule,
     find_rule1,
@@ -219,7 +220,7 @@ class TestRule4:
     def test_case1_on_alternating_c8(self):
         g = alternating_cycle(4)
         m = find_rule4(g)
-        assert m == Match(R4_CASE[1], (1, 3), frozenset({5, 6, 7, 8}))
+        assert m == Match(R4_CASE[1], (1, 3))
         assert oracle_rule4_all(g)[0] == (1, 3, 1, frozenset({5, 6, 7, 8}))
         agreement_for_all_budgets(g)
 
@@ -228,7 +229,7 @@ class TestRule4:
         assert find_rule1(g) is None and find_rule2(g) is None
         assert find_rule3(g) is None
         m = find_rule4(g)
-        assert m == Match(R4_CASE[2], (1, 2), frozenset({7, 8}))
+        assert m == Match(R4_CASE[2], (1, 2))
         assert oracle_rule4_all(g)[0] == (1, 2, 2, frozenset({7, 8}))
         agreement_for_all_budgets(g)
 
@@ -237,14 +238,14 @@ class TestRule4:
         assert find_rule1(g) is None and find_rule2(g) is None
         assert find_rule3(g) is None
         m = find_rule4(g)
-        assert m == Match(R4_CASE[3], (1, 2), frozenset({7, 8}))
+        assert m == Match(R4_CASE[3], (1, 2))
         assert oracle_rule4_all(g)[0] == (1, 2, 3, frozenset({7, 8}))
         agreement_for_all_budgets(g)
 
     def test_case4_witness(self):
         g = rule4_case3_witness(swap_vw=True)
         m = find_rule4(g)
-        assert m == Match(R4_CASE[4], (1, 2), frozenset({7, 8}))
+        assert m == Match(R4_CASE[4], (1, 2))
         assert oracle_rule4_all(g)[0] == (1, 2, 4, frozenset({7, 8}))
         agreement_for_all_budgets(g)
 
@@ -292,7 +293,8 @@ class TestRule4:
                 assert got is None
             else:
                 v, w, case, private = hits[0]
-                assert got == Match(R4_CASE[case], (v, w), private)
+                assert got == Match(R4_CASE[case], (v, w))
+                assert _pair_private(g.adj, v, w) == private
 
 
 class TestApplyRule:
@@ -317,7 +319,7 @@ class TestApplyRule:
     def test_r4_case2_swaps_private_set_for_gadget(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
         before = g.copy()
-        k, rec, _ = apply_rule(g, 3, Match(R4_CASE[2], (1, 2), frozenset({3, 4})))
+        k, rec, _ = apply_rule(g, 3, Match(R4_CASE[2], (1, 2)))
         assert k == 3 and rec.delta_k == 0
         assert g.red == {5}
         assert g.adj[5] == {1, 2}
@@ -341,13 +343,13 @@ class TestApplyRule:
         assert before.adj.keys() - g.adj.keys() == {2}
         assert 2 in before.blue and before.adj[2] == set()
         assert g.adj == {1: {3}, 3: {1}}
-        with pytest.raises(StaleFindingError):
+        with pytest.raises(RuleNotApplicableError):
             apply_rule(g, 4, Match(SAN_BLUE, (2,)))
 
     def test_stale_finding(self):
         g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])
         g.remove_vertex(1)
-        with pytest.raises(StaleFindingError):
+        with pytest.raises(RuleNotApplicableError):
             apply_rule(g, 1, Match(R1, (1, 2)))
 
     def test_delta_k_table(self):
