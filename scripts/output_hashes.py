@@ -27,7 +27,9 @@ that differ only in how ``fingerprint_instance`` digests an instance print
 the same ``records``, ``trace`` and ``solve`` lines; two trees that differ
 only in how a trace is written print the same ``records`` line.  Before it
 hashes, the script checks that ``parse_trace`` reads every written trace
-back to the same records and fingerprint, and exits with an error if not.
+back to the same records and fingerprint, and that ``parse_instance`` reads
+every written kernel back to the kernel's budget and graph under its
+``c origid`` ids, and exits with an error if not.
 """
 
 from __future__ import annotations
@@ -61,6 +63,19 @@ def _hash(parts) -> str:
     return hashlib.sha256(inner.encode()).hexdigest()[:16]
 
 
+def _reads_back(kernel: Instance, text: str) -> bool:
+    """True iff ``text`` parses to ``kernel``'s budget and graph once each
+    vertex is renamed to its ``c origid`` id."""
+    back = formats.parse_instance(text)
+    ids = back.meta.get("origid", {})
+    g = back.graph
+    return (back.k == kernel.k
+            and {ids.get(v, v) for v in g.blue} == kernel.graph.blue
+            and {ids.get(v, v) for v in g.red} == kernel.graph.red
+            and {ids.get(v, v): {ids.get(u, u) for u in nbrs} for v, nbrs in g.adj.items()}
+            == kernel.graph.adj)
+
+
 def _records(records) -> str:
     return "".join("%r\n" % ((rec.tag, rec.witness, rec.delta_k, rec.added),)
                    for rec in records)
@@ -88,6 +103,8 @@ def main(argv=None) -> int:
         if not head.startswith("c fingerprint "):
             sys.exit("operation %d: the trace does not start with its fingerprint" % i)
         tail = "NO %s" % res.reason if res.is_no else formats.format_instance(res.instance)
+        if not res.is_no and not _reads_back(res.instance, tail):
+            sys.exit("operation %d: parse_instance does not read its kernel back" % i)
         fingerprints.append(head)
         records.append(_records(res.trace.records) + tail)
         traces.append(body + tail)

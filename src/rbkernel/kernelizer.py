@@ -357,23 +357,28 @@ def _pair_private(adj: dict, v: int, w: int) -> set:
     return {r for r in nvw if all(adj[x] <= nvw for x in adj[r])}
 
 
-def _r4_at(g: RBGraph, pair) -> Match | None:
-    """The match if R4 fires on the pair (v, w), else None."""
-    v, w = pair
-    private = _pair_private(g.adj, v, w)
+def _r4_case(adj: dict, v: int, w: int) -> tuple[int, set] | None:
+    """The case of R4 on the pair (v, w) and the pair's private reds, or
+    None if R4 does not fire there."""
+    private = _pair_private(adj, v, w)
     if len(private) <= 1:
         return None
     it = iter(private)
-    dominators = set(g.adj[next(it)])
+    dominators = set(adj[next(it)])
     for r in it:
-        dominators &= g.adj[r]
+        dominators &= adj[r]
         if not dominators:
             break
     if dominators - {v, w}:
         return None  # a third blue covers the whole private set
-    in_v, in_w = private <= g.adj[v], private <= g.adj[w]
-    case = 2 if in_v and in_w else 3 if in_v else 4 if in_w else 1
-    return Match(R4_CASE[case], pair)
+    in_v, in_w = private <= adj[v], private <= adj[w]
+    return (2 if in_v and in_w else 3 if in_v else 4 if in_w else 1), private
+
+
+def _r4_at(g: RBGraph, pair) -> Match | None:
+    """The match if R4 fires on the pair (v, w), else None."""
+    found = _r4_case(g.adj, *pair)
+    return None if found is None else Match(R4_CASE[found[0]], pair)
 
 
 def find_rule4(g: RBGraph) -> Match | None:
@@ -394,7 +399,7 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
     :class:`RuleNotApplicableError` and leaves ``g`` unchanged: the witness
     must have its tag's length, R1 and R2 two distinct live vertices of
     their color with the containment, R3 a two-vertex component, an R4 case
-    a blue pair v < w where :func:`_r4_at` finds that case, and the
+    a blue pair v < w where :func:`_r4_case` finds that case, and the
     Sanitize tags a same-color edge, an isolated blue or an isolated red.
     Sanitize-edge removes the witness edge and Sanitize-NO changes nothing;
     R1, R2 and Sanitize-isolated-blue remove the first witness; R4 case 2
@@ -423,7 +428,8 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
         ok = witness[0] in red and not adj[witness[0]]
     else:  # an R4 case, which must be the one the probe finds at the pair
         v, w = witness
-        ok = v < w and v in blue and w in blue and _r4_at(g, witness) == (tag, witness)
+        found = _r4_case(adj, v, w) if v < w and v in blue and w in blue else None
+        ok = found is not None and R4_CASE[found[0]] == tag
     if not ok:
         raise RuleNotApplicableError("%s does not apply at %s" % (tag, witness))
 
@@ -432,7 +438,7 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
         return k, RuleApplication(tag, witness, 0, None), [
             (x, RED if tag == R2 else BLUE, g.remove_vertex(x))]
     if tag == R4_CASE[2]:
-        removed = [(x, RED, g.remove_vertex(x)) for x in _pair_private(adj, *witness)]
+        removed = [(x, RED, g.remove_vertex(x)) for x in found[1]]
         return k, RuleApplication(tag, witness, 0, g.add_red_vertex(witness)), removed
     if tag in _FORCED:
         forced = [witness[i] for i in _FORCED[tag]]

@@ -11,8 +11,9 @@ import itertools
 import random
 
 from rbkernel import solver
+from rbkernel.formats import MAX_VERTICES, ParseError, _is_id
 from rbkernel.generators import _layout, _stacked_triangulation
-from rbkernel.graph import BLUE, RED, Instance, RBGraph
+from rbkernel.graph import BLUE, RED, GraphError, Instance, RBGraph
 from rbkernel.kernelizer import (
     NO_BUDGET,
     NO_ISOLATED_RED,
@@ -399,4 +400,109 @@ def format_plane(pg) -> str:
     """A plane file for ``pg``: the header, then each vertex's rotation."""
     lines = ["p plane %d %d" % (pg.n_vertices, pg.n_edges)]
     lines += ["v %d: %s" % (v, " ".join(map(str, pg.rotation[v]))) for v in sorted(pg.rotation)]
+    return "\n".join(lines) + "\n"
+
+
+# -- reference instance reader and writer --------------------------------------------
+
+
+def reference_parse_instance(text: str) -> Instance:
+    """The instance reader written line by line: every line of
+    ``text.splitlines()`` is split once and checked on its own."""
+    header = None
+    meta: dict = {}
+    origid: dict[int, int] = {}
+    adj: dict[int, set[int]] = {}
+    nb = last = 0
+    for i, line in enumerate(text.splitlines(), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        kind = parts[0]
+        if kind == "e":
+            if header is None:
+                raise ParseError(i, "edge before header")
+            if len(parts) != 3:
+                raise ParseError(i, "expected 'e <blue-id> <red-id>'")
+            b, r = parts[1], parts[2]
+            if not (line.isascii() and b.isdigit() and r.isdigit() and len(b) <= 18
+                    and len(r) <= 18):
+                raise ParseError(i, "edge endpoints must be ids of ASCII digits")
+            b, r = int(b), int(r)
+            if not 1 <= b <= nb:
+                raise ParseError(i, "%d is not a blue id (1..%d)" % (b, nb))
+            if not nb < r <= last:
+                raise ParseError(i, "%d is not a red id (%d..%d)" % (r, nb + 1, last))
+            reds = adj[b]
+            if r in reds:
+                raise ParseError(i, "duplicate edge (%d, %d)" % (b, r))
+            reds.add(r)
+            adj[r].add(b)
+            continue
+        if kind == "c":
+            if len(parts) == 4 and parts[1] == "origid" and _is_id(parts[2]) and _is_id(parts[3]):
+                origid[int(parts[2])] = int(parts[3])
+            continue
+        if kind == "p":
+            if header is not None:
+                raise ParseError(i, "duplicate header")
+            if len(parts) != 5 or parts[1] != "rbds":
+                raise ParseError(i, "expected 'p rbds <nB> <nR> <k>'")
+            if not all(map(_is_id, parts[2:])):
+                raise ParseError(i, "header fields must be counts of ASCII digits")
+            nb, nr, k = map(int, parts[2:])
+            if nb + nr > MAX_VERTICES:
+                raise ParseError(i, "header declares %d vertices, more than %d"
+                                 % (nb + nr, MAX_VERTICES))
+            header = (nb, nr, k)
+            last = nb + nr
+            adj = {v: set() for v in range(1, last + 1)}
+            continue
+        if kind == "g":
+            if len(parts) != 4 or parts[1] != "seed":
+                raise ParseError(i, "expected 'g seed <algo-id> <seed>'")
+            if not _is_id(parts[3].removeprefix("-")):
+                raise ParseError(i, "seed must be ASCII digits after an optional '-'")
+            meta["algo"] = parts[2]
+            meta["seed"] = int(parts[3])
+            continue
+        raise ParseError(i, "unrecognized line %r" % line.strip())
+    if header is None:
+        raise ParseError(0, "missing 'p rbds' header")
+    g = RBGraph.__new__(RBGraph)
+    g.blue = set(range(1, nb + 1))
+    g.red = set(range(nb + 1, last + 1))
+    g.adj = adj
+    g._next_id = last + 1
+    if origid:
+        meta["origid"] = origid
+    return Instance(g, header[2], meta)
+
+
+def reference_format_instance(inst: Instance, comments=()) -> str:
+    """The instance writer with a label map: edges blue by blue, each
+    blue's reds sorted by label, and an edge count through ``n_edges``."""
+    g = inst.graph
+    adj = g.adj
+    nb, nr = len(g.blue), len(g.red)
+    blues, reds = sorted(g.blue), sorted(g.red)
+    canonical = blues == list(range(1, nb + 1)) and reds == list(range(nb + 1, nb + nr + 1))
+    label = {v: i + 1 for i, v in enumerate(blues)}
+    label.update({v: nb + 1 + i for i, v in enumerate(reds)})
+    lines = ["c %s" % c for c in comments]
+    lines.append("p rbds %d %d %d" % (nb, nr, inst.k))
+    if "algo" in inst.meta and "seed" in inst.meta:
+        lines.append("g seed %s %d" % (inst.meta["algo"], inst.meta["seed"]))
+    if not canonical:
+        lines += ["c origid %d %d" % (label[v], v) for v in blues + reds]
+    written = 0
+    for b in blues:
+        nbrs = adj[b]
+        if not nbrs <= g.red:
+            raise GraphError("blue %d has a blue neighbor; sanitize first" % b)
+        head = "e %d " % label[b]
+        lines += [head + str(r) for r in sorted(map(label.__getitem__, nbrs))]
+        written += len(nbrs)
+    if written != g.n_edges:
+        raise GraphError("the graph has red-red edges; sanitize first")
     return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -9,7 +10,7 @@ from rbkernel.graph import GraphError, Instance, RBGraph
 from rbkernel.kernelizer import RULE_TAGS, KernelTrace, kernelize, lift_solution
 from rbkernel.planar import is_planar
 
-from helpers import format_plane
+from helpers import format_plane, reference_format_instance, reference_parse_instance
 
 # More digits than int() converts from text.
 LONG_ID = "1" * 5000
@@ -222,6 +223,154 @@ class TestParseErrors:
         with pytest.raises(formats.ParseError) as err:
             formats.parse_trace("c\nr\t%s\n" % record)
         assert err.value.line_no == 2
+
+
+def assert_reads_as_reference(text):
+    """``parse_instance`` returns what the line-by-line reference reader
+    returns, meta and next free id included, or raises its error."""
+    try:
+        want = reference_parse_instance(text)
+    except formats.ParseError as err:
+        with pytest.raises(formats.ParseError) as got:
+            formats.parse_instance(text)
+        assert (str(got.value), got.value.line_no) == (str(err), err.line_no)
+        return
+    got = formats.parse_instance(text)
+    assert got == want
+    assert got.meta == want.meta
+    assert got.graph._next_id == want.graph._next_id
+
+
+# Every line end str.splitlines knows besides "\n".
+_LINE_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@st.composite
+def instance_texts(draw):
+    """Instance files: runs of well-formed edge lines, with blanks, tabs,
+    blank lines, comments, ``c origid`` and ``g seed`` lines between them,
+    every line end str.splitlines knows, maybe no final line end, and at
+    most one corrupted line at a random position."""
+    nb, nr = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    last = nb + nr
+
+    def line(*fields):
+        pads = st.sampled_from(["", " ", "\t", " \t "])
+        seps = st.sampled_from([" ", "\t", "  ", " \t"])
+        out = draw(pads) + fields[0]
+        for f in fields[1:]:
+            out += draw(seps) + f
+        return out + draw(pads)
+
+    pairs = [(b, r) for b in range(1, nb + 1) for r in range(nb + 1, last + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = [line("e", str(b), str(r)) for b, r in edges]
+    extras = st.one_of(
+        st.just(""), st.sampled_from([" ", "\t", " \t"]),
+        st.builds(lambda text: "c " + text, st.sampled_from(["", "free text", "origid 1", "e 1 2"])),
+        st.builds(lambda a, b: line("c", "origid", str(a), str(b)),
+                  st.integers(0, 20), st.integers(0, 10 ** 18 - 1)),
+        st.builds(lambda seed: line("g", "seed", "planar", str(seed)), st.integers(-99, 99)))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(extras))
+    lines.insert(draw(st.integers(0, min(2, len(lines)))),
+                 line("p", "rbds", str(nb), str(nr), str(draw(st.integers(0, 9)))))
+    corrupt = draw(st.sampled_from([None, "digit", "long", "range", "duplicate", "early"]))
+    if corrupt == "duplicate" and lines:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    elif corrupt == "early":
+        lines.insert(0, line("e", "1", str(nb + 1)))
+    elif corrupt is not None:
+        bad = {"digit": ["\u0661", "\uff11", "1\u0662"],
+               "long": ["1" * 19, "0" * 18 + "1"],
+               "range": ["0", str(nb + 1), str(last + 1), "999"]}[corrupt]
+        b, r = (str(draw(st.integers(1, max(nb, 1)))), str(draw(st.integers(nb + 1, last + 1))))
+        if draw(st.booleans()):
+            b = draw(st.sampled_from(bad))
+        else:
+            r = draw(st.sampled_from(bad))
+        lines.insert(draw(st.integers(0, len(lines))), line("e", b, r))
+    ends = st.sampled_from(["\n"] * len(_LINE_ENDS) + _LINE_ENDS)
+    text = "".join(text + draw(ends) for text in lines)
+    if text and draw(st.booleans()):
+        text = text[:-2] if text.endswith("\r\n") else text[:-1]
+    return text
+
+
+class TestReaderMatchesReference:
+    @given(instance_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_same_instance_or_same_error(self, text):
+        assert_reads_as_reference(text)
+
+    @given(st.text(alphabet="ep c\n\r\t 0123456789\u0661\x0b\x85"))
+    @settings(max_examples=300, deadline=None)
+    def test_same_on_raw_text(self, text):
+        assert_reads_as_reference("p rbds 3 3 1\n" + text)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("bad", [None, "e 7 9", "e 5 1001", "e 0 1001", "e 1 2",
+                                     "e 1 \u0661", "e 1\x1f1001"])
+    @pytest.mark.parametrize("at", [0, 1, formats._RUN_LINES - 1, formats._RUN_LINES,
+                                    2 * formats._RUN_LINES + 5])
+    def test_runs_longer_than_the_cap(self, end, bad, at):
+        # Edge runs past the cap are read a capped run at a time; a bad or
+        # duplicate line anywhere in them is reported on its own line.
+        nb = 1000
+        lines = ["p rbds %d %d 1" % (nb, nb), "c origid 1 5"]
+        lines += ["e %d %d" % (b, nb + r) for b in range(1, nb + 1) for r in (b, b % nb + 1, 7)
+                  if r != 7 or b > 7]
+        if bad is not None:
+            lines.insert(2 + at, bad)
+        assert_reads_as_reference(end.join(lines) + end)
+
+    def test_crlf_and_tab_lines_are_read_in_runs(self):
+        text = "e 1\t5\r\n\te 2 6 \r\nc origid 1 9\n"
+        assert formats._EDGE_RUN.match(text).end() == text.index("c")
+        assert formats._ORIGID_RUN.match(text, text.index("c")).end() == len(text)
+
+
+@st.composite
+def writable_instances(draw):
+    """Instances the writer takes: ids in file layout or not, with removals,
+    added reds past every id, possibly an empty color, comments and a seed."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    nb, nr = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    ids = (list(range(1, nb + nr + 1)) if draw(st.booleans())
+           else rng.sample(range(1, 4 * (nb + nr) + 2), nb + nr))
+    blues, reds = ids[:nb], ids[nb:]
+    p = rng.random()
+    g = RBGraph.from_parts(blues, reds, [(b, r) for b in blues for r in reds if rng.random() < p])
+    for v in rng.sample(ids, draw(st.integers(0, len(ids)))):
+        g.remove_vertex(v)
+    for _ in range(draw(st.integers(0, 2))):
+        g.add_red_vertex(rng.sample(sorted(g.blue), min(2, len(g.blue))))
+    meta = {"algo": "planar", "seed": draw(st.integers(-5, 5))} if draw(st.booleans()) else {}
+    comments = draw(st.lists(st.sampled_from(["", "note", "origid 1 2"]), max_size=2))
+    return Instance(g, draw(st.integers(0, 9)), meta), comments
+
+
+class TestWriterMatchesReference:
+    @given(writable_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes(self, case):
+        inst, comments = case
+        text = formats.format_instance(inst, comments)
+        assert text == reference_format_instance(inst, comments)
+        assert_reads_as_reference(text)
+
+    @pytest.mark.parametrize("blues, reds", [([1, 2], [3, 4]), ([7, 3], [9, 1, 5])])
+    @pytest.mark.parametrize("same", ["blue", "red"])
+    def test_same_color_edge_same_error(self, blues, reds, same):
+        g = RBGraph.from_parts(blues, reds, [(b, r) for b in blues for r in reds[1:]])
+        u, v = (blues if same == "blue" else reds)[:2]
+        g.adj[u].add(v)
+        g.adj[v].add(u)
+        with pytest.raises(GraphError) as want:
+            reference_format_instance(Instance(g, 1))
+        with pytest.raises(GraphError) as got:
+            formats.format_instance(Instance(g, 1))
+        assert str(got.value) == str(want.value)
 
 
 class TestSolutionFormat:

@@ -1,6 +1,10 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from rbkernel import formats
+from rbkernel.graph import Instance, RBGraph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,3 +53,19 @@ def test_seed_501_hashes_match_recorded():
     assert _hashes("size-verdict", 501) == [
         "fingerprint 734ad3536cb25d6f", "records f8b1d6fcce789a7b",
         "trace 536dbdd8d1a0a620", ""]
+
+
+def test_kernel_read_back_check():
+    # The script refuses a kernel whose text does not parse back to the
+    # kernel's budget and graph under its c origid ids.
+    spec = importlib.util.spec_from_file_location("output_hashes",
+                                                  ROOT / "scripts" / "output_hashes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    g = RBGraph.from_parts([4, 9], [12, 15], [(4, 12), (9, 12), (9, 15)])
+    text = formats.format_instance(Instance(g, 1))
+    assert script._reads_back(Instance(g, 1), text)
+    assert not script._reads_back(Instance(g, 2), text)
+    assert not script._reads_back(Instance(g, 1), text.replace("e 2 4\n", ""))
+    assert not script._reads_back(Instance(g, 1), text.replace("c origid 4 15", "c origid 4 16"))
+    assert not script._reads_back(Instance(g, 1), text.replace("c origid 2 9", "c origid 2 4"))
