@@ -13,8 +13,8 @@ relabeled on output, in id order within each color; the original ids are
 kept in ``c origid`` comments so solutions on the written file can be
 mapped back (the kernelize/solve/lift pipeline relies on this).  Lines end
 where ``str.splitlines`` ends them.  The instance reader takes each run of
-well-formed edge lines, and of ``c origid`` lines, in bulk, and every
-other line on its own, with the same checks and messages either way.
+well-formed edge lines in bulk, and every other line on its own, with the
+same checks and messages either way.
 
 Trace files hold a fingerprint of the instance they were cut from and
 one record per rule application, in order::
@@ -88,53 +88,40 @@ _LINE = re.compile(r"([^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)"
 _RUN_LINES = 256
 _EDGE_RUN = re.compile(r"(?:[ \t]*e[ \t]+%s[ \t]+%s[ \t]*\r?\n){1,%d}"
                        % (_ID, _ID, _RUN_LINES))
-_ORIGID_RUN = re.compile(r"(?:[ \t]*c[ \t]+origid[ \t]+%s[ \t]+%s[ \t]*\r?\n){1,%d}"
-                         % (_ID, _ID, _RUN_LINES))
 
 
 def parse_instance(text: str) -> Instance:
     """Read an instance in one pass over the text.  A run of well-formed
-    edge lines, or of ``c origid`` lines, is read in bulk: one match, one
-    split, one range check over all its ids, then each edge goes straight
-    into the adjacency sets allocated at the header, which also catch
-    duplicate edges.  Every other line, and a run with an id out of range,
-    is read line by line, so each error names the line it is on."""
+    edge lines is read in bulk: one match, one split, one range check over
+    all its ids, then each edge goes straight into the adjacency sets
+    allocated at the header, which also catch duplicate edges.  Every other
+    line, and the first line of a run with an id out of range, is read line
+    by line, so each error names the line it is on."""
     header = None
     meta: dict = {}
     origid: dict[int, int] = {}
     adj: dict[int, set[int]] = {}
     nb = last = 0
     pos = i = 0  # where the next line starts, and the number of the last line read
-    bulk_from = 0  # the line-by-line reader alone reads what lies before this
     while pos < len(text):
-        if pos >= bulk_from:
-            run = None if header is None else _EDGE_RUN.match(text, pos)
-            if run is not None:
-                fields = run[0].split()
-                bs = list(map(int, fields[1::3]))
-                rs = list(map(int, fields[2::3]))
-                if 1 <= min(bs) and max(bs) <= nb and nb < min(rs) and max(rs) <= last:
-                    edges = zip(bs, rs)
-                    for b, r in edges:
-                        reds = adj[b]
-                        if r in reds:
-                            # The edges left unread say which line of the run this is.
-                            raise ParseError(i + len(bs) - sum(1 for _ in edges),
-                                             "duplicate edge (%d, %d)" % (b, r))
-                        reds.add(r)
-                        adj[r].add(b)
-                    i += len(bs)
-                    pos = run.end()
-                    continue
-                bulk_from = run.end()
-            else:
-                run = _ORIGID_RUN.match(text, pos)
-                if run is not None:
-                    fields = run[0].split()
-                    origid.update(zip(map(int, fields[2::4]), map(int, fields[3::4])))
-                    i += len(fields) // 4
-                    pos = run.end()
-                    continue
+        run = None if header is None else _EDGE_RUN.match(text, pos)
+        if run is not None:
+            fields = run[0].split()
+            bs = list(map(int, fields[1::3]))
+            rs = list(map(int, fields[2::3]))
+            if 1 <= min(bs) and max(bs) <= nb and nb < min(rs) and max(rs) <= last:
+                edges = zip(bs, rs)
+                for b, r in edges:
+                    reds = adj[b]
+                    if r in reds:
+                        # The edges left unread say which line of the run this is.
+                        raise ParseError(i + len(bs) - sum(1 for _ in edges),
+                                         "duplicate edge (%d, %d)" % (b, r))
+                    reds.add(r)
+                    adj[r].add(b)
+                i += len(bs)
+                pos = run.end()
+                continue
         m = _LINE.match(text, pos)
         pos = m.end()
         i += 1
