@@ -88,6 +88,8 @@ _LINE = re.compile(r"([^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)"
 _RUN_LINES = 256
 _EDGE_RUN = re.compile(r"(?:[ \t]*e[ \t]+%s[ \t]+%s[ \t]*\r?\n){1,%d}"
                        % (_ID, _ID, _RUN_LINES))
+_ORIGID_RUN = re.compile(r"(?:[ \t]*c[ \t]+origid[ \t]+%s[ \t]+%s[ \t]*\r?\n){1,%d}"
+                         % (_ID, _ID, _RUN_LINES))
 
 
 def parse_instance(text: str) -> Instance:
@@ -122,6 +124,12 @@ def parse_instance(text: str) -> Instance:
                 i += len(bs)
                 pos = run.end()
                 continue
+        elif (run := _ORIGID_RUN.match(text, pos)) is not None:
+            fields = run[0].split()
+            origid.update(zip(map(int, fields[2::4]), map(int, fields[3::4])))
+            i += len(fields) // 4
+            pos = run.end()
+            continue
         m = _LINE.match(text, pos)
         pos = m.end()
         i += 1
