@@ -327,6 +327,7 @@ class TestReaderMatchesReference:
     def test_crlf_and_tab_lines_are_read_in_runs(self):
         text = "e 1\t5\r\n\te 2 6 \r\nc origid 1 9\n"
         assert formats._EDGE_RUN.match(text).end() == text.index("c")
+        assert formats._ORIGID_RUN.match(text, text.index("c")).end() == len(text)
 
 
 @st.composite
