@@ -47,7 +47,7 @@ import corpus  # noqa: E402
 import reference  # noqa: E402
 import speed  # noqa: E402
 from rbkernel import formats, kernelizer, planar, solver, transforms  # noqa: E402
-from rbkernel.graph import Instance  # noqa: E402
+from rbkernel.graph import GraphError, Instance  # noqa: E402
 
 
 def _instance(op: reference.Op) -> Instance:
@@ -64,16 +64,13 @@ def _hash(parts) -> str:
 
 
 def _reads_back(kernel: Instance, text: str) -> bool:
-    """True iff ``text`` parses to ``kernel``'s budget and graph once each
-    vertex is renamed to its ``c origid`` id."""
+    """True iff ``text`` parses to ``kernel``'s budget and, under its
+    ``c origid`` ids, to ``kernel``'s graph."""
     back = formats.parse_instance(text)
-    ids = back.meta.get("origid", {})
-    g = back.graph
-    return (back.k == kernel.k
-            and {ids.get(v, v) for v in g.blue} == kernel.graph.blue
-            and {ids.get(v, v) for v in g.red} == kernel.graph.red
-            and {ids.get(v, v): {ids.get(u, u) for u in nbrs} for v, nbrs in g.adj.items()}
-            == kernel.graph.adj)
+    try:
+        return back.k == kernel.k and formats.in_original_ids(back) == kernel.graph
+    except GraphError:  # two labels name one id
+        return False
 
 
 def _records(records) -> str:

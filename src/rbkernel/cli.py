@@ -72,19 +72,6 @@ def cmd_kernelize(args) -> int:
     return EXIT_OK
 
 
-def _fingerprint_text(fp) -> str:
-    return "missing" if fp is None else "v=%d e=%d sha=%s" % (fp.n_vertices, fp.n_edges, fp.digest)
-
-
-def _in_original_ids(kernel: Instance) -> RBGraph:
-    """The kernel's graph under the ids its ``c origid`` comments give back."""
-    origid = kernel.meta.get("origid", {})
-    g = kernel.graph
-    return RBGraph.from_parts([origid.get(v, v) for v in g.blue],
-                              [origid.get(v, v) for v in g.red],
-                              [(origid.get(u, u), origid.get(v, v)) for u, v in g.edges()])
-
-
 def cmd_solve(args) -> int:
     inst = _load_instance(args.input)
     g = inst.graph
@@ -97,12 +84,13 @@ def cmd_solve(args) -> int:
         trace = formats.parse_trace(_read(args.lift))
         fp = fingerprint_instance(original)
         if trace.fingerprint != fp:
+            theirs = ("missing" if trace.fingerprint is None
+                      else formats.format_fingerprint(trace.fingerprint))
             print("the trace is not of %s: its fingerprint is %s, the instance's %s"
-                  % (args.original, _fingerprint_text(trace.fingerprint), _fingerprint_text(fp)),
-                  file=sys.stderr)
+                  % (args.original, theirs, formats.format_fingerprint(fp)), file=sys.stderr)
             return EXIT_BAD_INPUT
         try:
-            g = _in_original_ids(inst)
+            g = formats.in_original_ids(inst)
             replay_trace(original.graph, trace, g)
         except GraphError as exc:  # TraceMismatchError, or origid comments naming an id twice
             print("the trace does not replay to %s: %s" % (args.input, exc), file=sys.stderr)
@@ -146,8 +134,6 @@ def cmd_gen(args) -> int:
         elif args.kind == "matching":
             inst = generators.gen_matching(args.params[0])
         else:  # planar
-            if not -10**18 < args.seed < 10**18:
-                raise ValueError("--seed must have at most 18 digits")
             inst = generators.gen_random_planar(
                 args.params[0], args.params[1] / 100.0, args.seed)
     except ValueError as exc:
@@ -159,10 +145,6 @@ def cmd_gen(args) -> int:
 
 def cmd_transform(args) -> int:
     if args.kind == "face-cover":
-        if args.k is not None and not 0 <= args.k < 10**18:
-            print("transform face-cover: -k must be non-negative, of at most 18 digits",
-                  file=sys.stderr)
-            return EXIT_BAD_INPUT
         pg = formats.parse_plane(_read(args.input))
         try:
             g, vmap, fmap = transforms.face_cover_to_rbds(pg)
@@ -172,8 +154,13 @@ def cmd_transform(args) -> int:
         comments = ["face cover instance via the radial graph, k unchanged"]
         comments += ["facemap %d %d" % (f, b) for f, b in sorted(fmap.items())]
         comments += ["vertexmap %d %d" % (v, r) for v, r in sorted(vmap.items())]
-        _write(args.out, formats.format_instance(
-            Instance(g, args.k if args.k is not None else len(fmap)), comments=comments))
+        try:
+            text = formats.format_instance(
+                Instance(g, args.k if args.k is not None else len(fmap)), comments=comments)
+        except ValueError as exc:
+            print("transform face-cover: %s" % exc, file=sys.stderr)
+            return EXIT_BAD_INPUT
+        _write(args.out, text)
         return EXIT_OK
     inst = _load_instance(args.input)  # to-ds
     try:

@@ -10,8 +10,10 @@ Instance files (.rbds) are DIMACS-flavored::
 Blue ids are 1..nB, red ids nB+1..nB+nR, one edge per line, duplicates
 rejected.  Graphs whose live ids do not already follow that layout are
 relabeled on output, in id order within each color; the original ids are
-kept in ``c origid`` comments so solutions on the written file can be
-mapped back (the kernelize/solve/lift pipeline relies on this).  Lines end
+kept in ``c origid`` comments, and ``in_original_ids`` gives the graph
+back under them, so solutions on the written file can be mapped back (the
+kernelize/solve/lift pipeline relies on this).  The writer refuses with
+``ValueError`` whatever the reader would refuse or misread.  Lines end
 where ``str.splitlines`` ends them.  The instance reader takes each run of
 well-formed edge lines in bulk, and every other line on its own, with the
 same checks and messages either way.
@@ -60,6 +62,8 @@ def _tokens(text: str):
 
 
 _ID = "[0-9]{1,18}"
+# One past the largest id, count or budget a file may hold.
+_ID_LIMIT = 10**18
 
 
 def _is_id(text: str) -> bool:
@@ -73,6 +77,19 @@ def _is_id(text: str) -> bool:
 # adjacency set for each before it reads an edge, about 390 bytes a vertex
 # (tracemalloc peak), so the largest header it accepts costs about 390 MB.
 MAX_VERTICES = 1_000_000
+
+
+def check_vertex_count(n: int) -> None:
+    """Refuse an instance of more vertices than the reader takes."""
+    if n > MAX_VERTICES:
+        raise ValueError("%d vertices, more than the %d an instance file may declare"
+                         % (n, MAX_VERTICES))
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a ``g seed`` value the reader refuses."""
+    if not -_ID_LIMIT < seed < _ID_LIMIT:
+        raise ValueError("seed %d has more than 18 digits" % seed)
 
 
 # Where str.splitlines ends a line: "\r\n" is one line end.
@@ -206,16 +223,38 @@ def format_instance(inst: Instance, comments=()) -> str:
     Labels follow id order within each color, so a blue's reds sorted by
     id are sorted by label too: edges are written blue first, by blue label
     and then red label, from label strings made once per vertex.  The
-    layout has no same-color edges, so a graph with one is refused."""
+    layout has no same-color edges, so a graph with one is refused.
+
+    Before it writes an edge, it refuses with ``ValueError`` what the
+    reader would refuse or misread: more than ``MAX_VERTICES`` vertices, a
+    budget outside 0..10^18-1, a ``g seed`` line whose algo id is not one
+    blank-free token or whose seed has more than 18 digits, a comment with
+    a line break, and on a relabeled graph an original id of more than 18
+    digits, which its ``c origid`` line would not give back."""
     g = inst.graph
     adj = g.adj
+    meta = inst.meta
     nb, nr = len(g.blue), len(g.red)
+    check_vertex_count(nb + nr)
+    if not 0 <= inst.k < _ID_LIMIT:
+        raise ValueError("budget %d must be non-negative, of at most 18 digits" % inst.k)
+    seeded = "algo" in meta and "seed" in meta
+    if seeded:
+        algo = meta["algo"]
+        if not (isinstance(algo, str) and algo.split() == [algo]):
+            raise ValueError("algo id %r is not one token without blanks" % (algo,))
+        check_seed(meta["seed"])
     blues, reds = sorted(g.blue), sorted(g.red)
     canonical = blues == list(range(1, nb + 1)) and reds == list(range(nb + 1, nb + nr + 1))
+    if not canonical and (top := max(blues[-1:] + reds[-1:])) >= _ID_LIMIT:
+        raise ValueError("id %d has more than 18 digits, too many for a c origid line" % top)
     lines = ["c %s" % c for c in comments]
+    for line in lines:
+        if line.splitlines() != [line]:
+            raise ValueError("comment %r holds a line break" % line[2:])
     lines.append("p rbds %d %d %d" % (nb, nr, inst.k))
-    if "algo" in inst.meta and "seed" in inst.meta:
-        lines.append("g seed %s %d" % (inst.meta["algo"], inst.meta["seed"]))
+    if seeded:
+        lines.append("g seed %s %d" % (algo, meta["seed"]))
     labels = list(map(str, range(1, nb + nr + 1)))
     if not canonical:
         lines += ["c origid " + label + " " + str(v) for label, v in zip(labels, blues + reds)]
@@ -232,6 +271,17 @@ def format_instance(inst: Instance, comments=()) -> str:
     if sum(map(len, map(adj.__getitem__, blues))) != sum(map(len, map(adj.__getitem__, reds))):
         raise GraphError("the graph has red-red edges; sanitize first")
     return "\n".join(lines) + "\n"
+
+
+def in_original_ids(inst: Instance) -> RBGraph:
+    """The instance's graph under the ids its ``c origid`` comments give
+    back: the inverse of ``format_instance``'s relabeling.  Raises
+    ``GraphError`` if two labels name one id."""
+    origid = inst.meta.get("origid", {})
+    g = inst.graph
+    return RBGraph.from_parts([origid.get(v, v) for v in g.blue],
+                              [origid.get(v, v) for v in g.red],
+                              [(origid.get(u, u), origid.get(v, v)) for u, v in g.edges()])
 
 
 # -- solutions ------------------------------------------------------------------
@@ -263,13 +313,17 @@ def format_solution(chosen) -> str:
 # -- traces ---------------------------------------------------------------------
 
 
+def format_fingerprint(fp: Fingerprint) -> str:
+    """The fields of a trace's ``c fingerprint`` line."""
+    return "v=%d e=%d sha=%s" % (fp.n_vertices, fp.n_edges, fp.digest)
+
+
 def format_trace(trace: KernelTrace) -> str:
     """One application per line, fields tab-separated in this order; the
     parser takes any whitespace between fields, but no other order."""
     lines = []
     if trace.fingerprint is not None:
-        fp = trace.fingerprint
-        lines.append("c fingerprint v=%d e=%d sha=%s" % (fp.n_vertices, fp.n_edges, fp.digest))
+        lines.append("c fingerprint " + format_fingerprint(trace.fingerprint))
     for tag, witness, delta, added in trace.records:
         line = "r\t%s\tk_delta=%d\twitness=(%s)" % (tag, delta, ",".join(map(str, witness)))
         lines.append(line if added is None else "%s\tadded=%d" % (line, added))

@@ -2,24 +2,18 @@
 
 Every generator emits an already-sanitized instance whose vertex ids follow
 the file layout (blues first, then reds), so writing and re-reading an
-instance is the identity.
+instance is the identity.  Each refuses, before it allocates anything, a
+size or seed that ``formats.format_instance`` would refuse.
 """
 
 from __future__ import annotations
 
 import random
 
-from .formats import MAX_VERTICES
+from .formats import check_seed, check_vertex_count
 from .graph import BLUE, RED, Instance, RBGraph
 
 GEN_ALGO_ID = "stacked-tri-mt19937-v1"
-
-
-def _check_size(n: int) -> None:
-    """Refuse, before anything is allocated, an instance the reader refuses."""
-    if n > MAX_VERTICES:
-        raise ValueError("%d vertices, more than the %d an instance file may declare"
-                         % (n, MAX_VERTICES))
 
 
 def _layout(colors: dict, edges) -> RBGraph:
@@ -43,7 +37,7 @@ def gen_grid(rows: int, cols: int) -> Instance:
     if rows < 1 or cols < 1:
         raise ValueError("grid needs rows, cols >= 1")
     n = rows * cols
-    _check_size(n)
+    check_vertex_count(n)
     n_blue = (n + 1) // 2
     label = []
     blue = red = 0
@@ -68,7 +62,7 @@ def gen_matching(m: int) -> Instance:
     """m disjoint blue-red edges; each component forces one pick, so k=m."""
     if m < 1:
         raise ValueError("matching needs m >= 1")
-    _check_size(2 * m)
+    check_vertex_count(2 * m)
     g = RBGraph.from_parts(range(1, m + 1), range(m + 1, 2 * m + 1))
     for i in range(1, m + 1):
         g.add_edge(i, m + i)
@@ -98,7 +92,8 @@ def gen_random_planar(n: int, density: float, seed: int) -> Instance:
         raise ValueError("random planar generation needs n >= 3")
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
-    _check_size(n)
+    check_vertex_count(n)
+    check_seed(seed)
     rng = random.Random(seed)
     edges = [e for e in _stacked_triangulation(n, rng) if rng.random() < density]
     colors = {v: (BLUE if rng.random() < 0.5 else RED) for v in range(n)}

@@ -190,6 +190,20 @@ class TestPipeline:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and "not at the kernel" in err
 
+    def test_kernel_naming_one_id_twice_exits_bad_input(self, lift_files, capsys):
+        # Two c origid lines of the kernel give one original id: the kernel
+        # has no graph under its original ids to replay to.
+        src, kernel, trace = lift_files
+        text = kernel.read_text()
+        first = re.search(r"^c origid \d+ (\d+)$", text, re.M)[1]
+        kernel.write_text(re.sub(r"^(c origid \d+ )\d+$", r"\g<1>" + first,
+                                 text, count=2, flags=re.M))
+        assert main(["solve", str(kernel), "--lift", str(trace),
+                     "--original", str(src)]) == EXIT_BAD_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert "already live" in err and "Traceback" not in err
+
     def test_lift_that_does_not_dominate_exits_invalid(self, lift_files, capsys, monkeypatch):
         # The checks before the lift leave no way to a bad lift but a fault
         # in lifting itself, so one is put in: a lift that loses every blue.
@@ -364,6 +378,14 @@ class TestTransformCommand:
                      "--out", str(out)]) == EXIT_BAD_INPUT
         assert not out.exists()
         assert "18 digits" in capsys.readouterr().err
+
+    def test_bad_budget_with_malformed_plane_file_exits_parse(self, tmp_path, capsys):
+        # The plane file is read before the budget is written, so its error
+        # comes first.
+        src = tmp_path / "bad.plane"
+        src.write_text("p plane 2 1\nv 1: 2\n")
+        assert main(["transform", "face-cover", str(src), "-k", "-1"]) == EXIT_PARSE
+        assert "parse error" in capsys.readouterr().err
 
     def test_face_cover_disconnected_exits_bad_input(self, tmp_path, capsys):
         src = tmp_path / "two.plane"
