@@ -71,6 +71,12 @@ def _is_id(text: str) -> bool:
     return text.isascii() and text.isdigit() and len(text) <= 18
 
 
+def _is_origid(parts: list) -> bool:
+    """Whether the fields of a ``c`` line are a ``c origid <label> <id>`` map
+    entry rather than a free-form comment."""
+    return len(parts) == 4 and parts[1] == "origid" and _is_id(parts[2]) and _is_id(parts[3])
+
+
 # -- instances -----------------------------------------------------------------
 
 # The most vertices an instance header may declare.  The reader allocates an
@@ -177,7 +183,7 @@ def parse_instance(text: str) -> Instance:
             continue
         if kind == "c":
             # Otherwise a free-form comment that merely looks like a map.
-            if len(parts) == 4 and parts[1] == "origid" and _is_id(parts[2]) and _is_id(parts[3]):
+            if _is_origid(parts):
                 origid[int(parts[2])] = int(parts[3])
             continue
         if kind == "p":
@@ -229,8 +235,9 @@ def format_instance(inst: Instance, comments=()) -> str:
     reader would refuse or misread: more than ``MAX_VERTICES`` vertices, a
     budget outside 0..10^18-1, a ``g seed`` line whose algo id is not one
     blank-free token or whose seed has more than 18 digits, a comment with
-    a line break, and on a relabeled graph an original id of more than 18
-    digits, which its ``c origid`` line would not give back."""
+    a line break or one that reads back as a ``c origid`` map entry, and on
+    a relabeled graph an original id of more than 18 digits, which its
+    ``c origid`` line would not give back."""
     g = inst.graph
     adj = g.adj
     meta = inst.meta
@@ -252,6 +259,8 @@ def format_instance(inst: Instance, comments=()) -> str:
     for line in lines:
         if line.splitlines() != [line]:
             raise ValueError("comment %r holds a line break" % line[2:])
+        if _is_origid(line.split()):
+            raise ValueError("comment %r would read back as a c origid map entry" % line[2:])
     lines.append("p rbds %d %d %d" % (nb, nr, inst.k))
     if seeded:
         lines.append("g seed %s %d" % (algo, meta["seed"]))

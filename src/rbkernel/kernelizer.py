@@ -453,29 +453,32 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
 
 # -- the driver --------------------------------------------------------------------
 #
-# The driver fires sanitize's matches, then the loop's, through _apply, so
-# apply_rule builds every record it writes.  The loop keeps a pending set of
-# the vertices where a rule may newly apply for R1 and R2, which it sweeps to
-# a fixpoint many times per round.  One sweep serves them, isolated blues and
-# R3: it empties the set and probes each live vertex of a sorted snapshot of
-# it once.  A round sweeps isolated blues, R1 and R2 and starts over while any
-# fired; then it sweeps R3 over the degree-one blues of the current graph, the
-# only blues where R3 applies, and tries R4 once on every pair, as find_rule4
-# does.  A round ends at R4, so a run has one round more than it has R4
-# firings, and R3 and R4 keep nothing between rounds.  What a firing removed
-# and added decides what becomes pending, by the color of each removed vertex
-# alone: a red's neighbors join R1's set, and a blue's neighbors, like an
-# added red, are noted in ``shrunk`` for R2.  C(r) is the set of reds whose
-# neighborhood contains N(r), for which r may now witness R2.  The
-# isolated-blue sweep probes a snapshot of the live degree-0 blues of R1's
-# set.  A blue loses its last red only when that red is removed, which puts
-# the blue in R1's set, no record gives a degree-0 blue a red, and only the R1
-# sweep, which follows the isolated-blue one, empties the set; so the snapshot
-# holds every isolated blue of the graph.
+# The driver is kernelize, which holds the run's state in locals: the graph
+# copy, k, the records, R1's pending set wl1, the reds noted in ``shrunk`` and
+# R2's pending set wl2.  It fires sanitize's matches, then the loop's, through
+# its nested fire, which calls apply_rule, so apply_rule builds every record
+# it writes.  The loop keeps a pending set of the vertices where a rule may
+# newly apply for R1 and R2, which it sweeps to a fixpoint many times per
+# round.  One sweep, the nested sweep, serves them, isolated blues and R3: it
+# empties the set and probes each live vertex of a sorted snapshot of it once.
+# A round sweeps isolated blues, R1 and R2 and starts over while any fired;
+# then it sweeps R3 over the degree-one blues of the current graph, the only
+# blues where R3 applies, and tries R4 once on every pair, as find_rule4 does.
+# A round ends at R4, so a run has one round more than it has R4 firings, and
+# R3 and R4 keep nothing between rounds.  What a firing removed and added
+# decides what becomes pending, by the color of each removed vertex alone: a
+# red's neighbors join R1's set, and a blue's neighbors, like an added red,
+# are noted in ``shrunk`` for R2.  C(r) is the set of reds whose neighborhood
+# contains N(r), for which r may now witness R2.  The isolated-blue sweep
+# probes a snapshot of the live degree-0 blues of R1's set.  A blue loses its
+# last red only when that red is removed, which puts the blue in R1's set, no
+# record gives a degree-0 blue a red, and only the R1 sweep, which follows the
+# isolated-blue one, empties the set; so the snapshot holds every isolated
+# blue of the graph.
 #
 # No firing makes a vertex pending for the rule being swept, so the snapshot
 # visits what a min-heap popped to empty would, in the same order, and
-# _sweep asserts that its set is still empty afterwards: removing an
+# sweep asserts that its set is still empty afterwards: removing an
 # isolated blue touches nothing else, R1 removes only blues and R2 only
 # reds.  R3, with R1 and R2 exhausted, removes a whole component {v, r}, v
 # first, so r has no neighbors left when it goes and makes nothing pending.
@@ -484,6 +487,17 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
 # is checked after every firing, so a run stops at the record that drove k
 # below zero.  Sweeping in ascending id order thus makes the run identical
 # to the naive rescans-from-scratch driver, which tests exploit.
+#
+# At the fixpoint the size test alone decides, because there are no reds
+# exactly when there are no blues.  Sanitize answers NO for every red
+# without a blue before the loop starts, and no record leaves a red without
+# a blue: R1 keeps the blue that contains the removed one's neighborhood, R2
+# removes only reds, R3 and the forcing R4 cases remove each forced blue
+# together with its reds, R4 case 2 puts its new red on the pair, and
+# Sanitize-isolated-blue removes only blues that have no red.  A blue whose
+# reds are all gone is removed by the isolated-blue sweep before the loop
+# can end: the last round fires no isolated blue, R1, R2 or R4, and its R3
+# sweep removes whole components, so it leaves no blue without a red.
 #
 # The R1 and R2 sets start with a seed, not with every vertex of its color:
 # the blues where R1 applies and the reds where R2 applies (the union over
@@ -553,55 +567,45 @@ def _iso_at(g: RBGraph, b: int) -> Match | None:
     return None if g.adj[b] else Match(SAN_BLUE, (b,))
 
 
-class _Driver:
-    def __init__(self, inst: Instance):
-        self.g = inst.graph.copy()
-        self.k = inst.k
-        self.records: list[RuleApplication] = []
-        self.fp = fingerprint_instance(inst)
-        self.wl1: set[int] = set()
-        self.shrunk: set[int] = set()
+def kernelize(inst: Instance) -> KernelResult:
+    """Shrink ``inst`` to an equivalent reduced instance or report NO.
 
-    def run(self) -> KernelResult:
-        g = self.g
-        found = sanitize(g)
-        for match in found:
-            self._apply(match)
-        if found and found[-1].tag == SAN_NO:
-            return self._no(NO_ISOLATED_RED)
+    Sanitizes, exhausts R1 then R2, restarts on any change, then fires R3
+    at every two-vertex component and tries R4, restarting after an R4
+    application.  The budget is checked after every firing.  A red that no
+    blue can dominate is found by sanitize, before the loop, and answered
+    NO there.  At the fixpoint every red has a blue neighbor and every blue
+    a red one, so the result is NO when the budget went negative or the
+    reduced graph is larger than 46 times the remaining budget; otherwise
+    the reduced instance is returned with its trace.  The size test is what
+    makes the output a kernel; it presumes a planar input.
+    """
+    if inst.k < 0:
+        raise ValueError("budget must be non-negative, got %d" % inst.k)
+    g = inst.graph.copy()
+    adj = g.adj
+    k = inst.k
+    records: list[RuleApplication] = []
+    trace = KernelTrace(records, fingerprint_instance(inst))
+    wl1: set[int] = set()
+    shrunk: set[int] = set()
 
-        adj = g.adj
-        self.wl1.update(_r1_seed(g))
-        self.wl2 = _r2_seed(g)
+    def fire(match) -> None:
+        """Fire ``match``; make pending what it removed and added (see the
+        driver notes)."""
+        nonlocal k
+        k, rec, removed = apply_rule(g, k, match)
+        records.append(rec)
+        for _, color, nbrs in removed:
+            (wl1 if color == RED else shrunk).update(nbrs)
+        if rec.added is not None:
+            shrunk.add(rec.added)
 
-        while self.k >= 0:
-            changed = self._sweep([b for b in self.wl1 if b in adj and not adj[b]], _iso_at)
-            changed |= self._sweep(self.wl1, _r1_at)
-            changed |= self._sweep(self._r2_pending(), _r2_at)
-            if not changed:
-                self._sweep(_r3_seed(g), _r3_at)
-                if self.k < 0 or not self._try_rule4():
-                    break
-        if self.k < 0:
-            return self._no(NO_BUDGET)
-
-        if not g.red:
-            return self._reduced()
-        if not g.blue:
-            return self._no(NO_ISOLATED_RED)
-        if g.n_vertices > 46 * self.k:
-            return self._no(NO_SIZE)
-        return self._reduced()
-
-    # -- phases --
-
-    def _sweep(self, pending: set | list, probe) -> bool:
+    def sweep(pending: set | list, probe) -> bool:
         """Empty ``pending``, probe its live vertices in ascending order and
         fire what ``probe`` finds, stopping once the budget is negative; True
         iff anything fired.  No firing refills ``pending`` (see the driver
         notes)."""
-        g = self.g
-        adj = g.adj
         todo = sorted(pending)
         pending.clear()
         fired = False
@@ -609,69 +613,45 @@ class _Driver:
             if x in adj:
                 match = probe(g, x)
                 if match is not None:
-                    self._apply(match)
+                    fire(match)
                     fired = True
-                    if self.k < 0:
+                    if k < 0:
                         break
         assert not pending, "a firing made %s pending for the rule being swept" % sorted(pending)
         return fired
 
-    def _r2_pending(self) -> set:
-        """R2's pending set with C(r), r included, added for each live noted
-        red r: the reds next to every blue of N(r), which is nonempty."""
-        adj = self.g.adj
-        wl2 = self.wl2
-        for r in self.shrunk:
+    found = sanitize(g)
+    for match in found:
+        fire(match)
+    if found and found[-1].tag == SAN_NO:
+        return KernelResult("no", reason=NO_ISOLATED_RED, trace=trace)
+
+    wl1.update(_r1_seed(g))
+    wl2 = _r2_seed(g)
+    while k >= 0:
+        changed = sweep([b for b in wl1 if b in adj and not adj[b]], _iso_at)
+        changed |= sweep(wl1, _r1_at)
+        # C(r), r included, for each live noted red r: the reds next to every
+        # blue of N(r), which is nonempty.
+        for r in shrunk:
             if r in adj:
                 wl2.update(set.intersection(*map(adj.__getitem__, adj[r])))
-        self.shrunk.clear()
-        return wl2
-
-    def _try_rule4(self) -> bool:
-        match = _first(self.g, _r4_pairs(self.g), _r4_at)
-        if match is not None:
-            self._apply(match)
-        return match is not None
-
-    # -- bookkeeping --
-
-    def _apply(self, match) -> None:
-        """Fire ``match``; make pending what it removed and added (see the
-        driver notes)."""
-        self.k, rec, removed = apply_rule(self.g, self.k, match)
-        self.records.append(rec)
-        for _, color, nbrs in removed:
-            (self.wl1 if color == RED else self.shrunk).update(nbrs)
-        if rec.added is not None:
-            self.shrunk.add(rec.added)
-
-    # -- verdicts --
-
-    def _trace(self) -> KernelTrace:
-        return KernelTrace(self.records, self.fp)
-
-    def _no(self, reason: str) -> KernelResult:
-        return KernelResult("no", reason=reason, trace=self._trace())
-
-    def _reduced(self) -> KernelResult:
-        return KernelResult("reduced", Instance(self.g, self.k), self._trace())
-
-
-def kernelize(inst: Instance) -> KernelResult:
-    """Shrink ``inst`` to an equivalent reduced instance or report NO.
-
-    Sanitizes, exhausts R1 then R2, restarts on any change, then fires R3
-    at every two-vertex component and tries R4, restarting after an R4
-    application.  The budget is checked after every firing.  At the
-    fixpoint the result is NO when the budget went negative, a red is
-    undominatable, or the reduced graph is larger than 46 times the
-    remaining budget; otherwise the reduced instance is returned with its
-    trace.  The size test is what makes the output a kernel; it presumes a
-    planar input.
-    """
-    if inst.k < 0:
-        raise ValueError("budget must be non-negative, got %d" % inst.k)
-    return _Driver(inst).run()
+        shrunk.clear()
+        changed |= sweep(wl2, _r2_at)
+        if not changed:
+            sweep(_r3_seed(g), _r3_at)
+            if k < 0:
+                break
+            match = _first(g, _r4_pairs(g), _r4_at)
+            if match is None:
+                break
+            fire(match)
+    if k < 0:
+        return KernelResult("no", reason=NO_BUDGET, trace=trace)
+    assert bool(g.red) == bool(g.blue), "the fixpoint left a red without a blue or the reverse"
+    if g.n_vertices > 46 * k:
+        return KernelResult("no", reason=NO_SIZE, trace=trace)
+    return KernelResult("reduced", Instance(g, k), trace)
 
 
 # -- replay and lifting -----------------------------------------------------------

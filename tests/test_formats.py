@@ -100,6 +100,21 @@ class TestWriterRefusals:
         with pytest.raises(ValueError, match="line break"):
             formats.format_instance(Instance(self.EDGE, 1), ["fine", comment])
 
+    @pytest.mark.parametrize("comment", ["origid 1 5", " origid\t1 5 ", "origid\xa01 1",
+                                         "origid 000000000000000001 999999999999999999"])
+    def test_comment_that_reads_back_as_a_map_entry(self, comment):
+        # Written verbatim, the line would read back as 'c origid <label> <id>'
+        # and rename blue 1 under in_original_ids.
+        with pytest.raises(ValueError, match="c origid map entry"):
+            formats.format_instance(Instance(self.EDGE, 1), ["fine", comment])
+
+    @pytest.mark.parametrize("comment", ["origid 1", "origid 1 5 6", "origid x 5", "origid -1 5",
+                                         "origid 1 1000000000000000000", "origid \u0661 5",
+                                         "c origid 1 5", "Origid 1 5"])
+    def test_comment_that_only_looks_like_a_map_entry(self, comment):
+        back = formats.parse_instance(formats.format_instance(Instance(self.EDGE, 1), [comment]))
+        assert "origid" not in back.meta and formats.in_original_ids(back) == self.EDGE
+
     def test_values_at_the_limits_round_trip(self):
         top = 10 ** 18 - 1
         g = RBGraph.from_parts([0], [top], [(0, top)])
@@ -127,9 +142,8 @@ def _reads_back_as(text, inst):
 def instances_near_the_limits(draw):
     """Instances in file layout or with ids up to 10^20, possibly with an
     empty color, and budgets, g seed lines and comments on either side of
-    what the reader takes.  Comments are at most 8 characters: the reader
-    takes a comment 'origid <label> <id>' as a map entry (the reference
-    writer test writes one), which this test leaves out."""
+    what the reader takes, comments that read as a 'c origid' map entry
+    included."""
     nb, nr = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     if draw(st.booleans()):
         ids = list(range(1, nb + nr + 1))
@@ -144,7 +158,8 @@ def instances_near_the_limits(draw):
     if draw(st.booleans()):
         meta = {"algo": draw(st.sampled_from(["planar", "a b", ""]) | st.text(max_size=4)),
                 "seed": draw(near)}
-    comments = draw(st.lists(st.text(max_size=8), max_size=2))
+    origid = st.sampled_from(["origid 1 2", "origid\t1 1", " origid 2 99 ", "origid 1 2 3"])
+    comments = draw(st.lists(st.text() | origid, max_size=2))
     return Instance(RBGraph.from_parts(blues, reds, edges), draw(near), meta), comments
 
 
@@ -157,10 +172,13 @@ class TestWriterReadsBack:
             text = formats.format_instance(inst, comments)
         except ValueError:
             # Refused: unchecked, the same lines would not read back, or a
-            # comment would break into two lines.
+            # comment would break into two lines or read as a map entry.
             lines = ["c %s" % c for c in comments]
             breaks = any(line.splitlines() != [line] for line in lines)
-            assert breaks or not _reads_back_as(reference_format_instance(inst, comments), inst)
+            maps = any("origid" in reference_parse_instance(line + "\np rbds 0 0 0\n").meta
+                       for line in lines if not breaks)
+            assert (breaks or maps
+                    or not _reads_back_as(reference_format_instance(inst, comments), inst))
             return
         assert _reads_back_as(text, inst)
 
@@ -457,6 +475,11 @@ class TestWriterMatchesReference:
     @settings(max_examples=300, deadline=None)
     def test_same_bytes(self, case):
         inst, comments = case
+        if "origid 1 2" in comments:
+            # The reader would take that comment as a map entry.
+            with pytest.raises(ValueError, match="c origid map entry"):
+                formats.format_instance(inst, comments)
+            return
         text = formats.format_instance(inst, comments)
         assert text == reference_format_instance(inst, comments)
         assert_reads_as_reference(text)
