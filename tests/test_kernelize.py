@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from collections import Counter
 
@@ -555,6 +556,55 @@ class TestReferenceEquivalence:
                   rule4_case3_witness(), rule4_case3_witness(swap_vw=True)):
             for k in range(len(g.blue) + 1):
                 self.check(g, k)
+
+
+def check_verdict(g, k):
+    """Kernelize (g, k) and check the fact each verdict rests on: a REDUCED
+    kernel, like the fixpoint of a size verdict, has no vertex without a
+    neighbor; NO reason=isolated-red ends with the Sanitize-NO record of a
+    red that no blue of ``g`` neighbors; NO reason=budget ends at the first
+    record where k plus the running sum of the budget drops is negative.
+    Returns the status, or the reason of a NO."""
+    res = kernelize(Instance(g.copy(), k))
+    records = res.trace.records
+    if res.reason == NO_ISOLATED_RED:
+        assert records[-1].tag == "Sanitize-NO"
+        assert g.adj[records[-1].witness[0]].isdisjoint(g.blue)
+    elif res.reason == NO_BUDGET:
+        left = list(itertools.accumulate((rec.delta_k for rec in records), initial=k))[1:]
+        assert left[-1] < 0 and min(left[:-1], default=0) >= 0
+    else:
+        kernel = res.instance.graph if res.reason is None else replay_trace(g, res.trace)
+        assert all(kernel.adj.values())
+        kernel_k = k + sum(rec.delta_k for rec in records)
+        assert (kernel.n_vertices > 46 * kernel_k) == (res.reason == NO_SIZE)
+    return res.reason or res.status
+
+
+class TestVerdicts:
+    """Each verdict's certificate, on the kernelize tests' corpora."""
+
+    def test_on_random_graphs_at_every_budget(self, random_graphs_300):
+        seen = Counter(check_verdict(g, k) for g in random_graphs_300
+                       for k in range(len(g.blue) + 1))
+        assert set(seen) == {"reduced", NO_BUDGET, NO_ISOLATED_RED}
+
+    def test_on_planar_grids_and_witnesses(self):
+        from rbkernel.generators import gen_grid
+        cases = list(_SOURCES) + list(face_cover_corpus())
+        for i, n in enumerate((150, 200, 250, 300)):
+            inst = gen_random_planar(n, 0.6 + 0.1 * i, 0)
+            opt = inst.k - kernelize(inst).instance.k
+            cases += [(inst.graph, opt), (inst.graph, opt - 1)]
+        for rows, cols in ((3, 4), (5, 5), (6, 6), (10, 10)):
+            # At the budget the rules spend, k' = 0 and a nonempty kernel is
+            # too large.
+            inst = gen_grid(rows, cols)
+            spent = inst.k - kernelize(inst).instance.k
+            cases += [(inst.graph, k) for k in (inst.k, spent, spent - 1) if k >= 0]
+        cases += [(alternating_cycle(6), k) for k in range(4)]
+        seen = Counter(check_verdict(g, k) for g, k in cases)
+        assert set(seen) == {"reduced", NO_BUDGET, NO_ISOLATED_RED, NO_SIZE}
 
 
 def check_forced_blues(g, k):
