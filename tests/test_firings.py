@@ -167,7 +167,7 @@ def grown_witness(rng: random.Random) -> RBGraph:
 def test_each_firing_matches_brute_force():
     rng = random.Random(2026)
     fired = Counter()
-    for _ in range(1500):
+    for _ in range(1000):
         walk(random_graph(rng), fired)
     for _ in range(2000):
         walk(grown_witness(rng), fired)
