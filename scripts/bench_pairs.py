@@ -17,7 +17,11 @@ and quartiles, the change's wins, and two verdicts read against
 * ``within_bound``: the change's median is worse than the parent's by no
   more than the metric's ``bound``, a fraction of the parent's median.
 
-After the runs it prints one line per end-to-end metric with those numbers.
+It prints each run's ``vertices_per_s`` and ``failed`` count as it comes
+back.  A run that ``perfbench/run.py`` marks ``correct: false`` ends the
+script at once with exit status 1, naming its side and seed, and no file is
+written: a gain read from a wrong run means nothing.  After the runs it
+prints one line per end-to-end metric with those numbers.
 """
 
 from __future__ import annotations
@@ -44,6 +48,14 @@ def _export(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def _run(cwd: Path, workload: str, seed: int, seconds: str) -> dict:
+    """The final JSON line of one ``perfbench/run.py`` run in ``cwd``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", seconds, "--trace", "0"]
+    p = subprocess.run(cmd, cwd=cwd, check=True, capture_output=True, text=True)
+    return json.loads(p.stdout.strip().splitlines()[-1])
 
 
 def _cpu_model() -> str:
@@ -107,15 +119,15 @@ def main(argv=None) -> int:
         for i, seed in enumerate(_seeds(args.seeds)):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-                       "--seed", str(seed), "--seconds", seconds, "--trace", "0"]
-                p = subprocess.run(cmd, cwd=Path(tmp) / side, check=True, capture_output=True,
-                                   text=True)
+                result = _run(Path(tmp) / side, args.workload, seed, seconds)
                 runs.append({"side": side, "rev": revs[side], "seed": seed,
-                             "first": side == order[0],
-                             "result": json.loads(p.stdout.strip().splitlines()[-1])})
-                print(side, seed, runs[-1]["result"]["metrics"]["vertices_per_s"]["value"],
-                      flush=True)
+                             "first": side == order[0], "result": result})
+                print(side, seed, result["metrics"]["vertices_per_s"]["value"],
+                      "failed", result["failed"], flush=True)
+                if not result["correct"]:
+                    print("the %s run at seed %d is marked incorrect; no pair file written"
+                          % (side, seed), file=sys.stderr)
+                    return 1
     doc = {"workload": args.workload, "python": platform.python_version(), "cpu": _cpu_model(),
            "command": "python3 perfbench/run.py --workload %s --seed <seed> --seconds %s "
                       "--trace 0" % (args.workload, seconds),

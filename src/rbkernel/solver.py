@@ -38,9 +38,22 @@ Witness contract: among all minimum covers the lexicographically smallest
 sorted id tuple is returned, so golden tests stay stable.  A minimum cover
 is a minimum cover of each part, and the lex-min one is the union of the
 parts' lex-min covers.  A part's cover is rebuilt in ascending id order,
-keeping an id when the part's still-uncovered elements can then be covered
-by the part's remaining budget; every such query runs on the same engine
-and memo.
+keeping an id exactly when the part's still-uncovered elements can then be
+covered by the part's remaining budget.  Most yes answers need no query.
+Each exact memo entry records the set whose branch reached its
+value, and the child it leads to is exact too, so following the records
+from the part gives a minimum cover without search.  The rebuild keeps
+such a completion, ``rest``, of the ids kept so far.  When every
+still-uncovered element that one set of ``rest`` alone covers lies in the
+candidate's set, the candidate takes that set's place: a yes.  Otherwise
+the engine is asked, and on a yes ``rest`` becomes the recorded cover of
+what is left.  Either way each answer is the query's, so the kept ids do not
+depend on which minimum cover the search happened to record; that cover is
+not itself lex-min, since a subsumed set is never branched on.
+
+Only a blue's red neighbors count as its set: an edge between two blues or
+two reds dominates nothing, and a red with no blue neighbor makes the
+instance infeasible.
 """
 
 from __future__ import annotations
@@ -85,10 +98,13 @@ def min_rbds(g: RBGraph) -> SolveOutcome:
 
     Raises :class:`InstanceTooLargeError` when the search runs out of stack.
     """
-    if any(not g.adj[r] for r in g.red):
-        return INFEASIBLE
     blues = sorted(g.blue)
-    engine = _Cover([g.adj[b] for b in blues])
+    # A blue's set is its red neighbors: an edge within one color dominates
+    # nothing.
+    family = [g.adj[b] & g.red for b in blues]
+    if not g.red <= set().union(*family):
+        return INFEASIBLE
+    engine = _Cover(family)
     # A set lies inside one part, and the parts are increasing bit runs, so
     # the part of a set is the first one ending at or above its top bit.
     ends = [part.bit_length() for part in engine.parts]
@@ -105,20 +121,45 @@ def min_rbds(g: RBGraph) -> SolveOutcome:
             # Keep a blue when a minimum cover of the part extends the blues
             # kept so far with it.  Asking over all the part's blues, not
             # just the later ones, changes no answer: a completion through a
-            # skipped lower id would have kept that id at its turn.
+            # skipped lower id would have kept that id at its turn.  ``rest``
+            # is such a completion of the blues kept so far; when the blue
+            # can replace one of its sets, the answer is yes without a query.
+            rest = engine.walk(part)
             covered = kept = 0
             for b, m in sets:
-                need = best - kept - 1
-                if m & ~covered and engine.solve(part & ~(covered | m), need) <= need:
-                    chosen.append(b)
-                    covered |= m
-                    kept += 1
-                    if kept == best:
-                        break
+                if not m & ~covered:
+                    continue
+                left = part & ~(covered | m)
+                i = _replaceable(rest, left)
+                if i >= 0:
+                    del rest[i]
+                else:
+                    need = best - kept - 1
+                    if engine.solve(left, need) > need:
+                        continue
+                    rest = engine.walk(left)
+                chosen.append(b)
+                covered |= m
+                kept += 1
+                if kept == best:
+                    break
     except RecursionError:
         raise InstanceTooLargeError(
             "instance too large for exact search: the search ran out of stack") from None
     return SolveOutcome(size, frozenset(chosen))
+
+
+def _replaceable(rest: list[int], left: int) -> int:
+    """Index of a set of ``rest`` whose elements in ``left`` all lie in
+    another set of ``rest``, or -1: dropped, it leaves ``left`` covered."""
+    once = twice = 0
+    for w in rest:
+        twice |= once & w
+        once |= w
+    for i, w in enumerate(rest):
+        if not w & left & ~twice:
+            return i
+    return -1
 
 
 class _Cover:
@@ -176,8 +217,11 @@ class _Cover:
                 self.covers[i].append(m)
                 self.reach[i] |= m
                 rest ^= low
-        # Uncovered mask -> (value, exact); inexact values are lower bounds.
-        self.memo: dict[int, tuple[int, bool]] = {}
+        # apart[i]: the complement of reach[i], what packing keeps.
+        self.apart = [~r for r in self.reach]
+        # Uncovered mask -> (value, exact, choice); inexact values are lower
+        # bounds and have choice 0.  An exact entry is never overwritten.
+        self.memo: dict[int, tuple[int, bool, int]] = {}
 
     def solve(self, u: int, limit: int) -> int:
         """Size of a minimum cover of ``u`` if it is at most ``limit``, else
@@ -191,36 +235,56 @@ class _Cover:
             return hit[0]
         else:
             low = max(self._packing(u), hit[0])
-        value = low if low > limit else self._branch(u, limit, low)
-        self.memo[u] = (value, value <= limit)
+        value, choice = (low, 0) if low > limit else self._branch(u, limit, low)
+        exact = value <= limit
+        self.memo[u] = (value, exact, choice if exact else 0)
         return value
+
+    def walk(self, u: int) -> list[int]:
+        """A minimum cover of ``u``, which must be exact in the memo or 0:
+        the sets recorded from ``u`` on.  The child of an exact entry is
+        exact too, since its value was within its limit when it lowered the
+        entry's best."""
+        cover = []
+        while u:
+            m = self.memo[u][2]
+            cover.append(m)
+            u &= ~m
+        return cover
 
     def _packing(self, u: int) -> int:
         """Elements of ``u`` with pairwise disjoint covers, taken in bit
         order, i.e. layer by layer: each needs a set of its own.  Taking an
         element rules out every element it shares a set with."""
-        reach = self.reach
+        apart = self.apart
         n = 0
         while u:
-            u &= ~reach[(u & -u).bit_length() - 1]
+            u &= apart[(u & -u).bit_length() - 1]
             n += 1
         return n
 
-    def _branch(self, u: int, limit: int, low: int) -> int:
+    def _branch(self, u: int, limit: int, low: int) -> tuple[int, int]:
         """Branch on the lowest element of ``u``, the first one left in the
         earliest uncovered layer; ``low`` is a lower bound on its cover size,
-        at most ``limit``."""
-        cands = {m & u for m in self.covers[(u & -u).bit_length() - 1]}
-        # Branch only on maximal candidates, largest first: a cover using a
-        # subsumed set stays a cover when it takes the larger one instead.
+        at most ``limit``.  Returns the value and the set that reached it."""
+        # The candidates are the covering sets cut down to ``u``; ``full``
+        # maps each to the first set that gives it, to be recorded.
+        full: dict[int, int] = {}
+        for m in self.covers[(u & -u).bit_length() - 1]:
+            full.setdefault(m & u, m)
+        # Branch only on maximal candidates, largest first and ties in the
+        # order of their first set: a cover using a subsumed set stays a
+        # cover when it takes the larger one instead.
         kept: list[int] = []
-        for m in sorted(cands, key=int.bit_count, reverse=True):
+        for m in sorted(full, key=int.bit_count, reverse=True):
             if all(m & k != m for k in kept):
                 kept.append(m)
         # Every element has a cover, so |u| + 1 exceeds any bound on u.
-        best = u.bit_count() + 1
+        best, choice = u.bit_count() + 1, 0
         for m in kept:
-            best = min(best, 1 + self.solve(u & ~m, min(best - 1, limit) - 1))
-            if best == low:
-                break
-        return best
+            value = 1 + self.solve(u & ~m, min(best - 1, limit) - 1)
+            if value < best:
+                best, choice = value, full[m]
+                if best == low:
+                    break
+        return best, choice

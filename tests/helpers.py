@@ -61,16 +61,44 @@ def exhaustive_min_ds(adj: dict):
 def decide(g: RBGraph, k: int) -> bool:
     """True iff at most ``k`` blues dominate every red: one bounded query on
     the solver's cover engine per component, each under what ``k`` leaves
-    after the components before it, as ``min_rbds`` solves them."""
-    if k < 0 or any(not g.adj[r] for r in g.red):
+    after the components before it, as ``min_rbds`` solves them.  A blue's
+    set is its red neighbors."""
+    family = [g.adj[b] & g.red for b in g.blue]
+    if k < 0 or not g.red <= set().union(*family):
         return False
-    engine = solver._Cover([g.adj[b] for b in g.blue])
+    engine = solver._Cover(family)
     used = 0
     for part in engine.parts:
         used += engine.solve(part, k - used)
         if used > k:
             return False
     return True
+
+
+def reference_min_rbds(g: RBGraph) -> solver.SolveOutcome:
+    """``min_rbds`` with the witness rebuilt by one bounded query per blue:
+    in ascending id order, a blue that covers a red not yet covered is kept
+    iff the reds it leaves uncovered fit in what the part's optimum leaves."""
+    blues = sorted(g.blue)
+    family = [g.adj[b] & g.red for b in blues]
+    if not g.red <= set().union(*family):
+        return solver.INFEASIBLE
+    engine = solver._Cover(family)
+    size = 0
+    chosen = []
+    for part in engine.parts:
+        best = engine.solve(part, part.bit_count())
+        size += best
+        covered = kept = 0
+        for b, m in zip(blues, engine.masks):
+            if not m & part & ~covered or kept == best:
+                continue
+            need = best - kept - 1
+            if engine.solve(part & ~(covered | m), need) <= need:
+                chosen.append(b)
+                covered |= m
+                kept += 1
+    return solver.SolveOutcome(size, frozenset(chosen))
 
 
 def min_ds(adj: dict) -> solver.SolveOutcome:

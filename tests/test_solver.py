@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbkernel import solver
-from rbkernel.generators import gen_grid
+from rbkernel.generators import gen_grid, gen_random_planar
 from rbkernel.graph import Instance, RBGraph
 from rbkernel.kernelizer import kernelize, lift_solution
 from rbkernel.planar import is_planar
@@ -17,6 +17,7 @@ from helpers import (
     exhaustive_min_ds,
     exhaustive_min_rbds,
     min_ds,
+    reference_min_rbds,
 )
 
 
@@ -192,6 +193,33 @@ class TestMinRbds:
         out = min_rbds(g)
         assert out.size == opt and verify_solution(g, out.witness)
 
+    def test_red_with_only_red_neighbors_is_infeasible(self):
+        # Red 3's one neighbor is red 2, so no blue dominates it.
+        g = RBGraph.from_parts([1], [2, 3], [(1, 2), (2, 3)])
+        assert not min_rbds(g).feasible
+
+    def test_blue_blue_edge_covers_nothing(self):
+        # Blue 1 dominates red 3; its edge to blue 2 asks for nothing more.
+        g = RBGraph.from_parts([1, 2], [3], [(1, 2), (1, 3)])
+        out = min_rbds(g)
+        assert (out.size, out.witness) == (1, frozenset({1}))
+
+    def test_matches_exhaustive_with_same_color_edges(self):
+        rng = random.Random(4242)
+        for _ in range(300):
+            nb, nr = rng.randint(1, 7), rng.randint(0, 7)
+            ids = range(1, nb + nr + 1)
+            edges = [(u, v) for u in ids for v in ids if u < v and rng.random() < 0.3]
+            g = RBGraph.from_parts(range(1, nb + 1), range(nb + 1, nb + nr + 1), edges)
+            expected = exhaustive_min_rbds(g)
+            got = min_rbds(g)
+            if expected is None:
+                assert not got.feasible and not decide(g, nb)
+            else:
+                assert (got.size, set(got.witness)) == expected
+                assert verify_solution(g, got.witness)
+                assert decide(g, expected[0]) and not decide(g, expected[0] - 1)
+
     def test_lower_bound_not_taken_as_optimum(self):
         # A search that fails under a small limit leaves a lower bound in
         # the memo; read back as an exact value it makes the witness
@@ -332,6 +360,69 @@ class TestGoldenKernels:
         assert verify_solution(kernel, out.witness)
 
 
+def assert_same_as_reference(g):
+    assert min_rbds(g) == reference_min_rbds(g)
+
+
+class TestWitnessRebuild:
+    # min_rbds rebuilds its witness from the search's recorded cover and asks
+    # the engine only when no set of that cover can give way to the blue;
+    # reference_min_rbds asks once per blue.  Their witnesses must agree on
+    # kernels far beyond the reach of exhaustive_min_rbds.
+
+    def test_recorded_walk_is_a_minimum_cover_but_not_the_witness(self):
+        # Blues 1 = {y, z}, 2 = {x}, 3 = {x, y}, 4 = {z}, with x = 5 the
+        # first bit.  The search branches on x over {x, y} alone, since {x}
+        # is subsumed, so the recorded cover is that of 1 and 3; the
+        # lex-min minimum cover is {1, 2}.
+        g = RBGraph.from_parts([1, 2, 3, 4], [5, 6, 7],
+                               [(1, 6), (1, 7), (2, 5), (3, 5), (3, 6), (4, 7)])
+        engine = solver._Cover(blue_family(g))
+        (part,) = engine.parts
+        assert engine.solve(part, part.bit_count()) == 2
+        assert sorted(engine.walk(part)) == sorted(engine.masks[i] for i in (0, 2))
+        assert min_rbds(g).witness == frozenset({1, 2})
+
+    @given(st.one_of(unions().map(blue_family), sparse_families))
+    @settings(max_examples=200, deadline=None)
+    def test_walk_covers_each_part_at_its_optimum(self, family):
+        engine = solver._Cover(family)
+        for part in engine.parts:
+            best = engine.solve(part, part.bit_count())
+            cover = engine.walk(part)
+            assert len(cover) == best
+            assert all(m in engine.masks for m in cover)
+            union = 0
+            for m in cover:
+                union |= m
+            assert union == part
+
+    @pytest.mark.parametrize("rows, cols", [(r, r) for r in range(4, 15)]
+                             + [(r, 2 * r + 3) for r in range(3, 10)] + [(6, 60)])
+    def test_grid_kernels(self, rows, cols):
+        assert_same_as_reference(kernelize(gen_grid(rows, cols)).instance.graph)
+
+    @pytest.mark.parametrize("rows, cols", [(5, 7), (6, 9), (7, 7), (8, 10), (6, 20), (10, 10)])
+    def test_face_cover_grids(self, rows, cols):
+        inst = plane_grid_face_cover(rows, cols)
+        assert_same_as_reference(inst.graph)
+        assert_same_as_reference(kernelize(inst).instance.graph)
+
+    def test_random_planar(self):
+        # Their kernels at k = |B| come out empty, so the graphs themselves
+        # are compared too.
+        for n in (40, 80, 160, 300):
+            for seed in range(1, 6):
+                inst = gen_random_planar(n, 0.3 + 0.15 * (seed % 5), seed)
+                assert_same_as_reference(inst.graph)
+                assert_same_as_reference(kernelize(inst).instance.graph)
+
+    @given(unions())
+    @settings(max_examples=200, deadline=None)
+    def test_unions(self, g):
+        assert_same_as_reference(g)
+
+
 class TestDecide:
     def test_negative_budget(self):
         assert not decide(RBGraph(), -1)
@@ -341,6 +432,10 @@ class TestDecide:
 
     def test_star_budget_one(self):
         assert decide(star(), 1)
+
+    def test_same_color_edges(self):
+        assert not decide(RBGraph.from_parts([1], [2, 3], [(1, 2), (2, 3)]), 1)
+        assert decide(RBGraph.from_parts([1, 2], [3], [(1, 2), (1, 3)]), 1)
 
     def test_agrees_with_min(self, random_graphs_300):
         rng = random.Random(7)
