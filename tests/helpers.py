@@ -91,13 +91,13 @@ def reference_min_rbds(g: RBGraph) -> solver.SolveOutcome:
         size += best
         covered = kept = 0
         for b, m in zip(blues, engine.masks):
-            if not m & part & ~covered or kept == best:
-                continue
             need = best - kept - 1
-            if engine.solve(part & ~(covered | m), need) <= need:
+            if m & part & ~covered and engine.solve(part & ~(covered | m), need) <= need:
                 chosen.append(b)
                 covered |= m
                 kept += 1
+                if kept == best:
+                    break
     return solver.SolveOutcome(size, frozenset(chosen))
 
 
