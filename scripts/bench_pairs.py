@@ -12,16 +12,20 @@ Python version and CPU model, and per end-to-end metric each side's median
 and quartiles, the change's wins, and two verdicts read against
 ``BENCHMARK.json``, which is only read:
 
-* ``gain``: the change won at least nine tenths of the pairs and its median
-  beats the parent's by more than the parent's interquartile range;
+* ``gain``: there are at least ten pairs, the change won at least nine
+  tenths of them and its median beats the parent's by more than the
+  parent's interquartile range;
 * ``within_bound``: the change's median is worse than the parent's by no
   more than the metric's ``bound``, a fraction of the parent's median.
 
-It prints each run's ``vertices_per_s`` and ``failed`` count as it comes
-back.  A run that ``perfbench/run.py`` marks ``correct: false`` ends the
-script at once with exit status 1, naming its side and seed, and no file is
-written: a gain read from a wrong run means nothing.  After the runs it
-prints one line per end-to-end metric with those numbers.
+``--seeds`` must name at least two seeds, low to high, or the script stops
+with a usage error before it exports anything: quartiles need two runs a
+side.  It prints each run's ``vertices_per_s`` and ``failed`` count as it
+comes back.  A run that ``perfbench/run.py`` marks ``correct: false``, or
+that exits with a nonzero status, ends the script at once with exit status
+1, naming its side and seed, and no file is written: a gain read from a
+wrong run means nothing.  After the runs it prints one line per end-to-end
+metric with those numbers.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MIN_GAIN_PAIRS = 10  # fewer pairs than this never report a gain
 
 
 def _git(*args: str) -> str:
@@ -67,7 +72,10 @@ def _cpu_model() -> str:
 
 def _seeds(spec: str) -> list[int]:
     lo, _, hi = spec.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    seeds = list(range(int(lo), int(hi or lo) + 1))
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError("%r names fewer than two seeds, low to high" % spec)
+    return seeds
 
 
 def _summary(runs: list[dict], spec: dict) -> dict:
@@ -86,7 +94,8 @@ def _summary(runs: list[dict], spec: dict) -> dict:
         lo, hi = parent["quartiles"]
         gain = sign * (change - parent["median"])
         out[name]["change_wins"] = wins
-        out[name]["gain"] = wins >= 0.9 * len(side["parent"]) and gain > hi - lo
+        pairs = len(side["parent"])
+        out[name]["gain"] = pairs >= MIN_GAIN_PAIRS and wins >= 0.9 * pairs and gain > hi - lo
         out[name]["within_bound"] = gain >= -bound * abs(parent["median"])
     return out
 
@@ -106,7 +115,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
-    ap.add_argument("--seeds", required=True, help="first-last, e.g. 4001-4010")
+    ap.add_argument("--seeds", required=True, type=_seeds,
+                    help="first-last, at least two seeds, e.g. 4001-4010")
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -116,10 +126,15 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for side, rev in revs.items():
             _export(rev, Path(tmp) / side)
-        for i, seed in enumerate(_seeds(args.seeds)):
+        for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = _run(Path(tmp) / side, args.workload, seed, seconds)
+                try:
+                    result = _run(Path(tmp) / side, args.workload, seed, seconds)
+                except subprocess.CalledProcessError as exc:
+                    print("the %s run at seed %d exited with status %d; no pair file written"
+                          % (side, seed, exc.returncode), file=sys.stderr)
+                    return 1
                 runs.append({"side": side, "rev": revs[side], "seed": seed,
                              "first": side == order[0], "result": result})
                 print(side, seed, result["metrics"]["vertices_per_s"]["value"],

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import formats, generators, transforms
 from .graph import GraphError, Instance, RBGraph
 from .kernelizer import fingerprint_instance, kernelize, lift_solution, replay_trace
-from .planar import DisconnectedError, is_planar, rbgraph_planarity
+from .planar import is_planar, rbgraph_planarity
 from .solver import InstanceTooLargeError, min_rbds, verify_solution
 
 EXIT_OK = 0
@@ -148,7 +148,7 @@ def cmd_transform(args) -> int:
         pg = formats.parse_plane(_read(args.input))
         try:
             g, vmap, fmap = transforms.face_cover_to_rbds(pg)
-        except DisconnectedError as exc:
+        except GraphError as exc:  # disconnected, or not a plane embedding
             print(str(exc), file=sys.stderr)
             return EXIT_BAD_INPUT
         comments = ["face cover instance via the radial graph, k unchanged"]

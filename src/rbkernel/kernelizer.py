@@ -18,12 +18,13 @@ The rules, in the order the driver exhausts them:
 
 A finder returns a :class:`Match`: the trace tag and the record's witness
 tuple; :func:`sanitize` returns every Sanitize match, in firing order.
-:func:`apply_rule` is the one place where each tag's condition and effect
-are written: it refuses a match whose rule does not apply before it changes
-anything.  The table ``_FORCED`` names the witness positions of the blues
-a match forces into every solution (R3 and R4 cases 1, 3 and 4); it alone
-decides what :func:`apply_rule` removes for such a match, the budget drop
-(one unit per forced blue) and what :func:`lift_solution` adds back.
+:func:`apply_rule`, through one function per tag in its table ``_APPLY``,
+is the one place where each tag's condition and effect are written: it
+refuses a match whose rule does not apply before it changes anything.  The
+table ``_FORCED`` names the witness positions of the blues a match forces
+into every solution (R3 and R4 cases 1, 3 and 4); it alone decides what
+:func:`apply_rule` removes for such a match, the budget drop (one unit per
+forced blue) and what :func:`lift_solution` adds back.
 Every application is logged as a :class:`RuleApplication`: its tag,
 witness, budget drop and, for R4 case 2, the id of the red it added.  A
 record names no removed vertex; :func:`replay_trace` applies each record's
@@ -219,8 +220,10 @@ def _r2_at(g: RBGraph, r: int) -> Match | None:
         return None
     cands = set().union(*map(adj.__getitem__, nr))
     cands.discard(r)
-    r2 = min((x for x in cands if adj[x] <= nr), default=None)
-    return None if r2 is None else Match(R2, (r, r2))
+    for x in sorted(cands):  # the least contained red is the witness
+        if adj[x] <= nr:
+            return Match(R2, (r, x))
+    return None
 
 
 def _r2_seed(g: RBGraph) -> set:
@@ -392,6 +395,82 @@ def find_rule4(g: RBGraph) -> Match | None:
 # -- applying rules --------------------------------------------------------------
 
 
+def _force(g: RBGraph, k: int, tag: str, witness: tuple):
+    """Remove the blues that ``_FORCED`` names, then their neighborhoods,
+    and pay one unit of budget for each forced blue."""
+    forced = [witness[i] for i in _FORCED[tag]]
+    nbrs = _nbrs(g.adj, forced)
+    removed = [(x, BLUE, g.remove_vertex(x)) for x in forced]
+    removed += [(x, g.color_of(x), g.remove_vertex(x)) for x in nbrs]
+    return k - len(forced), RuleApplication(tag, witness, -len(forced), None), removed
+
+
+def _apply_r1(g, k, tag, witness):
+    b, b2 = witness
+    adj, blue = g.adj, g.blue
+    if b in blue and b2 in blue and b != b2 and adj[b] <= adj[b2]:
+        return k, RuleApplication(tag, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
+    return None
+
+
+def _apply_r2(g, k, tag, witness):
+    r, r2 = witness
+    adj, red = g.adj, g.red
+    if r in red and r2 in red and r != r2 and adj[r2] <= adj[r]:
+        return k, RuleApplication(tag, witness, 0, None), [(r, RED, g.remove_vertex(r))]
+    return None
+
+
+def _apply_r3(g, k, tag, witness):
+    if witness[0] in g.blue and _r3_at(g, witness[0]) is not None:
+        return _force(g, k, tag, witness)
+    return None
+
+
+def _apply_r4(g, k, tag, witness):
+    """An R4 case, which must be the one the probe finds at the pair; case 2
+    swaps the pair's private reds for one red on the pair."""
+    v, w = witness
+    blue = g.blue
+    found = _r4_case(g.adj, v, w) if v < w and v in blue and w in blue else None
+    if found is None or R4_CASE[found[0]] != tag:
+        return None
+    if tag != R4_CASE[2]:
+        return _force(g, k, tag, witness)
+    removed = [(x, RED, g.remove_vertex(x)) for x in found[1]]
+    return k, RuleApplication(tag, witness, 0, g.add_red_vertex(witness)), removed
+
+
+def _apply_san_edge(g, k, tag, witness):
+    u, v = witness
+    adj, blue = g.adj, g.blue
+    if u in adj and v in adj[u] and (u in blue) == (v in blue):
+        g.remove_edge(u, v)
+        return k, RuleApplication(tag, witness, 0, None), []
+    return None
+
+
+def _apply_san_blue(g, k, tag, witness):
+    b = witness[0]
+    if b in g.blue and not g.adj[b]:
+        return k, RuleApplication(tag, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
+    return None
+
+
+def _apply_san_no(g, k, tag, witness):
+    if witness[0] in g.red and not g.adj[witness[0]]:
+        return k, RuleApplication(tag, witness, 0, None), []
+    return None
+
+
+# Per tag, the function that checks the tag's condition at a witness of the
+# right length and, if it holds, applies the tag and returns what
+# apply_rule returns; None, with the graph unchanged, if it does not hold.
+_APPLY = {R1: _apply_r1, R2: _apply_r2, R3: _apply_r3,
+          **{tag: _apply_r4 for tag in R4_CASE.values()},
+          SAN_NO: _apply_san_no, SAN_EDGE: _apply_san_edge, SAN_BLUE: _apply_san_blue}
+
+
 def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, list]:
     """Mutate ``g`` according to a match; returns the new budget, the trace
     record and the removed vertices as ``(vertex, color, former neighbors)``
@@ -406,49 +485,14 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
     swaps the pair's private reds for one red on the pair; a rule that
     forces blues removes them, then their neighborhoods, and pays one unit
     of budget for each.  Only R4 case 2's added red has an id that the
-    graph alone does not give back, so only it is in the record."""
+    graph alone does not give back, so only it is in the record.  One
+    lookup in ``_APPLY`` finds the function that checks and applies the
+    tag."""
     tag, witness = match
-    adj, blue, red = g.adj, g.blue, g.red
-    if WITNESS_LEN.get(tag) != len(witness):
-        ok = False
-    elif tag == R1:
-        b, b2 = witness
-        ok = b in blue and b2 in blue and b != b2 and adj[b] <= adj[b2]
-    elif tag == R2:
-        r, r2 = witness
-        ok = r in red and r2 in red and r != r2 and adj[r2] <= adj[r]
-    elif tag == R3:
-        ok = witness[0] in blue and _r3_at(g, witness[0]) is not None
-    elif tag == SAN_EDGE:
-        u, v = witness
-        ok = u in adj and v in adj[u] and (u in blue) == (v in blue)
-    elif tag == SAN_BLUE:
-        ok = witness[0] in blue and not adj[witness[0]]
-    elif tag == SAN_NO:
-        ok = witness[0] in red and not adj[witness[0]]
-    else:  # an R4 case, which must be the one the probe finds at the pair
-        v, w = witness
-        found = _r4_case(adj, v, w) if v < w and v in blue and w in blue else None
-        ok = found is not None and R4_CASE[found[0]] == tag
-    if not ok:
+    done = _APPLY[tag](g, k, tag, witness) if WITNESS_LEN.get(tag) == len(witness) else None
+    if done is None:
         raise RuleNotApplicableError("%s does not apply at %s" % (tag, witness))
-
-    if tag == R1 or tag == R2 or tag == SAN_BLUE:
-        x = witness[0]
-        return k, RuleApplication(tag, witness, 0, None), [
-            (x, RED if tag == R2 else BLUE, g.remove_vertex(x))]
-    if tag == R4_CASE[2]:
-        removed = [(x, RED, g.remove_vertex(x)) for x in found[1]]
-        return k, RuleApplication(tag, witness, 0, g.add_red_vertex(witness)), removed
-    if tag in _FORCED:
-        forced = [witness[i] for i in _FORCED[tag]]
-        nbrs = _nbrs(adj, forced)
-        removed = [(x, BLUE, g.remove_vertex(x)) for x in forced]
-        removed += [(x, g.color_of(x), g.remove_vertex(x)) for x in nbrs]
-        return k - len(forced), RuleApplication(tag, witness, -len(forced), None), removed
-    if tag == SAN_EDGE:
-        g.remove_edge(*witness)
-    return k, RuleApplication(tag, witness, 0, None), []
+    return done
 
 
 # -- the driver --------------------------------------------------------------------
@@ -456,8 +500,11 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
 # The driver is kernelize, which holds the run's state in locals: the graph
 # copy, k, the records, R1's pending set wl1, the reds noted in ``shrunk`` and
 # R2's pending set wl2.  It fires sanitize's matches, then the loop's, through
-# its nested fire, which calls apply_rule, so apply_rule builds every record
-# it writes.  The loop keeps a pending set of the vertices where a rule may
+# its nested fire, which calls the module-global apply_rule (perfbench's
+# tracer wraps it there), so apply_rule builds every record it writes.
+# apply_rule checks the witness length, then looks the tag up once in
+# ``_APPLY``, whose function checks that tag's condition and, only if it
+# holds, applies the tag; replay_trace is a loop over apply_rule too.  The loop keeps a pending set of the vertices where a rule may
 # newly apply for R1 and R2, which it sweeps to a fixpoint many times per
 # round.  One sweep, the nested sweep, serves them, isolated blues and R3: it
 # empties the set and probes each live vertex of a sorted snapshot of it once.
@@ -469,7 +516,7 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
 # decides what becomes pending, by the color of each removed vertex alone: a
 # red's neighbors join R1's set, and a blue's neighbors, like an added red,
 # are noted in ``shrunk`` for R2.  C(r) is the set of reds whose neighborhood
-# contains N(r), for which r may now witness R2.  The isolated-blue sweep
+# contains N(r), and C(r) - {r} those for which r may now witness R2.  The isolated-blue sweep
 # probes a snapshot of the live degree-0 blues of R1's set.  A blue loses its
 # last red only when that red is removed, which puts the blue in R1's set, no
 # record gives a degree-0 blue a red, and only the R1 sweep, which follows the
@@ -516,9 +563,15 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
 #   that is not in N(b), so b gains no witness.
 # * R2 at a red x gains a witness r2 only when N(r2) comes to lie within
 #   N(x): r2 loses a blue or is created, since no red gains one.  Both note
-#   r2 in ``shrunk``, and C(r2), expanded for the live noted reds when the
-#   R2 sweep starts, then holds x.  No firing between a note and that
-#   expansion removes a red, and the R2 sweep notes none.
+#   r2 in ``shrunk``, and C(r2) - {r2}, expanded for the live noted reds
+#   when the R2 sweep starts, then holds x, which is not r2.  No firing
+#   between a note and that expansion removes a red, and the R2 sweep notes
+#   none.  A noted red itself need not be pending.  A red that lost a blue
+#   gains no witness by it: its own containments only narrow, and one it
+#   gains comes from a witness that shrank or was created, whose C - {itself}
+#   holds it.  The red R4 case 2 adds, with N = {v, w}, has no witness when
+#   it is created: a live red with N within {v, w} has no dominator but v
+#   and w, so it is private to (v, w) and the same record removes it.
 #
 # So a set of every vertex holds the seeded set's vertices plus some that
 # find nothing when probed.  Both are swept in ascending order, every note
@@ -631,11 +684,13 @@ def kernelize(inst: Instance) -> KernelResult:
     while k >= 0:
         changed = sweep([b for b in wl1 if b in adj and not adj[b]], _iso_at)
         changed |= sweep(wl1, _r1_at)
-        # C(r), r included, for each live noted red r: the reds next to every
-        # blue of N(r), which is nonempty.
+        # C(r) - {r} for each live noted red r, C(r) being the reds next to
+        # every blue of N(r), which is nonempty.
         for r in shrunk:
             if r in adj:
-                wl2.update(set.intersection(*map(adj.__getitem__, adj[r])))
+                c = set.intersection(*map(adj.__getitem__, adj[r]))
+                c.discard(r)
+                wl2 |= c
         shrunk.clear()
         changed |= sweep(wl2, _r2_at)
         if not changed:

@@ -10,7 +10,7 @@
 
 from __future__ import annotations
 
-from .graph import Instance, RBGraph
+from .graph import GraphError, Instance, RBGraph
 from .planar import PlaneGraph
 
 
@@ -25,9 +25,15 @@ def face_cover_to_rbds(pg: PlaneGraph):
     Returns (graph, vertex_to_red, face_to_blue).  Faces are numbered in
     first-discovery order of the dart walk; a vertex appearing twice on one
     boundary still yields a single edge.  The face walk raises
-    ``DisconnectedError`` on a disconnected graph.
+    ``DisconnectedError`` on a disconnected graph, and a rotation system
+    whose faces miss Euler's formula V - E + F = 2, one of higher genus,
+    raises ``GraphError``; the empty plane graph has no faces and passes.
     """
     faces = pg.faces()
+    euler = pg.n_vertices - pg.n_edges + len(faces)
+    if pg.rotation and euler != 2:
+        raise GraphError("the rotation system is not a plane embedding: V - E + F = "
+                         "%d - %d + %d = %d, not 2" % (pg.n_vertices, pg.n_edges, len(faces), euler))
     face_to_blue = {i: i + 1 for i in range(len(faces))}
     vertex_to_red = {v: len(faces) + 1 + i for i, v in enumerate(sorted(pg.rotation))}
     g = RBGraph.from_parts(face_to_blue.values(), vertex_to_red.values())

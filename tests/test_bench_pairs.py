@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -11,16 +12,22 @@ METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())[
 @pytest.fixture
 def script(monkeypatch):
     """scripts/bench_pairs.py with git and perfbench replaced by made-up
-    results: the change's runs do 100 more vertices per second, and a run is marked
-    incorrect when its (side, seed) is in ``script.wrong``."""
+    results: the change's runs do 100 more vertices per second, a run is marked
+    incorrect when its (side, seed) is in ``script.wrong`` and exits with
+    status 1 when it is in ``script.crash``; ``script.exported`` lists the
+    exported revisions."""
     spec = importlib.util.spec_from_file_location("bench_pairs",
                                                   ROOT / "scripts" / "bench_pairs.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     mod.wrong = set()
+    mod.crash = set()
+    mod.exported = []
 
     def run(cwd, workload, seed, seconds):
         side = Path(cwd).name
+        if (side, seed) in mod.crash:
+            raise subprocess.CalledProcessError(1, ["perfbench/run.py"])
         speed = 1000 + seed % 7 + (100 if side == "change" else 0)
         metrics = {name: {"value": 1.0} for name in METRICS}
         metrics["vertices_per_s"] = {"value": speed}
@@ -28,7 +35,8 @@ def script(monkeypatch):
                 "failed": 2 if side == "parent" else 0, "metrics": metrics}
 
     monkeypatch.setattr(mod, "_git", lambda *args: "rev-" + args[-1])
-    monkeypatch.setattr(mod, "_export", lambda rev, dest: dest.mkdir())
+    monkeypatch.setattr(mod, "_export", lambda rev, dest: (mod.exported.append(rev),
+                                                           dest.mkdir()))
     monkeypatch.setattr(mod, "_run", run)
     return mod
 
@@ -56,3 +64,36 @@ def test_incorrect_run_exits_and_names_side_and_seed(script, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "the change run at seed 3 is marked incorrect" in captured.err
     assert not out.exists()
+
+
+def argv_for(seeds, out):
+    return ["--workload", "w", "--parent", "a", "--change", "b", "--seeds", seeds,
+            "--out", str(out)]
+
+
+@pytest.mark.parametrize("seeds", ["4001", "4010-4001", "4001-4001"])
+def test_fewer_than_two_seeds_is_a_usage_error_before_any_export(script, tmp_path, capsys,
+                                                                 seeds):
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv_for(seeds, out))
+    assert exc.value.code == 2
+    assert "fewer than two seeds" in capsys.readouterr().err
+    assert script.exported == [] and not out.exists()
+
+
+def test_failed_run_exits_and_names_side_and_seed(script, tmp_path, capsys):
+    script.crash = {("parent", 4)}
+    out = tmp_path / "pairs.json"
+    assert script.main(argv_for("1-10", out)) == 1
+    err = capsys.readouterr().err
+    assert "the parent run at seed 4 exited with status 1" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_no_gain_below_ten_pairs(script, tmp_path):
+    out = tmp_path / "pairs.json"
+    assert script.main(argv_for("1-9", out)) == 0
+    summary = json.loads(out.read_text())["summary"]["vertices_per_s"]
+    assert summary["change_wins"] == 9
+    assert not summary["gain"] and summary["within_bound"]

@@ -393,6 +393,15 @@ class TestTransformCommand:
         assert main(["transform", "face-cover", str(src)]) == EXIT_BAD_INPUT
         assert "connected" in capsys.readouterr().err
 
+    def test_face_cover_torus_embedding_exits_bad_input(self, tmp_path, capsys):
+        src = tmp_path / "k4.plane"
+        src.write_text("p plane 4 6\nv 0: 1 2 3\nv 1: 0 2 3\nv 2: 0 3 1\nv 3: 0 1 2\n")
+        out = tmp_path / "fc.rbds"
+        assert main(["transform", "face-cover", str(src), "--out", str(out)]) == EXIT_BAD_INPUT
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "not a plane embedding" in err
+
 
 # Each run names its files by role; the fuzz test edits the target's bytes.
 _FUZZ_RUNS = [

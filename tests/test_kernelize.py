@@ -454,6 +454,31 @@ class TestSeeds:
                 self.check(g, rule)
 
 
+class TestR2LeastWitness:
+    """R2's probe at every red names the least other red whose neighborhood
+    lies within the red's own, as brute force over all reds finds it, or
+    finds nothing when there is none."""
+
+    @staticmethod
+    def check(g):
+        adj = g.adj
+        for r in g.red:
+            least = min((x for x in g.red if x != r and adj[x] <= adj[r]), default=None)
+            assert _r2_at(g, r) == (None if least is None else Match(R2, (r, least)))
+
+    @given(g=sanitized_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_on_sanitized_graphs(self, g):
+        self.check(g)
+
+    def test_on_random(self, random_graphs_300):
+        # A red with no blue is out of contract for R2.
+        graphs = [g for g in random_graphs_300 if all(g.adj[r] for r in g.red)]
+        assert len(graphs) >= 100
+        for g in graphs:
+            self.check(g)
+
+
 def face_cover_corpus():
     """Face-cover instances of stacked triangulations at two budgets each;
     between them they fire R4 cases 1, 3 and 4."""

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from rbkernel.graph import Instance, RBGraph
-from rbkernel.planar import is_planar, rbgraph_planarity
+from rbkernel.graph import GraphError, Instance, RBGraph
+from rbkernel.planar import PlaneGraph, is_planar, rbgraph_planarity
 from rbkernel.solver import min_rbds
 from rbkernel.transforms import InfeasibleInputError, face_cover_to_rbds, rbds_to_ds
 
@@ -67,6 +67,19 @@ class TestFaceCover:
         for pg in corpus:
             g, _, _ = face_cover_to_rbds(pg)
             assert min_rbds(g).size == brute_force_face_cover(pg)
+
+    def test_torus_embedding_refused(self):
+        # K4 with one rotation reversed has 2 faces: V - E + F = 0.
+        pg = PlaneGraph({0: [1, 2, 3], 1: [0, 2, 3], 2: [0, 3, 1], 3: [0, 1, 2]})
+        assert len(pg.faces()) == 2
+        with pytest.raises(GraphError, match="not a plane embedding.*= 0, not 2"):
+            face_cover_to_rbds(pg)
+
+    def test_empty_and_single_vertex_accepted(self):
+        g, vmap, fmap = face_cover_to_rbds(PlaneGraph({}))
+        assert g.n_vertices == 0 and vmap == {} and fmap == {}
+        g, vmap, fmap = face_cover_to_rbds(PlaneGraph({0: []}))
+        assert (len(g.blue), len(g.red)) == (1, 1)
 
     def test_id_maps_cover_everything(self):
         pg = cube()
