@@ -57,7 +57,7 @@ class PlaneGraph:
     ``rotation`` maps each vertex to the cyclic list of its neighbors.  The
     constructor checks that the rotation is symmetric and duplicate-free;
     whether it is genus-zero is a separate question answered by the Euler
-    count of :meth:`faces`.
+    count of :meth:`faces`, which ``transforms.face_cover_to_rbds`` checks.
     """
 
     def __init__(self, rotation: dict):
