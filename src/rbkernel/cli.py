@@ -5,6 +5,9 @@ operation, 20 kernelize answered NO, 21 solve found the instance
 infeasible, 22 verify found the solution invalid, 23 instance too large
 for exact search, 24 graph not planar.
 
+``kernelize`` writes ``--out`` and ``--trace`` on every verdict; on NO,
+``--out`` gets the canonical two-vertex negative instance.  ``solve`` takes
+``--lift`` and ``--original`` together or not at all (else exit 3), and
 ``solve --lift`` prints a lifted solution only after four checks, in this
 order: the trace's fingerprint is that of ``--original`` (else exit 3), the
 trace replays on it, rule by rule, to the kernel under its original ids
@@ -57,29 +60,28 @@ def cmd_kernelize(args) -> int:
     result = kernelize(inst)
     if result.is_no:
         print("NO reason=%s" % result.reason)
-        if args.emit_no_instance:
-            neg = Instance(RBGraph.from_parts([1], [2]), 0)
-            _write(args.out, formats.format_instance(
-                neg, comments=["canonical negative instance"]))
-        return EXIT_NO
-    kernel = result.instance
-    nb, nr = len(kernel.graph.blue), len(kernel.graph.red)
-    print("REDUCED nB=%d nR=%d k'=%d bound=46k'=%d" % (nb, nr, kernel.k, 46 * kernel.k))
+        kernel = Instance(RBGraph.from_parts([1], [2]), 0)
+        comments = ["canonical negative instance"]
+    else:
+        kernel = result.instance
+        nb, nr = len(kernel.graph.blue), len(kernel.graph.red)
+        print("REDUCED nB=%d nR=%d k'=%d bound=46k'=%d" % (nb, nr, kernel.k, 46 * kernel.k))
+        comments = ()
     if args.out:
-        _write(args.out, formats.format_instance(kernel))
+        _write(args.out, formats.format_instance(kernel, comments=comments))
     if args.trace:
         _write(args.trace, formats.format_trace(result.trace))
-    return EXIT_OK
+    return EXIT_NO if result.is_no else EXIT_OK
 
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.input)
     g = inst.graph
+    if bool(args.lift) != bool(args.original):
+        print("solve --lift and --original go together: the trace and the instance it was "
+              "written for", file=sys.stderr)
+        return EXIT_BAD_INPUT
     if args.lift:
-        if args.original is None:
-            print("solve --lift needs --original, the instance the trace was written for",
-                  file=sys.stderr)
-            return EXIT_BAD_INPUT
         original = _load_instance(args.original)
         trace = formats.parse_trace(_read(args.lift))
         fp = fingerprint_instance(original)
@@ -198,18 +200,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbkernel",
         description="Kernelization toolkit for red/blue domination on planar graphs.",
-        epilog="Exit codes: 0 ok, 2 parse error, 3 bad input (solve --lift: no --original, "
-               "a trace of another instance or one that does not replay to the kernel), "
+        epilog="Exit codes: 0 ok, 2 parse error, 3 bad input (solve: --lift without "
+               "--original or the reverse, a trace of another instance or one that does not "
+               "replay to the kernel), "
                "20 NO-instance, 21 infeasible, 22 invalid solution (solve --lift: the lift "
                "does not dominate the original), 23 too large, 24 non-planar.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernelize", help="reduce an instance, log the rule trace")
     p.add_argument("input")
-    p.add_argument("--out", help="write the reduced instance here")
-    p.add_argument("--trace", help="write the rule trace here")
-    p.add_argument("--emit-no-instance", action="store_true",
-                   help="on NO, write the canonical two-vertex negative instance")
+    p.add_argument("--out", help="write the reduced instance here; on NO, the canonical "
+                                 "two-vertex negative instance")
+    p.add_argument("--trace", help="write the rule trace here, on every verdict")
     p.set_defaults(func=cmd_kernelize)
 
     p = sub.add_parser("solve", help="exact optimum, optionally lifted through a trace")

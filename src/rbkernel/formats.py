@@ -421,7 +421,7 @@ def parse_plane(text: str) -> PlaneGraph:
         raise ParseError(0, "header says %d vertices, got %d rotation lines" % (n, len(rotation)))
     try:
         pg = PlaneGraph(rotation)
-    except Exception as exc:
+    except GraphError as exc:
         raise ParseError(0, "invalid rotation system: %s" % exc) from None
     if pg.n_edges != m:
         raise ParseError(0, "header says %d edges, rotations define %d" % (m, pg.n_edges))

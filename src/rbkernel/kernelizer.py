@@ -18,13 +18,13 @@ The rules, in the order the driver exhausts them:
 
 A finder returns a :class:`Match`: the trace tag and the record's witness
 tuple; :func:`sanitize` returns every Sanitize match, in firing order.
-:func:`apply_rule`, through one function per tag in its table ``_APPLY``,
-is the one place where each tag's condition and effect are written: it
-refuses a match whose rule does not apply before it changes anything.  The
-table ``_FORCED`` names the witness positions of the blues a match forces
-into every solution (R3 and R4 cases 1, 3 and 4); it alone decides what
-:func:`apply_rule` removes for such a match, the budget drop (one unit per
-forced blue) and what :func:`lift_solution` adds back.
+:func:`apply_rule`, one chain of tests on the tag, is the one place where
+each tag's condition and effect are written: it refuses a match whose rule
+does not apply before it changes anything.  The table ``_FORCED`` names
+the witness positions of the blues a match forces into every solution (R3
+and R4 cases 1, 3 and 4); it alone decides what :func:`apply_rule` removes
+for such a match, the budget drop (one unit per forced blue) and what
+:func:`lift_solution` adds back.
 Every application is logged as a :class:`RuleApplication`: its tag,
 witness, budget drop and, for R4 case 2, the id of the red it added.  A
 record names no removed vertex; :func:`replay_trace` applies each record's
@@ -226,21 +226,23 @@ def _r2_at(g: RBGraph, r: int) -> Match | None:
     return None
 
 
-def _r2_seed(g: RBGraph) -> set:
-    """The reds where R2 applies: the union over reds r2 of C(r2) - {r2}.
-    Every red must have a blue neighbor; a red whose neighborhood contains
-    N(r2) is next to each blue of N(r2), so the reds of any one blue are the
-    only candidates."""
+def _containers(g: RBGraph, reds) -> set:
+    """The union over the live reds r2 of ``reds`` of C(r2) - {r2}, C(r2)
+    the reds whose neighborhood contains N(r2): the reds where r2 witnesses
+    R2.  Every red must have a blue neighbor; a red whose neighborhood
+    contains N(r2) is next to each blue of N(r2), so the reds of any one
+    blue are the only candidates."""
     adj = g.adj
-    seed = set()
-    for r2 in g.red:
-        nr = adj[r2]
-        for b in nr:
-            break
-        for x in adj[b]:
-            if nr <= adj[x] and x != r2:
-                seed.add(x)
-    return seed
+    found = set()
+    for r2 in reds:
+        if r2 in adj:
+            nr = adj[r2]
+            for b in nr:
+                break
+            for x in adj[b]:
+                if nr <= adj[x] and x != r2:
+                    found.add(x)
+    return found
 
 
 def _r3_at(g: RBGraph, v: int) -> Match | None:
@@ -405,94 +407,48 @@ def _force(g: RBGraph, k: int, tag: str, witness: tuple):
     return k - len(forced), RuleApplication(tag, witness, -len(forced), None), removed
 
 
-def _apply_r1(g, k, tag, witness):
-    b, b2 = witness
-    adj, blue = g.adj, g.blue
-    if b in blue and b2 in blue and b != b2 and adj[b] <= adj[b2]:
-        return k, RuleApplication(tag, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
-    return None
-
-
-def _apply_r2(g, k, tag, witness):
-    r, r2 = witness
-    adj, red = g.adj, g.red
-    if r in red and r2 in red and r != r2 and adj[r2] <= adj[r]:
-        return k, RuleApplication(tag, witness, 0, None), [(r, RED, g.remove_vertex(r))]
-    return None
-
-
-def _apply_r3(g, k, tag, witness):
-    if witness[0] in g.blue and _r3_at(g, witness[0]) is not None:
-        return _force(g, k, tag, witness)
-    return None
-
-
-def _apply_r4(g, k, tag, witness):
-    """An R4 case, which must be the one the probe finds at the pair; case 2
-    swaps the pair's private reds for one red on the pair."""
-    v, w = witness
-    blue = g.blue
-    found = _r4_case(g.adj, v, w) if v < w and v in blue and w in blue else None
-    if found is None or R4_CASE[found[0]] != tag:
-        return None
-    if tag != R4_CASE[2]:
-        return _force(g, k, tag, witness)
-    removed = [(x, RED, g.remove_vertex(x)) for x in found[1]]
-    return k, RuleApplication(tag, witness, 0, g.add_red_vertex(witness)), removed
-
-
-def _apply_san_edge(g, k, tag, witness):
-    u, v = witness
-    adj, blue = g.adj, g.blue
-    if u in adj and v in adj[u] and (u in blue) == (v in blue):
-        g.remove_edge(u, v)
-        return k, RuleApplication(tag, witness, 0, None), []
-    return None
-
-
-def _apply_san_blue(g, k, tag, witness):
-    b = witness[0]
-    if b in g.blue and not g.adj[b]:
-        return k, RuleApplication(tag, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
-    return None
-
-
-def _apply_san_no(g, k, tag, witness):
-    if witness[0] in g.red and not g.adj[witness[0]]:
-        return k, RuleApplication(tag, witness, 0, None), []
-    return None
-
-
-# Per tag, the function that checks the tag's condition at a witness of the
-# right length and, if it holds, applies the tag and returns what
-# apply_rule returns; None, with the graph unchanged, if it does not hold.
-_APPLY = {R1: _apply_r1, R2: _apply_r2, R3: _apply_r3,
-          **{tag: _apply_r4 for tag in R4_CASE.values()},
-          SAN_NO: _apply_san_no, SAN_EDGE: _apply_san_edge, SAN_BLUE: _apply_san_blue}
-
-
 def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, list]:
     """Mutate ``g`` according to a match; returns the new budget, the trace
     record and the removed vertices as ``(vertex, color, former neighbors)``
-    triples.  A match whose rule does not apply at its witness raises
-    :class:`RuleNotApplicableError` and leaves ``g`` unchanged: the witness
-    must have its tag's length, R1 and R2 two distinct live vertices of
-    their color with the containment, R3 a two-vertex component, an R4 case
-    a blue pair v < w where :func:`_r4_case` finds that case, and the
-    Sanitize tags a same-color edge, an isolated blue or an isolated red.
-    Sanitize-edge removes the witness edge and Sanitize-NO changes nothing;
-    R1, R2 and Sanitize-isolated-blue remove the first witness; R4 case 2
-    swaps the pair's private reds for one red on the pair; a rule that
-    forces blues removes them, then their neighborhoods, and pays one unit
-    of budget for each.  Only R4 case 2's added red has an id that the
-    graph alone does not give back, so only it is in the record.  One
-    lookup in ``_APPLY`` finds the function that checks and applies the
-    tag."""
+    triples.  A match whose rule does not apply at its witness, or whose
+    witness does not have its tag's length, raises
+    :class:`RuleNotApplicableError` and leaves ``g`` unchanged."""
     tag, witness = match
-    done = _APPLY[tag](g, k, tag, witness) if WITNESS_LEN.get(tag) == len(witness) else None
-    if done is None:
-        raise RuleNotApplicableError("%s does not apply at %s" % (tag, witness))
-    return done
+    if WITNESS_LEN.get(tag) == len(witness):
+        adj, blue, red = g.adj, g.blue, g.red
+        if tag == R1:
+            b, b2 = witness
+            if b in blue and b2 in blue and b != b2 and adj[b] <= adj[b2]:
+                return k, RuleApplication(tag, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
+        elif tag == R2:
+            r, r2 = witness
+            if r in red and r2 in red and r != r2 and adj[r2] <= adj[r]:
+                return k, RuleApplication(tag, witness, 0, None), [(r, RED, g.remove_vertex(r))]
+        elif tag == R3:
+            if witness[0] in blue and _r3_at(g, witness[0]) is not None:
+                return _force(g, k, tag, witness)
+        elif tag == SAN_EDGE:
+            u, v = witness
+            if u in adj and v in adj[u] and (u in blue) == (v in blue):
+                g.remove_edge(u, v)
+                return k, RuleApplication(tag, witness, 0, None), []
+        elif tag == SAN_BLUE:
+            b = witness[0]
+            if b in blue and not adj[b]:
+                return k, RuleApplication(tag, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
+        elif tag == SAN_NO:
+            if witness[0] in red and not adj[witness[0]]:
+                return k, RuleApplication(tag, witness, 0, None), []
+        else:  # an R4 case, which must be the one the probe finds at the pair
+            v, w = witness
+            found = _r4_case(adj, v, w) if v < w and v in blue and w in blue else None
+            if found is not None and R4_CASE[found[0]] == tag:
+                if tag != R4_CASE[2]:
+                    return _force(g, k, tag, witness)
+                # Case 2 swaps the pair's private reds for one red on the pair.
+                removed = [(x, RED, g.remove_vertex(x)) for x in found[1]]
+                return k, RuleApplication(tag, witness, 0, g.add_red_vertex(witness)), removed
+    raise RuleNotApplicableError("%s does not apply at %s" % (tag, witness))
 
 
 # -- the driver --------------------------------------------------------------------
@@ -502,26 +458,27 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
 # R2's pending set wl2.  It fires sanitize's matches, then the loop's, through
 # its nested fire, which calls the module-global apply_rule (perfbench's
 # tracer wraps it there), so apply_rule builds every record it writes.
-# apply_rule checks the witness length, then looks the tag up once in
-# ``_APPLY``, whose function checks that tag's condition and, only if it
-# holds, applies the tag; replay_trace is a loop over apply_rule too.  The loop keeps a pending set of the vertices where a rule may
-# newly apply for R1 and R2, which it sweeps to a fixpoint many times per
-# round.  One sweep, the nested sweep, serves them, isolated blues and R3: it
-# empties the set and probes each live vertex of a sorted snapshot of it once.
-# A round sweeps isolated blues, R1 and R2 and starts over while any fired;
-# then it sweeps R3 over the degree-one blues of the current graph, the only
-# blues where R3 applies, and tries R4 once on every pair, as find_rule4 does.
-# A round ends at R4, so a run has one round more than it has R4 firings, and
-# R3 and R4 keep nothing between rounds.  What a firing removed and added
-# decides what becomes pending, by the color of each removed vertex alone: a
-# red's neighbors join R1's set, and a blue's neighbors, like an added red,
-# are noted in ``shrunk`` for R2.  C(r) is the set of reds whose neighborhood
-# contains N(r), and C(r) - {r} those for which r may now witness R2.  The isolated-blue sweep
-# probes a snapshot of the live degree-0 blues of R1's set.  A blue loses its
-# last red only when that red is removed, which puts the blue in R1's set, no
-# record gives a degree-0 blue a red, and only the R1 sweep, which follows the
-# isolated-blue one, empties the set; so the snapshot holds every isolated
-# blue of the graph.
+# apply_rule checks the witness length, then walks its chain of tests to the
+# tag, checks that tag's condition and, only if it holds, applies the tag;
+# replay_trace is a loop over apply_rule too.  The loop keeps a pending set
+# of the vertices where a rule may newly apply for R1 and R2, which it sweeps
+# to a fixpoint many times per round.  One sweep, the nested sweep, serves
+# them, isolated blues and R3: it empties the set and probes each live vertex
+# of a sorted snapshot of it once.  A round sweeps isolated blues, R1 and R2
+# and starts over while any fired; then it sweeps R3 over the degree-one
+# blues of the current graph, the only blues where R3 applies, and tries R4
+# once on every pair, as find_rule4 does.  A round ends at R4, so a run has
+# one round more than it has R4 firings, and R3 and R4 keep nothing between
+# rounds.  What a firing removed and added decides what becomes pending, by
+# the color of each removed vertex alone: a red's neighbors join R1's set,
+# and a blue's neighbors, like an added red, are noted in ``shrunk`` for R2.
+# C(r) is the set of reds whose neighborhood contains N(r), and C(r) - {r}
+# those for which r may now witness R2; _containers gives their union over
+# a set of reds.  The isolated-blue sweep probes a snapshot of the live
+# degree-0 blues of R1's set.  A blue loses its last red only when that red
+# is removed, which puts the blue in R1's set, no record gives a degree-0
+# blue a red, and only the R1 sweep, which follows the isolated-blue one,
+# empties the set; so the snapshot holds every isolated blue of the graph.
 #
 # No firing makes a vertex pending for the rule being swept, so the snapshot
 # visits what a min-heap popped to empty would, in the same order, and
@@ -546,15 +503,16 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
 # can end: the last round fires no isolated blue, R1, R2 or R4, and its R3
 # sweep removes whole components, so it leaves no blue without a red.
 #
-# The R1 and R2 sets start with a seed, not with every vertex of its color:
-# the blues where R1 applies and the reds where R2 applies (the union over
-# reds r2 of C(r2) - {r2}), taken once sanitize's matches have fired, which
-# make nothing pending and leave every vertex a neighbor.  Both seeds probe
-# one neighbor's neighbors: a vertex whose neighborhood contains N(x) is next
-# to every vertex of N(x), so the other neighbors of any one vertex of N(x)
-# are the only candidates, and each takes one subset test.  Removing a red
-# changes no red's neighborhood, removing a blue no blue's, and a vertex left
-# out of its seed and not made pending since finds nothing when swept:
+# The R1 and R2 sets start with a seed, not with every vertex of its color,
+# taken once sanitize's matches have fired, which make nothing pending and
+# leave every vertex a neighbor: the blues where R1 applies, and for R2
+# _containers over every red, the union over reds r2 of C(r2) - {r2}, which
+# is the set of reds where R2 applies.  Both probe one neighbor's neighbors:
+# a vertex whose neighborhood contains N(x) is next to every vertex of N(x),
+# so the other neighbors of any one vertex of N(x) are the only candidates,
+# and each takes one subset test.  Removing a red changes no red's
+# neighborhood, removing a blue no blue's, and a vertex left out of its seed
+# and not made pending since finds nothing when swept:
 #
 # * R1 at a blue b needs another blue whose neighborhood contains N(b).
 #   N(b) changes only when a red of it is removed, which makes b pending, or
@@ -563,10 +521,9 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
 #   that is not in N(b), so b gains no witness.
 # * R2 at a red x gains a witness r2 only when N(r2) comes to lie within
 #   N(x): r2 loses a blue or is created, since no red gains one.  Both note
-#   r2 in ``shrunk``, and C(r2) - {r2}, expanded for the live noted reds
-#   when the R2 sweep starts, then holds x, which is not r2.  No firing
-#   between a note and that expansion removes a red, and the R2 sweep notes
-#   none.  A noted red itself need not be pending.  A red that lost a blue
+#   r2 in ``shrunk``, and _containers over the noted reds, taken when the
+#   R2 sweep starts, then holds x, which is not r2.  No firing between a
+#   note and that call removes a red, and the R2 sweep notes none.  A noted red itself need not be pending.  A red that lost a blue
 #   gains no witness by it: its own containments only narrow, and one it
 #   gains comes from a witness that shrank or was created, whose C - {itself}
 #   holds it.  The red R4 case 2 adds, with N = {v, w}, has no witness when
@@ -680,17 +637,11 @@ def kernelize(inst: Instance) -> KernelResult:
         return KernelResult("no", reason=NO_ISOLATED_RED, trace=trace)
 
     wl1.update(_r1_seed(g))
-    wl2 = _r2_seed(g)
+    wl2 = _containers(g, g.red)
     while k >= 0:
         changed = sweep([b for b in wl1 if b in adj and not adj[b]], _iso_at)
         changed |= sweep(wl1, _r1_at)
-        # C(r) - {r} for each live noted red r, C(r) being the reds next to
-        # every blue of N(r), which is nonempty.
-        for r in shrunk:
-            if r in adj:
-                c = set.intersection(*map(adj.__getitem__, adj[r]))
-                c.discard(r)
-                wl2 |= c
+        wl2 |= _containers(g, shrunk)
         shrunk.clear()
         changed |= sweep(wl2, _r2_at)
         if not changed:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import re
 import tracemalloc
 
@@ -20,7 +21,8 @@ from rbkernel.cli import (
 )
 from rbkernel.generators import gen_grid, gen_matching
 from rbkernel.graph import Instance, RBGraph
-from rbkernel.kernelizer import kernelize, lift_solution
+from rbkernel.kernelizer import (SAN_NO, RuleApplication, fingerprint_instance, kernelize,
+                                 lift_solution, replay_trace)
 from rbkernel.planar import PlaneGraph, is_planar
 from rbkernel.solver import min_rbds
 
@@ -40,12 +42,27 @@ class TestKernelizeCommand:
         out = capsys.readouterr().out
         assert re.match(r"REDUCED nB=0 nR=0 k'=0 bound=46k'=0", out)
 
+    @staticmethod
+    def kernelize_no(tmp_path, inst):
+        """Kernelize ``inst`` from a file with --out and --trace, expect NO,
+        check that the written trace is of the input and replays on it, and
+        return the instance as read and the trace."""
+        path = tmp_path / "in.rbds"
+        path.write_text(formats.format_instance(inst))
+        out, trace = tmp_path / "out.rbds", tmp_path / "run.trace"
+        assert main(["kernelize", str(path), "--out", str(out), "--trace", str(trace)]) == EXIT_NO
+        read = formats.parse_instance(path.read_text())
+        written = formats.parse_trace(trace.read_text())
+        assert written.fingerprint == fingerprint_instance(read)
+        replay_trace(read.graph, written)
+        return read, written
+
     def test_no_budget(self, tmp_path, capsys):
-        path = tmp_path / "m.rbds"
-        inst = gen_matching(3)
-        path.write_text(formats.format_instance(Instance(inst.graph, 2)))
-        assert main(["kernelize", str(path)]) == EXIT_NO
+        inst, trace = self.kernelize_no(tmp_path, Instance(gen_matching(3).graph, 2))
         assert "NO reason=budget" in capsys.readouterr().out
+        # The trace ends at the first record that drives the budget below zero.
+        budgets = list(itertools.accumulate((rec.delta_k for rec in trace.records), initial=inst.k))
+        assert next(i for i, k in enumerate(budgets) if k < 0) == len(trace.records)
 
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.rbds"
@@ -64,12 +81,21 @@ class TestKernelizeCommand:
         path = tmp_path / "m.rbds"
         inst = gen_matching(2)
         path.write_text(formats.format_instance(Instance(inst.graph, 1)))
-        out = tmp_path / "neg.rbds"
-        assert main(["kernelize", str(path), "--emit-no-instance",
-                     "--out", str(out)]) == EXIT_NO
+        out, trace = tmp_path / "neg.rbds", tmp_path / "run.trace"
+        out.write_text("stale\n")
+        trace.write_text("stale\n")
+        assert main(["kernelize", str(path), "--out", str(out), "--trace", str(trace)]) == EXIT_NO
         neg = formats.parse_instance(out.read_text())
         assert len(neg.graph.blue) == 1 and len(neg.graph.red) == 1
         assert neg.graph.n_edges == 0 and neg.k == 0
+        assert formats.parse_trace(trace.read_text()).records
+
+    def test_isolated_red_no_writes_its_trace(self, tmp_path, capsys):
+        # Blue 3 and red 5 have no neighbor.
+        g = RBGraph.from_parts([1, 2, 3], [4, 5, 6], [(1, 4), (2, 4), (2, 6)])
+        _, trace = self.kernelize_no(tmp_path, Instance(g, 2))
+        assert "NO reason=isolated-red" in capsys.readouterr().out
+        assert trace.records[-1] == RuleApplication(SAN_NO, (5,), 0, None)
 
     def test_writes_outputs(self, tmp_path):
         src = tmp_path / "g.rbds"
@@ -155,6 +181,12 @@ class TestPipeline:
         assert main(["solve", str(kernel), "--lift", str(trace)]) == EXIT_BAD_INPUT
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and "--original" in err
+
+    def test_original_without_lift_exits_bad_input(self, lift_files, capsys):
+        src, kernel, trace = lift_files
+        assert main(["solve", str(kernel), "--original", str(src)]) == EXIT_BAD_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "--lift" in err
 
     def test_foreign_trace_exits_bad_input(self, lift_files, tmp_path, capsys):
         src, kernel, trace = lift_files

@@ -24,10 +24,10 @@ from rbkernel.kernelizer import (
     RuleApplication,
     RuleNotApplicableError,
     TraceMismatchError,
+    _containers,
     _r1_at,
     _r1_seed,
     _r2_at,
-    _r2_seed,
     _r3_at,
     _r3_seed,
     apply_rule,
@@ -428,7 +428,8 @@ def sanitized_graphs(draw):
 
 # Per rule: its probe, the seed of its first pending set (for R3, the set its
 # sweep takes each round), the color it probes.
-SEEDS = {R1: (_r1_at, _r1_seed, BLUE), R2: (_r2_at, _r2_seed, RED), R3: (_r3_at, _r3_seed, BLUE)}
+SEEDS = {R1: (_r1_at, _r1_seed, BLUE), R2: (_r2_at, lambda g: _containers(g, g.red), RED),
+         R3: (_r3_at, _r3_seed, BLUE)}
 
 
 @pytest.mark.parametrize("rule", SEEDS)
