@@ -127,8 +127,12 @@ _GEN_PARAMS = {"grid": "<rows> <cols>", "matching": "<m>", "planar": "<n> <densi
 
 def cmd_gen(args) -> int:
     usage = _GEN_PARAMS[args.kind]
-    if len(args.params) < len(usage.split()):
-        print("gen %s: needs %s" % (args.kind, usage), file=sys.stderr)
+    if len(args.params) != len(usage.split()):
+        print("gen %s: needs %s, got %d parameters" % (args.kind, usage, len(args.params)),
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if args.seed is not None and args.kind != "planar":
+        print("gen %s: takes no --seed" % args.kind, file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
         if args.kind == "grid":
@@ -137,7 +141,7 @@ def cmd_gen(args) -> int:
             inst = generators.gen_matching(args.params[0])
         else:  # planar
             inst = generators.gen_random_planar(
-                args.params[0], args.params[1] / 100.0, args.seed)
+                args.params[0], args.params[1] / 100.0, args.seed or 0)
     except ValueError as exc:
         print("gen %s: %s" % (args.kind, exc), file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -164,7 +168,11 @@ def cmd_transform(args) -> int:
             return EXIT_BAD_INPUT
         _write(args.out, text)
         return EXIT_OK
-    inst = _load_instance(args.input)  # to-ds
+    if args.k is not None:  # to-ds
+        print("transform to-ds: takes no -k; the budget is the instance's plus one",
+              file=sys.stderr)
+        return EXIT_BAD_INPUT
+    inst = _load_instance(args.input)
     try:
         adj, k, ids = transforms.rbds_to_ds(inst)
     except transforms.InfeasibleInputError as exc:
@@ -232,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "planar N DENSITY, density in percent)")
     p.add_argument("kind", choices=list(_GEN_PARAMS))
     p.add_argument("params", nargs="+", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="planar only; 0 when omitted")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 

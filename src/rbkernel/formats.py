@@ -364,6 +364,8 @@ def parse_trace(text: str) -> KernelTrace:
                 fp = _FINGERPRINT.fullmatch(line)
                 if fp is None:
                     raise ParseError(i, "expected 'c fingerprint v=<n> e=<m> sha=<16 hex digits>'")
+                if trace.fingerprint is not None:
+                    raise ParseError(i, "second 'c fingerprint' line")
                 trace.fingerprint = Fingerprint(int(fp[1]), int(fp[2]), fp[3])
             continue
         tag, delta, ids, added = m.groups()

@@ -10,7 +10,8 @@ mask ``u`` under a limit, comes in this order:
 2. packing: a greedy packing lower bound, raised to any memoized bound,
    prunes when it exceeds the limit;
 3. branch: on the lowest element of ``u``, over the element's
-   non-subsumed candidate sets.
+   non-subsumed candidate sets, one recursive call, i.e. one frame, per
+   chosen set.
 
 Element bits follow breadth-first layers of the element graph, two
 elements joined when a set holds both, so the lowest uncovered element sits
@@ -25,13 +26,18 @@ already keeps the masks few, and a per-node walk for components costs more
 than the split saves.
 
 The layout numbers each component of the family as one run of bits, its
-*part*, and :func:`min_rbds` solves the parts one by one.  The search
-recurses twice per chosen set, so its stack depth is twice the optimum of
-the part at hand; one mask over all parts would need twice the summed
-optimum, which a union of many small components soon exceeds.
+*part*, and :func:`min_rbds` solves the parts one by one.  The stack depth
+is then the optimum of the part at hand; one mask over all parts would need
+the summed optimum, which a union of many small components soon exceeds.
+Depth is not the only reason for the split.  Where one mask stays within
+the stack, each witness query carries every later component along, and the
+memo holds them: 60 disjoint 21-red cycles take 0.40 s as one mask against
+0.015 s part by part (2,979 states against 1,740), and four disjoint 10 x 14
+grid kernels 0.14 s against 0.010 s (7,102 states against 1,572).
 
 The memo lives as long as the engine, i.e. for one call.  A search deeper
-than the interpreter's stack raises :class:`InstanceTooLargeError`, the
+than the interpreter's stack, or one that needs more than
+:data:`MAX_STATES` memo entries, raises :class:`InstanceTooLargeError`, the
 library's one "too large" answer.
 
 Witness contract: among all minimum covers the lexicographically smallest
@@ -65,6 +71,13 @@ from dataclasses import dataclass
 from .graph import RBGraph
 
 
+# The most memo entries, i.e. uncovered masks, one min_rbds call may hold.
+# The 26 x 26 grid kernel needs 146,497 and answers in about 2 s; the 28 x 28
+# one would need 497,014 and is refused after about 3.5 s, at a tracemalloc
+# peak of 39 MB.  The largest seed-7 benchmark kernel needs 619.
+MAX_STATES = 200_000
+
+
 class InstanceTooLargeError(ValueError):
     """The exact search cannot answer this instance."""
 
@@ -96,7 +109,8 @@ def min_rbds(g: RBGraph) -> SolveOutcome:
     """Exact minimum number of blues needed to dominate all reds, with the
     lexicographically smallest id set among the minimum solutions.
 
-    Raises :class:`InstanceTooLargeError` when the search runs out of stack.
+    Raises :class:`InstanceTooLargeError` when the search runs out of stack
+    or needs more than :data:`MAX_STATES` memo states.
     """
     blues = sorted(g.blue)
     # A blue's set is its red neighbors: an edge within one color dominates
@@ -219,13 +233,17 @@ class _Cover:
                 rest ^= low
         # apart[i]: the complement of reach[i], what packing keeps.
         self.apart = [~r for r in self.reach]
-        # Uncovered mask -> (value, exact, choice); inexact values are lower
-        # bounds and have choice 0.  An exact entry is never overwritten.
-        self.memo: dict[int, tuple[int, bool, int]] = {}
+        # Uncovered mask -> (value, choice).  A value within the limit it was
+        # searched under is exact and records the nonzero mask of the set
+        # that reached it; any other value is a lower bound, with choice 0.
+        # An exact entry is never overwritten.
+        self.memo: dict[int, tuple[int, int]] = {}
 
     def solve(self, u: int, limit: int) -> int:
         """Size of a minimum cover of ``u`` if it is at most ``limit``, else
-        a lower bound on it above ``limit``."""
+        a lower bound on it above ``limit``.  Branches on the lowest element
+        of ``u``, the first one left in the earliest uncovered layer, one
+        frame per chosen set."""
         if not u:
             return 0
         hit = self.memo.get(u)
@@ -235,10 +253,35 @@ class _Cover:
             return hit[0]
         else:
             low = max(self._packing(u), hit[0])
-        value, choice = (low, 0) if low > limit else self._branch(u, limit, low)
-        exact = value <= limit
-        self.memo[u] = (value, exact, choice if exact else 0)
-        return value
+        best, choice = low, 0
+        if low <= limit:
+            # The candidates are the covering sets cut down to ``u``;
+            # ``full`` maps each to the first set that gives it, to be
+            # recorded.
+            full: dict[int, int] = {}
+            for m in self.covers[(u & -u).bit_length() - 1]:
+                full.setdefault(m & u, m)
+            # Branch only on maximal candidates, largest first and ties in
+            # the order of their first set: a cover using a subsumed set
+            # stays a cover when it takes the larger one instead.
+            kept: list[int] = []
+            for m in sorted(full, key=int.bit_count, reverse=True):
+                if all(m & k != m for k in kept):
+                    kept.append(m)
+            # Every element has a cover, so |u| + 1 exceeds any bound on u.
+            best = u.bit_count() + 1
+            for m in kept:
+                value = 1 + self.solve(u & ~m, min(best - 1, limit) - 1)
+                if value < best:
+                    best, choice = value, full[m]
+                    if best == low:
+                        break
+        if hit is None and len(self.memo) >= MAX_STATES:
+            raise InstanceTooLargeError(
+                "instance too large for exact search: it needs more than MAX_STATES = "
+                "%d memo states" % MAX_STATES)
+        self.memo[u] = (best, choice if best <= limit else 0)
+        return best
 
     def walk(self, u: int) -> list[int]:
         """A minimum cover of ``u``, which must be exact in the memo or 0:
@@ -247,7 +290,7 @@ class _Cover:
         entry's best."""
         cover = []
         while u:
-            m = self.memo[u][2]
+            m = self.memo[u][1]
             cover.append(m)
             u &= ~m
         return cover
@@ -262,29 +305,3 @@ class _Cover:
             u &= apart[(u & -u).bit_length() - 1]
             n += 1
         return n
-
-    def _branch(self, u: int, limit: int, low: int) -> tuple[int, int]:
-        """Branch on the lowest element of ``u``, the first one left in the
-        earliest uncovered layer; ``low`` is a lower bound on its cover size,
-        at most ``limit``.  Returns the value and the set that reached it."""
-        # The candidates are the covering sets cut down to ``u``; ``full``
-        # maps each to the first set that gives it, to be recorded.
-        full: dict[int, int] = {}
-        for m in self.covers[(u & -u).bit_length() - 1]:
-            full.setdefault(m & u, m)
-        # Branch only on maximal candidates, largest first and ties in the
-        # order of their first set: a cover using a subsumed set stays a
-        # cover when it takes the larger one instead.
-        kept: list[int] = []
-        for m in sorted(full, key=int.bit_count, reverse=True):
-            if all(m & k != m for k in kept):
-                kept.append(m)
-        # Every element has a cover, so |u| + 1 exceeds any bound on u.
-        best, choice = u.bit_count() + 1, 0
-        for m in kept:
-            value = 1 + self.solve(u & ~m, min(best - 1, limit) - 1)
-            if value < best:
-                best, choice = value, full[m]
-                if best == low:
-                    break
-        return best, choice

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbkernel import cli, formats
+from rbkernel import cli, formats, solver
 from rbkernel.cli import (
     EXIT_BAD_INPUT,
     EXIT_INFEASIBLE,
@@ -247,13 +247,29 @@ class TestPipeline:
         assert out == "" and len(err.splitlines()) == 1 and "does not dominate" in err
 
     def test_solve_too_deep_exits_too_large(self, tmp_path, capsys):
-        # The exact search recurses twice per chosen blue; an alternating
-        # cycle through 1,200 reds (optimum 600) exceeds the recursion limit.
+        # The exact search recurses once per chosen blue; an alternating
+        # cycle through 2,400 reds (optimum 1,200) exceeds the recursion
+        # limit.
         src = tmp_path / "cycle.rbds"
-        src.write_text(formats.format_instance(Instance(alternating_cycle(1200), 600)))
+        src.write_text(formats.format_instance(Instance(alternating_cycle(2400), 1200)))
         assert main(["solve", str(src)]) == EXIT_TOO_LARGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "too large" in err[0]
+
+    def test_solve_deep_cycle(self, tmp_path, capsys):
+        # Through 1,200 reds the search needs 600 frames, within the limit.
+        src = tmp_path / "cycle.rbds"
+        src.write_text(formats.format_instance(Instance(alternating_cycle(1200), 600)))
+        assert main(["solve", str(src)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "OPT 600"
+
+    def test_solve_past_state_budget_exits_too_large(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "kernel.rbds"
+        src.write_text(formats.format_instance(kernelize(gen_grid(6, 30)).instance))
+        monkeypatch.setattr(solver, "MAX_STATES", 100)
+        assert main(["solve", str(src)]) == EXIT_TOO_LARGE
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "MAX_STATES = 100 " in err
 
     def test_solve_empty(self, tmp_path, capsys):
         path = tmp_path / "empty.rbds"
@@ -303,11 +319,19 @@ class TestGenCommand:
 
     def test_bad_params_exit_bad_input(self, tmp_path, capsys):
         out = tmp_path / "g.rbds"
-        for argv in (["grid", "0", "3"], ["matching", "0"], ["planar", "2", "50"],
-                     ["planar", "10", "0"], ["planar", "20", "70", "--seed", "1" + "0" * 18]):
-            assert main(["gen", *argv, "--out", str(out)]) == EXIT_BAD_INPUT
+        src = tmp_path / "in.rbds"
+        src.write_text(formats.format_instance(gen_matching(2)))
+        # An argument the subcommand does not use is refused, not ignored.
+        for argv in (["gen", "grid", "0", "3"], ["gen", "matching", "0"],
+                     ["gen", "planar", "2", "50"], ["gen", "planar", "10", "0"],
+                     ["gen", "planar", "20", "70", "--seed", "1" + "0" * 18],
+                     ["gen", "grid", "3", "4", "--seed", "5"],
+                     ["gen", "grid", "3", "4", "--seed", "0"],
+                     ["gen", "matching", "3", "--seed", "5"],
+                     ["transform", "to-ds", str(src), "-k", "7"]):
+            assert main([*argv, "--out", str(out)]) == EXIT_BAD_INPUT
             err = capsys.readouterr().err
-            assert err.startswith("gen %s: " % argv[0]) and err.count("\n") == 1
+            assert err.startswith("%s %s: " % tuple(argv[:2])) and err.count("\n") == 1
         assert not out.exists()
 
     def test_oversized_refused_in_constant_memory(self, tmp_path, capsys):
@@ -330,7 +354,8 @@ class TestGenCommand:
 
     def test_missing_params_exit_bad_input(self, tmp_path, capsys):
         out = tmp_path / "g.rbds"
-        for argv in (["grid", "3"], ["planar", "20"]):
+        for argv in (["grid", "3"], ["planar", "20"], ["grid", "2", "2", "9", "9"],
+                     ["matching", "3", "4"], ["planar", "20", "70", "5"]):
             assert main(["gen", *argv, "--out", str(out)]) == EXIT_BAD_INPUT
             err = capsys.readouterr().err
             assert err.startswith("gen %s: needs " % argv[0]) and err.count("\n") == 1

@@ -598,11 +598,13 @@ class TestTraceFormat:
         "c fingerprint v=4 e=3 digest=0123456789abcdef",
         "c fingerprint v=4 e=3 sha=0123456789abcdeg",
         "c fingerprint v=4 e=3",
+        # A trace names one instance: a later fingerprint may not override it.
+        "c fingerprint v=1 e=0 sha=0123456789abcdef\nc fingerprint v=9 e=9 sha=fedcba9876543210",
     ])
     def test_malformed_fingerprint_rejected(self, line):
         with pytest.raises(formats.ParseError) as err:
             formats.parse_trace("r\tR1\tk_delta=0\twitness=(1,2)\n" + line + "\n")
-        assert err.value.line_no == 2
+        assert err.value.line_no == 2 + line.count("\n")
 
 
 class TestParserHygiene:

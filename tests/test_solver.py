@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rbkernel import solver
 from rbkernel.generators import gen_grid, gen_random_planar
@@ -187,6 +187,8 @@ class TestMinRbds:
             assert (got.size, set(got.witness)) == expected
 
     @given(cycle_unions())
+    # One frame per chosen blue: 600 frames fit the recursion limit.
+    @example((alternating_cycle(1200), 600))
     @settings(max_examples=100, deadline=None)
     def test_cycle_unions(self, case):
         g, opt = case
@@ -232,28 +234,35 @@ class TestMinRbds:
         assert (out.size, set(out.witness)) == exhaustive_min_rbds(g) == (4, {1, 8, 10, 13})
 
     def test_too_deep_is_too_large(self):
-        # The search recurses twice per chosen blue; an alternating cycle
-        # through 1,200 reds (optimum 600) exceeds the recursion limit.
+        # The search recurses once per chosen blue; an alternating cycle
+        # through 2,400 reds (optimum 1,200) exceeds the recursion limit.
         with pytest.raises(InstanceTooLargeError, match="too large"):
-            min_rbds(alternating_cycle(1200))
+            min_rbds(alternating_cycle(2400))
 
     def test_many_components_solved_one_by_one(self):
-        # Sixty disjoint alternating cycles through 21 reds each, optimum
-        # 60 * 11.  Solved as one mask the search would recurse twice per
+        # 120 disjoint alternating cycles through 21 reds each, optimum
+        # 120 * 11.  Solved as one mask the search would recurse once per
         # chosen blue, 1,320 frames, past the recursion limit; each part
-        # alone needs 22.
-        n = 60 * 21
+        # alone needs 11.
+        n = 120 * 21
         edges = [(c + b, n + c + i) for c in range(1, n + 1, 21)
                  for i in range(21) for b in (i, (i + 1) % 21)]
         g = RBGraph.from_parts(range(1, n + 1), range(n + 1, 2 * n + 1), edges)
         out = min_rbds(g)
-        assert out.size == 660 and verify_solution(g, out.witness)
+        assert out.size == 1320 and verify_solution(g, out.witness)
 
     def test_too_large_error_exported_from_package(self):
         from rbkernel import InstanceTooLargeError as exported
 
         with pytest.raises(exported):
-            min_rbds(alternating_cycle(1200))
+            min_rbds(alternating_cycle(2400))
+
+    def test_state_budget_is_too_large(self, monkeypatch):
+        # The 6 x 30 grid kernel leaves 619 memo states.
+        g = kernelize(gen_grid(6, 30)).instance.graph
+        monkeypatch.setattr(solver, "MAX_STATES", 100)
+        with pytest.raises(InstanceTooLargeError, match="MAX_STATES = 100 "):
+            min_rbds(g)
 
     @pytest.mark.parametrize("rows, cols, opt", [(6, 60, 52), (8, 40, 46), (20, 20, 55)])
     def test_large_grid_kernels(self, rows, cols, opt):
