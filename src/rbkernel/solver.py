@@ -249,7 +249,7 @@ class _Cover:
         hit = self.memo.get(u)
         if hit is None:
             low = self._packing(u)
-        elif hit[1] or hit[0] > limit:
+        elif hit[1] or hit[0] > limit:  # exact, or a bound past the limit
             return hit[0]
         else:
             low = max(self._packing(u), hit[0])
