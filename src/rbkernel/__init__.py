@@ -27,7 +27,6 @@ from .kernelizer import (
 )
 from .planar import (
     Face,
-    KuratowskiWitness,
     PlanarityResult,
     PlaneGraph,
     bipartite_euler_bound,
@@ -35,7 +34,7 @@ from .planar import (
     rbgraph_planarity,
 )
 from .solver import InstanceTooLargeError, SolveOutcome, min_rbds, verify_solution
-from .transforms import face_cover_to_rbds, rbds_to_ds
+from .transforms import face_cover_to_rbds
 from .generators import gen_grid, gen_matching, gen_random_planar
 
 __version__ = "0.1.0"
@@ -47,8 +46,8 @@ __all__ = [
     "find_rule1", "find_rule2", "find_rule3", "find_rule4",
     "sanitize", "apply_rule", "kernelize", "lift_solution", "replay_trace",
     "SolveOutcome", "verify_solution", "min_rbds", "InstanceTooLargeError",
-    "PlaneGraph", "Face", "PlanarityResult", "KuratowskiWitness",
+    "PlaneGraph", "Face", "PlanarityResult",
     "is_planar", "rbgraph_planarity", "bipartite_euler_bound",
-    "face_cover_to_rbds", "rbds_to_ds",
+    "face_cover_to_rbds",
     "gen_grid", "gen_matching", "gen_random_planar",
 ]

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import formats, generators, transforms
 from .graph import GraphError, Instance, RBGraph
 from .kernelizer import fingerprint_instance, kernelize, lift_solution, replay_trace
-from .planar import is_planar, rbgraph_planarity
+from .planar import bipartite_euler_bound, is_planar, rbgraph_planarity
 from .solver import InstanceTooLargeError, min_rbds, verify_solution
 
 EXIT_OK = 0
@@ -150,39 +150,22 @@ def cmd_gen(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    if args.kind == "face-cover":
-        pg = formats.parse_plane(_read(args.input))
-        try:
-            g, vmap, fmap = transforms.face_cover_to_rbds(pg)
-        except GraphError as exc:  # disconnected, or not a plane embedding
-            print(str(exc), file=sys.stderr)
-            return EXIT_BAD_INPUT
-        comments = ["face cover instance via the radial graph, k unchanged"]
-        comments += ["facemap %d %d" % (f, b) for f, b in sorted(fmap.items())]
-        comments += ["vertexmap %d %d" % (v, r) for v, r in sorted(vmap.items())]
-        try:
-            text = formats.format_instance(
-                Instance(g, args.k if args.k is not None else len(fmap)), comments=comments)
-        except ValueError as exc:
-            print("transform face-cover: %s" % exc, file=sys.stderr)
-            return EXIT_BAD_INPUT
-        _write(args.out, text)
-        return EXIT_OK
-    if args.k is not None:  # to-ds
-        print("transform to-ds: takes no -k; the budget is the instance's plus one",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
-    inst = _load_instance(args.input)
+    pg = formats.parse_plane(_read(args.input))
     try:
-        adj, k, ids = transforms.rbds_to_ds(inst)
-    except transforms.InfeasibleInputError as exc:
+        g, vmap, fmap = transforms.face_cover_to_rbds(pg)
+    except GraphError as exc:  # disconnected, or not a plane embedding
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_INPUT
-    lines = ["c dominating set instance, budget %d" % k,
-             "c hub %d pendant %d" % (ids["hub"], ids["pendant"]),
-             "p ds %d %d %d" % (len(adj), sum(len(s) for s in adj.values()) // 2, k)]
-    lines += ["e %d %d" % (u, v) for u in sorted(adj) for v in sorted(adj[u]) if u < v]
-    _write(args.out, "\n".join(lines) + "\n")
+    comments = ["face cover instance via the radial graph, k unchanged"]
+    comments += ["facemap %d %d" % (f, b) for f, b in sorted(fmap.items())]
+    comments += ["vertexmap %d %d" % (v, r) for v, r in sorted(vmap.items())]
+    try:
+        text = formats.format_instance(
+            Instance(g, args.k if args.k is not None else len(fmap)), comments=comments)
+    except ValueError as exc:
+        print("transform face-cover: %s" % exc, file=sys.stderr)
+        return EXIT_BAD_INPUT
+    _write(args.out, text)
     return EXIT_OK
 
 
@@ -191,14 +174,15 @@ def cmd_check_planar(args) -> int:
     heads = (line.split()[:2] for _, line in formats._tokens(text))
     if next((h for h in heads if h[0] != "c"), None) == ["p", "plane"]:
         pg = formats.parse_plane(text)
-        res = is_planar(pg.vertices(), pg.edges())
+        planar = is_planar(pg.vertices(), pg.edges()).planar
     else:
-        res = rbgraph_planarity(formats.parse_instance(text).graph)
-    if res.planar:
-        print("PLANAR")
-        return EXIT_OK
-    print("NONPLANAR witness=%s edges=%d" % (res.witness.kind, len(res.witness.edges)))
-    return EXIT_NONPLANAR
+        g = formats.parse_instance(text).graph
+        if not bipartite_euler_bound(g):  # an instance's edges all join a blue to a red
+            print("NONPLANAR euler n=%d m=%d" % (g.n_vertices, g.n_edges))
+            return EXIT_NONPLANAR
+        planar = rbgraph_planarity(g).planar
+    print("PLANAR" if planar else "NONPLANAR")
+    return EXIT_OK if planar else EXIT_NONPLANAR
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -244,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("transform", help="face-cover (plane file) or to-ds (.rbds)")
-    p.add_argument("kind", choices=["face-cover", "to-ds"])
+    p = sub.add_parser("transform", help="face-cover: the radial-graph instance of a plane file")
+    p.add_argument("kind", choices=["face-cover"])
     p.add_argument("input")
     p.add_argument("--out")
     p.add_argument("-k", type=int, default=None, help="budget for face-cover output")

@@ -2,23 +2,23 @@
 
 Planarity is decided by an iterative left-right test (Brandes, *The
 Left-Right Planarity Test*, 2009, after de Fraysseix, Ossona de Mendez and
-Rosenstiehl), which returns a combinatorial embedding on success and a
-Kuratowski subgraph on failure.  The embedding is a :class:`PlaneGraph`, a
-rotation system (cyclic order of neighbors around each vertex) that
-supports the dart-walk face enumeration the radial-graph transform needs.
+Rosenstiehl), which returns a combinatorial embedding of a planar graph
+and the bare verdict for a non-planar one.  The embedding is a
+:class:`PlaneGraph`, a rotation system (cyclic order of neighbors around
+each vertex) that supports the dart-walk face enumeration the radial-graph
+transform needs.
 
 The test is a step-for-step port, onto flat lists indexed by vertex and
 edge numbers, of the non-recursive left-right test that
 ``tests/test_planarity.py`` uses as its oracle: the same neighbor orders,
 the same stable sorts by nesting depth, the same leftmost-neighbor
 bookkeeping in the embedding.  It therefore returns the oracle's rotation
-system and Kuratowski subgraph exactly.  Face ids, and every trace built on
-them, follow from that rotation.
+system exactly.  Face ids, and every trace built on them, follow from that
+rotation.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .graph import GraphError, RBGraph
@@ -37,18 +37,9 @@ class Face:
 
 
 @dataclass(frozen=True)
-class KuratowskiWitness:
-    """A K5 or K3,3 subdivision certifying non-planarity."""
-
-    kind: str  # "K5" | "K3,3"
-    edges: frozenset
-
-
-@dataclass(frozen=True)
 class PlanarityResult:
     planar: bool
     embedding: "PlaneGraph | None" = None
-    witness: KuratowskiWitness | None = None
 
 
 class PlaneGraph:
@@ -437,46 +428,14 @@ def _left_right(adj, embed: bool):
     return rotation
 
 
-def _kuratowski(adj) -> list:
-    """Edges of a Kuratowski subgraph of the non-planar graph ``adj``.
-
-    The oracle's loop: visit the vertices in order and, for each, a snapshot
-    of its current neighbors; delete the edge, and put it back, at the end of
-    both neighbor orders, if the graph became planar.
-    Every kept edge is then needed for non-planarity; an edge kept at both
-    ends is listed twice.
-    """
-    n = len(adj)
-    # The oracle works on a copy of the graph, whose neighbor orders (lower
-    # neighbors ascending first) differ from adj's, and snapshots follow them.
-    cur = [{} for _ in range(n)]
-    for u, ns in enumerate(adj):
-        for v in ns:
-            cur[u][v] = cur[v][u] = None
-    m = sum(len(d) - (u in d) for u, d in enumerate(cur)) // 2
-    kept = []
-    for u in range(n):
-        for v in list(cur[u]):
-            del cur[u][v]
-            if u == v:
-                continue  # a self-loop never decides planarity
-            del cur[v][u]
-            m -= 1
-            if (n <= 2 or m <= 3 * n - 6) and _left_right(cur, False):
-                cur[u][v] = cur[v][u] = None
-                m += 1
-                kept.append((u, v))
-    return kept
-
-
 def is_planar(vertices, edges) -> PlanarityResult:
     """Left-right planarity test of the graph on ``vertices`` and ``edges``.
 
     Vertices named only by edges join after ``vertices``, in edge order;
-    self-loops and repeated edges are ignored.  Planar graphs come back with
-    a rotation system realizing an embedding, non-planar ones with a
-    Kuratowski subdivision.  Both equal the oracle's in
-    ``tests/test_planarity.py``.
+    self-loops and repeated edges are ignored.  A planar graph comes back
+    with a rotation system realizing an embedding, the oracle's in
+    ``tests/test_planarity.py``; a non-planar one comes back with the verdict
+    alone, after a single run of the test.
     """
     index = {}
     for v in vertices:
@@ -491,11 +450,7 @@ def is_planar(vertices, edges) -> PlanarityResult:
     if rotation is not None:
         return PlanarityResult(True, embedding=PlaneGraph(
             {names[v]: [names[u] for u in ring] for v, ring in enumerate(rotation)}))
-    wedges = frozenset((names[i], names[j]) if names[i] < names[j] else (names[j], names[i])
-                       for i, j in _kuratowski(adj))
-    degree = Counter(v for e in wedges for v in e)
-    kind = "K5" if max(degree.values()) >= 4 else "K3,3"
-    return PlanarityResult(False, witness=KuratowskiWitness(kind, wedges))
+    return PlanarityResult(False)
 
 
 def rbgraph_planarity(g: RBGraph) -> PlanarityResult:

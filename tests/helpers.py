@@ -45,16 +45,6 @@ def exhaustive_min_rbds(g: RBGraph):
     return None
 
 
-def exhaustive_min_ds(adj: dict):
-    vs = sorted(adj)
-    for size in range(len(vs) + 1):
-        for combo in itertools.combinations(vs, size):
-            chosen = set(combo)
-            if all(v in chosen or adj[v] & chosen for v in vs):
-                return size, chosen
-    return None
-
-
 # -- queries over the library's solver and finders ---------------------------------
 
 
@@ -99,19 +89,6 @@ def reference_min_rbds(g: RBGraph) -> solver.SolveOutcome:
                 if kept == best:
                     break
     return solver.SolveOutcome(size, frozenset(chosen))
-
-
-def min_ds(adj: dict) -> solver.SolveOutcome:
-    """Minimum dominating set of a general graph through ``min_rbds``: each
-    vertex gets a blue and a red copy, and a blue copy neighbors the red
-    copies of its closed neighborhood.  Blue copies keep the vertex order,
-    so the witness is the lex-min one over the vertices."""
-    vs = sorted(adj)
-    n = len(vs)
-    index = {v: i for i, v in enumerate(vs)}
-    edges = [(i + 1, n + 1 + index[u]) for i, v in enumerate(vs) for u in adj[v] | {v}]
-    out = solver.min_rbds(RBGraph.from_parts(range(1, n + 1), range(n + 1, 2 * n + 1), edges))
-    return solver.SolveOutcome(out.size, frozenset(vs[b - 1] for b in out.witness))
 
 
 def is_reduced(g: RBGraph) -> bool:

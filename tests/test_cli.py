@@ -1,13 +1,14 @@
 import contextlib
 import io
 import itertools
+import random
 import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbkernel import cli, formats, solver
+from rbkernel import cli, formats, planar, solver
 from rbkernel.cli import (
     EXIT_BAD_INPUT,
     EXIT_INFEASIBLE,
@@ -319,16 +320,13 @@ class TestGenCommand:
 
     def test_bad_params_exit_bad_input(self, tmp_path, capsys):
         out = tmp_path / "g.rbds"
-        src = tmp_path / "in.rbds"
-        src.write_text(formats.format_instance(gen_matching(2)))
         # An argument the subcommand does not use is refused, not ignored.
         for argv in (["gen", "grid", "0", "3"], ["gen", "matching", "0"],
                      ["gen", "planar", "2", "50"], ["gen", "planar", "10", "0"],
                      ["gen", "planar", "20", "70", "--seed", "1" + "0" * 18],
                      ["gen", "grid", "3", "4", "--seed", "5"],
                      ["gen", "grid", "3", "4", "--seed", "0"],
-                     ["gen", "matching", "3", "--seed", "5"],
-                     ["transform", "to-ds", str(src), "-k", "7"]):
+                     ["gen", "matching", "3", "--seed", "5"]):
             assert main([*argv, "--out", str(out)]) == EXIT_BAD_INPUT
             err = capsys.readouterr().err
             assert err.startswith("%s %s: " % tuple(argv[:2])) and err.count("\n") == 1
@@ -375,7 +373,33 @@ class TestCheckPlanar:
         path = tmp_path / "k33.rbds"
         path.write_text(formats.format_instance(Instance(g, 3)))
         assert main(["check-planar", str(path)]) == EXIT_NONPLANAR
-        assert "K3,3" in capsys.readouterr().out
+        assert capsys.readouterr().out == "NONPLANAR euler n=6 m=9\n"
+
+    def test_nonplanar_within_euler_bound(self, tmp_path, capsys):
+        # K3,3 with the edge 1-4 subdivided by red 8 and blue 7: 8 vertices
+        # and 11 edges pass m <= 2n - 4, so the left-right test decides.
+        edges = [(b, r) for b in (1, 2, 3) for r in (4, 5, 6) if (b, r) != (1, 4)]
+        g = RBGraph.from_parts([1, 2, 3, 7], [4, 5, 6, 8], edges + [(1, 8), (7, 8), (7, 4)])
+        path = tmp_path / "k33-subdivided.rbds"
+        path.write_text(formats.format_instance(Instance(g, 3)))
+        assert main(["check-planar", str(path)]) == EXIT_NONPLANAR
+        assert capsys.readouterr().out == "NONPLANAR\n"
+
+    def test_dense_instance_fails_euler_without_the_test(self, tmp_path, capsys, monkeypatch):
+        # Each of 12 reds sees its own 3 of 6 blues: 36 edges > 2 * 18 - 4.
+        rng = random.Random(7)
+        subsets = rng.sample(list(itertools.combinations(range(1, 7), 3)), 12)
+        g = RBGraph.from_parts(range(1, 7), range(7, 19),
+                               [(b, 7 + i) for i, sub in enumerate(subsets) for b in sub])
+        path = tmp_path / "dense.rbds"
+        path.write_text(formats.format_instance(Instance(g, 2)))
+
+        def no_test(adj, embed):
+            raise AssertionError("the Euler bound already decides")
+
+        monkeypatch.setattr(planar, "_left_right", no_test)
+        assert main(["check-planar", str(path)]) == EXIT_NONPLANAR
+        assert capsys.readouterr().out == "NONPLANAR euler n=18 m=36\n"
 
     def test_plane_file(self, tmp_path, capsys):
         pg = is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding
@@ -399,13 +423,11 @@ class TestCheckPlanar:
 
 
 class TestTransformCommand:
-    def test_to_ds(self, tmp_path):
-        src = tmp_path / "in.rbds"
-        src.write_text(formats.format_instance(gen_matching(2)))
-        out = tmp_path / "out.ds"
-        assert main(["transform", "to-ds", str(src), "--out", str(out)]) == EXIT_OK
-        text = out.read_text()
-        assert "p ds 6" in text and "budget 3" in text
+    def test_face_cover_is_the_only_kind(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["transform", "to-ds", "x.rbds"])
+        assert exc.value.code == EXIT_PARSE
+        assert "invalid choice: 'to-ds'" in capsys.readouterr().err
 
     def test_face_cover(self, tmp_path):
         pg = is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding
@@ -469,7 +491,6 @@ _FUZZ_RUNS = [
     (["verify", "in.rbds", "sol.txt"], "in.rbds"),
     (["verify", "in.rbds", "sol.txt"], "sol.txt"),
     (["transform", "face-cover", "g.plane"], "g.plane"),
-    (["transform", "to-ds", "in.rbds"], "in.rbds"),
     (["check-planar", "in.rbds"], "in.rbds"),
     (["check-planar", "g.plane"], "g.plane"),
 ]

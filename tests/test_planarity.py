@@ -9,6 +9,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rbkernel import planar
 from rbkernel.formats import format_instance
 from rbkernel.generators import _stacked_triangulation
 from rbkernel.graph import GraphError, Instance, RBGraph
@@ -41,6 +42,23 @@ def cube_graph():
     return vs, edges
 
 
+def shuffled(n, edges, rng):
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+    rng.shuffle(edges)
+    return vertices, edges
+
+
+def chord_on_stacked_triangulation(rng):
+    """A maximal planar graph on 40 vertices plus one edge, so non-planar,
+    its vertices and edges shuffled."""
+    edges = _stacked_triangulation(40, rng)
+    present = set(edges)
+    chord = next(e for e in itertools.combinations(range(40), 2) if e not in present)
+    return shuffled(40, edges + [chord], rng)
+
+
 def embed(vertices, edges) -> PlaneGraph:
     res = is_planar(vertices, edges)
     assert res.planar
@@ -50,22 +68,30 @@ def embed(vertices, edges) -> PlaneGraph:
 class TestIsPlanar:
     def test_k4(self):
         res = is_planar(*complete_graph(4))
-        assert res.planar and res.witness is None
+        assert res.planar and res.embedding is not None
 
     def test_k5(self):
         res = is_planar(*complete_graph(5))
-        assert not res.planar
-        assert res.witness.kind == "K5"
+        assert not res.planar and res.embedding is None
 
     def test_k33(self):
         res = is_planar(*complete_bipartite(3, 3))
-        assert not res.planar
-        assert res.witness.kind == "K3,3"
+        assert not res.planar and res.embedding is None
 
-    def test_witness_edges_are_subgraph(self):
-        vs, edges = complete_graph(5)
-        res = is_planar(vs, edges)
-        assert res.witness.edges <= set(edges)
+    @pytest.mark.parametrize("graph", [
+        complete_graph(5), complete_bipartite(3, 3),
+        chord_on_stacked_triangulation(random.Random(0))], ids=["K5", "K3,3", "chord"])
+    def test_nonplanar_verdict_runs_the_test_once(self, graph, monkeypatch):
+        calls = []
+
+        def counted(adj, embed):
+            calls.append(embed)
+            return left_right(adj, embed)
+
+        left_right = planar._left_right
+        monkeypatch.setattr(planar, "_left_right", counted)
+        assert not is_planar(*graph).planar
+        assert calls == [True]
 
     def test_relabeling_invariance(self):
         vs, edges = complete_graph(5)
@@ -159,31 +185,31 @@ class TestRBGraphPlanarity:
         g = RBGraph.from_parts([1, 2, 3], [4, 5, 6],
                                [(b, r) for b in (1, 2, 3) for r in (4, 5, 6)])
         res = rbgraph_planarity(g)
-        assert not res.planar and res.witness.kind == "K3,3"
+        assert not res.planar
 
 
 # -- networkx as the oracle ------------------------------------------------------
 #
-# is_planar must return exactly networkx's rotation system, since face ids and
-# every trace built on them follow from it, and exactly its Kuratowski subgraph.
+# is_planar must return networkx's verdict and, on a planar graph, exactly its
+# rotation system, since face ids and every trace built on them follow from it.
+# A non-planar graph answers False on both sides.
 
 
 def networkx_answer(vertices, edges):
     G = nx.Graph()
     G.add_nodes_from(vertices)
     G.add_edges_from(edges)
-    ok, cert = nx.check_planarity(G, counterexample=True)
+    ok, cert = nx.check_planarity(G)
     if ok:
         return [(v, list(cert.neighbors_cw_order(v))) for v in G.nodes]
-    kind = "K5" if max(d for _, d in cert.degree) >= 4 else "K3,3"
-    return kind, frozenset((u, v) if u < v else (v, u) for u, v in cert.edges)
+    return False
 
 
 def our_answer(vertices, edges):
     res = is_planar(vertices, edges)
     if res.planar:
         return list(res.embedding.rotation.items())
-    return res.witness.kind, res.witness.edges
+    return False
 
 
 @st.composite
@@ -201,12 +227,6 @@ def messy_graphs(draw):
     return vertices, edges
 
 
-def shuffled(n, edges, rng):
-    vertices = list(range(n))
-    rng.shuffle(vertices)
-    edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
-    rng.shuffle(edges)
-    return vertices, edges
 
 
 class TestNetworkxOracle:
@@ -233,14 +253,9 @@ class TestNetworkxOracle:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_chord_on_stacked_triangulation(self, seed):
-        # A maximal planar graph plus one edge is non-planar.
-        rng = random.Random(seed)
-        edges = _stacked_triangulation(40, rng)
-        present = set(edges)
-        chord = next(e for e in itertools.combinations(range(40), 2) if e not in present)
-        graph = shuffled(40, edges + [chord], rng)
+        graph = chord_on_stacked_triangulation(random.Random(seed))
         ours = our_answer(*graph)
-        assert ours[0] in ("K5", "K3,3")
+        assert ours is False
         assert ours == networkx_answer(*graph)
 
 
@@ -263,7 +278,7 @@ class TestStandsAlone:
             "sys.modules['networkx'] = None",
             "import rbkernel, rbkernel.cli",
             "assert rbkernel.is_planar(range(4), %r).planar" % complete_graph(4)[1],
-            "assert rbkernel.is_planar(*%r).witness.kind == 'K3,3'" % (complete_bipartite(3, 3),),
+            "assert not rbkernel.is_planar(*%r).planar" % (complete_bipartite(3, 3),),
             "sys.exit(rbkernel.cli.main(['check-planar', %r]))" % str(path),
         ])
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -272,4 +287,4 @@ class TestStandsAlone:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 24, proc.stderr
-        assert proc.stdout.startswith("NONPLANAR witness=K3,3")
+        assert proc.stdout == "NONPLANAR euler n=6 m=9\n"

@@ -14,9 +14,7 @@ from rbkernel.transforms import face_cover_to_rbds
 from helpers import (
     alternating_cycle,
     decide,
-    exhaustive_min_ds,
     exhaustive_min_rbds,
-    min_ds,
     reference_min_rbds,
 )
 
@@ -467,32 +465,6 @@ class TestDecide:
         expected = exhaustive_min_rbds(g)
         for k in range(-1, len(g.blue) + 2):
             assert decide(g, k) == (expected is not None and expected[0] <= k)
-
-
-class TestMinDs:
-    def test_single_vertex(self):
-        assert min_ds({1: set()}).size == 1
-
-    def test_path3_center(self):
-        out = min_ds({1: {2}, 2: {1, 3}, 3: {2}})
-        assert out.size == 1 and out.witness == frozenset({2})
-
-    def test_c6(self):
-        adj = {i: {(i + 1) % 6, (i - 1) % 6} for i in range(6)}
-        assert exhaustive_min_ds(adj)[0] == 2
-        assert min_ds(adj).size == 2
-
-    def test_matches_exhaustive_random(self):
-        rng = random.Random(99)
-        for _ in range(60):
-            n = rng.randint(1, 9)
-            adj = {v: set() for v in range(n)}
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if rng.random() < 0.35:
-                        adj[u].add(v)
-                        adj[v].add(u)
-            assert min_ds(adj).size == exhaustive_min_ds(adj)[0]
 
 
 class TestMonotonicity:

@@ -1,14 +1,13 @@
 import itertools
-import random
 
 import pytest
 
-from rbkernel.graph import GraphError, Instance, RBGraph
+from rbkernel.graph import GraphError
 from rbkernel.planar import PlaneGraph, is_planar, rbgraph_planarity
 from rbkernel.solver import min_rbds
-from rbkernel.transforms import InfeasibleInputError, face_cover_to_rbds, rbds_to_ds
+from rbkernel.transforms import face_cover_to_rbds
 
-from helpers import brute_force_face_cover, min_ds, random_sanitized_instance
+from helpers import brute_force_face_cover
 
 
 def embed(vertices, edges):
@@ -87,37 +86,3 @@ class TestFaceCover:
         assert set(vmap.values()) == g.red
         assert set(fmap.values()) == g.blue
 
-
-class TestRbdsToDs:
-    def test_single_edge(self):
-        inst = Instance(RBGraph.from_parts([1], [2], [(1, 2)]), 1)
-        adj, k, ids = rbds_to_ds(inst)
-        assert len(adj) == 4 and k == 2
-        assert adj[ids["pendant"]] == {ids["hub"]}
-        assert min_ds(adj).size == 2
-
-    def test_star(self):
-        g = RBGraph.from_parts([1], [2, 3, 4], [(1, 2), (1, 3), (1, 4)])
-        adj, k, ids = rbds_to_ds(Instance(g, 1))
-        assert min_ds(adj).size == 2
-
-    def test_infeasible_rejected(self):
-        g = RBGraph.from_parts([], [1])
-        with pytest.raises(InfeasibleInputError):
-            rbds_to_ds(Instance(g, 1))
-
-    def test_hub_touches_all_blues(self):
-        g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 4)])
-        adj, _, ids = rbds_to_ds(Instance(g, 2))
-        assert adj[ids["hub"]] == {1, 2, ids["pendant"]}
-
-    def test_optimum_shifts_by_one(self):
-        rng = random.Random(42)
-        done = 0
-        while done < 40:
-            g = random_sanitized_instance(rng, 12)
-            if any(not g.adj[r] for r in g.red):
-                continue
-            done += 1
-            adj, _, _ = rbds_to_ds(Instance(g, len(g.blue)))
-            assert min_ds(adj).size == min_rbds(g).size + 1
