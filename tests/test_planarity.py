@@ -227,8 +227,6 @@ def messy_graphs(draw):
     return vertices, edges
 
 
-
-
 class TestNetworkxOracle:
     @settings(max_examples=400, deadline=None)
     @given(messy_graphs())
