@@ -42,6 +42,21 @@ def cube_graph():
     return vs, edges
 
 
+def petersen_graph():
+    vs = list(range(10))
+    return vs, ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def subdivided(graph):
+    """Each edge of ``graph`` split by a new vertex; the new vertices follow
+    the old ones, in edge order."""
+    vs, edges = graph
+    n = len(vs)
+    return (list(vs) + list(range(n, n + len(edges))),
+            [e for i, (u, v) in enumerate(edges) for e in ((u, n + i), (n + i, v))])
+
+
 def shuffled(n, edges, rng):
     vertices = list(range(n))
     rng.shuffle(vertices)
@@ -57,6 +72,19 @@ def chord_on_stacked_triangulation(rng):
     present = set(edges)
     chord = next(e for e in itertools.combinations(range(40), 2) if e not in present)
     return shuffled(40, edges + [chord], rng)
+
+
+def count_left_right(monkeypatch):
+    """Record the ``embed`` flag of every call to the left-right test."""
+    calls = []
+    left_right = planar._left_right
+
+    def counted(adj, embed):
+        calls.append(embed)
+        return left_right(adj, embed)
+
+    monkeypatch.setattr(planar, "_left_right", counted)
+    return calls
 
 
 def embed(vertices, edges) -> PlaneGraph:
@@ -78,19 +106,23 @@ class TestIsPlanar:
         res = is_planar(*complete_bipartite(3, 3))
         assert not res.planar and res.embedding is None
 
+    # K5 and the chord exceed 3n - 6 edges, which the test rejects on entry;
+    # the others are sparse enough that it runs to its conflict.
     @pytest.mark.parametrize("graph", [
         complete_graph(5), complete_bipartite(3, 3),
-        chord_on_stacked_triangulation(random.Random(0))], ids=["K5", "K3,3", "chord"])
+        chord_on_stacked_triangulation(random.Random(0)),
+        subdivided(complete_graph(5)), subdivided(complete_bipartite(3, 3)),
+        petersen_graph()], ids=["K5", "K3,3", "chord", "K5-subdivided",
+                                "K3,3-subdivided", "petersen"])
     def test_nonplanar_verdict_runs_the_test_once(self, graph, monkeypatch):
-        calls = []
-
-        def counted(adj, embed):
-            calls.append(embed)
-            return left_right(adj, embed)
-
-        left_right = planar._left_right
-        monkeypatch.setattr(planar, "_left_right", counted)
+        calls = count_left_right(monkeypatch)
         assert not is_planar(*graph).planar
+        assert calls == [True]
+
+    @pytest.mark.parametrize("graph", [complete_graph(4), cube_graph()], ids=["K4", "cube"])
+    def test_planar_embedding_runs_the_test_once(self, graph, monkeypatch):
+        calls = count_left_right(monkeypatch)
+        assert is_planar(*graph).embedding is not None
         assert calls == [True]
 
     def test_relabeling_invariance(self):
@@ -186,6 +218,15 @@ class TestRBGraphPlanarity:
                                [(b, r) for b in (1, 2, 3) for r in (4, 5, 6)])
         res = rbgraph_planarity(g)
         assert not res.planar
+
+    def test_subdivided_k33_within_euler_bound(self):
+        # Six blue branch vertices, nine red subdivision vertices: 15 vertices
+        # and 18 edges meet m <= 2n - 4, so only the left-right test decides.
+        vs, edges = subdivided(complete_bipartite(3, 3))
+        g = RBGraph.from_parts([v + 1 for v in vs[:6]], [v + 1 for v in vs[6:]],
+                               [(u + 1, v + 1) if u < 6 else (v + 1, u + 1) for u, v in edges])
+        assert bipartite_euler_bound(g)
+        assert not rbgraph_planarity(g).planar
 
 
 # -- networkx as the oracle ------------------------------------------------------
