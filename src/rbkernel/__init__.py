@@ -1,15 +1,6 @@
 """Kernelization toolkit for red/blue domination on planar graphs."""
 
-from .graph import (
-    BLUE,
-    RED,
-    ColorError,
-    GraphError,
-    Instance,
-    RBGraph,
-    SameVertexError,
-    UnknownVertexError,
-)
+from .graph import BLUE, RED, GraphError, Instance, RBGraph
 from .kernelizer import (
     KernelResult,
     KernelTrace,
@@ -31,7 +22,7 @@ from .planar import (
     PlaneGraph,
     bipartite_euler_bound,
     is_planar,
-    rbgraph_planarity,
+    planar_verdict,
 )
 from .solver import InstanceTooLargeError, SolveOutcome, min_rbds, verify_solution
 from .transforms import face_cover_to_rbds
@@ -41,13 +32,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BLUE", "RED", "RBGraph", "Instance",
-    "GraphError", "UnknownVertexError", "ColorError", "SameVertexError",
+    "GraphError",
     "KernelResult", "KernelTrace", "RuleApplication", "TraceMismatchError",
     "find_rule1", "find_rule2", "find_rule3", "find_rule4",
     "sanitize", "apply_rule", "kernelize", "lift_solution", "replay_trace",
     "SolveOutcome", "verify_solution", "min_rbds", "InstanceTooLargeError",
     "PlaneGraph", "Face", "PlanarityResult",
-    "is_planar", "rbgraph_planarity", "bipartite_euler_bound",
+    "is_planar", "planar_verdict", "bipartite_euler_bound",
     "face_cover_to_rbds",
     "gen_grid", "gen_matching", "gen_random_planar",
 ]

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import formats, generators, transforms
 from .graph import GraphError, Instance, RBGraph
 from .kernelizer import fingerprint_instance, kernelize, lift_solution, replay_trace
-from .planar import bipartite_euler_bound, is_planar, rbgraph_planarity
+from .planar import bipartite_euler_bound, planar_verdict
 from .solver import InstanceTooLargeError, min_rbds, verify_solution
 
 EXIT_OK = 0
@@ -173,14 +173,14 @@ def cmd_check_planar(args) -> int:
     text = _read(args.input)
     heads = (line.split()[:2] for _, line in formats._tokens(text))
     if next((h for h in heads if h[0] != "c"), None) == ["p", "plane"]:
-        pg = formats.parse_plane(text)
-        planar = is_planar(pg.vertices(), pg.edges()).planar
+        adj = formats.parse_plane(text).rotation  # the edge set; its rotation is not checked
     else:
         g = formats.parse_instance(text).graph
         if not bipartite_euler_bound(g):  # an instance's edges all join a blue to a red
             print("NONPLANAR euler n=%d m=%d" % (g.n_vertices, g.n_edges))
             return EXIT_NONPLANAR
-        planar = rbgraph_planarity(g).planar
+        adj = g.adj
+    planar = planar_verdict(adj)
     print("PLANAR" if planar else "NONPLANAR")
     return EXIT_OK if planar else EXIT_NONPLANAR
 
@@ -235,7 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=None, help="budget for face-cover output")
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("check-planar", help="planarity of an instance or plane file")
+    p = sub.add_parser("check-planar", help="planarity of the edge set of an instance or "
+                                            "plane file (transform face-cover checks that a "
+                                            "plane file's rotation is an embedding)")
     p.add_argument("input")
     p.set_defaults(func=cmd_check_planar)
 

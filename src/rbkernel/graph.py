@@ -17,18 +17,6 @@ class GraphError(Exception):
     """Base class for graph contract violations."""
 
 
-class UnknownVertexError(GraphError):
-    pass
-
-
-class ColorError(GraphError):
-    pass
-
-
-class SameVertexError(GraphError):
-    pass
-
-
 class RBGraph:
     """Mutable blue/red graph.
 
@@ -68,7 +56,7 @@ class RBGraph:
         elif color == RED:
             self.red.add(vid)
         else:
-            raise ColorError("unknown color %r" % color)
+            raise GraphError("unknown color %r" % color)
         self.adj[vid] = set()
         if vid >= self._next_id:
             self._next_id = vid + 1
@@ -76,11 +64,11 @@ class RBGraph:
 
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
-            raise SameVertexError("self-loop at %d" % u)
+            raise GraphError("self-loop at %d" % u)
         if u not in self.adj:
-            raise UnknownVertexError("unknown vertex %d" % u)
+            raise GraphError("unknown vertex %d" % u)
         if v not in self.adj:
-            raise UnknownVertexError("unknown vertex %d" % v)
+            raise GraphError("unknown vertex %d" % v)
         self.adj[u].add(v)
         self.adj[v].add(u)
 
@@ -89,9 +77,9 @@ class RBGraph:
         nbrs = set(neighbors)
         for u in nbrs:
             if u not in self.adj:
-                raise UnknownVertexError("unknown vertex %d" % u)
+                raise GraphError("unknown vertex %d" % u)
             if u not in self.blue:
-                raise ColorError("neighbor %d of a new red vertex must be blue" % u)
+                raise GraphError("neighbor %d of a new red vertex must be blue" % u)
         new = self._add_with_id(self._next_id, RED)
         for u in nbrs:
             self.adj[u].add(new)
@@ -103,7 +91,7 @@ class RBGraph:
         neighbors, which the graph no longer holds."""
         adj = self.adj
         if v not in adj:
-            raise UnknownVertexError("unknown vertex %d" % v)
+            raise GraphError("unknown vertex %d" % v)
         nbrs = adj.pop(v)
         for u in nbrs:
             adj[u].discard(v)
@@ -113,7 +101,7 @@ class RBGraph:
 
     def remove_edge(self, u: int, v: int) -> None:
         if u not in self.adj or v not in self.adj:
-            raise UnknownVertexError("unknown endpoint in edge (%d, %d)" % (u, v))
+            raise GraphError("unknown endpoint in edge (%d, %d)" % (u, v))
         self.adj[u].discard(v)
         self.adj[v].discard(u)
 
@@ -124,12 +112,9 @@ class RBGraph:
             return BLUE
         if v in self.red:
             return RED
-        raise UnknownVertexError("unknown vertex %d" % v)
+        raise GraphError("unknown vertex %d" % v)
 
     # -- whole-graph helpers ------------------------------------------------
-
-    def vertices(self) -> set[int]:
-        return set(self.adj)
 
     @property
     def n_vertices(self) -> int:

@@ -2,11 +2,12 @@
 
 Planarity is decided by an iterative left-right test (Brandes, *The
 Left-Right Planarity Test*, 2009, after de Fraysseix, Ossona de Mendez and
-Rosenstiehl), which returns a combinatorial embedding of a planar graph
-and the bare verdict for a non-planar one.  The embedding is a
-:class:`PlaneGraph`, a rotation system (cyclic order of neighbors around
-each vertex) that supports the dart-walk face enumeration the radial-graph
-transform needs.
+Rosenstiehl).  :func:`planar_verdict` asks it for the verdict alone, on a
+``{vertex: neighbors}`` map, and builds no embedding.  :func:`is_planar`
+asks it for a combinatorial embedding of a planar graph, the bare verdict
+for a non-planar one.  The embedding is a :class:`PlaneGraph`, a rotation
+system (cyclic order of neighbors around each vertex) that supports the
+dart-walk face enumeration the radial-graph transform needs.
 
 The test is a step-for-step port, onto flat lists indexed by vertex and
 edge numbers, of the non-recursive left-right test that
@@ -24,10 +25,6 @@ from dataclasses import dataclass
 from .graph import GraphError, RBGraph
 
 
-class DisconnectedError(GraphError):
-    pass
-
-
 @dataclass(frozen=True)
 class Face:
     """A face as its boundary dart cycle plus the incident vertex set."""
@@ -38,17 +35,25 @@ class Face:
 
 @dataclass(frozen=True)
 class PlanarityResult:
-    planar: bool
+    """What :func:`is_planar` found: a rotation system realizing an
+    embedding of a planar graph, or None for a non-planar one."""
+
     embedding: "PlaneGraph | None" = None
+
+    @property
+    def planar(self) -> bool:
+        return self.embedding is not None
 
 
 class PlaneGraph:
     """A graph with a rotation system.
 
     ``rotation`` maps each vertex to the cyclic list of its neighbors.  The
-    constructor checks that the rotation is symmetric and duplicate-free;
-    whether it is genus-zero is a separate question answered by the Euler
-    count of :meth:`faces`, which ``transforms.face_cover_to_rbds`` checks.
+    constructor checks that the rotation is symmetric and duplicate-free.
+    Two questions stay separate: whether the edge set is planar, which
+    ``planar_verdict(pg.rotation)`` answers, and whether this rotation is a
+    genus-zero embedding of it, which the Euler count of :meth:`faces`
+    answers and ``transforms.face_cover_to_rbds`` checks.
     """
 
     def __init__(self, rotation: dict):
@@ -78,12 +83,6 @@ class PlaneGraph:
     def n_edges(self) -> int:
         return sum(len(ns) for ns in self.rotation.values()) // 2
 
-    def vertices(self) -> list:
-        return sorted(self.rotation)
-
-    def edges(self) -> list:
-        return sorted((u, v) for u in self.rotation for v in self.rotation[u] if u < v)
-
     def is_connected(self) -> bool:
         if not self.rotation:
             return True
@@ -103,7 +102,7 @@ class PlaneGraph:
         order of the ascending dart scan, which makes downstream ids
         deterministic."""
         if not self.is_connected():
-            raise DisconnectedError("face traversal needs a connected graph")
+            raise GraphError("face traversal needs a connected graph")
         if not self.rotation:
             return []
         if self.n_edges == 0:
@@ -434,8 +433,9 @@ def is_planar(vertices, edges) -> PlanarityResult:
     Vertices named only by edges join after ``vertices``, in edge order;
     self-loops and repeated edges are ignored.  A planar graph comes back
     with a rotation system realizing an embedding, the oracle's in
-    ``tests/test_planarity.py``; a non-planar one comes back with the verdict
-    alone, after a single run of the test.
+    ``tests/test_planarity.py``; a non-planar one comes back with none,
+    after a single run of the test.  A caller that reads only the verdict
+    asks :func:`planar_verdict`, which skips the embedding.
     """
     index = {}
     for v in vertices:
@@ -448,13 +448,21 @@ def is_planar(vertices, edges) -> PlanarityResult:
     names = list(index)
     rotation = _left_right(adj, True)
     if rotation is not None:
-        return PlanarityResult(True, embedding=PlaneGraph(
+        return PlanarityResult(PlaneGraph(
             {names[v]: [names[u] for u in ring] for v, ring in enumerate(rotation)}))
-    return PlanarityResult(False)
+    return PlanarityResult()
 
 
-def rbgraph_planarity(g: RBGraph) -> PlanarityResult:
-    return is_planar(g.vertices(), g.edges())
+def planar_verdict(adj) -> bool:
+    """Whether the graph of ``adj`` is planar, after one verdict-only run of
+    the left-right test.
+
+    ``adj`` maps each vertex to its neighbors, symmetrically, as
+    ``RBGraph.adj`` and ``PlaneGraph.rotation`` do; the order of the
+    neighbors does not matter, and no embedding is built.
+    """
+    index = {v: i for i, v in enumerate(adj)}
+    return _left_right([[index[u] for u in ns] for ns in adj.values()], False) is not None
 
 
 def bipartite_euler_bound(g: RBGraph) -> bool:

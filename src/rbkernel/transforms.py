@@ -18,10 +18,10 @@ def face_cover_to_rbds(pg: PlaneGraph):
 
     Returns (graph, vertex_to_red, face_to_blue).  Faces are numbered in
     first-discovery order of the dart walk; a vertex appearing twice on one
-    boundary still yields a single edge.  The face walk raises
-    ``DisconnectedError`` on a disconnected graph, and a rotation system
-    whose faces miss Euler's formula V - E + F = 2, one of higher genus,
-    raises ``GraphError``; the empty plane graph has no faces and passes.
+    boundary still yields a single edge.  A disconnected graph, and a
+    rotation system whose faces miss Euler's formula V - E + F = 2, one of
+    higher genus, raise ``GraphError``; the empty plane graph has no faces
+    and passes.
     """
     faces = pg.faces()
     euler = pg.n_vertices - pg.n_edges + len(faces)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from rbkernel import solver
+from rbkernel import planar, solver
 from rbkernel.formats import MAX_VERTICES, ParseError, _is_id
 from rbkernel.generators import _layout, _stacked_triangulation
 from rbkernel.graph import BLUE, RED, GraphError, Instance, RBGraph
@@ -384,6 +384,33 @@ def alternating_cycle(pairs: int) -> RBGraph:
         edges.append((blues[i], reds[i]))
         edges.append((blues[(i + 1) % pairs], reds[i]))
     return RBGraph.from_parts(blues, reds, edges)
+
+
+def count_left_right(monkeypatch) -> list:
+    """Record the ``embed`` flag of every call to the left-right test."""
+    calls = []
+    left_right = planar._left_right
+
+    def counted(adj, embed):
+        calls.append(embed)
+        return left_right(adj, embed)
+
+    monkeypatch.setattr(planar, "_left_right", counted)
+    return calls
+
+
+def adjacency(vertices, edges) -> dict:
+    """The ``{vertex: neighbors}`` map of a graph given as ``is_planar``
+    takes it: vertices named only by edges included, self-loops and repeated
+    edges dropped."""
+    adj = {v: set() for v in vertices}
+    for u, v in edges:
+        adj.setdefault(u, set())
+        adj.setdefault(v, set())
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
 
 
 def brute_force_face_cover(pg) -> int:

@@ -27,7 +27,7 @@ from rbkernel.kernelizer import (SAN_NO, RuleApplication, fingerprint_instance, 
 from rbkernel.planar import PlaneGraph, is_planar
 from rbkernel.solver import min_rbds
 
-from helpers import alternating_cycle, format_plane
+from helpers import alternating_cycle, count_left_right, format_plane
 
 
 @pytest.fixture
@@ -374,6 +374,40 @@ class TestCheckPlanar:
         path.write_text(formats.format_instance(Instance(g, 3)))
         assert main(["check-planar", str(path)]) == EXIT_NONPLANAR
         assert capsys.readouterr().out == "NONPLANAR euler n=6 m=9\n"
+
+    def test_instance_runs_the_test_once_and_embeds_nothing(self, tmp_path, capsys,
+                                                           monkeypatch):
+        path = tmp_path / "grid.rbds"
+        path.write_text(formats.format_instance(gen_grid(30, 30)))
+
+        def no_embedding(self, rotation):
+            raise AssertionError("check-planar needs the verdict alone")
+
+        monkeypatch.setattr(PlaneGraph, "__init__", no_embedding)
+        calls = count_left_right(monkeypatch)
+        assert main(["check-planar", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "PLANAR\n"
+        assert calls == [False]
+
+    def test_plane_file_answers_for_its_edge_set(self, tmp_path, capsys, monkeypatch):
+        # The rotation is K4 on the torus, V - E + F = 0, which transform
+        # face-cover refuses; the edge set, K4, is planar.
+        path = tmp_path / "k4.plane"
+        path.write_text("p plane 4 6\nv 0: 1 2 3\nv 1: 0 2 3\nv 2: 0 3 1\nv 3: 0 1 2\n")
+        calls = count_left_right(monkeypatch)
+        assert main(["check-planar", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == "PLANAR\n"
+        assert calls == [False]
+
+    def test_nonplanar_plane_file(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "k33.plane"
+        path.write_text("p plane 6 9\n" + "".join(
+            "v %d: %s\n" % (v, " ".join(str(u) for u in range(6) if (u < 3) != (v < 3)))
+            for v in range(6)))
+        calls = count_left_right(monkeypatch)
+        assert main(["check-planar", str(path)]) == EXIT_NONPLANAR
+        assert capsys.readouterr().out == "NONPLANAR\n"
+        assert calls == [False]
 
     def test_nonplanar_within_euler_bound(self, tmp_path, capsys):
         # K3,3 with the edge 1-4 subdivided by red 8 and blue 7: 8 vertices

@@ -4,7 +4,7 @@ from rbkernel.generators import _layout, gen_grid, gen_matching, gen_random_plan
 from rbkernel.graph import BLUE, RED
 from rbkernel.kernelizer import sanitize
 from rbkernel.kernelizer import kernelize
-from rbkernel.planar import bipartite_euler_bound, rbgraph_planarity
+from rbkernel.planar import bipartite_euler_bound, planar_verdict
 from rbkernel.solver import min_rbds, verify_solution
 
 from helpers import quadratic_gen_random_planar
@@ -20,12 +20,12 @@ class TestGrid:
         g = gen_grid(2, 2).graph
         assert len(g.blue) == 2 and len(g.red) == 2
         assert g.n_edges == 4
-        assert all(len(g.adj[v]) == 2 for v in g.vertices())
+        assert all(len(g.adj[v]) == 2 for v in g.adj)
 
     def test_4x4_counts_and_planarity(self):
         g = gen_grid(4, 4).graph
         assert g.n_vertices == 16 and g.n_edges == 24
-        assert rbgraph_planarity(g).planar
+        assert planar_verdict(g.adj)
 
     def test_budget_is_blue_count(self):
         inst = gen_grid(3, 5)
@@ -84,7 +84,7 @@ class TestRandomPlanar:
     def test_planar_and_euler(self):
         for seed in range(8):
             inst = gen_random_planar(25, 0.7, seed)
-            assert rbgraph_planarity(inst.graph).planar
+            assert planar_verdict(inst.graph.adj)
             assert bipartite_euler_bound(inst.graph)
 
     def test_sanitize_fixpoint_and_feasible(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -14,12 +15,14 @@ from rbkernel.formats import format_instance
 from rbkernel.generators import _stacked_triangulation
 from rbkernel.graph import GraphError, Instance, RBGraph
 from rbkernel.planar import (
-    DisconnectedError,
+    PlanarityResult,
     PlaneGraph,
     bipartite_euler_bound,
     is_planar,
-    rbgraph_planarity,
+    planar_verdict,
 )
+
+from helpers import adjacency, count_left_right
 
 
 def complete_graph(n):
@@ -74,19 +77,6 @@ def chord_on_stacked_triangulation(rng):
     return shuffled(40, edges + [chord], rng)
 
 
-def count_left_right(monkeypatch):
-    """Record the ``embed`` flag of every call to the left-right test."""
-    calls = []
-    left_right = planar._left_right
-
-    def counted(adj, embed):
-        calls.append(embed)
-        return left_right(adj, embed)
-
-    monkeypatch.setattr(planar, "_left_right", counted)
-    return calls
-
-
 def embed(vertices, edges) -> PlaneGraph:
     res = is_planar(vertices, edges)
     assert res.planar
@@ -118,12 +108,23 @@ class TestIsPlanar:
         calls = count_left_right(monkeypatch)
         assert not is_planar(*graph).planar
         assert calls == [True]
+        calls.clear()
+        assert not planar_verdict(adjacency(*graph))
+        assert calls == [False]
 
     @pytest.mark.parametrize("graph", [complete_graph(4), cube_graph()], ids=["K4", "cube"])
     def test_planar_embedding_runs_the_test_once(self, graph, monkeypatch):
         calls = count_left_right(monkeypatch)
         assert is_planar(*graph).embedding is not None
         assert calls == [True]
+        calls.clear()
+        assert planar_verdict(adjacency(*graph))
+        assert calls == [False]
+
+    def test_result_holds_the_embedding_alone(self):
+        assert [f.name for f in dataclasses.fields(PlanarityResult)] == ["embedding"]
+        assert not PlanarityResult().planar
+        assert PlanarityResult(embed(*complete_graph(3))).planar
 
     def test_relabeling_invariance(self):
         vs, edges = complete_graph(5)
@@ -190,7 +191,7 @@ class TestFaces:
 
     def test_disconnected_rejected(self):
         pg = PlaneGraph({1: [2], 2: [1], 3: [4], 4: [3]})
-        with pytest.raises(DisconnectedError):
+        with pytest.raises(GraphError, match="^face traversal needs a connected graph$"):
             pg.faces()
 
 
@@ -211,13 +212,12 @@ class TestPlaneGraphValidation:
 class TestRBGraphPlanarity:
     def test_grid_is_planar(self):
         from rbkernel.generators import gen_grid
-        assert rbgraph_planarity(gen_grid(4, 5).graph).planar
+        assert planar_verdict(gen_grid(4, 5).graph.adj)
 
     def test_k33_instance(self):
         g = RBGraph.from_parts([1, 2, 3], [4, 5, 6],
                                [(b, r) for b in (1, 2, 3) for r in (4, 5, 6)])
-        res = rbgraph_planarity(g)
-        assert not res.planar
+        assert not planar_verdict(g.adj)
 
     def test_subdivided_k33_within_euler_bound(self):
         # Six blue branch vertices, nine red subdivision vertices: 15 vertices
@@ -226,14 +226,15 @@ class TestRBGraphPlanarity:
         g = RBGraph.from_parts([v + 1 for v in vs[:6]], [v + 1 for v in vs[6:]],
                                [(u + 1, v + 1) if u < 6 else (v + 1, u + 1) for u, v in edges])
         assert bipartite_euler_bound(g)
-        assert not rbgraph_planarity(g).planar
+        assert not planar_verdict(g.adj)
 
 
 # -- networkx as the oracle ------------------------------------------------------
 #
 # is_planar must return networkx's verdict and, on a planar graph, exactly its
 # rotation system, since face ids and every trace built on them follow from it.
-# A non-planar graph answers False on both sides.
+# A non-planar graph answers False on both sides.  planar_verdict must return
+# networkx's verdict on the same graph.
 
 
 def networkx_answer(vertices, edges):
@@ -251,6 +252,16 @@ def our_answer(vertices, edges):
     if res.planar:
         return list(res.embedding.rotation.items())
     return False
+
+
+def checked_answer(vertices, edges):
+    """``our_answer``, after checking it, and ``planar_verdict`` on the same
+    graph, against networkx."""
+    theirs = networkx_answer(vertices, edges)
+    ours = our_answer(vertices, edges)
+    assert ours == theirs
+    assert planar_verdict(adjacency(vertices, edges)) is (theirs is not False)
+    return ours
 
 
 @st.composite
@@ -272,30 +283,26 @@ class TestNetworkxOracle:
     @settings(max_examples=400, deadline=None)
     @given(messy_graphs())
     def test_messy_graphs(self, graph):
-        assert our_answer(*graph) == networkx_answer(*graph)
+        checked_answer(*graph)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_named_only_by_edges(self, seed):
         rng = random.Random(seed)
         edges = [(rng.randrange(30), rng.randrange(30)) for _ in range(45)]
-        assert our_answer([], edges) == networkx_answer([], edges)
-        assert our_answer([29, 3], edges) == networkx_answer([29, 3], edges)
+        checked_answer([], edges)
+        checked_answer([29, 3], edges)
 
     @pytest.mark.parametrize("n, seed", [(200, 0), (300, 1), (400, 2)])
     def test_subsampled_stacked_triangulations(self, n, seed):
         rng = random.Random(seed)
         kept = [e for e in _stacked_triangulation(n, rng) if rng.random() < 0.9]
         graph = shuffled(n, kept, rng)
-        ours = our_answer(*graph)
-        assert ours == networkx_answer(*graph)
-        assert len(ours) == n
+        assert len(checked_answer(*graph)) == n
 
     @pytest.mark.parametrize("seed", range(3))
     def test_chord_on_stacked_triangulation(self, seed):
         graph = chord_on_stacked_triangulation(random.Random(seed))
-        ours = our_answer(*graph)
-        assert ours is False
-        assert ours == networkx_answer(*graph)
+        assert checked_answer(*graph) is False
 
 
 class TestStandsAlone:
