@@ -10,7 +10,6 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbkernel import planar
 from rbkernel.formats import format_instance
 from rbkernel.generators import _stacked_triangulation
 from rbkernel.graph import GraphError, Instance, RBGraph
