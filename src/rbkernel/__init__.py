@@ -7,10 +7,6 @@ from .kernelizer import (
     RuleApplication,
     TraceMismatchError,
     apply_rule,
-    find_rule1,
-    find_rule2,
-    find_rule3,
-    find_rule4,
     kernelize,
     lift_solution,
     replay_trace,
@@ -34,7 +30,6 @@ __all__ = [
     "BLUE", "RED", "RBGraph", "Instance",
     "GraphError",
     "KernelResult", "KernelTrace", "RuleApplication", "TraceMismatchError",
-    "find_rule1", "find_rule2", "find_rule3", "find_rule4",
     "sanitize", "apply_rule", "kernelize", "lift_solution", "replay_trace",
     "SolveOutcome", "verify_solution", "min_rbds", "InstanceTooLargeError",
     "PlaneGraph", "Face", "PlanarityResult",

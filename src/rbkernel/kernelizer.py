@@ -16,16 +16,18 @@ The rules, in the order the driver exhausts them:
   So every pair that r is private to has an endpoint in N(r), and the R4
   search starts from each red's own blues.
 
-A finder returns a :class:`Match`: the trace tag and the record's witness
-tuple; :func:`sanitize` returns every Sanitize match, in firing order.
-:func:`apply_rule`, one chain of tests on the tag, is the one place where
-each tag's condition and effect are written: it refuses a match whose rule
-does not apply before it changes anything.  The table ``_FORCED`` names
-the witness positions of the blues a match forces into every solution (R3
-and R4 cases 1, 3 and 4); it alone decides what :func:`apply_rule` removes
-for such a match, the budget drop (one unit per forced blue) and what
-:func:`lift_solution` adds back.
-Every application is logged as a :class:`RuleApplication`: its tag,
+The driver's probes, ``_r1_at``, ``_r2_at`` and ``_r3_at`` at one vertex
+and ``_r4_at`` at one pair of blues, return a :class:`Match`: the trace tag
+and the record's witness tuple; :func:`sanitize` returns every Sanitize
+match, in firing order.  :func:`apply_rule`, one chain of tests on the tag,
+is the one place where each tag's condition and effect are written: it
+refuses a match whose rule does not apply before it changes anything, and
+otherwise returns the record and what it removed; the budget change is the
+record's ``delta_k``.  The table ``_FORCED`` names the witness positions of
+the blues a match forces into every solution (R3 and R4 cases 1, 3 and 4);
+it alone decides what :func:`apply_rule` removes for such a match, the
+budget drop (one unit per forced blue) and what :func:`lift_solution` adds
+back.  Every application is logged as a :class:`RuleApplication`: its tag,
 witness, budget drop and, for R4 case 2, the id of the red it added.  A
 record names no removed vertex; :func:`replay_trace` applies each record's
 tag and witness to the graph its predecessors left and checks that the
@@ -65,7 +67,7 @@ NO_SIZE = "size"
 
 
 class ContractViolation(GraphError):
-    """A finder was invoked on a graph that an earlier rule still reduces."""
+    """The R4 pair search met a graph where R3 still applies."""
 
 
 class RuleNotApplicableError(GraphError):
@@ -154,12 +156,13 @@ def fingerprint_instance(inst: Instance) -> Fingerprint:
     return Fingerprint(g.n_vertices, len(keys), hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
-# -- finders -------------------------------------------------------------------
+# -- probes --------------------------------------------------------------------
 #
-# All finders scan in ascending vertex id order and return the first match,
-# sanitize every match, so runs are deterministic and traces replayable.
-# When two neighborhoods are equal the lower id is the one removed, simply
-# because the ascending scan reaches it first.
+# A probe looks at one vertex or pair and returns its match or None; sanitize
+# returns every match.  The driver probes in ascending id order and fires
+# what it finds, so runs are deterministic and traces replayable.  When two
+# neighborhoods are equal the lower id is the one removed, simply because
+# the ascending sweep reaches it first.
 
 
 def sanitize(g: RBGraph) -> list[Match]:
@@ -271,29 +274,6 @@ def _first(g: RBGraph, candidates, probe) -> Match | None:
     return None
 
 
-def find_rule1(g: RBGraph) -> Match | None:
-    """First blue whose neighborhood is contained in another blue's."""
-    return _first(g, g.blue, _r1_at)
-
-
-def find_rule2(g: RBGraph) -> Match | None:
-    """First red whose neighborhood contains another red's."""
-    return _first(g, g.red, _r2_at)
-
-
-def find_rule3(g: RBGraph) -> Match | None:
-    """First blue with a nonempty private neighborhood.
-
-    With R1 and R2 exhausted this is exactly a two-vertex component: a
-    degree-one blue whose red neighbor has degree one, which is what the
-    scan looks for.  Tests assert that it agrees with the definitional
-    private-neighborhood predicate.
-    """
-    assert find_rule1(g) is None and find_rule2(g) is None, \
-        "find_rule3 requires a graph already reduced under R1 and R2"
-    return _first(g, g.blue, _r3_at)
-
-
 def _nbrs(adj: dict, vertices) -> set:
     return set().union(*(adj[v] for v in vertices))
 
@@ -386,68 +366,61 @@ def _r4_at(g: RBGraph, pair) -> Match | None:
     return None if found is None else Match(R4_CASE[found[0]], pair)
 
 
-def find_rule4(g: RBGraph) -> Match | None:
-    """First blue pair (v < w) with a jointly forced private set."""
-    assert (_first(g, g.blue, _r1_at) is None and _first(g, g.red, _r2_at) is None
-            and _first(g, g.blue, _r3_at) is None), \
-        "find_rule4 requires R1, R2 and R3 to be exhausted"
-    return _first(g, _r4_pairs(g), _r4_at)
-
-
 # -- applying rules --------------------------------------------------------------
 
 
-def _force(g: RBGraph, k: int, tag: str, witness: tuple):
-    """Remove the blues that ``_FORCED`` names, then their neighborhoods,
-    and pay one unit of budget for each forced blue."""
+def _force(g: RBGraph, tag: str, witness: tuple):
+    """Remove the blues that ``_FORCED`` names, then their neighborhoods;
+    the record pays one unit of budget for each forced blue."""
     forced = [witness[i] for i in _FORCED[tag]]
     nbrs = _nbrs(g.adj, forced)
     removed = [(x, BLUE, g.remove_vertex(x)) for x in forced]
     removed += [(x, g.color_of(x), g.remove_vertex(x)) for x in nbrs]
-    return k - len(forced), RuleApplication(tag, witness, -len(forced), None), removed
+    return RuleApplication(tag, witness, -len(forced), None), removed
 
 
-def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, list]:
-    """Mutate ``g`` according to a match; returns the new budget, the trace
-    record and the removed vertices as ``(vertex, color, former neighbors)``
-    triples.  A match whose rule does not apply at its witness, or whose
-    witness does not have its tag's length, raises
-    :class:`RuleNotApplicableError` and leaves ``g`` unchanged."""
+def apply_rule(g: RBGraph, match: Match) -> tuple[RuleApplication, list]:
+    """Mutate ``g`` according to a match; returns the trace record, whose
+    ``delta_k`` is the budget change, and the removed vertices as
+    ``(vertex, color, former neighbors)`` triples.  A match whose rule does
+    not apply at its witness, or whose witness does not have its tag's
+    length, raises :class:`RuleNotApplicableError` and leaves ``g``
+    unchanged."""
     tag, witness = match
     if WITNESS_LEN.get(tag) == len(witness):
         adj, blue, red = g.adj, g.blue, g.red
         if tag == R1:
             b, b2 = witness
             if b in blue and b2 in blue and b != b2 and adj[b] <= adj[b2]:
-                return k, RuleApplication(tag, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
+                return RuleApplication(tag, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
         elif tag == R2:
             r, r2 = witness
             if r in red and r2 in red and r != r2 and adj[r2] <= adj[r]:
-                return k, RuleApplication(tag, witness, 0, None), [(r, RED, g.remove_vertex(r))]
+                return RuleApplication(tag, witness, 0, None), [(r, RED, g.remove_vertex(r))]
         elif tag == R3:
             if witness[0] in blue and _r3_at(g, witness[0]) is not None:
-                return _force(g, k, tag, witness)
+                return _force(g, tag, witness)
         elif tag == SAN_EDGE:
             u, v = witness
             if u in adj and v in adj[u] and (u in blue) == (v in blue):
                 g.remove_edge(u, v)
-                return k, RuleApplication(tag, witness, 0, None), []
+                return RuleApplication(tag, witness, 0, None), []
         elif tag == SAN_BLUE:
             b = witness[0]
             if b in blue and not adj[b]:
-                return k, RuleApplication(tag, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
+                return RuleApplication(tag, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
         elif tag == SAN_NO:
             if witness[0] in red and not adj[witness[0]]:
-                return k, RuleApplication(tag, witness, 0, None), []
+                return RuleApplication(tag, witness, 0, None), []
         else:  # an R4 case, which must be the one the probe finds at the pair
             v, w = witness
             found = _r4_case(adj, v, w) if v < w and v in blue and w in blue else None
             if found is not None and R4_CASE[found[0]] == tag:
                 if tag != R4_CASE[2]:
-                    return _force(g, k, tag, witness)
+                    return _force(g, tag, witness)
                 # Case 2 swaps the pair's private reds for one red on the pair.
                 removed = [(x, RED, g.remove_vertex(x)) for x in found[1]]
-                return k, RuleApplication(tag, witness, 0, g.add_red_vertex(witness)), removed
+                return RuleApplication(tag, witness, 0, g.add_red_vertex(witness)), removed
     raise RuleNotApplicableError("%s does not apply at %s" % (tag, witness))
 
 
@@ -457,28 +430,29 @@ def apply_rule(g: RBGraph, k: int, match: Match) -> tuple[int, RuleApplication, 
 # copy, k, the records, R1's pending set wl1, the reds noted in ``shrunk`` and
 # R2's pending set wl2.  It fires sanitize's matches, then the loop's, through
 # its nested fire, which calls the module-global apply_rule (perfbench's
-# tracer wraps it there), so apply_rule builds every record it writes.
-# apply_rule checks the witness length, then walks its chain of tests to the
-# tag, checks that tag's condition and, only if it holds, applies the tag;
-# replay_trace is a loop over apply_rule too.  The loop keeps a pending set
-# of the vertices where a rule may newly apply for R1 and R2, which it sweeps
-# to a fixpoint many times per round.  One sweep, the nested sweep, serves
-# them, isolated blues and R3: it empties the set and probes each live vertex
-# of a sorted snapshot of it once.  A round sweeps isolated blues, R1 and R2
-# and starts over while any fired; then it sweeps R3 over the degree-one
-# blues of the current graph, the only blues where R3 applies, and tries R4
-# once on every pair, as find_rule4 does.  A round ends at R4, so a run has
-# one round more than it has R4 firings, and R3 and R4 keep nothing between
-# rounds.  What a firing removed and added decides what becomes pending, by
-# the color of each removed vertex alone: a red's neighbors join R1's set,
-# and a blue's neighbors, like an added red, are noted in ``shrunk`` for R2.
-# C(r) is the set of reds whose neighborhood contains N(r), and C(r) - {r}
-# those for which r may now witness R2; _containers gives their union over
-# a set of reds.  The isolated-blue sweep probes a snapshot of the live
-# degree-0 blues of R1's set.  A blue loses its last red only when that red
-# is removed, which puts the blue in R1's set, no record gives a degree-0
-# blue a red, and only the R1 sweep, which follows the isolated-blue one,
-# empties the set; so the snapshot holds every isolated blue of the graph.
+# tracer wraps it there), so apply_rule builds every record; fire appends it
+# and adds its delta_k to k.  apply_rule checks the witness length, then walks
+# its chain of tests to the tag, checks that tag's condition and, only if it
+# holds, applies the tag; replay_trace is a loop over apply_rule too.  The
+# loop keeps a pending set of the vertices where a rule may newly apply for R1
+# and R2, which it sweeps to a fixpoint many times per round.  One sweep, the
+# nested sweep, serves them, isolated blues and R3: it empties the set and
+# probes each live vertex of a sorted snapshot of it once.  A round sweeps
+# isolated blues, R1 and R2 and starts over while any fired; then it sweeps R3
+# over the degree-one blues of the current graph, the only blues where R3
+# applies, and probes R4 on every pair with two or more private reds, in
+# ascending order, firing the first that applies.  A round ends at R4, so a
+# run has one round more than it has R4 firings, and R3 and R4 keep nothing
+# between rounds.  What a firing removed and added decides what becomes
+# pending, by the color of each removed vertex alone: a red's neighbors join
+# R1's set, and a blue's neighbors, like an added red, are noted in ``shrunk``
+# for R2.  C(r) is the set of reds whose neighborhood contains N(r), and
+# C(r) - {r} those for which r may now witness R2; _containers gives their
+# union over a set of reds.  The isolated-blue sweep probes a snapshot of the live
+# degree-0 blues of R1's set.  A blue loses its last red only when that red is
+# removed, which puts the blue in R1's set, no record gives a degree-0 blue a
+# red, and only the R1 sweep, which follows the isolated-blue one, empties the
+# set; so the snapshot holds every isolated blue of the graph.
 #
 # No firing makes a vertex pending for the rule being swept, so the snapshot
 # visits what a min-heap popped to empty would, in the same order, and
@@ -604,8 +578,9 @@ def kernelize(inst: Instance) -> KernelResult:
         """Fire ``match``; make pending what it removed and added (see the
         driver notes)."""
         nonlocal k
-        k, rec, removed = apply_rule(g, k, match)
+        rec, removed = apply_rule(g, match)
         records.append(rec)
+        k += rec.delta_k
         for _, color, nbrs in removed:
             (wl1 if color == RED else shrunk).update(nbrs)
         if rec.added is not None:
@@ -676,7 +651,7 @@ def replay_trace(original: RBGraph, trace: KernelTrace, kernel: RBGraph | None =
     g = original.copy()
     for i, rec in enumerate(trace.records, start=1):
         try:
-            _, again, _ = apply_rule(g, 0, Match(rec.tag, rec.witness))
+            again, _ = apply_rule(g, Match(rec.tag, rec.witness))
         except GraphError as exc:
             raise TraceMismatchError("record %d, %s" % (i, exc)) from None
         if again != rec:

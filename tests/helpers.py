@@ -2,7 +2,12 @@
 
 Everything here recomputes results straight from definitions (subset
 enumeration, all-pairs scans, naive driver loops) so library code is always
-checked against a second route.
+checked against a second route.  The rule oracles read each rule's
+definition over every vertex or pair, and the naive reference driver
+(:func:`reference_kernelize`, with :func:`reduce_rules123` and
+:func:`is_reduced`) is built on them: of ``kernelizer`` it uses only
+``apply_rule``, ``sanitize`` and the tag constants, so it shares no search
+code with the driver it is compared with.
 """
 
 from __future__ import annotations
@@ -18,13 +23,13 @@ from rbkernel.kernelizer import (
     NO_BUDGET,
     NO_ISOLATED_RED,
     NO_SIZE,
+    R1,
+    R2,
+    R3,
+    R4_CASE,
     SAN_NO,
     Match,
     apply_rule,
-    find_rule1,
-    find_rule2,
-    find_rule3,
-    find_rule4,
     sanitize,
 )
 
@@ -45,7 +50,7 @@ def exhaustive_min_rbds(g: RBGraph):
     return None
 
 
-# -- queries over the library's solver and finders ---------------------------------
+# -- queries over the library's solver ----------------------------------------------
 
 
 def decide(g: RBGraph, k: int) -> bool:
@@ -91,34 +96,45 @@ def reference_min_rbds(g: RBGraph) -> solver.SolveOutcome:
     return solver.SolveOutcome(size, frozenset(chosen))
 
 
-def is_reduced(g: RBGraph) -> bool:
-    """True iff none of the four rules applies."""
-    return all(f(g) is None for f in (find_rule1, find_rule2, find_rule3, find_rule4))
-
-
 # -- definitional rule oracles ---------------------------------------------------
+#
+# Each ``oracle_rule<i>_at`` gives the match at one vertex or pair, as the
+# driver's probe there must; each ``oracle_rule<i>`` gives the match at the
+# least vertex or pair, as the naive driver fires it.
+
+
+def oracle_rule1_at(g: RBGraph, b: int):
+    """R1 at blue ``b``: the least other blue whose neighborhood contains
+    N(b).  An isolated blue belongs to sanitize, not R1."""
+    nb = g.adj[b]
+    if nb:
+        for b2 in sorted(g.blue):
+            if b2 != b and nb <= g.adj[b2]:
+                return Match(R1, (b, b2))
+    return None
+
+
+def oracle_rule2_at(g: RBGraph, r: int):
+    """R2 at red ``r``: the least other red whose neighborhood lies within
+    N(r).  A red with no blue neighbor is sanitize's NO, not R2's witness."""
+    nr = g.adj[r]
+    if nr:
+        for r2 in sorted(g.red):
+            if r2 != r and not g.adj[r2].isdisjoint(g.blue) and g.adj[r2] <= nr:
+                return Match(R2, (r, r2))
+    return None
+
+
+def _least(g: RBGraph, candidates, at):
+    return next(filter(None, (at(g, x) for x in sorted(candidates))), None)
 
 
 def oracle_rule1(g: RBGraph):
-    for b in sorted(g.blue):
-        nb = g.adj[b]
-        if not nb:
-            continue
-        for b2 in sorted(g.blue):
-            if b2 != b and nb <= g.adj[b2]:
-                return b, b2
-    return None
+    return _least(g, g.blue, oracle_rule1_at)
 
 
 def oracle_rule2(g: RBGraph):
-    for r in sorted(g.red):
-        nr = g.adj[r]
-        if not nr:
-            continue
-        for r2 in sorted(g.red):
-            if r2 != r and g.adj[r2] <= nr:
-                return r, r2
-    return None
+    return _least(g, g.red, oracle_rule2_at)
 
 
 def oracle_private(g: RBGraph, b: int) -> set:
@@ -151,6 +167,12 @@ def oracle_rule3_set(g: RBGraph) -> set:
     return {b for b in g.blue if oracle_private(g, b)}
 
 
+def oracle_rule3(g: RBGraph):
+    """R3 at the least blue with a nonempty private neighborhood."""
+    found = oracle_rule3_set(g)
+    return Match(R3, (min(found),)) if found else None
+
+
 def oracle_rule4_all(g: RBGraph):
     """All firing pairs over every blue pair, no candidate pruning."""
     hits = []
@@ -168,10 +190,22 @@ def oracle_rule4_all(g: RBGraph):
     return hits
 
 
+def oracle_rule4(g: RBGraph):
+    """R4 at the least firing pair."""
+    for v, w, case, _ in oracle_rule4_all(g):
+        return Match(R4_CASE[case], (v, w))
+    return None
+
+
+def is_reduced(g: RBGraph) -> bool:
+    """True iff none of the four rules applies."""
+    return all(f(g) is None for f in (oracle_rule1, oracle_rule2, oracle_rule3, oracle_rule4))
+
+
 def apply_sanitize(g: RBGraph) -> list:
     """Apply sanitize's findings to ``g`` in place; returns their records.
     Sanitize-NO changes nothing, so an undominatable red stays."""
-    return [apply_rule(g, 0, m)[1] for m in sanitize(g)]
+    return [apply_rule(g, m)[0] for m in sanitize(g)]
 
 
 def reduce_rules123(g: RBGraph) -> RBGraph:
@@ -179,19 +213,20 @@ def reduce_rules123(g: RBGraph) -> RBGraph:
     none applies; the budget is ignored."""
     while True:
         apply_sanitize(g)
-        m = find_rule1(g) or find_rule2(g) or find_rule3(g)
+        m = oracle_rule1(g) or oracle_rule2(g) or oracle_rule3(g)
         if m is None:
             return g
-        apply_rule(g, 0, m)
+        apply_rule(g, m)
 
 
 # -- naive reference driver --------------------------------------------------------
 
 
 def reference_kernelize(inst: Instance):
-    """The driver loop written naively from the public finders: sanitize,
-    exhaust R1 then R2, restart on change, then R3 else R4, restart after
-    each.  Returns (status, reason-or-None, graph, k, records)."""
+    """The driver loop written naively from the definitional oracles:
+    sanitize, exhaust R1 then R2, restart on change, then R3 else R4,
+    restart after each.  Returns (status, reason-or-None, graph, k,
+    records)."""
     g = inst.graph.copy()
     k = inst.k
     records = []
@@ -201,26 +236,20 @@ def reference_kernelize(inst: Instance):
         if sanitized and sanitized[-1].tag == SAN_NO:
             return "no", NO_ISOLATED_RED, g, k, records
         changed = bool(sanitized)
-        while (m := find_rule1(g)) is not None:
-            k, rec, _ = apply_rule(g, k, m)
-            records.append(rec)
-            changed = True
-        while (m := find_rule2(g)) is not None:
-            k, rec, _ = apply_rule(g, k, m)
-            records.append(rec)
-            changed = True
+        for find in (oracle_rule1, oracle_rule2):
+            while (m := find(g)) is not None:
+                records.append(apply_rule(g, m)[0])
+                changed = True
         if changed:
             continue
-        m = find_rule3(g)
+        m = oracle_rule3(g) or oracle_rule4(g)
         if m is None:
-            m = find_rule4(g)
-        if m is not None:
-            k, rec, _ = apply_rule(g, k, m)
-            records.append(rec)
-            if k < 0:
-                return "no", NO_BUDGET, g, k, records
-            continue
-        break
+            break
+        rec = apply_rule(g, m)[0]
+        records.append(rec)
+        k += rec.delta_k
+        if k < 0:
+            return "no", NO_BUDGET, g, k, records
     if g.red and not g.blue:
         return "no", NO_ISOLATED_RED, g, k, records
     if g.red and g.n_vertices > 46 * k:
@@ -237,7 +266,7 @@ def net_vertex_deltas(original: RBGraph, records) -> list[int]:
     deltas = []
     for rec in records:
         n = g.n_vertices
-        assert apply_rule(g, 0, Match(rec.tag, rec.witness))[1] == rec, rec
+        assert apply_rule(g, Match(rec.tag, rec.witness))[0] == rec, rec
         deltas.append(g.n_vertices - n)
     return deltas
 

@@ -2,9 +2,10 @@
 
 Small random graphs, and graphs grown from the R4 case-2 and case-3
 witnesses, are walked down to their R1-R3 fixpoint.  On the way, the first
-match of ``sanitize`` and of each of ``find_rule1..4`` is fired through
-``apply_rule`` on a copy, and the one firing G -> G' is checked with
-``exhaustive_min_rbds``, which shares no code with ``solver.py``:
+match of ``sanitize`` and of each of the definitional oracles
+``helpers.oracle_rule1..4`` is fired through ``apply_rule`` on a copy, and
+the one firing G -> G' is checked with ``exhaustive_min_rbds``, which
+shares no code with ``solver.py``:
 
 * G is infeasible exactly when G' is;
 * opt(G) = opt(G') - delta_k;
@@ -32,10 +33,6 @@ from rbkernel.kernelizer import (
     SAN_EDGE,
     KernelTrace,
     apply_rule,
-    find_rule1,
-    find_rule2,
-    find_rule3,
-    find_rule4,
     lift_solution,
     sanitize,
 )
@@ -44,7 +41,11 @@ from rbkernel.solver import verify_solution
 from helpers import (
     apply_sanitize,
     exhaustive_min_rbds,
+    oracle_rule1,
+    oracle_rule2,
+    oracle_rule3,
     oracle_rule3_set,
+    oracle_rule4,
     oracle_rule4_all,
     reduce_rules123,
 )
@@ -88,7 +89,7 @@ def expected_after(g: RBGraph, rec):
 def check_firing(g: RBGraph, match, fired: Counter) -> None:
     """Fire ``match`` on a copy of ``g`` and check the one step G -> G'."""
     after = g.copy()
-    _, rec, _ = apply_rule(after, 0, match)
+    rec, _ = apply_rule(after, match)
     want, n_forced = expected_after(g, rec)
     assert after == want and rec.delta_k == -n_forced, rec
     before, now = exhaustive_min_rbds(g), exhaustive_min_rbds(after)
@@ -101,7 +102,7 @@ def check_firing(g: RBGraph, match, fired: Counter) -> None:
 
 
 def walk(g: RBGraph, fired: Counter) -> None:
-    """Check the first match of each finder on its way down ``g``: sanitize
+    """Check the first match of each rule on its way down ``g``: sanitize
     on ``g`` itself, R1 and R2 once sanitized, R3 once R1 and R2 are
     exhausted, and R4 at the R1-R3 fixpoint."""
     found = sanitize(g)
@@ -109,18 +110,18 @@ def walk(g: RBGraph, fired: Counter) -> None:
         check_firing(g, found[0], fired)
     g = g.copy()
     apply_sanitize(g)
-    for find in (find_rule1, find_rule2):
+    for find in (oracle_rule1, oracle_rule2):
         m = find(g)
         if m is not None:
             check_firing(g, m, fired)
-    while (m := find_rule1(g) or find_rule2(g)) is not None:
-        apply_rule(g, 0, m)
+    while (m := oracle_rule1(g) or oracle_rule2(g)) is not None:
+        apply_rule(g, m)
         apply_sanitize(g)
-    m = find_rule3(g)
+    m = oracle_rule3(g)
     if m is not None:
         check_firing(g, m, fired)
     reduce_rules123(g)
-    m = find_rule4(g)
+    m = oracle_rule4(g)
     if m is not None:
         check_firing(g, m, fired)
 

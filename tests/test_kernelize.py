@@ -31,8 +31,6 @@ from rbkernel.kernelizer import (
     _r3_at,
     _r3_seed,
     apply_rule,
-    find_rule1,
-    find_rule2,
     fingerprint_instance,
     kernelize,
     lift_solution,
@@ -50,6 +48,8 @@ from helpers import (
     net_vertex_deltas,
     oracle_pair_private,
     oracle_private,
+    oracle_rule1,
+    oracle_rule2,
     reference_kernelize,
 )
 
@@ -193,8 +193,8 @@ class TestTrace:
             for i, rec in enumerate(res.trace.records):
                 if rec.tag.startswith("R3") or rec.tag.startswith("R4"):
                     state = replay_trace(g, KernelTrace(res.trace.records[:i]))
-                    assert find_rule1(state) is None
-                    assert find_rule2(state) is None
+                    assert oracle_rule1(state) is None
+                    assert oracle_rule2(state) is None
 
     def test_fixpoint_is_reduced(self, random_graphs_300):
         rng = random.Random(7)
@@ -320,7 +320,7 @@ class TestCheckedReplay:
         # unless the rule applies and only the record's budget drop is wrong.
         before = g.copy()
         try:
-            _, again, _ = apply_rule(g, 0, Match(tag, witness))
+            again, _ = apply_rule(g, Match(tag, witness))
         except RuleNotApplicableError:
             assert g == before
         else:
@@ -701,7 +701,7 @@ class TestLift:
         # the lift is the identity and {w} still covers the restored set.
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
         original = g.copy()
-        k, rec, _ = apply_rule(g, 2, Match("R4-case2", (1, 2)))
+        rec, _ = apply_rule(g, Match("R4-case2", (1, 2)))
         trace = KernelTrace([rec])
         lifted = lift_solution(trace, {2})
         assert lifted == {2}

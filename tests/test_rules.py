@@ -16,12 +16,12 @@ from rbkernel.kernelizer import (
     RuleApplication,
     RuleNotApplicableError,
     _pair_private,
+    _r1_at,
+    _r2_at,
+    _r3_at,
+    _r4_at,
     _r4_pairs,
     apply_rule,
-    find_rule1,
-    find_rule2,
-    find_rule3,
-    find_rule4,
     kernelize,
 )
 from rbkernel.planar import bipartite_euler_bound
@@ -32,7 +32,10 @@ from helpers import (
     is_reduced,
     oracle_pair_private,
     oracle_rule1,
+    oracle_rule1_at,
     oracle_rule2,
+    oracle_rule2_at,
+    oracle_rule3,
     oracle_rule3_set,
     oracle_rule4_all,
     reduce_rules123,
@@ -115,6 +118,42 @@ def dense_reduced_graphs(draw):
     return g
 
 
+def r1_matches(g):
+    """R1's probe at every blue, checked against the oracle there; the
+    matches in ascending order."""
+    found = [(_r1_at(g, b), oracle_rule1_at(g, b)) for b in sorted(g.blue)]
+    assert all(got == want for got, want in found), found
+    return [m for m, _ in found if m is not None]
+
+
+def r2_matches(g):
+    """R2's probe at every red, checked against the oracle there."""
+    found = [(_r2_at(g, r), oracle_rule2_at(g, r)) for r in sorted(g.red)]
+    assert all(got == want for got, want in found), found
+    return [m for m, _ in found if m is not None]
+
+
+def r3_matches(g):
+    """R3's probe at every blue of a graph that R1 and R2 leave alone,
+    checked against the private-neighborhood definition."""
+    assert oracle_rule1(g) is None and oracle_rule2(g) is None
+    want = oracle_rule3_set(g)
+    found = [_r3_at(g, b) for b in sorted(g.blue)]
+    assert {m.witness[0] for m in found if m is not None} == want, (found, want)
+    return [m for m in found if m is not None]
+
+
+def r4_matches(g):
+    """R4's probe at every pair of blues of a graph that R1-R3 leave alone,
+    checked against the definition, and every firing pair among those the
+    pair search counts."""
+    hits = {(v, w): Match(R4_CASE[case], (v, w)) for v, w, case, _ in oracle_rule4_all(g)}
+    found = [_r4_at(g, p) for p in itertools.combinations(sorted(g.blue), 2)]
+    assert [m for m in found if m is not None] == list(hits.values())
+    assert hits.keys() <= _r4_pairs(g)
+    return list(hits.values())
+
+
 def agreement_for_all_budgets(g):
     """Exact-solver equivalence of kernelize across every budget."""
     for k in range(len(g.blue) + 1):
@@ -126,47 +165,40 @@ def agreement_for_all_budgets(g):
 class TestRule1:
     def test_strict_subset(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 3), (2, 4)])
-        assert find_rule1(g) == Match(R1, (1, 2))
+        assert r1_matches(g) == [Match(R1, (1, 2))]
 
     def test_incomparable(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 4)])
-        assert find_rule1(g) is None
+        assert r1_matches(g) == []
 
     def test_equal_neighborhoods_lower_id_removed(self):
         g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])
-        assert find_rule1(g) == Match(R1, (1, 2))
+        assert r1_matches(g) == [Match(R1, (1, 2)), Match(R1, (2, 1))]
+        assert kernelize(Instance(g, 1)).trace.records[0][:2] == (R1, (1, 2))
 
     def test_matches_oracle_on_classes(self, classes6):
         for g in classes6:
-            expect = oracle_rule1(g)
-            got = find_rule1(g)
-            assert (got is None) == (expect is None)
-            if got is not None:
-                assert got.witness == expect
+            r1_matches(g)
 
 
 class TestRule2:
     def test_strict_superset(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 3), (1, 4)])
-        assert find_rule2(g) == Match(R2, (3, 4))
+        assert r2_matches(g) == [Match(R2, (3, 4))]
 
     def test_incomparable(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 4)])
-        assert find_rule2(g) is None
+        assert r2_matches(g) == []
 
     def test_equal_neighborhoods_lower_id_removed(self):
         g = RBGraph.from_parts([1], [2, 3], [(1, 2), (1, 3)])
-        assert find_rule2(g) == Match(R2, (2, 3))
+        assert r2_matches(g) == [Match(R2, (2, 3)), Match(R2, (3, 2))]
+        assert kernelize(Instance(g, 1)).trace.records[0][:2] == (R2, (2, 3))
 
     def test_matches_oracle_on_classes(self, classes6):
+        # Undominatable reds included: such a red is never R2's witness.
         for g in classes6:
-            if any(not g.adj[r] for r in g.red):
-                continue  # undominatable reds are out of contract for R2
-            expect = oracle_rule2(g)
-            got = find_rule2(g)
-            assert (got is None) == (expect is None)
-            if got is not None:
-                assert got.witness == expect
+            r2_matches(g)
 
 
 class TestRule3:
@@ -175,38 +207,27 @@ class TestRule3:
         v = g._add_with_id(20, "b")
         r = g._add_with_id(21, "r")
         g.add_edge(v, r)
-        assert find_rule3(g) == Match(R3, (20,))
+        assert r3_matches(g) == [Match(R3, (20,))]
         assert g.adj[20] == {21}
 
     def test_cycle_alone_has_none(self):
         g = alternating_cycle(4)
         assert oracle_rule3_set(g) == set()
-        assert find_rule3(g) is None
+        assert r3_matches(g) == []
 
     def test_empty_graph(self):
-        assert find_rule3(RBGraph()) is None
-
-    def test_contract_checked(self):
-        g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])  # R1 applies
-        with pytest.raises(AssertionError):
-            find_rule3(g)
+        assert r3_matches(RBGraph()) == []
 
     def test_agrees_with_definitional_scan(self, classes7):
         for g in classes7:
-            if any(not g.adj[r] for r in g.red):
-                continue
-            if find_rule1(g) is not None or find_rule2(g) is not None:
-                continue
-            fact6 = {v for v in sorted(g.blue)
-                     if len(g.adj[v]) == 1
-                     and len(g.adj[next(iter(g.adj[v]))]) == 1}
-            assert fact6 == oracle_rule3_set(g)
+            if oracle_rule1(g) is None and oracle_rule2(g) is None:
+                r3_matches(g)
 
 
 class TestRule4:
     def test_small_private_sets_absent(self):
         g = alternating_cycle(6)  # every pair has |P| <= 1 or a dominator
-        assert find_rule4(g) is None
+        assert r4_matches(g) == []
         assert oracle_rule4_all(g) == []
 
     def test_third_dominator_blocks(self):
@@ -219,33 +240,27 @@ class TestRule4:
 
     def test_case1_on_alternating_c8(self):
         g = alternating_cycle(4)
-        m = find_rule4(g)
-        assert m == Match(R4_CASE[1], (1, 3))
+        assert r4_matches(g) == [Match(R4_CASE[1], (1, 3)), Match(R4_CASE[1], (2, 4))]
         assert oracle_rule4_all(g)[0] == (1, 3, 1, frozenset({5, 6, 7, 8}))
         agreement_for_all_budgets(g)
 
     def test_case2_witness(self):
         g = rule4_case2_witness()
-        assert find_rule1(g) is None and find_rule2(g) is None
-        assert find_rule3(g) is None
-        m = find_rule4(g)
-        assert m == Match(R4_CASE[2], (1, 2))
+        assert r3_matches(g) == []
+        assert r4_matches(g)[0] == Match(R4_CASE[2], (1, 2))
         assert oracle_rule4_all(g)[0] == (1, 2, 2, frozenset({7, 8}))
         agreement_for_all_budgets(g)
 
     def test_case3_witness(self):
         g = rule4_case3_witness()
-        assert find_rule1(g) is None and find_rule2(g) is None
-        assert find_rule3(g) is None
-        m = find_rule4(g)
-        assert m == Match(R4_CASE[3], (1, 2))
+        assert r3_matches(g) == []
+        assert r4_matches(g)[0] == Match(R4_CASE[3], (1, 2))
         assert oracle_rule4_all(g)[0] == (1, 2, 3, frozenset({7, 8}))
         agreement_for_all_budgets(g)
 
     def test_case4_witness(self):
         g = rule4_case3_witness(swap_vw=True)
-        m = find_rule4(g)
-        assert m == Match(R4_CASE[4], (1, 2))
+        assert r4_matches(g)[0] == Match(R4_CASE[4], (1, 2))
         assert oracle_rule4_all(g)[0] == (1, 2, 4, frozenset({7, 8}))
         agreement_for_all_budgets(g)
 
@@ -274,35 +289,20 @@ class TestRule4:
         with pytest.raises(ContractViolation):
             _r4_pairs(g)
 
-    def test_contract_checked(self):
-        g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])  # R1 applies
-        with pytest.raises(AssertionError):
-            find_rule4(g)
-
     def test_matches_unrestricted_oracle_on_classes(self, classes7):
         for g in classes7:
-            if any(not g.adj[r] for r in g.red):
-                continue
-            if find_rule1(g) is not None or find_rule2(g) is not None:
-                continue
-            if find_rule3(g) is not None:
-                continue
-            hits = oracle_rule4_all(g)
-            got = find_rule4(g)
-            if not hits:
-                assert got is None
-            else:
-                v, w, case, private = hits[0]
-                assert got == Match(R4_CASE[case], (v, w))
-                assert _pair_private(g.adj, v, w) == private
+            if oracle_rule1(g) is None and oracle_rule2(g) is None and oracle_rule3(g) is None:
+                r4_matches(g)
+                for v, w, _, private in oracle_rule4_all(g):
+                    assert _pair_private(g.adj, v, w) == private
 
 
 class TestApplyRule:
     def test_r1_removes_single_blue(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 3), (2, 4)])
         before = g.copy()
-        k, rec, removed = apply_rule(g, 5, Match(R1, (1, 2)))
-        assert k == 5 and rec == RuleApplication(R1, (1, 2), 0, None)
+        rec, removed = apply_rule(g, Match(R1, (1, 2)))
+        assert rec == RuleApplication(R1, (1, 2), 0, None)
         assert 1 not in g.adj and 2 in g.adj
         # The step took exactly blue 1, whose only neighbor was 3.
         assert before.adj.keys() - g.adj.keys() == {1} and g.adj.keys() <= before.adj.keys()
@@ -311,16 +311,16 @@ class TestApplyRule:
 
     def test_r3_removes_component_and_pays(self):
         g = RBGraph.from_parts([1], [2], [(1, 2)])
-        k, rec, _ = apply_rule(g, 1, Match(R3, (1,)))
-        assert k == 0 and rec.delta_k == -1
+        rec, _ = apply_rule(g, Match(R3, (1,)))
+        assert rec.delta_k == -1
         assert g.n_vertices == 0
         assert rec.witness == (1,)
 
     def test_r4_case2_swaps_private_set_for_gadget(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
         before = g.copy()
-        k, rec, _ = apply_rule(g, 3, Match(R4_CASE[2], (1, 2)))
-        assert k == 3 and rec.delta_k == 0
+        rec, _ = apply_rule(g, Match(R4_CASE[2], (1, 2)))
+        assert rec.delta_k == 0
         assert g.red == {5}
         assert g.adj[5] == {1, 2}
         # The step added exactly red 5, on the pair, and the record names it.
@@ -329,39 +329,42 @@ class TestApplyRule:
 
     def test_r4_case1_removes_pair_and_neighborhood(self):
         g = alternating_cycle(4)
-        k, rec, _ = apply_rule(g, 4, find_rule4(g))
-        assert k == 2 and rec.delta_k == -2
+        rec, _ = apply_rule(g, Match(R4_CASE[1], (1, 3)))
+        assert rec.delta_k == -2
         assert g.blue == {2, 4} and g.red == set()
 
     def test_isolated_blue_removed_with_its_record(self):
         g = RBGraph.from_parts([1, 2], [3], [(1, 3)])
         before = g.copy()
-        k, rec, removed = apply_rule(g, 4, Match(SAN_BLUE, (2,)))
-        assert (k, rec) == (4, RuleApplication(SAN_BLUE, (2,), 0, None))
+        rec, removed = apply_rule(g, Match(SAN_BLUE, (2,)))
+        assert rec == RuleApplication(SAN_BLUE, (2,), 0, None)
         assert removed == [(2, "b", set())]
         # The step took exactly blue 2, which had no neighbors.
         assert before.adj.keys() - g.adj.keys() == {2}
         assert 2 in before.blue and before.adj[2] == set()
         assert g.adj == {1: {3}, 3: {1}}
         with pytest.raises(RuleNotApplicableError):
-            apply_rule(g, 4, Match(SAN_BLUE, (2,)))
+            apply_rule(g, Match(SAN_BLUE, (2,)))
 
     def test_stale_finding(self):
         g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])
         g.remove_vertex(1)
         with pytest.raises(RuleNotApplicableError):
-            apply_rule(g, 1, Match(R1, (1, 2)))
+            apply_rule(g, Match(R1, (1, 2)))
 
     def test_delta_k_table(self):
         # -1 exactly for R3/case3/case4, -2 for case1, 0 otherwise.
         g = alternating_cycle(4)
-        _, rec, _ = apply_rule(g, 9, find_rule4(g))
+        rec, _ = apply_rule(g, Match(R4_CASE[1], (1, 3)))
         assert rec.delta_k == -2
         g3 = rule4_case3_witness()
-        _, rec3, _ = apply_rule(g3, 9, find_rule4(g3))
+        rec3, _ = apply_rule(g3, Match(R4_CASE[3], (1, 2)))
         assert rec3.delta_k == -1
+        g4 = rule4_case3_witness(swap_vw=True)
+        rec4, _ = apply_rule(g4, Match(R4_CASE[4], (1, 2)))
+        assert rec4.delta_k == -1
         g2 = rule4_case2_witness()
-        _, rec2, _ = apply_rule(g2, 9, find_rule4(g2))
+        rec2, _ = apply_rule(g2, Match(R4_CASE[2], (1, 2)))
         assert rec2.delta_k == 0
 
 
@@ -376,7 +379,7 @@ class TestIsReduced:
         # R4 case 1 fires on the opposite pair: its joint private set is
         # all four reds and no third blue covers them.
         g = alternating_cycle(4)
-        assert find_rule3(g) is None
+        assert oracle_rule3(g) is None
         assert not is_reduced(g)
 
     def test_alternating_c12_reduced(self):
