@@ -5,7 +5,6 @@ from .kernelizer import (
     KernelResult,
     KernelTrace,
     RuleApplication,
-    TraceMismatchError,
     apply_rule,
     kernelize,
     lift_solution,
@@ -13,7 +12,6 @@ from .kernelizer import (
     sanitize,
 )
 from .planar import (
-    Face,
     PlanarityResult,
     PlaneGraph,
     bipartite_euler_bound,
@@ -29,10 +27,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BLUE", "RED", "RBGraph", "Instance",
     "GraphError",
-    "KernelResult", "KernelTrace", "RuleApplication", "TraceMismatchError",
+    "KernelResult", "KernelTrace", "RuleApplication",
     "sanitize", "apply_rule", "kernelize", "lift_solution", "replay_trace",
     "SolveOutcome", "verify_solution", "min_rbds", "InstanceTooLargeError",
-    "PlaneGraph", "Face", "PlanarityResult",
+    "PlaneGraph", "PlanarityResult",
     "is_planar", "planar_verdict", "bipartite_euler_bound",
     "face_cover_to_rbds",
     "gen_grid", "gen_matching", "gen_random_planar",

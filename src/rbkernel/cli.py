@@ -94,7 +94,7 @@ def cmd_solve(args) -> int:
         try:
             g = formats.in_original_ids(inst)
             replay_trace(original.graph, trace, g)
-        except GraphError as exc:  # TraceMismatchError, or origid comments naming an id twice
+        except GraphError as exc:  # a bad record, or origid comments naming an id twice
             print("the trace does not replay to %s: %s" % (args.input, exc), file=sys.stderr)
             return EXIT_BAD_INPUT
     outcome = min_rbds(g)

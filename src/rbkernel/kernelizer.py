@@ -16,23 +16,25 @@ The rules, in the order the driver exhausts them:
   So every pair that r is private to has an endpoint in N(r), and the R4
   search starts from each red's own blues.
 
-The driver's probes, ``_r1_at``, ``_r2_at`` and ``_r3_at`` at one vertex
-and ``_r4_at`` at one pair of blues, return a :class:`Match`: the trace tag
-and the record's witness tuple; :func:`sanitize` returns every Sanitize
-match, in firing order.  :func:`apply_rule`, one chain of tests on the tag,
-is the one place where each tag's condition and effect are written: it
-refuses a match whose rule does not apply before it changes anything, and
-otherwise returns the record and what it removed; the budget change is the
-record's ``delta_k``.  The table ``_FORCED`` names the witness positions of
-the blues a match forces into every solution (R3 and R4 cases 1, 3 and 4);
-it alone decides what :func:`apply_rule` removes for such a match, the
-budget drop (one unit per forced blue) and what :func:`lift_solution` adds
-back.  Every application is logged as a :class:`RuleApplication`: its tag,
-witness, budget drop and, for R4 case 2, the id of the red it added.  A
-record names no removed vertex; :func:`replay_trace` applies each record's
-tag and witness to the graph its predecessors left and checks that the
-same record comes back, and so replays the log forward to the kernel graph.
-Walked backward, the log lifts kernel solutions to the original instance.
+The driver's probes, ``_r1_at``, ``_r2_at`` and ``_r3_at``, look at one
+vertex and return a :class:`Match`: the trace tag and the record's witness
+tuple; for R4 the driver asks ``_r4_case`` for the case at one pair of
+blues and builds the match from it.  :func:`sanitize` returns every
+Sanitize match, in firing order.  :func:`apply_rule`, one chain of tests on
+the tag, is the one place where each tag's condition and effect are
+written: it refuses a match whose rule does not apply before it changes
+anything, and otherwise returns the record and what it removed; the budget
+change is the record's ``delta_k``.  The table ``_FORCED`` names the
+witness positions of the blues a match forces into every solution (R3 and
+R4 cases 1, 3 and 4); it alone decides what :func:`apply_rule` removes for
+such a match, the budget drop (one unit per forced blue) and what
+:func:`lift_solution` adds back.  Every application is logged as a
+:class:`RuleApplication`: its tag, witness, budget drop and, for R4 case 2,
+the id of the red it added.  A record names no removed vertex;
+:func:`replay_trace` applies each record's tag and witness to the graph its
+predecessors left and checks that the same record comes back, and so
+replays the log forward to the kernel graph.  Walked backward, the log
+lifts kernel solutions to the original instance.
 """
 
 from __future__ import annotations
@@ -64,21 +66,6 @@ _FORCED = {R3: (0,), R4_CASE[1]: (0, 1), R4_CASE[3]: (0,), R4_CASE[4]: (1,)}
 NO_ISOLATED_RED = "isolated-red"
 NO_BUDGET = "budget"
 NO_SIZE = "size"
-
-
-class ContractViolation(GraphError):
-    """The R4 pair search met a graph where R3 still applies."""
-
-
-class RuleNotApplicableError(GraphError):
-    """A match whose rule does not apply at its witness in the graph it is
-    applied to, dead or wrongly colored vertices and a witness of the wrong
-    length for its tag included."""
-
-
-class TraceMismatchError(GraphError):
-    """A trace record does not replay on the graph its predecessors left,
-    or the replay does not end at the kernel it should."""
 
 
 # -- findings ----------------------------------------------------------------
@@ -265,15 +252,6 @@ def _r3_seed(g: RBGraph) -> list:
     return [b for b in g.blue if len(adj[b]) == 1]
 
 
-def _first(g: RBGraph, candidates, probe) -> Match | None:
-    """The match ``probe`` finds at the least candidate where it finds one."""
-    for x in sorted(candidates):
-        m = probe(g, x)
-        if m is not None:
-            return m
-    return None
-
-
 def _nbrs(adj: dict, vertices) -> set:
     return set().union(*(adj[v] for v in vertices))
 
@@ -300,7 +278,7 @@ def _count_per_red(g: RBGraph) -> dict:
             if size - len(na) > top:
                 continue  # X = U(r) - N(a) is too large to lie within any N(w)
             if size == len(na):
-                raise ContractViolation("R3 applies to blue %d and red %d" % (a, r))
+                raise GraphError("R3 applies to blue %d and red %d" % (a, r))
             x = ur - na
             for probe in x:
                 break
@@ -329,7 +307,7 @@ def _count_per_blue(g: RBGraph) -> dict:
         for r in na:
             sets = [ws[b] for b in adj[r] if b in ws]
             if not sets:
-                raise ContractViolation("R3 applies to blue %d and red %d" % (a, r))
+                raise GraphError("R3 applies to blue %d and red %d" % (a, r))
             for w in set.intersection(*sets):
                 if a < w or r not in adj[w]:  # a red next to both counts once
                     counts[(a, w) if a < w else (w, a)] += 1
@@ -360,12 +338,6 @@ def _r4_case(adj: dict, v: int, w: int) -> tuple[int, set] | None:
     return (2 if in_v and in_w else 3 if in_v else 4 if in_w else 1), private
 
 
-def _r4_at(g: RBGraph, pair) -> Match | None:
-    """The match if R4 fires on the pair (v, w), else None."""
-    found = _r4_case(g.adj, *pair)
-    return None if found is None else Match(R4_CASE[found[0]], pair)
-
-
 # -- applying rules --------------------------------------------------------------
 
 
@@ -384,18 +356,20 @@ def apply_rule(g: RBGraph, match: Match) -> tuple[RuleApplication, list]:
     ``delta_k`` is the budget change, and the removed vertices as
     ``(vertex, color, former neighbors)`` triples.  A match whose rule does
     not apply at its witness, or whose witness does not have its tag's
-    length, raises :class:`RuleNotApplicableError` and leaves ``g``
-    unchanged."""
+    length, raises ``GraphError`` and leaves ``g`` unchanged.  R1 and R2
+    apply only where the driver's probes find them: the removed blue of R1
+    and the witness red of R2 must have a neighbor, since an isolated blue
+    is sanitize's and an isolated red answers NO."""
     tag, witness = match
     if WITNESS_LEN.get(tag) == len(witness):
         adj, blue, red = g.adj, g.blue, g.red
         if tag == R1:
             b, b2 = witness
-            if b in blue and b2 in blue and b != b2 and adj[b] <= adj[b2]:
+            if b in blue and b2 in blue and b != b2 and adj[b] and adj[b] <= adj[b2]:
                 return RuleApplication(tag, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
         elif tag == R2:
             r, r2 = witness
-            if r in red and r2 in red and r != r2 and adj[r2] <= adj[r]:
+            if r in red and r2 in red and r != r2 and adj[r2] and adj[r2] <= adj[r]:
                 return RuleApplication(tag, witness, 0, None), [(r, RED, g.remove_vertex(r))]
         elif tag == R3:
             if witness[0] in blue and _r3_at(g, witness[0]) is not None:
@@ -421,7 +395,7 @@ def apply_rule(g: RBGraph, match: Match) -> tuple[RuleApplication, list]:
                 # Case 2 swaps the pair's private reds for one red on the pair.
                 removed = [(x, RED, g.remove_vertex(x)) for x in found[1]]
                 return RuleApplication(tag, witness, 0, g.add_red_vertex(witness)), removed
-    raise RuleNotApplicableError("%s does not apply at %s" % (tag, witness))
+    raise GraphError("%s does not apply at %s" % (tag, witness))
 
 
 # -- the driver --------------------------------------------------------------------
@@ -440,10 +414,10 @@ def apply_rule(g: RBGraph, match: Match) -> tuple[RuleApplication, list]:
 # probes each live vertex of a sorted snapshot of it once.  A round sweeps
 # isolated blues, R1 and R2 and starts over while any fired; then it sweeps R3
 # over the degree-one blues of the current graph, the only blues where R3
-# applies, and probes R4 on every pair with two or more private reds, in
-# ascending order, firing the first that applies.  A round ends at R4, so a
-# run has one round more than it has R4 firings, and R3 and R4 keep nothing
-# between rounds.  What a firing removed and added decides what becomes
+# applies, and asks _r4_case about every pair with two or more private reds,
+# in ascending order, firing the first that has a case.  A round ends at R4,
+# so a run has one round more than it has R4 firings, and R3 and R4 keep
+# nothing between rounds.  What a firing removed and added decides what becomes
 # pending, by the color of each removed vertex alone: a red's neighbors join
 # R1's set, and a blue's neighbors, like an added red, are noted in ``shrunk``
 # for R2.  C(r) is the set of reds whose neighborhood contains N(r), and
@@ -623,10 +597,13 @@ def kernelize(inst: Instance) -> KernelResult:
             sweep(_r3_seed(g), _r3_at)
             if k < 0:
                 break
-            match = _first(g, _r4_pairs(g), _r4_at)
-            if match is None:
-                break
-            fire(match)
+            for v, w in sorted(_r4_pairs(g)):
+                found = _r4_case(adj, v, w)
+                if found is not None:
+                    fire(Match(R4_CASE[found[0]], (v, w)))
+                    break
+            else:
+                break  # no pair fires: the fixpoint
     if k < 0:
         return KernelResult("no", reason=NO_BUDGET, trace=trace)
     assert bool(g.red) == bool(g.blue), "the fixpoint left a red without a blue or the reverse"
@@ -645,22 +622,22 @@ def replay_trace(original: RBGraph, trace: KernelTrace, kernel: RBGraph | None =
     predecessors left, which refuses them unless the rule applies there, and
     it must give back the same record, budget drop and case-2 red id
     included.  Given ``kernel``, the replay must also end at that graph.
-    Any mismatch raises :class:`TraceMismatchError` naming the first bad
-    record.
+    Any mismatch raises ``GraphError``; for a bad record the message
+    starts ``record <i>, ``, i the one-based index of the first bad one.
     """
     g = original.copy()
     for i, rec in enumerate(trace.records, start=1):
         try:
             again, _ = apply_rule(g, Match(rec.tag, rec.witness))
         except GraphError as exc:
-            raise TraceMismatchError("record %d, %s" % (i, exc)) from None
+            raise GraphError("record %d, %s" % (i, exc)) from None
         if again != rec:
-            raise TraceMismatchError("record %d, %s at %s k_delta=%d added=%s: replays with "
-                                     "k_delta=%d added=%s"
-                                     % (i, rec.tag, rec.witness, rec.delta_k, rec.added,
-                                        again.delta_k, again.added))
+            raise GraphError("record %d, %s at %s k_delta=%d added=%s: replays with "
+                             "k_delta=%d added=%s"
+                             % (i, rec.tag, rec.witness, rec.delta_k, rec.added,
+                                again.delta_k, again.added))
     if kernel is not None and g != kernel:
-        raise TraceMismatchError("the trace ends at %r, not at the kernel %r" % (g, kernel))
+        raise GraphError("the trace ends at %r, not at the kernel %r" % (g, kernel))
     return g
 
 

@@ -26,14 +26,6 @@ from .graph import GraphError, RBGraph
 
 
 @dataclass(frozen=True)
-class Face:
-    """A face as its boundary dart cycle plus the incident vertex set."""
-
-    darts: tuple
-    vertices: frozenset
-
-
-@dataclass(frozen=True)
 class PlanarityResult:
     """What :func:`is_planar` found: a rotation system realizing an
     embedding of a planar graph, or None for a non-planar one."""
@@ -96,33 +88,33 @@ class PlaneGraph:
             stack.extend(u for u in self.rotation[v] if u not in seen)
         return len(seen) == len(self.rotation)
 
-    def faces(self) -> list[Face]:
-        """All faces by dart walking: the dart after (u, v) leaves v along
-        the rotation successor of u.  Faces come out in first-discovery
-        order of the ascending dart scan, which makes downstream ids
-        deterministic."""
+    def faces(self) -> list[frozenset]:
+        """The vertex set of every face, by dart walking: the dart after
+        (u, v) leaves v along the rotation successor of u.  Faces come out
+        in first-discovery order of the ascending dart scan, which makes
+        downstream ids deterministic."""
         if not self.is_connected():
             raise GraphError("face traversal needs a connected graph")
         if not self.rotation:
             return []
         if self.n_edges == 0:
             # A lone vertex sits on the one face of the plane.
-            return [Face((), frozenset(self.rotation))]
+            return [frozenset(self.rotation)]
         seen = set()
         out = []
         for u in sorted(self.rotation):
             for v in sorted(self.rotation[u]):
                 if (u, v) in seen:
                     continue
-                cycle = []
+                face = set()
                 dart = (u, v)
                 while dart not in seen:
                     seen.add(dart)
-                    cycle.append(dart)
                     a, b = dart
+                    face.add(a)
                     ns = self.rotation[b]
                     dart = (b, ns[(self._index[b][a] + 1) % len(ns)])
-                out.append(Face(tuple(cycle), frozenset(a for a, _ in cycle)))
+                out.append(frozenset(face))
         return out
 
 

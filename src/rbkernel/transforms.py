@@ -32,7 +32,7 @@ def face_cover_to_rbds(pg: PlaneGraph):
     vertex_to_red = {v: len(faces) + 1 + i for i, v in enumerate(sorted(pg.rotation))}
     g = RBGraph.from_parts(face_to_blue.values(), vertex_to_red.values())
     for i, face in enumerate(faces):
-        for v in face.vertices:
+        for v in face:
             g.add_edge(face_to_blue[i], vertex_to_red[v])
     return g, vertex_to_red, face_to_blue
 

@@ -451,7 +451,7 @@ def brute_force_face_cover(pg) -> int:
         for combo in itertools.combinations(faces, size):
             covered = set()
             for f in combo:
-                covered |= f.vertices
+                covered |= f
             if covered >= everything:
                 return size
     raise AssertionError("all faces together must cover the graph")

@@ -1,13 +1,23 @@
 """Every name the package exports has a caller outside the tests: the
 library's other modules, ``scripts/`` or the benchmark in ``perfbench/``.
-A name that only tests use is not library code."""
+A name that only tests use is not library code.  Likewise every exception
+class the package defines is caught by name outside the tests; a subclass
+that only tests tell apart from its base is not library code either."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import rbkernel
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def non_test_files() -> list:
+    """The modules of ``scripts/`` and ``perfbench/`` that are not tests."""
+    return [p for d in ("scripts", "perfbench") for p in (ROOT / d).glob("*.py")
+            if not p.name.startswith("test_") and p.name != "conftest.py"]
 
 
 def names_read(path: Path) -> set:
@@ -21,10 +31,33 @@ def names_read(path: Path) -> set:
     return names
 
 
+def names_caught(path: Path) -> set:
+    """The exception names a module's ``except`` clauses name, bare or as an
+    attribute, alone or in a tuple."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for t in node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]:
+                names.add(t.id if isinstance(t, ast.Name) else t.attr)
+    return names
+
+
 def test_every_export_has_a_caller_outside_the_tests():
     files = [p for p in (ROOT / "src" / "rbkernel").glob("*.py") if p.name != "__init__.py"]
-    files += [p for d in ("scripts", "perfbench") for p in (ROOT / d).glob("*.py")
-              if not p.name.startswith("test_") and p.name != "conftest.py"]
+    files += non_test_files()
     assert len(files) > 10
     used = set().union(*map(names_read, files))
     assert sorted(set(rbkernel.__all__) - used) == []
+
+
+def test_every_exception_class_is_caught_outside_the_tests():
+    defined = set()
+    for info in pkgutil.iter_modules(rbkernel.__path__):
+        module = importlib.import_module("rbkernel." + info.name)
+        defined |= {name for name, obj in vars(module).items()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__}
+    assert {"GraphError", "ParseError"} <= defined
+    files = list((ROOT / "src" / "rbkernel").glob("*.py")) + non_test_files()
+    caught = set().union(*map(names_caught, files))
+    assert sorted(defined - caught) == []

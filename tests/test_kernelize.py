@@ -1,13 +1,14 @@
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rbkernel.generators import _stacked_triangulation, gen_matching, gen_random_planar
-from rbkernel.graph import BLUE, RED, Instance, RBGraph
+from rbkernel.graph import BLUE, RED, GraphError, Instance, RBGraph
 from rbkernel.kernelizer import (
     NO_BUDGET,
     NO_ISOLATED_RED,
@@ -22,8 +23,6 @@ from rbkernel.kernelizer import (
     KernelTrace,
     Match,
     RuleApplication,
-    RuleNotApplicableError,
-    TraceMismatchError,
     _containers,
     _r1_at,
     _r1_seed,
@@ -286,7 +285,8 @@ class TestCheckedReplay:
         g, target, kind, bad = case
         try:
             out = replay_trace(g, KernelTrace(bad), target)
-        except TraceMismatchError:
+        except GraphError as exc:
+            assert str(exc).startswith(("record ", "the trace ends at ")), exc
             return
         assert out == target
         assert kind not in ("tag", "k_delta", "added"), bad
@@ -314,14 +314,15 @@ class TestCheckedReplay:
         for good in ((R1, (1, 2), 0), (R2, (3, 4), 0), ("R4-case4", (1, 2), -1)):
             replay_trace(g, KernelTrace([RuleApplication(*good, None)]))
         added = 5 if tag == "R4-case2" else None  # the id the graph would give it
-        with pytest.raises(TraceMismatchError, match="record 1, "):
+        with pytest.raises(GraphError, match="^record 1, "):
             replay_trace(g, KernelTrace([RuleApplication(tag, witness, delta, added)]))
         # apply_rule itself refuses the match and leaves the graph as it was,
         # unless the rule applies and only the record's budget drop is wrong.
         before = g.copy()
         try:
             again, _ = apply_rule(g, Match(tag, witness))
-        except RuleNotApplicableError:
+        except GraphError as exc:
+            assert str(exc) == "%s does not apply at %s" % (tag, witness)
             assert g == before
         else:
             assert (again.tag, again.witness) == (tag, witness) and again.delta_k != delta
@@ -331,8 +332,22 @@ class TestCheckedReplay:
         res = kernelize(Instance(g.copy(), 4))
         tag, witness, delta, added = res.trace.records[-1]
         bad = res.trace.records[:-1] + [RuleApplication(tag, witness, delta + 1, added)]
-        with pytest.raises(TraceMismatchError, match="record %d, %s" % (len(bad), tag)):
+        with pytest.raises(GraphError, match="^record %d, %s" % (len(bad), tag)):
             replay_trace(g, KernelTrace(bad))
+
+    @pytest.mark.parametrize("blues, reds, edges, tag, witness", [
+        ([1, 2], [3], [(2, 3)], R1, (1, 2)),
+        ([1], [2, 3], [(1, 2)], R2, (2, 3)),
+    ])
+    def test_record_at_an_isolated_vertex_is_refused(self, blues, reds, edges, tag, witness):
+        # N(1) = {} lies within N(2) for the blues of the first graph, and
+        # N(3) = {} within N(2) for the reds of the second; but the driver's
+        # probes never remove an isolated blue by R1 nor take an isolated red
+        # as R2's witness, so neither record replays.
+        g = RBGraph.from_parts(blues, reds, edges)
+        message = "record 1, %s does not apply at %s" % (tag, witness)
+        with pytest.raises(GraphError, match="^%s$" % re.escape(message)):
+            replay_trace(g, KernelTrace([RuleApplication(tag, witness, 0, None)]))
 
 
 @st.composite

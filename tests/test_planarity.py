@@ -162,15 +162,15 @@ class TestFaces:
     def test_tree_single_face(self):
         edges = [(0, 1), (1, 2), (1, 3), (3, 4)]
         pg = embed(range(5), edges)
-        faces = pg.faces()
-        assert len(faces) == 1
-        assert faces[0].vertices == frozenset(range(5))
+        assert pg.faces() == [frozenset(range(5))]
 
     def test_cube_six_faces(self):
         pg = embed(*cube_graph())
         faces = pg.faces()
-        assert len(faces) == 6
-        assert all(len(f.darts) == 4 for f in faces)
+        # Each face of the cube fixes one of the three bits of its corners.
+        want = {frozenset(v for v in range(8) if v & bit == side)
+                for bit in (1, 2, 4) for side in (0, bit)}
+        assert len(faces) == 6 and set(faces) == want
 
     def test_euler_count(self):
         for builder in (lambda: complete_graph(4), cube_graph,
@@ -178,11 +178,14 @@ class TestFaces:
             pg = embed(*builder())
             assert len(pg.faces()) == pg.n_edges - pg.n_vertices + 2
 
-    def test_darts_partitioned(self):
-        pg = embed(*cube_graph())
-        darts = [d for f in pg.faces() for d in f.darts]
-        assert len(darts) == 2 * pg.n_edges
-        assert len(set(darts)) == len(darts)
+    def test_vertex_face_incidences(self):
+        # In a 3-connected plane graph the faces around a vertex are
+        # distinct, so each vertex lies on exactly deg(v) of them.
+        for pg in (embed(*cube_graph()),
+                   embed(range(60), _stacked_triangulation(60, random.Random(3)))):
+            faces = pg.faces()
+            for v, ns in pg.rotation.items():
+                assert sum(v in f for f in faces) == len(ns), v
 
     def test_single_vertex(self):
         pg = PlaneGraph({7: []})

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rbkernel.generators import gen_grid
-from rbkernel.graph import Instance, RBGraph
+from rbkernel.graph import GraphError, Instance, RBGraph
 from rbkernel.kernelizer import (
-    ContractViolation,
     Match,
     R1,
     R2,
@@ -14,12 +13,11 @@ from rbkernel.kernelizer import (
     R4_CASE,
     SAN_BLUE,
     RuleApplication,
-    RuleNotApplicableError,
     _pair_private,
     _r1_at,
     _r2_at,
     _r3_at,
-    _r4_at,
+    _r4_case,
     _r4_pairs,
     apply_rule,
     kernelize,
@@ -148,8 +146,8 @@ def r4_matches(g):
     checked against the definition, and every firing pair among those the
     pair search counts."""
     hits = {(v, w): Match(R4_CASE[case], (v, w)) for v, w, case, _ in oracle_rule4_all(g)}
-    found = [_r4_at(g, p) for p in itertools.combinations(sorted(g.blue), 2)]
-    assert [m for m in found if m is not None] == list(hits.values())
+    found = [(p, _r4_case(g.adj, *p)) for p in itertools.combinations(sorted(g.blue), 2)]
+    assert [Match(R4_CASE[c[0]], p) for p, c in found if c is not None] == list(hits.values())
     assert hits.keys() <= _r4_pairs(g)
     return list(hits.values())
 
@@ -279,14 +277,14 @@ class TestRule4:
 
     def test_pair_counting_refuses_r3_match(self):
         # Red 2 is private to blue 1 alone, so no probe lies outside N(1).
-        with pytest.raises(ContractViolation):
+        with pytest.raises(GraphError, match="^R3 applies to blue 1 and red 2$"):
             _r4_pairs(RBGraph.from_parts([1], [2], [(1, 2)]))
         # The same next to the cyclic 4-windows of five blues, past the Euler
         # bound, where the search counts blue by blue.
         windows = [((i + j) % 5 + 1, 7 + i) for i in range(5) for j in range(4)]
         g = RBGraph.from_parts(range(1, 7), range(7, 13), windows + [(6, 12)])
         assert not bipartite_euler_bound(g)
-        with pytest.raises(ContractViolation):
+        with pytest.raises(GraphError, match="^R3 applies to blue 6 and red 12$"):
             _r4_pairs(g)
 
     def test_matches_unrestricted_oracle_on_classes(self, classes7):
@@ -343,14 +341,28 @@ class TestApplyRule:
         assert before.adj.keys() - g.adj.keys() == {2}
         assert 2 in before.blue and before.adj[2] == set()
         assert g.adj == {1: {3}, 3: {1}}
-        with pytest.raises(RuleNotApplicableError):
+        with pytest.raises(GraphError, match=r"^Sanitize-isolated-blue does not apply at \(2,\)$"):
             apply_rule(g, Match(SAN_BLUE, (2,)))
 
     def test_stale_finding(self):
         g = RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)])
         g.remove_vertex(1)
-        with pytest.raises(RuleNotApplicableError):
+        with pytest.raises(GraphError, match=r"^R1 does not apply at \(1, 2\)$"):
             apply_rule(g, Match(R1, (1, 2)))
+
+    @pytest.mark.parametrize("blues, reds, edges, tag, witness", [
+        ([1, 2], [3], [(2, 3)], R1, (1, 2)),
+        ([1], [2, 3], [(1, 2)], R2, (2, 3)),
+    ])
+    def test_isolated_vertex_match_refused(self, blues, reds, edges, tag, witness):
+        # The isolated blue 1 and the isolated red 3 have neighborhoods
+        # within every other's, but R1 removes only a blue with a neighbor
+        # and R2 takes only a witness red with one, as the probes do.
+        g = RBGraph.from_parts(blues, reds, edges)
+        before = g.copy()
+        with pytest.raises(GraphError, match=r"^%s does not apply at \(%d, %d\)$" % (tag, *witness)):
+            apply_rule(g, Match(tag, witness))
+        assert g == before
 
     def test_delta_k_table(self):
         # -1 exactly for R3/case3/case4, -2 for case1, 0 otherwise.
