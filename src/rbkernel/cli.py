@@ -23,7 +23,8 @@ from pathlib import Path
 
 from . import formats, generators, transforms
 from .graph import GraphError, Instance, RBGraph
-from .kernelizer import fingerprint_instance, kernelize, lift_solution, replay_trace
+from .kernelizer import (SIZE_FACTOR, fingerprint_instance, kernelize, lift_solution,
+                         replay_trace)
 from .planar import bipartite_euler_bound, planar_verdict
 from .solver import InstanceTooLargeError, min_rbds, verify_solution
 
@@ -65,7 +66,8 @@ def cmd_kernelize(args) -> int:
     else:
         kernel = result.instance
         nb, nr = len(kernel.graph.blue), len(kernel.graph.red)
-        print("REDUCED nB=%d nR=%d k'=%d bound=46k'=%d" % (nb, nr, kernel.k, 46 * kernel.k))
+        print("REDUCED nB=%d nR=%d k'=%d bound=%dk'=%d"
+              % (nb, nr, kernel.k, SIZE_FACTOR, SIZE_FACTOR * kernel.k))
         comments = ()
     if args.out:
         _write(args.out, formats.format_instance(kernel, comments=comments))

@@ -16,24 +16,27 @@ The rules, in the order the driver exhausts them:
   So every pair that r is private to has an endpoint in N(r), and the R4
   search starts from each red's own blues.
 
-The driver's probes, ``_r1_at``, ``_r2_at`` and ``_r3_at``, look at one
-vertex and return a :class:`Match`: the trace tag and the record's witness
-tuple; for R4 the driver asks ``_r4_case`` for the case at one pair of
-blues and builds the match from it.  :func:`sanitize` returns every
-Sanitize match, in firing order.  :func:`apply_rule`, one chain of tests on
-the tag, is the one place where each tag's condition and effect are
-written: it refuses a match whose rule does not apply before it changes
-anything, and otherwise returns the record and what it removed; the budget
-change is the record's ``delta_k``.  The table ``_FORCED`` names the
-witness positions of the blues a match forces into every solution (R3 and
-R4 cases 1, 3 and 4); it alone decides what :func:`apply_rule` removes for
-such a match, the budget drop (one unit per forced blue) and what
-:func:`lift_solution` adds back.  Every application is logged as a
-:class:`RuleApplication`: its tag, witness, budget drop and, for R4 case 2,
-the id of the red it added.  A record names no removed vertex;
-:func:`replay_trace` applies each record's tag and witness to the graph its
-predecessors left and checks that the same record comes back, and so
-replays the log forward to the kernel graph.  Walked backward, the log
+R1 and R2 read one relation two ways, N(v) within N(x) for two vertices of
+one color: R1 removes the contained blue, R2 the containing red.  The
+driver finds both with one scan, ``_containments``, which lists the
+vertices of a vertex's color whose neighborhood contains its own.  R3's
+probe ``_r3_at`` looks at one blue and returns a :class:`Match`: the trace
+tag and the record's witness tuple; for R4 the driver asks ``_r4_case`` for
+the case at one pair of blues and builds the match from it.
+:func:`sanitize` returns every Sanitize match, in firing order.
+:func:`apply_rule`, one chain of tests on the tag, is the one place where
+each tag's condition and effect are written: it refuses a match whose rule
+does not apply before it changes anything, and otherwise returns the record
+and what it removed; the budget change is the record's ``delta_k``.  The
+table ``_FORCED`` names the witness positions of the blues a match forces
+into every solution (R3 and R4 cases 1, 3 and 4); it alone decides what
+:func:`apply_rule` removes for such a match, the budget drop (one unit per
+forced blue) and what :func:`lift_solution` adds back.  Every application
+is logged as a :class:`RuleApplication`: its tag, witness, budget drop and,
+for R4 case 2, the id of the red it added.  A record names no removed
+vertex; :func:`replay_trace` applies each record's tag and witness to the
+graph its predecessors left and checks that the same record comes back, and
+so replays the log forward to the kernel graph.  Walked backward, the log
 lifts kernel solutions to the original instance.
 """
 
@@ -62,6 +65,10 @@ RULE_TAGS = tuple(WITNESS_LEN)
 
 # Witness positions of the blues a rule forces into every solution.
 _FORCED = {R3: (0,), R4_CASE[1]: (0, 1), R4_CASE[3]: (0,), R4_CASE[4]: (1,)}
+
+# The paper's kernel bound: a reduced planar yes-instance with budget k has
+# at most SIZE_FACTOR * k vertices.
+SIZE_FACTOR = 46
 
 NO_ISOLATED_RED = "isolated-red"
 NO_BUDGET = "budget"
@@ -143,13 +150,14 @@ def fingerprint_instance(inst: Instance) -> Fingerprint:
     return Fingerprint(g.n_vertices, len(keys), hashlib.sha256(text.encode()).hexdigest()[:16])
 
 
-# -- probes --------------------------------------------------------------------
+# -- finding matches -----------------------------------------------------------
 #
-# A probe looks at one vertex or pair and returns its match or None; sanitize
-# returns every match.  The driver probes in ascending id order and fires
-# what it finds, so runs are deterministic and traces replayable.  When two
-# neighborhoods are equal the lower id is the one removed, simply because
-# the ascending sweep reaches it first.
+# A probe looks at one vertex or pair and returns its match or None; the
+# containment scan lists the pairs R1 and R2 apply to; sanitize returns
+# every match.  The driver fires in ascending id order, so runs are
+# deterministic and traces replayable.  When two neighborhoods are equal the
+# lower id is the one removed, simply because the ascending sweep reaches it
+# first.
 
 
 def sanitize(g: RBGraph) -> list[Match]:
@@ -175,63 +183,22 @@ def sanitize(g: RBGraph) -> list[Match]:
     return found
 
 
-def _r1_at(g: RBGraph, b: int) -> Match | None:
+def _containments(g: RBGraph, vs) -> dict:
+    """For each live v of ``vs`` that has a neighbor, the list of every
+    x != v whose neighborhood contains N(v), if there is one.  Every edge
+    must join two colors: such an x is next to every vertex of N(v), so the
+    neighbors of any one of them, all of v's color, are the only candidates,
+    and each takes one subset test."""
     adj = g.adj
-    nb = adj[b]
-    if not nb:
-        return None  # isolated blues belong to sanitize, not R1
-    # The blues containing N(b) are exactly those next to every red of N(b).
-    cands = set.intersection(*map(adj.__getitem__, nb))
-    cands.discard(b)
-    return Match(R1, (b, min(cands))) if cands else None
-
-
-def _r1_seed(g: RBGraph) -> list:
-    """The blues where R1 applies.  Every blue must have a red neighbor; a
-    blue whose neighborhood contains N(b) is next to each red of N(b), so
-    the blues of any one red are the only candidates."""
-    adj = g.adj
-    seed = []
-    for b in g.blue:
-        nb = adj[b]
-        for r in nb:
-            break
-        for b2 in adj[r]:
-            if b2 != b and nb <= adj[b2]:
-                seed.append(b)
+    found = {}
+    for v in vs:
+        nv = adj.get(v)
+        if nv:
+            for u in nv:
                 break
-    return seed
-
-
-def _r2_at(g: RBGraph, r: int) -> Match | None:
-    adj = g.adj
-    nr = adj[r]
-    if not nr:
-        return None
-    cands = set().union(*map(adj.__getitem__, nr))
-    cands.discard(r)
-    for x in sorted(cands):  # the least contained red is the witness
-        if adj[x] <= nr:
-            return Match(R2, (r, x))
-    return None
-
-
-def _containers(g: RBGraph, reds) -> set:
-    """The union over the live reds r2 of ``reds`` of C(r2) - {r2}, C(r2)
-    the reds whose neighborhood contains N(r2): the reds where r2 witnesses
-    R2.  Every red must have a blue neighbor; a red whose neighborhood
-    contains N(r2) is next to each blue of N(r2), so the reds of any one
-    blue are the only candidates."""
-    adj = g.adj
-    found = set()
-    for r2 in reds:
-        if r2 in adj:
-            nr = adj[r2]
-            for b in nr:
-                break
-            for x in adj[b]:
-                if nr <= adj[x] and x != r2:
-                    found.add(x)
+            for x in adj[u]:
+                if x != v and nv <= adj[x]:
+                    found.setdefault(v, []).append(x)
     return found
 
 
@@ -357,7 +324,7 @@ def apply_rule(g: RBGraph, match: Match) -> tuple[RuleApplication, list]:
     ``(vertex, color, former neighbors)`` triples.  A match whose rule does
     not apply at its witness, or whose witness does not have its tag's
     length, raises ``GraphError`` and leaves ``g`` unchanged.  R1 and R2
-    apply only where the driver's probes find them: the removed blue of R1
+    apply only where the driver's scan finds them: the removed blue of R1
     and the witness red of R2 must have a neighbor, since an isolated blue
     is sanitize's and an isolated red answers NO."""
     tag, witness = match
@@ -401,44 +368,42 @@ def apply_rule(g: RBGraph, match: Match) -> tuple[RuleApplication, list]:
 # -- the driver --------------------------------------------------------------------
 #
 # The driver is kernelize, which holds the run's state in locals: the graph
-# copy, k, the records, R1's pending set wl1, the reds noted in ``shrunk`` and
-# R2's pending set wl2.  It fires sanitize's matches, then the loop's, through
-# its nested fire, which calls the module-global apply_rule (perfbench's
-# tracer wraps it there), so apply_rule builds every record; fire appends it
-# and adds its delta_k to k.  apply_rule checks the witness length, then walks
-# its chain of tests to the tag, checks that tag's condition and, only if it
-# holds, applies the tag; replay_trace is a loop over apply_rule too.  The
-# loop keeps a pending set of the vertices where a rule may newly apply for R1
-# and R2, which it sweeps to a fixpoint many times per round.  One sweep, the
-# nested sweep, serves them, isolated blues and R3: it empties the set and
-# probes each live vertex of a sorted snapshot of it once.  A round sweeps
-# isolated blues, R1 and R2 and starts over while any fired; then it sweeps R3
-# over the degree-one blues of the current graph, the only blues where R3
+# copy, k, the records and two pending sets, wl1, the blues R1 scans, and
+# ``shrunk``, the reds R2 scans.  It fires sanitize's matches, then the
+# loop's, through its nested fire, which calls the module-global apply_rule
+# (perfbench's tracer wraps it there, and sanitize too), so apply_rule
+# builds every record; fire appends it and adds its delta_k to k.
+# apply_rule checks the witness length, then walks its chain of tests to the
+# tag, checks that tag's condition and, only if it holds, applies the tag;
+# replay_trace is a loop over apply_rule too.  A round sweeps isolated
+# blues, R1 and R2 and starts over while any fired; then it sweeps R3 over
+# the degree-one blues of the current graph, the only blues where R3
 # applies, and asks _r4_case about every pair with two or more private reds,
 # in ascending order, firing the first that has a case.  A round ends at R4,
 # so a run has one round more than it has R4 firings, and R3 and R4 keep
-# nothing between rounds.  What a firing removed and added decides what becomes
-# pending, by the color of each removed vertex alone: a red's neighbors join
-# R1's set, and a blue's neighbors, like an added red, are noted in ``shrunk``
-# for R2.  C(r) is the set of reds whose neighborhood contains N(r), and
-# C(r) - {r} those for which r may now witness R2; _containers gives their
-# union over a set of reds.  The isolated-blue sweep probes a snapshot of the live
-# degree-0 blues of R1's set.  A blue loses its last red only when that red is
-# removed, which puts the blue in R1's set, no record gives a degree-0 blue a
-# red, and only the R1 sweep, which follows the isolated-blue one, empties the
-# set; so the snapshot holds every isolated blue of the graph.
+# nothing between rounds.  What a firing removed and added decides what
+# becomes pending, by the color of each removed vertex alone: a red's
+# neighbors join wl1, and a blue's neighbors, like an added red, join
+# ``shrunk``.
 #
-# No firing makes a vertex pending for the rule being swept, so the snapshot
-# visits what a min-heap popped to empty would, in the same order, and
-# sweep asserts that its set is still empty afterwards: removing an
-# isolated blue touches nothing else, R1 removes only blues and R2 only
-# reds.  R3, with R1 and R2 exhausted, removes a whole component {v, r}, v
-# first, so r has no neighbors left when it goes and makes nothing pending.
-# So R3 fires every component in one sweep; the naive driver would find nothing
-# in R1 and R2 between two firings.  Only R3 and R4 spend budget, and k < 0
-# is checked after every firing, so a run stops at the record that drove k
-# below zero.  Sweeping in ascending id order thus makes the run identical
-# to the naive rescans-from-scratch driver, which tests exploit.
+# The nested sweep serves isolated blues and R3: it probes each live vertex
+# of a sorted list once.  The isolated-blue sweep's list holds the live
+# degree-0 blues of wl1.  A blue loses its last red only when that red is
+# removed, which puts the blue in wl1, no record gives a degree-0 blue a
+# red, and only the R1 sweep, which follows the isolated-blue one, empties
+# wl1; so the list holds every isolated blue of the graph.  The nested
+# contain_sweep serves R1 and R2: it runs _containments over its pending set
+# once, empties the set, and then fires in ascending order, R1 at each
+# contained blue b with the least live blue containing N(b), R2 at each red
+# x containing a scanned red with the least live scanned red within N(x).
+# No firing makes a vertex pending for the rule being swept, which
+# contain_sweep asserts: R1 removes only blues, whose reds join ``shrunk``,
+# and R2 only reds, whose blues join wl1.  R3, with R1 and R2 exhausted,
+# removes a whole component {v, r}, v first, so r has no neighbors left when
+# it goes.  So R3 fires every component in one sweep; the naive driver would
+# find nothing in R1 and R2 between two firings.  Only R3 and R4 spend
+# budget, and k < 0 is checked after every firing, so a run stops at the
+# record that drove k below zero.
 #
 # At the fixpoint the size test alone decides, because there are no reds
 # exactly when there are no blues.  Sanitize answers NO for every red
@@ -451,37 +416,34 @@ def apply_rule(g: RBGraph, match: Match) -> tuple[RuleApplication, list]:
 # can end: the last round fires no isolated blue, R1, R2 or R4, and its R3
 # sweep removes whole components, so it leaves no blue without a red.
 #
-# The R1 and R2 sets start with a seed, not with every vertex of its color,
-# taken once sanitize's matches have fired, which make nothing pending and
-# leave every vertex a neighbor: the blues where R1 applies, and for R2
-# _containers over every red, the union over reds r2 of C(r2) - {r2}, which
-# is the set of reds where R2 applies.  Both probe one neighbor's neighbors:
-# a vertex whose neighborhood contains N(x) is next to every vertex of N(x),
-# so the other neighbors of any one vertex of N(x) are the only candidates,
-# and each takes one subset test.  Removing a red changes no red's
-# neighborhood, removing a blue no blue's, and a vertex left out of its seed
-# and not made pending since finds nothing when swept:
+# Sweeping in ascending id order makes the run identical to the naive
+# rescans-from-scratch driver, which tests exploit, because each R1 or R2
+# sweep, though it scans once when it starts, fires what a probe of each
+# vertex at its turn would find.  The scan skips a vertex with no neighbor:
+# an isolated blue is the isolated-blue sweep's, and an isolated red
+# witnesses nothing.  Three facts carry the argument:
 #
-# * R1 at a blue b needs another blue whose neighborhood contains N(b).
-#   N(b) changes only when a red of it is removed, which makes b pending, or
-#   when b ends an R4 case-2 pair, whose record also removes private reds
-#   next to b.  Other blues' neighborhoods only shrink, or gain a case-2 red
-#   that is not in N(b), so b gains no witness.
-# * R2 at a red x gains a witness r2 only when N(r2) comes to lie within
-#   N(x): r2 loses a blue or is created, since no red gains one.  Both note
-#   r2 in ``shrunk``, and _containers over the noted reds, taken when the
-#   R2 sweep starts, then holds x, which is not r2.  No firing between a
-#   note and that call removes a red, and the R2 sweep notes none.  A noted red itself need not be pending.  A red that lost a blue
-#   gains no witness by it: its own containments only narrow, and one it
-#   gains comes from a witness that shrank or was created, whose C - {itself}
-#   holds it.  The red R4 case 2 adds, with N = {v, w}, has no witness when
-#   it is created: a live red with N within {v, w} has no dominator but v
-#   and w, so it is private to (v, w) and the same record removes it.
-#
-# So a set of every vertex holds the seeded set's vertices plus some that
-# find nothing when probed.  Both are swept in ascending order, every note
-# reaches both, and a probe that finds nothing changes nothing, so the
-# firings and their order are those of the all-vertex sets.
+# 1. During an R1 sweep no blue's neighborhood changes, so a blue's
+#    containers can only die, and its least live container is the witness
+#    a probe at its turn finds.  At each R1 sweep every blue with a
+#    container is in wl1: wl1 starts as every blue, and after an R1 sweep no
+#    blue has a container.  A blue b gains one only when N(b) changes, which
+#    needs a red of N(b) removed, putting b in wl1, or b ending an R4 case-2
+#    pair, whose record also removes private reds next to b.  Other blues'
+#    neighborhoods only shrink, or gain a case-2 red that is not in N(b).
+# 2. After an R2 sweep no red has a witness, and no record grows a red's
+#    neighborhood.  So a red x gains a witness r2 only when N(r2) shrinks or
+#    r2 is created, and both note r2 in ``shrunk``: at the next R2 sweep
+#    every witness of a container is a red noted in ``shrunk``, which the
+#    scan pairs with every red containing it.  During the sweep, which
+#    removes only reds, those witnesses can only die.  The red R4 case 2
+#    adds, with N = {v, w}, has no witness when it is created: a live red
+#    with N within {v, w} has no dominator but v and w, so it is private to
+#    (v, w) and the same record removes it.
+# 3. ``shrunk`` starts as every red, so the first R2 sweep, which follows
+#    the first R1 sweep, scans every red.  A containment survives the
+#    removal of a blue, so that scan finds every containment the graph had
+#    when the loop started, as well as those the R1 sweep made.
 #
 # R4's search counts the private reds of every pair.  A red r private to
 # (a, w) lies in U(r), within N(a) | N(w), so one endpoint, say a, is in
@@ -534,9 +496,9 @@ def kernelize(inst: Instance) -> KernelResult:
     blue can dominate is found by sanitize, before the loop, and answered
     NO there.  At the fixpoint every red has a blue neighbor and every blue
     a red one, so the result is NO when the budget went negative or the
-    reduced graph is larger than 46 times the remaining budget; otherwise
-    the reduced instance is returned with its trace.  The size test is what
-    makes the output a kernel; it presumes a planar input.
+    reduced graph is larger than ``SIZE_FACTOR`` = 46 times the remaining
+    budget; otherwise the reduced instance is returned with its trace.  The
+    size test is what makes the output a kernel; it presumes a planar input.
     """
     if inst.k < 0:
         raise ValueError("budget must be non-negative, got %d" % inst.k)
@@ -560,15 +522,12 @@ def kernelize(inst: Instance) -> KernelResult:
         if rec.added is not None:
             shrunk.add(rec.added)
 
-    def sweep(pending: set | list, probe) -> bool:
-        """Empty ``pending``, probe its live vertices in ascending order and
-        fire what ``probe`` finds, stopping once the budget is negative; True
-        iff anything fired.  No firing refills ``pending`` (see the driver
-        notes)."""
-        todo = sorted(pending)
-        pending.clear()
+    def sweep(todo: list, probe) -> bool:
+        """Probe the live vertices of ``todo`` in ascending order and fire
+        what ``probe`` finds, stopping once the budget is negative; True iff
+        anything fired."""
         fired = False
-        for x in todo:
+        for x in sorted(todo):
             if x in adj:
                 match = probe(g, x)
                 if match is not None:
@@ -576,8 +535,28 @@ def kernelize(inst: Instance) -> KernelResult:
                     fired = True
                     if k < 0:
                         break
-        assert not pending, "a firing made %s pending for the rule being swept" % sorted(pending)
         return fired
+
+    def contain_sweep(tag: str, pending: set) -> bool:
+        """Scan and empty ``pending``, then fire ``tag`` in ascending order
+        at each blue contained in another (R1) or red containing another
+        (R2) that the scan found, with its least live partner as witness;
+        True iff anything fired.  No firing refills ``pending`` (see the
+        driver notes)."""
+        found = _containments(g, pending)
+        pending.clear()
+        if tag == R2:  # key each containment by the containing red
+            by_container = defaultdict(list)
+            for r2, xs in found.items():
+                for x in xs:
+                    by_container[x].append(r2)
+            found = by_container
+        for x in sorted(found):
+            live = [w for w in found[x] if w in adj]
+            if live:
+                fire(Match(tag, (x, min(live))))
+        assert not pending, "a firing made %s pending for %s" % (sorted(pending), tag)
+        return bool(found)  # the least key fires: its witnesses are all live
 
     found = sanitize(g)
     for match in found:
@@ -585,14 +564,12 @@ def kernelize(inst: Instance) -> KernelResult:
     if found and found[-1].tag == SAN_NO:
         return KernelResult("no", reason=NO_ISOLATED_RED, trace=trace)
 
-    wl1.update(_r1_seed(g))
-    wl2 = _containers(g, g.red)
+    wl1.update(g.blue)
+    shrunk.update(g.red)
     while k >= 0:
         changed = sweep([b for b in wl1 if b in adj and not adj[b]], _iso_at)
-        changed |= sweep(wl1, _r1_at)
-        wl2 |= _containers(g, shrunk)
-        shrunk.clear()
-        changed |= sweep(wl2, _r2_at)
+        changed |= contain_sweep(R1, wl1)
+        changed |= contain_sweep(R2, shrunk)
         if not changed:
             sweep(_r3_seed(g), _r3_at)
             if k < 0:
@@ -607,7 +584,7 @@ def kernelize(inst: Instance) -> KernelResult:
     if k < 0:
         return KernelResult("no", reason=NO_BUDGET, trace=trace)
     assert bool(g.red) == bool(g.blue), "the fixpoint left a red without a blue or the reverse"
-    if g.n_vertices > 46 * k:
+    if g.n_vertices > SIZE_FACTOR * k:
         return KernelResult("no", reason=NO_SIZE, trace=trace)
     return KernelResult("reduced", Instance(g, k), trace)
 

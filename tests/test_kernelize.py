@@ -23,10 +23,7 @@ from rbkernel.kernelizer import (
     KernelTrace,
     Match,
     RuleApplication,
-    _containers,
-    _r1_at,
-    _r1_seed,
-    _r2_at,
+    _containments,
     _r3_at,
     _r3_seed,
     apply_rule,
@@ -441,16 +438,14 @@ def sanitized_graphs(draw):
     return g
 
 
-# Per rule: its probe, the seed of its first pending set (for R3, the set its
-# sweep takes each round), the color it probes.
-SEEDS = {R1: (_r1_at, _r1_seed, BLUE), R2: (_r2_at, lambda g: _containers(g, g.red), RED),
-         R3: (_r3_at, _r3_seed, BLUE)}
+# Per rule: its probe, the set its sweep takes each round, the color it
+# probes.  R1 and R2 scan every blue and every red at start-up.
+SEEDS = {R3: (_r3_at, _r3_seed, BLUE)}
 
 
 @pytest.mark.parametrize("rule", SEEDS)
 class TestSeeds:
-    """R1's and R2's first pending sets and the set R3 sweeps each round hold
-    every vertex where the rule applies."""
+    """The set R3 sweeps each round holds every blue where R3 applies."""
 
     @staticmethod
     def check(g, rule):
@@ -471,16 +466,20 @@ class TestSeeds:
 
 
 class TestR2LeastWitness:
-    """R2's probe at every red names the least other red whose neighborhood
-    lies within the red's own, as brute force over all reds finds it, or
-    finds nothing when there is none."""
+    """The containment scan over every red names, for each red, the least
+    other red whose neighborhood lies within the red's own, as brute force
+    over all reds finds it, or nothing when there is none."""
 
     @staticmethod
     def check(g):
         adj = g.adj
+        contained = {r: [] for r in g.red}
+        for r2, xs in _containments(g, g.red).items():
+            for x in xs:
+                contained[x].append(r2)
         for r in g.red:
             least = min((x for x in g.red if x != r and adj[x] <= adj[r]), default=None)
-            assert _r2_at(g, r) == (None if least is None else Match(R2, (r, least)))
+            assert min(contained[r], default=None) == least
 
     @given(g=sanitized_graphs())
     # Red 12's candidates 3 and 9 both lie within N(12), and a set of small

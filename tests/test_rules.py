@@ -13,9 +13,8 @@ from rbkernel.kernelizer import (
     R4_CASE,
     SAN_BLUE,
     RuleApplication,
+    _containments,
     _pair_private,
-    _r1_at,
-    _r2_at,
     _r3_at,
     _r4_case,
     _r4_pairs,
@@ -116,17 +115,42 @@ def dense_reduced_graphs(draw):
     return g
 
 
+def scanned_pairs(g, side):
+    """The containment scan over every vertex of ``side`` as (contained,
+    container) pairs, checked against brute force over all pairs of it."""
+    adj = g.adj
+    found = sorted((v, x) for v, xs in _containments(g, side).items() for x in xs)
+    want = [(v, x) for v in sorted(side) for x in sorted(side)
+            if v != x and adj[v] and adj[v] <= adj[x]]
+    assert found == want, (found, want)
+    return found
+
+
+def least_witness(pairs) -> dict:
+    """The least witness of each key of (key, witness) pairs."""
+    least = {}
+    for key, w in sorted(pairs):
+        least.setdefault(key, w)
+    return least
+
+
 def r1_matches(g):
-    """R1's probe at every blue, checked against the oracle there; the
-    matches in ascending order."""
-    found = [(_r1_at(g, b), oracle_rule1_at(g, b)) for b in sorted(g.blue)]
+    """R1 from the scan over every blue, each contained blue with its least
+    container, checked against the oracle at every blue; the matches in
+    ascending order."""
+    least = least_witness(scanned_pairs(g, g.blue))
+    found = [(Match(R1, (b, least[b])) if b in least else None, oracle_rule1_at(g, b))
+             for b in sorted(g.blue)]
     assert all(got == want for got, want in found), found
     return [m for m, _ in found if m is not None]
 
 
 def r2_matches(g):
-    """R2's probe at every red, checked against the oracle there."""
-    found = [(_r2_at(g, r), oracle_rule2_at(g, r)) for r in sorted(g.red)]
+    """R2 from the scan over every red, each containing red with its least
+    contained red, checked against the oracle at every red."""
+    least = least_witness((x, r2) for r2, x in scanned_pairs(g, g.red))
+    found = [(Match(R2, (r, least[r])) if r in least else None, oracle_rule2_at(g, r))
+             for r in sorted(g.red)]
     assert all(got == want for got, want in found), found
     return [m for m, _ in found if m is not None]
 
@@ -177,6 +201,17 @@ class TestRule1:
     def test_matches_oracle_on_classes(self, classes6):
         for g in classes6:
             r1_matches(g)
+
+
+class TestContainmentScan:
+    def test_skips_isolated_and_dead_vertices(self):
+        # N(4) and N(6) are empty, so within every neighborhood, but an
+        # isolated vertex is neither R1's removed blue nor R2's witness.
+        g = RBGraph.from_parts([1, 5, 6], [2, 3, 4], [(1, 2), (1, 3), (5, 3)])
+        assert _containments(g, [2, 4]) == {2: [3]}
+        assert _containments(g, [4, 2]) == {2: [3]}
+        assert _containments(g, [4, 6, 99]) == {}
+        assert _containments(g, g.blue) == {5: [1]}
 
 
 class TestRule2:

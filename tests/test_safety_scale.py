@@ -11,7 +11,9 @@ optimum of the input:
 
 Rule order depends on vertex ids, so one class is also run with its ids
 permuted: the trace differs and the identity must still hold.  The R4-union
-class fires R4 cases 1 and 2 many times, which no benchmark workload does.
+class fires R4 cases 1 and 2 many times, which no benchmark workload does,
+and the stacked-triangulation face cover fires cases 1, 3 and 4 and keeps a
+non-empty kernel.
 """
 
 import random
@@ -22,7 +24,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 from scipy.spatial import Delaunay
 
-from rbkernel.generators import gen_grid, gen_random_planar
+from rbkernel.generators import _stacked_triangulation, gen_grid, gen_random_planar
 from rbkernel.graph import Instance, RBGraph
 from rbkernel.kernelizer import R4_CASE, kernelize, lift_solution
 from rbkernel.planar import is_planar
@@ -71,6 +73,12 @@ def delaunay_face_cover(n: int) -> RBGraph:
     return face_cover_to_rbds(is_planar(range(n), sorted(edges)).embedding)[0]
 
 
+def stacked_face_cover(n: int, seed: int) -> RBGraph:
+    """Face cover of a seeded stacked triangulation on n vertices."""
+    tri = _stacked_triangulation(n, random.Random(seed))
+    return face_cover_to_rbds(is_planar(range(n), tri).embedding)[0]
+
+
 def permuted(g: RBGraph, seed: int) -> RBGraph:
     """``g`` with its vertex ids permuted at random."""
     ids = sorted(g.adj)
@@ -82,6 +90,7 @@ def permuted(g: RBGraph, seed: int) -> RBGraph:
 CLASSES = {
     "random-planar-10000": lambda: gen_random_planar(10 ** 4, 0.75, 7).graph,
     "r4-union-100": r4_union,
+    "stacked-face-cover-3000": lambda: stacked_face_cover(3000, 11),
     "delaunay-100": lambda: delaunay_face_cover(100),
     "grid-20x20": lambda: gen_grid(20, 20).graph,
     "delaunay-100-permuted": lambda: permuted(delaunay_face_cover(100), 7),
@@ -112,3 +121,10 @@ def test_r4_union_fires_cases_1_and_2_on_every_copy():
     g = r4_union()
     tags = [rec.tag for rec in kernelize(Instance(g, len(g.blue))).trace.records]
     assert tags.count(R4_CASE[1]) == tags.count(R4_CASE[2]) == R4_UNION_COPIES
+
+
+def test_stacked_face_cover_fires_cases_1_3_and_4():
+    g = stacked_face_cover(3000, 11)
+    res = kernelize(Instance(g, len(g.blue)))
+    tags = {rec.tag for rec in res.trace.records}
+    assert {R4_CASE[1], R4_CASE[3], R4_CASE[4]} <= tags and res.instance.graph.n_vertices
