@@ -45,7 +45,9 @@ from helpers import (
     oracle_pair_private,
     oracle_private,
     oracle_rule1,
+    oracle_rule1_at,
     oracle_rule2,
+    oracle_rule2_at,
     reference_kernelize,
 )
 
@@ -438,14 +440,23 @@ def sanitized_graphs(draw):
     return g
 
 
-# Per rule: its probe, the set its sweep takes each round, the color it
-# probes.  R1 and R2 scan every blue and every red at start-up.
-SEEDS = {R3: (_r3_at, _r3_seed, BLUE)}
+def _r2_containers(g):
+    return {x for xs in _containments(g, g.red).values() for x in xs}
+
+
+# Per rule: where it applies at one vertex, the set of vertices its sweep
+# fires at or takes, the color it looks at.  R1 and R2 fire where the scan
+# over every blue and every red at start-up finds a containment; R3 takes the
+# same set each round.
+SEEDS = {R1: (oracle_rule1_at, lambda g: _containments(g, g.blue), BLUE),
+         R2: (oracle_rule2_at, _r2_containers, RED),
+         R3: (_r3_at, _r3_seed, BLUE)}
 
 
 @pytest.mark.parametrize("rule", SEEDS)
 class TestSeeds:
-    """The set R3 sweeps each round holds every blue where R3 applies."""
+    """The start-up scan for R1 and R2, and the set R3 sweeps each round,
+    hold every vertex where the rule applies."""
 
     @staticmethod
     def check(g, rule):
