@@ -30,32 +30,25 @@ The layout numbers each component of the family as one run of bits, its
 is then the optimum of the part at hand; one mask over all parts would need
 the summed optimum, which a union of many small components soon exceeds.
 Depth is not the only reason for the split.  Where one mask stays within
-the stack, each witness query carries every later component along, and the
-memo holds them: 60 disjoint 21-red cycles take 0.40 s as one mask against
-0.015 s part by part (2,979 states against 1,740), and four disjoint 10 x 14
-grid kernels 0.14 s against 0.010 s (7,102 states against 1,572).
+the stack, every mask of an earlier component carries the later ones along,
+the memo holds them and each packing bound walks them: on CPython 3.11 and
+a 2-vCPU Xeon, 60 disjoint 21-red cycles take 0.16 s as one mask against
+0.013 s part by part (1,251 states against 720), and four disjoint 10 x 14
+grid kernels 0.088 s against 0.0047 s (5,075 states against 428).
 
 The memo lives as long as the engine, i.e. for one call.  A search deeper
 than the interpreter's stack, or one that needs more than
 :data:`MAX_STATES` memo entries, raises :class:`InstanceTooLargeError`, the
 library's one "too large" answer.
 
-Witness contract: among all minimum covers the lexicographically smallest
-sorted id tuple is returned, so golden tests stay stable.  A minimum cover
-is a minimum cover of each part, and the lex-min one is the union of the
-parts' lex-min covers.  A part's cover is rebuilt in ascending id order,
-keeping an id exactly when the part's still-uncovered elements can then be
-covered by the part's remaining budget.  Most yes answers need no query.
-Each exact memo entry records the set whose branch reached its
-value, and the child it leads to is exact too, so following the records
-from the part gives a minimum cover without search.  The rebuild keeps
-such a completion, ``rest``, of the ids kept so far.  When every
-still-uncovered element that one set of ``rest`` alone covers lies in the
-candidate's set, the candidate takes that set's place: a yes.  Otherwise
-the engine is asked, and on a yes ``rest`` becomes the recorded cover of
-what is left.  Either way each answer is the query's, so the kept ids do not
-depend on which minimum cover the search happened to record; that cover is
-not itself lex-min, since a subsumed set is never branched on.
+Witness contract: the witness is a minimum cover, deterministic for a given
+input and search; among blues with equal red sets, the lowest id.  Each
+exact memo entry records the set whose branch reached its value, and the
+child it leads to is exact too, so following the records from a part gives
+a minimum cover of the part without further search, and the union of the
+parts' covers is a minimum cover of the whole.  Which minimum cover that is
+follows from the search, so a change to the layout, the order or the
+pruning may move the witness, but never the optimum.
 
 Only a blue's red neighbors count as its set: an edge between two blues or
 two reds dominates nothing, and a red with no blue neighbor makes the
@@ -64,7 +57,6 @@ instance infeasible.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -72,9 +64,9 @@ from .graph import RBGraph
 
 
 # The most memo entries, i.e. uncovered masks, one min_rbds call may hold.
-# The 26 x 26 grid kernel needs 146,497 and answers in about 2 s; the 28 x 28
-# one would need 497,014 and is refused after about 3.5 s, at a tracemalloc
-# peak of 39 MB.  The largest seed-7 benchmark kernel needs 619.
+# The 26 x 26 grid kernel needs 140,954 and answers in about 2 s; the 28 x 28
+# one would need 487,599 and is refused after about 3.2 s, at a tracemalloc
+# peak of 39 MB.  The largest seed-7 benchmark kernel needs 421.
 MAX_STATES = 200_000
 
 
@@ -107,7 +99,8 @@ def verify_solution(g: RBGraph, chosen) -> bool:
 
 def min_rbds(g: RBGraph) -> SolveOutcome:
     """Exact minimum number of blues needed to dominate all reds, with the
-    lexicographically smallest id set among the minimum solutions.
+    minimum cover the search recorded as witness; among blues with equal
+    red sets it holds the lowest id.
 
     Raises :class:`InstanceTooLargeError` when the search runs out of stack
     or needs more than :data:`MAX_STATES` memo states.
@@ -119,61 +112,19 @@ def min_rbds(g: RBGraph) -> SolveOutcome:
     if not g.red <= set().union(*family):
         return INFEASIBLE
     engine = _Cover(family)
-    # A set lies inside one part, and the parts are increasing bit runs, so
-    # the part of a set is the first one ending at or above its top bit.
-    ends = [part.bit_length() for part in engine.parts]
-    members: list[list] = [[] for _ in ends]
+    blue_of: dict[int, int] = {}
     for b, m in zip(blues, engine.masks):
-        if m:
-            members[bisect_left(ends, m.bit_length())].append((b, m))
+        blue_of.setdefault(m, b)
     size = 0
     chosen: list[int] = []
     try:
-        for part, sets in zip(engine.parts, members):
-            best = engine.solve(part, part.bit_count())
-            size += best
-            # Keep a blue when a minimum cover of the part extends the blues
-            # kept so far with it.  Asking over all the part's blues, not
-            # just the later ones, changes no answer: a completion through a
-            # skipped lower id would have kept that id at its turn.  ``rest``
-            # is such a completion of the blues kept so far; when the blue
-            # can replace one of its sets, the answer is yes without a query.
-            rest = engine.walk(part)
-            covered = kept = 0
-            for b, m in sets:
-                if not m & ~covered:
-                    continue
-                left = part & ~(covered | m)
-                i = _replaceable(rest, left)
-                if i >= 0:
-                    del rest[i]
-                else:
-                    need = best - kept - 1
-                    if engine.solve(left, need) > need:
-                        continue
-                    rest = engine.walk(left)
-                chosen.append(b)
-                covered |= m
-                kept += 1
-                if kept == best:
-                    break
+        for part in engine.parts:
+            size += engine.solve(part, part.bit_count())
+            chosen += map(blue_of.get, engine.walk(part))
     except RecursionError:
         raise InstanceTooLargeError(
             "instance too large for exact search: the search ran out of stack") from None
     return SolveOutcome(size, frozenset(chosen))
-
-
-def _replaceable(rest: list[int], left: int) -> int:
-    """Index of a set of ``rest`` whose elements in ``left`` all lie in
-    another set of ``rest``, or -1: dropped, it leaves ``left`` covered."""
-    once = twice = 0
-    for w in rest:
-        twice |= once & w
-        once |= w
-    for i, w in enumerate(rest):
-        if not w & left & ~twice:
-            return i
-    return -1
 
 
 class _Cover:

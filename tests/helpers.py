@@ -1,19 +1,24 @@
 """Independent oracles and corpus builders shared across the test suite.
 
 Everything here recomputes results straight from definitions (subset
-enumeration, all-pairs scans, naive driver loops) so library code is always
-checked against a second route.  The rule oracles read each rule's
-definition over every vertex or pair, and the naive reference driver
-(:func:`reference_kernelize`, with :func:`reduce_rules123` and
-:func:`is_reduced`) is built on them: of ``kernelizer`` it uses only
-``apply_rule``, ``sanitize`` and the tag constants, so it shares no search
-code with the driver it is compared with.
+enumeration, all-pairs scans, naive driver loops, HiGHS's integer program)
+so library code is always checked against a second route.  The rule
+oracles read each rule's definition over every vertex or pair, and the
+naive reference driver (:func:`reference_kernelize`, with
+:func:`reduce_rules123` and :func:`is_reduced`) is built on them: of
+``kernelizer`` it uses only ``apply_rule``, ``sanitize`` and the tag
+constants, so it shares no search code with the driver it is compared
+with.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+
+import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_array
 
 from rbkernel import planar, solver
 from rbkernel.formats import MAX_VERTICES, ParseError, _is_id
@@ -34,7 +39,7 @@ from rbkernel.kernelizer import (
 )
 
 
-# -- exhaustive solvers -------------------------------------------------------
+# -- independent exact solvers ------------------------------------------------
 
 
 def exhaustive_min_rbds(g: RBGraph):
@@ -48,6 +53,23 @@ def exhaustive_min_rbds(g: RBGraph):
             if all(g.adj[r] & chosen for r in reds):
                 return size, set(combo)
     return None
+
+
+def highs_min_rbds(g: RBGraph) -> set:
+    """A minimum set of blues dominating every red, from HiGHS
+    (``scipy.optimize.milp``), which shares no code with ``solver.py``."""
+    blues, reds = sorted(g.blue), sorted(g.red)
+    if not reds:
+        return set()
+    col = {b: j for j, b in enumerate(blues)}
+    rows, cols = zip(*[(i, col[b]) for i, r in enumerate(reds) for b in g.adj[r]])
+    cover = csr_array((np.ones(len(rows)), (rows, cols)), shape=(len(reds), len(blues)))
+    res = milp(np.ones(len(blues)), integrality=np.ones(len(blues)), bounds=Bounds(0, 1),
+               constraints=LinearConstraint(cover, lb=1), options={"mip_rel_gap": 0})
+    assert res.success, res.message
+    chosen = {b for b, x in zip(blues, res.x) if x > 0.5}
+    assert solver.verify_solution(g, chosen)
+    return chosen
 
 
 # -- queries over the library's solver ----------------------------------------------
@@ -68,32 +90,6 @@ def decide(g: RBGraph, k: int) -> bool:
         if used > k:
             return False
     return True
-
-
-def reference_min_rbds(g: RBGraph) -> solver.SolveOutcome:
-    """``min_rbds`` with the witness rebuilt by one bounded query per blue:
-    in ascending id order, a blue that covers a red not yet covered is kept
-    iff the reds it leaves uncovered fit in what the part's optimum leaves."""
-    blues = sorted(g.blue)
-    family = [g.adj[b] & g.red for b in blues]
-    if not g.red <= set().union(*family):
-        return solver.INFEASIBLE
-    engine = solver._Cover(family)
-    size = 0
-    chosen = []
-    for part in engine.parts:
-        best = engine.solve(part, part.bit_count())
-        size += best
-        covered = kept = 0
-        for b, m in zip(blues, engine.masks):
-            need = best - kept - 1
-            if m & part & ~covered and engine.solve(part & ~(covered | m), need) <= need:
-                chosen.append(b)
-                covered |= m
-                kept += 1
-                if kept == best:
-                    break
-    return solver.SolveOutcome(size, frozenset(chosen))
 
 
 # -- definitional rule oracles ---------------------------------------------------

@@ -25,7 +25,7 @@ def test_solve_small_hashes_match_recorded():
     # solver answers shows here; a change to how traces are written moves the
     # trace line alone.
     assert _hashes("solve-small") == ["fingerprint 3e396dedd725efcc", "records cf11a7be122a7927",
-                                      "trace 68fffa8a9acb7ace", "solve bf813472d1aca701", ""]
+                                      "trace 68fffa8a9acb7ace", "solve 5431294fbfa00240", ""]
 
 
 def test_size_verdict_hashes_match_recorded():

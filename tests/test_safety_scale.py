@@ -13,15 +13,14 @@ Rule order depends on vertex ids, so one class is also run with its ids
 permuted: the trace differs and the identity must still hold.  The R4-union
 class fires R4 cases 1 and 2 many times, which no benchmark workload does,
 and the stacked-triangulation face cover fires cases 1, 3 and 4 and keeps a
-non-empty kernel.
+non-empty kernel.  Delaunay n = 150 is the first size of its class where no
+rule fires, so its kernel is the whole input.
 """
 
 import random
 
 import numpy as np
 import pytest
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_array
 from scipy.spatial import Delaunay
 
 from rbkernel.generators import _stacked_triangulation, gen_grid, gen_random_planar
@@ -31,25 +30,10 @@ from rbkernel.planar import is_planar
 from rbkernel.solver import verify_solution
 from rbkernel.transforms import face_cover_to_rbds
 
+from helpers import highs_min_rbds
 from test_rules import rule4_case2_witness
 
 R4_UNION_COPIES = 100
-
-
-def highs_min_rbds(g: RBGraph) -> set:
-    """A minimum set of blues dominating every red, from HiGHS."""
-    blues, reds = sorted(g.blue), sorted(g.red)
-    if not reds:
-        return set()
-    col = {b: j for j, b in enumerate(blues)}
-    rows, cols = zip(*[(i, col[b]) for i, r in enumerate(reds) for b in g.adj[r]])
-    cover = csr_array((np.ones(len(rows)), (rows, cols)), shape=(len(reds), len(blues)))
-    res = milp(np.ones(len(blues)), integrality=np.ones(len(blues)), bounds=Bounds(0, 1),
-               constraints=LinearConstraint(cover, lb=1), options={"mip_rel_gap": 0})
-    assert res.success, res.message
-    chosen = {b for b, x in zip(blues, res.x) if x > 0.5}
-    assert verify_solution(g, chosen)
-    return chosen
 
 
 def r4_union() -> RBGraph:
@@ -92,6 +76,7 @@ CLASSES = {
     "r4-union-100": r4_union,
     "stacked-face-cover-3000": lambda: stacked_face_cover(3000, 11),
     "delaunay-100": lambda: delaunay_face_cover(100),
+    "delaunay-150": lambda: delaunay_face_cover(150),
     "grid-20x20": lambda: gen_grid(20, 20).graph,
     "delaunay-100-permuted": lambda: permuted(delaunay_face_cover(100), 7),
 }

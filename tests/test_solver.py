@@ -15,7 +15,7 @@ from helpers import (
     alternating_cycle,
     decide,
     exhaustive_min_rbds,
-    reference_min_rbds,
+    highs_min_rbds,
 )
 
 
@@ -84,6 +84,23 @@ def plain_components(masks, u):
     return comps
 
 
+def assert_minimum_cover(g, got, size):
+    """``got`` has the optimum ``size`` and a witness of that many blues
+    that ``verify_solution`` accepts."""
+    assert got.size == size
+    assert verify_solution(g, got.witness) and len(got.witness) == size
+
+
+def assert_matches_exhaustive(g):
+    expected = exhaustive_min_rbds(g)
+    got = min_rbds(g)
+    if expected is None:
+        assert not got.feasible
+    else:
+        assert_minimum_cover(g, got, expected[0])
+    return expected
+
+
 def star(n_reds=3):
     g = RBGraph.from_parts([1], range(2, 2 + n_reds))
     for r in range(2, 2 + n_reds):
@@ -127,35 +144,22 @@ class TestMinRbds:
         out = min_rbds(g)
         assert not out.feasible
 
-    def test_witness_is_lex_min(self):
-        # {3} and {1, 2} both dominate; min size picks {3}.
-        g = RBGraph.from_parts([1, 2, 3], [4, 5],
-                               [(1, 4), (2, 5), (3, 4), (3, 5)])
-        assert min_rbds(g).witness == frozenset({3})
+    def test_equal_red_sets_give_the_lowest_id(self):
         # Equal neighborhoods: the smaller id wins.
         g2 = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
         assert min_rbds(g2).witness == frozenset({1})
+        # In every part: blues 2 and 4 see reds {5, 6}, blues 1 and 3 red 7.
+        g = RBGraph.from_parts([4, 3, 2, 1], [5, 6, 7],
+                               [(4, 5), (4, 6), (2, 5), (2, 6), (3, 7), (1, 7)])
+        assert min_rbds(g).witness == frozenset({1, 2})
 
     def test_matches_exhaustive_on_classes(self, classes6):
         for g in classes6:
-            expected = exhaustive_min_rbds(g)
-            got = min_rbds(g)
-            if expected is None:
-                assert not got.feasible
-            else:
-                assert got.size == expected[0]
-                assert set(got.witness) == expected[1]
-                assert verify_solution(g, got.witness)
+            assert_matches_exhaustive(g)
 
     def test_matches_exhaustive_on_random(self, random_graphs_300):
         for g in random_graphs_300:
-            expected = exhaustive_min_rbds(g)
-            got = min_rbds(g)
-            if expected is None:
-                assert not got.feasible
-            else:
-                assert (got.size, set(got.witness)) == expected
-                assert verify_solution(g, got.witness)
+            assert_matches_exhaustive(g)
 
     def test_matches_exhaustive_sixteen_blues(self):
         rng = random.Random(1234)
@@ -165,24 +169,14 @@ class TestMinRbds:
                 for r in range(17, 29):
                     if rng.random() < 0.2:
                         g.add_edge(b, r)
-            expected = exhaustive_min_rbds(g)
-            got = min_rbds(g)
-            if expected is None:
-                assert not got.feasible
-            else:
-                assert (got.size, set(got.witness)) == expected
+            assert_matches_exhaustive(g)
 
     @given(unions())
     @settings(max_examples=200, deadline=None)
     def test_matches_exhaustive_on_unions(self, g):
-        # Components are solved separately; the witness must still be the
-        # lex-min one over the whole graph.
-        expected = exhaustive_min_rbds(g)
-        got = min_rbds(g)
-        if expected is None:
-            assert not got.feasible
-        else:
-            assert (got.size, set(got.witness)) == expected
+        # Components are solved separately; their covers must still join
+        # into a minimum cover of the whole graph.
+        assert_matches_exhaustive(g)
 
     @given(cycle_unions())
     # One frame per chosen blue: 600 frames fit the recursion limit.
@@ -211,25 +205,23 @@ class TestMinRbds:
             ids = range(1, nb + nr + 1)
             edges = [(u, v) for u in ids for v in ids if u < v and rng.random() < 0.3]
             g = RBGraph.from_parts(range(1, nb + 1), range(nb + 1, nb + nr + 1), edges)
-            expected = exhaustive_min_rbds(g)
-            got = min_rbds(g)
+            expected = assert_matches_exhaustive(g)
             if expected is None:
-                assert not got.feasible and not decide(g, nb)
+                assert not decide(g, nb)
             else:
-                assert (got.size, set(got.witness)) == expected
-                assert verify_solution(g, got.witness)
                 assert decide(g, expected[0]) and not decide(g, expected[0] - 1)
 
     def test_lower_bound_not_taken_as_optimum(self):
-        # A search that fails under a small limit leaves a lower bound in
-        # the memo; read back as an exact value it makes the witness
-        # rebuild here keep {1, 3}, which leaves reds undominated.
+        # On this graph a witness built from queries under small limits,
+        # with a lower bound left in the memo read back as exact, kept
+        # blues that leave reds undominated.  The memo rule itself is
+        # checked by test_bounded_queries_leave_only_exact_entries_recording_a_set.
         edges = [(1, 15), (3, 16), (3, 20), (4, 19), (5, 15), (5, 22), (6, 19), (7, 17),
                  (8, 17), (8, 21), (9, 18), (9, 22), (10, 16), (10, 17), (10, 18), (10, 19),
                  (11, 21), (12, 16), (12, 21), (13, 20), (13, 22), (14, 18)]
         g = RBGraph.from_parts(range(1, 15), range(15, 23), edges)
-        out = min_rbds(g)
-        assert (out.size, set(out.witness)) == exhaustive_min_rbds(g) == (4, {1, 8, 10, 13})
+        assert exhaustive_min_rbds(g)[0] == 4
+        assert_minimum_cover(g, min_rbds(g), 4)
 
     def test_too_deep_is_too_large(self):
         # The search recurses once per chosen blue; an alternating cycle
@@ -256,7 +248,7 @@ class TestMinRbds:
             min_rbds(alternating_cycle(2400))
 
     def test_state_budget_is_too_large(self, monkeypatch):
-        # The 6 x 30 grid kernel leaves 619 memo states.
+        # The 6 x 30 grid kernel leaves 421 memo states.
         g = kernelize(gen_grid(6, 30)).instance.graph
         monkeypatch.setattr(solver, "MAX_STATES", 100)
         with pytest.raises(InstanceTooLargeError, match="MAX_STATES = 100 "):
@@ -345,16 +337,18 @@ def plane_grid_face_cover(rows, cols):
 
 
 class TestGoldenKernels:
-    # (size, sorted witness) of min_rbds on each kernel: a change to how the
-    # search walks, prunes or orders its nodes must not change an answer.
+    # (size, sorted witness) of min_rbds on each kernel.  The sizes are what
+    # a change to how the search walks, prunes or orders its nodes must not
+    # move; the witnesses are the covers the present search records, and
+    # such a change may move them.
     GOLDEN = {
-        ("grid", 10, 14): (21, [2, 3, 5, 13, 14, 15, 18, 23, 26, 35, 36, 38, 39, 48, 51, 56,
-                                57, 60, 61, 65, 69]),
-        ("grid", 13, 13): (24, [2, 4, 6, 14, 16, 18, 20, 28, 30, 32, 40, 42, 44, 46, 54, 56,
-                                58, 66, 68, 70, 72, 80, 82, 84]),
-        ("grid", 6, 30): (27, [2, 3, 5, 7, 10, 12, 14, 23, 30, 31, 34, 36, 41, 43, 44, 47,
-                               52, 54, 65, 72, 75, 76, 78, 81, 83, 85, 88]),
-        ("face-cover-grid", 6, 9): (9, [1, 10, 12, 14, 16, 26, 28, 30, 32]),
+        ("grid", 10, 14): (21, [2, 5, 10, 13, 14, 15, 23, 25, 26, 35, 36, 38, 47, 48, 51, 56,
+                                57, 60, 63, 65, 68]),
+        ("grid", 13, 13): (24, [2, 5, 10, 13, 14, 18, 22, 30, 32, 33, 34, 42, 44, 47, 52, 56,
+                                61, 64, 66, 72, 75, 76, 80, 84]),
+        ("grid", 6, 30): (27, [2, 5, 7, 10, 12, 14, 18, 23, 30, 31, 36, 41, 43, 44, 47, 49,
+                               52, 54, 67, 72, 75, 76, 78, 80, 83, 85, 88]),
+        ("face-cover-grid", 6, 9): (9, [1, 11, 13, 14, 16, 27, 29, 30, 32]),
     }
 
     @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -367,28 +361,27 @@ class TestGoldenKernels:
         assert verify_solution(kernel, out.witness)
 
 
-def assert_same_as_reference(g):
-    assert min_rbds(g) == reference_min_rbds(g)
+def assert_optimum_matches_highs(g):
+    assert_minimum_cover(g, min_rbds(g), len(highs_min_rbds(g)))
 
 
-class TestWitnessRebuild:
-    # min_rbds rebuilds its witness from the search's recorded cover and asks
-    # the engine only when no set of that cover can give way to the blue;
-    # reference_min_rbds asks once per blue.  Their witnesses must agree on
-    # kernels far beyond the reach of exhaustive_min_rbds.
+class TestRecordedWitness:
+    # min_rbds returns the cover the search recorded.  On kernels far beyond
+    # the reach of exhaustive_min_rbds its size must be HiGHS's optimum, and
+    # the witness a verified cover of that many blues.
 
-    def test_recorded_walk_is_a_minimum_cover_but_not_the_witness(self):
+    def test_witness_is_the_recorded_walk(self):
         # Blues 1 = {y, z}, 2 = {x}, 3 = {x, y}, 4 = {z}, with x = 5 the
         # first bit.  The search branches on x over {x, y} alone, since {x}
-        # is subsumed, so the recorded cover is that of 1 and 3; the
-        # lex-min minimum cover is {1, 2}.
+        # is subsumed, so the recorded cover is that of 1 and 3, and so is
+        # the witness; {1, 2} is a minimum cover too.
         g = RBGraph.from_parts([1, 2, 3, 4], [5, 6, 7],
                                [(1, 6), (1, 7), (2, 5), (3, 5), (3, 6), (4, 7)])
         engine = solver._Cover(blue_family(g))
         (part,) = engine.parts
         assert engine.solve(part, part.bit_count()) == 2
         assert sorted(engine.walk(part)) == sorted(engine.masks[i] for i in (0, 2))
-        assert min_rbds(g).witness == frozenset({1, 2})
+        assert min_rbds(g).witness == frozenset({1, 3})
 
     @given(st.one_of(unions().map(blue_family), sparse_families))
     @settings(max_examples=200, deadline=None)
@@ -404,30 +397,54 @@ class TestWitnessRebuild:
                 union |= m
             assert union == part
 
+    @given(st.one_of(unions().map(blue_family), sparse_families))
+    @example([{4, 5}, {4, 6}, {5, 6}])
+    @settings(max_examples=200, deadline=None)
+    def test_bounded_queries_leave_only_exact_entries_recording_a_set(self, family):
+        # Queries under every limit short of a part's size leave lower
+        # bounds in the memo.  An entry that records a set must still be
+        # exact: the sets recorded from it on cover its mask, as many as
+        # its value.  A bound that kept its branch's set would be walked as
+        # if it were exact.
+        engine = solver._Cover(family)
+        for part in engine.parts:
+            for limit in range(part.bit_count()):
+                engine.solve(part, limit)
+        for u, (value, choice) in engine.memo.items():
+            if choice:
+                steps = 0
+                while u and engine.memo[u][1]:
+                    u &= ~engine.memo[u][1]
+                    steps += 1
+                assert (u, steps) == (0, value)
+
     @pytest.mark.parametrize("rows, cols", [(r, r) for r in range(4, 15)]
                              + [(r, 2 * r + 3) for r in range(3, 10)] + [(6, 60)])
     def test_grid_kernels(self, rows, cols):
-        assert_same_as_reference(kernelize(gen_grid(rows, cols)).instance.graph)
+        assert_optimum_matches_highs(kernelize(gen_grid(rows, cols)).instance.graph)
 
     @pytest.mark.parametrize("rows, cols", [(5, 7), (6, 9), (7, 7), (8, 10), (6, 20), (10, 10)])
     def test_face_cover_grids(self, rows, cols):
         inst = plane_grid_face_cover(rows, cols)
-        assert_same_as_reference(inst.graph)
-        assert_same_as_reference(kernelize(inst).instance.graph)
+        assert_optimum_matches_highs(inst.graph)
+        assert_optimum_matches_highs(kernelize(inst).instance.graph)
 
     def test_random_planar(self):
         # Their kernels at k = |B| come out empty, so the graphs themselves
-        # are compared too.
+        # are solved too.
         for n in (40, 80, 160, 300):
             for seed in range(1, 6):
                 inst = gen_random_planar(n, 0.3 + 0.15 * (seed % 5), seed)
-                assert_same_as_reference(inst.graph)
-                assert_same_as_reference(kernelize(inst).instance.graph)
+                assert_optimum_matches_highs(inst.graph)
+                assert_optimum_matches_highs(kernelize(inst).instance.graph)
 
     @given(unions())
     @settings(max_examples=200, deadline=None)
-    def test_unions(self, g):
-        assert_same_as_reference(g)
+    def test_witness_depends_only_on_the_input(self, g):
+        # The same graph built with its edges in reverse order, each one
+        # turned around, gets the same answer.
+        again = RBGraph.from_parts(g.blue, g.red, [(v, u) for u, v in reversed(g.edges())])
+        assert min_rbds(again) == min_rbds(g)
 
 
 class TestDecide:
