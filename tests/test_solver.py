@@ -405,7 +405,8 @@ class TestRecordedWitness:
         # bounds in the memo.  An entry that records a set must still be
         # exact: the sets recorded from it on cover its mask, as many as
         # its value.  A bound that kept its branch's set would be walked as
-        # if it were exact.
+        # if it were exact.  The walk stops at an entry without a set, where
+        # engine.walk would loop.
         engine = solver._Cover(family)
         for part in engine.parts:
             for limit in range(part.bit_count()):
