@@ -16,7 +16,8 @@ kernelize/solve/lift pipeline relies on this).  The writer refuses with
 ``ValueError`` whatever the reader would refuse or misread.  Lines end
 where ``str.splitlines`` ends them.  The instance reader takes each run of
 well-formed edge lines in bulk, and every other line on its own, with the
-same checks and messages either way.
+same checks and messages either way; so does the trace reader with runs of
+well-formed record lines.
 
 Trace files hold a fingerprint of the instance they were cut from and
 one record per rule application, in order::
@@ -347,9 +348,45 @@ _RECORD = re.compile(r"r\s+(\S+)\s+k_delta=(-?%s)\s+witness=(%s)(?:\s+added=(%s)
 _FINGERPRINT = re.compile(r"c\s+fingerprint\s+v=(%s)\s+e=(%s)\s+sha=([0-9a-f]{16})" % (_ID, _ID))
 
 
+def _tagged(n: int) -> str:
+    """The tag and fields of a record whose tag takes a witness of n ids."""
+    tags = [t for t, size in WITNESS_LEN.items() if size == n and t != R4_CASE[2]]
+    return r"(?:%s)[ \t]+k_delta=-?%s[ \t]+witness=\(%s\)" % (
+        "|".join(map(re.escape, tags)), _ID, ",".join([_ID] * n))
+
+
+# Runs of up to _RUN_LINES record lines that the line-by-line checks accept
+# as they stand, as _EDGE_RUN is for edge lines: each tag with a witness of
+# its length, fields apart by blanks and tabs, each line ended by "\n" or
+# "\r\n".  R4 case 2 records, which end in added=, are read line by line.
+_RECORD_RUN = re.compile(r"(?:[ \t]*r[ \t]+(?:%s)[ \t]*\r?\n){1,%d}"
+                         % ("|".join(map(_tagged, sorted(set(WITNESS_LEN.values())))),
+                            _RUN_LINES))
+_RUN_FIELDS = re.compile(r"r[ \t]+(\S+)[ \t]+k_delta=(\S+)[ \t]+witness=\(([^)]*)\)")
+
+
 def parse_trace(text: str) -> KernelTrace:
+    """Read a trace in one pass over the text.  A run of well-formed record
+    lines without ``added=`` is read in bulk, one match and one ``findall``;
+    every other line is read on its own, so each error names its line."""
     trace = KernelTrace()
-    for i, line in _tokens(text):
+    records = trace.records
+    pos = i = 0  # where the next line starts, and the number of the last line read
+    while pos < len(text):
+        run = _RECORD_RUN.match(text, pos)
+        if run is not None:
+            found = _RUN_FIELDS.findall(run[0])
+            records += [RuleApplication(tag, tuple(map(int, ids.split(","))), int(delta), None)
+                        for tag, delta, ids in found]
+            i += len(found)
+            pos = run.end()
+            continue
+        m = _LINE.match(text, pos)
+        pos = m.end()
+        i += 1
+        line = m[1].strip()
+        if not line:
+            continue
         m = _RECORD.fullmatch(line)
         if m is None:
             parts = line.split(None, 2)
@@ -378,7 +415,7 @@ def parse_trace(text: str) -> KernelTrace:
                              % (tag, size, len(witness)))
         if (added is None) == (tag == R4_CASE[2]):
             raise ParseError(i, "%s records and no others end with 'added=<id>'" % R4_CASE[2])
-        trace.records.append(RuleApplication(
+        records.append(RuleApplication(
             tag, witness, int(delta), None if added is None else int(added)))
     return trace
 

@@ -21,7 +21,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 
 from rbkernel import planar, solver
-from rbkernel.formats import MAX_VERTICES, ParseError, _is_id
+from rbkernel.formats import _FINGERPRINT, _RECORD, MAX_VERTICES, ParseError, _is_id
 from rbkernel.generators import _layout, _stacked_triangulation
 from rbkernel.graph import BLUE, RED, GraphError, Instance, RBGraph
 from rbkernel.kernelizer import (
@@ -33,7 +33,11 @@ from rbkernel.kernelizer import (
     R3,
     R4_CASE,
     SAN_NO,
+    WITNESS_LEN,
+    Fingerprint,
+    KernelTrace,
     Match,
+    RuleApplication,
     apply_rule,
     sanitize,
 )
@@ -460,7 +464,7 @@ def format_plane(pg) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- reference instance reader and writer --------------------------------------------
+# -- reference instance and trace readers, instance writer ---------------------------
 
 
 def reference_parse_instance(text: str) -> Instance:
@@ -534,6 +538,47 @@ def reference_parse_instance(text: str) -> Instance:
     if origid:
         meta["origid"] = origid
     return Instance(g, header[2], meta)
+
+
+def reference_parse_trace(text: str) -> KernelTrace:
+    """The trace reader written line by line: every line of
+    ``text.splitlines()`` is stripped and matched on its own."""
+    trace = KernelTrace()
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        m = _RECORD.fullmatch(line)
+        if m is None:
+            parts = line.split(None, 2)
+            if parts[0] != "c":
+                if "removed=" in line or "added=[" in line:
+                    raise ParseError(i, "a record of the old trace format: records no longer "
+                                        "list removed=[..] and added=[..]; kernelize the "
+                                        "instance again to write this format")
+                raise ParseError(i, "expected 'r <tag> k_delta=.. witness=(..)', "
+                                    "then 'added=<id>' for %s" % R4_CASE[2])
+            if len(parts) > 1 and parts[1] == "fingerprint":
+                fp = _FINGERPRINT.fullmatch(line)
+                if fp is None:
+                    raise ParseError(i, "expected 'c fingerprint v=<n> e=<m> sha=<16 hex digits>'")
+                if trace.fingerprint is not None:
+                    raise ParseError(i, "second 'c fingerprint' line")
+                trace.fingerprint = Fingerprint(int(fp[1]), int(fp[2]), fp[3])
+            continue
+        tag, delta, ids, added = m.groups()
+        size = WITNESS_LEN.get(tag)
+        if size is None:
+            raise ParseError(i, "unknown rule tag %r" % tag)
+        witness = tuple(map(int, ids[1:-1].split(","))) if len(ids) > 2 else ()
+        if len(witness) != size:
+            raise ParseError(i, "%s needs a witness of %d vertices, got %d"
+                             % (tag, size, len(witness)))
+        if (added is None) == (tag == R4_CASE[2]):
+            raise ParseError(i, "%s records and no others end with 'added=<id>'" % R4_CASE[2])
+        trace.records.append(RuleApplication(
+            tag, witness, int(delta), None if added is None else int(added)))
+    return trace
 
 
 def reference_format_instance(inst: Instance, comments=()) -> str:

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from rbkernel import formats
 from rbkernel.generators import gen_grid, gen_matching, gen_random_planar
 from rbkernel.graph import GraphError, Instance, RBGraph
-from rbkernel.kernelizer import RULE_TAGS, KernelTrace, kernelize, lift_solution
+from rbkernel.kernelizer import (R4_CASE, RULE_TAGS, WITNESS_LEN, KernelTrace, kernelize,
+                                 lift_solution)
 from rbkernel.planar import is_planar
 
-from helpers import format_plane, reference_format_instance, reference_parse_instance
+from helpers import (format_plane, reference_format_instance, reference_parse_instance,
+                     reference_parse_trace)
 
 # More digits than int() converts from text.
 LONG_ID = "1" * 5000
@@ -605,6 +607,130 @@ class TestTraceFormat:
         with pytest.raises(formats.ParseError) as err:
             formats.parse_trace("r\tR1\tk_delta=0\twitness=(1,2)\n" + line + "\n")
         assert err.value.line_no == 2 + line.count("\n")
+
+
+def assert_trace_reads_as_reference(text):
+    """``parse_trace`` returns the records and fingerprint that the
+    line-by-line reference reader returns, or raises its error."""
+    try:
+        want = reference_parse_trace(text)
+    except formats.ParseError as err:
+        with pytest.raises(formats.ParseError) as got:
+            formats.parse_trace(text)
+        assert (str(got.value), got.value.line_no) == (str(err), err.line_no)
+        return
+    got = formats.parse_trace(text)
+    assert (got.records, got.fingerprint) == (want.records, want.fingerprint)
+
+
+_FINGERPRINT_LINE = "c fingerprint v=4 e=3 sha=0123456789abcdef"
+
+
+def _record_line(tag, delta, ids, added=None, sep="\t"):
+    fields = ["r", tag, "k_delta=" + delta, "witness=(%s)" % ",".join(ids)]
+    return sep.join(fields + ([] if added is None else ["added=" + added]))
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace files: records of every tag with witnesses of its length, R4
+    case 2 with ``added=<id>``, ``k_delta=-0`` and 18-digit ids, blanks and
+    tabs around and between fields, blank lines, comments and fingerprint
+    lines between records, every line end str.splitlines knows, maybe no
+    final line end, and at most one corrupted line at a random position."""
+    ids = st.one_of(st.integers(0, 99).map(str), st.just("9" * 18), st.just("0" * 18))
+
+    def pad(line):
+        pads = st.sampled_from(["", " ", "\t", " \t "])
+        return draw(pads) + line + draw(pads)
+
+    def record(tag, n=None, added=None):
+        n = WITNESS_LEN[tag] if n is None else n
+        if added is None and tag == R4_CASE[2]:
+            added = draw(ids)
+        return pad(_record_line(tag, draw(st.sampled_from(["0", "-0", "-1", "-2", "3"])),
+                                [draw(ids) for _ in range(n)], added,
+                                draw(st.sampled_from([" ", "\t", "  ", " \t"]))))
+
+    lines = [record(tag) for tag in draw(st.lists(st.sampled_from(RULE_TAGS), max_size=12))]
+    extras = st.one_of(st.just(""), st.sampled_from([" ", "\t", "c", "c free text", "c r R1",
+                                                     _FINGERPRINT_LINE]))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), pad(draw(extras)))
+    if draw(st.booleans()):
+        lines.insert(0, _FINGERPRINT_LINE)
+    corrupt = draw(st.none() | st.sampled_from(["long", "size", "added", "no-added", "tag", "old",
+                                                "digit", "delta"]))
+    if corrupt is not None:
+        tag = draw(st.sampled_from(RULE_TAGS))
+        n = WITNESS_LEN[tag]
+        bad = {"long": lambda: _record_line(tag, "0", ["1" * 19] + ["1"] * (n - 1)),
+               "size": lambda: record(tag, n=draw(st.sampled_from([0, 1, 2, 3]))),
+               "added": lambda: record(tag, added=draw(st.sampled_from(["5", ""]))),
+               "no-added": lambda: _record_line(R4_CASE[2], "0", ["1", "2"]),
+               "tag": lambda: _record_line("R9", "0", ["1"]),
+               "old": lambda: _record_line(tag, "0", ["1"] * n, "[5:(1,2)]"),
+               "digit": lambda: _record_line(tag, "0", ["\u0661"] * n),
+               "delta": lambda: _record_line(tag, draw(st.sampled_from(["+1", "--1", ""])),
+                                             ["1"] * n)}[corrupt]()
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    ends = st.sampled_from(["\n"] * len(_LINE_ENDS) + _LINE_ENDS)
+    text = "".join(line + draw(ends) for line in lines)
+    if text and draw(st.booleans()):
+        text = text[:-2] if text.endswith("\r\n") else text[:-1]
+    return text
+
+
+class TestTraceReaderMatchesReference:
+    @given(trace_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_same_trace_or_same_error(self, text):
+        assert_trace_reads_as_reference(text)
+
+    @given(st.text(alphabet="rR1 3k_delta=witness(),-0\n\r\t\u0661\x0b\x85"))
+    @settings(max_examples=300, deadline=None)
+    def test_same_on_raw_text(self, text):
+        assert_trace_reads_as_reference("r R1 k_delta=0 witness=(1,2)\n" + text)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("bad", [
+        None, "r R1 k_delta=0 witness=(1)", "r R1 k_delta=0 witness=(1,%s)" % ("1" * 19),
+        "r R4-case2 k_delta=0 witness=(1,2) added=", "r R4-case2 k_delta=0 witness=(1,2)",
+        "r R3 k_delta=-1 witness=(7) added=5",
+        "r R2 k_delta=0 witness=(1,2) removed=[1:r]", _FINGERPRINT_LINE])
+    @pytest.mark.parametrize("at", [0, 1, formats._RUN_LINES - 1, formats._RUN_LINES,
+                                    formats._RUN_LINES + 1, 2 * formats._RUN_LINES + 5])
+    def test_runs_longer_than_the_cap(self, end, bad, at):
+        # Record runs past the cap are read a capped run at a time; a bad
+        # line, or a second fingerprint, anywhere in them is reported on its
+        # own line, and a case-2 record between them is read on its own.
+        lines = [_FINGERPRINT_LINE]
+        for i in range(1, 700):
+            tag = RULE_TAGS[i % 3] if i % 100 else R4_CASE[2]
+            lines.append(_record_line(tag, str(-(i % 3)),
+                                      [str(i + j) for j in range(WITNESS_LEN[tag])],
+                                      str(i) if tag == R4_CASE[2] else None))
+        if bad is not None:
+            lines.insert(1 + at, bad)
+        assert_trace_reads_as_reference(end.join(lines) + end)
+
+    def test_crlf_and_tab_lines_are_read_in_runs(self):
+        text = ("r\tR1\tk_delta=0\twitness=(1,2)\r\n r R3 k_delta=-1 witness=(3) \r\n"
+                "r\tR4-case2\tk_delta=0\twitness=(1,2)\tadded=5\n")
+        assert formats._RECORD_RUN.match(text).end() == text.index("r\tR4-case2")
+
+    def test_long_trace_is_read_in_runs(self):
+        # Every record line after the fingerprint is read in bulk, a capped
+        # run at a time.
+        trace = kernelize(gen_random_planar(1000, 0.7, 0)).trace
+        assert len(trace.records) > 2 * formats._RUN_LINES
+        assert R4_CASE[2] not in {rec.tag for rec in trace.records}
+        text = formats.format_trace(trace)
+        pos, runs = text.index("\n") + 1, 0
+        while pos < len(text):
+            pos = formats._RECORD_RUN.match(text, pos).end()
+            runs += 1
+        assert runs == -(-len(trace.records) // formats._RUN_LINES)
 
 
 class TestParserHygiene:

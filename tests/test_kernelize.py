@@ -23,7 +23,8 @@ from rbkernel.kernelizer import (
     KernelTrace,
     Match,
     RuleApplication,
-    _containments,
+    _by_container,
+    _least_container,
     _r3_at,
     _r3_seed,
     apply_rule,
@@ -440,16 +441,13 @@ def sanitized_graphs(draw):
     return g
 
 
-def _r2_containers(g):
-    return {x for xs in _containments(g, g.red).values() for x in xs}
-
-
 # Per rule: where it applies at one vertex, the set of vertices its sweep
 # fires at or takes, the color it looks at.  R1 and R2 fire where the scan
 # over every blue and every red at start-up finds a containment; R3 takes the
 # same set each round.
-SEEDS = {R1: (oracle_rule1_at, lambda g: _containments(g, g.blue), BLUE),
-         R2: (oracle_rule2_at, _r2_containers, RED),
+SEEDS = {R1: (oracle_rule1_at,
+              lambda g: [b for b in g.blue if _least_container(g.adj, b) is not None], BLUE),
+         R2: (oracle_rule2_at, lambda g: _by_container(g, g.red), RED),
          R3: (_r3_at, _r3_seed, BLUE)}
 
 
@@ -484,13 +482,10 @@ class TestR2LeastWitness:
     @staticmethod
     def check(g):
         adj = g.adj
-        contained = {r: [] for r in g.red}
-        for r2, xs in _containments(g, g.red).items():
-            for x in xs:
-                contained[x].append(r2)
+        contained = _by_container(g, g.red)
         for r in g.red:
             least = min((x for x in g.red if x != r and adj[x] <= adj[r]), default=None)
-            assert min(contained[r], default=None) == least
+            assert min(contained.get(r, []), default=None) == least
 
     @given(g=sanitized_graphs())
     # Red 12's candidates 3 and 9 both lie within N(12), and a set of small
@@ -562,6 +557,16 @@ class TestReferenceEquivalence:
         assert g.add_red_vertex({1, 2, 5}) == 12
         fired = [(rec.tag, rec.witness) for rec in self.check(g, len(g.blue)).trace.records]
         assert fired.index(("R4-case2", (1, 2))) < fired.index((R2, (12, 13)))
+
+    def test_r1_rescans_a_blue_whose_least_container_died(self):
+        # With reds a, b, c = 4, 5, 6: N(1) = {a, b}, N(2) = {a} and
+        # N(3) = {a, b, c}.  The scan finds 2's least container 1, which R1
+        # removes first, so at 2's turn the witness is 3, found by a rescan.
+        g = RBGraph.from_parts([1, 2, 3], [4, 5, 6], [(1, 4), (1, 5), (2, 4), (3, 4), (3, 5),
+                                                      (3, 6)])
+        assert _least_container(g.adj, 2) == 1
+        records = self.check(g, 1).trace.records
+        assert [(rec.tag, rec.witness) for rec in records[:2]] == [(R1, (1, 3)), (R1, (2, 3))]
 
     def test_pair_rule_enabled_at_distance_three(self):
         # R4 case 1 on (3, 9) deletes red 15, after which blue 8 has

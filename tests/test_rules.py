@@ -13,7 +13,8 @@ from rbkernel.kernelizer import (
     R4_CASE,
     SAN_BLUE,
     RuleApplication,
-    _containments,
+    _by_container,
+    _least_container,
     _pair_private,
     _r3_at,
     _r4_case,
@@ -76,6 +77,27 @@ def tight_cap_witness():
          (4, 9), (4, 10), (5, 8), (5, 10), (6, 8), (6, 9)])
 
 
+def cap_passed_at_last_blue_witness():
+    # The largest blue degree is 3.  Red 14 has N = {3, 4, 7}, whose reds
+    # are {11, 13, 14}, {8, 12, 14} and {9, 10, 14}: any two of them make
+    # five, within 2 * 3, and all three make seven, so U(14) passes the cap
+    # only at its last blue.  R4 case 1 fires on (4, 6) with reds 9 and 12.
+    return RBGraph.from_parts(
+        range(1, 8), range(8, 15),
+        [(1, 8), (1, 10), (1, 13), (2, 8), (2, 10), (2, 11), (3, 11), (3, 13), (3, 14),
+         (4, 8), (4, 12), (4, 14), (5, 9), (5, 12), (6, 9), (6, 10), (6, 11), (7, 9),
+         (7, 10), (7, 14)])
+
+
+def cap_reached_at_last_blue_witness():
+    # Every blue has degree 2.  Red 7 has N = {1, 2, 5}: any two of them see
+    # three reds and all three see four, so U(7) ends at exactly 2 * 2, and
+    # red 7 is private to (1, 4) and (3, 5), which count all four reds.
+    return RBGraph.from_parts(
+        range(1, 6), range(6, 10),
+        [(1, 7), (1, 9), (2, 7), (2, 8), (3, 8), (3, 9), (4, 6), (4, 8), (5, 6), (5, 7)])
+
+
 # Twelve interior reds have |U(r)| = 9 > 2 * max blue degree; blue 23 sits
 # next to them and P(2, 11) holds two reds.
 REDUCED_GRID = reduce_rules123(gen_grid(10, 10).graph)
@@ -115,15 +137,12 @@ def dense_reduced_graphs(draw):
     return g
 
 
-def scanned_pairs(g, side):
-    """The containment scan over every vertex of ``side`` as (contained,
-    container) pairs, checked against brute force over all pairs of it."""
+def contained_pairs(g, side):
+    """Every (contained, container) pair of vertices of ``side``, by brute
+    force over all pairs of it."""
     adj = g.adj
-    found = sorted((v, x) for v, xs in _containments(g, side).items() for x in xs)
-    want = [(v, x) for v in sorted(side) for x in sorted(side)
+    return [(v, x) for v in sorted(side) for x in sorted(side)
             if v != x and adj[v] and adj[v] <= adj[x]]
-    assert found == want, (found, want)
-    return found
 
 
 def least_witness(pairs) -> dict:
@@ -135,10 +154,11 @@ def least_witness(pairs) -> dict:
 
 
 def r1_matches(g):
-    """R1 from the scan over every blue, each contained blue with its least
-    container, checked against the oracle at every blue; the matches in
-    ascending order."""
-    least = least_witness(scanned_pairs(g, g.blue))
+    """R1 from the scan of every blue, each contained blue with its least
+    container, checked against brute force over all pairs of blues and
+    against the oracle at every blue; the matches in ascending order."""
+    least = {b: x for b in g.blue if (x := _least_container(g.adj, b)) is not None}
+    assert least == least_witness(contained_pairs(g, g.blue))
     found = [(Match(R1, (b, least[b])) if b in least else None, oracle_rule1_at(g, b))
              for b in sorted(g.blue)]
     assert all(got == want for got, want in found), found
@@ -147,8 +167,14 @@ def r1_matches(g):
 
 def r2_matches(g):
     """R2 from the scan over every red, each containing red with its least
-    contained red, checked against the oracle at every red."""
-    least = least_witness((x, r2) for r2, x in scanned_pairs(g, g.red))
+    contained red, the scan checked against brute force over all pairs of
+    reds and the matches against the oracle at every red."""
+    scanned = _by_container(g, g.red)
+    want = {}
+    for r2, x in contained_pairs(g, g.red):
+        want.setdefault(x, []).append(r2)
+    assert {x: sorted(r2s) for x, r2s in scanned.items()} == want, (scanned, want)
+    least = {x: min(r2s) for x, r2s in scanned.items()}
     found = [(Match(R2, (r, least[r])) if r in least else None, oracle_rule2_at(g, r))
              for r in sorted(g.red)]
     assert all(got == want for got, want in found), found
@@ -208,10 +234,11 @@ class TestContainmentScan:
         # N(4) and N(6) are empty, so within every neighborhood, but an
         # isolated vertex is neither R1's removed blue nor R2's witness.
         g = RBGraph.from_parts([1, 5, 6], [2, 3, 4], [(1, 2), (1, 3), (5, 3)])
-        assert _containments(g, [2, 4]) == {2: [3]}
-        assert _containments(g, [4, 2]) == {2: [3]}
-        assert _containments(g, [4, 6, 99]) == {}
-        assert _containments(g, g.blue) == {5: [1]}
+        assert _by_container(g, [2, 4]) == {3: [2]}
+        assert _by_container(g, [4, 2]) == {3: [2]}
+        assert _by_container(g, [4, 6, 99]) == {}
+        assert {v: _least_container(g.adj, v) for v in [1, 5, 6, 4, 99]} == {
+            1: None, 5: 1, 6: None, 4: None, 99: None}
 
 
 class TestRule2:
@@ -303,6 +330,8 @@ class TestRule4:
     @example(rule4_case3_witness())
     @example(far_private_red_witness())
     @example(tight_cap_witness())
+    @example(cap_passed_at_last_blue_witness())
+    @example(cap_reached_at_last_blue_witness())
     @example(REDUCED_GRID)
     @settings(max_examples=300, deadline=None)
     def test_pair_counting_matches_brute_force(self, g):
