@@ -706,7 +706,7 @@ class TestTraceReaderMatchesReference:
         # own line, and a case-2 record between them is read on its own.
         lines = [_FINGERPRINT_LINE]
         for i in range(1, 700):
-            tag = RULE_TAGS[i % 3] if i % 100 else R4_CASE[2]
+            tag = R4_CASE[2] if i == 650 else RULE_TAGS[i % 3]
             lines.append(_record_line(tag, str(-(i % 3)),
                                       [str(i + j) for j in range(WITNESS_LEN[tag])],
                                       str(i) if tag == R4_CASE[2] else None))
