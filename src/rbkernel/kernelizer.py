@@ -20,10 +20,11 @@ R1 and R2 read one relation two ways, N(v) within N(x) for two vertices of
 one color: R1 removes the contained blue, R2 the containing red.  The
 driver finds R1 with ``_least_container``, the least blue whose
 neighborhood contains a blue's own, and R2 with ``_by_container``, which
-lists for each red the scanned reds within its neighborhood.  R3's
-probe ``_r3_at`` looks at one blue and returns a :class:`Match`: the trace
-tag and the record's witness tuple; for R4 the driver asks ``_r4_case`` for
-the case at one pair of blues and builds the match from it.
+lists for each red the scanned reds within its neighborhood.  Once R1 is
+exhausted R3 applies at every degree-one blue, which ``_r3_seed`` lists,
+and the driver fires a :class:`Match`, the trace tag and the record's
+witness tuple, at each one; for R4 it asks ``_r4_case`` for the case at
+one pair of blues and builds the match from it.
 :func:`sanitize` returns every Sanitize match, in firing order.
 :func:`apply_rule`, one chain of tests on the tag, is the one place where
 each tag's condition and effect are written: it refuses a match whose rule
@@ -153,12 +154,13 @@ def fingerprint_instance(inst: Instance) -> Fingerprint:
 
 # -- finding matches -----------------------------------------------------------
 #
-# A probe looks at one vertex or pair and returns its match or None; the
-# containment scans find the pairs R1 and R2 apply to; sanitize returns
-# every match.  The driver fires in ascending id order, so runs are
-# deterministic and traces replayable.  When two neighborhoods are equal the
-# lower id is the one removed, simply because the ascending sweep reaches it
-# first.
+# The containment scans find the pairs R1 and R2 apply to, _r3_seed the
+# blues R3 applies to once R1 is exhausted, and _r4_pairs the pairs R4 may
+# apply to; sanitize returns every match.  _r3_at and _r4_case look at one
+# blue or pair, for apply_rule's check.  The driver fires in ascending id
+# order, so runs are deterministic and traces replayable.  When two
+# neighborhoods are equal the lower id is the one removed, simply because
+# the ascending sweep reaches it first.
 
 
 def sanitize(g: RBGraph) -> list[Match]:
@@ -397,9 +399,9 @@ def apply_rule(g: RBGraph, match: Match) -> tuple[RuleApplication, list]:
 # apply_rule checks the witness length, then walks its chain of tests to the
 # tag, checks that tag's condition and, only if it holds, applies the tag;
 # replay_trace is a loop over apply_rule too.  A round sweeps isolated
-# blues, R1 and R2 and starts over while any fired; then it sweeps R3 over
-# the degree-one blues of the current graph, the only blues where R3
-# applies, and asks _r4_case about every pair with two or more private reds,
+# blues, R1 and R2 and starts over while any fired, that is while the
+# records grew; then it sweeps R3 over the degree-one blues of the current
+# graph, and asks _r4_case about every pair with two or more private reds,
 # in ascending order, firing the first that has a case.  A round ends at R4,
 # so a run has one round more than it has R4 firings, and R3 and R4 keep
 # nothing between rounds.  What a firing removed and added decides what
@@ -407,26 +409,32 @@ def apply_rule(g: RBGraph, match: Match) -> tuple[RuleApplication, list]:
 # neighbors join wl1, and a blue's neighbors, like an added red, join
 # ``shrunk``.
 #
-# The nested sweep serves isolated blues and R3: it probes each live vertex
-# of a sorted list once.  The isolated-blue sweep's list holds the live
-# degree-0 blues of wl1.  A blue loses its last red only when that red is
-# removed, which puts the blue in wl1, no record gives a degree-0 blue a
-# red, and only the R1 sweep, which follows the isolated-blue one, empties
-# wl1; so the list holds every isolated blue of the graph.  The nested
-# r1_sweep and r2_sweep scan their pending set once, empty it, and then fire
-# in ascending order.  r1_sweep keeps each contained blue b's least
-# container and fires R1 at b with it, or, if it died earlier in the sweep,
-# with the least container a rescan of b finds.  r2_sweep keys each
-# containment by the containing red x as it scans, and fires R2 at x with
-# the least live scanned red within N(x).  It keeps every such red, since
-# the least has often died by x's turn (5,394 of 13,400 R2 firings on a
-# seed-7 tight-planar pass), and a rescan of x would test every red next to
-# a blue of N(x).  No firing makes a vertex pending for the rule being
+# Every sweep scans once and then fires in ascending order.  The
+# isolated-blue sweep's scan takes the live degree-0 blues of wl1.  A blue
+# loses its last red only when that red is removed, which puts the blue in
+# wl1, no record gives a degree-0 blue a red, and only the R1 sweep, which
+# follows the isolated-blue one, empties wl1; so the scan finds every
+# isolated blue of the graph.  Sanitize-isolated-blue removes a vertex that
+# has no neighbor, so it changes no other vertex, and each blue the scan
+# found is still isolated at its turn.  The nested r1_sweep and r2_sweep
+# scan their pending set once and empty it.  r1_sweep keeps each contained
+# blue b's least container and fires R1 at b with it, or, if it died earlier
+# in the sweep, with the least container a rescan of b finds.  r2_sweep keys
+# each containment by the containing red x as it scans, and fires R2 at x
+# with the least live scanned red within N(x).  It keeps every such red,
+# since the least has often died by x's turn (5,394 of 13,400 R2 firings on
+# a seed-7 tight-planar pass), and a rescan of x would test every red next
+# to a blue of N(x).  No firing makes a vertex pending for the rule being
 # swept, which both sweeps assert: R1 removes only blues, whose reds join
-# ``shrunk``, and R2 only reds, whose blues join wl1.  R3, with R1 and R2
-# exhausted, removes a whole component {v, r}, v first, so r has no
-# neighbors left when it goes.  So R3 fires every component in one sweep;
-# the naive driver would find nothing in R1 and R2 between two firings.
+# ``shrunk``, and R2 only reds, whose blues join wl1.  The R3 sweep runs
+# only after a round fired nothing, so R1 is exhausted.  Then a degree-one
+# blue v with N(v) = {r} is alone at r: any other blue at r would contain
+# {r}, which is an R1 match.  So every blue _r3_seed lists is an R3 match,
+# and the sweep fires at each one; apply_rule, which checks R3 at every
+# firing, would raise if this failed.  A firing removes the whole component
+# {v, r}, v first, so r has no neighbors left when it goes, and it changes
+# no other blue; the naive driver would find nothing in R1 and R2 between
+# two firings.
 # Only R3 and R4 spend budget, and k < 0 is checked after every firing, so a
 # run stops at the record that drove k below zero.
 #
@@ -512,10 +520,6 @@ def apply_rule(g: RBGraph, match: Match) -> tuple[RuleApplication, list]:
 # on the size-verdict grids and 0.32 s against 0.037 s on tight-planar.
 
 
-def _iso_at(g: RBGraph, b: int) -> Match | None:
-    return None if g.adj[b] else Match(SAN_BLUE, (b,))
-
-
 def kernelize(inst: Instance) -> KernelResult:
     """Shrink ``inst`` to an equivalent reduced instance or report NO.
 
@@ -551,26 +555,10 @@ def kernelize(inst: Instance) -> KernelResult:
         if rec.added is not None:
             shrunk.add(rec.added)
 
-    def sweep(todo: list, probe) -> bool:
-        """Probe the live vertices of ``todo`` in ascending order and fire
-        what ``probe`` finds, stopping once the budget is negative; True iff
-        anything fired."""
-        fired = False
-        for x in sorted(todo):
-            if x in adj:
-                match = probe(g, x)
-                if match is not None:
-                    fire(match)
-                    fired = True
-                    if k < 0:
-                        break
-        return fired
-
-    def r1_sweep() -> bool:
+    def r1_sweep() -> None:
         """Scan and empty wl1, then fire R1 in ascending order at each blue
-        the scan found contained, with its least live container as witness;
-        True iff anything fired.  No firing refills wl1 (see the driver
-        notes)."""
+        the scan found contained, with its least live container as witness.
+        No firing refills wl1 (see the driver notes)."""
         found = {b: x for b in wl1 if (x := _least_container(adj, b)) is not None}
         wl1.clear()
         for b in sorted(found):
@@ -581,12 +569,11 @@ def kernelize(inst: Instance) -> KernelResult:
                     continue
             fire(Match(R1, (b, x)))
         assert not wl1, "a firing made %s pending for R1" % sorted(wl1)
-        return bool(found)  # the least blue fires: its container is live
 
-    def r2_sweep() -> bool:
+    def r2_sweep() -> None:
         """Scan and empty ``shrunk``, then fire R2 in ascending order at each
         red the scan found containing a scanned red, with the least live one
-        as witness; True iff anything fired.  No firing refills ``shrunk``."""
+        as witness.  No firing refills ``shrunk``."""
         found = _by_container(g, shrunk)
         shrunk.clear()
         for x in sorted(found):
@@ -594,7 +581,6 @@ def kernelize(inst: Instance) -> KernelResult:
             if r2 is not None:
                 fire(Match(R2, (x, r2)))
         assert not shrunk, "a firing made %s pending for R2" % sorted(shrunk)
-        return bool(found)  # the least container fires: its witnesses are all live
 
     found = sanitize(g)
     for match in found:
@@ -605,11 +591,16 @@ def kernelize(inst: Instance) -> KernelResult:
     wl1.update(g.blue)
     shrunk.update(g.red)
     while k >= 0:
-        changed = sweep([b for b in wl1 if b in adj and not adj[b]], _iso_at)
-        changed |= r1_sweep()
-        changed |= r2_sweep()
-        if not changed:
-            sweep(_r3_seed(g), _r3_at)
+        before = len(records)
+        for b in sorted(b for b in wl1 if b in adj and not adj[b]):
+            fire(Match(SAN_BLUE, (b,)))
+        r1_sweep()
+        r2_sweep()
+        if len(records) == before:
+            for b in sorted(_r3_seed(g)):
+                fire(Match(R3, (b,)))
+                if k < 0:
+                    break
             if k < 0:
                 break
             for v, w in sorted(_r4_pairs(g)):

@@ -1,6 +1,8 @@
 """Every name the package exports has a caller outside the tests: the
 library's other modules, ``scripts/`` or the benchmark in ``perfbench/``.
-A name that only tests use is not library code.  Likewise every exception
+A name that only tests use is not library code.  Every module-level
+function and class of the package, private ones included, is read by some
+module outside the tests, for the same reason.  Likewise every exception
 class the package defines is caught by name outside the tests; a subclass
 that only tests tell apart from its base is not library code either."""
 
@@ -31,6 +33,12 @@ def names_read(path: Path) -> set:
     return names
 
 
+def module_level_defs(path: Path) -> set:
+    """The names a module's top-level ``def`` and ``class`` statements bind."""
+    return {node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
 def names_caught(path: Path) -> set:
     """The exception names a module's ``except`` clauses name, bare or as an
     attribute, alone or in a tuple."""
@@ -48,6 +56,14 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert len(files) > 10
     used = set().union(*map(names_read, files))
     assert sorted(set(rbkernel.__all__) - used) == []
+
+
+def test_every_module_level_def_is_read_outside_the_tests():
+    src = list((ROOT / "src" / "rbkernel").glob("*.py"))
+    defined = set().union(*map(module_level_defs, src))
+    assert {"kernelize", "_r3_at", "Match"} <= defined
+    used = set().union(*map(names_read, src + non_test_files()))
+    assert sorted(defined - used) == []
 
 
 def test_every_exception_class_is_caught_outside_the_tests():

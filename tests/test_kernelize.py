@@ -474,6 +474,18 @@ class TestSeeds:
                 self.check(g, rule)
 
 
+@given(g=sanitized_graphs())
+@example(g=RBGraph.from_parts([1, 2], [3], [(1, 3), (2, 3)]))  # R1 leaves blue 2 alone at red 3
+@settings(max_examples=150, deadline=None)
+def test_r3_applies_at_every_seed_once_r1_is_exhausted(g):
+    # The driver fires R3 at every blue _r3_seed lists in a round that fired
+    # nothing, unprobed: with R1 exhausted, a degree-one blue is alone at its
+    # red, since any other blue there would contain the blue's neighborhood.
+    while (m := oracle_rule1(g)) is not None:
+        apply_rule(g, m)
+    assert all(_r3_at(g, b) is not None for b in _r3_seed(g))
+
+
 class TestR2LeastWitness:
     """The containment scan over every red names, for each red, the least
     other red whose neighborhood lies within the red's own, as brute force
