@@ -156,11 +156,12 @@ def fingerprint_instance(inst: Instance) -> Fingerprint:
 #
 # The containment scans find the pairs R1 and R2 apply to, _r3_seed the
 # blues R3 applies to once R1 is exhausted, and _r4_pairs the pairs R4 may
-# apply to; sanitize returns every match.  _r3_at and _r4_case look at one
-# blue or pair, for apply_rule's check.  The driver fires in ascending id
-# order, so runs are deterministic and traces replayable.  When two
-# neighborhoods are equal the lower id is the one removed, simply because
-# the ascending sweep reaches it first.
+# apply to; sanitize returns every match.  _r3_at looks at one blue, for
+# apply_rule's check, and _r4_case at one pair, for the driver and
+# apply_rule.  The driver fires in ascending id order, so runs are
+# deterministic and traces replayable.  When two neighborhoods are equal the
+# lower id is the one removed, simply because the ascending sweep reaches it
+# first.
 
 
 def sanitize(g: RBGraph) -> list[Match]:
