@@ -26,10 +26,14 @@ produce the same traces, kernels, verdicts and kernel solutions; two trees
 that differ only in how ``fingerprint_instance`` digests an instance print
 the same ``records``, ``trace`` and ``solve`` lines; two trees that differ
 only in how a trace is written print the same ``records`` line.  Before it
-hashes, the script checks that ``parse_trace`` reads every written trace
-back to the same records and fingerprint, and that ``parse_instance`` reads
-every written kernel back to the kernel's budget and graph under its
-``c origid`` ids, and exits with an error if not.
+hashes, the script checks that ``replay_trace`` replays every trace on its
+input, to the kernel for a reduced instance, that ``parse_trace`` reads
+every written trace back to the same records and fingerprint, and that
+``parse_instance`` reads every written kernel back to the kernel's budget
+and graph under its ``c origid`` ids, and exits with an error naming the
+operation if not.  The replay passes every record's tag and witness to
+``apply_rule``, so it also checks that the driver's records are exactly
+the ones ``apply_rule`` gives.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import corpus  # noqa: E402
 import reference  # noqa: E402
 import speed  # noqa: E402
 from rbkernel import formats, kernelizer, planar, solver, transforms  # noqa: E402
-from rbkernel.graph import GraphError, Instance  # noqa: E402
+from rbkernel.graph import GraphError, Instance, RBGraph  # noqa: E402
 
 
 def _instance(op: reference.Op) -> Instance:
@@ -73,6 +77,16 @@ def _reads_back(kernel: Instance, text: str) -> bool:
         return False
 
 
+def _replays(original: RBGraph, trace: kernelizer.KernelTrace, kernel: RBGraph | None) -> bool:
+    """True iff ``replay_trace`` replays ``trace`` on ``original``, ending at
+    ``kernel`` unless it is None."""
+    try:
+        kernelizer.replay_trace(original, trace, kernel)
+    except GraphError:
+        return False
+    return True
+
+
 def _records(records) -> str:
     return "".join("%r\n" % ((rec.tag, rec.witness, rec.delta_k, rec.added),)
                    for rec in records)
@@ -91,7 +105,10 @@ def main(argv=None) -> int:
     ops, _ = reference.prepare(items, args.seed)
     fingerprints, records, traces, kernels = [], [], [], []
     for i, op in enumerate(ops):
-        res = kernelizer.kernelize(_instance(op))
+        inst = _instance(op)
+        res = kernelizer.kernelize(inst)
+        if not _replays(inst.graph, res.trace, None if res.is_no else res.instance.graph):
+            sys.exit("operation %d: replay_trace does not replay its trace" % i)
         text = formats.format_trace(res.trace)
         again = formats.parse_trace(text)
         if (again.records, again.fingerprint) != (res.trace.records, res.trace.fingerprint):

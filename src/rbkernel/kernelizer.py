@@ -21,24 +21,27 @@ one color: R1 removes the contained blue, R2 the containing red.  The
 driver finds R1 with ``_least_container``, the least blue whose
 neighborhood contains a blue's own, and R2 with ``_by_container``, which
 lists for each red the scanned reds within its neighborhood.  Once R1 is
-exhausted R3 applies at every degree-one blue, which ``_r3_seed`` lists,
-and the driver fires a :class:`Match`, the trace tag and the record's
-witness tuple, at each one; for R4 it asks ``_r4_case`` for the case at
-one pair of blues and builds the match from it.
-:func:`sanitize` returns every Sanitize match, in firing order.
-:func:`apply_rule`, one chain of tests on the tag, is the one place where
-each tag's condition and effect are written: it refuses a match whose rule
-does not apply before it changes anything, and otherwise returns the record
-and what it removed; the budget change is the record's ``delta_k``.  The
+exhausted R3 applies at every degree-one blue, which ``_r3_seed`` lists;
+for R4 the driver asks ``_r4_case`` for the case and the private reds at
+one pair of blues.  :func:`sanitize` returns every Sanitize match, a
+:class:`Match` of trace tag and witness tuple, in firing order.
+Each tag has one function that holds its condition, its effect and its
+record (``_r1``, ``_r2``, ``_r3``, ``_r4``, whose condition is
+``_r4_case``, and one per Sanitize tag): every firing runs it, and it
+checks its rule on the graph as it is before it changes anything, refuses
+with a ``GraphError`` if the rule does not apply, and otherwise returns the
+record and what it removed; the budget change is the record's ``delta_k``.
+The driver's sweeps call these functions directly; :func:`apply_rule`
+picks one by a match's tag, for sanitize's matches and the replay.  The
 table ``_FORCED`` names the witness positions of the blues a match forces
 into every solution (R3 and R4 cases 1, 3 and 4); it alone decides what
-:func:`apply_rule` removes for such a match, the budget drop (one unit per
-forced blue) and what :func:`lift_solution` adds back.  Every application
-is logged as a :class:`RuleApplication`: its tag, witness, budget drop and,
-for R4 case 2, the id of the red it added.  A record names no removed
-vertex; :func:`replay_trace` applies each record's tag and witness to the
-graph its predecessors left and checks that the same record comes back, and
-so replays the log forward to the kernel graph.  Walked backward, the log
+such a firing removes, the budget drop (one unit per forced blue) and what
+:func:`lift_solution` adds back.  Every application is logged as a
+:class:`RuleApplication`: its tag, witness, budget drop and, for R4 case 2,
+the id of the red it added.  A record names no removed vertex;
+:func:`replay_trace` applies each record's tag and witness to the graph its
+predecessors left and checks that the same record comes back, and so
+replays the log forward to the kernel graph.  Walked backward, the log
 lifts kernel solutions to the original instance.
 """
 
@@ -84,7 +87,7 @@ class Match(NamedTuple):
     """A rule that applies: its trace tag and the record's witness tuple,
     ``(remove, witness)`` for R1 and R2, ``(v,)`` for R3 and ``(v, w)`` for
     R4; ``(u, v)`` for Sanitize-edge, ``(v,)`` for the other Sanitize tags.
-    A named tuple, because the driver builds one per firing."""
+    A named tuple, because the replay builds one per record."""
 
     tag: str
     witness: tuple
@@ -157,8 +160,8 @@ def fingerprint_instance(inst: Instance) -> Fingerprint:
 # The containment scans find the pairs R1 and R2 apply to, _r3_seed the
 # blues R3 applies to once R1 is exhausted, and _r4_pairs the pairs R4 may
 # apply to; sanitize returns every match.  _r3_at looks at one blue, for
-# apply_rule's check, and _r4_case at one pair, for the driver and
-# apply_rule.  The driver fires in ascending id order, so runs are
+# R3's check, and _r4_case at one pair, for the driver and apply_rule.  The
+# driver fires in ascending id order, so runs are
 # deterministic and traces replayable.  When two neighborhoods are equal the
 # lower id is the one removed, simply because the ascending sweep reaches it
 # first.
@@ -223,6 +226,10 @@ def _by_container(g: RBGraph, vs) -> dict:
 
 
 def _r3_at(g: RBGraph, v: int) -> Match | None:
+    """R3's match at ``v`` if v is a blue alone with its one red in a
+    two-vertex component, else None."""
+    if v not in g.blue:
+        return None
     adj = g.adj
     nv = adj[v]
     if len(nv) != 1:
@@ -311,9 +318,12 @@ def _pair_private(adj: dict, v: int, w: int) -> set:
     return {r for r in nvw if all(adj[x] <= nvw for x in adj[r])}
 
 
-def _r4_case(adj: dict, v: int, w: int) -> tuple[int, set] | None:
-    """The case of R4 on the pair (v, w) and the pair's private reds, or
-    None if R4 does not fire there."""
+def _r4_case(g: RBGraph, v: int, w: int) -> tuple[int, set] | None:
+    """The case of R4 on the pair of blues v < w and the pair's private
+    reds, or None if R4 does not fire there."""
+    if not (v < w and v in g.blue and w in g.blue):
+        return None
+    adj = g.adj
     private = _pair_private(adj, v, w)
     if len(private) <= 1:
         return None
@@ -330,6 +340,40 @@ def _r4_case(adj: dict, v: int, w: int) -> tuple[int, set] | None:
 
 
 # -- applying rules --------------------------------------------------------------
+#
+# One function per tag, each taking the graph and the record's witness: it
+# checks its rule on the graph as it is, raises the refusal and leaves the
+# graph unchanged if the rule does not apply, and otherwise applies it and
+# returns the record and the removed vertices as ``(vertex, color, former
+# neighbors)`` triples.  R4's condition is _r4_case, and _r4 applies the
+# case and private reds that _r4_case has just found.  R1 and R2 apply only
+# where the driver's scan finds them: the removed blue of R1 and the witness
+# red of R2 must have a neighbor, since an isolated blue is sanitize's and
+# an isolated red answers NO.
+
+
+def _refused(tag: str, witness: tuple) -> GraphError:
+    return GraphError("%s does not apply at %s" % (tag, witness))
+
+
+def _r1(g: RBGraph, witness: tuple):
+    """R1 at (b, b2): remove the blue b, whose neighborhood the blue b2
+    contains."""
+    b, b2 = witness
+    adj, blue = g.adj, g.blue
+    if b in blue and b2 in blue and b != b2 and adj[b] and adj[b] <= adj[b2]:
+        return RuleApplication(R1, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
+    raise _refused(R1, witness)
+
+
+def _r2(g: RBGraph, witness: tuple):
+    """R2 at (r, r2): remove the red r, whose neighborhood contains the red
+    r2's."""
+    r, r2 = witness
+    adj, red = g.adj, g.red
+    if r in red and r2 in red and r != r2 and adj[r2] and adj[r2] <= adj[r]:
+        return RuleApplication(R2, witness, 0, None), [(r, RED, g.remove_vertex(r))]
+    raise _refused(R2, witness)
 
 
 def _force(g: RBGraph, tag: str, witness: tuple):
@@ -342,73 +386,101 @@ def _force(g: RBGraph, tag: str, witness: tuple):
     return RuleApplication(tag, witness, -len(forced), None), removed
 
 
+def _r3(g: RBGraph, witness: tuple):
+    """R3 at (v,): force the blue v of a two-vertex component."""
+    if _r3_at(g, witness[0]) is None:
+        raise _refused(R3, witness)
+    return _force(g, R3, witness)
+
+
+def _r4(g: RBGraph, witness: tuple, found: tuple):
+    """R4 at the pair (v, w), given ``found``, the (case, private reds) that
+    :func:`_r4_case` has just returned for it on ``g``: case 2 swaps the
+    private reds for one red on the pair, the other cases force blues."""
+    case, private = found
+    tag = R4_CASE[case]
+    if case != 2:
+        return _force(g, tag, witness)
+    removed = [(x, RED, g.remove_vertex(x)) for x in private]
+    return RuleApplication(tag, witness, 0, g.add_red_vertex(witness)), removed
+
+
+def _san_edge(g: RBGraph, witness: tuple):
+    """Sanitize-edge at (u, v): remove the edge joining two vertices of one
+    color."""
+    u, v = witness
+    adj = g.adj
+    if u in adj and v in adj[u] and (u in g.blue) == (v in g.blue):
+        g.remove_edge(u, v)
+        return RuleApplication(SAN_EDGE, witness, 0, None), []
+    raise _refused(SAN_EDGE, witness)
+
+
+def _san_blue(g: RBGraph, witness: tuple):
+    """Sanitize-isolated-blue at (b,): remove the blue b, which has no
+    neighbor."""
+    b = witness[0]
+    if b in g.blue and not g.adj[b]:
+        return RuleApplication(SAN_BLUE, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
+    raise _refused(SAN_BLUE, witness)
+
+
+def _san_no(g: RBGraph, witness: tuple):
+    """Sanitize-NO at (r,): the red r has no neighbor, so no blue can
+    dominate it; the graph is left as it is."""
+    if witness[0] in g.red and not g.adj[witness[0]]:
+        return RuleApplication(SAN_NO, witness, 0, None), []
+    raise _refused(SAN_NO, witness)
+
+
+# Every tag's function but R4's, which takes the case _r4_case found.
+_RULE = {R1: _r1, R2: _r2, R3: _r3, SAN_EDGE: _san_edge, SAN_BLUE: _san_blue, SAN_NO: _san_no}
+
+
 def apply_rule(g: RBGraph, match: Match) -> tuple[RuleApplication, list]:
     """Mutate ``g`` according to a match; returns the trace record, whose
     ``delta_k`` is the budget change, and the removed vertices as
     ``(vertex, color, former neighbors)`` triples.  A match whose rule does
     not apply at its witness, or whose witness does not have its tag's
-    length, raises ``GraphError`` and leaves ``g`` unchanged.  R1 and R2
-    apply only where the driver's scan finds them: the removed blue of R1
-    and the witness red of R2 must have a neighbor, since an isolated blue
-    is sanitize's and an isolated red answers NO."""
+    length, raises ``GraphError`` and leaves ``g`` unchanged.  The tag's
+    own function checks and applies it; an R4 tag must name the case
+    :func:`_r4_case` finds at the pair."""
     tag, witness = match
     if WITNESS_LEN.get(tag) == len(witness):
-        adj, blue, red = g.adj, g.blue, g.red
-        if tag == R1:
-            b, b2 = witness
-            if b in blue and b2 in blue and b != b2 and adj[b] and adj[b] <= adj[b2]:
-                return RuleApplication(tag, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
-        elif tag == R2:
-            r, r2 = witness
-            if r in red and r2 in red and r != r2 and adj[r2] and adj[r2] <= adj[r]:
-                return RuleApplication(tag, witness, 0, None), [(r, RED, g.remove_vertex(r))]
-        elif tag == R3:
-            if witness[0] in blue and _r3_at(g, witness[0]) is not None:
-                return _force(g, tag, witness)
-        elif tag == SAN_EDGE:
-            u, v = witness
-            if u in adj and v in adj[u] and (u in blue) == (v in blue):
-                g.remove_edge(u, v)
-                return RuleApplication(tag, witness, 0, None), []
-        elif tag == SAN_BLUE:
-            b = witness[0]
-            if b in blue and not adj[b]:
-                return RuleApplication(tag, witness, 0, None), [(b, BLUE, g.remove_vertex(b))]
-        elif tag == SAN_NO:
-            if witness[0] in red and not adj[witness[0]]:
-                return RuleApplication(tag, witness, 0, None), []
-        else:  # an R4 case, which must be the one the probe finds at the pair
-            v, w = witness
-            found = _r4_case(adj, v, w) if v < w and v in blue and w in blue else None
-            if found is not None and R4_CASE[found[0]] == tag:
-                if tag != R4_CASE[2]:
-                    return _force(g, tag, witness)
-                # Case 2 swaps the pair's private reds for one red on the pair.
-                removed = [(x, RED, g.remove_vertex(x)) for x in found[1]]
-                return RuleApplication(tag, witness, 0, g.add_red_vertex(witness)), removed
-    raise GraphError("%s does not apply at %s" % (tag, witness))
+        if tag in _RULE:
+            return _RULE[tag](g, witness)
+        found = _r4_case(g, *witness)
+        if found is not None and R4_CASE[found[0]] == tag:
+            return _r4(g, witness, found)
+    raise _refused(tag, witness)
 
 
 # -- the driver --------------------------------------------------------------------
 #
 # The driver is kernelize, which holds the run's state in locals: the graph
 # copy, k, the records and two pending sets, wl1, the blues R1 scans, and
-# ``shrunk``, the reds R2 scans.  It fires sanitize's matches, then the
-# loop's, through its nested fire, which calls the module-global apply_rule
-# (perfbench's tracer wraps it there, and sanitize too), so apply_rule
-# builds every record; fire appends it and adds its delta_k to k.
-# apply_rule checks the witness length, then walks its chain of tests to the
-# tag, checks that tag's condition and, only if it holds, applies the tag;
-# replay_trace is a loop over apply_rule too.  A round sweeps isolated
-# blues, R1 and R2 and starts over while any fired, that is while the
-# records grew; then it sweeps R3 over the degree-one blues of the current
-# graph, and asks _r4_case about every pair with two or more private reds,
-# in ascending order, firing the first that has a case.  A round ends at R4,
-# so a run has one round more than it has R4 firings, and R3 and R4 keep
-# nothing between rounds.  What a firing removed and added decides what
-# becomes pending, by the color of each removed vertex alone: a red's
-# neighbors join wl1, and a blue's neighbors, like an added red, join
-# ``shrunk``.
+# ``shrunk``, the reds R2 scans.  Every firing runs its rule's function,
+# which checks the rule on the current graph before it applies it and
+# raises the refusal if the rule does not apply, so a scan that named a
+# wrong vertex stops the run instead of writing a record.  The driver
+# appends each record and adds its delta_k to k.  Sanitize's matches go
+# through the module-global apply_rule (perfbench's tracer wraps it there,
+# and sanitize too), as the replay's records do; none of them spends budget
+# or leaves a vertex that the sets, filled with every live vertex after
+# them, would miss.  The sweeps call their rule's function directly.  A
+# round sweeps isolated blues, R1 and R2 and starts over while any fired,
+# that is while the records grew; then it sweeps R3 over the degree-one
+# blues of the current graph, and asks _r4_case about every pair with two
+# or more private reds, in ascending order, and fires _r4 with the case and
+# private reds of the first pair that has one.  A round ends at R4, so a
+# run has one round more than it has R4 firings, and R3 and R4 keep nothing
+# between rounds.  What a firing removed and added decides what becomes
+# pending: a removed red's neighbors join wl1, and a removed blue's
+# neighbors, like an added red, join ``shrunk``.  So R1 feeds only
+# ``shrunk`` and R2 only wl1, and each sweep updates that one set; an
+# isolated blue has no neighbor, R3 removes a whole two-vertex component
+# and so feeds neither set, and an R4 firing feeds both by the color of
+# each vertex it removed.
 #
 # Every sweep scans once and then fires in ascending order.  The
 # isolated-blue sweep's scan takes the live degree-0 blues of wl1.  A blue
@@ -426,13 +498,13 @@ def apply_rule(g: RBGraph, match: Match) -> tuple[RuleApplication, list]:
 # since the least has often died by x's turn (5,394 of 13,400 R2 firings on
 # a seed-7 tight-planar pass), and a rescan of x would test every red next
 # to a blue of N(x).  No firing makes a vertex pending for the rule being
-# swept, which both sweeps assert: R1 removes only blues, whose reds join
-# ``shrunk``, and R2 only reds, whose blues join wl1.  The R3 sweep runs
+# swept: R1 removes only blues, whose reds join ``shrunk``, and R2 only
+# reds, whose blues join wl1.  The R3 sweep runs
 # only after a round fired nothing, so R1 is exhausted.  Then a degree-one
 # blue v with N(v) = {r} is alone at r: any other blue at r would contain
 # {r}, which is an R1 match.  So every blue _r3_seed lists is an R3 match,
-# and the sweep fires at each one; apply_rule, which checks R3 at every
-# firing, would raise if this failed.  A firing removes the whole component
+# and the sweep fires at each one; _r3, which checks R3 at every firing,
+# would raise if this failed.  A firing removes the whole component
 # {v, r}, v first, so r has no neighbors left when it goes, and it changes
 # no other blue; the naive driver would find nothing in R1 and R2 between
 # two firings.
@@ -544,22 +616,10 @@ def kernelize(inst: Instance) -> KernelResult:
     wl1: set[int] = set()
     shrunk: set[int] = set()
 
-    def fire(match) -> None:
-        """Fire ``match``; make pending what it removed and added (see the
-        driver notes)."""
-        nonlocal k
-        rec, removed = apply_rule(g, match)
-        records.append(rec)
-        k += rec.delta_k
-        for _, color, nbrs in removed:
-            (wl1 if color == RED else shrunk).update(nbrs)
-        if rec.added is not None:
-            shrunk.add(rec.added)
-
     def r1_sweep() -> None:
         """Scan and empty wl1, then fire R1 in ascending order at each blue
         the scan found contained, with its least live container as witness.
-        No firing refills wl1 (see the driver notes)."""
+        The reds of each removed blue join ``shrunk``."""
         found = {b: x for b in wl1 if (x := _least_container(adj, b)) is not None}
         wl1.clear()
         for b in sorted(found):
@@ -568,24 +628,26 @@ def kernelize(inst: Instance) -> KernelResult:
                 x = _least_container(adj, b)
                 if x is None:
                     continue
-            fire(Match(R1, (b, x)))
-        assert not wl1, "a firing made %s pending for R1" % sorted(wl1)
+            rec, removed = _r1(g, (b, x))
+            records.append(rec)
+            shrunk.update(removed[0][2])
 
     def r2_sweep() -> None:
         """Scan and empty ``shrunk``, then fire R2 in ascending order at each
         red the scan found containing a scanned red, with the least live one
-        as witness.  No firing refills ``shrunk``."""
+        as witness.  The blues of each removed red join wl1."""
         found = _by_container(g, shrunk)
         shrunk.clear()
         for x in sorted(found):
             r2 = min(filter(adj.__contains__, found[x]), default=None)
             if r2 is not None:
-                fire(Match(R2, (x, r2)))
-        assert not shrunk, "a firing made %s pending for R2" % sorted(shrunk)
+                rec, removed = _r2(g, (x, r2))
+                records.append(rec)
+                wl1.update(removed[0][2])
 
     found = sanitize(g)
     for match in found:
-        fire(match)
+        records.append(apply_rule(g, match)[0])
     if found and found[-1].tag == SAN_NO:
         return KernelResult("no", reason=NO_ISOLATED_RED, trace=trace)
 
@@ -594,20 +656,28 @@ def kernelize(inst: Instance) -> KernelResult:
     while k >= 0:
         before = len(records)
         for b in sorted(b for b in wl1 if b in adj and not adj[b]):
-            fire(Match(SAN_BLUE, (b,)))
+            records.append(_san_blue(g, (b,))[0])
         r1_sweep()
         r2_sweep()
         if len(records) == before:
             for b in sorted(_r3_seed(g)):
-                fire(Match(R3, (b,)))
+                rec = _r3(g, (b,))[0]
+                records.append(rec)
+                k += rec.delta_k
                 if k < 0:
                     break
             if k < 0:
                 break
-            for v, w in sorted(_r4_pairs(g)):
-                found = _r4_case(adj, v, w)
+            for pair in sorted(_r4_pairs(g)):
+                found = _r4_case(g, *pair)
                 if found is not None:
-                    fire(Match(R4_CASE[found[0]], (v, w)))
+                    rec, removed = _r4(g, pair, found)
+                    records.append(rec)
+                    k += rec.delta_k
+                    for _, color, nbrs in removed:
+                        (wl1 if color == RED else shrunk).update(nbrs)
+                    if rec.added is not None:
+                        shrunk.add(rec.added)
                     break
             else:
                 break  # no pair fires: the fixpoint

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from rbkernel import kernelizer
 from rbkernel.generators import _stacked_triangulation, gen_matching, gen_random_planar
 from rbkernel.graph import BLUE, RED, GraphError, Instance, RBGraph
 from rbkernel.kernelizer import (
@@ -348,6 +349,28 @@ class TestCheckedReplay:
         message = "record 1, %s does not apply at %s" % (tag, witness)
         with pytest.raises(GraphError, match="^%s$" % re.escape(message)):
             replay_trace(g, KernelTrace([RuleApplication(tag, witness, 0, None)]))
+
+
+class TestDriverChecksItsScans:
+    """A sweep fires its rule's function, which checks the rule on the
+    current graph: a scan that names a vertex where the rule does not apply
+    stops the run with apply_rule's message instead of writing a record."""
+
+    def test_r1_at_a_blue_its_container_does_not_contain(self, monkeypatch):
+        # N(1) = {3} does not lie within N(2) = {4}; the scan claims it does.
+        real = kernelizer._least_container
+        monkeypatch.setattr(kernelizer, "_least_container",
+                            lambda adj, v: 2 if v == 1 else real(adj, v))
+        g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 4)])
+        with pytest.raises(GraphError, match="^%s$" % re.escape("R1 does not apply at (1, 2)")):
+            kernelize(Instance(g, 2))
+
+    def test_r3_at_a_blue_outside_a_two_vertex_component(self, monkeypatch):
+        # No rule fires on the alternating 8-cycle until R3's seed list,
+        # which names blue 1 of degree two.
+        monkeypatch.setattr(kernelizer, "_r3_seed", lambda g: [1])
+        with pytest.raises(GraphError, match="^%s$" % re.escape("R3 does not apply at (1,)")):
+            kernelize(Instance(alternating_cycle(4), 4))
 
 
 @st.composite

@@ -5,6 +5,7 @@ from pathlib import Path
 
 from rbkernel import formats
 from rbkernel.graph import Instance, RBGraph
+from rbkernel.kernelizer import KernelTrace, kernelize
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,3 +70,25 @@ def test_kernel_read_back_check():
     assert not script._reads_back(Instance(g, 1), text.replace("e 2 4\n", ""))
     assert not script._reads_back(Instance(g, 1), text.replace("c origid 4 15", "c origid 4 16"))
     assert not script._reads_back(Instance(g, 1), text.replace("c origid 2 9", "c origid 2 4"))
+
+
+def test_trace_replay_check():
+    # The script refuses a trace that replay_trace does not replay on its
+    # input, or that ends at another graph than the kernel.
+    spec = importlib.util.spec_from_file_location("output_hashes",
+                                                  ROOT / "scripts" / "output_hashes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    g = RBGraph.from_parts([1, 2, 5], [3, 4, 6], [(1, 3), (2, 3), (2, 4), (5, 6)])
+    res = kernelize(Instance(g.copy(), 2))
+    assert [(rec.tag, rec.witness) for rec in res.trace.records] == [
+        ("R1", (1, 2)), ("R2", (3, 4)), ("R3", (2,)), ("R3", (5,))]
+    kernel = res.instance.graph
+    assert script._replays(g, res.trace, kernel)
+    assert script._replays(g, res.trace, None)
+    assert not script._replays(g, res.trace, g)
+    bad = list(res.trace.records)
+    bad[0] = bad[0]._replace(witness=(1, 5))  # N(1) = {3} is not within N(5) = {6}
+    assert not script._replays(g, KernelTrace(bad), kernel)
+    no = kernelize(Instance(g.copy(), 1))
+    assert no.is_no and script._replays(g, no.trace, None)

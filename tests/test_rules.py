@@ -196,7 +196,7 @@ def r4_matches(g):
     checked against the definition, and every firing pair among those the
     pair search counts."""
     hits = {(v, w): Match(R4_CASE[case], (v, w)) for v, w, case, _ in oracle_rule4_all(g)}
-    found = [(p, _r4_case(g.adj, *p)) for p in itertools.combinations(sorted(g.blue), 2)]
+    found = [(p, _r4_case(g, *p)) for p in itertools.combinations(sorted(g.blue), 2)]
     assert [Match(R4_CASE[c[0]], p) for p, c in found if c is not None] == list(hits.values())
     assert hits.keys() <= _r4_pairs(g)
     return list(hits.values())
