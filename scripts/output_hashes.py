@@ -28,7 +28,9 @@ the same ``records``, ``trace`` and ``solve`` lines; two trees that differ
 only in how a trace is written print the same ``records`` line.  Before it
 hashes, the script checks that ``replay_trace`` replays every trace on its
 input, to the kernel for a reduced instance, that ``parse_trace`` reads
-every written trace back to the same records and fingerprint, and that
+every written trace back to the same records and fingerprint, that
+``format_trace`` writes what it read back to the same text (a writer that
+stopped writing one canonical text would pass the records check), and that
 ``parse_instance`` reads every written kernel back to the kernel's budget
 and graph under its ``c origid`` ids, and exits with an error naming the
 operation if not.  The replay passes every record's tag and witness to
@@ -77,6 +79,12 @@ def _reads_back(kernel: Instance, text: str) -> bool:
         return False
 
 
+def _rewrites(text: str) -> bool:
+    """True iff ``format_trace`` writes the trace ``parse_trace`` reads from
+    ``text`` back as ``text`` itself."""
+    return formats.format_trace(formats.parse_trace(text)) == text
+
+
 def _replays(original: RBGraph, trace: kernelizer.KernelTrace, kernel: RBGraph | None) -> bool:
     """True iff ``replay_trace`` replays ``trace`` on ``original``, ending at
     ``kernel`` unless it is None."""
@@ -113,6 +121,8 @@ def main(argv=None) -> int:
         again = formats.parse_trace(text)
         if (again.records, again.fingerprint) != (res.trace.records, res.trace.fingerprint):
             sys.exit("operation %d: parse_trace does not read its trace back" % i)
+        if not _rewrites(text):
+            sys.exit("operation %d: format_trace does not write its trace back as written" % i)
         head, _, body = text.partition("\n")
         if not head.startswith("c fingerprint "):
             sys.exit("operation %d: the trace does not start with its fingerprint" % i)

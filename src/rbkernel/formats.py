@@ -330,12 +330,21 @@ def format_fingerprint(fp: Fingerprint) -> str:
 
 def format_trace(trace: KernelTrace) -> str:
     """One application per line, fields tab-separated in this order; the
-    parser takes any whitespace between fields, but no other order."""
+    parser takes any whitespace between fields, but no other order.  A
+    record's line is its witness put into a ``%`` template of everything
+    else up to ``witness=(..)``, made once per tag, ``k_delta`` and witness
+    length, with ``added=<id>`` appended for the records that name one."""
     lines = []
     if trace.fingerprint is not None:
         lines.append("c fingerprint " + format_fingerprint(trace.fingerprint))
+    heads: dict = {}
     for tag, witness, delta, added in trace.records:
-        line = "r\t%s\tk_delta=%d\twitness=(%s)" % (tag, delta, ",".join(map(str, witness)))
+        key = tag, delta, len(witness)
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = "r\t%s\tk_delta=%d\twitness=(%s)" % (
+                tag.replace("%", "%%"), delta, ",".join(["%s"] * len(witness)))
+        line = head % witness
         lines.append(line if added is None else "%s\tadded=%d" % (line, added))
     return "\n".join(lines) + "\n"
 
@@ -355,29 +364,39 @@ def _tagged(n: int) -> str:
         "|".join(map(re.escape, tags)), _ID, ",".join([_ID] * n))
 
 
+# The witness lengths of the tags whose records may come in runs: those of
+# one or two ids, which _RUN_FIELDS captures id by id.  A record of another
+# length is read line by line.
+_RUN_LENGTHS = sorted({n for n in WITNESS_LEN.values() if n in (1, 2)})
+
 # Runs of up to _RUN_LINES record lines that the line-by-line checks accept
 # as they stand, as _EDGE_RUN is for edge lines: each tag with a witness of
 # its length, fields apart by blanks and tabs, each line ended by "\n" or
 # "\r\n".  R4 case 2 records, which end in added=, are read line by line.
 _RECORD_RUN = re.compile(r"(?:[ \t]*r[ \t]+(?:%s)[ \t]*\r?\n){1,%d}"
-                         % ("|".join(map(_tagged, sorted(set(WITNESS_LEN.values())))),
-                            _RUN_LINES))
-_RUN_FIELDS = re.compile(r"r[ \t]+(\S+)[ \t]+k_delta=(\S+)[ \t]+witness=\(([^)]*)\)")
+                         % ("|".join(map(_tagged, _RUN_LENGTHS)), _RUN_LINES))
+# The tag, k_delta and witness ids of each record of a run, the second id
+# empty for a witness of one.
+_RUN_FIELDS = re.compile(r"r[ \t]+(\S+)[ \t]+k_delta=(\S+)[ \t]+witness=\((%s)(?:,(%s))?\)"
+                         % (_ID, _ID))
 
 
 def parse_trace(text: str) -> KernelTrace:
     """Read a trace in one pass over the text.  A run of well-formed record
-    lines without ``added=`` is read in bulk, one match and one ``findall``;
-    every other line is read on its own, so each error names its line."""
+    lines without ``added=`` is read in bulk, one match and one ``findall``
+    that captures each field, ids included, so a record takes only ``int``
+    calls and one ``RuleApplication._make``; every other line is read on its
+    own, so each error names its line."""
     trace = KernelTrace()
     records = trace.records
+    make = RuleApplication._make
     pos = i = 0  # where the next line starts, and the number of the last line read
     while pos < len(text):
         run = _RECORD_RUN.match(text, pos)
         if run is not None:
             found = _RUN_FIELDS.findall(run[0])
-            records += [RuleApplication(tag, tuple(map(int, ids.split(","))), int(delta), None)
-                        for tag, delta, ids in found]
+            records += [make((tag, (int(v), int(w)) if w else (int(v),), int(delta), None))
+                        for tag, delta, v, w in found]
             i += len(found)
             pos = run.end()
             continue
@@ -415,8 +434,7 @@ def parse_trace(text: str) -> KernelTrace:
                              % (tag, size, len(witness)))
         if (added is None) == (tag == R4_CASE[2]):
             raise ParseError(i, "%s records and no others end with 'added=<id>'" % R4_CASE[2])
-        records.append(RuleApplication(
-            tag, witness, int(delta), None if added is None else int(added)))
+        records.append(make((tag, witness, int(delta), None if added is None else int(added))))
     return trace
 
 

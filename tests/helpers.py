@@ -21,7 +21,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 
 from rbkernel import planar, solver
-from rbkernel.formats import _FINGERPRINT, _RECORD, MAX_VERTICES, ParseError, _is_id
+from rbkernel.formats import (_FINGERPRINT, _RECORD, MAX_VERTICES, ParseError, _is_id,
+                             format_fingerprint)
 from rbkernel.generators import _layout, _stacked_triangulation
 from rbkernel.graph import BLUE, RED, GraphError, Instance, RBGraph
 from rbkernel.kernelizer import (
@@ -464,7 +465,7 @@ def format_plane(pg) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- reference instance and trace readers, instance writer ---------------------------
+# -- reference instance and trace readers and writers --------------------------------
 
 
 def reference_parse_instance(text: str) -> Instance:
@@ -579,6 +580,19 @@ def reference_parse_trace(text: str) -> KernelTrace:
         trace.records.append(RuleApplication(
             tag, witness, int(delta), None if added is None else int(added)))
     return trace
+
+
+def reference_format_trace(trace: KernelTrace) -> str:
+    """The trace writer that builds every line field by field: the tag,
+    ``k_delta``, the witness ids joined by commas, and ``added=<id>`` where
+    the record names one."""
+    lines = []
+    if trace.fingerprint is not None:
+        lines.append("c fingerprint " + format_fingerprint(trace.fingerprint))
+    for tag, witness, delta, added in trace.records:
+        line = "r\t%s\tk_delta=%d\twitness=(%s)" % (tag, delta, ",".join(map(str, witness)))
+        lines.append(line if added is None else "%s\tadded=%d" % (line, added))
+    return "\n".join(lines) + "\n"
 
 
 def reference_format_instance(inst: Instance, comments=()) -> str:

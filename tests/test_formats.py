@@ -2,17 +2,17 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rbkernel import formats
 from rbkernel.generators import gen_grid, gen_matching, gen_random_planar
 from rbkernel.graph import GraphError, Instance, RBGraph
-from rbkernel.kernelizer import (R4_CASE, RULE_TAGS, WITNESS_LEN, KernelTrace, kernelize,
-                                 lift_solution)
+from rbkernel.kernelizer import (R3, R4_CASE, RULE_TAGS, WITNESS_LEN, Fingerprint, KernelTrace,
+                                 RuleApplication, kernelize, lift_solution)
 from rbkernel.planar import is_planar
 
-from helpers import (format_plane, reference_format_instance, reference_parse_instance,
-                     reference_parse_trace)
+from helpers import (format_plane, reference_format_instance, reference_format_trace,
+                     reference_parse_instance, reference_parse_trace)
 
 # More digits than int() converts from text.
 LONG_ID = "1" * 5000
@@ -731,6 +731,45 @@ class TestTraceReaderMatchesReference:
             pos = formats._RECORD_RUN.match(text, pos).end()
             runs += 1
         assert runs == -(-len(trace.records) // formats._RUN_LINES)
+
+
+@st.composite
+def kernel_traces(draw):
+    """Traces of records of every tag with a witness of its length,
+    ``k_delta`` 0, -1 or -2, ids of one to 18 digits and R4 case 2 with
+    ``added=<id>``, with or without a fingerprint; the empty trace among
+    them."""
+    ids = st.one_of(st.integers(0, 99), st.integers(0, 10**18 - 1), st.just(10**18 - 1))
+    records = []
+    for tag in draw(st.lists(st.sampled_from(RULE_TAGS), max_size=12)):
+        witness = tuple(draw(ids) for _ in range(WITNESS_LEN[tag]))
+        added = draw(ids) if tag == R4_CASE[2] else None
+        records.append(RuleApplication(tag, witness, draw(st.sampled_from([0, -1, -2])), added))
+    fingerprint = draw(st.none() | st.builds(
+        Fingerprint, ids, ids, st.text("0123456789abcdef", min_size=16, max_size=16)))
+    return KernelTrace(records, fingerprint)
+
+
+class TestTraceWriterMatchesReference:
+    @given(kernel_traces())
+    @example(KernelTrace())
+    @example(KernelTrace([], Fingerprint(4, 3, "0123456789abcdef")))
+    # One tag and witness length with two budget drops.
+    @example(KernelTrace([RuleApplication(R3, (1,), -1, None), RuleApplication(R3, (2,), 0, None)]))
+    @settings(max_examples=500, deadline=None)
+    def test_same_bytes(self, trace):
+        text = formats.format_trace(trace)
+        assert text == reference_format_trace(trace)
+        again = formats.parse_trace(text)
+        assert (again.records, again.fingerprint) == (trace.records, trace.fingerprint)
+
+    def test_kernelized_traces(self):
+        # Real traces: a grid's R1-R3 records and R4 case 2's added= record.
+        from test_rules import rule4_case2_witness
+        for g in (gen_grid(6, 6).graph, rule4_case2_witness()):
+            for k in range(len(g.blue) + 1):
+                trace = kernelize(Instance(g.copy(), k)).trace
+                assert formats.format_trace(trace) == reference_format_trace(trace)
 
 
 class TestParserHygiene:

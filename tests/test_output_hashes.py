@@ -18,6 +18,15 @@ def _hashes(workload: str, seed: int = 7) -> list[str]:
     return out.split("\n")
 
 
+def _script():
+    """``scripts/output_hashes.py`` loaded as a module."""
+    spec = importlib.util.spec_from_file_location("output_hashes",
+                                                  ROOT / "scripts" / "output_hashes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_solve_small_hashes_match_recorded():
     # The recorded byte-identity hashes of the solve-small workload (seed 7):
     # every input's fingerprint, every record sequence and every trace
@@ -59,10 +68,7 @@ def test_seed_501_hashes_match_recorded():
 def test_kernel_read_back_check():
     # The script refuses a kernel whose text does not parse back to the
     # kernel's budget and graph under its c origid ids.
-    spec = importlib.util.spec_from_file_location("output_hashes",
-                                                  ROOT / "scripts" / "output_hashes.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _script()
     g = RBGraph.from_parts([4, 9], [12, 15], [(4, 12), (9, 12), (9, 15)])
     text = formats.format_instance(Instance(g, 1))
     assert script._reads_back(Instance(g, 1), text)
@@ -75,10 +81,7 @@ def test_kernel_read_back_check():
 def test_trace_replay_check():
     # The script refuses a trace that replay_trace does not replay on its
     # input, or that ends at another graph than the kernel.
-    spec = importlib.util.spec_from_file_location("output_hashes",
-                                                  ROOT / "scripts" / "output_hashes.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _script()
     g = RBGraph.from_parts([1, 2, 5], [3, 4, 6], [(1, 3), (2, 3), (2, 4), (5, 6)])
     res = kernelize(Instance(g.copy(), 2))
     assert [(rec.tag, rec.witness) for rec in res.trace.records] == [
@@ -92,3 +95,20 @@ def test_trace_replay_check():
     assert not script._replays(g, KernelTrace(bad), kernel)
     no = kernelize(Instance(g.copy(), 1))
     assert no.is_no and script._replays(g, no.trace, None)
+
+
+def test_trace_rewrite_check():
+    # The script refuses a trace text that format_trace would not write for
+    # the records parse_trace reads from it, though the records are the same.
+    g = RBGraph.from_parts([1, 2, 5], [3, 4, 6], [(1, 3), (2, 3), (2, 4), (5, 6)])
+    text = formats.format_trace(kernelize(Instance(g, 2)).trace)
+    assert "\tk_delta=-1\t" in text
+    script = _script()
+    assert script._rewrites(text)
+    assert script._rewrites(formats.format_trace(KernelTrace()))
+    want = formats.parse_trace(text)
+    for other in (text.replace("\t", " "), text.replace("k_delta=-1", "k_delta=-01"),
+                  text.replace("\n", "\r\n"), "c note\n" + text, text + "\n", text[:-1]):
+        again = formats.parse_trace(other)
+        assert (again.records, again.fingerprint) == (want.records, want.fingerprint)
+        assert not script._rewrites(other)

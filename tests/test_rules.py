@@ -98,6 +98,19 @@ def cap_reached_at_last_blue_witness():
         [(1, 7), (1, 9), (2, 7), (2, 8), (3, 8), (3, 9), (4, 6), (4, 8), (5, 6), (5, 7)])
 
 
+def relabeled(g, label):
+    """``g`` with every vertex v renamed ``label(v)``."""
+    return RBGraph.from_parts(map(label, g.blue), map(label, g.red),
+                              [(label(u), label(v)) for u, v in g.edges()])
+
+
+def blues_above_reds_witness():
+    # rule4_case2_witness with blues 1..6 renamed 11..6 and reds 7..11
+    # renamed 1..5: the largest id, blue 11, ends counted pairs such as
+    # (10, 11), whose private reds are 1 and 2.
+    return relabeled(rule4_case2_witness(), lambda v: 12 - v if v <= 6 else v - 6)
+
+
 # Twelve interior reds have |U(r)| = 9 > 2 * max blue degree; blue 23 sits
 # next to them and P(2, 11) holds two reds.
 REDUCED_GRID = reduce_rules123(gen_grid(10, 10).graph)
@@ -338,6 +351,22 @@ class TestRule4:
         want = {(v, w) for v, w in itertools.combinations(sorted(g.blue), 2)
                 if len(oracle_pair_private(g, v, w)) >= 2}
         assert _r4_pairs(g) == want
+
+    @given(r123_reduced_graphs())
+    @example(blues_above_reds_witness())
+    @settings(max_examples=200, deadline=None)
+    def test_pair_keys_hold_large_ids(self, g):
+        # The search keys each pair by one int made from both ids; with every
+        # id shifted by 10**17 it finds the same pairs, shifted.
+        shift = 10**17
+        want = {(v + shift, w + shift) for v, w in _r4_pairs(g)}
+        assert _r4_pairs(relabeled(g, lambda v: v + shift)) == want
+
+    def test_largest_id_ends_a_counted_pair(self):
+        g = blues_above_reds_witness()
+        assert max(g.adj) == 11 and 11 in g.blue
+        assert (10, 11) in _r4_pairs(g)
+        assert _r4_pairs(g) == {(12 - w, 12 - v) for v, w in _r4_pairs(rule4_case2_witness())}
 
     def test_pair_counting_refuses_r3_match(self):
         # Red 2 is private to blue 1 alone, so no probe lies outside N(1).
