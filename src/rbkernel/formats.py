@@ -331,9 +331,10 @@ def format_fingerprint(fp: Fingerprint) -> str:
 def format_trace(trace: KernelTrace) -> str:
     """One application per line, fields tab-separated in this order; the
     parser takes any whitespace between fields, but no other order.  A
-    record's line is its witness put into a ``%`` template of everything
-    else up to ``witness=(..)``, made once per tag, ``k_delta`` and witness
-    length, with ``added=<id>`` appended for the records that name one."""
+    record's line is its witness, a tuple as in every record the library
+    builds, put into a ``%`` template of everything else up to
+    ``witness=(..)``, made once per tag, ``k_delta`` and witness length,
+    with ``added=<id>`` appended for the records that name one."""
     lines = []
     if trace.fingerprint is not None:
         lines.append("c fingerprint " + format_fingerprint(trace.fingerprint))
@@ -343,7 +344,7 @@ def format_trace(trace: KernelTrace) -> str:
         head = heads.get(key)
         if head is None:
             head = heads[key] = "r\t%s\tk_delta=%d\twitness=(%s)" % (
-                tag.replace("%", "%%"), delta, ",".join(["%s"] * len(witness)))
+                tag, delta, ",".join(["%s"] * len(witness)))
         line = head % witness
         lines.append(line if added is None else "%s\tadded=%d" % (line, added))
     return "\n".join(lines) + "\n"
