@@ -32,11 +32,12 @@ checks its rule on the graph as it is before it changes anything, refuses
 with a ``GraphError`` if the rule does not apply, and otherwise returns the
 record and what it removed; the budget change is the record's ``delta_k``.
 The driver's sweeps call these functions directly; :func:`apply_rule`
-picks one by a match's tag, for sanitize's matches and the replay.  The
-table ``_FORCED`` names the witness positions of the blues a match forces
-into every solution (R3 and R4 cases 1, 3 and 4); it alone decides what
-such a firing removes, the budget drop (one unit per forced blue) and what
-:func:`lift_solution` adds back.  Every application is logged as a
+picks one by a match's tag, for sanitize's matches and the replay.  R3
+removes its two-vertex component itself.  The table ``_FORCED`` names the
+witness positions of the blues a match forces into every solution (R3 and
+R4 cases 1, 3 and 4); it sets what R4's forcing cases remove and their
+budget drop (one unit per forced blue), and what :func:`lift_solution` adds
+back for every forcing record.  Every application is logged as a
 :class:`RuleApplication`: its tag, witness, budget drop and, for R4 case 2,
 the id of the red it added.  A record names no removed vertex;
 :func:`replay_trace` applies each record's tag and witness to the graph its
@@ -103,8 +104,8 @@ class RuleApplication(NamedTuple):
     R4 case 2 adds, None for every other tag.  A named tuple, built with
     ``_make`` from a tuple of the four fields wherever one is built per
     record (the rule functions and the trace reader): calling the class
-    goes through its generated Python ``__new__``, 0.27 against 0.24 µs a
-    record (timeit, CPython 3.11.7)."""
+    goes through its generated Python ``__new__``, which costs more a
+    record (CHANGES.md, the entry on ``_make`` records)."""
 
     tag: str
     witness: tuple
@@ -229,18 +230,19 @@ def _by_container(g: RBGraph, vs) -> dict:
     return found
 
 
-def _r3_at(g: RBGraph, v: int) -> Match | None:
-    """R3's match at ``v`` if v is a blue alone with its one red in a
-    two-vertex component, else None."""
+def _r3_at(g: RBGraph, v: int) -> int | None:
+    """The red of ``v``'s two-vertex component if v is a blue alone with its
+    one red there, else None: R3's one condition."""
     if v not in g.blue:
         return None
     adj = g.adj
     nv = adj[v]
     if len(nv) != 1:
         return None
-    r = next(iter(nv))
+    for r in nv:
+        break
     if r in g.red and len(adj[r]) == 1:
-        return Match._make((R3, (v,)))
+        return r
     return None
 
 
@@ -315,10 +317,16 @@ def _count_per_blue(g: RBGraph) -> dict:
                     break
                 ws[b] = {w for w in adj[probe] if x <= adj[w]}
         for r in na:
-            sets = [ws[b] for b in adj[r] if b in ws]
-            if not sets:
+            common = None
+            for b in adj[r]:
+                wb = ws.get(b)
+                if wb is not None:
+                    common = wb if common is None else common & wb
+                    if not common:
+                        break  # r is private to no pair with a
+            if common is None:
                 raise GraphError("R3 applies to blue %d and red %d" % (a, r))
-            for w in set.intersection(*sets):
+            for w in common:
                 if a < w or r not in adj[w]:  # a red next to both counts once
                     counts[(a, w) if a < w else (w, a)] += 1
     return counts
@@ -389,8 +397,9 @@ def _r2(g: RBGraph, witness: tuple):
 
 
 def _force(g: RBGraph, tag: str, witness: tuple):
-    """Remove the blues that ``_FORCED`` names, then their neighborhoods;
-    the record pays one unit of budget for each forced blue."""
+    """R4 cases 1, 3 and 4: remove the blues that ``_FORCED`` names, then
+    their neighborhoods; the record pays one unit of budget for each forced
+    blue."""
     forced = [witness[i] for i in _FORCED[tag]]
     nbrs = _nbrs(g.adj, forced)
     removed = [(x, BLUE, g.remove_vertex(x)) for x in forced]
@@ -399,10 +408,14 @@ def _force(g: RBGraph, tag: str, witness: tuple):
 
 
 def _r3(g: RBGraph, witness: tuple):
-    """R3 at (v,): force the blue v of a two-vertex component."""
-    if _r3_at(g, witness[0]) is None:
+    """R3 at (v,): force the blue v of a two-vertex component, that is,
+    remove v, then its one red, for one unit of budget."""
+    v = witness[0]
+    r = _r3_at(g, v)
+    if r is None:
         raise _refused(R3, witness)
-    return _force(g, R3, witness)
+    return (RuleApplication._make((R3, witness, -1, None)),
+            [(v, BLUE, g.remove_vertex(v)), (r, RED, g.remove_vertex(r))])
 
 
 def _r4(g: RBGraph, witness: tuple, found: tuple):
@@ -508,11 +521,11 @@ def apply_rule(g: RBGraph, match: tuple) -> tuple[RuleApplication, list]:
 # in the sweep, with the least container a rescan of b finds.  r2_sweep keys
 # each containment by the containing red x as it scans, and fires R2 at x
 # with the least live scanned red within N(x).  It keeps every such red,
-# since the least has often died by x's turn (5,394 of 13,400 R2 firings on
-# a seed-7 tight-planar pass), and a rescan of x would test every red next
-# to a blue of N(x).  No firing makes a vertex pending for the rule being
-# swept: R1 removes only blues, whose reds join ``shrunk``, and R2 only
-# reds, whose blues join wl1.  The R3 sweep runs
+# since the least has often died by x's turn (CHANGES.md, the entry on
+# R2 keyed by its containing red, counts how often), and a rescan of x
+# would test every red next to a blue of N(x).  No firing makes a vertex
+# pending for the rule being swept: R1 removes only blues, whose reds join
+# ``shrunk``, and R2 only reds, whose blues join wl1.  The R3 sweep runs
 # only after a round fired nothing, so R1 is exhausted.  Then a degree-one
 # blue v with N(v) = {r} is alone at r: any other blue at r would contain
 # {r}, which is an R1 match.  So every blue _r3_seed lists is an R3 match,
@@ -534,6 +547,15 @@ def apply_rule(g: RBGraph, match: tuple) -> tuple[RuleApplication, list]:
 # reds are all gone is removed by the isolated-blue sweep before the loop
 # can end: the last round fires no isolated blue, R1, R2 or R4, and its R3
 # sweep removes whole components, so it leaves no blue without a red.
+#
+# Every record keeps a planar graph planar, so the size test reads the
+# paper's bound on a planar kernel whenever the input is planar.  Every tag
+# but R4 case 2 removes vertices, an edge or nothing.  R4 case 2 removes the
+# pair's private reds, each of which is next to both v and w, and adds one
+# red on {v, w}: that equals keeping one private red, renamed, without its
+# other edges.  So every record leaves a subgraph of its input, up to
+# renaming.  tests/test_planar_records.py checks every intermediate graph
+# of traces on planar inputs.
 #
 # Sweeping in ascending id order makes the run identical to the naive
 # rescans-from-scratch driver, which tests exploit, because each R1 or R2
@@ -581,8 +603,8 @@ def apply_rule(g: RBGraph, match: tuple) -> tuple[RuleApplication, list]:
 # puts a key into ``once`` when first found and into ``twice`` when found
 # again; the pairs are those of ``twice``.  A red next to both endpoints
 # still adds one find, from the lower endpoint.  An int key and two set
-# probes in place of a tuple key and a dict increment per find halve the
-# search: 0.077 -> 0.036 s over a seed-7 tight-planar pass, in process.
+# probes cost less per find than a tuple key and a dict increment
+# (CHANGES.md, the entry on int pair keys).
 #
 # The search skips a red whose U(r) has more than 2 * D vertices, D the
 # largest blue degree in the graph: a red private to (a, w) has U(r) within
@@ -606,12 +628,12 @@ def apply_rule(g: RBGraph, match: tuple) -> tuple[RuleApplication, list]:
 # built once per a and serves every red of N(a) next to b.  A red next to
 # both endpoints is found from both, and only the lower endpoint counts it.
 # The loop skips no red on the 2 * D cap, which would cost U(r) per red.
-# Measured per pass over the seed-7 corpora, every search of the pass
-# (best of five, 2-vCPU Xeon, CPython 3.11.7): on size-verdict's four dense
-# operations (14 or 16 blues, reds of degree 8 or 11) the search takes
-# 0.044-0.048 s per red and 0.014-0.015 s per blue, while on graphs that
-# meet the bound the per-blue loop is the slower one, 0.25 s against 0.030 s
-# on the size-verdict grids and 0.32 s against 0.037 s on tight-planar.
+# For each red it intersects the W sets of the red's blues one at a time
+# and stops at the first empty intersection, after which the red counts
+# toward no pair of a; it raises only when none of them has a W set.  On
+# size-verdict's dense graphs, whose reds have 8 or 11 blues, the per-blue
+# loop is the faster one, and on graphs that meet the bound the per-red one
+# is (CHANGES.md, the entries on the per-blue count and its early stop).
 
 
 def kernelize(inst: Instance) -> KernelResult:
@@ -625,7 +647,9 @@ def kernelize(inst: Instance) -> KernelResult:
     a red one, so the result is NO when the budget went negative or the
     reduced graph is larger than ``SIZE_FACTOR`` = 46 times the remaining
     budget; otherwise the reduced instance is returned with its trace.  The
-    size test is what makes the output a kernel; it presumes a planar input.
+    size test is what makes the output a kernel; it presumes a planar input,
+    and every record keeps a planar graph planar (driver notes), so the
+    reduced graph of a planar input is planar too.
     """
     if inst.k < 0:
         raise ValueError("budget must be non-negative, got %d" % inst.k)

@@ -31,10 +31,10 @@ is then the optimum of the part at hand; one mask over all parts would need
 the summed optimum, which a union of many small components soon exceeds.
 Depth is not the only reason for the split.  Where one mask stays within
 the stack, every mask of an earlier component carries the later ones along,
-the memo holds them and each packing bound walks them: on CPython 3.11 and
-a 2-vCPU Xeon, 60 disjoint 21-red cycles take 0.16 s as one mask against
-0.013 s part by part (1,251 states against 720), and four disjoint 10 x 14
-grid kernels 0.088 s against 0.0047 s (5,075 states against 428).
+the memo holds them and each packing bound walks them, so a union of
+components takes more states and more time as one mask than part by part
+(CHANGES.md, the entry on ``min_rbds`` returning the cover its search
+records, has the times).
 
 The memo lives as long as the engine, i.e. for one call.  A search deeper
 than the interpreter's stack, or one that needs more than
@@ -64,9 +64,10 @@ from .graph import RBGraph
 
 
 # The most memo entries, i.e. uncovered masks, one min_rbds call may hold.
-# The 26 x 26 grid kernel needs 140,954 and answers in about 2 s; the 28 x 28
-# one would need 487,599 and is refused after about 3.2 s, at a tracemalloc
-# peak of 39 MB.  The largest seed-7 benchmark kernel needs 421.
+# The 26 x 26 grid kernel needs 140,954 and is answered; the 28 x 28 one
+# would need 487,599 and is refused.  The largest seed-7 benchmark kernel
+# needs 421.  CHANGES.md, the entry on min_rbds returning the cover its
+# search records, has the times.
 MAX_STATES = 200_000
 
 

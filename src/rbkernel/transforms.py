@@ -30,9 +30,20 @@ def face_cover_to_rbds(pg: PlaneGraph):
                          "%d - %d + %d = %d, not 2" % (pg.n_vertices, pg.n_edges, len(faces), euler))
     face_to_blue = {i: i + 1 for i in range(len(faces))}
     vertex_to_red = {v: len(faces) + 1 + i for i, v in enumerate(sorted(pg.rotation))}
-    g = RBGraph.from_parts(face_to_blue.values(), vertex_to_red.values())
-    for i, face in enumerate(faces):
-        for v in face:
-            g.add_edge(face_to_blue[i], vertex_to_red[v])
+    # Built as RBGraph.copy does: every id is made here and every face
+    # vertex is a rotation vertex, so no edge names an unknown vertex or
+    # loops.  Blue i + 1 holds face i's reds, and each red gets its blues.
+    red_adj = {r: set() for r in vertex_to_red.values()}
+    adj = {}
+    for b, face in enumerate(faces, start=1):
+        adj[b] = reds = {vertex_to_red[v] for v in face}
+        for r in reds:
+            red_adj[r].add(b)
+    adj.update(red_adj)
+    g = RBGraph.__new__(RBGraph)
+    g.blue = set(face_to_blue.values())
+    g.red = set(vertex_to_red.values())
+    g.adj = adj
+    g._next_id = len(adj) + 1
     return g, vertex_to_red, face_to_blue
 

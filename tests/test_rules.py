@@ -37,27 +37,9 @@ from helpers import (
     oracle_rule3_set,
     oracle_rule4_all,
     reduce_rules123,
+    rule4_case2_witness,
+    rule4_case3_witness,
 )
-
-
-def rule4_case2_witness():
-    # blues: v=1 w=2 y1=3 y2=4 za=5 zc=6; reds: p1=7 p2=8 a=9 c=10 e=11.
-    # p1, p2 are private to the pair; a and c leak through za/zc to e.
-    return RBGraph.from_parts(
-        range(1, 7), range(7, 12),
-        [(1, 7), (1, 8), (1, 9), (2, 7), (2, 8), (2, 10),
-         (3, 7), (3, 9), (3, 10), (4, 8), (4, 9), (4, 10),
-         (5, 9), (5, 11), (6, 10), (6, 11)])
-
-
-def rule4_case3_witness(swap_vw=False):
-    # blues: v=1 w=2 y=3 z=4 z2=5 z3=6; reds: q1=7 q2=8 c=9 e=10 f=11 g=12.
-    # P(v,w) = {q1,q2} sits inside N(v) only; the z-cycle keeps c public.
-    a, b = (2, 1) if swap_vw else (1, 2)
-    return RBGraph.from_parts(
-        range(1, 7), range(7, 13),
-        [(a, 7), (a, 8), (b, 7), (b, 9), (3, 8), (3, 9),
-         (4, 9), (4, 10), (4, 12), (5, 10), (5, 11), (6, 11), (6, 12)])
 
 
 def far_private_red_witness():
@@ -199,9 +181,9 @@ def r3_matches(g):
     checked against the private-neighborhood definition."""
     assert oracle_rule1(g) is None and oracle_rule2(g) is None
     want = oracle_rule3_set(g)
-    found = [_r3_at(g, b) for b in sorted(g.blue)]
+    found = [Match(R3, (b,)) for b in sorted(g.blue) if _r3_at(g, b) is not None]
     assert {m.witness[0] for m in found if m is not None} == want, (found, want)
-    return [m for m in found if m is not None]
+    return found
 
 
 def r4_matches(g):
