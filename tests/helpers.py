@@ -425,6 +425,32 @@ def rule4_case3_witness(swap_vw=False):
          (4, 9), (4, 10), (4, 12), (5, 10), (5, 11), (6, 11), (6, 12)])
 
 
+def r4_witness_union(rng: random.Random) -> RBGraph:
+    """A union of 2-8 copies of the R4 case-2 and case-3 witnesses, the
+    latter either way round, ids shifted copy by copy.  Each copy after the
+    first is joined to an earlier one by at most one blue-red edge, a
+    bridge, so a union of planar copies is planar."""
+    g = RBGraph()
+    copies = []
+    for _ in range(rng.randint(2, 8)):
+        kind = rng.randrange(3)
+        w = rule4_case2_witness() if kind == 0 else rule4_case3_witness(swap_vw=kind == 2)
+        shift = g._next_id - 1
+        for v in sorted(w.adj):
+            g._add_with_id(v + shift, w.color_of(v))
+        for u, v in w.edges():
+            g.add_edge(u + shift, v + shift)
+        part = {v + shift for v in w.adj}
+        if copies and rng.random() < 0.8:
+            earlier = rng.choice(copies)
+            if rng.random() < 0.5:
+                g.add_edge(rng.choice(sorted(part & g.blue)), rng.choice(sorted(earlier & g.red)))
+            else:
+                g.add_edge(rng.choice(sorted(earlier & g.blue)), rng.choice(sorted(part & g.red)))
+        copies.append(part)
+    return g
+
+
 def alternating_cycle(pairs: int) -> RBGraph:
     """Cycle alternating blue/red with `pairs` vertices of each color."""
     blues = list(range(1, pairs + 1))
@@ -461,6 +487,24 @@ def adjacency(vertices, edges) -> dict:
             adj[u].add(v)
             adj[v].add(u)
     return adj
+
+
+def reference_face_cover_to_rbds(pg):
+    """``transforms.face_cover_to_rbds`` built through the graph's checked
+    constructors: ``from_parts`` for the vertices, then one ``add_edge`` per
+    face incidence."""
+    faces = pg.faces()
+    euler = pg.n_vertices - pg.n_edges + len(faces)
+    if pg.rotation and euler != 2:
+        raise GraphError("the rotation system is not a plane embedding: V - E + F = "
+                         "%d - %d + %d = %d, not 2" % (pg.n_vertices, pg.n_edges, len(faces), euler))
+    face_to_blue = {i: i + 1 for i in range(len(faces))}
+    vertex_to_red = {v: len(faces) + 1 + i for i, v in enumerate(sorted(pg.rotation))}
+    g = RBGraph.from_parts(face_to_blue.values(), vertex_to_red.values())
+    for i, face in enumerate(faces):
+        for v in face:
+            g.add_edge(face_to_blue[i], vertex_to_red[v])
+    return g, vertex_to_red, face_to_blue
 
 
 def brute_force_face_cover(pg) -> int:

@@ -80,6 +80,32 @@ def cap_reached_at_last_blue_witness():
         [(1, 7), (1, 9), (2, 7), (2, 8), (3, 8), (3, 9), (4, 6), (4, 8), (5, 6), (5, 7)])
 
 
+def reds_on(nb: int, nbhds) -> RBGraph:
+    """Blues 1..nb and one red on each blue set of ``nbhds``, numbered
+    nb + 1 on in that order."""
+    return RBGraph.from_parts(range(1, nb + 1), range(nb + 1, nb + len(nbhds) + 1),
+                              [(b, nb + 1 + i) for i, nbhd in enumerate(nbhds) for b in nbhd])
+
+
+def w_sets_meet_until_last_witness():
+    # Past the Euler bound, 32 edges on 17 vertices.  Red 15 has
+    # N = {2, 3, 4, 7}; for a = 2 the W sets of blues 3, 4 and 7 are
+    # {1, 3, 8, 9}, {4, 5, 6, 8} and {1, 6, 7, 9}, which meet two by two but
+    # not all three, so the per-blue count empties its intersection only at
+    # the last of them, in whatever order it meets them.
+    return reds_on(9, [(1, 2, 3, 7), (1, 2, 4, 5), (1, 3, 8, 9), (1, 6, 7, 9), (1, 6, 8, 9),
+                       (2, 3, 4, 7), (4, 5, 6, 8), (5, 6, 8, 9)])
+
+
+def w_sets_disjoint_witness():
+    # Past the Euler bound, 24 edges on 13 vertices.  Red 8 has
+    # N = {1, 2, 5, 6}; for a = 1 the W sets of blues 2, 5 and 6 are {2, 3},
+    # {4, 5} and {6, 7}, so the first two the per-blue count meets are
+    # already disjoint and it stops before the third.
+    return reds_on(7, [(1, 2, 5, 6), (1, 3, 4, 5), (1, 3, 4, 7), (2, 3, 4, 5), (2, 3, 6, 7),
+                       (4, 5, 6, 7)])
+
+
 def relabeled(g, label):
     """``g`` with every vertex v renamed ``label(v)``."""
     return RBGraph.from_parts(map(label, g.blue), map(label, g.red),
@@ -328,6 +354,8 @@ class TestRule4:
     @example(cap_passed_at_last_blue_witness())
     @example(cap_reached_at_last_blue_witness())
     @example(REDUCED_GRID)
+    @example(w_sets_meet_until_last_witness())
+    @example(w_sets_disjoint_witness())
     @settings(max_examples=300, deadline=None)
     def test_pair_counting_matches_brute_force(self, g):
         want = {(v, w) for v, w in itertools.combinations(sorted(g.blue), 2)
