@@ -104,7 +104,7 @@ class RuleApplication(NamedTuple):
     R4 case 2 adds, None for every other tag.  A named tuple, built with
     ``_make`` from a tuple of the four fields wherever one is built per
     record (the rule functions and the trace reader): calling the class
-    goes through its generated Python ``__new__``, which costs more a
+    goes through its generated Python ``__new__``, which costs more per
     record (CHANGES.md, the entry on ``_make`` records)."""
 
     tag: str
