@@ -81,8 +81,9 @@ def _is_origid(parts: list) -> bool:
 # -- instances -----------------------------------------------------------------
 
 # The most vertices an instance header may declare.  The reader allocates an
-# adjacency set for each before it reads an edge, about 390 bytes a vertex
-# (tracemalloc peak), so the largest header it accepts costs about 390 MB.
+# adjacency set for each before it reads an edge, so the cap bounds the
+# memory a header alone can claim (CHANGES.md, the entry on MAX_VERTICES,
+# has the tracemalloc peak per vertex).
 MAX_VERTICES = 1_000_000
 
 
@@ -106,9 +107,10 @@ _LINE = re.compile(r"([^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)"
 # Runs of up to _RUN_LINES lines that the line-by-line checks accept as they
 # stand: fields of ASCII digits apart by blanks and tabs, each line ended by
 # "\n" or "\r\n".  The cap bounds what the reader holds at once: the run's
-# tokens, and the regex engine's backtracking state, about 470 bytes a line
-# (a 4,096-line cap raised tight-planar's peak RSS by 2 MB; 256 lines read
-# as fast as 1,024).
+# tokens, and the regex engine's backtracking state, which grows with the
+# lines one match takes (CHANGES.md, the entry on reading instance files a
+# run of edge lines at a time, has the bytes a line and the peak RSS of a
+# larger cap).
 _RUN_LINES = 256
 _EDGE_RUN = re.compile(r"(?:[ \t]*e[ \t]+%s[ \t]+%s[ \t]*\r?\n){1,%d}"
                        % (_ID, _ID, _RUN_LINES))
@@ -213,12 +215,8 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(i, "unrecognized line %r" % line.strip())
     if header is None:
         raise ParseError(0, "missing 'p rbds' header")
-    # Built as RBGraph.copy does: every id and edge was checked above.
-    g = RBGraph.__new__(RBGraph)
-    g.blue = set(range(1, nb + 1))
-    g.red = set(range(nb + 1, last + 1))
-    g.adj = adj
-    g._next_id = last + 1
+    # Every id and edge was checked above.
+    g = RBGraph._trusted(set(range(1, nb + 1)), set(range(nb + 1, last + 1)), adj, last + 1)
     if origid:
         meta["origid"] = origid
     return Instance(g, header[2], meta)

@@ -44,6 +44,19 @@ class RBGraph:
             g.add_edge(u, v)
         return g
 
+    @classmethod
+    def _trusted(cls, blue: set, red: set, adj: dict, next_id: int) -> "RBGraph":
+        """Wrap parts the caller has already made consistent, with no check:
+        ``adj`` is symmetric, keyed by exactly ``blue | red``, free of loops,
+        and every id is below ``next_id``.  The one constructor for callers
+        that build the sets themselves."""
+        g = cls.__new__(cls)
+        g.blue = blue
+        g.red = red
+        g.adj = adj
+        g._next_id = next_id
+        return g
+
     # -- construction and mutation ---------------------------------------
 
     def _add_with_id(self, vid: int, color: str) -> int:
@@ -122,18 +135,14 @@ class RBGraph:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(s) for s in self.adj.values()) // 2
+        return sum(map(len, self.adj.values())) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted((u, v) for u in self.adj for v in self.adj[u] if u < v)
 
     def copy(self) -> "RBGraph":
-        g = RBGraph.__new__(RBGraph)
-        g.blue = set(self.blue)
-        g.red = set(self.red)
-        g.adj = {v: set(s) for v, s in self.adj.items()}
-        g._next_id = self._next_id
-        return g
+        return RBGraph._trusted(set(self.blue), set(self.red),
+                                {v: set(s) for v, s in self.adj.items()}, self._next_id)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RBGraph):

@@ -23,7 +23,7 @@ from scipy.sparse import csr_array
 from rbkernel import planar, solver
 from rbkernel.formats import (_FINGERPRINT, _RECORD, MAX_VERTICES, ParseError, _is_id,
                              format_fingerprint)
-from rbkernel.generators import _layout, _stacked_triangulation
+from rbkernel.generators import GEN_ALGO_ID
 from rbkernel.graph import BLUE, RED, GraphError, Instance, RBGraph
 from rbkernel.kernelizer import (
     NO_BUDGET,
@@ -379,11 +379,91 @@ def random_sanitized_instance(rng: random.Random, max_n: int = 12) -> RBGraph:
     return g
 
 
+# -- reference generators ----------------------------------------------------
+#
+# The generators as they were before they built their graphs directly: a
+# ``randrange`` per face, an edge set that is then sorted, and the graph
+# built through ``from_parts`` plus one checked ``add_edge`` per edge.
+# ``generators`` must give exactly what these give for every argument.
+
+
+def _layout(colors: dict, edges) -> RBGraph:
+    """Relabel to blues 1..nB, reds nB+1..nB+nR (old-id order) and build."""
+    blues = sorted(v for v, c in colors.items() if c == BLUE)
+    reds = sorted(v for v, c in colors.items() if c == RED)
+    label = {v: i + 1 for i, v in enumerate(blues)}
+    label.update({v: len(blues) + 1 + i for i, v in enumerate(reds)})
+    g = RBGraph.from_parts(range(1, len(blues) + 1),
+                           range(len(blues) + 1, len(blues) + len(reds) + 1))
+    for u, v in edges:
+        g.add_edge(label[u], label[v])
+    return g
+
+
+def reference_gen_grid(rows: int, cols: int) -> Instance:
+    if rows < 1 or cols < 1:
+        raise ValueError("grid needs rows, cols >= 1")
+    n = rows * cols
+    n_blue = (n + 1) // 2
+    label = []
+    blue = red = 0
+    for i in range(rows):
+        for j in range(cols):
+            if (i + j) % 2 == 0:
+                blue += 1
+                label.append(blue)
+            else:
+                red += 1
+                label.append(n_blue + red)
+    g = RBGraph.from_parts(range(1, n_blue + 1), range(n_blue + 1, n + 1))
+    for v in range(n):
+        if (v + 1) % cols:
+            g.add_edge(label[v], label[v + 1])
+        if v + cols < n:
+            g.add_edge(label[v], label[v + cols])
+    return Instance(g, n_blue)
+
+
+def reference_gen_matching(m: int) -> Instance:
+    g = RBGraph.from_parts(range(1, m + 1), range(m + 1, 2 * m + 1))
+    for i in range(1, m + 1):
+        g.add_edge(i, m + i)
+    return Instance(g, m)
+
+
+def reference_stacked_triangulation(n: int, rng: random.Random):
+    edges = {(0, 1), (0, 2), (1, 2)}
+    faces = [(0, 1, 2), (0, 1, 2)]  # both sides of the starting triangle
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges.update(((a, v), (b, v), (c, v)))
+        faces.extend(((a, b, v), (a, c, v), (b, c, v)))
+    return sorted(edges)
+
+
+def reference_gen_random_planar(n: int, density: float, seed: int) -> Instance:
+    rng = random.Random(seed)
+    edges = [e for e in reference_stacked_triangulation(n, rng) if rng.random() < density]
+    colors = {v: (BLUE if rng.random() < 0.5 else RED) for v in range(n)}
+    adjacency = {v: set() for v in range(n)}
+    for u, v in edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    for v in range(n):
+        if colors[v] == RED and not any(colors[u] == BLUE for u in adjacency[v]):
+            colors[v] = BLUE
+    cross = [(u, v) for u, v in edges if colors[u] != colors[v]]
+    keep = {v for v, c in colors.items() if c == RED}
+    keep.update(x for e in cross for x in e)
+    g = _layout({v: colors[v] for v in keep}, cross)
+    return Instance(g, len(g.blue), meta={"algo": GEN_ALGO_ID, "seed": seed})
+
+
 def quadratic_gen_random_planar(n: int, density: float, seed: int) -> Instance:
     """gen_random_planar with its original recoloring: recolor the lowest
     undominated red blue, then rescan every vertex, until none is left."""
     rng = random.Random(seed)
-    edges = [e for e in _stacked_triangulation(n, rng) if rng.random() < density]
+    edges = [e for e in reference_stacked_triangulation(n, rng) if rng.random() < density]
     colors = {v: (BLUE if rng.random() < 0.5 else RED) for v in range(n)}
     adjacency = {v: set() for v in range(n)}
     for u, v in edges:

@@ -332,6 +332,15 @@ class TestGenCommand:
             assert err.startswith("%s %s: " % tuple(argv[:2])) and err.count("\n") == 1
         assert not out.exists()
 
+    def test_single_cell_grid_refused(self, tmp_path, capsys):
+        # One cell is an isolated blue, which sanitize would remove, so no
+        # 'p rbds 1 0 1' file is written.
+        out = tmp_path / "g.rbds"
+        assert main(["gen", "grid", "1", "1", "--out", str(out)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("gen grid: ") and "two cells" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_oversized_refused_in_constant_memory(self, tmp_path, capsys):
         # The reader refuses more than MAX_VERTICES vertices, so gen refuses
         # to build such an instance before allocating it.

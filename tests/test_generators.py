@@ -1,13 +1,13 @@
 import pytest
 
-from rbkernel.generators import _layout, gen_grid, gen_matching, gen_random_planar
+from rbkernel.generators import gen_grid, gen_matching, gen_random_planar
 from rbkernel.graph import BLUE, RED
 from rbkernel.kernelizer import sanitize
 from rbkernel.kernelizer import kernelize
 from rbkernel.planar import bipartite_euler_bound, planar_verdict
 from rbkernel.solver import min_rbds, verify_solution
 
-from helpers import quadratic_gen_random_planar
+from helpers import _layout, quadratic_gen_random_planar
 
 
 class TestGrid:
@@ -35,7 +35,14 @@ class TestGrid:
         with pytest.raises(ValueError):
             gen_grid(0, 3)
 
-    @pytest.mark.parametrize("rows, cols", [(r, c) for r in range(1, 7) for c in range(1, 7)])
+    def test_single_cell_refused(self):
+        # One cell is an isolated blue: sanitize would answer
+        # Sanitize-isolated-blue, and every generator emits a sanitized instance.
+        with pytest.raises(ValueError, match="two cells"):
+            gen_grid(1, 1)
+
+    @pytest.mark.parametrize("rows, cols", [(r, c) for r in range(1, 7) for c in range(1, 7)
+                                            if r * c > 1])
     def test_numbering_matches_layout(self, rows, cols):
         # gen_grid numbers the cells itself; _layout, fed the colored grid,
         # is the reference for that numbering and for the edge order.
