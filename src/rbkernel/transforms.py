@@ -31,7 +31,8 @@ def face_cover_to_rbds(pg: PlaneGraph):
     face_to_blue = {i: i + 1 for i in range(len(faces))}
     vertex_to_red = {v: len(faces) + 1 + i for i, v in enumerate(sorted(pg.rotation))}
     # Every id is made here and every face vertex is a rotation vertex, so
-    # no edge names an unknown vertex or loops.  Blue i + 1 holds face i's reds, and each red gets its blues.
+    # no edge names an unknown vertex or loops.  Blue i + 1 holds face i's
+    # reds, and each red gets its blues.
     red_adj = {r: set() for r in vertex_to_red.values()}
     adj = {}
     for b, face in enumerate(faces, start=1):
