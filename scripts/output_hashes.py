@@ -26,13 +26,16 @@ produce the same traces, kernels, verdicts and kernel solutions; two trees
 that differ only in how ``fingerprint_instance`` digests an instance print
 the same ``records``, ``trace`` and ``solve`` lines; two trees that differ
 only in how a trace is written print the same ``records`` line.  Before it
-hashes, the script checks that ``replay_trace`` replays every trace on its
-input, to the kernel for a reduced instance, that ``parse_trace`` reads
-every written trace back to the same records and fingerprint, that
-``format_trace`` writes what it read back to the same text (a writer that
-stopped writing one canonical text would pass the records check), and that
+hashes, the script checks that, for a plane operation,
+``face_cover_to_rbds`` builds the same graph, key order, id maps and next
+free id on the planarity test's embedding as on ``PlaneGraph`` of its
+rotation; that ``replay_trace`` replays every trace on its input, to the
+kernel for a reduced instance; that ``parse_trace`` reads every written
+trace back to the same records and fingerprint; that ``format_trace``
+writes what it read back to the same text (a writer that stopped writing
+one canonical text would pass the records check); and that
 ``parse_instance`` reads every written kernel back to the kernel's budget
-and graph under its ``c origid`` ids, and exits with an error naming the
+and graph under its ``c origid`` ids.  It exits with an error naming the
 operation if not.  The replay passes every record's tag and witness to
 ``apply_rule``, so it also checks that the driver's records are exactly
 the ones ``apply_rule`` gives.
@@ -56,10 +59,26 @@ from rbkernel import formats, kernelizer, planar, solver, transforms  # noqa: E4
 from rbkernel.graph import GraphError, Instance, RBGraph  # noqa: E402
 
 
-def _instance(op: reference.Op) -> Instance:
+def _radial(pg: planar.PlaneGraph) -> tuple:
+    """``face_cover_to_rbds(pg)`` with the key order of its graph and maps."""
+    g, vertex_to_red, face_to_blue = transforms.face_cover_to_rbds(pg)
+    return g, list(g.adj), g._next_id, list(vertex_to_red.items()), list(face_to_blue.items())
+
+
+def _same_radial(pg: planar.PlaneGraph) -> bool:
+    """True iff ``face_cover_to_rbds`` builds the same graph, key order, id
+    maps and next free id on ``pg`` as on ``PlaneGraph(pg.rotation)``, the
+    dart table the checked constructor builds from the rotation dict."""
+    return _radial(pg) == _radial(planar.PlaneGraph(pg.rotation))
+
+
+def _instance(i: int, op: reference.Op) -> Instance:
     if op.item.kind == "plane":
-        pr = planar.is_planar(range(op.item.n_plane), op.item.edges)
-        g, _, _ = transforms.face_cover_to_rbds(pr.embedding)
+        pg = planar.is_planar(range(op.item.n_plane), op.item.edges).embedding
+        if not _same_radial(pg):
+            sys.exit("operation %d: face_cover_to_rbds builds another radial graph on "
+                     "PlaneGraph(rotation) than on the planarity test's embedding" % i)
+        g, _, _ = transforms.face_cover_to_rbds(pg)
         return Instance(g, op.k)
     return formats.parse_instance(op.text)
 
@@ -113,7 +132,7 @@ def main(argv=None) -> int:
     ops, _ = reference.prepare(items, args.seed)
     fingerprints, records, traces, kernels = [], [], [], []
     for i, op in enumerate(ops):
-        inst = _instance(op)
+        inst = _instance(i, op)
         res = kernelizer.kernelize(inst)
         if not _replays(inst.graph, res.trace, None if res.is_no else res.instance.graph):
             sys.exit("operation %d: replay_trace does not replay its trace" % i)

@@ -24,7 +24,7 @@ lists for each red the scanned reds within its neighborhood.  Once R1 is
 exhausted R3 applies at every degree-one blue, which ``_r3_seed`` lists;
 for R4 the driver asks ``_r4_case`` for the case and the private reds at
 one pair of blues.  :func:`sanitize` returns every Sanitize match, a
-:class:`Match` of trace tag and witness tuple, in firing order.
+(trace tag, witness tuple) pair, in firing order.
 Each tag has one function that holds its condition, its effect and its
 record (``_r1``, ``_r2``, ``_r3``, ``_r4``, whose condition is
 ``_r4_case``, and one per Sanitize tag): every firing runs it, and it
@@ -81,36 +81,28 @@ NO_BUDGET = "budget"
 NO_SIZE = "size"
 
 
-# -- findings ----------------------------------------------------------------
-
-
-class Match(NamedTuple):
-    """A rule that applies: its trace tag and the record's witness tuple,
-    ``(remove, witness)`` for R1 and R2, ``(v,)`` for R3 and ``(v, w)`` for
-    R4; ``(u, v)`` for Sanitize-edge, ``(v,)`` for the other Sanitize tags.
-    :func:`apply_rule` takes any (tag, witness) pair: the replay hands it
-    the first two fields of each record rather than build a Match."""
-
-    tag: str
-    witness: tuple
-
-
 # -- trace records -------------------------------------------------------------
 
 
 class RuleApplication(NamedTuple):
     """One rule firing: what a replay needs to re-derive it from the graph
     it applies to, and a lift to undo it.  ``added`` is the id of the red an
-    R4 case 2 adds, None for every other tag.  A named tuple, built with
-    ``_make`` from a tuple of the four fields wherever one is built per
-    record (the rule functions and the trace reader): calling the class
-    goes through its generated Python ``__new__``, which costs more per
-    record (CHANGES.md, the entry on ``_make`` records)."""
+    R4 case 2 adds, None for every other tag.  A named tuple, built by
+    ``_new_record(RuleApplication, fields)`` from a tuple of the four
+    fields wherever one is built per record (the rule functions and the
+    trace reader): that is ``tuple.__new__``, one C call, while calling the
+    class goes through its generated Python ``__new__`` and ``_make``
+    adds a Python frame and a length check (CHANGES.md, the entry on
+    records built in one C call)."""
 
     tag: str
     witness: tuple
     delta_k: int
     added: int | None
+
+
+# Wraps a tuple of a record's four fields as a RuleApplication.
+_new_record = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -172,14 +164,14 @@ def fingerprint_instance(inst: Instance) -> Fingerprint:
 # first.
 
 
-def sanitize(g: RBGraph) -> list[Match]:
-    """What normalizing ``g`` takes, without changing it: Sanitize-edge for
-    every edge (u, v), u < v, joining two vertices of one color, in
-    ascending order; then Sanitize-isolated-blue for every blue with no red
-    neighbor, which can never dominate anything, in ascending order; then
-    Sanitize-NO for the least red with no blue neighbor, if there is one.
-    Applied in this order, the matches leave a graph with cross-color edges
-    only and no isolated blue."""
+def sanitize(g: RBGraph) -> list[tuple]:
+    """What normalizing ``g`` takes, without changing it, as (tag, witness)
+    pairs: Sanitize-edge for every edge (u, v), u < v, joining two vertices
+    of one color, in ascending order; then Sanitize-isolated-blue for every
+    blue with no red neighbor, which can never dominate anything, in
+    ascending order; then Sanitize-NO for the least red with no blue
+    neighbor, if there is one.  Applied in this order, the matches leave a
+    graph with cross-color edges only and no isolated blue."""
     adj, blue, red = g.adj, g.blue, g.red
     edges = []
     for side in (blue, red):
@@ -187,11 +179,11 @@ def sanitize(g: RBGraph) -> list[Match]:
             if not adj[u].isdisjoint(side):
                 edges += [(u, v) for v in adj[u] & side if v > u]
     edges.sort()
-    found = [Match(SAN_EDGE, e) for e in edges]
-    found += [Match(SAN_BLUE, (b,)) for b in sorted(b for b in blue if adj[b].isdisjoint(red))]
+    found = [(SAN_EDGE, e) for e in edges]
+    found += [(SAN_BLUE, (b,)) for b in sorted(b for b in blue if adj[b].isdisjoint(red))]
     r = min((r for r in red if adj[r].isdisjoint(blue)), default=None)
     if r is not None:
-        found.append(Match(SAN_NO, (r,)))
+        found.append((SAN_NO, (r,)))
     return found
 
 
@@ -382,7 +374,8 @@ def _r1(g: RBGraph, witness: tuple):
     b, b2 = witness
     adj, blue = g.adj, g.blue
     if b in blue and b2 in blue and b != b2 and adj[b] and adj[b] <= adj[b2]:
-        return RuleApplication._make((R1, witness, 0, None)), [(b, BLUE, g.remove_vertex(b))]
+        return (_new_record(RuleApplication, (R1, witness, 0, None)),
+                [(b, BLUE, g.remove_vertex(b))])
     raise _refused(R1, witness)
 
 
@@ -392,7 +385,7 @@ def _r2(g: RBGraph, witness: tuple):
     r, r2 = witness
     adj, red = g.adj, g.red
     if r in red and r2 in red and r != r2 and adj[r2] and adj[r2] <= adj[r]:
-        return RuleApplication._make((R2, witness, 0, None)), [(r, RED, g.remove_vertex(r))]
+        return _new_record(RuleApplication, (R2, witness, 0, None)), [(r, RED, g.remove_vertex(r))]
     raise _refused(R2, witness)
 
 
@@ -404,7 +397,7 @@ def _force(g: RBGraph, tag: str, witness: tuple):
     nbrs = _nbrs(g.adj, forced)
     removed = [(x, BLUE, g.remove_vertex(x)) for x in forced]
     removed += [(x, g.color_of(x), g.remove_vertex(x)) for x in nbrs]
-    return RuleApplication._make((tag, witness, -len(forced), None)), removed
+    return _new_record(RuleApplication, (tag, witness, -len(forced), None)), removed
 
 
 def _r3(g: RBGraph, witness: tuple):
@@ -414,7 +407,7 @@ def _r3(g: RBGraph, witness: tuple):
     r = _r3_at(g, v)
     if r is None:
         raise _refused(R3, witness)
-    return (RuleApplication._make((R3, witness, -1, None)),
+    return (_new_record(RuleApplication, (R3, witness, -1, None)),
             [(v, BLUE, g.remove_vertex(v)), (r, RED, g.remove_vertex(r))])
 
 
@@ -427,7 +420,7 @@ def _r4(g: RBGraph, witness: tuple, found: tuple):
     if case != 2:
         return _force(g, tag, witness)
     removed = [(x, RED, g.remove_vertex(x)) for x in private]
-    return RuleApplication._make((tag, witness, 0, g.add_red_vertex(witness))), removed
+    return _new_record(RuleApplication, (tag, witness, 0, g.add_red_vertex(witness))), removed
 
 
 def _san_edge(g: RBGraph, witness: tuple):
@@ -437,7 +430,7 @@ def _san_edge(g: RBGraph, witness: tuple):
     adj = g.adj
     if u in adj and v in adj[u] and (u in g.blue) == (v in g.blue):
         g.remove_edge(u, v)
-        return RuleApplication._make((SAN_EDGE, witness, 0, None)), []
+        return _new_record(RuleApplication, (SAN_EDGE, witness, 0, None)), []
     raise _refused(SAN_EDGE, witness)
 
 
@@ -446,7 +439,8 @@ def _san_blue(g: RBGraph, witness: tuple):
     neighbor."""
     b = witness[0]
     if b in g.blue and not g.adj[b]:
-        return RuleApplication._make((SAN_BLUE, witness, 0, None)), [(b, BLUE, g.remove_vertex(b))]
+        return (_new_record(RuleApplication, (SAN_BLUE, witness, 0, None)),
+                [(b, BLUE, g.remove_vertex(b))])
     raise _refused(SAN_BLUE, witness)
 
 
@@ -454,7 +448,7 @@ def _san_no(g: RBGraph, witness: tuple):
     """Sanitize-NO at (r,): the red r has no neighbor, so no blue can
     dominate it; the graph is left as it is."""
     if witness[0] in g.red and not g.adj[witness[0]]:
-        return RuleApplication._make((SAN_NO, witness, 0, None)), []
+        return _new_record(RuleApplication, (SAN_NO, witness, 0, None)), []
     raise _refused(SAN_NO, witness)
 
 
@@ -463,12 +457,12 @@ _RULE = {R1: _r1, R2: _r2, R3: _r3, SAN_EDGE: _san_edge, SAN_BLUE: _san_blue, SA
 
 
 def apply_rule(g: RBGraph, match: tuple) -> tuple[RuleApplication, list]:
-    """Mutate ``g`` according to a match, a :class:`Match` or any (tag,
-    witness) pair; returns the trace record, whose ``delta_k`` is the budget
-    change, and the removed vertices as ``(vertex, color, former
-    neighbors)`` triples.  A match whose rule does not apply at its
-    witness, or whose witness does not have its tag's length, raises
-    ``GraphError`` and leaves ``g`` unchanged.  The tag's own function
+    """Mutate ``g`` according to a match, a (tag, witness) pair; returns
+    the trace record, whose ``delta_k`` is the budget change, and the
+    removed vertices as ``(vertex, color, former neighbors)`` triples.  A
+    match whose rule does not apply at its witness, or whose witness does
+    not have its tag's length, raises ``GraphError`` and leaves ``g``
+    unchanged.  The tag's own function
     checks and applies it; an R4 tag must name the case :func:`_r4_case`
     finds at the pair."""
     tag, witness = match
@@ -693,7 +687,7 @@ def kernelize(inst: Instance) -> KernelResult:
     found = sanitize(g)
     for match in found:
         records.append(apply_rule(g, match)[0])
-    if found and found[-1].tag == SAN_NO:
+    if found and found[-1][0] == SAN_NO:
         return KernelResult("no", reason=NO_ISOLATED_RED, trace=trace)
 
     wl1.update(g.blue)

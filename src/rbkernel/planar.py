@@ -9,6 +9,15 @@ for a non-planar one.  The embedding is a :class:`PlaneGraph`, a rotation
 system (cyclic order of neighbors around each vertex) that supports the
 dart-walk face enumeration the radial-graph transform needs.
 
+A :class:`PlaneGraph` holds its rotation as one table of darts indexed by
+int: dart ``h`` and its twin ``h ^ 1`` are the two ends of one edge, and
+the face walk steps from ``h`` to ``cw[h ^ 1]``.  Two constructors build
+the table.  ``PlaneGraph(rotation)`` builds it from a ``{vertex: cyclic
+neighbor list}`` map and checks that map; ``parse_plane`` and the tests
+use it.  :func:`is_planar` builds it with no check from the left-right
+test's own half-edges, through the trusted constructor, as
+``RBGraph._trusted`` wraps parts its callers made consistent.
+
 The test is a step-for-step port, onto flat lists indexed by vertex and
 edge numbers, of the non-recursive left-right test that
 ``tests/test_planarity.py`` uses as its oracle: the same neighbor orders,
@@ -21,6 +30,7 @@ rotation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import GraphError, RBGraph
 
@@ -38,84 +48,154 @@ class PlanarityResult:
 
 
 class PlaneGraph:
-    """A graph with a rotation system.
+    """A graph with a rotation system, held as a table of darts.
 
-    ``rotation`` maps each vertex to the cyclic list of its neighbors.  The
-    constructor checks that the rotation is symmetric and duplicate-free.
-    Two questions stay separate: whether the edge set is planar, which
-    ``planar_verdict(pg.rotation)`` answers, and whether this rotation is a
-    genus-zero embedding of it, which the Euler count of :meth:`faces`
-    answers and ``transforms.face_cover_to_rbds`` checks.
+    Vertex ``i`` is named ``names[i]``.  Each edge is two darts, ``h`` and
+    ``h ^ 1``, one at each end: dart ``h`` leaves vertex ``_at[h]`` for
+    ``_at[h ^ 1]``, ``_cw[h]`` is the next dart clockwise around
+    ``_at[h]``, and ``_first[i]`` is the dart at which the listing of
+    vertex ``i`` in :attr:`rotation` starts, -1 for an isolated vertex.
+    ``_connected`` tells whether the graph is connected.
+
+    The constructor takes ``rotation``, a map of each vertex to the cyclic
+    list of its neighbors, and checks that it is symmetric, loop-free and
+    duplicate-free.  :meth:`_trusted` takes a table that is consistent by
+    construction.  Two questions stay separate: whether the edge set is
+    planar, which ``planar_verdict(pg.rotation)`` answers, and whether this
+    rotation is a genus-zero embedding of it, which the Euler count of
+    :meth:`faces` answers and ``transforms.face_cover_to_rbds`` checks.
     """
 
     def __init__(self, rotation: dict):
         self.rotation = {v: list(ns) for v, ns in rotation.items()}
-        self._index = {}
-        for v, ns in self.rotation.items():
-            pos = {}
-            for i, u in enumerate(ns):
+        index = {v: i for i, v in enumerate(self.rotation)}
+        n = len(index)
+        at, rings = [], []
+        pending = {}  # tail * n + head -> the dart whose twin is already made
+        for i, (v, ns) in enumerate(self.rotation.items()):
+            ring = []
+            seen = set()
+            for u in ns:
                 if u == v:
                     raise GraphError("self-loop at %r" % v)
-                if u in pos:
+                if u in seen:
                     raise GraphError("duplicate neighbor %r around %r" % (u, v))
-                if u not in self.rotation:
+                if u not in index:
                     raise GraphError("rotation of %r names unknown vertex %r" % (v, u))
-                pos[u] = i
-            self._index[v] = pos
-        for v, ns in self.rotation.items():
-            for u in ns:
-                if v not in self._index[u]:
-                    raise GraphError("edge (%r, %r) missing its reverse" % (v, u))
+                seen.add(u)
+                j = index[u]
+                h = pending.pop(i * n + j, None)
+                if h is None:
+                    h = len(at)
+                    at += (i, j)
+                    pending[j * n + i] = h + 1
+                ring.append(h)
+            rings.append(ring)
+        if pending:  # some dart has no twin: name the first, in rotation order
+            for v, ns in self.rotation.items():
+                for u in ns:
+                    if v not in self.rotation[u]:
+                        raise GraphError("edge (%r, %r) missing its reverse" % (v, u))
+        cw = [0] * len(at)
+        for ring in rings:
+            for h, g in zip(ring, ring[1:] + ring[:1]):
+                cw[h] = g
+        reached = bytearray(n)
+        stack = [0] if n else []
+        while stack:
+            i = stack.pop()
+            if not reached[i]:
+                reached[i] = 1
+                stack += [at[h ^ 1] for h in rings[i]]
+        self.names = list(index)
+        self._at = at
+        self._cw = cw
+        self._first = [ring[0] if ring else -1 for ring in rings]
+        self._connected = 0 not in reached
+
+    @classmethod
+    def _trusted(cls, names: list, at: list, cw: list, first: list,
+                 connected: bool) -> "PlaneGraph":
+        """Wrap a dart table the caller has already made consistent, with no
+        check: ``at`` pairs each dart ``h`` with its twin ``h ^ 1`` at the
+        other end of one edge, ``cw`` links each vertex's darts in one
+        cycle, ``first`` holds one dart of each vertex's cycle or -1, and
+        ``connected`` says whether the graph is connected.
+        :func:`is_planar` builds it from the left-right test's half-edges."""
+        pg = cls.__new__(cls)
+        pg.names = names
+        pg._at = at
+        pg._cw = cw
+        pg._first = first
+        pg._connected = connected
+        return pg
+
+    @cached_property
+    def rotation(self) -> dict:
+        """Each vertex's neighbors, clockwise from its first dart, as built
+        the first time it is read."""
+        names, at, cw = self.names, self._at, self._cw
+        rotation = {}
+        for v, h in zip(names, self._first):
+            ring = rotation[v] = []
+            start = h
+            while h >= 0:
+                ring.append(names[at[h ^ 1]])
+                h = cw[h]
+                if h == start:
+                    break
+        return rotation
 
     @property
     def n_vertices(self) -> int:
-        return len(self.rotation)
+        return len(self.names)
 
     @property
     def n_edges(self) -> int:
-        return sum(len(ns) for ns in self.rotation.values()) // 2
+        return len(self._at) // 2
 
-    def is_connected(self) -> bool:
-        if not self.rotation:
-            return True
-        seen = set()
-        stack = [next(iter(sorted(self.rotation)))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(u for u in self.rotation[v] if u not in seen)
-        return len(seen) == len(self.rotation)
-
-    def faces(self) -> list[frozenset]:
+    def faces(self, by_index: bool = False) -> list:
         """The vertex set of every face, by dart walking: the dart after
-        (u, v) leaves v along the rotation successor of u.  Faces come out
-        in first-discovery order of the ascending dart scan, which makes
-        downstream ids deterministic."""
-        if not self.is_connected():
+        ``h`` is ``cw[h ^ 1]``, which leaves the head of ``h`` along the
+        rotation successor of its tail.  Walks start at each unseen dart in
+        ascending (tail name, head name) order, so faces come out in
+        first-discovery order of that scan, which makes downstream ids
+        deterministic.  Each face is the ``frozenset`` of its vertices'
+        names or, with ``by_index``, the list of vertex indices its walk
+        passes, a vertex once per pass."""
+        if not self._connected:
             raise GraphError("face traversal needs a connected graph")
-        if not self.rotation:
-            return []
-        if self.n_edges == 0:
+        names, at, cw, first = self.names, self._at, self._cw, self._first
+        if not at:
             # A lone vertex sits on the one face of the plane.
-            return [frozenset(self.rotation)]
-        seen = set()
-        out = []
-        for u in sorted(self.rotation):
-            for v in sorted(self.rotation[u]):
-                if (u, v) in seen:
+            walks = [[0]] if names else []
+        else:
+            # Every vertex has a dart.  Taking the heads in ascending name
+            # order, each dart joins its tail's list, which so comes out in
+            # ascending head order.
+            order = sorted(range(len(names)), key=names.__getitem__)
+            out = [[] for _ in names]
+            for v in order:
+                h = start = first[v]
+                while True:
+                    out[at[h ^ 1]].append(h ^ 1)
+                    h = cw[h]
+                    if h == start:
+                        break
+            seen = bytearray(len(at))
+            walks = []
+            for h in [h for v in order for h in out[v]]:
+                if seen[h]:
                     continue
-                face = set()
-                dart = (u, v)
-                while dart not in seen:
-                    seen.add(dart)
-                    a, b = dart
-                    face.add(a)
-                    ns = self.rotation[b]
-                    dart = (b, ns[(self._index[b][a] + 1) % len(ns)])
-                out.append(frozenset(face))
-        return out
+                walk = []
+                while not seen[h]:
+                    seen[h] = 1
+                    walk.append(at[h])
+                    h = cw[h ^ 1]
+                walks.append(walk)
+        if by_index:
+            return walks
+        return [frozenset([names[i] for i in walk]) for walk in walks]
 
 
 def _left_right(adj, embed: bool):
@@ -123,8 +203,12 @@ def _left_right(adj, embed: bool):
 
     ``adj[i]`` iterates the neighbors of ``i``; self-loops are ignored.
     Returns None for a non-planar graph.  For a planar one it returns True,
-    or, with ``embed``, the rotation system as one clockwise neighbor list
-    per vertex, each starting at the vertex's leftmost neighbor.
+    or, with ``embed``, the rotation system as the dart table ``(at, cw,
+    first, connected)`` that :meth:`PlaneGraph._trusted` takes: half-edge
+    ``2e`` of edge ``e`` sits at one end and ``2e + 1`` at the other,
+    ``cw`` runs clockwise around each vertex, ``first[v]`` is the leftmost
+    half-edge of ``v`` and ``connected`` says whether one DFS root reached
+    every vertex.
 
     Edges are numbered; a conflict pair is a list ``[left.low, left.high,
     right.low, right.high]`` of edge numbers, None marking an empty end, and
@@ -216,87 +300,6 @@ def _left_right(adj, embed: bool):
     bottom = [None] * m  # top of the conflict stack when each edge was entered
     S = []
 
-    def add_constraints(ei, e):
-        P = [None, None, None, None]
-        le = lowpt[e]
-        # merge the return edges of ei into P.right
-        while True:
-            Q = S.pop()
-            if Q[0] is not None or Q[1] is not None:
-                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
-            if Q[0] is not None or Q[1] is not None:
-                return False
-            if lowpt[Q[2]] > le:
-                if P[2] is None and P[3] is None:
-                    P[3] = Q[3]
-                else:
-                    ref[P[2]] = Q[3]
-                P[2] = Q[2]
-            else:
-                ref[Q[2]] = lowpt_edge[e]
-            if (S[-1] if S else None) is bottom[ei]:
-                break
-        # merge the conflicting return edges of earlier siblings into P.left
-        lei = lowpt[ei]
-        while True:
-            T = S[-1]
-            if not ((T[1] is not None and lowpt[T[1]] > lei)
-                    or (T[3] is not None and lowpt[T[3]] > lei)):
-                break
-            Q = S.pop()
-            if Q[3] is not None and lowpt[Q[3]] > lei:
-                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
-                if Q[3] is not None and lowpt[Q[3]] > lei:
-                    return False
-            if P[2] is not None:
-                ref[P[2]] = Q[3]
-            if Q[2] is not None:
-                P[2] = Q[2]
-            if P[0] is None and P[1] is None:
-                P[1] = Q[1]
-            else:
-                ref[P[0]] = Q[1]
-            P[0] = Q[0]
-        if P[0] is not None or P[1] is not None or P[2] is not None or P[3] is not None:
-            S.append(P)
-        return True
-
-    def remove_back_edges(e):
-        u = src[e]
-        hu = height[u]
-        # drop whole conflict pairs whose lowest return edge ends at u
-        while S:
-            T = S[-1]
-            if T[0] is None and T[1] is None:
-                low = lowpt[T[2]]
-            elif T[2] is None and T[3] is None:
-                low = lowpt[T[0]]
-            else:
-                low = min(lowpt[T[0]], lowpt[T[2]])
-            if low != hu:
-                break
-            S.pop()
-            if T[0] is not None:
-                side[T[0]] = -1
-        if S:  # trim the intervals of the next pair
-            P = S[-1]
-            while P[1] is not None and tgt[P[1]] == u:
-                P[1] = ref[P[1]]
-            if P[1] is None and P[0] is not None:
-                ref[P[0]] = P[2]
-                side[P[0]] = -1
-                P[0] = None
-            while P[3] is not None and tgt[P[3]] == u:
-                P[3] = ref[P[3]]
-            if P[3] is None and P[2] is not None:
-                ref[P[2]] = P[0]
-                side[P[2]] = -1
-                P[2] = None
-        if lowpt[e] < hu:  # e takes the side of a highest return edge
-            T = S[-1]
-            hl, hr = T[1], T[3]
-            ref[e] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
-
     entered = [False] * n
     pos = [0] * n
     for r in roots:
@@ -319,16 +322,95 @@ def _left_right(adj, embed: bool):
                 if lowpt[ei] < hv:  # ei has return edges
                     if i == 0:
                         lowpt_edge[pe] = lowpt_edge[ei]
-                    elif not add_constraints(ei, pe):
-                        return None
+                    else:
+                        # Add the constraints of ei to those of pe.
+                        P = [None, None, None, None]
+                        le = lowpt[pe]
+                        # merge the return edges of ei into P.right
+                        while True:
+                            Q = S.pop()
+                            if Q[0] is not None or Q[1] is not None:
+                                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+                            if Q[0] is not None or Q[1] is not None:
+                                return None
+                            if lowpt[Q[2]] > le:
+                                if P[2] is None and P[3] is None:
+                                    P[3] = Q[3]
+                                else:
+                                    ref[P[2]] = Q[3]
+                                P[2] = Q[2]
+                            else:
+                                ref[Q[2]] = lowpt_edge[pe]
+                            if (S[-1] if S else None) is bottom[ei]:
+                                break
+                        # merge the conflicting return edges of earlier
+                        # siblings into P.left
+                        lei = lowpt[ei]
+                        while True:
+                            T = S[-1]
+                            if not ((T[1] is not None and lowpt[T[1]] > lei)
+                                    or (T[3] is not None and lowpt[T[3]] > lei)):
+                                break
+                            Q = S.pop()
+                            if Q[3] is not None and lowpt[Q[3]] > lei:
+                                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+                                if Q[3] is not None and lowpt[Q[3]] > lei:
+                                    return None
+                            if P[2] is not None:
+                                ref[P[2]] = Q[3]
+                            if Q[2] is not None:
+                                P[2] = Q[2]
+                            if P[0] is None and P[1] is None:
+                                P[1] = Q[1]
+                            else:
+                                ref[P[0]] = Q[1]
+                            P[0] = Q[0]
+                        if (P[0] is not None or P[1] is not None or P[2] is not None
+                                or P[3] is not None):
+                            S.append(P)
                 i += 1
             pos[v] = i
             if i < len(ov):
                 stack.append(w)
-            else:
-                stack.pop()
-                if pe >= 0:
-                    remove_back_edges(pe)
+                continue
+            stack.pop()
+            if pe < 0:
+                continue
+            # Remove the back edges that end at the parent u of v.
+            u = src[pe]
+            hu = height[u]
+            # drop whole conflict pairs whose lowest return edge ends at u
+            while S:
+                T = S[-1]
+                if T[0] is None and T[1] is None:
+                    low = lowpt[T[2]]
+                elif T[2] is None and T[3] is None:
+                    low = lowpt[T[0]]
+                else:
+                    low = min(lowpt[T[0]], lowpt[T[2]])
+                if low != hu:
+                    break
+                S.pop()
+                if T[0] is not None:
+                    side[T[0]] = -1
+            if S:  # trim the intervals of the next pair
+                P = S[-1]
+                while P[1] is not None and tgt[P[1]] == u:
+                    P[1] = ref[P[1]]
+                if P[1] is None and P[0] is not None:
+                    ref[P[0]] = P[2]
+                    side[P[0]] = -1
+                    P[0] = None
+                while P[3] is not None and tgt[P[3]] == u:
+                    P[3] = ref[P[3]]
+                if P[3] is None and P[2] is not None:
+                    ref[P[2]] = P[0]
+                    side[P[2]] = -1
+                    P[2] = None
+            if lowpt[pe] < hu:  # pe takes the side of a highest return edge
+                T = S[-1]
+                hl, hr = T[1], T[3]
+                ref[pe] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
     if not embed:
         return True
 
@@ -405,18 +487,9 @@ def _left_right(adj, embed: bool):
                 stack.append(child)
             else:
                 stack.pop()
-    rotation = []
-    for v in range(n):
-        ring = []
-        h = start = first[v]
-        while h >= 0:
-            e = h >> 1
-            ring.append(src[e] if h & 1 else tgt[e])
-            h = cw[h]
-            if h == start:
-                break
-        rotation.append(ring)
-    return rotation
+    at = [0] * (2 * m)
+    at[0::2], at[1::2] = src, tgt
+    return at, cw, first, len(roots) <= 1
 
 
 def is_planar(vertices, edges) -> PlanarityResult:
@@ -437,11 +510,9 @@ def is_planar(vertices, edges) -> PlanarityResult:
     adj = [{} for _ in index]
     for i, j in ends:
         adj[i][j] = adj[j][i] = None
-    names = list(index)
-    rotation = _left_right(adj, True)
-    if rotation is not None:
-        return PlanarityResult(PlaneGraph(
-            {names[v]: [names[u] for u in ring] for v, ring in enumerate(rotation)}))
+    table = _left_right(adj, True)
+    if table is not None:
+        return PlanarityResult(PlaneGraph._trusted(list(index), *table))
     return PlanarityResult()
 
 

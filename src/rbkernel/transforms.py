@@ -23,24 +23,30 @@ def face_cover_to_rbds(pg: PlaneGraph):
     higher genus, raise ``GraphError``; the empty plane graph has no faces
     and passes.
     """
-    faces = pg.faces()
-    euler = pg.n_vertices - pg.n_edges + len(faces)
-    if pg.rotation and euler != 2:
+    faces = pg.faces(by_index=True)
+    n, f = pg.n_vertices, len(faces)
+    euler = n - pg.n_edges + f
+    if n and euler != 2:
         raise GraphError("the rotation system is not a plane embedding: V - E + F = "
-                         "%d - %d + %d = %d, not 2" % (pg.n_vertices, pg.n_edges, len(faces), euler))
-    face_to_blue = {i: i + 1 for i in range(len(faces))}
-    vertex_to_red = {v: len(faces) + 1 + i for i, v in enumerate(sorted(pg.rotation))}
+                         "%d - %d + %d = %d, not 2" % (n, pg.n_edges, f, euler))
+    face_to_blue = {i: i + 1 for i in range(f)}
+    # Reds follow the blues, in ascending order of the vertex names.
+    names = pg.names
+    red = [0] * n
+    vertex_to_red = {}
+    for r, i in enumerate(sorted(range(n), key=names.__getitem__), start=f + 1):
+        red[i] = r
+        vertex_to_red[names[i]] = r
     # Every id is made here and every face vertex is a rotation vertex, so
     # no edge names an unknown vertex or loops.  Blue i + 1 holds face i's
     # reds, and each red gets its blues.
     red_adj = {r: set() for r in vertex_to_red.values()}
     adj = {}
     for b, face in enumerate(faces, start=1):
-        adj[b] = reds = {vertex_to_red[v] for v in face}
+        adj[b] = reds = {red[i] for i in face}
         for r in reds:
             red_adj[r].add(b)
     adj.update(red_adj)
     g = RBGraph._trusted(set(face_to_blue.values()), set(vertex_to_red.values()), adj,
                          len(adj) + 1)
     return g, vertex_to_red, face_to_blue
-

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -37,11 +38,21 @@ from rbkernel.kernelizer import (
     WITNESS_LEN,
     Fingerprint,
     KernelTrace,
-    Match,
     RuleApplication,
     apply_rule,
     sanitize,
 )
+
+
+class Match(NamedTuple):
+    """A rule that applies, as the oracles report it: its trace tag and the
+    record's witness tuple, ``(remove, witness)`` for R1 and R2, ``(v,)``
+    for R3 and ``(v, w)`` for R4; ``(u, v)`` for Sanitize-edge, ``(v,)``
+    for the other Sanitize tags.  ``apply_rule`` takes it, or any (tag,
+    witness) pair, such as each of ``sanitize``'s matches."""
+
+    tag: str
+    witness: tuple
 
 
 # -- independent exact solvers ------------------------------------------------
@@ -569,11 +580,50 @@ def adjacency(vertices, edges) -> dict:
     return adj
 
 
+def reference_faces(pg) -> list:
+    """``PlaneGraph.faces`` walked on the rotation dict by vertex names: a
+    name-level DFS for connectivity, a position dict per vertex, and darts as
+    (tail, head) pairs.  The dart after (u, v) leaves v along the rotation
+    successor of u; walks start at each unseen dart in ascending (tail,
+    head) order."""
+    rotation = pg.rotation
+    seen = set()
+    stack = [min(rotation)] if rotation else []
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack.extend(u for u in rotation[v] if u not in seen)
+    if len(seen) != len(rotation):
+        raise GraphError("face traversal needs a connected graph")
+    if not rotation:
+        return []
+    if not any(rotation.values()):
+        return [frozenset(rotation)]
+    index = {v: {u: i for i, u in enumerate(ns)} for v, ns in rotation.items()}
+    seen = set()
+    out = []
+    for u in sorted(rotation):
+        for v in sorted(rotation[u]):
+            if (u, v) in seen:
+                continue
+            face = set()
+            dart = (u, v)
+            while dart not in seen:
+                seen.add(dart)
+                a, b = dart
+                face.add(a)
+                ns = rotation[b]
+                dart = (b, ns[(index[b][a] + 1) % len(ns)])
+            out.append(frozenset(face))
+    return out
+
+
 def reference_face_cover_to_rbds(pg):
     """``transforms.face_cover_to_rbds`` built through the graph's checked
-    constructors: ``from_parts`` for the vertices, then one ``add_edge`` per
-    face incidence."""
-    faces = pg.faces()
+    constructors, on :func:`reference_faces`: ``from_parts`` for the
+    vertices, then one ``add_edge`` per face incidence."""
+    faces = reference_faces(pg)
     euler = pg.n_vertices - pg.n_edges + len(faces)
     if pg.rotation and euler != 2:
         raise GraphError("the rotation system is not a plane embedding: V - E + F = "

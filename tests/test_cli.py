@@ -392,7 +392,11 @@ class TestCheckPlanar:
         def no_embedding(self, rotation):
             raise AssertionError("check-planar needs the verdict alone")
 
+        def no_table(cls, *table):
+            raise AssertionError("check-planar needs the verdict alone")
+
         monkeypatch.setattr(PlaneGraph, "__init__", no_embedding)
+        monkeypatch.setattr(PlaneGraph, "_trusted", classmethod(no_table))
         calls = count_left_right(monkeypatch)
         assert main(["check-planar", str(path)]) == EXIT_OK
         assert capsys.readouterr().out == "PLANAR\n"

@@ -550,9 +550,9 @@ class TestTraceFormat:
         assert again.fingerprint == trace.fingerprint
 
     def test_case2_record_round_trips(self):
-        from rbkernel.kernelizer import Match, apply_rule, KernelTrace
+        from rbkernel.kernelizer import apply_rule, KernelTrace
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
-        rec, _ = apply_rule(g, Match("R4-case2", (1, 2)))
+        rec, _ = apply_rule(g, ("R4-case2", (1, 2)))
         trace = KernelTrace([rec])
         text = formats.format_trace(trace)
         assert text == "r\tR4-case2\tk_delta=0\twitness=(1,2)\tadded=5\n"

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbkernel.graph import BLUE, RED, GraphError, Instance, RBGraph
-from rbkernel.kernelizer import SAN_BLUE, SAN_EDGE, SAN_NO, Match, _pair_private, sanitize
+from rbkernel.kernelizer import SAN_BLUE, SAN_EDGE, SAN_NO, _pair_private, sanitize
 
-from helpers import apply_sanitize, oracle_pair_private, oracle_private
+from helpers import Match, apply_sanitize, oracle_pair_private, oracle_private
 
 
 def star(n_reds=3):
@@ -109,7 +109,7 @@ class TestSanitize:
     def test_removed_edges_in_ascending_order(self):
         g = same_color_edges(RBGraph.from_parts([1, 2, 3], [4, 5, 6], [(1, 4), (2, 5), (3, 6)]),
                              [(5, 6), (4, 6), (4, 5), (2, 3), (1, 3), (1, 2)])
-        assert [m.witness for m in sanitize(g)] == [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
+        assert [w for _, w in sanitize(g)] == [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]
         apply_sanitize(g)
         assert g == RBGraph.from_parts([1, 2, 3], [4, 5, 6], [(1, 4), (2, 5), (3, 6)])
 
@@ -131,7 +131,7 @@ class TestSanitize:
     def test_finding_leaves_graph_unchanged(self):
         g = same_color_edges(RBGraph.from_parts([1, 2, 4], [3, 5], [(2, 3)]), [(2, 4), (3, 5)])
         before = g.copy()
-        assert [m.tag for m in sanitize(g)] == [SAN_EDGE, SAN_EDGE, SAN_BLUE, SAN_BLUE, SAN_NO]
+        assert [t for t, _ in sanitize(g)] == [SAN_EDGE, SAN_EDGE, SAN_BLUE, SAN_BLUE, SAN_NO]
         assert g == before
 
     @given(small_graphs())
@@ -140,7 +140,7 @@ class TestSanitize:
         # Sanitize-NO changes nothing, so only it is found again.
         found = sanitize(g)
         apply_sanitize(g)
-        assert sanitize(g) == [m for m in found if m.tag == SAN_NO]
+        assert sanitize(g) == [m for m in found if m[0] == SAN_NO]
 
 
 class TestMutation:

@@ -22,7 +22,6 @@ from rbkernel.kernelizer import (
     WITNESS_LEN,
     Fingerprint,
     KernelTrace,
-    Match,
     RuleApplication,
     _by_container,
     _least_container,
@@ -39,6 +38,7 @@ from rbkernel.solver import min_rbds, verify_solution
 from rbkernel.transforms import face_cover_to_rbds
 
 from helpers import (
+    Match,
     alternating_cycle,
     apply_sanitize,
     decide,

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from rbkernel.generators import gen_grid
 from rbkernel.graph import GraphError, Instance, RBGraph
 from rbkernel.kernelizer import (
-    Match,
     R1,
     R2,
     R3,
@@ -25,6 +24,7 @@ from rbkernel.kernelizer import (
 from rbkernel.planar import bipartite_euler_bound
 
 from helpers import (
+    Match,
     alternating_cycle,
     decide,
     is_reduced,
