@@ -44,8 +44,7 @@ from __future__ import annotations
 import re
 
 from .graph import GraphError, Instance, RBGraph
-from .kernelizer import (R4_CASE, WITNESS_LEN, Fingerprint, KernelTrace, RuleApplication,
-                         _new_record)
+from .kernelizer import R4_CASE, WITNESS_LEN, Fingerprint, KernelTrace, RuleApplication
 from .planar import PlaneGraph
 
 
@@ -385,18 +384,17 @@ def parse_trace(text: str) -> KernelTrace:
     """Read a trace in one pass over the text.  A run of well-formed record
     lines without ``added=`` is read in bulk, one match and one ``findall``
     that captures each field, ids included, so a record takes only ``int``
-    calls and one ``_new_record``, the C call ``tuple.__new__``; every other
-    line is read on its own, so each error names its line."""
+    calls and one ``RuleApplication._make``; every other line is read on its
+    own, so each error names its line."""
     trace = KernelTrace()
     records = trace.records
-    new, rec_type = _new_record, RuleApplication
+    make = RuleApplication._make
     pos = i = 0  # where the next line starts, and the number of the last line read
     while pos < len(text):
         run = _RECORD_RUN.match(text, pos)
         if run is not None:
             found = _RUN_FIELDS.findall(run[0])
-            records += [new(rec_type, (tag, (int(v), int(w)) if w else (int(v),),
-                                       int(delta), None))
+            records += [make((tag, (int(v), int(w)) if w else (int(v),), int(delta), None))
                         for tag, delta, v, w in found]
             i += len(found)
             pos = run.end()
@@ -435,8 +433,7 @@ def parse_trace(text: str) -> KernelTrace:
                              % (tag, size, len(witness)))
         if (added is None) == (tag == R4_CASE[2]):
             raise ParseError(i, "%s records and no others end with 'added=<id>'" % R4_CASE[2])
-        records.append(new(rec_type, (tag, witness, int(delta),
-                                      None if added is None else int(added))))
+        records.append(make((tag, witness, int(delta), None if added is None else int(added))))
     return trace
 
 

@@ -87,22 +87,16 @@ NO_SIZE = "size"
 class RuleApplication(NamedTuple):
     """One rule firing: what a replay needs to re-derive it from the graph
     it applies to, and a lift to undo it.  ``added`` is the id of the red an
-    R4 case 2 adds, None for every other tag.  A named tuple, built by
-    ``_new_record(RuleApplication, fields)`` from a tuple of the four
-    fields wherever one is built per record (the rule functions and the
-    trace reader): that is ``tuple.__new__``, one C call, while calling the
-    class goes through its generated Python ``__new__`` and ``_make``
-    adds a Python frame and a length check (CHANGES.md, the entry on
-    records built in one C call)."""
+    R4 case 2 adds, None for every other tag.  A named tuple, built with
+    ``_make`` from a tuple of the four fields wherever one is built per
+    record (the rule functions and the trace reader): calling the class
+    goes through its generated Python ``__new__``, which costs more per
+    record (CHANGES.md, the entry on ``_make`` records)."""
 
     tag: str
     witness: tuple
     delta_k: int
     added: int | None
-
-
-# Wraps a tuple of a record's four fields as a RuleApplication.
-_new_record = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -374,8 +368,7 @@ def _r1(g: RBGraph, witness: tuple):
     b, b2 = witness
     adj, blue = g.adj, g.blue
     if b in blue and b2 in blue and b != b2 and adj[b] and adj[b] <= adj[b2]:
-        return (_new_record(RuleApplication, (R1, witness, 0, None)),
-                [(b, BLUE, g.remove_vertex(b))])
+        return RuleApplication._make((R1, witness, 0, None)), [(b, BLUE, g.remove_vertex(b))]
     raise _refused(R1, witness)
 
 
@@ -385,7 +378,7 @@ def _r2(g: RBGraph, witness: tuple):
     r, r2 = witness
     adj, red = g.adj, g.red
     if r in red and r2 in red and r != r2 and adj[r2] and adj[r2] <= adj[r]:
-        return _new_record(RuleApplication, (R2, witness, 0, None)), [(r, RED, g.remove_vertex(r))]
+        return RuleApplication._make((R2, witness, 0, None)), [(r, RED, g.remove_vertex(r))]
     raise _refused(R2, witness)
 
 
@@ -397,7 +390,7 @@ def _force(g: RBGraph, tag: str, witness: tuple):
     nbrs = _nbrs(g.adj, forced)
     removed = [(x, BLUE, g.remove_vertex(x)) for x in forced]
     removed += [(x, g.color_of(x), g.remove_vertex(x)) for x in nbrs]
-    return _new_record(RuleApplication, (tag, witness, -len(forced), None)), removed
+    return RuleApplication._make((tag, witness, -len(forced), None)), removed
 
 
 def _r3(g: RBGraph, witness: tuple):
@@ -407,7 +400,7 @@ def _r3(g: RBGraph, witness: tuple):
     r = _r3_at(g, v)
     if r is None:
         raise _refused(R3, witness)
-    return (_new_record(RuleApplication, (R3, witness, -1, None)),
+    return (RuleApplication._make((R3, witness, -1, None)),
             [(v, BLUE, g.remove_vertex(v)), (r, RED, g.remove_vertex(r))])
 
 
@@ -420,7 +413,7 @@ def _r4(g: RBGraph, witness: tuple, found: tuple):
     if case != 2:
         return _force(g, tag, witness)
     removed = [(x, RED, g.remove_vertex(x)) for x in private]
-    return _new_record(RuleApplication, (tag, witness, 0, g.add_red_vertex(witness))), removed
+    return RuleApplication._make((tag, witness, 0, g.add_red_vertex(witness))), removed
 
 
 def _san_edge(g: RBGraph, witness: tuple):
@@ -430,7 +423,7 @@ def _san_edge(g: RBGraph, witness: tuple):
     adj = g.adj
     if u in adj and v in adj[u] and (u in g.blue) == (v in g.blue):
         g.remove_edge(u, v)
-        return _new_record(RuleApplication, (SAN_EDGE, witness, 0, None)), []
+        return RuleApplication._make((SAN_EDGE, witness, 0, None)), []
     raise _refused(SAN_EDGE, witness)
 
 
@@ -439,8 +432,7 @@ def _san_blue(g: RBGraph, witness: tuple):
     neighbor."""
     b = witness[0]
     if b in g.blue and not g.adj[b]:
-        return (_new_record(RuleApplication, (SAN_BLUE, witness, 0, None)),
-                [(b, BLUE, g.remove_vertex(b))])
+        return RuleApplication._make((SAN_BLUE, witness, 0, None)), [(b, BLUE, g.remove_vertex(b))]
     raise _refused(SAN_BLUE, witness)
 
 
@@ -448,7 +440,7 @@ def _san_no(g: RBGraph, witness: tuple):
     """Sanitize-NO at (r,): the red r has no neighbor, so no blue can
     dominate it; the graph is left as it is."""
     if witness[0] in g.red and not g.adj[witness[0]]:
-        return _new_record(RuleApplication, (SAN_NO, witness, 0, None)), []
+        return RuleApplication._make((SAN_NO, witness, 0, None)), []
     raise _refused(SAN_NO, witness)
 
 

@@ -11,12 +11,15 @@ dart-walk face enumeration the radial-graph transform needs.
 
 A :class:`PlaneGraph` holds its rotation as one table of darts indexed by
 int: dart ``h`` and its twin ``h ^ 1`` are the two ends of one edge, and
-the face walk steps from ``h`` to ``cw[h ^ 1]``.  Two constructors build
-the table.  ``PlaneGraph(rotation)`` builds it from a ``{vertex: cyclic
-neighbor list}`` map and checks that map; ``parse_plane`` and the tests
-use it.  :func:`is_planar` builds it with no check from the left-right
-test's own half-edges, through the trusted constructor, as
-``RBGraph._trusted`` wraps parts its callers made consistent.
+the face walk steps from ``h`` to ``cw[h ^ 1]``.  :meth:`PlaneGraph.faces`
+gives each face as the vertex indices its walk passes, and
+``transforms.face_cover_to_rbds`` builds the radial graph from those.  Two
+constructors build the table.  ``PlaneGraph(rotation)`` builds it from a
+``{vertex: cyclic neighbor list}`` map and checks that map;
+``parse_plane`` and the tests use it.  :func:`is_planar` builds it with no
+check from the left-right test's own half-edges, through the trusted
+constructor, as ``RBGraph._trusted`` wraps parts its callers made
+consistent.
 
 The test is a step-for-step port, onto flat lists indexed by vertex and
 edge numbers, of the non-recursive left-right test that
@@ -154,15 +157,14 @@ class PlaneGraph:
     def n_edges(self) -> int:
         return len(self._at) // 2
 
-    def faces(self, by_index: bool = False) -> list:
-        """The vertex set of every face, by dart walking: the dart after
-        ``h`` is ``cw[h ^ 1]``, which leaves the head of ``h`` along the
-        rotation successor of its tail.  Walks start at each unseen dart in
-        ascending (tail name, head name) order, so faces come out in
-        first-discovery order of that scan, which makes downstream ids
-        deterministic.  Each face is the ``frozenset`` of its vertices'
-        names or, with ``by_index``, the list of vertex indices its walk
-        passes, a vertex once per pass."""
+    def faces(self) -> list[list[int]]:
+        """Every face, by dart walking, as the list of the vertex indices
+        its walk passes, a vertex once per pass (``names[i]`` names vertex
+        ``i``): the dart after ``h`` is ``cw[h ^ 1]``, which leaves the head
+        of ``h`` along the rotation successor of its tail.  Walks start at
+        each unseen dart in ascending (tail name, head name) order, so faces
+        come out in first-discovery order of that scan, which makes
+        downstream ids deterministic."""
         if not self._connected:
             raise GraphError("face traversal needs a connected graph")
         names, at, cw, first = self.names, self._at, self._cw, self._first
@@ -193,9 +195,7 @@ class PlaneGraph:
                     walk.append(at[h])
                     h = cw[h ^ 1]
                 walks.append(walk)
-        if by_index:
-            return walks
-        return [frozenset([names[i] for i in walk]) for walk in walks]
+        return walks
 
 
 def _left_right(adj, embed: bool):
@@ -300,6 +300,87 @@ def _left_right(adj, embed: bool):
     bottom = [None] * m  # top of the conflict stack when each edge was entered
     S = []
 
+    def add_constraints(ei, e):
+        P = [None, None, None, None]
+        le = lowpt[e]
+        # merge the return edges of ei into P.right
+        while True:
+            Q = S.pop()
+            if Q[0] is not None or Q[1] is not None:
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+            if Q[0] is not None or Q[1] is not None:
+                return False
+            if lowpt[Q[2]] > le:
+                if P[2] is None and P[3] is None:
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            else:
+                ref[Q[2]] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom[ei]:
+                break
+        # merge the conflicting return edges of earlier siblings into P.left
+        lei = lowpt[ei]
+        while True:
+            T = S[-1]
+            if not ((T[1] is not None and lowpt[T[1]] > lei)
+                    or (T[3] is not None and lowpt[T[3]] > lei)):
+                break
+            Q = S.pop()
+            if Q[3] is not None and lowpt[Q[3]] > lei:
+                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
+                if Q[3] is not None and lowpt[Q[3]] > lei:
+                    return False
+            if P[2] is not None:
+                ref[P[2]] = Q[3]
+            if Q[2] is not None:
+                P[2] = Q[2]
+            if P[0] is None and P[1] is None:
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P[0] is not None or P[1] is not None or P[2] is not None or P[3] is not None:
+            S.append(P)
+        return True
+
+    def remove_back_edges(e):
+        u = src[e]
+        hu = height[u]
+        # drop whole conflict pairs whose lowest return edge ends at u
+        while S:
+            T = S[-1]
+            if T[0] is None and T[1] is None:
+                low = lowpt[T[2]]
+            elif T[2] is None and T[3] is None:
+                low = lowpt[T[0]]
+            else:
+                low = min(lowpt[T[0]], lowpt[T[2]])
+            if low != hu:
+                break
+            S.pop()
+            if T[0] is not None:
+                side[T[0]] = -1
+        if S:  # trim the intervals of the next pair
+            P = S[-1]
+            while P[1] is not None and tgt[P[1]] == u:
+                P[1] = ref[P[1]]
+            if P[1] is None and P[0] is not None:
+                ref[P[0]] = P[2]
+                side[P[0]] = -1
+                P[0] = None
+            while P[3] is not None and tgt[P[3]] == u:
+                P[3] = ref[P[3]]
+            if P[3] is None and P[2] is not None:
+                ref[P[2]] = P[0]
+                side[P[2]] = -1
+                P[2] = None
+        if lowpt[e] < hu:  # e takes the side of a highest return edge
+            T = S[-1]
+            hl, hr = T[1], T[3]
+            ref[e] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
+
     entered = [False] * n
     pos = [0] * n
     for r in roots:
@@ -322,95 +403,16 @@ def _left_right(adj, embed: bool):
                 if lowpt[ei] < hv:  # ei has return edges
                     if i == 0:
                         lowpt_edge[pe] = lowpt_edge[ei]
-                    else:
-                        # Add the constraints of ei to those of pe.
-                        P = [None, None, None, None]
-                        le = lowpt[pe]
-                        # merge the return edges of ei into P.right
-                        while True:
-                            Q = S.pop()
-                            if Q[0] is not None or Q[1] is not None:
-                                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
-                            if Q[0] is not None or Q[1] is not None:
-                                return None
-                            if lowpt[Q[2]] > le:
-                                if P[2] is None and P[3] is None:
-                                    P[3] = Q[3]
-                                else:
-                                    ref[P[2]] = Q[3]
-                                P[2] = Q[2]
-                            else:
-                                ref[Q[2]] = lowpt_edge[pe]
-                            if (S[-1] if S else None) is bottom[ei]:
-                                break
-                        # merge the conflicting return edges of earlier
-                        # siblings into P.left
-                        lei = lowpt[ei]
-                        while True:
-                            T = S[-1]
-                            if not ((T[1] is not None and lowpt[T[1]] > lei)
-                                    or (T[3] is not None and lowpt[T[3]] > lei)):
-                                break
-                            Q = S.pop()
-                            if Q[3] is not None and lowpt[Q[3]] > lei:
-                                Q[0], Q[1], Q[2], Q[3] = Q[2], Q[3], Q[0], Q[1]
-                                if Q[3] is not None and lowpt[Q[3]] > lei:
-                                    return None
-                            if P[2] is not None:
-                                ref[P[2]] = Q[3]
-                            if Q[2] is not None:
-                                P[2] = Q[2]
-                            if P[0] is None and P[1] is None:
-                                P[1] = Q[1]
-                            else:
-                                ref[P[0]] = Q[1]
-                            P[0] = Q[0]
-                        if (P[0] is not None or P[1] is not None or P[2] is not None
-                                or P[3] is not None):
-                            S.append(P)
+                    elif not add_constraints(ei, pe):
+                        return None
                 i += 1
             pos[v] = i
             if i < len(ov):
                 stack.append(w)
-                continue
-            stack.pop()
-            if pe < 0:
-                continue
-            # Remove the back edges that end at the parent u of v.
-            u = src[pe]
-            hu = height[u]
-            # drop whole conflict pairs whose lowest return edge ends at u
-            while S:
-                T = S[-1]
-                if T[0] is None and T[1] is None:
-                    low = lowpt[T[2]]
-                elif T[2] is None and T[3] is None:
-                    low = lowpt[T[0]]
-                else:
-                    low = min(lowpt[T[0]], lowpt[T[2]])
-                if low != hu:
-                    break
-                S.pop()
-                if T[0] is not None:
-                    side[T[0]] = -1
-            if S:  # trim the intervals of the next pair
-                P = S[-1]
-                while P[1] is not None and tgt[P[1]] == u:
-                    P[1] = ref[P[1]]
-                if P[1] is None and P[0] is not None:
-                    ref[P[0]] = P[2]
-                    side[P[0]] = -1
-                    P[0] = None
-                while P[3] is not None and tgt[P[3]] == u:
-                    P[3] = ref[P[3]]
-                if P[3] is None and P[2] is not None:
-                    ref[P[2]] = P[0]
-                    side[P[2]] = -1
-                    P[2] = None
-            if lowpt[pe] < hu:  # pe takes the side of a highest return edge
-                T = S[-1]
-                hl, hr = T[1], T[3]
-                ref[pe] = hl if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]) else hr
+            else:
+                stack.pop()
+                if pe >= 0:
+                    remove_back_edges(pe)
     if not embed:
         return True
 

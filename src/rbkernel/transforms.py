@@ -23,7 +23,7 @@ def face_cover_to_rbds(pg: PlaneGraph):
     higher genus, raise ``GraphError``; the empty plane graph has no faces
     and passes.
     """
-    faces = pg.faces(by_index=True)
+    faces = pg.faces()
     n, f = pg.n_vertices, len(faces)
     euler = n - pg.n_edges + f
     if n and euler != 2:

@@ -619,6 +619,13 @@ def reference_faces(pg) -> list:
     return out
 
 
+def face_sets(pg) -> list:
+    """``pg.faces()`` with each walk as the frozenset of its vertices'
+    names, the form :func:`reference_faces` gives."""
+    names = pg.names
+    return [frozenset([names[i] for i in walk]) for walk in pg.faces()]
+
+
 def reference_face_cover_to_rbds(pg):
     """``transforms.face_cover_to_rbds`` built through the graph's checked
     constructors, on :func:`reference_faces`: ``from_parts`` for the
@@ -640,7 +647,7 @@ def reference_face_cover_to_rbds(pg):
 def brute_force_face_cover(pg) -> int:
     """Smallest number of faces covering every vertex, by trying all
     subsets of faces."""
-    faces = pg.faces()
+    faces = face_sets(pg)
     everything = set(pg.rotation)
     for size in range(len(faces) + 1):
         for combo in itertools.combinations(faces, size):

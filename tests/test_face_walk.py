@@ -18,7 +18,7 @@ from rbkernel.graph import GraphError
 from rbkernel.planar import PlaneGraph, is_planar
 from rbkernel.transforms import face_cover_to_rbds
 
-from helpers import reference_face_cover_to_rbds, reference_faces
+from helpers import face_sets, reference_face_cover_to_rbds, reference_faces
 
 
 def relabeled(n, edges, names):
@@ -107,9 +107,9 @@ def test_both_tables_walk_the_reference_faces(pg):
     checked = PlaneGraph(pg.rotation)
     assert checked.rotation == pg.rotation and checked.names == pg.names
     want = outcome(reference_faces, pg)
-    assert outcome(pg.faces) == outcome(checked.faces) == want
+    assert outcome(face_sets, pg) == outcome(face_sets, checked) == want
     if not isinstance(want, str):
-        assert pg.faces(by_index=True) == checked.faces(by_index=True)
+        assert pg.faces() == checked.faces()
     assert radial(pg) == radial(checked)
     # The one-pass radial build agrees with the checked one on the
     # reference faces.
@@ -131,7 +131,7 @@ def test_forest_of_two_trees_is_refused_by_both():
 
 def test_torus_rotation_gives_the_reference_faces_and_euler_refusal():
     pg = PlaneGraph(TORUS)
-    assert pg.faces() == reference_faces(pg)
+    assert face_sets(pg) == reference_faces(pg)
     assert len(pg.faces()) == 2
     with pytest.raises(GraphError) as want:
         reference_face_cover_to_rbds(pg)
@@ -143,8 +143,7 @@ def test_empty_and_single_vertex():
     for table in (is_planar([], []).embedding, PlaneGraph({})):
         assert table.faces() == [] and table.n_vertices == table.n_edges == 0
     for table in (is_planar([9], []).embedding, PlaneGraph({9: []})):
-        assert table.faces() == [frozenset({9})]
-        assert table.faces(by_index=True) == [[0]]
+        assert table.faces() == [[0]] and face_sets(table) == [frozenset({9})]
         g, vertex_to_red, face_to_blue = face_cover_to_rbds(table)
         assert (g.blue, g.red, vertex_to_red, face_to_blue) == ({1}, {2}, {9: 2}, {0: 1})
 

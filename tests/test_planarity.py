@@ -21,7 +21,7 @@ from rbkernel.planar import (
     planar_verdict,
 )
 
-from helpers import adjacency, count_left_right
+from helpers import adjacency, count_left_right, face_sets
 
 
 def complete_graph(n):
@@ -162,11 +162,11 @@ class TestFaces:
     def test_tree_single_face(self):
         edges = [(0, 1), (1, 2), (1, 3), (3, 4)]
         pg = embed(range(5), edges)
-        assert pg.faces() == [frozenset(range(5))]
+        assert face_sets(pg) == [frozenset(range(5))]
 
     def test_cube_six_faces(self):
         pg = embed(*cube_graph())
-        faces = pg.faces()
+        faces = face_sets(pg)
         # Each face of the cube fixes one of the three bits of its corners.
         want = {frozenset(v for v in range(8) if v & bit == side)
                 for bit in (1, 2, 4) for side in (0, bit)}
@@ -183,7 +183,7 @@ class TestFaces:
         # distinct, so each vertex lies on exactly deg(v) of them.
         for pg in (embed(*cube_graph()),
                    embed(range(60), _stacked_triangulation(60, random.Random(3)))):
-            faces = pg.faces()
+            faces = face_sets(pg)
             for v, ns in pg.rotation.items():
                 assert sum(v in f for f in faces) == len(ns), v
 
