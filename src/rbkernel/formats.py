@@ -14,10 +14,13 @@ kept in ``c origid`` comments, and ``in_original_ids`` gives the graph
 back under them, so solutions on the written file can be mapped back (the
 kernelize/solve/lift pipeline relies on this).  The writer refuses with
 ``ValueError`` whatever the reader would refuse or misread.  Lines end
-where ``str.splitlines`` ends them.  The instance reader takes each run of
-well-formed edge lines in bulk, and every other line on its own, with the
-same checks and messages either way; so does the trace reader with runs of
-well-formed record lines.
+where ``str.splitlines`` ends them.  The instance reader takes the lines
+the writer writes, ``e`` and ``c origid`` lines that start with their tag
+and end in ``\n`` or ``\r\n``, a checked chunk at a time, and every other
+line, and every chunk that fails a check, line by line; so every error
+comes from the line checks and names its line.  The trace reader takes
+runs of well-formed record lines in bulk, and every other line on its own,
+with the same checks and messages either way.
 
 Trace files hold a fingerprint of the instance they were cut from and
 one record per rule application, in order::
@@ -81,9 +84,10 @@ def _is_origid(parts: list) -> bool:
 # -- instances -----------------------------------------------------------------
 
 # The most vertices an instance header may declare.  The reader allocates an
-# adjacency set for each before it reads an edge, so the cap bounds the
-# memory a header alone can claim (CHANGES.md, the entry on MAX_VERTICES,
-# has the tracemalloc peak per vertex).
+# adjacency set for each before it reads an edge, and a label for each at
+# its first chunk of edge lines, so the cap bounds the memory a header can
+# claim (CHANGES.md, the entries on MAX_VERTICES and on reading instance
+# files a checked chunk at a time, have the tracemalloc peak per vertex).
 MAX_VERTICES = 1_000_000
 
 
@@ -104,58 +108,97 @@ def check_seed(seed: int) -> None:
 _LINE = re.compile(r"([^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)"
                    r"(?:\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029])?")
 
-# Runs of up to _RUN_LINES lines that the line-by-line checks accept as they
-# stand: fields of ASCII digits apart by blanks and tabs, each line ended by
-# "\n" or "\r\n".  The cap bounds what the reader holds at once: the run's
-# tokens, and the regex engine's backtracking state, which grows with the
-# lines one match takes (CHANGES.md, the entry on reading instance files a
-# run of edge lines at a time, has the bytes a line and the peak RSS of a
-# larger cap).
-_RUN_LINES = 256
-_EDGE_RUN = re.compile(r"(?:[ \t]*e[ \t]+%s[ \t]+%s[ \t]*\r?\n){1,%d}"
-                       % (_ID, _ID, _RUN_LINES))
-_ORIGID_RUN = re.compile(r"(?:[ \t]*c[ \t]+origid[ \t]+%s[ \t]+%s[ \t]*\r?\n){1,%d}"
-                         % (_ID, _ID, _RUN_LINES))
+# The reader takes the writer's layout, lines that start with "e" or with
+# "c origid ", a chunk at a time: the lines from the chunk's first up to the
+# first line that starts otherwise, or up to the last line end within
+# _CHUNK_CHARS characters.  The cap bounds what the reader holds at once, the
+# chunk and its fields (CHANGES.md, the entry on reading instance files a
+# checked chunk at a time, has the tracemalloc peaks).
+_CHUNK_CHARS = 4096
+_EDGE_CHUNK_END = re.compile(r"\n(?!e)")
+_ORIGID_CHUNK_END = re.compile(r"\n(?!c)")
+
+
+def _chunk(text: str, pos: int, chunk_end, width: int):
+    """Cut the chunk of lines at ``pos`` and split it.  Returns the chunk's
+    end, and its fields if every line ends in "\\n" or "\\r\\n", where
+    ``str.splitlines`` ends it too, and the chunk splits into ``width``
+    fields a line in all; otherwise None in their place."""
+    end = text.rfind("\n", pos, pos + _CHUNK_CHARS) + 1
+    if not end:
+        return pos, None
+    cut = chunk_end.search(text, pos, end - 1)
+    if cut is not None:
+        end = cut.end()
+    chunk = text[pos:end]
+    if not chunk.isascii() or "\x0b" in chunk or "\x0c" in chunk or "\x1c" in chunk \
+            or "\x1d" in chunk or "\x1e" in chunk \
+            or "\r" in chunk and chunk.count("\r") != chunk.count("\r\n"):
+        return end, None
+    fields = chunk.split()
+    if len(fields) != width * chunk.count("\n"):
+        return end, None
+    return end, fields
 
 
 def parse_instance(text: str) -> Instance:
-    """Read an instance in one pass over the text.  A run of well-formed
-    edge lines is read in bulk: one match, one split, one range check over
-    all its ids, then each edge goes straight into the adjacency sets
-    allocated at the header, which also catch duplicate edges.  Every other
-    line, and the first line of a run with an id out of range, is read line
-    by line, so each error names the line it is on."""
+    """Read an instance in one pass over the text.  Lines in the writer's
+    layout are taken a chunk at a time (``_chunk``).  A chunk of edge lines
+    is read in bulk when it is ``e <id> <id>`` line after line, each id found
+    in a table from label to id for 1..nB+nR (which refuses leading zeros,
+    other digits and ids out of range at once) and every blue below every
+    red; then each edge goes straight into the adjacency sets allocated at
+    the header, which also catch duplicate edges.  A chunk of ``c origid
+    <id> <id>`` lines is read in bulk the same way.  A chunk that fails a
+    check, and every other line, is read line by line, so every error comes
+    from the line checks and names the line it is on."""
     header = None
     meta: dict = {}
     origid: dict[int, int] = {}
     adj: dict[int, set[int]] = {}
+    labels = None  # label -> id for 1..nB+nR, made at the first chunk of edge lines
     nb = last = 0
     pos = i = 0  # where the next line starts, and the number of the last line read
+    lines_from = 0  # lines before this point are read line by line
+    # Every line of a chunk starts with its tag, "e" or "c", and a chunk is
+    # taken only if no field but a tag starts with that letter: so a tag at
+    # every width-th field, and width fields a line in all, mean width
+    # fields on every line.
     while pos < len(text):
-        run = None if header is None else _EDGE_RUN.match(text, pos)
-        if run is not None:
-            fields = run[0].split()
-            bs = list(map(int, fields[1::3]))
-            rs = list(map(int, fields[2::3]))
-            if 1 <= min(bs) and max(bs) <= nb and nb < min(rs) and max(rs) <= last:
-                edges = zip(bs, rs)
-                for b, r in edges:
-                    reds = adj[b]
-                    if r in reds:
-                        # The edges left unread say which line of the run this is.
-                        raise ParseError(i + len(bs) - sum(1 for _ in edges),
-                                         "duplicate edge (%d, %d)" % (b, r))
-                    reds.add(r)
-                    adj[r].add(b)
-                i += len(bs)
-                pos = run.end()
-                continue
-        elif (run := _ORIGID_RUN.match(text, pos)) is not None:
-            fields = run[0].split()
-            origid.update(zip(map(int, fields[2::4]), map(int, fields[3::4])))
-            i += len(fields) // 4
-            pos = run.end()
-            continue
+        if pos >= lines_from:
+            if text[pos] == "e" and header is not None:
+                lines_from, fields = _chunk(text, pos, _EDGE_CHUNK_END, 3)
+                if fields is not None and fields[::3].count("e") * 3 == len(fields):
+                    if labels is None:
+                        labels = dict(zip(map(str, adj), adj))
+                    try:
+                        bs = list(map(labels.__getitem__, fields[1::3]))
+                        rs = list(map(labels.__getitem__, fields[2::3]))
+                    except KeyError:
+                        bs = None
+                    if bs is not None and max(bs) <= nb < min(rs):
+                        edges = zip(bs, rs)
+                        for b, r in edges:
+                            reds = adj[b]
+                            if r in reds:
+                                # The edges left unread say which line of the chunk this is.
+                                raise ParseError(i + len(bs) - sum(1 for _ in edges),
+                                                 "duplicate edge (%d, %d)" % (b, r))
+                            reds.add(r)
+                            adj[r].add(b)
+                        i += len(bs)
+                        pos = lines_from
+                        continue
+            elif text.startswith("c origid ", pos):
+                lines_from, fields = _chunk(text, pos, _ORIGID_CHUNK_END, 4)
+                n = len(fields) // 4 if fields is not None else 0
+                if n and fields[::4].count("c") == fields[1::4].count("origid") == n:
+                    ids = fields[2::4] + fields[3::4]
+                    if "".join(ids).isdigit() and max(map(len, ids)) <= 18:
+                        origid.update(zip(map(int, fields[2::4]), map(int, fields[3::4])))
+                        i += n
+                        pos = lines_from
+                        continue
         m = _LINE.match(text, pos)
         pos = m.end()
         i += 1
@@ -369,9 +412,14 @@ def _tagged(n: int) -> str:
 _RUN_LENGTHS = sorted({n for n in WITNESS_LEN.values() if n in (1, 2)})
 
 # Runs of up to _RUN_LINES record lines that the line-by-line checks accept
-# as they stand, as _EDGE_RUN is for edge lines: each tag with a witness of
-# its length, fields apart by blanks and tabs, each line ended by "\n" or
-# "\r\n".  R4 case 2 records, which end in added=, are read line by line.
+# as they stand: each tag with a witness of its length, fields apart by
+# blanks and tabs, each line ended by "\n" or "\r\n".  R4 case 2 records,
+# which end in added=, are read line by line.  The cap bounds what the
+# reader holds at once: the run's fields, and the regex engine's
+# backtracking state, which grows with the lines one match takes (CHANGES.md,
+# the entry on reading instance files a run of edge lines at a time, has the
+# bytes a line and the peak RSS of a larger cap).
+_RUN_LINES = 256
 _RECORD_RUN = re.compile(r"(?:[ \t]*r[ \t]+(?:%s)[ \t]*\r?\n){1,%d}"
                          % ("|".join(map(_tagged, _RUN_LENGTHS)), _RUN_LINES))
 # The tag, k_delta and witness ids of each record of a run, the second id

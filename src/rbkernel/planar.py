@@ -198,10 +198,11 @@ class PlaneGraph:
         return walks
 
 
-def _left_right(adj, embed: bool):
-    """Left-right planarity test of the graph on vertices ``0..len(adj)-1``.
+def _left_right(higher, embed: bool):
+    """Left-right planarity test of the graph on vertices ``0..len(higher)-1``.
 
-    ``adj[i]`` iterates the neighbors of ``i``; self-loops are ignored.
+    ``higher[i]`` iterates the neighbors of ``i`` numbered above ``i``, each
+    once, so every edge is named once and no self-loop at all.
     Returns None for a non-planar graph.  For a planar one it returns True,
     or, with ``embed``, the rotation system as the dart table ``(at, cw,
     first, connected)`` that :meth:`PlaneGraph._trusted` takes: half-edge
@@ -215,21 +216,20 @@ def _left_right(adj, embed: bool):
     stack positions are compared by identity.  Every depth-first pass keeps
     its own stack, so no recursion depth grows with the graph.
     """
-    n = len(adj)
-    # The self-loop-free copy, numbered and ordered as the oracle builds it:
+    n = len(higher)
+    # The adjacency lists, numbered and ordered as the oracle builds them:
     # around i, the lower-numbered neighbors ascending, then the higher ones
-    # in the order of adj[i].
+    # in the order of higher[i].
     nbr = [[] for _ in range(n)]
     inc = [[] for _ in range(n)]
     m = 0
-    for i, ns in enumerate(adj):
+    for i, ns in enumerate(higher):
         for j in ns:
-            if j > i:
-                nbr[i].append(j)
-                inc[i].append(m)
-                nbr[j].append(i)
-                inc[j].append(m)
-                m += 1
+            nbr[i].append(j)
+            inc[i].append(m)
+            nbr[j].append(i)
+            inc[j].append(m)
+            m += 1
     if n > 2 and m > 3 * n - 6:
         return None
 
@@ -509,10 +509,15 @@ def is_planar(vertices, edges) -> PlanarityResult:
         index.setdefault(v, len(index))
     ends = [(index.setdefault(u, len(index)), index.setdefault(v, len(index)))
             for u, v in edges]
-    adj = [{} for _ in index]
+    # Each edge once, at its lower end, in first-seen order: the oracle's
+    # order of the higher neighbors.
+    higher = [{} for _ in index]
     for i, j in ends:
-        adj[i][j] = adj[j][i] = None
-    table = _left_right(adj, True)
+        if i < j:
+            higher[i][j] = None
+        elif j < i:
+            higher[j][i] = None
+    table = _left_right(higher, True)
     if table is not None:
         return PlanarityResult(PlaneGraph._trusted(list(index), *table))
     return PlanarityResult()
@@ -527,7 +532,8 @@ def planar_verdict(adj) -> bool:
     neighbors does not matter, and no embedding is built.
     """
     index = {v: i for i, v in enumerate(adj)}
-    return _left_right([[index[u] for u in ns] for ns in adj.values()], False) is not None
+    return _left_right([[j for j in map(index.__getitem__, ns) if j > i]
+                        for i, ns in enumerate(adj.values())], False) is not None
 
 
 def bipartite_euler_bound(g: RBGraph) -> bool:

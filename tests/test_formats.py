@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -361,6 +362,10 @@ def assert_reads_as_reference(text):
     assert got == want
     assert got.meta == want.meta
     assert got.graph._next_id == want.graph._next_id
+    # == ignores order, but kernelize's probes read it: the keys of adj and
+    # each adjacency set iterate as the reference's do.
+    assert list(got.graph.adj) == list(want.graph.adj)
+    assert all(list(got.graph.adj[v]) == list(want.graph.adj[v]) for v in want.graph.adj)
 
 
 # Every line end str.splitlines knows besides "\n".
@@ -372,13 +377,16 @@ def instance_texts(draw):
     """Instance files: runs of well-formed edge lines, with blanks, tabs,
     blank lines, comments, ``c origid`` and ``g seed`` lines between them,
     every line end str.splitlines knows, maybe no final line end, and at
-    most one corrupted line at a random position."""
+    most one corrupted line at a random position.  In half of them every
+    line is in the writer's layout: no leading blank and one space between
+    fields."""
     nb, nr = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     last = nb + nr
+    tidy = draw(st.booleans())
 
     def line(*fields):
-        pads = st.sampled_from(["", " ", "\t", " \t "])
-        seps = st.sampled_from([" ", "\t", "  ", " \t"])
+        pads = st.just("") if tidy else st.sampled_from(["", " ", "\t", " \t "])
+        seps = st.just(" ") if tidy else st.sampled_from([" ", "\t", "  ", " \t"])
         out = draw(pads) + fields[0]
         for f in fields[1:]:
             out += draw(seps) + f
@@ -425,6 +433,14 @@ class TestReaderMatchesReference:
     def test_same_instance_or_same_error(self, text):
         assert_reads_as_reference(text)
 
+    @given(instance_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_same_in_chunks_of_two_lines(self, text):
+        # Twelve characters hold two edge lines of one-digit ids, "e 1 5\n".
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formats, "_CHUNK_CHARS", 12)
+            assert_reads_as_reference(text)
+
     @given(st.text(alphabet="ep c\n\r\t 0123456789\u0661\x0b\x85"))
     @settings(max_examples=300, deadline=None)
     def test_same_on_raw_text(self, text):
@@ -436,8 +452,8 @@ class TestReaderMatchesReference:
     @pytest.mark.parametrize("at", [0, 1, formats._RUN_LINES - 1, formats._RUN_LINES,
                                     2 * formats._RUN_LINES + 5])
     def test_runs_longer_than_the_cap(self, end, bad, at):
-        # Edge runs past the cap are read a capped run at a time; a bad or
-        # duplicate line anywhere in them is reported on its own line.
+        # Edge runs of several chunks: a bad or duplicate line anywhere in
+        # them is reported on its own line.
         nb = 1000
         lines = ["p rbds %d %d 1" % (nb, nb), "c origid 1 5"]
         lines += ["e %d %d" % (b, nb + r) for b in range(1, nb + 1) for r in (b, b % nb + 1, 7)
@@ -446,10 +462,62 @@ class TestReaderMatchesReference:
             lines.insert(2 + at, bad)
         assert_reads_as_reference(end.join(lines) + end)
 
-    def test_crlf_and_tab_lines_are_read_in_runs(self):
-        text = "e 1\t5\r\n\te 2 6 \r\nc origid 1 9\n"
-        assert formats._EDGE_RUN.match(text).end() == text.index("c")
-        assert formats._ORIGID_RUN.match(text, text.index("c")).end() == len(text)
+    def test_adjacency_sets_iterate_in_file_order(self):
+        # 9 and 1, and 25 and 17, share a slot of an eight-slot set table, so
+        # the set's iteration order is the order the file names them in.
+        text = "p rbds 16 16 0\ne 9 17\ne 1 25\ne 1 17\n"
+        assert_reads_as_reference(text)
+        adj = formats.parse_instance(text).graph.adj
+        assert (list(adj[17]), list(adj[1])) == ([9, 1], [25, 17])
+
+    @pytest.mark.parametrize("line", ["e 1%s4" % end for end in _LINE_ENDS] + ["e1 2 5", "ex 1 4"])
+    def test_odd_line_inside_a_chunk(self, line):
+        # "e 1<end>4" splits into the three fields of an edge line, but
+        # str.splitlines ends a line inside it; "e1" and "ex" are not tags.
+        assert_reads_as_reference("p rbds 3 3 1\ne 2 5\n%s\ne 3 6\n" % line)
+
+    @pytest.mark.parametrize("comment", ["c note 2 6", "c origid 2", "c origid 2 6 7",
+                                         "c origid 2 x", "c origid 2 +6", "c origid 2 " + "1" * 19])
+    def test_free_comment_inside_an_origid_chunk(self, comment):
+        assert_reads_as_reference("c origid 1 5\n%s\nc origid 3 7\np rbds 1 1 0\ne 1 2\n" % comment)
+
+    @pytest.mark.parametrize("case", ["duplicate", "bad 3000", "bad 0999", "bad \u0661\u0661\u0661",
+                                      "crlf", "no final end", "comment", "origid"])
+    def test_files_longer_than_one_chunk(self, case):
+        # Edge lines of ten characters, so a chunk holds `per` of them and
+        # the second chunk starts at line 2 + per, after the header.
+        nb = 1000
+        edges = ["e %d %d" % (b, nb + r) for b in range(100, 1000) for r in (b, b + 1)]
+        end = "\r\n" if case == "crlf" else "\n"
+        per = formats._CHUNK_CHARS // len(edges[0] + end)
+        assert len(edges) > 3 * per
+        if case == "duplicate":
+            edges.insert(per + 5, edges[3])
+        elif case.startswith("bad"):
+            # As long as the line it displaces, so it starts the second chunk.
+            edges.insert(per, "e 100 " + case[4:].rjust(4, "1"))
+        elif case == "comment":
+            edges.insert(per // 2, "c between two runs")
+        lines = ["p rbds %d %d 1" % (nb, nb)] + edges
+        if case == "origid":
+            lines[1:1] = ["c origid %d %d" % (v, 5000 + v) for v in range(1, 2 * nb + 1)]
+        text = end.join(lines) + ("" if case == "no final end" else end)
+        assert_reads_as_reference(text)
+
+    def test_crlf_and_tab_lines_are_read_in_chunks(self, monkeypatch):
+        # Only the header and the free comment go through the line checks.
+        read = []
+
+        def counted(text, pos):
+            read.append(text[pos])
+            return line.match(text, pos)
+
+        line = formats._LINE
+        monkeypatch.setattr(formats, "_LINE", types.SimpleNamespace(match=counted))
+        text = ("p rbds 2 2 0\r\nc origid 1 9\r\nc origid 2 8\r\n"
+                "e 1\t3\r\ne 2 4 \r\nc note\ne 1  4\n")
+        assert formats.parse_instance(text).graph.adj == {1: {3, 4}, 2: {4}, 3: {1}, 4: {2, 1}}
+        assert read == ["p", "c"]
 
 
 @st.composite
