@@ -131,9 +131,9 @@ def _chunk(text: str, pos: int, chunk_end, width: int):
     if cut is not None:
         end = cut.end()
     chunk = text[pos:end]
-    if not chunk.isascii() or "\x0b" in chunk or "\x0c" in chunk or "\x1c" in chunk \
-            or "\x1d" in chunk or "\x1e" in chunk \
-            or "\r" in chunk and chunk.count("\r") != chunk.count("\r\n"):
+    if (not chunk.isascii() or "\x0b" in chunk or "\x0c" in chunk or "\x1c" in chunk
+            or "\x1d" in chunk or "\x1e" in chunk
+            or "\r" in chunk and chunk.count("\r") != chunk.count("\r\n")):
         return end, None
     fields = chunk.split()
     if len(fields) != width * chunk.count("\n"):
