@@ -85,9 +85,10 @@ def _is_origid(parts: list) -> bool:
 
 # The most vertices an instance header may declare.  The reader allocates an
 # adjacency set for each before it reads an edge, and a label for each at
-# its first chunk of edge lines, so the cap bounds the memory a header can
-# claim (CHANGES.md, the entries on MAX_VERTICES and on reading instance
-# files a checked chunk at a time, have the tracemalloc peak per vertex).
+# its first chunk of edge lines if the text is long enough to name each one,
+# so the cap bounds the memory a header can claim (CHANGES.md, the entries
+# on MAX_VERTICES and on the label table made only for such a text, have
+# the tracemalloc peak per vertex).
 MAX_VERTICES = 1_000_000
 
 
@@ -147,11 +148,14 @@ def parse_instance(text: str) -> Instance:
     is read in bulk when it is ``e <id> <id>`` line after line, each id found
     in a table from label to id for 1..nB+nR (which refuses leading zeros,
     other digits and ids out of range at once) and every blue below every
-    red; then each edge goes straight into the adjacency sets allocated at
-    the header, which also catch duplicate edges.  A chunk of ``c origid
-    <id> <id>`` lines is read in bulk the same way.  A chunk that fails a
-    check, and every other line, is read line by line, so every error comes
-    from the line checks and names the line it is on."""
+    red.  The table is made only if the text after the header has at least
+    nB+nR characters, which a file whose every vertex has an edge has, each
+    edge line naming two ids in six characters or more; a shorter text is
+    read line by line.  Then each edge goes straight into the adjacency sets
+    allocated at the header, which also catch duplicate edges.  A chunk of
+    ``c origid <id> <id>`` lines is read in bulk the same way.  A chunk that
+    fails a check, and every other line, is read line by line, so every
+    error comes from the line checks and names the line it is on."""
     header = None
     meta: dict = {}
     origid: dict[int, int] = {}
@@ -246,6 +250,10 @@ def parse_instance(text: str) -> Instance:
             header = (nb, nr, k)
             last = nb + nr
             adj = {v: set() for v in range(1, last + 1)}
+            if len(text) - pos < last:
+                # Too short to name every declared id once: read line by line,
+                # so a large header with few edges makes no label table.
+                lines_from = len(text)
             continue
         if kind == "g":
             if len(parts) != 4 or parts[1] != "seed":

@@ -99,33 +99,21 @@ class RBGraph:
             self.adj[new].add(u)
         return new
 
-    def remove_vertex(self, v: int) -> set[int]:
-        """Delete ``v`` and its incident edges; returns the set of its former
-        neighbors, which the graph no longer holds."""
+    def remove_vertex(self, v: int) -> None:
+        """Delete ``v`` and its incident edges."""
         adj = self.adj
         if v not in adj:
             raise GraphError("unknown vertex %d" % v)
-        nbrs = adj.pop(v)
-        for u in nbrs:
+        for u in adj.pop(v):
             adj[u].discard(v)
         self.blue.discard(v)
         self.red.discard(v)
-        return nbrs
 
     def remove_edge(self, u: int, v: int) -> None:
         if u not in self.adj or v not in self.adj:
             raise GraphError("unknown endpoint in edge (%d, %d)" % (u, v))
         self.adj[u].discard(v)
         self.adj[v].discard(u)
-
-    # -- queries -----------------------------------------------------------
-
-    def color_of(self, v: int) -> str:
-        if v in self.blue:
-            return BLUE
-        if v in self.red:
-            return RED
-        raise GraphError("unknown vertex %d" % v)
 
     # -- whole-graph helpers ------------------------------------------------
 

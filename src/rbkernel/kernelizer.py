@@ -29,8 +29,11 @@ Each tag has one function that holds its condition, its effect and its
 record (``_r1``, ``_r2``, ``_r3``, ``_r4``, whose condition is
 ``_r4_case``, and one per Sanitize tag): every firing runs it, and it
 checks its rule on the graph as it is before it changes anything, refuses
-with a ``GraphError`` if the rule does not apply, and otherwise returns the
-record and what it removed; the budget change is the record's ``delta_k``.
+with a ``GraphError`` if the rule does not apply, and otherwise applies it
+and returns the record alone; the budget change is the record's
+``delta_k``.  What a firing will change the driver reads off the graph
+before it fires: N(b) for R1 at b, N(x) for R2 at x, and the blues within
+distance two of the pair for R4.
 The driver's sweeps call these functions directly; :func:`apply_rule`
 picks one by a match's tag, for sanitize's matches and the replay.  R3
 removes its two-vertex component itself.  The table ``_FORCED`` names the
@@ -53,7 +56,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .graph import BLUE, RED, GraphError, Instance, RBGraph
+from .graph import GraphError, Instance, RBGraph
 from .planar import bipartite_euler_bound
 
 R1 = "R1"
@@ -350,8 +353,9 @@ def _r4_case(g: RBGraph, v: int, w: int) -> tuple[int, set] | None:
 # One function per tag, each taking the graph and the record's witness: it
 # checks its rule on the graph as it is, raises the refusal and leaves the
 # graph unchanged if the rule does not apply, and otherwise applies it and
-# returns the record and the removed vertices as ``(vertex, color, former
-# neighbors)`` triples.  R4's condition is _r4_case, and _r4 applies the
+# returns the record alone.  The driver reads N(b), N(x) or the pair's
+# 2-ball, whatever the firing will change, off the graph before it fires
+# (driver notes).  R4's condition is _r4_case, and _r4 applies the
 # case and private reds that _r4_case has just found.  R1 and R2 apply only
 # where the driver's scan finds them: the removed blue of R1 and the witness
 # red of R2 must have a neighbor, since an isolated blue is sanitize's and
@@ -362,49 +366,51 @@ def _refused(tag: str, witness: tuple) -> GraphError:
     return GraphError("%s does not apply at %s" % (tag, witness))
 
 
-def _r1(g: RBGraph, witness: tuple):
+def _r1(g: RBGraph, witness: tuple) -> RuleApplication:
     """R1 at (b, b2): remove the blue b, whose neighborhood the blue b2
     contains."""
     b, b2 = witness
     adj, blue = g.adj, g.blue
     if b in blue and b2 in blue and b != b2 and adj[b] and adj[b] <= adj[b2]:
-        return RuleApplication._make((R1, witness, 0, None)), [(b, BLUE, g.remove_vertex(b))]
+        g.remove_vertex(b)
+        return RuleApplication._make((R1, witness, 0, None))
     raise _refused(R1, witness)
 
 
-def _r2(g: RBGraph, witness: tuple):
+def _r2(g: RBGraph, witness: tuple) -> RuleApplication:
     """R2 at (r, r2): remove the red r, whose neighborhood contains the red
     r2's."""
     r, r2 = witness
     adj, red = g.adj, g.red
     if r in red and r2 in red and r != r2 and adj[r2] and adj[r2] <= adj[r]:
-        return RuleApplication._make((R2, witness, 0, None)), [(r, RED, g.remove_vertex(r))]
+        g.remove_vertex(r)
+        return RuleApplication._make((R2, witness, 0, None))
     raise _refused(R2, witness)
 
 
-def _force(g: RBGraph, tag: str, witness: tuple):
+def _force(g: RBGraph, tag: str, witness: tuple) -> RuleApplication:
     """R4 cases 1, 3 and 4: remove the blues that ``_FORCED`` names, then
     their neighborhoods; the record pays one unit of budget for each forced
     blue."""
     forced = [witness[i] for i in _FORCED[tag]]
-    nbrs = _nbrs(g.adj, forced)
-    removed = [(x, BLUE, g.remove_vertex(x)) for x in forced]
-    removed += [(x, g.color_of(x), g.remove_vertex(x)) for x in nbrs]
-    return RuleApplication._make((tag, witness, -len(forced), None)), removed
+    for x in [*forced, *_nbrs(g.adj, forced)]:
+        g.remove_vertex(x)
+    return RuleApplication._make((tag, witness, -len(forced), None))
 
 
-def _r3(g: RBGraph, witness: tuple):
+def _r3(g: RBGraph, witness: tuple) -> RuleApplication:
     """R3 at (v,): force the blue v of a two-vertex component, that is,
     remove v, then its one red, for one unit of budget."""
     v = witness[0]
     r = _r3_at(g, v)
     if r is None:
         raise _refused(R3, witness)
-    return (RuleApplication._make((R3, witness, -1, None)),
-            [(v, BLUE, g.remove_vertex(v)), (r, RED, g.remove_vertex(r))])
+    g.remove_vertex(v)
+    g.remove_vertex(r)
+    return RuleApplication._make((R3, witness, -1, None))
 
 
-def _r4(g: RBGraph, witness: tuple, found: tuple):
+def _r4(g: RBGraph, witness: tuple, found: tuple) -> RuleApplication:
     """R4 at the pair (v, w), given ``found``, the (case, private reds) that
     :func:`_r4_case` has just returned for it on ``g``: case 2 swaps the
     private reds for one red on the pair, the other cases force blues."""
@@ -412,35 +418,37 @@ def _r4(g: RBGraph, witness: tuple, found: tuple):
     tag = R4_CASE[case]
     if case != 2:
         return _force(g, tag, witness)
-    removed = [(x, RED, g.remove_vertex(x)) for x in private]
-    return RuleApplication._make((tag, witness, 0, g.add_red_vertex(witness))), removed
+    for x in private:
+        g.remove_vertex(x)
+    return RuleApplication._make((tag, witness, 0, g.add_red_vertex(witness)))
 
 
-def _san_edge(g: RBGraph, witness: tuple):
+def _san_edge(g: RBGraph, witness: tuple) -> RuleApplication:
     """Sanitize-edge at (u, v): remove the edge joining two vertices of one
     color."""
     u, v = witness
     adj = g.adj
     if u in adj and v in adj[u] and (u in g.blue) == (v in g.blue):
         g.remove_edge(u, v)
-        return RuleApplication._make((SAN_EDGE, witness, 0, None)), []
+        return RuleApplication._make((SAN_EDGE, witness, 0, None))
     raise _refused(SAN_EDGE, witness)
 
 
-def _san_blue(g: RBGraph, witness: tuple):
+def _san_blue(g: RBGraph, witness: tuple) -> RuleApplication:
     """Sanitize-isolated-blue at (b,): remove the blue b, which has no
     neighbor."""
     b = witness[0]
     if b in g.blue and not g.adj[b]:
-        return RuleApplication._make((SAN_BLUE, witness, 0, None)), [(b, BLUE, g.remove_vertex(b))]
+        g.remove_vertex(b)
+        return RuleApplication._make((SAN_BLUE, witness, 0, None))
     raise _refused(SAN_BLUE, witness)
 
 
-def _san_no(g: RBGraph, witness: tuple):
+def _san_no(g: RBGraph, witness: tuple) -> RuleApplication:
     """Sanitize-NO at (r,): the red r has no neighbor, so no blue can
     dominate it; the graph is left as it is."""
     if witness[0] in g.red and not g.adj[witness[0]]:
-        return RuleApplication._make((SAN_NO, witness, 0, None)), []
+        return RuleApplication._make((SAN_NO, witness, 0, None))
     raise _refused(SAN_NO, witness)
 
 
@@ -448,15 +456,14 @@ def _san_no(g: RBGraph, witness: tuple):
 _RULE = {R1: _r1, R2: _r2, R3: _r3, SAN_EDGE: _san_edge, SAN_BLUE: _san_blue, SAN_NO: _san_no}
 
 
-def apply_rule(g: RBGraph, match: tuple) -> tuple[RuleApplication, list]:
-    """Mutate ``g`` according to a match, a (tag, witness) pair; returns
-    the trace record, whose ``delta_k`` is the budget change, and the
-    removed vertices as ``(vertex, color, former neighbors)`` triples.  A
-    match whose rule does not apply at its witness, or whose witness does
+def apply_rule(g: RBGraph, match: tuple) -> RuleApplication:
+    """Mutate ``g`` according to a match, a (tag, witness) pair, and
+    return the trace record alone, whose ``delta_k`` is the budget change:
+    a caller that needs what the firing changes reads it off ``g`` first.
+    A match whose rule does not apply at its witness, or whose witness does
     not have its tag's length, raises ``GraphError`` and leaves ``g``
-    unchanged.  The tag's own function
-    checks and applies it; an R4 tag must name the case :func:`_r4_case`
-    finds at the pair."""
+    unchanged.  The tag's own function checks and applies it; an R4 tag
+    must name the case :func:`_r4_case` finds at the pair."""
     tag, witness = match
     if WITNESS_LEN.get(tag) == len(witness):
         if tag in _RULE:
@@ -486,13 +493,22 @@ def apply_rule(g: RBGraph, match: tuple) -> tuple[RuleApplication, list]:
 # or more private reds, in ascending order, and fires _r4 with the case and
 # private reds of the first pair that has one.  A round ends at R4, so a
 # run has one round more than it has R4 firings, and R3 and R4 keep nothing
-# between rounds.  What a firing removed and added decides what becomes
-# pending: a removed red's neighbors join wl1, and a removed blue's
-# neighbors, like an added red, join ``shrunk``.  So R1 feeds only
-# ``shrunk`` and R2 only wl1, and each sweep updates that one set; an
-# isolated blue has no neighbor, R3 removes a whole two-vertex component
-# and so feeds neither set, and an R4 firing feeds both by the color of
-# each vertex it removed.
+# between rounds.  What a firing will change decides what becomes pending,
+# and since a rule's function returns its record alone, the driver reads
+# that off the graph before the firing.  R1 at b removes only b, so N(b)
+# joins ``shrunk``; R2 at x removes only x, so N(x) joins wl1.  So R1 feeds
+# only ``shrunk`` and R2 only wl1, and each sweep updates that one set; an
+# isolated blue has no neighbor, and R3 removes a whole two-vertex
+# component, so neither feeds a set.  R4 at the pair (v, w) puts every blue
+# within distance two of the pair, N(N({v, w})), into wl1, and case 2's
+# added red joins ``shrunk`` after the firing.  An R4 firing removes only
+# the pair, reds next to it and, in case 2, adds one red on it, so every
+# blue it changes lies within distance two of the pair.  The set may hold
+# more blues than that, in cases 2 to 4, and the records do not change:
+# by fact 1 below, a blue whose neighborhood the firing left alone has no
+# container, and it is not isolated.  The forcing cases remove every red
+# next to a forced blue and case 2 removes no blue, so no live red loses a
+# neighbor and only the added red joins ``shrunk``.
 #
 # Every sweep scans once and then fires in ascending order.  The
 # isolated-blue sweep's scan takes the live degree-0 blues of wl1.  A blue
@@ -659,9 +675,8 @@ def kernelize(inst: Instance) -> KernelResult:
                 x = _least_container(adj, b)
                 if x is None:
                     continue
-            rec, removed = _r1(g, (b, x))
-            records.append(rec)
-            shrunk.update(removed[0][2])
+            shrunk.update(adj[b])
+            records.append(_r1(g, (b, x)))
 
     def r2_sweep() -> None:
         """Scan and empty ``shrunk``, then fire R2 in ascending order at each
@@ -672,13 +687,12 @@ def kernelize(inst: Instance) -> KernelResult:
         for x in sorted(found):
             r2 = min(filter(adj.__contains__, found[x]), default=None)
             if r2 is not None:
-                rec, removed = _r2(g, (x, r2))
-                records.append(rec)
-                wl1.update(removed[0][2])
+                wl1.update(adj[x])
+                records.append(_r2(g, (x, r2)))
 
     found = sanitize(g)
     for match in found:
-        records.append(apply_rule(g, match)[0])
+        records.append(apply_rule(g, match))
     if found and found[-1][0] == SAN_NO:
         return KernelResult("no", reason=NO_ISOLATED_RED, trace=trace)
 
@@ -687,12 +701,12 @@ def kernelize(inst: Instance) -> KernelResult:
     while k >= 0:
         before = len(records)
         for b in sorted(b for b in wl1 if b in adj and not adj[b]):
-            records.append(_san_blue(g, (b,))[0])
+            records.append(_san_blue(g, (b,)))
         r1_sweep()
         r2_sweep()
         if len(records) == before:
             for b in sorted(_r3_seed(g)):
-                rec = _r3(g, (b,))[0]
+                rec = _r3(g, (b,))
                 records.append(rec)
                 k += rec.delta_k
                 if k < 0:
@@ -702,11 +716,10 @@ def kernelize(inst: Instance) -> KernelResult:
             for pair in sorted(_r4_pairs(g)):
                 found = _r4_case(g, *pair)
                 if found is not None:
-                    rec, removed = _r4(g, pair, found)
+                    wl1.update(_nbrs(adj, _nbrs(adj, pair)))
+                    rec = _r4(g, pair, found)
                     records.append(rec)
                     k += rec.delta_k
-                    for _, color, nbrs in removed:
-                        (wl1 if color == RED else shrunk).update(nbrs)
                     if rec.added is not None:
                         shrunk.add(rec.added)
                     break
@@ -737,7 +750,7 @@ def replay_trace(original: RBGraph, trace: KernelTrace, kernel: RBGraph | None =
     g = original.copy()
     for i, rec in enumerate(trace.records, start=1):
         try:
-            again, _ = apply_rule(g, rec[:2])
+            again = apply_rule(g, rec[:2])
         except GraphError as exc:
             raise GraphError("record %d, %s" % (i, exc)) from None
         if again != rec:

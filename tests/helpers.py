@@ -217,7 +217,7 @@ def is_reduced(g: RBGraph) -> bool:
 def apply_sanitize(g: RBGraph) -> list:
     """Apply sanitize's findings to ``g`` in place; returns their records.
     Sanitize-NO changes nothing, so an undominatable red stays."""
-    return [apply_rule(g, m)[0] for m in sanitize(g)]
+    return [apply_rule(g, m) for m in sanitize(g)]
 
 
 def reduce_rules123(g: RBGraph) -> RBGraph:
@@ -250,14 +250,14 @@ def reference_kernelize(inst: Instance):
         changed = bool(sanitized)
         for find in (oracle_rule1, oracle_rule2):
             while (m := find(g)) is not None:
-                records.append(apply_rule(g, m)[0])
+                records.append(apply_rule(g, m))
                 changed = True
         if changed:
             continue
         m = oracle_rule3(g) or oracle_rule4(g)
         if m is None:
             break
-        rec = apply_rule(g, m)[0]
+        rec = apply_rule(g, m)
         records.append(rec)
         k += rec.delta_k
         if k < 0:
@@ -278,7 +278,7 @@ def net_vertex_deltas(original: RBGraph, records) -> list[int]:
     deltas = []
     for rec in records:
         n = g.n_vertices
-        assert apply_rule(g, Match(rec.tag, rec.witness))[0] == rec, rec
+        assert apply_rule(g, Match(rec.tag, rec.witness)) == rec, rec
         deltas.append(g.n_vertices - n)
     return deltas
 
@@ -528,7 +528,7 @@ def r4_witness_union(rng: random.Random) -> RBGraph:
         w = rule4_case2_witness() if kind == 0 else rule4_case3_witness(swap_vw=kind == 2)
         shift = g._next_id - 1
         for v in sorted(w.adj):
-            g._add_with_id(v + shift, w.color_of(v))
+            g._add_with_id(v + shift, BLUE if v in w.blue else RED)
         for u, v in w.edges():
             g.add_edge(u + shift, v + shift)
         part = {v + shift for v in w.adj}

@@ -4,7 +4,10 @@ A name that only tests use is not library code.  Every module-level
 function and class of the package, private ones included, is read by some
 module outside the tests, for the same reason.  Likewise every exception
 class the package defines is caught by name outside the tests; a subclass
-that only tests tell apart from its base is not library code either."""
+that only tests tell apart from its base is not library code either.  And
+every method and property of a class the package defines, dunders aside,
+is read by some module outside the tests: a method that only tests call
+is not library code."""
 
 import ast
 import importlib
@@ -39,6 +42,15 @@ def module_level_defs(path: Path) -> set:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
 
 
+def class_methods(path: Path) -> set:
+    """The names the ``def`` statements in a module's class bodies bind,
+    properties included, dunders aside."""
+    return {node.name for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
 def names_caught(path: Path) -> set:
     """The exception names a module's ``except`` clauses name, bare or as an
     attribute, alone or in a tuple."""
@@ -62,6 +74,14 @@ def test_every_module_level_def_is_read_outside_the_tests():
     src = list((ROOT / "src" / "rbkernel").glob("*.py"))
     defined = set().union(*map(module_level_defs, src))
     assert {"kernelize", "_r3_at", "RuleApplication"} <= defined
+    used = set().union(*map(names_read, src + non_test_files()))
+    assert sorted(defined - used) == []
+
+
+def test_every_method_is_read_outside_the_tests():
+    src = list((ROOT / "src" / "rbkernel").glob("*.py"))
+    defined = set().union(*map(class_methods, src))
+    assert {"remove_vertex", "n_vertices", "is_no"} <= defined
     used = set().union(*map(names_read, src + non_test_files()))
     assert sorted(defined - used) == []
 

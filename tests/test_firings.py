@@ -89,7 +89,7 @@ def expected_after(g: RBGraph, rec):
 def check_firing(g: RBGraph, match, fired: Counter) -> None:
     """Fire ``match`` on a copy of ``g`` and check the one step G -> G'."""
     after = g.copy()
-    rec, _ = apply_rule(after, match)
+    rec = apply_rule(after, match)
     want, n_forced = expected_after(g, rec)
     assert after == want and rec.delta_k == -n_forced, rec
     before, now = exhaustive_min_rbds(g), exhaustive_min_rbds(after)

@@ -227,6 +227,23 @@ class TestParseErrors:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_short_text_makes_no_label_table(self):
+        # One edge line under a header of 10^5 vertices is read line by
+        # line: the read holds the adjacency sets and the color sets, about
+        # 1.25 times the sets alone, where a label table would take 1.55.
+        def peak(build):
+            tracemalloc.start()
+            try:
+                build()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        n = 100_000
+        text = "p rbds %d %d 1\ne 1 %d\n" % (n // 2, n // 2, n // 2 + 1)
+        assert formats.parse_instance(text).graph.adj[1] == {n // 2 + 1}
+        sets = peak(lambda: {v: set() for v in range(1, n + 1)})
+        assert peak(lambda: formats.parse_instance(text)) < 1.4 * sets
+
     def test_junk_line(self):
         self.check("p rbds 1 1 1\nq what\n", 2)
 
@@ -620,7 +637,7 @@ class TestTraceFormat:
     def test_case2_record_round_trips(self):
         from rbkernel.kernelizer import apply_rule, KernelTrace
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
-        rec, _ = apply_rule(g, ("R4-case2", (1, 2)))
+        rec = apply_rule(g, ("R4-case2", (1, 2)))
         trace = KernelTrace([rec])
         text = formats.format_trace(trace)
         assert text == "r\tR4-case2\tk_delta=0\twitness=(1,2)\tadded=5\n"

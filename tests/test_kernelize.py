@@ -50,6 +50,7 @@ from helpers import (
     oracle_rule1_at,
     oracle_rule2,
     oracle_rule2_at,
+    r4_witness_union,
     reference_kernelize,
 )
 
@@ -321,7 +322,7 @@ class TestCheckedReplay:
         # unless the rule applies and only the record's budget drop is wrong.
         before = g.copy()
         try:
-            again, _ = apply_rule(g, Match(tag, witness))
+            again = apply_rule(g, Match(tag, witness))
         except GraphError as exc:
             assert str(exc) == "%s does not apply at %s" % (tag, witness)
             assert g == before
@@ -651,6 +652,16 @@ class TestReferenceEquivalence:
             for k in range(len(g.blue) + 1):
                 self.check(g, k)
 
+    def test_on_r4_witness_unions(self):
+        # Bridged unions of the case-2 and case-3 witnesses fire every R4
+        # case, so the blues an R4 firing puts in wl1 meet every case.
+        fired = Counter()
+        for seed in range(40):
+            g = r4_witness_union(random.Random(seed))
+            for k in (len(g.blue), len(g.blue) - 1):
+                fired.update(rec.tag for rec in self.check(g, k).trace.records)
+        assert all(fired[tag] for tag in R4_CASE.values()), fired
+
 
 def check_verdict(g, k):
     """Kernelize (g, k) and check the fact each verdict rests on: a REDUCED
@@ -766,7 +777,7 @@ class TestLift:
         # the lift is the identity and {w} still covers the restored set.
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
         original = g.copy()
-        rec, _ = apply_rule(g, Match("R4-case2", (1, 2)))
+        rec = apply_rule(g, Match("R4-case2", (1, 2)))
         trace = KernelTrace([rec])
         lifted = lift_solution(trace, {2})
         assert lifted == {2}

@@ -402,17 +402,16 @@ class TestApplyRule:
     def test_r1_removes_single_blue(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 3), (2, 4)])
         before = g.copy()
-        rec, removed = apply_rule(g, Match(R1, (1, 2)))
+        rec = apply_rule(g, Match(R1, (1, 2)))
         assert rec == RuleApplication(R1, (1, 2), 0, None)
         assert 1 not in g.adj and 2 in g.adj
         # The step took exactly blue 1, whose only neighbor was 3.
         assert before.adj.keys() - g.adj.keys() == {1} and g.adj.keys() <= before.adj.keys()
         assert 1 in before.blue and before.adj[1] == {3}
-        assert removed == [(1, "b", {3})]
 
     def test_r3_removes_component_and_pays(self):
         g = RBGraph.from_parts([1], [2], [(1, 2)])
-        rec, _ = apply_rule(g, Match(R3, (1,)))
+        rec = apply_rule(g, Match(R3, (1,)))
         assert rec.delta_k == -1
         assert g.n_vertices == 0
         assert rec.witness == (1,)
@@ -420,7 +419,7 @@ class TestApplyRule:
     def test_r4_case2_swaps_private_set_for_gadget(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
         before = g.copy()
-        rec, _ = apply_rule(g, Match(R4_CASE[2], (1, 2)))
+        rec = apply_rule(g, Match(R4_CASE[2], (1, 2)))
         assert rec.delta_k == 0
         assert g.red == {5}
         assert g.adj[5] == {1, 2}
@@ -430,16 +429,15 @@ class TestApplyRule:
 
     def test_r4_case1_removes_pair_and_neighborhood(self):
         g = alternating_cycle(4)
-        rec, _ = apply_rule(g, Match(R4_CASE[1], (1, 3)))
+        rec = apply_rule(g, Match(R4_CASE[1], (1, 3)))
         assert rec.delta_k == -2
         assert g.blue == {2, 4} and g.red == set()
 
     def test_isolated_blue_removed_with_its_record(self):
         g = RBGraph.from_parts([1, 2], [3], [(1, 3)])
         before = g.copy()
-        rec, removed = apply_rule(g, Match(SAN_BLUE, (2,)))
+        rec = apply_rule(g, Match(SAN_BLUE, (2,)))
         assert rec == RuleApplication(SAN_BLUE, (2,), 0, None)
-        assert removed == [(2, "b", set())]
         # The step took exactly blue 2, which had no neighbors.
         assert before.adj.keys() - g.adj.keys() == {2}
         assert 2 in before.blue and before.adj[2] == set()
@@ -470,16 +468,16 @@ class TestApplyRule:
     def test_delta_k_table(self):
         # -1 exactly for R3/case3/case4, -2 for case1, 0 otherwise.
         g = alternating_cycle(4)
-        rec, _ = apply_rule(g, Match(R4_CASE[1], (1, 3)))
+        rec = apply_rule(g, Match(R4_CASE[1], (1, 3)))
         assert rec.delta_k == -2
         g3 = rule4_case3_witness()
-        rec3, _ = apply_rule(g3, Match(R4_CASE[3], (1, 2)))
+        rec3 = apply_rule(g3, Match(R4_CASE[3], (1, 2)))
         assert rec3.delta_k == -1
         g4 = rule4_case3_witness(swap_vw=True)
-        rec4, _ = apply_rule(g4, Match(R4_CASE[4], (1, 2)))
+        rec4 = apply_rule(g4, Match(R4_CASE[4], (1, 2)))
         assert rec4.delta_k == -1
         g2 = rule4_case2_witness()
-        rec2, _ = apply_rule(g2, Match(R4_CASE[2], (1, 2)))
+        rec2 = apply_rule(g2, Match(R4_CASE[2], (1, 2)))
         assert rec2.delta_k == 0
 
 
