@@ -14,13 +14,10 @@ kept in ``c origid`` comments, and ``in_original_ids`` gives the graph
 back under them, so solutions on the written file can be mapped back (the
 kernelize/solve/lift pipeline relies on this).  The writer refuses with
 ``ValueError`` whatever the reader would refuse or misread.  Lines end
-where ``str.splitlines`` ends them.  The instance reader takes the lines
-the writer writes, ``e`` and ``c origid`` lines that start with their tag
-and end in ``\n`` or ``\r\n``, a checked chunk at a time, and every other
-line, and every chunk that fails a check, line by line; so every error
-comes from the line checks and names its line.  The trace reader takes
-runs of well-formed record lines in bulk, and every other line on its own,
-with the same checks and messages either way.
+where ``str.splitlines`` ends them.  Both readers take the lines the writer
+writes in bulk, up to the last line end within ``_CHUNK_CHARS`` characters
+at a time, and every other line, and every chunk that fails a check, line
+by line; so every error comes from the line checks and names its line.
 
 Trace files hold a fingerprint of the instance they were cut from and
 one record per rule application, in order::
@@ -86,9 +83,7 @@ def _is_origid(parts: list) -> bool:
 # The most vertices an instance header may declare.  The reader allocates an
 # adjacency set for each before it reads an edge, and a label for each at
 # its first chunk of edge lines if the text is long enough to name each one,
-# so the cap bounds the memory a header can claim (CHANGES.md, the entries
-# on MAX_VERTICES and on the label table made only for such a text, have
-# the tracemalloc peak per vertex).
+# so the cap bounds the memory a header can claim.
 MAX_VERTICES = 1_000_000
 
 
@@ -109,12 +104,11 @@ def check_seed(seed: int) -> None:
 _LINE = re.compile(r"([^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)"
                    r"(?:\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029])?")
 
-# The reader takes the writer's layout, lines that start with "e" or with
-# "c origid ", a chunk at a time: the lines from the chunk's first up to the
-# first line that starts otherwise, or up to the last line end within
-# _CHUNK_CHARS characters.  The cap bounds what the reader holds at once, the
-# chunk and its fields (CHANGES.md, the entry on reading instance files a
-# checked chunk at a time, has the tracemalloc peaks).
+# An instance chunk runs from its first line to the first line that starts
+# with another tag, or to the last line end within _CHUNK_CHARS characters.
+# The cap bounds what either reader holds at once: the chunk and its fields,
+# and for a trace the regex engine's backtracking state, which grows with
+# the lines one match takes.
 _CHUNK_CHARS = 4096
 _EDGE_CHUNK_END = re.compile(r"\n(?!e)")
 _ORIGID_CHUNK_END = re.compile(r"\n(?!c)")
@@ -153,9 +147,7 @@ def parse_instance(text: str) -> Instance:
     edge line naming two ids in six characters or more; a shorter text is
     read line by line.  Then each edge goes straight into the adjacency sets
     allocated at the header, which also catch duplicate edges.  A chunk of
-    ``c origid <id> <id>`` lines is read in bulk the same way.  A chunk that
-    fails a check, and every other line, is read line by line, so every
-    error comes from the line checks and names the line it is on."""
+    ``c origid <id> <id>`` lines is read in bulk the same way."""
     header = None
     meta: dict = {}
     origid: dict[int, int] = {}
@@ -250,9 +242,7 @@ def parse_instance(text: str) -> Instance:
             header = (nb, nr, k)
             last = nb + nr
             adj = {v: set() for v in range(1, last + 1)}
-            if len(text) - pos < last:
-                # Too short to name every declared id once: read line by line,
-                # so a large header with few edges makes no label table.
+            if len(text) - pos < last:  # too short for a label table
                 lines_from = len(text)
             continue
         if kind == "g":
@@ -414,22 +404,17 @@ def _tagged(n: int) -> str:
         "|".join(map(re.escape, tags)), _ID, ",".join([_ID] * n))
 
 
-# The witness lengths of the tags whose records may come in runs: those of
-# one or two ids, which _RUN_FIELDS captures id by id.  A record of another
-# length is read line by line.
+# The witness lengths that _RUN_FIELDS captures id by id, so records of them
+# may come in runs; a record of another length is read line by line.
 _RUN_LENGTHS = sorted({n for n in WITNESS_LEN.values() if n in (1, 2)})
 
-# Runs of up to _RUN_LINES record lines that the line-by-line checks accept
-# as they stand: each tag with a witness of its length, fields apart by
-# blanks and tabs, each line ended by "\n" or "\r\n".  R4 case 2 records,
-# which end in added=, are read line by line.  The cap bounds what the
-# reader holds at once: the run's fields, and the regex engine's
-# backtracking state, which grows with the lines one match takes (CHANGES.md,
-# the entry on reading instance files a run of edge lines at a time, has the
-# bytes a line and the peak RSS of a larger cap).
-_RUN_LINES = 256
-_RECORD_RUN = re.compile(r"(?:[ \t]*r[ \t]+(?:%s)[ \t]*\r?\n){1,%d}"
-                         % ("|".join(map(_tagged, _RUN_LENGTHS)), _RUN_LINES))
+# Runs of record lines that the line-by-line checks accept as they stand:
+# each tag with a witness of its length, fields apart by blanks and tabs,
+# each line ended by "\n" or "\r\n".  R4 case 2 records, which end in
+# added=, are read line by line.  parse_trace matches a run only up to the
+# last line end within _CHUNK_CHARS of its start.
+_RECORD_RUN = re.compile(r"(?:[ \t]*r[ \t]+(?:%s)[ \t]*\r?\n)+"
+                         % "|".join(map(_tagged, _RUN_LENGTHS)))
 # The tag, k_delta and witness ids of each record of a run, the second id
 # empty for a witness of one.
 _RUN_FIELDS = re.compile(r"r[ \t]+(\S+)[ \t]+k_delta=(\S+)[ \t]+witness=\((%s)(?:,(%s))?\)"
@@ -447,7 +432,7 @@ def parse_trace(text: str) -> KernelTrace:
     make = RuleApplication._make
     pos = i = 0  # where the next line starts, and the number of the last line read
     while pos < len(text):
-        run = _RECORD_RUN.match(text, pos)
+        run = _RECORD_RUN.match(text, pos, text.rfind("\n", pos, pos + _CHUNK_CHARS) + 1)
         if run is not None:
             found = _RUN_FIELDS.findall(run[0])
             records += [make((tag, (int(v), int(w)) if w else (int(v),), int(delta), None))

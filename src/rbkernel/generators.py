@@ -7,11 +7,9 @@ size or seed that ``formats.format_instance`` would refuse.
 
 Reproducibility: ``gen_random_planar`` draws from one ``random.Random(seed)``
 and a seed gives the same instance for as long as ``GEN_ALGO_ID`` stays.  Its
-face draws call ``getrandbits`` exactly as ``Random.randrange`` does, one
-draw of ``len(faces).bit_length()`` bits repeated until it falls below
-``len(faces)``, so every seed gives the instance it gave when the draw was
-``randrange`` itself.  Each generator fills its adjacency sets directly, in
-the order that the checked ``RBGraph.add_edge`` per edge would have.
+face draws call ``getrandbits`` exactly as ``Random.randrange`` does, and
+each generator fills its adjacency sets in the order the checked
+``RBGraph.add_edge`` would (tests/test_generator_identity.py).
 """
 
 from __future__ import annotations

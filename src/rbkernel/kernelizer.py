@@ -7,46 +7,19 @@ The rules, in the order the driver exhausts them:
 * R3: a blue vertex with a nonempty private neighborhood is forced into
   every solution; remove it with its neighborhood and spend one unit of
   budget.  Once R1 and R2 are exhausted this degenerates to deleting a
-  two-vertex component, which is how the scan is implemented.
+  two-vertex component, which is how it is implemented.
 * R4: for a pair of blues that is jointly forced (more than one shared
   private red, no third dominator), either both are forced (case 1), the
   pair's private reds collapse to a two-edge gadget (case 2), or one of
-  the two is forced (cases 3 and 4).  With U(r) = N(N(r)), which holds r,
-  a red r is private to the pair (a, w) iff U(r) - N(a) is within N(w).
-  So every pair that r is private to has an endpoint in N(r), and the R4
-  search starts from each red's own blues.
+  the two is forced (cases 3 and 4).
 
-R1 and R2 read one relation two ways, N(v) within N(x) for two vertices of
-one color: R1 removes the contained blue, R2 the containing red.  The
-driver finds R1 with ``_least_container``, the least blue whose
-neighborhood contains a blue's own, and R2 with ``_by_container``, which
-lists for each red the scanned reds within its neighborhood.  Once R1 is
-exhausted R3 applies at every degree-one blue, which ``_r3_seed`` lists;
-for R4 the driver asks ``_r4_case`` for the case and the private reds at
-one pair of blues.  :func:`sanitize` returns every Sanitize match, a
-(trace tag, witness tuple) pair, in firing order.
 Each tag has one function that holds its condition, its effect and its
-record (``_r1``, ``_r2``, ``_r3``, ``_r4``, whose condition is
-``_r4_case``, and one per Sanitize tag): every firing runs it, and it
-checks its rule on the graph as it is before it changes anything, refuses
-with a ``GraphError`` if the rule does not apply, and otherwise applies it
-and returns the record alone; the budget change is the record's
-``delta_k``.  What a firing will change the driver reads off the graph
-before it fires: N(b) for R1 at b, N(x) for R2 at x, and the blues within
-distance two of the pair for R4.
-The driver's sweeps call these functions directly; :func:`apply_rule`
-picks one by a match's tag, for sanitize's matches and the replay.  R3
-removes its two-vertex component itself.  The table ``_FORCED`` names the
-witness positions of the blues a match forces into every solution (R3 and
-R4 cases 1, 3 and 4); it sets what R4's forcing cases remove and their
-budget drop (one unit per forced blue), and what :func:`lift_solution` adds
-back for every forcing record.  Every application is logged as a
-:class:`RuleApplication`: its tag, witness, budget drop and, for R4 case 2,
-the id of the red it added.  A record names no removed vertex;
-:func:`replay_trace` applies each record's tag and witness to the graph its
-predecessors left and checks that the same record comes back, and so
-replays the log forward to the kernel graph.  Walked backward, the log
-lifts kernel solutions to the original instance.
+record: it checks its rule on the graph as it is, raises ``GraphError``
+and leaves the graph unchanged if the rule does not apply, and otherwise
+applies it and returns the :class:`RuleApplication`.  :func:`kernelize`
+fires them to a fixpoint and logs every firing; :func:`replay_trace`
+re-runs the log forward, checking each record, and :func:`lift_solution`
+walks it backward.
 """
 
 from __future__ import annotations
@@ -90,11 +63,8 @@ NO_SIZE = "size"
 class RuleApplication(NamedTuple):
     """One rule firing: what a replay needs to re-derive it from the graph
     it applies to, and a lift to undo it.  ``added`` is the id of the red an
-    R4 case 2 adds, None for every other tag.  A named tuple, built with
-    ``_make`` from a tuple of the four fields wherever one is built per
-    record (the rule functions and the trace reader): calling the class
-    goes through its generated Python ``__new__``, which costs more per
-    record (CHANGES.md, the entry on ``_make`` records)."""
+    R4 case 2 adds, None for every other tag.  Built per record with
+    ``_make``, which skips the class's generated Python ``__new__``."""
 
     tag: str
     witness: tuple
@@ -150,15 +120,6 @@ def fingerprint_instance(inst: Instance) -> Fingerprint:
 
 
 # -- finding matches -----------------------------------------------------------
-#
-# The containment scans find the pairs R1 and R2 apply to, _r3_seed the
-# blues R3 applies to once R1 is exhausted, and _r4_pairs the pairs R4 may
-# apply to; sanitize returns every match.  _r3_at looks at one blue, for
-# R3's check, and _r4_case at one pair, for the driver and apply_rule.  The
-# driver fires in ascending id order, so runs are
-# deterministic and traces replayable.  When two neighborhoods are equal the
-# lower id is the one removed, simply because the ascending sweep reaches it
-# first.
 
 
 def sanitize(g: RBGraph) -> list[tuple]:
@@ -246,15 +207,31 @@ def _nbrs(adj: dict, vertices) -> set:
 
 
 def _r4_pairs(g: RBGraph) -> set:
-    """Pairs (v < w) with two or more private reds."""
+    """Pairs (v < w) with two or more private reds, counted red by red on a
+    graph that meets the bipartite Euler bound m <= 2n - 4, as every planar
+    one does, and blue by blue, the faster on dense graphs, past it."""
     if bipartite_euler_bound(g):
         return _count_per_red(g)
     return {p for p, c in _count_per_blue(g).items() if c > 1}
 
 
 def _count_per_red(g: RBGraph) -> set:
-    """The pairs (v < w) that two or more reds are private to, each found
-    under its int key (driver notes)."""
+    """The pairs (v < w) that two or more reds are private to.
+
+    With U(r) = N(N(r)), a red r is private to (a, w) iff U(r) lies within
+    N(a) | N(w).  So one endpoint a is in N(r), and the partners w are the
+    blues next to any one red of X = U(r) - N(a) that neighbor all of X.  X
+    is empty only where R1, R2 or R3 applies (every other blue of N(r)
+    would lie within a, every other red of N(a) would contain r, and {a, r}
+    would be a component), and then the search raises
+    (tests/test_rules.py::TestRule4::test_pair_counting_refuses_r3_match).
+    With D the largest blue degree, a red whose U(r) has more than 2 * D
+    vertices, and an endpoint whose X has more than D, count toward no pair
+    and are skipped
+    (tests/test_rules.py::TestRule4::test_pair_counting_matches_brute_force).
+    Each pair is keyed by the int v * m + w, m one past the largest blue id,
+    and kept once found twice.
+    """
     adj = g.adj
     top = max(map(len, map(adj.__getitem__, g.blue)), default=0)
     cap = 2 * top
@@ -350,16 +327,9 @@ def _r4_case(g: RBGraph, v: int, w: int) -> tuple[int, set] | None:
 
 # -- applying rules --------------------------------------------------------------
 #
-# One function per tag, each taking the graph and the record's witness: it
-# checks its rule on the graph as it is, raises the refusal and leaves the
-# graph unchanged if the rule does not apply, and otherwise applies it and
-# returns the record alone.  The driver reads N(b), N(x) or the pair's
-# 2-ball, whatever the firing will change, off the graph before it fires
-# (driver notes).  R4's condition is _r4_case, and _r4 applies the
-# case and private reds that _r4_case has just found.  R1 and R2 apply only
-# where the driver's scan finds them: the removed blue of R1 and the witness
-# red of R2 must have a neighbor, since an isolated blue is sanitize's and
-# an isolated red answers NO.
+# R1's removed blue and R2's witness red must have a neighbor, as the
+# driver's scans find them: an isolated blue is sanitize's, and an isolated
+# red answers NO (tests/test_rules.py::TestApplyRule::test_isolated_vertex_match_refused).
 
 
 def _refused(tag: str, witness: tuple) -> GraphError:
@@ -458,12 +428,10 @@ _RULE = {R1: _r1, R2: _r2, R3: _r3, SAN_EDGE: _san_edge, SAN_BLUE: _san_blue, SA
 
 def apply_rule(g: RBGraph, match: tuple) -> RuleApplication:
     """Mutate ``g`` according to a match, a (tag, witness) pair, and
-    return the trace record alone, whose ``delta_k`` is the budget change:
-    a caller that needs what the firing changes reads it off ``g`` first.
-    A match whose rule does not apply at its witness, or whose witness does
+    return its trace record, whose ``delta_k`` is the budget change.  A
+    match whose rule does not apply at its witness, or whose witness does
     not have its tag's length, raises ``GraphError`` and leaves ``g``
-    unchanged.  The tag's own function checks and applies it; an R4 tag
-    must name the case :func:`_r4_case` finds at the pair."""
+    unchanged; an R4 tag must name the case :func:`_r4_case` finds."""
     tag, witness = match
     if WITNESS_LEN.get(tag) == len(witness):
         if tag in _RULE:
@@ -476,166 +444,41 @@ def apply_rule(g: RBGraph, match: tuple) -> RuleApplication:
 
 # -- the driver --------------------------------------------------------------------
 #
-# The driver is kernelize, which holds the run's state in locals: the graph
-# copy, k, the records and two pending sets, wl1, the blues R1 scans, and
-# ``shrunk``, the reds R2 scans.  Every firing runs its rule's function,
-# which checks the rule on the current graph before it applies it and
-# raises the refusal if the rule does not apply, so a scan that named a
-# wrong vertex stops the run instead of writing a record.  The driver
-# appends each record and adds its delta_k to k.  Sanitize's matches go
-# through the module-global apply_rule (perfbench's tracer wraps it there,
-# and sanitize too), as the replay's records do; none of them spends budget
-# or leaves a vertex that the sets, filled with every live vertex after
-# them, would miss.  The sweeps call their rule's function directly.  A
-# round sweeps isolated blues, R1 and R2 and starts over while any fired,
-# that is while the records grew; then it sweeps R3 over the degree-one
-# blues of the current graph, and asks _r4_case about every pair with two
-# or more private reds, in ascending order, and fires _r4 with the case and
-# private reds of the first pair that has one.  A round ends at R4, so a
-# run has one round more than it has R4 firings, and R3 and R4 keep nothing
-# between rounds.  What a firing will change decides what becomes pending,
-# and since a rule's function returns its record alone, the driver reads
-# that off the graph before the firing.  R1 at b removes only b, so N(b)
-# joins ``shrunk``; R2 at x removes only x, so N(x) joins wl1.  So R1 feeds
-# only ``shrunk`` and R2 only wl1, and each sweep updates that one set; an
-# isolated blue has no neighbor, and R3 removes a whole two-vertex
-# component, so neither feeds a set.  R4 at the pair (v, w) puts every blue
-# within distance two of the pair, N(N({v, w})), into wl1, and case 2's
-# added red joins ``shrunk`` after the firing.  An R4 firing removes only
-# the pair, reds next to it and, in case 2, adds one red on it, so every
-# blue it changes lies within distance two of the pair.  The set may hold
-# more blues than that, in cases 2 to 4, and the records do not change:
-# by fact 1 below, a blue whose neighborhood the firing left alone has no
-# container, and it is not isolated.  The forcing cases remove every red
-# next to a forced blue and case 2 removes no blue, so no live red loses a
-# neighbor and only the added red joins ``shrunk``.
+# kernelize keeps two pending sets, wl1, the blues R1 scans, and ``shrunk``,
+# the reds R2 scans.  Each sweep scans once, empties its set and fires in
+# ascending order, so of two equal neighborhoods the lower id goes
+# (tests/test_rules.py::TestRule1::test_equal_neighborhoods_lower_id_removed).
+# Each firing rechecks its rule, so a wrong scan stops the run
+# (tests/test_kernelize.py::TestDriverChecksItsScans).  The records are
+# those of the naive driver that rescans everything before each firing
+# (tests/test_kernelize.py::TestReferenceEquivalence) by these facts:
 #
-# Every sweep scans once and then fires in ascending order.  The
-# isolated-blue sweep's scan takes the live degree-0 blues of wl1.  A blue
-# loses its last red only when that red is removed, which puts the blue in
-# wl1, no record gives a degree-0 blue a red, and only the R1 sweep, which
-# follows the isolated-blue one, empties wl1; so the scan finds every
-# isolated blue of the graph.  Sanitize-isolated-blue removes a vertex that
-# has no neighbor, so it changes no other vertex, and each blue the scan
-# found is still isolated at its turn.  The nested r1_sweep and r2_sweep
-# scan their pending set once and empty it.  r1_sweep keeps each contained
-# blue b's least container and fires R1 at b with it, or, if it died earlier
-# in the sweep, with the least container a rescan of b finds.  r2_sweep keys
-# each containment by the containing red x as it scans, and fires R2 at x
-# with the least live scanned red within N(x).  It keeps every such red,
-# since the least has often died by x's turn (CHANGES.md, the entry on
-# R2 keyed by its containing red, counts how often), and a rescan of x
-# would test every red next to a blue of N(x).  No firing makes a vertex
-# pending for the rule being swept: R1 removes only blues, whose reds join
-# ``shrunk``, and R2 only reds, whose blues join wl1.  The R3 sweep runs
-# only after a round fired nothing, so R1 is exhausted.  Then a degree-one
-# blue v with N(v) = {r} is alone at r: any other blue at r would contain
-# {r}, which is an R1 match.  So every blue _r3_seed lists is an R3 match,
-# and the sweep fires at each one; _r3, which checks R3 at every firing,
-# would raise if this failed.  A firing removes the whole component
-# {v, r}, v first, so r has no neighbors left when it goes, and it changes
-# no other blue; the naive driver would find nothing in R1 and R2 between
-# two firings.
-# Only R3 and R4 spend budget, and k < 0 is checked after every firing, so a
-# run stops at the record that drove k below zero.
+# - Reach.  R1 at b changes only N(b), which joins ``shrunk``; R2 at x only
+#   N(x), which joins wl1; R4 only blues within distance two of its pair,
+#   which join wl1, and case 2's added red, which joins ``shrunk``
+#   (tests/test_kernelize.py::TestReferenceEquivalence::test_on_r4_witness_unions).
+#   An isolated blue and an R3 component change no other vertex.
+# 1. During an R1 sweep no blue's neighborhood changes, so a blue's
+#    containers can only die: its least live one is the scan's or, if that
+#    died, a rescan's (tests/test_kernelize.py::TestReferenceEquivalence,
+#    the R1 rescan case).
+#    A blue gains a container, or loses its last red, only when its own
+#    neighborhood changes, which puts it in wl1.  So wl1 holds every blue
+#    with a container, and the isolated-blue sweep, which scans wl1 before
+#    the R1 sweep empties it, finds every isolated blue.
+# 2. No record grows a red's neighborhood, so after an R2 sweep a red gains
+#    a witness r2 only when N(r2) shrinks or r2 is created, which puts r2 in
+#    ``shrunk``
+#    (tests/test_kernelize.py::TestReferenceEquivalence::test_case2_gadget_feeds_rule2).
+#    Case 2's new red has no witness when it is created: a red within its
+#    N = {v, w} would be private to the pair, and the same record removes it.
+# 3. wl1 and ``shrunk`` start as every blue and every red, and a containment
+#    survives the removal of a blue, so the first sweeps find every match
+#    the input has.
 #
-# At the fixpoint the size test alone decides, because there are no reds
-# exactly when there are no blues.  Sanitize answers NO for every red
-# without a blue before the loop starts, and no record leaves a red without
-# a blue: R1 keeps the blue that contains the removed one's neighborhood, R2
-# removes only reds, R3 and the forcing R4 cases remove each forced blue
-# together with its reds, R4 case 2 puts its new red on the pair, and
-# Sanitize-isolated-blue removes only blues that have no red.  A blue whose
-# reds are all gone is removed by the isolated-blue sweep before the loop
-# can end: the last round fires no isolated blue, R1, R2 or R4, and its R3
-# sweep removes whole components, so it leaves no blue without a red.
-#
-# Every record keeps a planar graph planar, so the size test reads the
-# paper's bound on a planar kernel whenever the input is planar.  Every tag
-# but R4 case 2 removes vertices, an edge or nothing.  R4 case 2 removes the
-# pair's private reds, each of which is next to both v and w, and adds one
-# red on {v, w}: that equals keeping one private red, renamed, without its
-# other edges.  So every record leaves a subgraph of its input, up to
-# renaming.  tests/test_planar_records.py checks every intermediate graph
-# of traces on planar inputs.
-#
-# Sweeping in ascending id order makes the run identical to the naive
-# rescans-from-scratch driver, which tests exploit, because each R1 or R2
-# sweep, though it scans once when it starts, fires what a probe of each
-# vertex at its turn would find.  The scan skips a vertex with no neighbor:
-# an isolated blue is the isolated-blue sweep's, and an isolated red
-# witnesses nothing.  Three facts carry the argument:
-#
-# 1. During an R1 sweep no blue's neighborhood changes and no blue is
-#    created, so a blue's containers can only die, and its least live
-#    container is the witness a probe at its turn finds.  That is the least
-#    container the scan found if it is still live, and otherwise what a
-#    rescan of the blue on the current graph finds.  At each R1 sweep every
-#    blue with a container is in wl1: wl1 starts as every blue, and after an
-#    R1 sweep no blue has a container.  A blue b gains one only when N(b)
-#    changes, which needs a red of N(b) removed, putting b in wl1, or b
-#    ending an R4 case-2 pair, whose record also removes private reds next
-#    to b.  Other blues' neighborhoods only shrink, or gain a case-2 red
-#    that is not in N(b).
-# 2. After an R2 sweep no red has a witness, and no record grows a red's
-#    neighborhood.  So a red x gains a witness r2 only when N(r2) shrinks or
-#    r2 is created, and both note r2 in ``shrunk``: at the next R2 sweep
-#    every witness of a container is a red noted in ``shrunk``, which the
-#    scan pairs with every red containing it.  During the sweep, which
-#    removes only reds, those witnesses can only die.  The red R4 case 2
-#    adds, with N = {v, w}, has no witness when it is created: a live red
-#    with N within {v, w} has no dominator but v and w, so it is private to
-#    (v, w) and the same record removes it.
-# 3. ``shrunk`` starts as every red, so the first R2 sweep, which follows
-#    the first R1 sweep, scans every red.  A containment survives the
-#    removal of a blue, so that scan finds every containment the graph had
-#    when the loop started, as well as those the R1 sweep made.
-#
-# R4's search counts the private reds of every pair.  A red r private to
-# (a, w) lies in U(r), within N(a) | N(w), so one endpoint, say a, is in
-# N(r), and the partners w for that a are the blues next to any one red of
-# X = U(r) - N(a) that neighbor all of X.  A red next to both endpoints
-# finds its pair from both, and only the lower endpoint counts it.  This
-# relies on R1-R3 being exhausted: X is never empty, since if N(a) held
-# U(r), every other blue of N(r) would be an R1 match, then every other red
-# of N(a) an R2 match, and {a, r} an R3 component.  Each find of a pair
-# v < w is one private red, so the search needs only whether a pair was
-# found twice.  With m one more than the largest blue id it keys the pair
-# as the int v * m + w, which divmod(key, m) turns back into (v, w), and
-# puts a key into ``once`` when first found and into ``twice`` when found
-# again; the pairs are those of ``twice``.  A red next to both endpoints
-# still adds one find, from the lower endpoint.  An int key and two set
-# probes cost less per find than a tuple key and a dict increment
-# (CHANGES.md, the entry on int pair keys).
-#
-# The search skips a red whose U(r) has more than 2 * D vertices, D the
-# largest blue degree in the graph: a red private to (a, w) has U(r) within
-# N(a) | N(w), so |U(r)| <= deg(a) + deg(w) <= 2 * D, and a skipped red adds
-# to no pair's count.  It builds U(r) blue by blue and stops once the union
-# passes 2 * D.  For the same reason it skips an endpoint a whose X
-# has more than D vertices, since X must lie within N(w): N(a) is within
-# U(r), so |X| = |U(r)| - |N(a)| is known before X is built, and X is empty
-# exactly when the two sizes are equal.  Neither skip hides a contract
-# violation, since an empty X means |U(r)| = |N(a)| <= D.  On grids, where
-# every blue degree is at most four, most reds are skipped; next to a hub
-# blue the bounds skip little.
-#
-# That is the loop for a graph that meets the bipartite Euler bound
-# m <= 2n - 4, as every planar one does.  A graph past the bound counts the
-# same (a, r) pairs, a in N(r), blue by blue.  X = U(r) - N(a) is the union
-# of N(b) - N(a) over b in N(r) - {a}, so the partners of a through r are
-# the blues in every W(b, a) = {w : N(b) - N(a) within N(w)} whose
-# N(b) - N(a) is nonempty (an empty one constrains nothing, and if all are
-# empty X is, and the loop raises as the per-red one does).  W(b, a) is
-# built once per a and serves every red of N(a) next to b.  A red next to
-# both endpoints is found from both, and only the lower endpoint counts it.
-# The loop skips no red on the 2 * D cap, which would cost U(r) per red.
-# For each red it intersects the W sets of the red's blues one at a time
-# and stops at the first empty intersection, after which the red counts
-# toward no pair of a; it raises only when none of them has a W set.  On
-# size-verdict's dense graphs, whose reds have 8 or 11 blues, the per-blue
-# loop is the faster one, and on graphs that meet the bound the per-red one
-# is (CHANGES.md, the entries on the per-blue count and its early stop).
+# The R3 sweep runs only in a round that fired nothing, so R1 is exhausted
+# and a degree-one blue is alone at its red: any other blue there would
+# contain it (tests/test_kernelize.py::test_r3_applies_at_every_seed_once_r1_is_exhausted).
 
 
 def kernelize(inst: Instance) -> KernelResult:
@@ -643,15 +486,15 @@ def kernelize(inst: Instance) -> KernelResult:
 
     Sanitizes, exhausts R1 then R2, restarts on any change, then fires R3
     at every two-vertex component and tries R4, restarting after an R4
-    application.  The budget is checked after every firing.  A red that no
-    blue can dominate is found by sanitize, before the loop, and answered
-    NO there.  At the fixpoint every red has a blue neighbor and every blue
-    a red one, so the result is NO when the budget went negative or the
-    reduced graph is larger than ``SIZE_FACTOR`` = 46 times the remaining
-    budget; otherwise the reduced instance is returned with its trace.  The
-    size test is what makes the output a kernel; it presumes a planar input,
-    and every record keeps a planar graph planar (driver notes), so the
-    reduced graph of a planar input is planar too.
+    application.  A red that no blue can dominate is answered NO by
+    sanitize, and the budget is checked after every firing.  At the
+    fixpoint the result is NO if the graph has more than ``SIZE_FACTOR`` =
+    46 times the remaining budget vertices, and otherwise the reduced
+    instance with its trace.  That size test, which makes the output a
+    kernel, presumes a planar input; every record leaves a subgraph of its
+    input up to renaming (R4 case 2's red on the pair stands for a removed
+    private red, next to both ends), so a planar input stays planar
+    (tests/test_planar_records.py).
     """
     if inst.k < 0:
         raise ValueError("budget must be non-negative, got %d" % inst.k)
@@ -664,9 +507,8 @@ def kernelize(inst: Instance) -> KernelResult:
     shrunk: set[int] = set()
 
     def r1_sweep() -> None:
-        """Scan and empty wl1, then fire R1 in ascending order at each blue
-        the scan found contained, with its least live container as witness.
-        The reds of each removed blue join ``shrunk``."""
+        """Fire R1 at each contained blue of wl1, in ascending order, with
+        its least live container as witness, and empty wl1."""
         found = {b: x for b in wl1 if (x := _least_container(adj, b)) is not None}
         wl1.clear()
         for b in sorted(found):
@@ -679,9 +521,10 @@ def kernelize(inst: Instance) -> KernelResult:
             records.append(_r1(g, (b, x)))
 
     def r2_sweep() -> None:
-        """Scan and empty ``shrunk``, then fire R2 in ascending order at each
-        red the scan found containing a scanned red, with the least live one
-        as witness.  The blues of each removed red join wl1."""
+        """Fire R2 at each red x containing a red of ``shrunk``, in ascending
+        order, with the least live one as witness, and empty ``shrunk``.
+        The scan keeps every contained red, since the least has often died
+        by x's turn, and a rescan of x would test every red next to N(x)."""
         found = _by_container(g, shrunk)
         shrunk.clear()
         for x in sorted(found):
@@ -691,7 +534,7 @@ def kernelize(inst: Instance) -> KernelResult:
                 records.append(_r2(g, (x, r2)))
 
     found = sanitize(g)
-    for match in found:
+    for match in found:  # through apply_rule, which perfbench's tracer wraps
         records.append(apply_rule(g, match))
     if found and found[-1][0] == SAN_NO:
         return KernelResult("no", reason=NO_ISOLATED_RED, trace=trace)
@@ -727,6 +570,10 @@ def kernelize(inst: Instance) -> KernelResult:
                 break  # no pair fires: the fixpoint
     if k < 0:
         return KernelResult("no", reason=NO_BUDGET, trace=trace)
+    # No reds exactly when no blues, so the size test alone decides: sanitize
+    # answered NO for a red without a blue, no record leaves one, and the
+    # isolated-blue sweep leaves no blue without a red
+    # (tests/test_kernelize.py::TestVerdicts).
     assert bool(g.red) == bool(g.blue), "the fixpoint left a red without a blue or the reverse"
     if g.n_vertices > SIZE_FACTOR * k:
         return KernelResult("no", reason=NO_SIZE, trace=trace)

@@ -2,24 +2,10 @@
 
 Planarity is decided by an iterative left-right test (Brandes, *The
 Left-Right Planarity Test*, 2009, after de Fraysseix, Ossona de Mendez and
-Rosenstiehl).  :func:`planar_verdict` asks it for the verdict alone, on a
-``{vertex: neighbors}`` map, and builds no embedding.  :func:`is_planar`
-asks it for a combinatorial embedding of a planar graph, the bare verdict
-for a non-planar one.  The embedding is a :class:`PlaneGraph`, a rotation
+Rosenstiehl).  :func:`planar_verdict` asks it for the verdict alone and
+:func:`is_planar` for an embedding too, a :class:`PlaneGraph`: a rotation
 system (cyclic order of neighbors around each vertex) that supports the
 dart-walk face enumeration the radial-graph transform needs.
-
-A :class:`PlaneGraph` holds its rotation as one table of darts indexed by
-int: dart ``h`` and its twin ``h ^ 1`` are the two ends of one edge, and
-the face walk steps from ``h`` to ``cw[h ^ 1]``.  :meth:`PlaneGraph.faces`
-gives each face as the vertex indices its walk passes, and
-``transforms.face_cover_to_rbds`` builds the radial graph from those.  Two
-constructors build the table.  ``PlaneGraph(rotation)`` builds it from a
-``{vertex: cyclic neighbor list}`` map and checks that map;
-``parse_plane`` and the tests use it.  :func:`is_planar` builds it with no
-check from the left-right test's own half-edges, through the trusted
-constructor, as ``RBGraph._trusted`` wraps parts its callers made
-consistent.
 
 The test is a step-for-step port, onto flat lists indexed by vertex and
 edge numbers, of the non-recursive left-right test that
@@ -501,8 +487,7 @@ def is_planar(vertices, edges) -> PlanarityResult:
     self-loops and repeated edges are ignored.  A planar graph comes back
     with a rotation system realizing an embedding, the oracle's in
     ``tests/test_planarity.py``; a non-planar one comes back with none,
-    after a single run of the test.  A caller that reads only the verdict
-    asks :func:`planar_verdict`, which skips the embedding.
+    after a single run of the test.
     """
     index = {}
     for v in vertices:

@@ -26,15 +26,10 @@ already keeps the masks few, and a per-node walk for components costs more
 than the split saves.
 
 The layout numbers each component of the family as one run of bits, its
-*part*, and :func:`min_rbds` solves the parts one by one.  The stack depth
-is then the optimum of the part at hand; one mask over all parts would need
-the summed optimum, which a union of many small components soon exceeds.
-Depth is not the only reason for the split.  Where one mask stays within
-the stack, every mask of an earlier component carries the later ones along,
-the memo holds them and each packing bound walks them, so a union of
-components takes more states and more time as one mask than part by part
-(CHANGES.md, the entry on ``min_rbds`` returning the cover its search
-records, has the times).
+*part*, and :func:`min_rbds` solves the parts one by one: the stack depth is
+then the optimum of the part at hand, not the summed optimum
+(tests/test_solver.py::TestMinRbds::test_many_components_solved_one_by_one),
+and no memo mask carries one component along with another.
 
 The memo lives as long as the engine, i.e. for one call.  A search deeper
 than the interpreter's stack, or one that needs more than
@@ -42,13 +37,10 @@ than the interpreter's stack, or one that needs more than
 library's one "too large" answer.
 
 Witness contract: the witness is a minimum cover, deterministic for a given
-input and search; among blues with equal red sets, the lowest id.  Each
-exact memo entry records the set whose branch reached its value, and the
-child it leads to is exact too, so following the records from a part gives
-a minimum cover of the part without further search, and the union of the
-parts' covers is a minimum cover of the whole.  Which minimum cover that is
-follows from the search, so a change to the layout, the order or the
-pruning may move the witness, but never the optimum.
+input and search; among blues with equal red sets, the lowest id.  It is
+the union of the covers that each part's exact memo entries record
+(:meth:`_Cover.walk`), so a change to the layout, the order or the pruning
+may move the witness, but never the optimum.
 
 Only a blue's red neighbors count as its set: an edge between two blues or
 two reds dominates nothing, and a red with no blue neighbor makes the
@@ -65,9 +57,7 @@ from .graph import RBGraph
 
 # The most memo entries, i.e. uncovered masks, one min_rbds call may hold.
 # The 26 x 26 grid kernel needs 140,954 and is answered; the 28 x 28 one
-# would need 487,599 and is refused.  The largest seed-7 benchmark kernel
-# needs 421.  CHANGES.md, the entry on min_rbds returning the cover its
-# search records, has the times.
+# would need 487,599 and is refused.
 MAX_STATES = 200_000
 
 
@@ -100,15 +90,12 @@ def verify_solution(g: RBGraph, chosen) -> bool:
 
 def min_rbds(g: RBGraph) -> SolveOutcome:
     """Exact minimum number of blues needed to dominate all reds, with the
-    minimum cover the search recorded as witness; among blues with equal
-    red sets it holds the lowest id.
+    witness of the module's witness contract.
 
     Raises :class:`InstanceTooLargeError` when the search runs out of stack
     or needs more than :data:`MAX_STATES` memo states.
     """
     blues = sorted(g.blue)
-    # A blue's set is its red neighbors: an edge within one color dominates
-    # nothing.
     family = [g.adj[b] & g.red for b in blues]
     if not g.red <= set().union(*family):
         return INFEASIBLE
@@ -151,9 +138,8 @@ class _Cover:
         def rank(e):
             return count[e], e
 
-        # Breadth-first over the element graph, one component after another,
-        # each rooted at its lowest-ranked element; ``order`` is the queue,
-        # and it runs dry exactly when a component is complete.
+        # ``order`` is the breadth-first queue, one component after another;
+        # it runs dry exactly when a component is complete.
         order: list = []
         seen: set = set()
         self.parts: list[int] = []

@@ -2,7 +2,8 @@
 library's other modules, ``scripts/`` or the benchmark in ``perfbench/``.
 A name that only tests use is not library code.  Every module-level
 function and class of the package, private ones included, is read by some
-module outside the tests, for the same reason.  Likewise every exception
+module outside the tests, for the same reason, and so is every name a
+module-level assignment binds, dunders aside.  Likewise every exception
 class the package defines is caught by name outside the tests; a subclass
 that only tests tell apart from its base is not library code either.  And
 every method and property of a class the package defines, dunders aside,
@@ -42,6 +43,19 @@ def module_level_defs(path: Path) -> set:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
 
 
+def module_level_assignments(path: Path) -> set:
+    """The names a module's top-level assignments bind, dunders aside."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for t in ast.walk(target):
+                if isinstance(t, ast.Name) and not (t.id.startswith("__") and t.id.endswith("__")):
+                    names.add(t.id)
+    return names
+
+
 def class_methods(path: Path) -> set:
     """The names the ``def`` statements in a module's class bodies bind,
     properties included, dunders aside."""
@@ -74,6 +88,15 @@ def test_every_module_level_def_is_read_outside_the_tests():
     src = list((ROOT / "src" / "rbkernel").glob("*.py"))
     defined = set().union(*map(module_level_defs, src))
     assert {"kernelize", "_r3_at", "RuleApplication"} <= defined
+    used = set().union(*map(names_read, src + non_test_files()))
+    assert sorted(defined - used) == []
+
+
+def test_every_module_level_constant_is_read_outside_the_tests():
+    src = list((ROOT / "src" / "rbkernel").glob("*.py"))
+    defined = set().union(*map(module_level_assignments, src))
+    assert {"MAX_VERTICES", "_CHUNK_CHARS", "SIZE_FACTOR", "MAX_STATES"} <= defined
+    assert "__all__" not in defined
     used = set().union(*map(names_read, src + non_test_files()))
     assert sorted(defined - used) == []
 

@@ -444,6 +444,20 @@ def instance_texts(draw):
     return text
 
 
+def chunk_first_lines(lines, end, first, count):
+    """The indices of the first lines of ``count`` chunks in a row that the
+    readers cut from ``lines``, each ended by ``end``, from line ``first``
+    on: each chunk runs to the last line end within ``formats._CHUNK_CHARS``
+    characters of its start."""
+    text = end.join(lines) + end
+    pos = len(end.join(lines[:first] + [""]))
+    starts = []
+    for _ in range(count):
+        starts.append(text.count("\n", 0, pos))
+        pos = text.rfind("\n", pos, pos + formats._CHUNK_CHARS) + 1
+    return starts
+
+
 class TestReaderMatchesReference:
     @given(instance_texts())
     @settings(max_examples=500, deadline=None)
@@ -466,17 +480,19 @@ class TestReaderMatchesReference:
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
     @pytest.mark.parametrize("bad", [None, "e 7 9", "e 5 1001", "e 0 1001", "e 1 1001",
                                      "e 1 \u0661", "e 1\x1f1001"])
-    @pytest.mark.parametrize("at", [0, 1, formats._RUN_LINES - 1, formats._RUN_LINES,
-                                    2 * formats._RUN_LINES + 5])
-    def test_runs_longer_than_the_cap(self, end, bad, at):
+    @pytest.mark.parametrize("chunk, at", [(0, 0), (0, 1), (1, -1), (1, 0), (2, 5)])
+    def test_runs_longer_than_the_cap(self, end, bad, chunk, at):
         # Edge runs of several chunks: a bad or duplicate line anywhere in
-        # them is reported on its own line.
+        # them, at a cut included, is reported on its own line.  The bad line
+        # goes in ``at`` lines from the start of the chunk-th edge chunk.
         nb = 1000
         lines = ["p rbds %d %d 1" % (nb, nb), "c origid 1 5"]
         lines += ["e %d %d" % (b, nb + r) for b in range(1, nb + 1) for r in (b, b % nb + 1, 7)
                   if r != 7 or b > 7]
+        starts = chunk_first_lines(lines, end, 2, 3)
+        assert starts[0] == 2 and starts[2] + 5 < len(lines)
         if bad is not None:
-            lines.insert(2 + at, bad)
+            lines.insert(starts[chunk] + at, bad)
         assert_reads_as_reference(end.join(lines) + end)
 
     def test_adjacency_sets_iterate_in_file_order(self):
@@ -783,20 +799,23 @@ class TestTraceReaderMatchesReference:
         "r R4-case2 k_delta=0 witness=(1,2) added=", "r R4-case2 k_delta=0 witness=(1,2)",
         "r R3 k_delta=-1 witness=(7) added=5",
         "r R2 k_delta=0 witness=(1,2) removed=[1:r]", _FINGERPRINT_LINE])
-    @pytest.mark.parametrize("at", [0, 1, formats._RUN_LINES - 1, formats._RUN_LINES,
-                                    formats._RUN_LINES + 1, 2 * formats._RUN_LINES + 5])
-    def test_runs_longer_than_the_cap(self, end, bad, at):
-        # Record runs past the cap are read a capped run at a time; a bad
-        # line, or a second fingerprint, anywhere in them is reported on its
-        # own line, and a case-2 record between them is read on its own.
+    @pytest.mark.parametrize("chunk, at", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 5)])
+    def test_runs_longer_than_the_cap(self, end, bad, chunk, at):
+        # Record runs past the cap are read a chunk at a time; a bad line, or
+        # a second fingerprint, anywhere in them, at a cut included, is
+        # reported on its own line, and a case-2 record between them is read
+        # on its own.  The bad line goes in ``at`` lines from the start of
+        # the chunk-th run.
         lines = [_FINGERPRINT_LINE]
         for i in range(1, 700):
             tag = R4_CASE[2] if i == 650 else RULE_TAGS[i % 3]
             lines.append(_record_line(tag, str(-(i % 3)),
                                       [str(i + j) for j in range(WITNESS_LEN[tag])],
                                       str(i) if tag == R4_CASE[2] else None))
+        starts = chunk_first_lines(lines, end, 1, 3)
+        assert starts[0] == 1 and starts[2] + 5 < 650
         if bad is not None:
-            lines.insert(1 + at, bad)
+            lines.insert(starts[chunk] + at, bad)
         assert_trace_reads_as_reference(end.join(lines) + end)
 
     def test_crlf_and_tab_lines_are_read_in_runs(self):
@@ -804,18 +823,28 @@ class TestTraceReaderMatchesReference:
                 "r\tR4-case2\tk_delta=0\twitness=(1,2)\tadded=5\n")
         assert formats._RECORD_RUN.match(text).end() == text.index("r\tR4-case2")
 
-    def test_long_trace_is_read_in_runs(self):
-        # Every record line after the fingerprint is read in bulk, a capped
-        # run at a time.
+    def test_long_trace_is_read_in_runs(self, monkeypatch):
+        # parse_trace reads every record line after the fingerprint in bulk,
+        # each run up to the last line end within _CHUNK_CHARS of its start.
         trace = kernelize(gen_random_planar(1000, 0.7, 0)).trace
-        assert len(trace.records) > 2 * formats._RUN_LINES
         assert R4_CASE[2] not in {rec.tag for rec in trace.records}
         text = formats.format_trace(trace)
-        pos, runs = text.index("\n") + 1, 0
+        assert len(text) > 2 * formats._CHUNK_CHARS
+        runs = []
+
+        def match(text, *span):
+            m = run.match(text, *span)
+            runs.append((span[0], m and m.end()))
+            return m
+
+        run = formats._RECORD_RUN
+        monkeypatch.setattr(formats, "_RECORD_RUN", types.SimpleNamespace(match=match))
+        assert formats.parse_trace(text).records == trace.records
+        pos, cuts = text.index("\n") + 1, [(0, None)]
         while pos < len(text):
-            pos = formats._RECORD_RUN.match(text, pos).end()
-            runs += 1
-        assert runs == -(-len(trace.records) // formats._RUN_LINES)
+            cuts.append((pos, text.rfind("\n", pos, pos + formats._CHUNK_CHARS) + 1))
+            pos = cuts[-1][1]
+        assert runs == cuts
 
 
 @st.composite

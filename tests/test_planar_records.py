@@ -1,4 +1,4 @@
-"""Every record keeps a planar graph planar (the driver notes' fact).
+"""Every record keeps a planar graph planar, as ``kernelize``'s docstring states.
 
 Traces of ``kernelize`` on planar inputs are replayed record by record
 through ``apply_rule``, and every intermediate graph is checked with
