@@ -14,12 +14,12 @@ The rules, in the order the driver exhausts them:
   the two is forced (cases 3 and 4).
 
 Each tag has one function that holds its condition, its effect and its
-record: it checks its rule on the graph as it is, raises ``GraphError``
-and leaves the graph unchanged if the rule does not apply, and otherwise
-applies it and returns the :class:`RuleApplication`.  :func:`kernelize`
-fires them to a fixpoint and logs every firing; :func:`replay_trace`
-re-runs the log forward, checking each record, and :func:`lift_solution`
-walks it backward.
+record (R4's condition is :func:`_r4_case`): it checks its rule on the
+graph as it is, raises ``GraphError`` and leaves the graph unchanged if the
+rule does not apply, and otherwise applies it and returns the
+:class:`RuleApplication`.  :func:`kernelize` fires them to a fixpoint and
+logs every firing; :func:`replay_trace` re-runs the log forward, checking
+each record, and :func:`lift_solution` walks it backward.
 """
 
 from __future__ import annotations
@@ -454,18 +454,18 @@ def apply_rule(g: RBGraph, match: tuple) -> RuleApplication:
 # (tests/test_kernelize.py::TestReferenceEquivalence) by these facts:
 #
 # - Reach.  R1 at b changes only N(b), which joins ``shrunk``; R2 at x only
-#   N(x), which joins wl1; R4 only blues within distance two of its pair,
-#   which join wl1, and case 2's added red, which joins ``shrunk``
+#   N(x), which joins wl1.  R4 changes only blues within distance two of its
+#   pair, which join wl1, and of the live reds only case 2's added one, which
+#   joins ``shrunk``: the forcing cases remove every red next to a forced blue
 #   (tests/test_kernelize.py::TestReferenceEquivalence::test_on_r4_witness_unions).
 #   An isolated blue and an R3 component change no other vertex.
 # 1. During an R1 sweep no blue's neighborhood changes, so a blue's
 #    containers can only die: its least live one is the scan's or, if that
 #    died, a rescan's (tests/test_kernelize.py::TestReferenceEquivalence,
-#    the R1 rescan case).
-#    A blue gains a container, or loses its last red, only when its own
-#    neighborhood changes, which puts it in wl1.  So wl1 holds every blue
-#    with a container, and the isolated-blue sweep, which scans wl1 before
-#    the R1 sweep empties it, finds every isolated blue.
+#    the R1 rescan case).  A blue gains a container, or loses its last red,
+#    only when its own neighborhood changes, which puts it in wl1.  So wl1
+#    holds every blue with a container, and the isolated-blue sweep, which
+#    scans wl1 before the R1 sweep empties it, finds every isolated blue.
 # 2. No record grows a red's neighborhood, so after an R2 sweep a red gains
 #    a witness r2 only when N(r2) shrinks or r2 is created, which puts r2 in
 #    ``shrunk``
