@@ -5,8 +5,13 @@ operation, 20 kernelize answered NO, 21 solve found the instance
 infeasible, 22 verify found the solution invalid, 23 instance too large
 for exact search, 24 graph not planar.
 
-``kernelize`` writes ``--out`` and ``--trace`` on every verdict; on NO,
-``--out`` gets the canonical two-vertex negative instance.  ``solve`` takes
+``kernelize`` answers ``NO reason=counting`` when the sanitized input has
+more than k times its largest blue degree of reds, which no k blues can
+dominate on any graph; this counting lemma, not one of the paper's rules,
+is checked before the first rule fires, so the trace holds the fingerprint
+and the sanitize records alone.  ``kernelize`` writes ``--out`` and
+``--trace`` on every verdict; on NO, ``--out`` gets the canonical
+two-vertex negative instance.  ``solve`` takes
 ``--lift`` and ``--original`` together or not at all (else exit 3), and
 ``solve --lift`` prints a lifted solution only after four checks, in this
 order: the trace's fingerprint is that of ``--original`` (else exit 3), the

@@ -55,6 +55,7 @@ SIZE_FACTOR = 46
 NO_ISOLATED_RED = "isolated-red"
 NO_BUDGET = "budget"
 NO_SIZE = "size"
+NO_COUNTING = "counting"
 
 
 # -- trace records -------------------------------------------------------------
@@ -202,6 +203,12 @@ def _r3_seed(g: RBGraph) -> list:
     return [b for b in g.blue if len(adj[b]) == 1]
 
 
+def _top_blue_degree(g: RBGraph) -> int:
+    """The largest degree of a blue of ``g``, 0 if it has none."""
+    adj = g.adj
+    return max(map(len, map(adj.__getitem__, g.blue)), default=0)
+
+
 def _nbrs(adj: dict, vertices) -> set:
     return set().union(*(adj[v] for v in vertices))
 
@@ -233,7 +240,7 @@ def _count_per_red(g: RBGraph) -> set:
     and kept once found twice.
     """
     adj = g.adj
-    top = max(map(len, map(adj.__getitem__, g.blue)), default=0)
+    top = _top_blue_degree(g)
     cap = 2 * top
     m = max(g.blue, default=0) + 1
     once: set[int] = set()
@@ -487,13 +494,17 @@ def kernelize(inst: Instance) -> KernelResult:
     Sanitizes, exhausts R1 then R2, restarts on any change, then fires R3
     at every two-vertex component and tries R4, restarting after an R4
     application.  A red that no blue can dominate is answered NO by
-    sanitize, and the budget is checked after every firing.  At the
-    fixpoint the result is NO if the graph has more than ``SIZE_FACTOR`` =
-    46 times the remaining budget vertices, and otherwise the reduced
-    instance with its trace.  That size test, which makes the output a
-    kernel, presumes a planar input; every record leaves a subgraph of its
-    input up to renaming (R4 case 2's red on the pair stands for a removed
-    private red, next to both ends), so a planar input stays planar
+    sanitize.  Before the first rule fires, the sanitized graph is answered
+    NO by counting if it has more than k * D reds, D its largest blue
+    degree: k blues dominate at most that many, on any graph
+    (tests/test_kernelize.py::TestCountingIsSound).  This counting lemma is
+    not one of the paper's rules.  The budget is checked after every
+    firing.  At the fixpoint the result is NO if the graph has more than
+    ``SIZE_FACTOR`` = 46 times the remaining budget vertices, and otherwise
+    the reduced instance with its trace.  That size test, which makes the
+    output a kernel, presumes a planar input; every record leaves a subgraph
+    of its input up to renaming (R4 case 2's red on the pair stands for a
+    removed private red, next to both ends), so a planar input stays planar
     (tests/test_planar_records.py).
     """
     if inst.k < 0:
@@ -538,6 +549,8 @@ def kernelize(inst: Instance) -> KernelResult:
         records.append(apply_rule(g, match))
     if found and found[-1][0] == SAN_NO:
         return KernelResult("no", reason=NO_ISOLATED_RED, trace=trace)
+    if len(g.red) > k * _top_blue_degree(g):
+        return KernelResult("no", reason=NO_COUNTING, trace=trace)
 
     wl1.update(g.blue)
     shrunk.update(g.red)

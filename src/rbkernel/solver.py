@@ -85,7 +85,7 @@ def verify_solution(g: RBGraph, chosen) -> bool:
     d = set(chosen)
     if not d <= g.blue:
         return False
-    return all(g.adj[r] & d for r in g.red)
+    return all(not g.adj[r].isdisjoint(d) for r in g.red)
 
 
 def min_rbds(g: RBGraph) -> SolveOutcome:

@@ -6,9 +6,9 @@ so library code is always checked against a second route.  The rule
 oracles read each rule's definition over every vertex or pair, and the
 naive reference driver (:func:`reference_kernelize`, with
 :func:`reduce_rules123` and :func:`is_reduced`) is built on them: of
-``kernelizer`` it uses only ``apply_rule``, ``sanitize`` and the tag
-constants, so it shares no search code with the driver it is compared
-with.
+``kernelizer`` it uses only ``apply_rule``, ``sanitize``, the tag and
+verdict constants and ``SIZE_FACTOR``, so it shares no search code with
+the driver it is compared with.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from scipy.sparse import csr_array
 from rbkernel import planar, solver
 from rbkernel.formats import (_FINGERPRINT, _RECORD, MAX_VERTICES, ParseError, _is_id,
                              format_fingerprint)
-from rbkernel.generators import GEN_ALGO_ID
+from rbkernel.generators import GEN_ALGO_ID, gen_grid
 from rbkernel.graph import BLUE, RED, GraphError, Instance, RBGraph
 from rbkernel.kernelizer import (
     NO_BUDGET,
+    NO_COUNTING,
     NO_ISOLATED_RED,
     NO_SIZE,
     R1,
@@ -35,6 +36,7 @@ from rbkernel.kernelizer import (
     R3,
     R4_CASE,
     SAN_NO,
+    SIZE_FACTOR,
     WITNESS_LEN,
     Fingerprint,
     KernelTrace,
@@ -236,12 +238,17 @@ def reduce_rules123(g: RBGraph) -> RBGraph:
 
 def reference_kernelize(inst: Instance):
     """The driver loop written naively from the definitional oracles:
-    sanitize, exhaust R1 then R2, restart on change, then R3 else R4,
-    restart after each.  Returns (status, reason-or-None, graph, k,
-    records)."""
+    sanitize; answer NO by counting if the budget's blues, each dominating
+    at most the largest blue degree of reds, cannot cover every red; then
+    exhaust R1 then R2, restart on change, then R3 else R4, restart after
+    each.  Returns (status, reason-or-None, graph, k, records)."""
     g = inst.graph.copy()
     k = inst.k
-    records = []
+    records = apply_sanitize(g)
+    if records and records[-1].tag == SAN_NO:
+        return "no", NO_ISOLATED_RED, g, k, records
+    if g.red and -(-len(g.red) // max(len(g.adj[b]) for b in g.blue)) > k:
+        return "no", NO_COUNTING, g, k, records
     while True:
         sanitized = apply_sanitize(g)
         records += sanitized
@@ -264,7 +271,7 @@ def reference_kernelize(inst: Instance):
             return "no", NO_BUDGET, g, k, records
     if g.red and not g.blue:
         return "no", NO_ISOLATED_RED, g, k, records
-    if g.red and g.n_vertices > 46 * k:
+    if g.red and g.n_vertices > SIZE_FACTOR * k:
         return "no", NO_SIZE, g, k, records
     return "reduced", None, g, k, records
 
@@ -551,6 +558,23 @@ def alternating_cycle(pairs: int) -> RBGraph:
         edges.append((blues[i], reds[i]))
         edges.append((blues[(i + 1) % pairs], reds[i]))
     return RBGraph.from_parts(blues, reds, edges)
+
+
+def star_beside_matching() -> RBGraph:
+    """Blue 1 with reds 7..16 beside the single edges (b, b + 15), b = 2..6.
+    Counting asks for only two blues, but the six components need six."""
+    edges = [(1, r) for r in range(7, 17)] + [(b, b + 15) for b in range(2, 7)]
+    return RBGraph.from_parts(range(1, 7), range(7, 22), edges)
+
+
+def grid_with_rim_blue(rows: int, cols: int) -> RBGraph:
+    """``gen_grid(rows, cols)`` plus one blue, the next free id, next to
+    every red on the grid's boundary.  The new blue sits in the outer face,
+    so the graph stays planar."""
+    g = gen_grid(rows, cols).graph
+    rim = [r for r in g.red if len(g.adj[r]) < 4]
+    hub = g.n_vertices + 1
+    return RBGraph.from_parts([*g.blue, hub], g.red, [*g.edges(), *((hub, r) for r in rim)])
 
 
 def count_left_right(monkeypatch) -> list:

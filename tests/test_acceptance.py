@@ -14,7 +14,7 @@ import pytest
 
 from rbkernel.generators import _stacked_triangulation, gen_grid, gen_random_planar
 from rbkernel.graph import BLUE, Instance, RBGraph
-from rbkernel.kernelizer import kernelize, lift_solution
+from rbkernel.kernelizer import SIZE_FACTOR, kernelize, lift_solution
 from rbkernel.planar import is_planar, planar_verdict
 from rbkernel.solver import min_rbds, verify_solution
 from rbkernel.transforms import face_cover_to_rbds
@@ -74,7 +74,7 @@ def sweep_one(g, k, stats: SweepStats) -> None:
     # Criterion 2: hard bound always; sharper count when the optimum is
     # known and at least 3.
     n_out = kernel.graph.n_vertices
-    assert n_out <= 46 * kernel.k
+    assert n_out <= SIZE_FACTOR * kernel.k
     opt = min_rbds(kernel.graph)
     if expected:
         assert opt.feasible and opt.size <= kernel.k
@@ -282,7 +282,7 @@ def test_criterion_8_performance():
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     assert not res.is_no
-    assert res.instance.graph.n_vertices <= 46 * res.instance.k
+    assert res.instance.graph.n_vertices <= SIZE_FACTOR * res.instance.k
     rule_recs = [r for r in res.trace.records if r.tag in VERTEX_RULES]
     assert len(rule_recs) <= inst.graph.n_vertices
     deltas = net_vertex_deltas(inst.graph, res.trace.records)

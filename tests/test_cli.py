@@ -22,12 +22,12 @@ from rbkernel.cli import (
 )
 from rbkernel.generators import gen_grid, gen_matching
 from rbkernel.graph import Instance, RBGraph
-from rbkernel.kernelizer import (SAN_NO, RuleApplication, fingerprint_instance, kernelize,
+from rbkernel.kernelizer import (SAN_BLUE, SAN_NO, RuleApplication, fingerprint_instance, kernelize,
                                  lift_solution, replay_trace)
 from rbkernel.planar import PlaneGraph, is_planar
 from rbkernel.solver import min_rbds
 
-from helpers import alternating_cycle, count_left_right, format_plane
+from helpers import alternating_cycle, count_left_right, format_plane, star_beside_matching
 
 
 @pytest.fixture
@@ -59,7 +59,7 @@ class TestKernelizeCommand:
         return read, written
 
     def test_no_budget(self, tmp_path, capsys):
-        inst, trace = self.kernelize_no(tmp_path, Instance(gen_matching(3).graph, 2))
+        inst, trace = self.kernelize_no(tmp_path, Instance(star_beside_matching(), 4))
         assert "NO reason=budget" in capsys.readouterr().out
         # The trace ends at the first record that drives the budget below zero.
         budgets = list(itertools.accumulate((rec.delta_k for rec in trace.records), initial=inst.k))
@@ -86,10 +86,23 @@ class TestKernelizeCommand:
         out.write_text("stale\n")
         trace.write_text("stale\n")
         assert main(["kernelize", str(path), "--out", str(out), "--trace", str(trace)]) == EXIT_NO
+        assert "NO reason=counting" in capsys.readouterr().out
         neg = formats.parse_instance(out.read_text())
         assert len(neg.graph.blue) == 1 and len(neg.graph.red) == 1
         assert neg.graph.n_edges == 0 and neg.k == 0
-        assert formats.parse_trace(trace.read_text()).records
+        written = formats.parse_trace(trace.read_text())
+        assert written.fingerprint == fingerprint_instance(Instance(inst.graph, 1))
+        assert written.records == []
+
+    def test_no_counting_keeps_sanitize_records(self, tmp_path, capsys):
+        # Four single edges and blue 5 alone at budget 3: sanitize removes
+        # blue 5, then four reds against three blues of degree one answer NO
+        # before any rule fires.
+        g = RBGraph.from_parts(range(1, 6), range(6, 10), zip(range(1, 5), range(6, 10)))
+        read, trace = self.kernelize_no(tmp_path, Instance(g, 3))
+        assert capsys.readouterr().out == "NO reason=counting\n"
+        (lone,) = [b for b in read.graph.blue if not read.graph.adj[b]]
+        assert trace.records == [RuleApplication(SAN_BLUE, (lone,), 0, None)]
 
     def test_isolated_red_no_writes_its_trace(self, tmp_path, capsys):
         # Blue 3 and red 5 have no neighbor.

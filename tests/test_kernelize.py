@@ -12,6 +12,7 @@ from rbkernel.generators import _stacked_triangulation, gen_matching, gen_random
 from rbkernel.graph import BLUE, RED, GraphError, Instance, RBGraph
 from rbkernel.kernelizer import (
     NO_BUDGET,
+    NO_COUNTING,
     NO_ISOLATED_RED,
     NO_SIZE,
     R1,
@@ -42,6 +43,7 @@ from helpers import (
     alternating_cycle,
     apply_sanitize,
     decide,
+    grid_with_rim_blue,
     is_reduced,
     net_vertex_deltas,
     oracle_pair_private,
@@ -52,6 +54,7 @@ from helpers import (
     oracle_rule2_at,
     r4_witness_union,
     reference_kernelize,
+    star_beside_matching,
 )
 
 VERTEX_RULES = {R1, R2, R3, "R4-case1", "R4-case2", "R4-case3", "R4-case4",
@@ -77,9 +80,11 @@ class TestDriverExamples:
         assert min_rbds(g).size == 1
 
     def test_single_edge_budget_zero(self):
+        # No blue fits in the budget, so the red is left undominated.
         g = RBGraph.from_parts([1], [2], [(1, 2)])
         res = kernelize(Instance(g, 0))
-        assert res.is_no and res.reason == NO_BUDGET
+        assert res.is_no and res.reason == NO_COUNTING
+        assert res.trace.records == []
 
     def test_matching_reduces_by_forced_picks(self):
         inst = gen_matching(4)
@@ -90,14 +95,19 @@ class TestDriverExamples:
         assert min_rbds(inst.graph).size == 4
 
     def test_matching_over_budget(self):
-        # One R3 sweep takes the six components in id order; the fifth
-        # firing drives k to -1 and ends the run there.
-        inst = gen_matching(6)
-        res = kernelize(Instance(inst.graph, 4))
+        # Six single edges need six blues of budget 4, which counting
+        # refutes before any rule fires.  Beside a star of ten reds, counting
+        # asks for two blues only: R2 cuts the star to one edge, then one R3
+        # sweep takes the six components in id order; the fifth firing
+        # drives k to -1 and ends the run there.
+        res = kernelize(Instance(gen_matching(6).graph, 4))
+        assert res.is_no and res.reason == NO_COUNTING
+        assert res.trace.records == []
+        res = kernelize(Instance(star_beside_matching(), 4))
         assert res.is_no and res.reason == NO_BUDGET
         recs = res.trace.records
-        assert [r.tag for r in recs] == [R3] * 5
-        assert [r.witness for r in recs] == [(b,) for b in range(1, 6)]
+        assert [r.tag for r in recs] == [R2] * 9 + [R3] * 5
+        assert [r.witness for r in recs[9:]] == [(b,) for b in range(1, 6)]
         assert budget_spent(recs) == 5
 
     def test_isolated_red_is_no(self):
@@ -106,12 +116,21 @@ class TestDriverExamples:
         assert res.is_no and res.reason == NO_ISOLATED_RED
 
     def test_size_bound_no(self):
-        # Alternating C12 is reduced; with zero budget its 12 vertices
-        # overshoot 46*0, which certifies NO.
+        # Alternating C12 is reduced, but with zero budget counting refutes
+        # it before the size test.  A 20x20 grid with one blue on its 38
+        # boundary reds passes counting at k = 6, since ceil(200 / 38) = 6;
+        # the rules leave far more than SIZE_FACTOR * 6 vertices of the
+        # planar graph, which certifies NO.
         g = alternating_cycle(6)
         res = kernelize(Instance(g, 0))
-        assert res.is_no and res.reason == NO_SIZE
+        assert res.is_no and res.reason == NO_COUNTING
         assert not decide(g, 0)
+        g = grid_with_rim_blue(20, 20)
+        assert max(len(g.adj[b]) for b in g.blue) == 38 and len(g.red) == 200
+        assert is_planar(g.adj, g.edges()).embedding is not None
+        res = kernelize(Instance(g, 6))
+        assert res.is_no and res.reason == NO_SIZE
+        assert not decide(g, 6)
 
     def test_reduced_input_is_identity(self):
         g = alternating_cycle(6)
@@ -612,9 +631,14 @@ class TestReferenceEquivalence:
             (1, 16), (1, 17), (1, 22), (2, 11), (2, 12), (2, 17), (3, 10), (3, 13), (3, 21),
             (4, 11), (4, 13), (4, 18), (5, 16), (5, 19), (6, 20), (6, 21), (7, 18), (7, 19),
             (8, 12), (8, 14), (8, 15), (8, 22), (9, 10), (9, 14), (9, 15), (9, 20)])
+        # Below k = 4, k blues of degree at most 4 cover at most 12 of the 13
+        # reds, which counting refutes before any rule fires.
         for k in range(len(g.blue) + 1):
-            fired = [(rec.tag, rec.witness) for rec in self.check(g, k).trace.records]
-            if k >= 2:
+            res = self.check(g, k)
+            fired = [(rec.tag, rec.witness) for rec in res.trace.records]
+            if k < 4:
+                assert res.reason == NO_COUNTING and fired == []
+            else:
                 assert fired[1:4] == [("R4-case1", (3, 9)), ("Sanitize-isolated-blue", (6,)),
                                       ("R4-case1", (1, 2))]
 
@@ -667,14 +691,24 @@ def check_verdict(g, k):
     """Kernelize (g, k) and check the fact each verdict rests on: a REDUCED
     kernel, like the fixpoint of a size verdict, has no vertex without a
     neighbor; NO reason=isolated-red ends with the Sanitize-NO record of a
-    red that no blue of ``g`` neighbors; NO reason=budget ends at the first
-    record where k plus the running sum of the budget drops is negative.
-    Returns the status, or the reason of a NO."""
+    red that no blue of ``g`` neighbors; NO reason=counting ends at the
+    sanitize records, whose graph has more than k times its largest blue
+    degree of reds, and every other verdict's sanitized graph has at most
+    that many; NO reason=budget ends at the first record where k plus the
+    running sum of the budget drops is negative.  Returns the status, or the
+    reason of a NO."""
     res = kernelize(Instance(g.copy(), k))
     records = res.trace.records
     if res.reason == NO_ISOLATED_RED:
         assert records[-1].tag == "Sanitize-NO"
         assert g.adj[records[-1].witness[0]].isdisjoint(g.blue)
+        return res.reason
+    sanitizing = list(itertools.takewhile(lambda rec: rec.tag.startswith("Sanitize"), records))
+    sanitized = replay_trace(g, KernelTrace(sanitizing))
+    top = max((len(sanitized.adj[b]) for b in sanitized.blue), default=0)
+    assert (len(sanitized.red) > k * top) == (res.reason == NO_COUNTING)
+    if res.reason == NO_COUNTING:
+        assert records == sanitizing
     elif res.reason == NO_BUDGET:
         left = list(itertools.accumulate((rec.delta_k for rec in records), initial=k))[1:]
         assert left[-1] < 0 and min(left[:-1], default=0) >= 0
@@ -682,7 +716,7 @@ def check_verdict(g, k):
         kernel = res.instance.graph if res.reason is None else replay_trace(g, res.trace)
         assert all(kernel.adj.values())
         kernel_k = k + sum(rec.delta_k for rec in records)
-        assert (kernel.n_vertices > 46 * kernel_k) == (res.reason == NO_SIZE)
+        assert (kernel.n_vertices > kernelizer.SIZE_FACTOR * kernel_k) == (res.reason == NO_SIZE)
     return res.reason or res.status
 
 
@@ -692,7 +726,7 @@ class TestVerdicts:
     def test_on_random_graphs_at_every_budget(self, random_graphs_300):
         seen = Counter(check_verdict(g, k) for g in random_graphs_300
                        for k in range(len(g.blue) + 1))
-        assert set(seen) == {"reduced", NO_BUDGET, NO_ISOLATED_RED}
+        assert set(seen) == {"reduced", NO_BUDGET, NO_ISOLATED_RED, NO_COUNTING}
 
     def test_on_planar_grids_and_witnesses(self):
         from rbkernel.generators import gen_grid
@@ -702,14 +736,31 @@ class TestVerdicts:
             opt = inst.k - kernelize(inst).instance.k
             cases += [(inst.graph, opt), (inst.graph, opt - 1)]
         for rows, cols in ((3, 4), (5, 5), (6, 6), (10, 10)):
-            # At the budget the rules spend, k' = 0 and a nonempty kernel is
-            # too large.
+            # At the budget the rules spend, k' = 0 would leave a nonempty
+            # kernel too large, but counting refutes that budget first.
             inst = gen_grid(rows, cols)
             spent = inst.k - kernelize(inst).instance.k
             cases += [(inst.graph, k) for k in (inst.k, spent, spent - 1) if k >= 0]
         cases += [(alternating_cycle(6), k) for k in range(4)]
+        # Counting refutes k = 5 here and passes k = 6, which the size test
+        # refutes.
+        cases += [(grid_with_rim_blue(20, 20), k) for k in (5, 6)]
         seen = Counter(check_verdict(g, k) for g, k in cases)
-        assert set(seen) == {"reduced", NO_BUDGET, NO_ISOLATED_RED, NO_SIZE}
+        assert set(seen) == {"reduced", NO_BUDGET, NO_ISOLATED_RED, NO_COUNTING, NO_SIZE}
+
+
+class TestCountingIsSound:
+    """NO reason=counting is a NO: no k blues dominate every red, so no YES
+    budget, one of at least the optimum, gets it."""
+
+    @given(sanitized_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_budget_on_sanitized_graphs(self, g):
+        opt = min_rbds(g).size
+        for k in range(len(g.blue) + 1):
+            if kernelize(Instance(g.copy(), k)).reason == NO_COUNTING:
+                assert not decide(g, k)
+                assert k < opt
 
 
 def check_forced_blues(g, k):

@@ -7,6 +7,8 @@ from rbkernel import formats
 from rbkernel.graph import Instance, RBGraph
 from rbkernel.kernelizer import KernelTrace, kernelize
 
+from helpers import star_beside_matching
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -40,9 +42,10 @@ def test_solve_small_hashes_match_recorded():
 
 def test_size_verdict_hashes_match_recorded():
     # The recorded fingerprint, records and trace hashes of the size-verdict workload
-    # (seed 7), whose time goes to the R4 pair search.
-    assert _hashes("size-verdict") == ["fingerprint 93eea83ab6b6c0f5", "records f8b1d6fcce789a7b",
-                                       "trace 536dbdd8d1a0a620", ""]
+    # (seed 7).  Its 14 grid size-no operations end at NO counting with no rule
+    # record, so its rule search runs on the other 18 only.
+    assert _hashes("size-verdict") == ["fingerprint 93eea83ab6b6c0f5", "records 42c077a890fc3c5a",
+                                       "trace 7c837ee2d2ccf815", ""]
 
 
 def test_tight_planar_hashes_match_recorded():
@@ -61,8 +64,8 @@ def test_seed_501_hashes_match_recorded():
         "fingerprint 88ed874bd0b6123b", "records 513afe1114df6bcf",
         "trace bca7fa790b6be0c0", "solve 88b628af30d945ed", ""]
     assert _hashes("size-verdict", 501) == [
-        "fingerprint 734ad3536cb25d6f", "records f8b1d6fcce789a7b",
-        "trace 536dbdd8d1a0a620", ""]
+        "fingerprint 734ad3536cb25d6f", "records 42c077a890fc3c5a",
+        "trace 7c837ee2d2ccf815", ""]
 
 
 def test_kernel_read_back_check():
@@ -93,8 +96,8 @@ def test_trace_replay_check():
     bad = list(res.trace.records)
     bad[0] = bad[0]._replace(witness=(1, 5))  # N(1) = {3} is not within N(5) = {6}
     assert not script._replays(g, KernelTrace(bad), kernel)
-    no = kernelize(Instance(g.copy(), 1))
-    assert no.is_no and script._replays(g, no.trace, None)
+    no = kernelize(Instance(star_beside_matching(), 4))
+    assert no.reason == "budget" and script._replays(star_beside_matching(), no.trace, None)
 
 
 def test_trace_rewrite_check():
