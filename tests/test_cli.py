@@ -22,8 +22,8 @@ from rbkernel.cli import (
 )
 from rbkernel.generators import gen_grid, gen_matching
 from rbkernel.graph import Instance, RBGraph
-from rbkernel.kernelizer import (SAN_BLUE, SAN_NO, RuleApplication, fingerprint_instance, kernelize,
-                                 lift_solution, replay_trace)
+from rbkernel.kernelizer import (SAN_BLUE, SAN_NO, RuleApplication, fingerprint_instance,
+                                 kernelize, lift_solution, replay_trace)
 from rbkernel.planar import PlaneGraph, is_planar
 from rbkernel.solver import min_rbds
 

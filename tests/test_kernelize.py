@@ -95,8 +95,8 @@ class TestDriverExamples:
         assert min_rbds(inst.graph).size == 4
 
     def test_matching_over_budget(self):
-        # Six single edges need six blues of budget 4, which counting
-        # refutes before any rule fires.  Beside a star of ten reds, counting
+        # Six single edges need six blues, and counting refutes budget 4
+        # before any rule fires.  Beside a star of ten reds, counting
         # asks for two blues only: R2 cuts the star to one edge, then one R3
         # sweep takes the six components in id order; the fifth firing
         # drives k to -1 and ends the run there.
