@@ -214,12 +214,12 @@ def _nbrs(adj: dict, vertices) -> set:
 
 
 def _r4_pairs(g: RBGraph) -> set:
-    """Pairs (v < w) with two or more private reds, counted red by red on a
-    graph that meets the bipartite Euler bound m <= 2n - 4, as every planar
-    one does, and blue by blue, the faster on dense graphs, past it."""
-    if bipartite_euler_bound(g):
-        return _count_per_red(g)
-    return {p for p, c in _count_per_blue(g).items() if c > 1}
+    """The pairs (v < w) that two or more reds are private to, counted red
+    by red on a graph that meets the bipartite Euler bound m <= 2n - 4, as
+    every planar one does, and blue by blue, the faster on dense graphs,
+    past it.  Both counters return that same set
+    (tests/test_rules.py::TestRule4::test_pair_counting_matches_brute_force)."""
+    return _count_per_red(g) if bipartite_euler_bound(g) else _count_per_blue(g)
 
 
 def _count_per_red(g: RBGraph) -> set:
@@ -273,9 +273,10 @@ def _count_per_red(g: RBGraph) -> set:
     return {divmod(key, m) for key in twice}
 
 
-def _count_per_blue(g: RBGraph) -> dict:
-    """The counts of :func:`_count_per_red`, blue by blue: for a blue a, the
-    partners of a red r of N(a) are the blues in every
+def _count_per_blue(g: RBGraph) -> set:
+    """The pairs :func:`_count_per_red` returns, counted blue by blue, with
+    its refusal where some red r has a neighbor a with N(a) = U(r): for a
+    blue a, the partners of a red r of N(a) are the blues in every
     W(b, a) = {w : N(b) - N(a) within N(w)}, b in N(r) - {a}, and each
     W(b, a) serves every red of N(a) next to b."""
     adj = g.adj
@@ -302,7 +303,7 @@ def _count_per_blue(g: RBGraph) -> dict:
             for w in common:
                 if a < w or r not in adj[w]:  # a red next to both counts once
                     counts[(a, w) if a < w else (w, a)] += 1
-    return counts
+    return {p for p, c in counts.items() if c > 1}
 
 
 def _pair_private(adj: dict, v: int, w: int) -> set:
@@ -466,13 +467,14 @@ def apply_rule(g: RBGraph, match: tuple) -> RuleApplication:
 #   joins ``shrunk``: the forcing cases remove every red next to a forced blue
 #   (tests/test_kernelize.py::TestReferenceEquivalence::test_on_r4_witness_unions).
 #   An isolated blue and an R3 component change no other vertex.
-# 1. During an R1 sweep no blue's neighborhood changes, so a blue's
-#    containers can only die: its least live one is the scan's or, if that
-#    died, a rescan's (tests/test_kernelize.py::TestReferenceEquivalence,
-#    the R1 rescan case).  A blue gains a container, or loses its last red,
-#    only when its own neighborhood changes, which puts it in wl1.  So wl1
-#    holds every blue with a container, and the isolated-blue sweep, which
-#    scans wl1 before the R1 sweep empties it, finds every isolated blue.
+# 1. During an R1 sweep no blue's neighborhood changes and blues only die,
+#    so R1 takes at each blue's turn the least container still alive, as
+#    the naive driver does
+#    (tests/test_kernelize.py::TestReferenceEquivalence::test_r1_takes_the_least_container_alive_at_its_turn).
+#    A blue gains a container, or loses its last red, only when its own
+#    neighborhood changes, which puts it in wl1.  So wl1 holds every blue
+#    with a container, and the isolated-blue sweep, which scans wl1 before
+#    the R1 sweep empties it, finds every isolated blue.
 # 2. No record grows a red's neighborhood, so after an R2 sweep a red gains
 #    a witness r2 only when N(r2) shrinks or r2 is created, which puts r2 in
 #    ``shrunk``
@@ -519,17 +521,13 @@ def kernelize(inst: Instance) -> KernelResult:
 
     def r1_sweep() -> None:
         """Fire R1 at each contained blue of wl1, in ascending order, with
-        its least live container as witness, and empty wl1."""
-        found = {b: x for b in wl1 if (x := _least_container(adj, b)) is not None}
+        its least live container at its turn as witness, and empty wl1."""
+        for b in sorted(wl1):
+            x = _least_container(adj, b)
+            if x is not None:
+                shrunk.update(adj[b])
+                records.append(_r1(g, (b, x)))
         wl1.clear()
-        for b in sorted(found):
-            x = found[b]
-            if x not in adj:  # the scan's least container died in this sweep
-                x = _least_container(adj, b)
-                if x is None:
-                    continue
-            shrunk.update(adj[b])
-            records.append(_r1(g, (b, x)))
 
     def r2_sweep() -> None:
         """Fire R2 at each red x containing a red of ``shrunk``, in ascending

@@ -613,10 +613,10 @@ class TestReferenceEquivalence:
         fired = [(rec.tag, rec.witness) for rec in self.check(g, len(g.blue)).trace.records]
         assert fired.index(("R4-case2", (1, 2))) < fired.index((R2, (12, 13)))
 
-    def test_r1_rescans_a_blue_whose_least_container_died(self):
+    def test_r1_takes_the_least_container_alive_at_its_turn(self):
         # With reds a, b, c = 4, 5, 6: N(1) = {a, b}, N(2) = {a} and
-        # N(3) = {a, b, c}.  The scan finds 2's least container 1, which R1
-        # removes first, so at 2's turn the witness is 3, found by a rescan.
+        # N(3) = {a, b, c}.  Before the sweep 2's least container is 1, which
+        # R1 removes first, so at 2's turn the witness is 3.
         g = RBGraph.from_parts([1, 2, 3], [4, 5, 6], [(1, 4), (1, 5), (2, 4), (3, 4), (3, 5),
                                                       (3, 6)])
         assert _least_container(g.adj, 2) == 1

@@ -13,6 +13,8 @@ from rbkernel.kernelizer import (
     SAN_BLUE,
     RuleApplication,
     _by_container,
+    _count_per_blue,
+    _count_per_red,
     _least_container,
     _pair_private,
     _r3_at,
@@ -360,6 +362,7 @@ class TestRule4:
     def test_pair_counting_matches_brute_force(self, g):
         want = {(v, w) for v, w in itertools.combinations(sorted(g.blue), 2)
                 if len(oracle_pair_private(g, v, w)) >= 2}
+        assert _count_per_red(g) == _count_per_blue(g) == want
         assert _r4_pairs(g) == want
 
     @given(r123_reduced_graphs())
@@ -380,15 +383,17 @@ class TestRule4:
 
     def test_pair_counting_refuses_r3_match(self):
         # Red 2 is private to blue 1 alone, so no probe lies outside N(1).
-        with pytest.raises(GraphError, match="^R3 applies to blue 1 and red 2$"):
-            _r4_pairs(RBGraph.from_parts([1], [2], [(1, 2)]))
         # The same next to the cyclic 4-windows of five blues, past the Euler
-        # bound, where the search counts blue by blue.
+        # bound, where _r4_pairs counts blue by blue.  Both counters refuse
+        # both graphs.
         windows = [((i + j) % 5 + 1, 7 + i) for i in range(5) for j in range(4)]
         g = RBGraph.from_parts(range(1, 7), range(7, 13), windows + [(6, 12)])
         assert not bipartite_euler_bound(g)
-        with pytest.raises(GraphError, match="^R3 applies to blue 6 and red 12$"):
-            _r4_pairs(g)
+        for count in (_r4_pairs, _count_per_red, _count_per_blue):
+            with pytest.raises(GraphError, match="^R3 applies to blue 1 and red 2$"):
+                count(RBGraph.from_parts([1], [2], [(1, 2)]))
+            with pytest.raises(GraphError, match="^R3 applies to blue 6 and red 12$"):
+                count(g)
 
     def test_matches_unrestricted_oracle_on_classes(self, classes7):
         for g in classes7:
