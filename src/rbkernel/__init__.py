@@ -1,6 +1,6 @@
 """Kernelization toolkit for red/blue domination on planar graphs."""
 
-from .graph import BLUE, RED, GraphError, Instance, RBGraph
+from .graph import GraphError, Instance, RBGraph
 from .kernelizer import (
     KernelResult,
     KernelTrace,
@@ -25,7 +25,7 @@ from .generators import gen_grid, gen_matching, gen_random_planar
 __version__ = "0.1.0"
 
 __all__ = [
-    "BLUE", "RED", "RBGraph", "Instance",
+    "RBGraph", "Instance",
     "GraphError",
     "KernelResult", "KernelTrace", "RuleApplication",
     "sanitize", "apply_rule", "kernelize", "lift_solution", "replay_trace",

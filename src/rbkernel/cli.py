@@ -54,15 +54,11 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _load_instance(path: str) -> Instance:
-    return formats.parse_instance(_read(path))
-
-
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_kernelize(args) -> int:
-    inst = _load_instance(args.input)
+    inst = formats.parse_instance(_read(args.input))
     result = kernelize(inst)
     if result.is_no:
         print("NO reason=%s" % result.reason)
@@ -82,14 +78,14 @@ def cmd_kernelize(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = _load_instance(args.input)
+    inst = formats.parse_instance(_read(args.input))
     g = inst.graph
     if bool(args.lift) != bool(args.original):
         print("solve --lift and --original go together: the trace and the instance it was "
               "written for", file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.lift:
-        original = _load_instance(args.original)
+        original = formats.parse_instance(_read(args.original))
         trace = formats.parse_trace(_read(args.lift))
         fp = fingerprint_instance(original)
         if trace.fingerprint != fp:
@@ -120,7 +116,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = _load_instance(args.input)
+    inst = formats.parse_instance(_read(args.input))
     chosen = formats.parse_solution(_read(args.solution))
     if verify_solution(inst.graph, chosen):
         print("VALID")

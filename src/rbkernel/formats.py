@@ -33,10 +33,10 @@ line of the older format, which listed ``removed=[..]`` and ``added=[..]``,
 is a parse error that says so.
 
 Every id, count and budget in the four formats (instance, plane, solution
-and trace files) is one to 18 ASCII digits: ``int`` alone would also take a
-sign, ``_`` and other scripts' digits, and the cap keeps it below its digit
-limit.  Only a trace's ``k_delta`` and the ``g seed`` value may start with
-``-``.
+and trace files) is one to ``_ID_DIGITS`` = 18 ASCII digits: ``int`` alone
+would also take a sign, ``_`` and other scripts' digits, and the cap keeps
+it below its digit limit.  Only a trace's ``k_delta`` and the ``g seed``
+value may start with ``-``.
 """
 
 from __future__ import annotations
@@ -62,14 +62,16 @@ def _tokens(text: str):
         yield i, line
 
 
-_ID = "[0-9]{1,18}"
+# The most digits an id, count or budget may have; _ID is the rule as a regex.
+_ID_DIGITS = 18
+_ID = "[0-9]{1,%d}" % _ID_DIGITS
 # One past the largest id, count or budget a file may hold.
-_ID_LIMIT = 10**18
+_ID_LIMIT = 10**_ID_DIGITS
 
 
 def _is_id(text: str) -> bool:
     """The ``_ID`` rule with str methods, which take half the time of a match."""
-    return text.isascii() and text.isdigit() and len(text) <= 18
+    return text.isascii() and text.isdigit() and len(text) <= _ID_DIGITS
 
 
 def _is_origid(parts: list) -> bool:
@@ -97,7 +99,7 @@ def check_vertex_count(n: int) -> None:
 def check_seed(seed: int) -> None:
     """Refuse a ``g seed`` value the reader refuses."""
     if not -_ID_LIMIT < seed < _ID_LIMIT:
-        raise ValueError("seed %d has more than 18 digits" % seed)
+        raise ValueError("seed %d has more than %d digits" % (seed, _ID_DIGITS))
 
 
 # Where str.splitlines ends a line: "\r\n" is one line end.
@@ -190,7 +192,7 @@ def parse_instance(text: str) -> Instance:
                 n = len(fields) // 4 if fields is not None else 0
                 if n and fields[::4].count("c") == fields[1::4].count("origid") == n:
                     ids = fields[2::4] + fields[3::4]
-                    if "".join(ids).isdigit() and max(map(len, ids)) <= 18:
+                    if "".join(ids).isdigit() and max(map(len, ids)) <= _ID_DIGITS:
                         origid.update(zip(map(int, fields[2::4]), map(int, fields[3::4])))
                         i += n
                         pos = lines_from
@@ -209,8 +211,7 @@ def parse_instance(text: str) -> Instance:
             if len(parts) != 3:
                 raise ParseError(i, "expected 'e <blue-id> <red-id>'")
             b, r = parts[1], parts[2]
-            if not (line.isascii() and b.isdigit() and r.isdigit() and len(b) <= 18
-                    and len(r) <= 18):
+            if not (line.isascii() and _is_id(b) and _is_id(r)):
                 raise ParseError(i, "edge endpoints must be ids of ASCII digits")
             b, r = int(b), int(r)
             if not 1 <= b <= nb:
@@ -284,7 +285,8 @@ def format_instance(inst: Instance, comments=()) -> str:
     nb, nr = len(g.blue), len(g.red)
     check_vertex_count(nb + nr)
     if not 0 <= inst.k < _ID_LIMIT:
-        raise ValueError("budget %d must be non-negative, of at most 18 digits" % inst.k)
+        raise ValueError("budget %d must be non-negative, of at most %d digits"
+                         % (inst.k, _ID_DIGITS))
     seeded = "algo" in meta and "seed" in meta
     if seeded:
         algo = meta["algo"]
@@ -294,7 +296,8 @@ def format_instance(inst: Instance, comments=()) -> str:
     blues, reds = sorted(g.blue), sorted(g.red)
     canonical = blues == list(range(1, nb + 1)) and reds == list(range(nb + 1, nb + nr + 1))
     if not canonical and (top := max(blues[-1:] + reds[-1:])) >= _ID_LIMIT:
-        raise ValueError("id %d has more than 18 digits, too many for a c origid line" % top)
+        raise ValueError("id %d has more than %d digits, too many for a c origid line"
+                         % (top, _ID_DIGITS))
     lines = ["c %s" % c for c in comments]
     for line in lines:
         if line.splitlines() != [line]:

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-BLUE = "b"
-RED = "r"
-
 
 class GraphError(Exception):
     """Base class for graph contract violations."""
@@ -37,9 +34,9 @@ class RBGraph:
     def from_parts(cls, blues, reds, edges=()) -> "RBGraph":
         g = cls()
         for v in sorted(blues):
-            g._add_with_id(v, BLUE)
+            g._add_with_id(v, g.blue)
         for v in sorted(reds):
-            g._add_with_id(v, RED)
+            g._add_with_id(v, g.red)
         for u, v in edges:
             g.add_edge(u, v)
         return g
@@ -59,17 +56,14 @@ class RBGraph:
 
     # -- construction and mutation ---------------------------------------
 
-    def _add_with_id(self, vid: int, color: str) -> int:
+    def _add_with_id(self, vid: int, side: set) -> int:
+        """Add the isolated vertex ``vid`` to ``side``, which is ``self.blue``
+        or ``self.red``: a vertex's color is the set that holds it."""
         if vid < 0:
             raise GraphError("vertex ids must be non-negative, got %r" % vid)
         if vid in self.adj:
             raise GraphError("vertex id %d is already live" % vid)
-        if color == BLUE:
-            self.blue.add(vid)
-        elif color == RED:
-            self.red.add(vid)
-        else:
-            raise GraphError("unknown color %r" % color)
+        side.add(vid)
         self.adj[vid] = set()
         if vid >= self._next_id:
             self._next_id = vid + 1
@@ -93,7 +87,7 @@ class RBGraph:
                 raise GraphError("unknown vertex %d" % u)
             if u not in self.blue:
                 raise GraphError("neighbor %d of a new red vertex must be blue" % u)
-        new = self._add_with_id(self._next_id, RED)
+        new = self._add_with_id(self._next_id, self.red)
         for u in nbrs:
             self.adj[u].add(new)
             self.adj[new].add(u)

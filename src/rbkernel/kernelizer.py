@@ -511,8 +511,6 @@ def kernelize(inst: Instance) -> KernelResult:
     """
     if inst.k < 0:
         raise ValueError("budget must be non-negative, got %d" % inst.k)
-    g = inst.graph.copy()
-    adj = g.adj
     k = inst.k
     records: list[RuleApplication] = []
     trace = KernelTrace(records, fingerprint_instance(inst))
@@ -542,13 +540,21 @@ def kernelize(inst: Instance) -> KernelResult:
                 wl1.update(adj[x])
                 records.append(_r2(g, (x, r2)))
 
+    # The input is copied only once it is to change: before sanitize's
+    # matches are applied, or else once the counting check has passed.
+    g = inst.graph
     found = sanitize(g)
+    if found:
+        g = g.copy()
     for match in found:  # through apply_rule, which perfbench's tracer wraps
         records.append(apply_rule(g, match))
     if found and found[-1][0] == SAN_NO:
         return KernelResult("no", reason=NO_ISOLATED_RED, trace=trace)
     if len(g.red) > k * _top_blue_degree(g):
         return KernelResult("no", reason=NO_COUNTING, trace=trace)
+    if not found:
+        g = g.copy()
+    adj = g.adj
 
     wl1.update(g.blue)
     shrunk.update(g.red)

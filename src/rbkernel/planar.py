@@ -48,20 +48,22 @@ class PlaneGraph:
 
     The constructor takes ``rotation``, a map of each vertex to the cyclic
     list of its neighbors, and checks that it is symmetric, loop-free and
-    duplicate-free.  :meth:`_trusted` takes a table that is consistent by
-    construction.  Two questions stay separate: whether the edge set is
-    planar, which ``planar_verdict(pg.rotation)`` answers, and whether this
-    rotation is a genus-zero embedding of it, which the Euler count of
-    :meth:`faces` answers and ``transforms.face_cover_to_rbds`` checks.
+    duplicate-free.  It keeps only the table, from which :attr:`rotation`
+    gives the same map back.  :meth:`_trusted` takes a table that is
+    consistent by construction.  Two questions stay separate: whether the
+    edge set is planar, which ``planar_verdict(pg.rotation)`` answers, and
+    whether this rotation is a genus-zero embedding of it, which the Euler
+    count of :meth:`faces` answers and ``transforms.face_cover_to_rbds``
+    checks.
     """
 
     def __init__(self, rotation: dict):
-        self.rotation = {v: list(ns) for v, ns in rotation.items()}
-        index = {v: i for i, v in enumerate(self.rotation)}
+        rotation = {v: list(ns) for v, ns in rotation.items()}
+        index = {v: i for i, v in enumerate(rotation)}
         n = len(index)
         at, rings = [], []
         pending = {}  # tail * n + head -> the dart whose twin is already made
-        for i, (v, ns) in enumerate(self.rotation.items()):
+        for i, (v, ns) in enumerate(rotation.items()):
             ring = []
             seen = set()
             for u in ns:
@@ -81,9 +83,9 @@ class PlaneGraph:
                 ring.append(h)
             rings.append(ring)
         if pending:  # some dart has no twin: name the first, in rotation order
-            for v, ns in self.rotation.items():
+            for v, ns in rotation.items():
                 for u in ns:
-                    if v not in self.rotation[u]:
+                    if v not in rotation[u]:
                         raise GraphError("edge (%r, %r) missing its reverse" % (v, u))
         cw = [0] * len(at)
         for ring in rings:

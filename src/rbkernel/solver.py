@@ -157,20 +157,20 @@ class _Cover:
             self.parts.append((1 << len(order)) - (1 << start))
         bit = {e: 1 << i for i, e in enumerate(order)}
         self.masks = [sum(bit[e] for e in s) for s in family]
-        # covers[i]: the masks of the sets covering element i; reach[i]: the
-        # elements sharing a set with element i, i included.
+        # covers[i]: the masks of the sets covering element i.  reach[i], the
+        # elements sharing a set with element i, i included, is kept only as
+        # its complement apart[i], what packing keeps.
         self.covers: list[list[int]] = [[] for _ in order]
-        self.reach = [0] * len(order)
+        reach = [0] * len(order)
         for m in self.masks:
             rest = m
             while rest:
                 low = rest & -rest
                 i = low.bit_length() - 1
                 self.covers[i].append(m)
-                self.reach[i] |= m
+                reach[i] |= m
                 rest ^= low
-        # apart[i]: the complement of reach[i], what packing keeps.
-        self.apart = [~r for r in self.reach]
+        self.apart = [~r for r in reach]
         # Uncovered mask -> (value, choice).  A value within the limit it was
         # searched under is exact and records the nonzero mask of the set
         # that reached it; any other value is a lower bound, with choice 0.

@@ -25,7 +25,7 @@ from rbkernel import planar, solver
 from rbkernel.formats import (_FINGERPRINT, _RECORD, MAX_VERTICES, ParseError, _is_id,
                              format_fingerprint)
 from rbkernel.generators import GEN_ALGO_ID, gen_grid
-from rbkernel.graph import BLUE, RED, GraphError, Instance, RBGraph
+from rbkernel.graph import GraphError, Instance, RBGraph
 from rbkernel.kernelizer import (
     NO_BUDGET,
     NO_COUNTING,
@@ -44,6 +44,10 @@ from rbkernel.kernelizer import (
     apply_rule,
     sanitize,
 )
+
+# Color labels for the color maps the reference generators and the test
+# strategies draw; the library holds a vertex's color as the set it is in.
+BLUE, RED = "b", "r"
 
 
 class Match(NamedTuple):
@@ -535,7 +539,7 @@ def r4_witness_union(rng: random.Random) -> RBGraph:
         w = rule4_case2_witness() if kind == 0 else rule4_case3_witness(swap_vw=kind == 2)
         shift = g._next_id - 1
         for v in sorted(w.adj):
-            g._add_with_id(v + shift, BLUE if v in w.blue else RED)
+            g._add_with_id(v + shift, g.blue if v in w.blue else g.red)
         for u, v in w.edges():
             g.add_edge(u + shift, v + shift)
         part = {v + shift for v in w.adj}

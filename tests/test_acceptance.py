@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from rbkernel.generators import _stacked_triangulation, gen_grid, gen_random_planar
-from rbkernel.graph import BLUE, Instance, RBGraph
+from rbkernel.graph import Instance, RBGraph
 from rbkernel.kernelizer import SIZE_FACTOR, kernelize, lift_solution
 from rbkernel.planar import is_planar, planar_verdict
 from rbkernel.solver import min_rbds, verify_solution

@@ -8,10 +8,13 @@ class the package defines is caught by name outside the tests; a subclass
 that only tests tell apart from its base is not library code either.  And
 every method and property of a class the package defines, dunders aside,
 is read by some module outside the tests: a method that only tests call
-is not library code."""
+is not library code.  An exported name that is neither a class nor a
+function is read outside the module that binds it, or it need not be
+exported."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -82,6 +85,20 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert len(files) > 10
     used = set().union(*map(names_read, files))
     assert sorted(set(rbkernel.__all__) - used) == []
+
+
+def test_every_exported_value_is_read_outside_its_module():
+    src = [p for p in (ROOT / "src" / "rbkernel").glob("*.py") if p.name != "__init__.py"]
+    files = src + non_test_files()
+    unread = []
+    for name in rbkernel.__all__:
+        value = getattr(rbkernel, name)
+        if inspect.isclass(value) or inspect.isfunction(value):
+            continue
+        [home] = [p for p in src if name in module_level_assignments(p)]
+        if not any(name in names_read(p) for p in files if p != home):
+            unread.append(name)
+    assert sorted(unread) == []
 
 
 def test_every_module_level_def_is_read_outside_the_tests():

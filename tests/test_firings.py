@@ -22,7 +22,7 @@ such as R4 case 1 forcing one endpoint of its pair instead of both.
 import random
 from collections import Counter
 
-from rbkernel.graph import BLUE, RED, RBGraph
+from rbkernel.graph import RBGraph
 from rbkernel.kernelizer import (
     R1,
     R2,
@@ -78,7 +78,7 @@ def expected_after(g: RBGraph, rec):
             for r in private:
                 out.remove_vertex(r)
             assert rec.added not in g.adj, rec
-            out._add_with_id(rec.added, RED)
+            out._add_with_id(rec.added, out.red)
             for v in witness:
                 out.add_edge(v, rec.added)
     for x in set(forced).union(*(g.adj[f] for f in forced)):
@@ -154,9 +154,9 @@ def grown_witness(rng: random.Random) -> RBGraph:
     new_blues = range(first, first + rng.randint(0, 4))
     new_reds = range(new_blues.stop, new_blues.stop + rng.randint(0, 4))
     for v in new_blues:
-        g._add_with_id(v, BLUE)
+        g._add_with_id(v, g.blue)
     for r in new_reds:
-        g._add_with_id(r, RED)
+        g._add_with_id(r, g.red)
     p = rng.uniform(0.1, 0.4)
     for b in sorted(g.blue - kept):
         for r in sorted(g.red - kept):

@@ -1,13 +1,12 @@
 import pytest
 
 from rbkernel.generators import gen_grid, gen_matching, gen_random_planar
-from rbkernel.graph import BLUE, RED
 from rbkernel.kernelizer import sanitize
 from rbkernel.kernelizer import kernelize
 from rbkernel.planar import bipartite_euler_bound, planar_verdict
 from rbkernel.solver import min_rbds, verify_solution
 
-from helpers import _layout, quadratic_gen_random_planar
+from helpers import BLUE, RED, _layout, quadratic_gen_random_planar
 
 
 class TestGrid:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rbkernel.graph import BLUE, RED, GraphError, Instance, RBGraph
+from rbkernel.graph import GraphError, Instance, RBGraph
 from rbkernel.kernelizer import SAN_BLUE, SAN_EDGE, SAN_NO, _pair_private, sanitize
 
 from helpers import Match, apply_sanitize, oracle_pair_private, oracle_private

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rbkernel import kernelizer
 from rbkernel.generators import _stacked_triangulation, gen_matching, gen_random_planar
-from rbkernel.graph import BLUE, RED, GraphError, Instance, RBGraph
+from rbkernel.graph import GraphError, Instance, RBGraph
 from rbkernel.kernelizer import (
     NO_BUDGET,
     NO_COUNTING,
@@ -39,6 +39,8 @@ from rbkernel.solver import min_rbds, verify_solution
 from rbkernel.transforms import face_cover_to_rbds
 
 from helpers import (
+    BLUE,
+    RED,
     Match,
     alternating_cycle,
     apply_sanitize,
@@ -63,6 +65,35 @@ VERTEX_RULES = {R1, R2, R3, "R4-case1", "R4-case2", "R4-case3", "R4-case4",
 
 def budget_spent(records) -> int:
     return -sum(rec.delta_k for rec in records)
+
+
+@st.composite
+def instance_parts(draw):
+    """(k, blues, reds, edges) with ids anywhere among the non-negative
+    ints, same-color edges included."""
+    ids = draw(st.lists(st.one_of(st.integers(0, 30), st.integers(0, 2 ** 80)),
+                        min_size=1, max_size=10, unique=True))
+    blues = set(draw(st.lists(st.sampled_from(ids), unique=True)))
+    pairs = [(u, v) for u in ids for v in ids if u < v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return draw(st.integers(0, 5)), blues, set(ids) - blues, edges
+
+
+def build_instance(k, blues, reds, edges, rnd=None) -> Instance:
+    """The instance, its vertices and edges inserted in sorted order, or in
+    an order ``rnd`` shuffles, each edge's endpoints in either order."""
+    vertices = sorted([(v, BLUE) for v in blues] + [(v, RED) for v in reds])
+    edges = sorted(edges)
+    if rnd is not None:
+        rnd.shuffle(vertices)
+        rnd.shuffle(edges)
+        edges = [e[::-1] if rnd.random() < 0.5 else e for e in edges]
+    g = RBGraph()
+    for v, color in vertices:
+        g._add_with_id(v, g.blue if color == BLUE else g.red)
+    for u, v in edges:
+        g.add_edge(u, v)
+    return Instance(g, k)
 
 
 class TestDriverExamples:
@@ -144,11 +175,19 @@ class TestDriverExamples:
         with pytest.raises(ValueError):
             kernelize(Instance(RBGraph(), -1))
 
-    def test_input_not_mutated(self):
-        inst = gen_matching(3)
-        snapshot = inst.graph.copy()
+    @given(parts=instance_parts())
+    @example(parts=(3, {1, 2, 3}, {4, 5, 6}, [(1, 4), (2, 5), (3, 6)]))
+    @settings(max_examples=300, deadline=None)
+    def test_input_not_mutated(self, parts):
+        # Whatever the verdict: sanitize's matches, a counting NO, or rules
+        # firing on a graph sanitize leaves as it is, as in the example.
+        inst = build_instance(*parts)
+        g = inst.graph
+        before = (set(g.blue), set(g.red), {v: set(s) for v, s in g.adj.items()},
+                  g._next_id, inst.k)
         kernelize(inst)
-        assert inst.graph == snapshot and inst.k == 3
+        assert inst.graph is g
+        assert (g.blue, g.red, g.adj, g._next_id, inst.k) == before
 
     def test_same_color_edges_cleaned_and_replayable(self):
         g = RBGraph.from_parts([1, 2], [3, 4], [(1, 3), (2, 3), (2, 4)])
@@ -391,35 +430,6 @@ class TestDriverChecksItsScans:
         monkeypatch.setattr(kernelizer, "_r3_seed", lambda g: [1])
         with pytest.raises(GraphError, match="^%s$" % re.escape("R3 does not apply at (1,)")):
             kernelize(Instance(alternating_cycle(4), 4))
-
-
-@st.composite
-def instance_parts(draw):
-    """(k, blues, reds, edges) with ids anywhere among the non-negative
-    ints, same-color edges included."""
-    ids = draw(st.lists(st.one_of(st.integers(0, 30), st.integers(0, 2 ** 80)),
-                        min_size=1, max_size=10, unique=True))
-    blues = set(draw(st.lists(st.sampled_from(ids), unique=True)))
-    pairs = [(u, v) for u in ids for v in ids if u < v]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return draw(st.integers(0, 5)), blues, set(ids) - blues, edges
-
-
-def build_instance(k, blues, reds, edges, rnd=None) -> Instance:
-    """The instance, its vertices and edges inserted in sorted order, or in
-    an order ``rnd`` shuffles, each edge's endpoints in either order."""
-    vertices = sorted([(v, BLUE) for v in blues] + [(v, RED) for v in reds])
-    edges = sorted(edges)
-    if rnd is not None:
-        rnd.shuffle(vertices)
-        rnd.shuffle(edges)
-        edges = [e[::-1] if rnd.random() < 0.5 else e for e in edges]
-    g = RBGraph()
-    for v, color in vertices:
-        g._add_with_id(v, color)
-    for u, v in edges:
-        g.add_edge(u, v)
-    return Instance(g, k)
 
 
 class TestFingerprint:

@@ -37,7 +37,7 @@ def same_color_edges_graph() -> RBGraph:
     g = alternating_cycle(4)
     g.add_edge(1, 2)
     g.add_edge(5, 6)
-    g._add_with_id(9, "b")
+    g._add_with_id(9, g.blue)
     return g
 
 

@@ -287,8 +287,8 @@ class TestRule2:
 class TestRule3:
     def test_pendant_component_next_to_cycle(self):
         g = alternating_cycle(4)
-        v = g._add_with_id(20, "b")
-        r = g._add_with_id(21, "r")
+        v = g._add_with_id(20, g.blue)
+        r = g._add_with_id(21, g.red)
         g.add_edge(v, r)
         assert r3_matches(g) == [Match(R3, (20,))]
         assert g.adj[20] == {21}

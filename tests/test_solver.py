@@ -302,17 +302,18 @@ class TestLayout:
     @settings(max_examples=300, deadline=None)
     def test_bits_follow_bfs_layers(self, family):
         engine = solver._Cover(family)
-        comps = plain_components(engine.masks, (1 << len(engine.reach)) - 1)
+        reach = [~a for a in engine.apart]
+        comps = plain_components(engine.masks, (1 << len(reach)) - 1)
         # Each component is one run of bits, and the parts are those runs.
         assert engine.parts == comps
         for part in engine.parts:
             assert part >> (part & -part).bit_length() - 1 == (1 << part.bit_count()) - 1
         for comp in comps:
-            depth = bfs_depths(engine.reach, comp)
+            depth = bfs_depths(reach, comp)
             bits = sorted(depth)
             # Each bit after the component's first shares a set with a lower one.
             for i in bits[1:]:
-                assert engine.reach[i] & ((1 << i) - 1)
+                assert reach[i] & ((1 << i) - 1)
             layers = [depth[i] for i in bits]
             assert layers == sorted(layers)
 
@@ -491,7 +492,7 @@ class TestMonotonicity:
         for g in rng.sample(random_graphs_300, 60):
             base = min_rbds(g)
             with_blue = g.copy()
-            b = with_blue._add_with_id(max(with_blue.adj, default=0) + 1, "b")
+            b = with_blue._add_with_id(max(with_blue.adj, default=0) + 1, with_blue.blue)
             for r in sorted(with_blue.red)[:2]:
                 with_blue.add_edge(b, r)
             out_blue = min_rbds(with_blue)
