@@ -9,14 +9,22 @@ runs ``perfbench/run.py --trace 0`` from there for the ``run_seconds`` of
 the parent first when i is even.  The file keeps, for every run, the final
 JSON line of ``perfbench/run.py`` with its seed, revision and order, plus the
 Python version and CPU model, and per end-to-end metric each side's median
-and quartiles, the change's wins, and two verdicts read against
+and quartiles, the change's wins, and three verdicts read against
 ``BENCHMARK.json``, which is only read:
 
 * ``gain``: there are at least ten pairs, the change won at least nine
   tenths of them and its median beats the parent's by more than the
   parent's interquartile range;
 * ``within_bound``: the change's median is worse than the parent's by no
-  more than the metric's ``bound``, a fraction of the parent's median.
+  more than the metric's ``bound``, a fraction of the parent's median;
+* ``unresolved``: the parent's interquartile range is wider than ``bound``
+  times the parent's median, so the runs spread too widely to tell whether
+  the bound holds, unless every change run reads better than every parent
+  run.
+
+One more verdict covers the whole file: ``more_failures``, the change's
+median share of failed operations (``failed / attempted``) is above the
+parent's.
 
 ``--seeds`` must name at least two seeds, low to high, or the script stops
 with a usage error before it exports anything: quartiles need two runs a
@@ -25,7 +33,7 @@ comes back.  A run that ``perfbench/run.py`` marks ``correct: false``, or
 that exits with a nonzero status, ends the script at once with exit status
 1, naming its side and seed, and no file is written: a gain read from a
 wrong run means nothing.  After the runs it prints one line per end-to-end
-metric with those numbers.
+metric with those numbers, then the ``more_failures`` verdict.
 """
 
 from __future__ import annotations
@@ -97,17 +105,34 @@ def _summary(runs: list[dict], spec: dict) -> dict:
         pairs = len(side["parent"])
         out[name]["gain"] = pairs >= MIN_GAIN_PAIRS and wins >= 0.9 * pairs and gain > hi - lo
         out[name]["within_bound"] = gain >= -bound * abs(parent["median"])
+        every_run_better = all(sign * (c - p) > 0
+                               for c in side["change"] for p in side["parent"])
+        out[name]["unresolved"] = hi - lo > bound * abs(parent["median"]) and not every_run_better
     return out
 
 
-def _report(summary: dict, pairs: int) -> None:
-    for name, m in summary.items():
+def _more_failures(runs: list[dict]) -> bool:
+    """Whether the change's median share of failed operations is above the parent's."""
+    share = {s: statistics.median(r["result"]["failed"] / r["result"]["attempted"]
+                                  for r in runs if r["side"] == s)
+             for s in ("parent", "change")}
+    return share["change"] > share["parent"]
+
+
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _report(doc: dict) -> None:
+    pairs = len(doc["runs"]) // 2
+    for name, m in doc["summary"].items():
         parent = m["parent"]
         print("%s: parent %.6g [%.6g, %.6g], change %.6g, change won %d/%d, gain %s, "
-              "within bound %s" % (name, parent["median"], *parent["quartiles"],
-                                   m["change"]["median"], m["change_wins"], pairs,
-                                   "yes" if m["gain"] else "no",
-                                   "yes" if m["within_bound"] else "no"))
+              "within bound %s, unresolved %s"
+              % (name, parent["median"], *parent["quartiles"], m["change"]["median"],
+                 m["change_wins"], pairs, _yes(m["gain"]), _yes(m["within_bound"]),
+                 _yes(m["unresolved"])))
+    print("more failures: %s" % _yes(doc["more_failures"]))
 
 
 def main(argv=None) -> int:
@@ -146,10 +171,11 @@ def main(argv=None) -> int:
     doc = {"workload": args.workload, "python": platform.python_version(), "cpu": _cpu_model(),
            "command": "python3 perfbench/run.py --workload %s --seed <seed> --seconds %s "
                       "--trace 0" % (args.workload, seconds),
-           "summary": _summary(runs, spec), "runs": runs}
+           "summary": _summary(runs, spec), "more_failures": _more_failures(runs),
+           "runs": runs}
     out = Path(args.out or ROOT / ("BENCH_%s.json" % args.workload))
     out.write_text(json.dumps(doc, indent=1) + "\n")
-    _report(doc["summary"], len(runs) // 2)
+    _report(doc)
     return 0
 
 

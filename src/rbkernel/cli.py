@@ -1,9 +1,12 @@
 """Command-line front end tying the pipeline together.
 
-Exit codes: 0 success, 2 parse error, 3 bad input for the requested
-operation, 20 kernelize answered NO, 21 solve found the instance
-infeasible, 22 verify found the solution invalid, 23 instance too large
-for exact search, 24 graph not planar.
+Exit codes: 0 success; 2 the command line or an input file does not parse
+(for the command line, argparse prints a usage line and one error line);
+3 a well-formed request the tool refuses: a value past a limit, a path
+that cannot be read, a foreign trace or one that does not replay;
+20 kernelize answered NO, 21 solve found the instance infeasible, 22
+verify found the solution invalid, 23 instance too large for exact search,
+24 graph not planar.
 
 ``kernelize`` answers ``NO reason=counting`` when the sanitized input has
 more than k times its largest blue degree of reds, which no k blues can
@@ -11,13 +14,12 @@ dominate on any graph; this counting lemma, not one of the paper's rules,
 is checked before the first rule fires, so the trace holds the fingerprint
 and the sanitize records alone.  ``kernelize`` writes ``--out`` and
 ``--trace`` on every verdict; on NO, ``--out`` gets the canonical
-two-vertex negative instance.  ``solve`` takes
-``--lift`` and ``--original`` together or not at all (else exit 3), and
-``solve --lift`` prints a lifted solution only after four checks, in this
-order: the trace's fingerprint is that of ``--original`` (else exit 3), the
-trace replays on it, rule by rule, to the kernel under its original ids
-(else exit 3), that graph is solved and the solution lifted, and the lift
-dominates ``--original`` (else exit 22).
+two-vertex negative instance.  ``solve --lift TRACE ORIGINAL`` prints a
+lifted solution only after four checks, in this order: the trace's
+fingerprint is that of ORIGINAL (else exit 3), the trace replays on it,
+rule by rule, to the kernel under its original ids (else exit 3), that
+graph is solved and the solution lifted, and the lift dominates ORIGINAL
+(else exit 22).
 """
 
 from __future__ import annotations
@@ -80,19 +82,16 @@ def cmd_kernelize(args) -> int:
 def cmd_solve(args) -> int:
     inst = formats.parse_instance(_read(args.input))
     g = inst.graph
-    if bool(args.lift) != bool(args.original):
-        print("solve --lift and --original go together: the trace and the instance it was "
-              "written for", file=sys.stderr)
-        return EXIT_BAD_INPUT
     if args.lift:
-        original = formats.parse_instance(_read(args.original))
-        trace = formats.parse_trace(_read(args.lift))
+        trace_path, original_path = args.lift
+        original = formats.parse_instance(_read(original_path))
+        trace = formats.parse_trace(_read(trace_path))
         fp = fingerprint_instance(original)
         if trace.fingerprint != fp:
             theirs = ("missing" if trace.fingerprint is None
                       else formats.format_fingerprint(trace.fingerprint))
             print("the trace is not of %s: its fingerprint is %s, the instance's %s"
-                  % (args.original, theirs, formats.format_fingerprint(fp)), file=sys.stderr)
+                  % (original_path, theirs, formats.format_fingerprint(fp)), file=sys.stderr)
             return EXIT_BAD_INPUT
         try:
             g = formats.in_original_ids(inst)
@@ -108,7 +107,7 @@ def cmd_solve(args) -> int:
     if args.lift:
         witness = lift_solution(trace, witness)
         if not verify_solution(original.graph, witness):
-            print("the lifted solution does not dominate %s" % args.original, file=sys.stderr)
+            print("the lifted solution does not dominate %s" % original_path, file=sys.stderr)
             return EXIT_INVALID
     print("OPT %d" % len(witness))
     sys.stdout.write(formats.format_solution(witness))
@@ -125,26 +124,9 @@ def cmd_verify(args) -> int:
     return EXIT_INVALID
 
 
-_GEN_PARAMS = {"grid": "<rows> <cols>", "matching": "<m>", "planar": "<n> <density-percent>"}
-
-
 def cmd_gen(args) -> int:
-    usage = _GEN_PARAMS[args.kind]
-    if len(args.params) != len(usage.split()):
-        print("gen %s: needs %s, got %d parameters" % (args.kind, usage, len(args.params)),
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if args.seed is not None and args.kind != "planar":
-        print("gen %s: takes no --seed" % args.kind, file=sys.stderr)
-        return EXIT_BAD_INPUT
     try:
-        if args.kind == "grid":
-            inst = generators.gen_grid(args.params[0], args.params[1])
-        elif args.kind == "matching":
-            inst = generators.gen_matching(args.params[0])
-        else:  # planar
-            inst = generators.gen_random_planar(
-                args.params[0], args.params[1] / 100.0, args.seed or 0)
+        inst = args.generate(args)
     except ValueError as exc:
         print("gen %s: %s" % (args.kind, exc), file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -195,11 +177,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbkernel",
         description="Kernelization toolkit for red/blue domination on planar graphs.",
-        epilog="Exit codes: 0 ok, 2 parse error, 3 bad input (solve: --lift without "
-               "--original or the reverse, a trace of another instance or one that does not "
-               "replay to the kernel), "
-               "20 NO-instance, 21 infeasible, 22 invalid solution (solve --lift: the lift "
-               "does not dominate the original), 23 too large, 24 non-planar.")
+        epilog="Exit codes: 0 ok, 2 the command line or an input file does not parse, "
+               "3 a well-formed request refused (a value past a limit, an unreadable path; "
+               "solve --lift: a trace of another instance or one that does not replay to "
+               "the kernel), 20 NO-instance, 21 infeasible, 22 invalid solution (solve "
+               "--lift: the lift does not dominate the original), 23 too large, "
+               "24 non-planar.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernelize", help="reduce an instance, log the rule trace")
@@ -211,11 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact optimum, optionally lifted through a trace")
     p.add_argument("input")
-    p.add_argument("--lift", help="trace file; lift the witness to the original instance "
-                                  "(needs --original)")
-    p.add_argument("--original", help="with --lift: the instance the trace was written for; "
-                                      "the trace must match its fingerprint and replay to "
-                                      "the input, and the lift must dominate it")
+    p.add_argument("--lift", nargs=2, metavar=("TRACE", "ORIGINAL"),
+                   help="lift the witness through TRACE to ORIGINAL, the instance the trace "
+                        "was written for; the trace must match its fingerprint and replay to "
+                        "the input, and the lift must dominate it")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a solution file against an instance")
@@ -223,12 +205,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("solution")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("gen", help="generate instances (grid R C | matching M | "
-                                   "planar N DENSITY, density in percent)")
-    p.add_argument("kind", choices=list(_GEN_PARAMS))
-    p.add_argument("params", nargs="+", type=int)
-    p.add_argument("--seed", type=int, help="planar only; 0 when omitted")
-    p.add_argument("--out")
+    p = sub.add_parser("gen", help="generate an instance")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    kind = kinds.add_parser("grid", help="a rows x cols grid")
+    kind.add_argument("rows", type=int)
+    kind.add_argument("cols", type=int)
+    kind.set_defaults(generate=lambda a: generators.gen_grid(a.rows, a.cols))
+    kind = kinds.add_parser("matching", help="m disjoint blue-red edges")
+    kind.add_argument("m", type=int)
+    kind.set_defaults(generate=lambda a: generators.gen_matching(a.m))
+    kind = kinds.add_parser("planar", help="a random planar instance on n vertices")
+    kind.add_argument("n", type=int)
+    kind.add_argument("density", type=int, help="in percent")
+    kind.add_argument("--seed", type=int, default=0, help="0 when omitted")
+    kind.set_defaults(
+        generate=lambda a: generators.gen_random_planar(a.n, a.density / 100.0, a.seed))
+    for kind in kinds.choices.values():
+        kind.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("transform", help="face-cover: the radial-graph instance of a plane file")

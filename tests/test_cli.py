@@ -20,7 +20,7 @@ from rbkernel.cli import (
     EXIT_TOO_LARGE,
     main,
 )
-from rbkernel.generators import gen_grid, gen_matching
+from rbkernel.generators import gen_grid, gen_matching, gen_random_planar
 from rbkernel.graph import Instance, RBGraph
 from rbkernel.kernelizer import (SAN_BLUE, SAN_NO, RuleApplication, fingerprint_instance,
                                  kernelize, lift_solution, replay_trace)
@@ -135,7 +135,7 @@ class TestPipeline:
                      "--trace", str(trace)]) == EXIT_OK
         capsys.readouterr()
 
-        assert main(["solve", str(kernel), "--lift", str(trace), "--original", str(src)]) == EXIT_OK
+        assert main(["solve", str(kernel), "--lift", str(trace), str(src)]) == EXIT_OK
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("OPT ")
         sol = tmp_path / "sol.txt"
@@ -145,7 +145,6 @@ class TestPipeline:
         assert capsys.readouterr().out.strip() == "VALID"
 
     def test_pipeline_valid_on_corpus(self, tmp_path, capsys):
-        from rbkernel.generators import gen_random_planar
         corpus = [gen_grid(3, 3), gen_grid(4, 5), gen_matching(4),
                   gen_random_planar(16, 0.7, 1), gen_random_planar(22, 0.9, 2)]
         for i, inst in enumerate(corpus):
@@ -156,8 +155,7 @@ class TestPipeline:
             assert main(["kernelize", str(src), "--out", str(kernel),
                          "--trace", str(trace)]) == EXIT_OK
             capsys.readouterr()
-            assert main(["solve", str(kernel), "--lift", str(trace),
-                         "--original", str(src)]) == EXIT_OK
+            assert main(["solve", str(kernel), "--lift", str(trace), str(src)]) == EXIT_OK
             witness_line = capsys.readouterr().out.splitlines()[1]
             sol = tmp_path / ("c%d.sol" % i)
             sol.write_text(witness_line + "\n")
@@ -176,7 +174,7 @@ class TestPipeline:
         src.write_text(formats.format_instance(gen_grid(3, 3)))
         trace = tmp_path / "bad.trace"
         trace.write_text(bad_line + "\n")
-        assert main(["solve", str(src), "--lift", str(trace), "--original", str(src)]) == EXIT_PARSE
+        assert main(["solve", str(src), "--lift", str(trace), str(src)]) == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
 
     @pytest.fixture
@@ -190,24 +188,11 @@ class TestPipeline:
         capsys.readouterr()
         return src, kernel, trace
 
-    def test_lift_without_original_exits_bad_input(self, lift_files, capsys):
-        src, kernel, trace = lift_files
-        assert main(["solve", str(kernel), "--lift", str(trace)]) == EXIT_BAD_INPUT
-        out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1 and "--original" in err
-
-    def test_original_without_lift_exits_bad_input(self, lift_files, capsys):
-        src, kernel, trace = lift_files
-        assert main(["solve", str(kernel), "--original", str(src)]) == EXIT_BAD_INPUT
-        out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1 and "--lift" in err
-
     def test_foreign_trace_exits_bad_input(self, lift_files, tmp_path, capsys):
         src, kernel, trace = lift_files
         other = tmp_path / "other.rbds"
         other.write_text(formats.format_instance(gen_grid(5, 4)))
-        assert main(["solve", str(kernel), "--lift", str(trace),
-                     "--original", str(other)]) == EXIT_BAD_INPUT
+        assert main(["solve", str(kernel), "--lift", str(trace), str(other)]) == EXIT_BAD_INPUT
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and "fingerprint" in err
 
@@ -220,8 +205,7 @@ class TestPipeline:
         b = int(lines[i].split("(")[1].split(",")[0])
         lines[i] = "r\tR1\tk_delta=0\twitness=(%d,%d)" % (b, b)
         trace.write_text("\n".join(lines) + "\n")
-        assert main(["solve", str(kernel), "--lift", str(trace),
-                     "--original", str(src)]) == EXIT_BAD_INPUT
+        assert main(["solve", str(kernel), "--lift", str(trace), str(src)]) == EXIT_BAD_INPUT
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and "record %d, R1" % i in err
 
@@ -231,8 +215,7 @@ class TestPipeline:
         src, kernel, trace = lift_files
         lines = trace.read_text().splitlines()
         trace.write_text("\n".join(lines[:-1]) + "\n")
-        assert main(["solve", str(kernel), "--lift", str(trace),
-                     "--original", str(src)]) == EXIT_BAD_INPUT
+        assert main(["solve", str(kernel), "--lift", str(trace), str(src)]) == EXIT_BAD_INPUT
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and "not at the kernel" in err
 
@@ -244,8 +227,7 @@ class TestPipeline:
         first = re.search(r"^c origid \d+ (\d+)$", text, re.M)[1]
         kernel.write_text(re.sub(r"^(c origid \d+ )\d+$", r"\g<1>" + first,
                                  text, count=2, flags=re.M))
-        assert main(["solve", str(kernel), "--lift", str(trace),
-                     "--original", str(src)]) == EXIT_BAD_INPUT
+        assert main(["solve", str(kernel), "--lift", str(trace), str(src)]) == EXIT_BAD_INPUT
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         assert "already live" in err and "Traceback" not in err
@@ -255,8 +237,7 @@ class TestPipeline:
         # in lifting itself, so one is put in: a lift that loses every blue.
         src, kernel, trace = lift_files
         monkeypatch.setattr(cli, "lift_solution", lambda trace, solution: set())
-        assert main(["solve", str(kernel), "--lift", str(trace),
-                     "--original", str(src)]) == EXIT_INVALID
+        assert main(["solve", str(kernel), "--lift", str(trace), str(src)]) == EXIT_INVALID
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and "does not dominate" in err
 
@@ -331,19 +312,30 @@ class TestGenCommand:
         assert main(["gen", "planar", "20", "70", "--seed", "5", "--out", str(b)]) == EXIT_OK
         assert a.read_text() == b.read_text()
 
-    def test_bad_params_exit_bad_input(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, expected", [
+        (["grid", "4", "4"], lambda: gen_grid(4, 4)),
+        (["grid", "1", "2"], lambda: gen_grid(1, 2)),
+        (["matching", "3"], lambda: gen_matching(3)),
+        (["planar", "40", "75", "--seed", "7"], lambda: gen_random_planar(40, 0.75, 7)),
+        (["planar", "40", "75"], lambda: gen_random_planar(40, 0.75, 0)),
+        (["planar", "3", "100", "--seed", "-5"], lambda: gen_random_planar(3, 1.0, -5)),
+    ])
+    def test_writes_the_library_generators_instance(self, tmp_path, argv, expected):
+        # DENSITY is in percent, and planar's seed is 0 when omitted.
         out = tmp_path / "g.rbds"
-        # An argument the subcommand does not use is refused, not ignored.
-        for argv in (["gen", "grid", "0", "3"], ["gen", "matching", "0"],
-                     ["gen", "planar", "2", "50"], ["gen", "planar", "10", "0"],
-                     ["gen", "planar", "20", "70", "--seed", "1" + "0" * 18],
-                     ["gen", "grid", "3", "4", "--seed", "5"],
-                     ["gen", "grid", "3", "4", "--seed", "0"],
-                     ["gen", "matching", "3", "--seed", "5"]):
-            assert main([*argv, "--out", str(out)]) == EXIT_BAD_INPUT
-            err = capsys.readouterr().err
-            assert err.startswith("%s %s: " % tuple(argv[:2])) and err.count("\n") == 1
-        assert not out.exists()
+        assert main(["gen", *argv, "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == formats.format_instance(expected())
+
+    @pytest.mark.parametrize("argv", [
+        ["grid", "0", "3"], ["matching", "0"], ["planar", "2", "50"], ["planar", "10", "0"],
+        ["planar", "20", "70", "--seed", "1" + "0" * 18],
+    ])
+    def test_value_past_a_limit_exits_bad_input(self, tmp_path, capsys, argv):
+        out = tmp_path / "g.rbds"
+        assert main(["gen", *argv, "--out", str(out)]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("gen %s: " % argv[0]) and captured.err.count("\n") == 1
 
     def test_single_cell_grid_refused(self, tmp_path, capsys):
         # One cell is an isolated blue, which sanitize would remove, so no
@@ -372,14 +364,25 @@ class TestGenCommand:
             assert err.startswith("gen %s: " % argv[0]) and err.count("\n") == 1
         assert not out.exists()
 
-    def test_missing_params_exit_bad_input(self, tmp_path, capsys):
-        out = tmp_path / "g.rbds"
-        for argv in (["grid", "3"], ["planar", "20"], ["grid", "2", "2", "9", "9"],
-                     ["matching", "3", "4"], ["planar", "20", "70", "5"]):
-            assert main(["gen", *argv, "--out", str(out)]) == EXIT_BAD_INPUT
-            err = capsys.readouterr().err
-            assert err.startswith("gen %s: needs " % argv[0]) and err.count("\n") == 1
-        assert not out.exists()
+
+@pytest.mark.parametrize("argv", [
+    # A missing or extra parameter, an option another kind takes, a value
+    # that is not an int, an unknown kind.
+    ["gen", "grid", "3"], ["gen", "planar", "20"], ["gen", "grid", "3", "3", "3"],
+    ["gen", "grid", "2", "2", "9", "9"], ["gen", "matching", "3", "4"],
+    ["gen", "planar", "20", "70", "5"], ["gen", "grid", "3", "3", "--seed", "4"],
+    ["gen", "grid", "3", "4", "--seed", "0"], ["gen", "matching", "3", "--seed", "5"],
+    ["gen", "grid", "3", "x"], ["gen", "nope", "3"],
+    # --lift takes the trace and the original instance together.
+    ["solve", "K", "--lift", "T"], ["solve", "K", "--original", "I"],
+])
+def test_command_line_misuse_exits_parse_before_any_output(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: rbkernel ") and ": error: " in err.splitlines()[-1]
 
 
 class TestCheckPlanar:
@@ -545,9 +548,9 @@ class TestTransformCommand:
 # Each run names its files by role; the fuzz test edits the target's bytes.
 _FUZZ_RUNS = [
     (["kernelize", "in.rbds"], "in.rbds"),
-    (["solve", "kernel.rbds", "--lift", "run.trace", "--original", "in.rbds"], "kernel.rbds"),
-    (["solve", "kernel.rbds", "--lift", "run.trace", "--original", "in.rbds"], "run.trace"),
-    (["solve", "kernel.rbds", "--lift", "run.trace", "--original", "in.rbds"], "in.rbds"),
+    (["solve", "kernel.rbds", "--lift", "run.trace", "in.rbds"], "kernel.rbds"),
+    (["solve", "kernel.rbds", "--lift", "run.trace", "in.rbds"], "run.trace"),
+    (["solve", "kernel.rbds", "--lift", "run.trace", "in.rbds"], "in.rbds"),
     (["verify", "in.rbds", "sol.txt"], "in.rbds"),
     (["verify", "in.rbds", "sol.txt"], "sol.txt"),
     (["transform", "face-cover", "g.plane"], "g.plane"),
