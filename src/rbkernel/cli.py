@@ -1,12 +1,9 @@
 """Command-line front end tying the pipeline together.
 
-Exit codes: 0 success; 2 the command line or an input file does not parse
-(for the command line, argparse prints a usage line and one error line);
-3 a well-formed request the tool refuses: a value past a limit, a path
-that cannot be read, a foreign trace or one that does not replay;
-20 kernelize answered NO, 21 solve found the instance infeasible, 22
-verify found the solution invalid, 23 instance too large for exact search,
-24 graph not planar.
+The exit codes have one holder, the epilog of ``build_parser`` (``rbkernel
+--help``).  A command that writes files lands them with ``_land``: whole or
+not at all, and before anything reaches stdout, so a refusal prints no
+verdict.
 
 ``kernelize`` answers ``NO reason=counting`` when the sanitized input has
 more than k times its largest blue degree of reds, which no k blues can
@@ -25,6 +22,8 @@ graph is solved and the solution lifted, and the lift dominates ORIGINAL
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -49,11 +48,35 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+def _land(stdout: str, outputs) -> None:
+    """Write the ``(path, text)`` pairs of ``outputs`` whose path names a
+    file, then ``stdout`` followed, in order, by the texts whose path is
+    ``-`` or None.  Each file is written to a temporary sibling of its path
+    with symbolic links resolved, and the siblings replace their paths only
+    once all are written; if one cannot be written, or a path names an
+    existing file that is not a regular file, the siblings are removed, no
+    path changes, nothing reaches stdout and the ``OSError`` propagates.  Of
+    two texts for one path, the later lands."""
+    files = {os.path.realpath(path): text for path, text in outputs if path not in (None, "-")}
+    temps = []
+    try:
+        for path, text in files.items():
+            # os.replace would fail on a directory only after the others landed,
+            # and would put a regular file in place of a device or a pipe.
+            if os.path.exists(path) and not os.path.isfile(path):
+                raise OSError("%s is not a regular file" % path)
+            temp = "%s.%d.tmp" % (path, os.getpid())
+            with open(temp, "x") as f:
+                temps.append(temp)
+                f.write(text)
+        for path, temp in zip(files, temps):
+            os.replace(temp, path)
+    except OSError:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise
+    sys.stdout.write(stdout + "".join(text for path, text in outputs if path in (None, "-")))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -63,19 +86,19 @@ def cmd_kernelize(args) -> int:
     inst = formats.parse_instance(_read(args.input))
     result = kernelize(inst)
     if result.is_no:
-        print("NO reason=%s" % result.reason)
+        verdict = "NO reason=%s\n" % result.reason
         kernel = Instance(RBGraph.from_parts([1], [2]), 0)
         comments = ["canonical negative instance"]
     else:
         kernel = result.instance
         nb, nr = len(kernel.graph.blue), len(kernel.graph.red)
-        print("REDUCED nB=%d nR=%d k'=%d bound=%dk'=%d"
-              % (nb, nr, kernel.k, SIZE_FACTOR, SIZE_FACTOR * kernel.k))
+        verdict = ("REDUCED nB=%d nR=%d k'=%d bound=%dk'=%d\n"
+                   % (nb, nr, kernel.k, SIZE_FACTOR, SIZE_FACTOR * kernel.k))
         comments = ()
-    if args.out:
-        _write(args.out, formats.format_instance(kernel, comments=comments))
+    outputs = [(args.out, formats.format_instance(kernel, comments=comments))] if args.out else []
     if args.trace:
-        _write(args.trace, formats.format_trace(result.trace))
+        outputs.append((args.trace, formats.format_trace(result.trace)))
+    _land(verdict, outputs)
     return EXIT_NO if result.is_no else EXIT_OK
 
 
@@ -90,15 +113,13 @@ def cmd_solve(args) -> int:
         if trace.fingerprint != fp:
             theirs = ("missing" if trace.fingerprint is None
                       else formats.format_fingerprint(trace.fingerprint))
-            print("the trace is not of %s: its fingerprint is %s, the instance's %s"
-                  % (original_path, theirs, formats.format_fingerprint(fp)), file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise ValueError("the trace is not of %s: its fingerprint is %s, the instance's %s"
+                             % (original_path, theirs, formats.format_fingerprint(fp)))
         try:
             g = formats.in_original_ids(inst)
             replay_trace(original.graph, trace, g)
         except GraphError as exc:  # a bad record, or origid comments naming an id twice
-            print("the trace does not replay to %s: %s" % (args.input, exc), file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise GraphError("the trace does not replay to %s: %s" % (args.input, exc)) from exc
     outcome = min_rbds(g)
     if not outcome.feasible:
         print("INFEASIBLE")
@@ -130,42 +151,27 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         print("gen %s: %s" % (args.kind, exc), file=sys.stderr)
         return EXIT_BAD_INPUT
-    _write(args.out, formats.format_instance(inst))
+    _land("", [(args.out, formats.format_instance(inst))])
     return EXIT_OK
 
 
-def cmd_transform(args) -> int:
-    pg = formats.parse_plane(_read(args.input))
-    try:
-        g, vmap, fmap = transforms.face_cover_to_rbds(pg)
-    except GraphError as exc:  # disconnected, or not a plane embedding
-        print(str(exc), file=sys.stderr)
-        return EXIT_BAD_INPUT
+def cmd_face_cover(args) -> int:
+    # Disconnected, or not a plane embedding: a GraphError, exit 3.
+    g, vmap, fmap = transforms.face_cover_to_rbds(formats.parse_plane(_read(args.input)))
     comments = ["face cover instance via the radial graph, k unchanged"]
     comments += ["facemap %d %d" % (f, b) for f, b in sorted(fmap.items())]
     comments += ["vertexmap %d %d" % (v, r) for v, r in sorted(vmap.items())]
-    try:
-        text = formats.format_instance(
-            Instance(g, args.k if args.k is not None else len(fmap)), comments=comments)
-    except ValueError as exc:
-        print("transform face-cover: %s" % exc, file=sys.stderr)
-        return EXIT_BAD_INPUT
-    _write(args.out, text)
+    k = args.k if args.k is not None else len(fmap)
+    _land("", [(args.out, formats.format_instance(Instance(g, k), comments=comments))])
     return EXIT_OK
 
 
 def cmd_check_planar(args) -> int:
-    text = _read(args.input)
-    heads = (line.split()[:2] for _, line in formats._tokens(text))
-    if next((h for h in heads if h[0] != "c"), None) == ["p", "plane"]:
-        adj = formats.parse_plane(text).rotation  # the edge set; its rotation is not checked
-    else:
-        g = formats.parse_instance(text).graph
-        if not bipartite_euler_bound(g):  # an instance's edges all join a blue to a red
-            print("NONPLANAR euler n=%d m=%d" % (g.n_vertices, g.n_edges))
-            return EXIT_NONPLANAR
-        adj = g.adj
-    planar = planar_verdict(adj)
+    g = formats.parse_instance(_read(args.input)).graph
+    if not bipartite_euler_bound(g):  # an instance's edges all join a blue to a red
+        print("NONPLANAR euler n=%d m=%d" % (g.n_vertices, g.n_edges))
+        return EXIT_NONPLANAR
+    planar = planar_verdict(g.adj)
     print("PLANAR" if planar else "NONPLANAR")
     return EXIT_OK if planar else EXIT_NONPLANAR
 
@@ -178,11 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rbkernel",
         description="Kernelization toolkit for red/blue domination on planar graphs.",
         epilog="Exit codes: 0 ok, 2 the command line or an input file does not parse, "
-               "3 a well-formed request refused (a value past a limit, an unreadable path; "
-               "solve --lift: a trace of another instance or one that does not replay to "
-               "the kernel), 20 NO-instance, 21 infeasible, 22 invalid solution (solve "
-               "--lift: the lift does not dominate the original), 23 too large, "
-               "24 non-planar.")
+               "3 a well-formed request refused, with one stderr line, nothing on stdout "
+               "and no output file changed (a value past a limit, a path that cannot be "
+               "read or written; face-cover: a plane file that is disconnected or not a "
+               "plane embedding; solve --lift: a trace of another instance or one that "
+               "does not replay to the kernel), 20 NO-instance, 21 infeasible, 22 invalid "
+               "solution (solve --lift: the lift does not dominate the original), "
+               "23 too large, 24 non-planar.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernelize", help="reduce an instance, log the rule trace")
@@ -224,16 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
         kind.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("transform", help="face-cover: the radial-graph instance of a plane file")
-    p.add_argument("kind", choices=["face-cover"])
+    p = sub.add_parser("face-cover", help="the radial-graph instance of a plane file, whose "
+                                          "rotation it checks is a plane embedding")
     p.add_argument("input")
     p.add_argument("--out")
-    p.add_argument("-k", type=int, default=None, help="budget for face-cover output")
-    p.set_defaults(func=cmd_transform)
+    p.add_argument("-k", type=int, default=None, help="budget; the face count when omitted")
+    p.set_defaults(func=cmd_face_cover)
 
-    p = sub.add_parser("check-planar", help="planarity of the edge set of an instance or "
-                                            "plane file (transform face-cover checks that a "
-                                            "plane file's rotation is an embedding)")
+    p = sub.add_parser("check-planar", help="planarity of an instance's edge set")
     p.add_argument("input")
     p.set_defaults(func=cmd_check_planar)
 
@@ -253,7 +259,7 @@ def main(argv=None) -> int:
     except InstanceTooLargeError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_TOO_LARGE
-    except OSError as exc:
+    except (OSError, ValueError, GraphError) as exc:  # after the ValueErrors above
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_INPUT
 

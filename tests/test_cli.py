@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import os
 import random
 import re
 import tracemalloc
@@ -120,6 +121,38 @@ class TestKernelizeCommand:
                      "--trace", str(trace)]) == EXIT_OK
         formats.parse_instance(out.read_text())
         formats.parse_trace(trace.read_text())
+
+
+@pytest.mark.parametrize("argv, outputs", [
+    # Each command writes every output path its argv names; ``missing/``
+    # does not exist, ``adir`` is a directory and ``fifo`` a named pipe.
+    (["kernelize", "in.rbds", "--out", "missing/k.rbds", "--trace", "run.trace"],
+     ["run.trace"]),
+    (["kernelize", "in.rbds", "--out", "k.rbds", "--trace", "missing/run.trace"], ["k.rbds"]),
+    (["kernelize", "in.rbds", "--out", "k.rbds", "--trace", "adir"], ["k.rbds"]),
+    (["kernelize", "no.rbds", "--out", "k.rbds", "--trace", "adir"], ["k.rbds"]),
+    (["kernelize", "in.rbds", "--out", "k.rbds", "--trace", "fifo"], ["k.rbds"]),
+    (["gen", "grid", "4", "5", "--out", "missing/g.rbds"], []),
+    (["face-cover", "tri.plane", "--out", "missing/fc.rbds"], []),
+])
+def test_unwritable_output_refuses_before_any_output(tmp_path, capsys, argv, outputs):
+    # A refusal prints no verdict, leaves every output file as it was and
+    # leaves no temporary file behind.
+    (tmp_path / "in.rbds").write_text(formats.format_instance(gen_grid(4, 5)))
+    (tmp_path / "no.rbds").write_text(formats.format_instance(Instance(star_beside_matching(), 4)))
+    (tmp_path / "tri.plane").write_text(
+        format_plane(is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding))
+    (tmp_path / "adir").mkdir()
+    os.mkfifo(tmp_path / "fifo")
+    for name in outputs:
+        (tmp_path / name).write_text("earlier run\n")
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    argv = [str(tmp_path / a) if "." in a or a in ("adir", "fifo") else a for a in argv]
+    assert main(argv) == EXIT_BAD_INPUT
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+    assert list((tmp_path / "adir").iterdir()) == [] and (tmp_path / "fifo").is_fifo()
 
 
 class TestPipeline:
@@ -306,6 +339,14 @@ class TestGenCommand:
         inst = formats.parse_instance(out.read_text())
         assert inst.graph.n_vertices == 12
 
+    def test_out_through_a_symbolic_link_lands_in_its_target(self, tmp_path, capsys):
+        target, link = tmp_path / "g.rbds", tmp_path / "link.rbds"
+        target.write_text("earlier run\n")
+        link.symlink_to(target.name)
+        assert main(["gen", "grid", "3", "4", "--out", str(link)]) == EXIT_OK
+        assert link.is_symlink() and target.read_text() == formats.format_instance(gen_grid(3, 4))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.rbds", "link.rbds"]
+
     def test_planar_deterministic(self, tmp_path):
         a, b = tmp_path / "a.rbds", tmp_path / "b.rbds"
         assert main(["gen", "planar", "20", "70", "--seed", "5", "--out", str(a)]) == EXIT_OK
@@ -375,6 +416,8 @@ class TestGenCommand:
     ["gen", "grid", "3", "x"], ["gen", "nope", "3"],
     # --lift takes the trace and the original instance together.
     ["solve", "K", "--lift", "T"], ["solve", "K", "--original", "I"],
+    # face-cover is a command of its own, which takes one plane file.
+    ["transform", "face-cover", "x"], ["face-cover", "x", "extra"],
 ])
 def test_command_line_misuse_exits_parse_before_any_output(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -418,26 +461,6 @@ class TestCheckPlanar:
         assert capsys.readouterr().out == "PLANAR\n"
         assert calls == [False]
 
-    def test_plane_file_answers_for_its_edge_set(self, tmp_path, capsys, monkeypatch):
-        # The rotation is K4 on the torus, V - E + F = 0, which transform
-        # face-cover refuses; the edge set, K4, is planar.
-        path = tmp_path / "k4.plane"
-        path.write_text("p plane 4 6\nv 0: 1 2 3\nv 1: 0 2 3\nv 2: 0 3 1\nv 3: 0 1 2\n")
-        calls = count_left_right(monkeypatch)
-        assert main(["check-planar", str(path)]) == EXIT_OK
-        assert capsys.readouterr().out == "PLANAR\n"
-        assert calls == [False]
-
-    def test_nonplanar_plane_file(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "k33.plane"
-        path.write_text("p plane 6 9\n" + "".join(
-            "v %d: %s\n" % (v, " ".join(str(u) for u in range(6) if (u < 3) != (v < 3)))
-            for v in range(6)))
-        calls = count_left_right(monkeypatch)
-        assert main(["check-planar", str(path)]) == EXIT_NONPLANAR
-        assert capsys.readouterr().out == "NONPLANAR\n"
-        assert calls == [False]
-
     def test_nonplanar_within_euler_bound(self, tmp_path, capsys):
         # K3,3 with the edge 1-4 subdivided by red 8 and blue 7: 8 vertices
         # and 11 edges pass m <= 2n - 4, so the left-right test decides.
@@ -464,19 +487,14 @@ class TestCheckPlanar:
         assert main(["check-planar", str(path)]) == EXIT_NONPLANAR
         assert capsys.readouterr().out == "NONPLANAR euler n=18 m=36\n"
 
-    def test_plane_file(self, tmp_path, capsys):
-        pg = is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding
+    def test_plane_file_exits_parse(self, tmp_path, capsys):
+        # check-planar reads an instance; face-cover is what reads a plane
+        # file, and it checks the rotation too.
         path = tmp_path / "tri.plane"
-        path.write_text(format_plane(pg))
-        assert main(["check-planar", str(path)]) == EXIT_OK
-
-    def test_plane_file_with_indented_comment(self, tmp_path, capsys):
-        pg = is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding
-        path = tmp_path / "tri.plane"
-        path.write_text("  c a triangle\n" + format_plane(pg))
-        assert main(["check-planar", str(path)]) == EXIT_OK
-        assert capsys.readouterr().out.strip() == "PLANAR"
-
+        path.write_text(format_plane(is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding))
+        assert main(["check-planar", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "parse error" in captured.err
 
     def test_lenient_plane_file_exits_parse(self, tmp_path, capsys):
         path = tmp_path / "edge.plane"
@@ -485,19 +503,13 @@ class TestCheckPlanar:
         assert "parse error" in capsys.readouterr().err
 
 
-class TestTransformCommand:
-    def test_face_cover_is_the_only_kind(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["transform", "to-ds", "x.rbds"])
-        assert exc.value.code == EXIT_PARSE
-        assert "invalid choice: 'to-ds'" in capsys.readouterr().err
-
+class TestFaceCoverCommand:
     def test_face_cover(self, tmp_path):
         pg = is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding
         src = tmp_path / "tri.plane"
         src.write_text(format_plane(pg))
         out = tmp_path / "fc.rbds"
-        assert main(["transform", "face-cover", str(src), "-k", "1",
+        assert main(["face-cover", str(src), "-k", "1",
                      "--out", str(out)]) == EXIT_OK
         inst = formats.parse_instance(out.read_text())
         assert len(inst.graph.blue) == 2 and len(inst.graph.red) == 3
@@ -506,7 +518,7 @@ class TestTransformCommand:
         src = tmp_path / "tri.plane"
         src.write_text(format_plane(is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding))
         out = tmp_path / "fc.rbds"
-        assert main(["transform", "face-cover", str(src), "-k", "-1",
+        assert main(["face-cover", str(src), "-k", "-1",
                      "--out", str(out)]) == EXIT_BAD_INPUT
         assert not out.exists()
         err = capsys.readouterr().err
@@ -516,7 +528,7 @@ class TestTransformCommand:
         src = tmp_path / "tri.plane"
         src.write_text(format_plane(is_planar(range(3), [(0, 1), (1, 2), (0, 2)]).embedding))
         out = tmp_path / "fc.rbds"
-        assert main(["transform", "face-cover", str(src), "-k", "1" + "0" * 18,
+        assert main(["face-cover", str(src), "-k", "1" + "0" * 18,
                      "--out", str(out)]) == EXIT_BAD_INPUT
         assert not out.exists()
         assert "18 digits" in capsys.readouterr().err
@@ -526,20 +538,20 @@ class TestTransformCommand:
         # comes first.
         src = tmp_path / "bad.plane"
         src.write_text("p plane 2 1\nv 1: 2\n")
-        assert main(["transform", "face-cover", str(src), "-k", "-1"]) == EXIT_PARSE
+        assert main(["face-cover", str(src), "-k", "-1"]) == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
 
     def test_face_cover_disconnected_exits_bad_input(self, tmp_path, capsys):
         src = tmp_path / "two.plane"
         src.write_text(format_plane(PlaneGraph({1: [2], 2: [1], 3: [4], 4: [3]})))
-        assert main(["transform", "face-cover", str(src)]) == EXIT_BAD_INPUT
+        assert main(["face-cover", str(src)]) == EXIT_BAD_INPUT
         assert "connected" in capsys.readouterr().err
 
     def test_face_cover_torus_embedding_exits_bad_input(self, tmp_path, capsys):
         src = tmp_path / "k4.plane"
         src.write_text("p plane 4 6\nv 0: 1 2 3\nv 1: 0 2 3\nv 2: 0 3 1\nv 3: 0 1 2\n")
         out = tmp_path / "fc.rbds"
-        assert main(["transform", "face-cover", str(src), "--out", str(out)]) == EXIT_BAD_INPUT
+        assert main(["face-cover", str(src), "--out", str(out)]) == EXIT_BAD_INPUT
         assert not out.exists()
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "not a plane embedding" in err
@@ -553,9 +565,8 @@ _FUZZ_RUNS = [
     (["solve", "kernel.rbds", "--lift", "run.trace", "in.rbds"], "in.rbds"),
     (["verify", "in.rbds", "sol.txt"], "in.rbds"),
     (["verify", "in.rbds", "sol.txt"], "sol.txt"),
-    (["transform", "face-cover", "g.plane"], "g.plane"),
+    (["face-cover", "g.plane"], "g.plane"),
     (["check-planar", "in.rbds"], "in.rbds"),
-    (["check-planar", "g.plane"], "g.plane"),
 ]
 _DOCUMENTED_EXITS = {EXIT_OK, EXIT_PARSE, EXIT_BAD_INPUT, EXIT_NO, EXIT_INFEASIBLE,
                      EXIT_INVALID, EXIT_TOO_LARGE, EXIT_NONPLANAR}
@@ -608,5 +619,9 @@ class TestFuzz:
         edited.write_bytes(_edited((valid_files / target).read_bytes(), edits))
         argv = [str(edited) if a == target else str(valid_files / a) if "." in a else a
                 for a in argv]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert main(argv) in _DOCUMENTED_EXITS
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in _DOCUMENTED_EXITS
+        # A parse error or a refusal prints no verdict.
+        assert code not in (EXIT_PARSE, EXIT_BAD_INPUT) or stdout.getvalue() == ""

@@ -1,9 +1,13 @@
 """The README's library example runs as written, and its command line
-section names the options the parser takes."""
+section names the options the parser takes, in examples the parser
+accepts."""
 
 import argparse
 import re
+import shlex
 from pathlib import Path
+
+import pytest
 
 from rbkernel.cli import build_parser
 
@@ -34,3 +38,16 @@ def test_command_line_section_names_the_parsers_long_options():
                if not isinstance(action, argparse._HelpAction)
                for opt in action.option_strings if opt.startswith("--")}
     assert named == options
+
+
+def test_command_line_examples_parse():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    examples = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert examples and all(argv[0] == "rbkernel" for argv in examples)
+    for argv in examples:
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail("the parser refuses the README example %r" % " ".join(argv))
