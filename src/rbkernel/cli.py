@@ -55,27 +55,30 @@ def _land(stdout: str, outputs) -> None:
     with symbolic links resolved, and the siblings replace their paths only
     once all are written; if one cannot be written, or a path names an
     existing file that is not a regular file, the siblings are removed, no
-    path changes, nothing reaches stdout and the ``OSError`` propagates.  Of
-    two texts for one path, the later lands."""
-    files = {os.path.realpath(path): text for path, text in outputs if path not in (None, "-")}
+    path changes, nothing reaches stdout and an ``OSError`` that names the
+    path as given propagates.  Of two texts for one path, the later lands."""
+    files = {os.path.realpath(path): (path, text)
+             for path, text in outputs if path not in (None, "-")}
     temps = []
     try:
-        for path, text in files.items():
+        for real, (path, text) in files.items():
             # os.replace would fail on a directory only after the others landed,
             # and would put a regular file in place of a device or a pipe.
-            if os.path.exists(path) and not os.path.isfile(path):
+            if os.path.exists(real) and not os.path.isfile(real):
                 raise OSError("%s is not a regular file" % path)
-            temp = "%s.%d.tmp" % (path, os.getpid())
+            temp = "%s.%d.tmp" % (real, os.getpid())
             with open(temp, "x") as f:
                 temps.append(temp)
                 f.write(text)
-        for path, temp in zip(files, temps):
-            os.replace(temp, path)
-    except OSError:
+        for (real, (path, _)), temp in zip(files.items(), temps):
+            os.replace(temp, real)
+    except OSError as exc:
         for temp in temps:
             with contextlib.suppress(OSError):
                 os.remove(temp)
-        raise
+        if exc.strerror is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from None
     sys.stdout.write(stdout + "".join(text for path, text in outputs if path in (None, "-")))
 
 
@@ -111,10 +114,8 @@ def cmd_solve(args) -> int:
         trace = formats.parse_trace(_read(trace_path))
         fp = fingerprint_instance(original)
         if trace.fingerprint != fp:
-            theirs = ("missing" if trace.fingerprint is None
-                      else formats.format_fingerprint(trace.fingerprint))
             raise ValueError("the trace is not of %s: its fingerprint is %s, the instance's %s"
-                             % (original_path, theirs, formats.format_fingerprint(fp)))
+                             % (original_path, trace.fingerprint or "missing", fp))
         try:
             g = formats.in_original_ids(inst)
             replay_trace(original.graph, trace, g)

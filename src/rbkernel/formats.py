@@ -44,7 +44,7 @@ from __future__ import annotations
 import re
 
 from .graph import GraphError, Instance, RBGraph
-from .kernelizer import R4_CASE, WITNESS_LEN, Fingerprint, KernelTrace, RuleApplication
+from .kernelizer import R4_CASE, WITNESS_LEN, KernelTrace, RuleApplication
 from .planar import PlaneGraph
 
 
@@ -365,11 +365,6 @@ def format_solution(chosen) -> str:
 # -- traces ---------------------------------------------------------------------
 
 
-def format_fingerprint(fp: Fingerprint) -> str:
-    """The fields of a trace's ``c fingerprint`` line."""
-    return "v=%d e=%d sha=%s" % (fp.n_vertices, fp.n_edges, fp.digest)
-
-
 def format_trace(trace: KernelTrace) -> str:
     """One application per line, fields tab-separated in this order; the
     parser takes any whitespace between fields, but no other order.  A
@@ -379,7 +374,7 @@ def format_trace(trace: KernelTrace) -> str:
     with ``added=<id>`` appended for the records that name one."""
     lines = []
     if trace.fingerprint is not None:
-        lines.append("c fingerprint " + format_fingerprint(trace.fingerprint))
+        lines.append("c fingerprint " + trace.fingerprint)
     heads: dict = {}
     for tag, witness, delta, added in trace.records:
         key = tag, delta, len(witness)
@@ -465,7 +460,7 @@ def parse_trace(text: str) -> KernelTrace:
                     raise ParseError(i, "expected 'c fingerprint v=<n> e=<m> sha=<16 hex digits>'")
                 if trace.fingerprint is not None:
                     raise ParseError(i, "second 'c fingerprint' line")
-                trace.fingerprint = Fingerprint(int(fp[1]), int(fp[2]), fp[3])
+                trace.fingerprint = "v=%d e=%d sha=%s" % (int(fp[1]), int(fp[2]), fp[3])
             continue
         tag, delta, ids, added = m.groups()
         size = WITNESS_LEN.get(tag)

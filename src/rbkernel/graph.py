@@ -142,8 +142,3 @@ class Instance:
     graph: RBGraph
     k: int
     meta: dict = field(default_factory=dict)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return self.graph == other.graph and self.k == other.k

@@ -73,17 +73,10 @@ class RuleApplication(NamedTuple):
     added: int | None
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    n_vertices: int
-    n_edges: int
-    digest: str
-
-
 @dataclass
 class KernelTrace:
     records: list = field(default_factory=list)
-    fingerprint: Fingerprint | None = None
+    fingerprint: str | None = None  # fingerprint_instance of the input
 
 
 @dataclass
@@ -101,8 +94,9 @@ class KernelResult:
         return self.status == "no"
 
 
-def fingerprint_instance(inst: Instance) -> Fingerprint:
-    """The vertex and edge counts of ``inst`` and a digest of (k, B, R, E).
+def fingerprint_instance(inst: Instance) -> str:
+    """``v=<vertices> e=<edges> sha=<digest>`` of ``inst``, the fields of a
+    trace's ``c fingerprint`` line, the digest one of (k, B, R, E).
 
     The digest is the first 16 hex digits of the sha256 of the ASCII text
     ``k=<k> B=<blues> R=<reds> E=<keys>``, each list in ascending order and
@@ -117,7 +111,8 @@ def fingerprint_instance(inst: Instance) -> Fingerprint:
     keys = [u * m + v for u, nu in adj.items() for v in nu if u < v]
     keys.sort()
     text = "k=%d B=%s R=%s E=%s" % (inst.k, sorted(g.blue), sorted(g.red), keys)
-    return Fingerprint(g.n_vertices, len(keys), hashlib.sha256(text.encode()).hexdigest()[:16])
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    return "v=%d e=%d sha=%s" % (g.n_vertices, len(keys), digest)
 
 
 # -- finding matches -----------------------------------------------------------

@@ -22,8 +22,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 
 from rbkernel import planar, solver
-from rbkernel.formats import (_FINGERPRINT, _RECORD, MAX_VERTICES, ParseError, _is_id,
-                             format_fingerprint)
+from rbkernel.formats import _FINGERPRINT, _RECORD, MAX_VERTICES, ParseError, _is_id
 from rbkernel.generators import GEN_ALGO_ID, gen_grid
 from rbkernel.graph import GraphError, Instance, RBGraph
 from rbkernel.kernelizer import (
@@ -38,7 +37,6 @@ from rbkernel.kernelizer import (
     SAN_NO,
     SIZE_FACTOR,
     WITNESS_LEN,
-    Fingerprint,
     KernelTrace,
     RuleApplication,
     apply_rule,
@@ -794,7 +792,7 @@ def reference_parse_trace(text: str) -> KernelTrace:
                     raise ParseError(i, "expected 'c fingerprint v=<n> e=<m> sha=<16 hex digits>'")
                 if trace.fingerprint is not None:
                     raise ParseError(i, "second 'c fingerprint' line")
-                trace.fingerprint = Fingerprint(int(fp[1]), int(fp[2]), fp[3])
+                trace.fingerprint = "v=%d e=%d sha=%s" % (int(fp[1]), int(fp[2]), fp[3])
             continue
         tag, delta, ids, added = m.groups()
         size = WITNESS_LEN.get(tag)
@@ -817,7 +815,7 @@ def reference_format_trace(trace: KernelTrace) -> str:
     the record names one."""
     lines = []
     if trace.fingerprint is not None:
-        lines.append("c fingerprint " + format_fingerprint(trace.fingerprint))
+        lines.append("c fingerprint " + trace.fingerprint)
     for tag, witness, delta, added in trace.records:
         line = "r\t%s\tk_delta=%d\twitness=(%s)" % (tag, delta, ",".join(map(str, witness)))
         lines.append(line if added is None else "%s\tadded=%d" % (line, added))

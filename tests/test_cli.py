@@ -135,9 +135,12 @@ class TestKernelizeCommand:
     (["gen", "grid", "4", "5", "--out", "missing/g.rbds"], []),
     (["face-cover", "tri.plane", "--out", "missing/fc.rbds"], []),
 ])
-def test_unwritable_output_refuses_before_any_output(tmp_path, capsys, argv, outputs):
+def test_unwritable_output_refuses_before_any_output(tmp_path, capsys, monkeypatch, argv,
+                                                    outputs):
     # A refusal prints no verdict, leaves every output file as it was and
-    # leaves no temporary file behind.
+    # leaves no temporary file behind; its one stderr line names the output
+    # path as given, neither resolved nor the temporary sibling's.
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "in.rbds").write_text(formats.format_instance(gen_grid(4, 5)))
     (tmp_path / "no.rbds").write_text(formats.format_instance(Instance(star_beside_matching(), 4)))
     (tmp_path / "tri.plane").write_text(
@@ -147,10 +150,12 @@ def test_unwritable_output_refuses_before_any_output(tmp_path, capsys, argv, out
     for name in outputs:
         (tmp_path / name).write_text("earlier run\n")
     before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
-    argv = [str(tmp_path / a) if "." in a or a in ("adir", "fifo") else a for a in argv]
     assert main(argv) == EXIT_BAD_INPUT
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
+    bad = next(a for a in argv if a.startswith("missing/") or a in ("adir", "fifo"))
+    assert bad in err and ".tmp" not in err
+    assert str(tmp_path) not in err and os.path.realpath(tmp_path) not in err
     assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
     assert list((tmp_path / "adir").iterdir()) == [] and (tmp_path / "fifo").is_fifo()
 
@@ -227,7 +232,20 @@ class TestPipeline:
         other.write_text(formats.format_instance(gen_grid(5, 4)))
         assert main(["solve", str(kernel), "--lift", str(trace), str(other)]) == EXIT_BAD_INPUT
         out, err = capsys.readouterr()
-        assert out == "" and len(err.splitlines()) == 1 and "fingerprint" in err
+        assert out == ""
+        assert err == ("the trace is not of %s: its fingerprint is v=20 e=31 sha=ab4cfe8c5d54438a, "
+                       "the instance's v=20 e=31 sha=11997209af2ecacc\n" % other)
+
+    def test_trace_without_fingerprint_exits_bad_input(self, lift_files, capsys):
+        src, kernel, trace = lift_files
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "c fingerprint v=20 e=31 sha=ab4cfe8c5d54438a"
+        trace.write_text("\n".join(lines[1:]) + "\n")
+        assert main(["solve", str(kernel), "--lift", str(trace), str(src)]) == EXIT_BAD_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("the trace is not of %s: its fingerprint is missing, "
+                       "the instance's v=20 e=31 sha=ab4cfe8c5d54438a\n" % src)
 
     def test_trace_that_does_not_replay_exits_bad_input(self, lift_files, capsys):
         # The first R1 record names a witness blue whose neighborhood does

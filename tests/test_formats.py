@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from rbkernel import formats
 from rbkernel.generators import gen_grid, gen_matching, gen_random_planar
 from rbkernel.graph import GraphError, Instance, RBGraph
-from rbkernel.kernelizer import (R3, R4_CASE, RULE_TAGS, WITNESS_LEN, Fingerprint, KernelTrace,
+from rbkernel.kernelizer import (R3, R4_CASE, RULE_TAGS, WITNESS_LEN, KernelTrace,
                                  RuleApplication, kernelize, lift_solution)
 from rbkernel.planar import is_planar
 
@@ -859,15 +859,15 @@ def kernel_traces(draw):
         witness = tuple(draw(ids) for _ in range(WITNESS_LEN[tag]))
         added = draw(ids) if tag == R4_CASE[2] else None
         records.append(RuleApplication(tag, witness, draw(st.sampled_from([0, -1, -2])), added))
-    fingerprint = draw(st.none() | st.builds(
-        Fingerprint, ids, ids, st.text("0123456789abcdef", min_size=16, max_size=16)))
+    digests = st.text("0123456789abcdef", min_size=16, max_size=16)
+    fingerprint = draw(st.none() | st.tuples(ids, ids, digests).map("v=%d e=%d sha=%s".__mod__))
     return KernelTrace(records, fingerprint)
 
 
 class TestTraceWriterMatchesReference:
     @given(kernel_traces())
     @example(KernelTrace())
-    @example(KernelTrace([], Fingerprint(4, 3, "0123456789abcdef")))
+    @example(KernelTrace([], "v=4 e=3 sha=0123456789abcdef"))
     # One tag and witness length with two budget drops.
     @example(KernelTrace([RuleApplication(R3, (1,), -1, None), RuleApplication(R3, (2,), 0, None)]))
     @settings(max_examples=500, deadline=None)

@@ -1,7 +1,8 @@
 """Every ``tests/<file>.py[::Name[::name]]`` reference in a comment or
-docstring of the package names a test file that exists and, if it goes on,
-a class or function defined at the top of that file and a method of that
-class: a fact the source says a test checks must point at that test."""
+docstring of the package, and in the README, names a test file that exists
+and, if it goes on, a class or function defined at the top of that file
+and a method of that class: a fact the source says a test checks must
+point at that test."""
 
 import ast
 import io
@@ -44,6 +45,13 @@ def test_every_test_pointer_in_the_source_resolves():
             for file, names in pointers(p)]
     assert len(refs) >= 10
     assert [ref for ref in refs if not resolves(*ref[1:])] == []
+
+
+def test_every_test_pointer_in_the_readme_resolves():
+    refs = [(m[1], m[2].split("::")[1:])
+            for m in POINTER.finditer((ROOT / "README.md").read_text(encoding="utf-8"))]
+    assert len(refs) >= 4
+    assert [ref for ref in refs if not resolves(*ref)] == []
 
 
 def test_a_stale_pointer_does_not_resolve():
