@@ -26,14 +26,17 @@ One more verdict covers the whole file: ``more_failures``, the change's
 median share of failed operations (``failed / attempted``) is above the
 parent's.
 
-``--seeds`` must name at least two seeds, low to high, or the script stops
-with a usage error before it exports anything: quartiles need two runs a
-side.  It prints each run's ``vertices_per_s`` and ``failed`` count as it
-comes back.  A run that ``perfbench/run.py`` marks ``correct: false``, or
-that exits with a nonzero status, ends the script at once with exit status
-1, naming its side and seed, and no file is written: a gain read from a
-wrong run means nothing.  After the runs it prints one line per end-to-end
-metric with those numbers, then the ``more_failures`` verdict.
+``--seeds`` must name at least two seeds, low to high, and ``--workload``
+one of ``BENCHMARK.json``'s ``workloads``, or the script stops with a usage
+error (exit status 2) before it exports anything: quartiles need two runs a
+side, and a misspelt workload would otherwise show only as the first run's
+exit status.  It prints each run's ``vertices_per_s`` and ``failed`` count
+as it comes back.  A run that ``perfbench/run.py`` marks
+``correct: false``, or that exits with a nonzero status, ends the script at
+once with exit status 1, naming its side and seed, and no file is written:
+a gain read from a wrong run means nothing.  After the runs it prints one
+line per end-to-end metric with those numbers, then the ``more_failures``
+verdict.
 """
 
 from __future__ import annotations
@@ -145,6 +148,9 @@ def main(argv=None) -> int:
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    if args.workload not in workloads:
+        ap.error("unknown workload %r; choose from %s" % (args.workload, ", ".join(workloads)))
     seconds = str(spec["run_seconds"])
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
     runs = []

@@ -423,17 +423,19 @@ def parse_trace(text: str) -> KernelTrace:
     """Read a trace in one pass over the text.  A run of well-formed record
     lines without ``added=`` is read in bulk, one match and one ``findall``
     that captures each field, ids included, so a record takes only ``int``
-    calls and one ``RuleApplication._make``; every other line is read on its
+    calls and one ``tuple.__new__`` of a four-field ``RuleApplication``, a
+    C call with no Python frame per record; every other line is read on its
     own, so each error names its line."""
     trace = KernelTrace()
     records = trace.records
-    make = RuleApplication._make
+    new = tuple.__new__
     pos = i = 0  # where the next line starts, and the number of the last line read
     while pos < len(text):
         run = _RECORD_RUN.match(text, pos, text.rfind("\n", pos, pos + _CHUNK_CHARS) + 1)
         if run is not None:
             found = _RUN_FIELDS.findall(run[0])
-            records += [make((tag, (int(v), int(w)) if w else (int(v),), int(delta), None))
+            records += [new(RuleApplication,
+                            (tag, (int(v), int(w)) if w else (int(v),), int(delta), None))
                         for tag, delta, v, w in found]
             i += len(found)
             pos = run.end()
@@ -472,7 +474,8 @@ def parse_trace(text: str) -> KernelTrace:
                              % (tag, size, len(witness)))
         if (added is None) == (tag == R4_CASE[2]):
             raise ParseError(i, "%s records and no others end with 'added=<id>'" % R4_CASE[2])
-        records.append(make((tag, witness, int(delta), None if added is None else int(added))))
+        records.append(new(RuleApplication,
+                           (tag, witness, int(delta), None if added is None else int(added))))
     return trace
 
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 from .graph import RBGraph
 
@@ -129,7 +130,7 @@ class _Cover:
     """
 
     def __init__(self, family: list):
-        count = Counter(e for s in family for e in s)
+        count = Counter(chain.from_iterable(family))
         near = defaultdict(set)
         for s in family:
             for e in s:
@@ -156,7 +157,7 @@ class _Cover:
                 head += 1
             self.parts.append((1 << len(order)) - (1 << start))
         bit = {e: 1 << i for i, e in enumerate(order)}
-        self.masks = [sum(bit[e] for e in s) for s in family]
+        self.masks = [sum(map(bit.__getitem__, s)) for s in family]
         # covers[i]: the masks of the sets covering element i.  reach[i], the
         # elements sharing a set with element i, i included, is kept only as
         # its complement apart[i], what packing keeps.
@@ -204,7 +205,10 @@ class _Cover:
             # stays a cover when it takes the larger one instead.
             kept: list[int] = []
             for m in sorted(full, key=int.bit_count, reverse=True):
-                if all(m & k != m for k in kept):
+                for k in kept:
+                    if m & k == m:
+                        break
+                else:
                     kept.append(m)
             # Every element has a cover, so |u| + 1 exceeds any bound on u.
             best = u.bit_count() + 1

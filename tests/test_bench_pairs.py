@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = [m["name"] for m in SPEC["end_to_end"]]
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+WORKLOAD = WORKLOADS[0]
 
 
 @pytest.fixture
@@ -46,7 +49,7 @@ def script(monkeypatch):
 
 def test_pairs_report_failed_counts_and_gain(script, tmp_path, capsys):
     out = tmp_path / "pairs.json"
-    argv = ["--workload", "w", "--parent", "a", "--change", "b", "--seeds", "1-10",
+    argv = ["--workload", WORKLOAD, "--parent", "a", "--change", "b", "--seeds", "1-10",
             "--out", str(out)]
     assert script.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -61,7 +64,7 @@ def test_pairs_report_failed_counts_and_gain(script, tmp_path, capsys):
 def test_incorrect_run_exits_and_names_side_and_seed(script, tmp_path, capsys):
     script.wrong = {("change", 3)}
     out = tmp_path / "pairs.json"
-    argv = ["--workload", "w", "--parent", "a", "--change", "b", "--seeds", "1-10",
+    argv = ["--workload", WORKLOAD, "--parent", "a", "--change", "b", "--seeds", "1-10",
             "--out", str(out)]
     assert script.main(argv) == 1
     captured = capsys.readouterr()
@@ -70,7 +73,7 @@ def test_incorrect_run_exits_and_names_side_and_seed(script, tmp_path, capsys):
 
 
 def argv_for(seeds, out):
-    return ["--workload", "w", "--parent", "a", "--change", "b", "--seeds", seeds,
+    return ["--workload", WORKLOAD, "--parent", "a", "--change", "b", "--seeds", seeds,
             "--out", str(out)]
 
 
@@ -82,6 +85,19 @@ def test_fewer_than_two_seeds_is_a_usage_error_before_any_export(script, tmp_pat
         script.main(argv_for(seeds, out))
     assert exc.value.code == 2
     assert "fewer than two seeds" in capsys.readouterr().err
+    assert script.exported == [] and not out.exists()
+
+
+def test_unknown_workload_is_a_usage_error_before_any_export(script, tmp_path, capsys):
+    out = tmp_path / "pairs.json"
+    argv = argv_for("1-10", out)
+    argv[argv.index("--workload") + 1] = "tight-plannar"
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown workload 'tight-plannar'" in err
+    assert all(name in err for name in WORKLOADS)
     assert script.exported == [] and not out.exists()
 
 

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from rbkernel import formats
 from rbkernel.generators import gen_grid, gen_matching, gen_random_planar
 from rbkernel.graph import GraphError, Instance, RBGraph
-from rbkernel.kernelizer import (R3, R4_CASE, RULE_TAGS, WITNESS_LEN, KernelTrace,
-                                 RuleApplication, kernelize, lift_solution)
+from rbkernel.kernelizer import (R1, R3, R4_CASE, RULE_TAGS, WITNESS_LEN, KernelTrace,
+                                 RuleApplication, apply_rule, kernelize, lift_solution)
 from rbkernel.planar import is_planar
 
 from helpers import (format_plane, reference_format_instance, reference_format_trace,
@@ -672,9 +672,16 @@ class TestTraceFormat:
     def test_every_tag_round_trips(self):
         # Pair-rule witnesses, a grid, and a graph with same-color edges and
         # an isolated red fire every tag between them, R4-case2 added ids
-        # and Sanitize-edge among them.
+        # and Sanitize-edge among them.  kernelize, apply_rule and both of
+        # parse_trace's paths (runs, and R4-case2's added= lines one by one)
+        # must build four-field RuleApplications: tuple.__new__ checks no
+        # field count, and tuple equality cannot tell a plain tuple from one.
         from helpers import alternating_cycle
         from test_rules import rule4_case2_witness, rule4_case3_witness
+
+        def real(records):
+            return all(type(rec) is RuleApplication and len(rec) == 4 for rec in records)
+
         unsanitized = RBGraph.from_parts([1, 2], [3, 4, 5], [(1, 3), (2, 3), (2, 4)])
         for u, v in ((1, 2), (3, 4)):
             unsanitized.adj[u].add(v)
@@ -685,10 +692,19 @@ class TestTraceFormat:
             for k in range(len(g.blue) + 1):
                 trace = kernelize(Instance(g.copy(), k)).trace
                 again = formats.parse_trace(formats.format_trace(trace))
-                assert again.records == trace.records
+                replay = g.copy()
+                applied = [apply_rule(replay, rec[:2]) for rec in trace.records]
+                assert again.records == applied == trace.records
                 assert again.fingerprint == trace.fingerprint
+                assert real(trace.records) and real(applied) and real(again.records)
                 tags.update(rec.tag for rec in trace.records)
         assert tags == set(RULE_TAGS)
+        text = ("r\tR1\tk_delta=0\twitness=(1,2)\nr\tR3\tk_delta=-1\twitness=(3)\n"
+                "r\tR4-case2\tk_delta=0\twitness=(1,2)\tadded=5\n")
+        assert formats._RECORD_RUN.match(text).end() == text.index("r\tR4-case2")
+        again = formats.parse_trace(text).records
+        assert again == [(R1, (1, 2), 0, None), (R3, (3,), -1, None), (R4_CASE[2], (1, 2), 0, 5)]
+        assert real(again)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(formats.ParseError) as err:

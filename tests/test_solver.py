@@ -384,6 +384,18 @@ class TestRecordedWitness:
         assert sorted(engine.walk(part)) == sorted(engine.masks[i] for i in (0, 2))
         assert min_rbds(g).witness == frozenset({1, 3})
 
+    def test_branches_on_maximal_candidates_largest_first(self):
+        # Elements 0, 1, 4, 2, 3 get bits 1, 2, 4, 8, 16, so the sets have
+        # masks 3, 6, 12 and 20, and the optimum is 3.  Under the root's one
+        # candidate, 3, the node 28 branches on element 4.  Its candidates
+        # are 12 and 20, tied, in the order of their sets, and 4, which
+        # both subsume.  After 12 gives 2 the search tries 20, which leaves
+        # 8 under limit 0, and never tries 4, which would leave 24.
+        engine = solver._Cover([{0, 1}, {1, 4}, {2, 4}, {3, 4}])
+        assert engine.masks == [3, 6, 12, 20] and engine.parts == [31]
+        assert engine.solve(31, 5) == 3
+        assert engine.memo == {31: (3, 3), 28: (2, 12), 16: (1, 20), 8: (1, 0)}
+
     @given(st.one_of(unions().map(blue_family), sparse_families))
     @settings(max_examples=200, deadline=None)
     def test_walk_covers_each_part_at_its_optimum(self, family):
